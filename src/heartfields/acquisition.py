@@ -329,34 +329,33 @@ def select_subset(contours, config):
 # ----------------------------------------------------------------- file I/O
 
 
-def save_contours(path, contours):
-    doc = {
-        "shape_id": contours.shape_id,
-        "provenance": contours.provenance,
-        "slices": [
-            {
-                "view": s.plane.view,
-                "origin": s.plane.origin.tolist(),
-                "normal": s.plane.normal.tolist(),
-                "e1": s.plane.e1.tolist(),
-                "e2": s.plane.e2.tolist(),
-                "spacing": s.plane.spacing,
-                "shift": s.shift.tolist(),
-                "points": [
-                    {
-                        "xyz": [float(x) for x in s.points[i]],
-                        "label": int(s.labels[i]),
-                        "kind": _KIND_NAMES[s.kinds[i]],
-                    }
-                    for i in range(len(s.points))
-                ],
-            }
-            for s in contours.slices
+def _slice_record(s):
+    return {
+        "view": s.plane.view,
+        "origin": s.plane.origin.tolist(),
+        "normal": s.plane.normal.tolist(),
+        "e1": s.plane.e1.tolist(),
+        "e2": s.plane.e2.tolist(),
+        "spacing": s.plane.spacing,
+        "shift": s.shift.tolist(),
+        "points": [
+            {"xyz": xyz, "label": label, "kind": _KIND_NAMES[kind]}
+            for xyz, label, kind in zip(s.points.tolist(), s.labels.tolist(), s.kinds.tolist())
         ],
     }
+
+
+def save_contours(path, contours):
+    # one slice at a time through json's C encoder: the bytes equal those of
+    # json.dump of the whole document, which runs the pure-Python encoder
+    head = json.dumps(
+        {"shape_id": contours.shape_id, "provenance": contours.provenance, "slices": []}
+    )
     with open(path, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+        f.write(head[: -len("]}")])
+        for i, s in enumerate(contours.slices):
+            f.write((", " if i else "") + json.dumps(_slice_record(s)))
+        f.write("]}\n")
 
 
 def load_contours(path):

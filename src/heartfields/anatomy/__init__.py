@@ -8,7 +8,7 @@ template correspondence.
 """
 
 from .frames import CardiacFrame, apply_frame, cardiac_frame, invert_frame
-from .labeling import AnatomicalLabel, Labeler, label_point, label_points
+from .labeling import AnatomicalLabel, Labeler, label_points
 from .plyio import read_landmarks, read_mesh_ply, write_landmarks, write_mesh_ply
 from .shapes import (
     InstanceMesh,
@@ -43,7 +43,6 @@ __all__ = [
     "default_params",
     "generate_shape",
     "invert_frame",
-    "label_point",
     "label_points",
     "mean_shape",
     "myocardial_interior_point",

@@ -1,19 +1,29 @@
 """Point labeling against watertight compartment surfaces.
 
 Containment uses ray-crossing parity with a vertical ray and an (x, y)
-uniform grid over triangle footprints; queries that land within epsilon of
-a projected edge (or of the surface itself) are re-cast along oblique
-fallback directions, and as a last resort nudged off the surface. A
-generalized-winding-number implementation is provided as an independent
-oracle for the test suite.
+uniform grid over triangle footprints. Each query is expanded into
+(point, candidate triangle) pairs from its grid cell, the pairs are
+evaluated in fixed-size chunks, and per-point crossing parity and grazes
+are reduced with ``np.bincount``. Queries that land within epsilon of a
+projected edge (or of the surface itself) are re-cast, all at once, along
+oblique fallback directions with a Moller-Trumbore test against every
+triangle; only the queries that still graze move on to the next
+direction. Queries that graze all of them are nudged off the surface and
+retried once, and any that graze even then are decided by the
+generalized winding number, which also serves as an independent oracle
+for the test suite.
 """
 
+import weakref
 from enum import IntEnum
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 _EPS_EDGE = 1e-9
+_NUDGE = 1e-7
+# (point, triangle) pairs evaluated at once; bounds the temporaries
+_CHUNK_PAIRS = 8192
 _FALLBACK_DIRS = np.array(
     [
         [0.03617126, 0.08912318, 0.99536593],
@@ -40,7 +50,11 @@ class AnatomicalLabel(IntEnum):
 
 
 class RayCastIndex:
-    """Parity ray caster for one closed triangle surface."""
+    """Parity ray caster for one closed triangle surface.
+
+    ``fallback_points`` counts, over all calls, the queries re-cast along
+    the oblique directions (a nudged query counts again).
+    """
 
     def __init__(self, vertices, faces, cells=48):
         self.v = np.asarray(vertices, dtype=np.float64)
@@ -48,25 +62,27 @@ class RayCastIndex:
         tri = self.v[self.f]  # (F, 3, 3)
         self.tri = tri
         xy = tri[:, :, :2]
-        self.lo = xy.min(axis=1)
-        self.hi = xy.max(axis=1)
-        gmin = self.lo.min(axis=0) - 1e-6
-        gmax = self.hi.max(axis=0) + 1e-6
+        lo = xy.min(axis=1)
+        hi = xy.max(axis=1)
+        gmin = lo.min(axis=0) - 1e-6
+        gmax = hi.max(axis=0) + 1e-6
         self.gmin, self.gspan = gmin, np.maximum(gmax - gmin, 1e-12)
         self.cells = cells
-        # bin triangles into all grid cells their xy-bbox overlaps
-        lo_cell = np.clip(((self.lo - gmin) / self.gspan * cells).astype(int), 0, cells - 1)
-        hi_cell = np.clip(((self.hi - gmin) / self.gspan * cells).astype(int), 0, cells - 1)
-        buckets = [[] for _ in range(cells * cells)]
-        for t in range(len(self.f)):
-            for ix in range(lo_cell[t, 0], hi_cell[t, 0] + 1):
-                for iy in range(lo_cell[t, 1], hi_cell[t, 1] + 1):
-                    buckets[ix * cells + iy].append(t)
-        counts = np.array([len(b) for b in buckets])
-        self.offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.bucket_tris = np.array(
-            [t for b in buckets for t in b], dtype=np.int64
-        ) if counts.sum() else np.empty(0, dtype=np.int64)
+        # bin triangles into all grid cells their xy-bbox overlaps; a
+        # stable sort keeps each bucket in triangle order
+        lo_cell = np.clip(((lo - gmin) / self.gspan * cells).astype(int), 0, cells - 1)
+        hi_cell = np.clip(((hi - gmin) / self.gspan * cells).astype(int), 0, cells - 1)
+        span = hi_cell - lo_cell + 1
+        per_tri = span[:, 0] * span[:, 1]
+        owner = np.repeat(np.arange(len(self.f)), per_tri)
+        local = np.arange(len(owner)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
+        ny = span[owner, 1]
+        cell = (lo_cell[owner, 0] + local // ny) * cells + lo_cell[owner, 1] + local % ny
+        self.bucket_tris = owner[np.argsort(cell, kind="stable")]
+        self.offsets = np.concatenate(
+            [[0], np.cumsum(np.bincount(cell, minlength=cells * cells))]
+        )
+        self.fallback_points = 0
 
     def _cell_of(self, pts):
         cell = ((pts[:, :2] - self.gmin) / self.gspan * self.cells).astype(int)
@@ -76,38 +92,38 @@ class RayCastIndex:
     def contains(self, points):
         """Boolean containment per query point."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        return self._contains(pts, nudged=False)
+
+    def _contains(self, pts, nudged):
+        cells = self._cell_of(pts)
+        first = self.offsets[cells]
+        counts = self.offsets[cells + 1] - first
         inside = np.zeros(len(pts), dtype=bool)
         retry = np.zeros(len(pts), dtype=bool)
-        cells = self._cell_of(pts)
-        order = np.argsort(cells, kind="stable")
-        sorted_cells = cells[order]
-        boundaries = np.flatnonzero(np.diff(sorted_cells)) + 1
-        groups = np.split(order, boundaries)
-        for grp in groups:
-            cell = cells[grp[0]]
-            tris = self.bucket_tris[self.offsets[cell] : self.offsets[cell + 1]]
-            if tris.size == 0:
-                continue
-            par, deg = self._parity_z(pts[grp], tris)
-            inside[grp] = par
-            retry[grp] = deg
+        for s, e in _chunks(counts):
+            n = e - s
+            cnt = counts[s:e]
+            pair_pt = np.repeat(np.arange(n), cnt)
+            pos = np.repeat(first[s:e] - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(pair_pt))
+            above, graze = self._cross_z(pts[s:e][pair_pt], self.bucket_tris[pos])
+            inside[s:e] = np.bincount(pair_pt[above], minlength=n) % 2 == 1
+            retry[s:e] = np.bincount(pair_pt[graze], minlength=n) > 0
         if retry.any():
             idx = np.flatnonzero(retry)
-            inside[idx] = self._contains_oblique(pts[idx])
+            self.fallback_points += len(idx)
+            inside[idx] = self._contains_oblique(pts[idx], 0, nudged)
         return inside
 
-    def _parity_z(self, pts, tris):
-        """Crossing parity along +z for a point group against candidate
-        triangles; flags points that graze an edge or the surface."""
+    def _cross_z(self, q, tris):
+        """Per (point, triangle) pair: does the +z ray from ``q`` cross the
+        triangle above it, and does it graze an edge or the surface?"""
         t = self.tri[tris]  # (m, 3, 3)
         a, b, c = t[:, 0], t[:, 1], t[:, 2]
-        n, m = len(pts), len(tris)
-        q = pts[:, None, :2]
-        d0 = _cross2(b[:, :2] - a[:, :2], q - a[None, :, :2])
-        d1 = _cross2(c[:, :2] - b[:, :2], q - b[None, :, :2])
-        d2 = _cross2(a[:, :2] - c[:, :2], q - c[None, :, :2])
-        area = _cross2((b[:, :2] - a[:, :2])[None, :, :], (c[:, :2] - a[:, :2])[None, :, :])
-        area = np.broadcast_to(area, d0.shape)
+        ab, bc, ca = b[:, :2] - a[:, :2], c[:, :2] - b[:, :2], a[:, :2] - c[:, :2]
+        d0 = _cross2(ab, q[:, :2] - a[:, :2])
+        d1 = _cross2(bc, q[:, :2] - b[:, :2])
+        d2 = _cross2(ca, q[:, :2] - c[:, :2])
+        area = _cross2(ab, c[:, :2] - a[:, :2])
         pos = (d0 > 0) & (d1 > 0) & (d2 > 0)
         neg = (d0 < 0) & (d1 < 0) & (d2 < 0)
         strict = pos | neg
@@ -121,33 +137,38 @@ class RayCastIndex:
             la = d1 / area
             lb = d2 / area
             lc = d0 / area
-        z_hit = la * a[None, :, 2] + lb * b[None, :, 2] + lc * c[None, :, 2]
-        dz = z_hit - pts[:, 2][:, None]
+        z_hit = la * a[:, 2] + lb * b[:, 2] + lc * c[:, 2]
+        dz = z_hit - q[:, 2]
         above = strict & (dz > _EPS_EDGE)
         graze = (strict & (np.abs(dz) <= _EPS_EDGE)) | (near_edge & ~strict)
-        parity = (above.sum(axis=1) % 2).astype(bool)
-        return parity, graze.any(axis=1)
+        return above, graze
 
-    def _contains_oblique(self, pts, depth=0):
-        """Full Moller-Trumbore scan along an oblique direction for the few
-        degenerate queries."""
-        if depth >= len(_FALLBACK_DIRS):
-            # final resort: nudge the point off the surface and retry once
-            return self.contains(pts + 1e-7)
+    def _contains_oblique(self, pts, depth, nudged):
+        """Full Moller-Trumbore scan along an oblique direction for the
+        queries whose vertical ray grazed; those that graze again move on
+        to the next direction."""
+        if depth == len(_FALLBACK_DIRS):
+            if not nudged:
+                # final resort: nudge the points off the surface and retry once
+                return self._contains(pts + _NUDGE, nudged=True)
+            return winding_number_contains(pts, self.v, self.f)
         d = _FALLBACK_DIRS[depth]
         v0, v1, v2 = self.tri[:, 0], self.tri[:, 1], self.tri[:, 2]
         e1, e2 = v1 - v0, v2 - v0
         pvec = np.cross(d, e2)
         det = np.einsum("ij,ij->i", e1, pvec)
+        ok = np.abs(det) > 1e-14
         inside = np.zeros(len(pts), dtype=bool)
-        for i, p in enumerate(pts):
-            tvec = p - v0
+        grazed = np.zeros(len(pts), dtype=bool)
+        for s, e in _chunks(np.full(len(pts), len(self.f))):
+            # stacked einsum and matmul run the same kernels per point as a
+            # single point's scan, so every pair's arithmetic is unchanged
+            tvec = pts[s:e, None, :] - v0
             with np.errstate(invalid="ignore", divide="ignore"):
-                u = np.einsum("ij,ij->i", tvec, pvec) / det
+                u = np.einsum("pij,ij->pi", tvec, pvec) / det
                 qvec = np.cross(tvec, e1)
                 v = (qvec @ d) / det
-                t = np.einsum("ij,ij->i", e2, qvec) / det
-            ok = np.abs(det) > 1e-14
+                t = np.einsum("ij,pij->pi", e2, qvec) / det
             hit = ok & (u > _EPS_EDGE) & (v > _EPS_EDGE) & (u + v < 1 - _EPS_EDGE) & (t > _EPS_EDGE)
             grazing = ok & (
                 (np.abs(u) <= _EPS_EDGE)
@@ -156,11 +177,25 @@ class RayCastIndex:
                 | (np.abs(t) <= _EPS_EDGE)
             )
             grazing &= (u > -_EPS_EDGE) & (v > -_EPS_EDGE) & (u + v < 1 + _EPS_EDGE)
-            if grazing.any():
-                inside[i] = self._contains_oblique(p[None, :], depth + 1)[0]
-            else:
-                inside[i] = bool(hit.sum() % 2)
+            inside[s:e] = hit.sum(axis=1) % 2 == 1
+            grazed[s:e] = grazing.any(axis=1)
+        if grazed.any():
+            idx = np.flatnonzero(grazed)
+            inside[idx] = self._contains_oblique(pts[idx], depth + 1, nudged)
         return inside
+
+
+def _chunks(counts):
+    """Consecutive ``(start, stop)`` point ranges holding at most
+    ``_CHUNK_PAIRS`` pairs each, given every point's pair count (a point
+    with more pairs gets a range of its own)."""
+    cum = np.cumsum(counts)
+    s = 0
+    while s < len(counts):
+        base = cum[s - 1] if s else 0
+        e = max(s + 1, int(np.searchsorted(cum, base + _CHUNK_PAIRS, side="right")))
+        yield s, e
+        s = e
 
 
 def _cross2(u, v):
@@ -204,7 +239,6 @@ class Labeler:
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
         self.lv = RayCastIndex(*mesh.compartment("lv_cavity"))
         self.rv = RayCastIndex(*mesh.compartment("rv_cavity"))
         self.heart = RayCastIndex(*mesh.compartment("heart"))
@@ -240,13 +274,10 @@ class Labeler:
 
 def label_points(points, mesh):
     """Convenience wrapper that caches one :class:`Labeler` per mesh."""
-    labeler = getattr(mesh, "_labeler", None)
-    if labeler is None or labeler.mesh is not mesh:
+    # the cache refers back to its mesh weakly: a strong reference would make
+    # a cycle that keeps every labeled mesh alive until a full collection
+    owner, labeler = getattr(mesh, "_labeler", (None, None))
+    if owner is None or owner() is not mesh:
         labeler = Labeler(mesh)
-        mesh._labeler = labeler
+        mesh._labeler = (weakref.ref(mesh), labeler)
     return labeler.label(points)
-
-
-def label_point(point, mesh):
-    """Single-point :func:`label_points`, returned as AnatomicalLabel."""
-    return AnatomicalLabel(int(label_points(np.asarray(point)[None, :], mesh)[0]))

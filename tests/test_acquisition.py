@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from heartfields import acquisition as acq
 from heartfields import anatomy
 from heartfields.anatomy.labeling import AnatomicalLabel, RayCastIndex
+from heartfields.training import build_sample
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,25 @@ def test_grid_label_fidelity(mesh, contours):
     grid = s.kinds == acq.KIND_GRID
     relabeled = anatomy.label_points(s.points[grid], mesh)
     np.testing.assert_array_equal(relabeled, s.labels[grid])
+
+
+# sha256 of int8 label arrays of the default shape, computed at commit
+# fbd1246 (per-cell and per-point ray-casting loops): any change to
+# labeling must keep every label bit-identical
+GOLDEN_GRID_LABELS_SHA256 = "e821c741fcc1d31c121e97f07aae668089d2dfd3ae9fe8d43825f272a1fe054c"
+GOLDEN_SEG_LABELS_SHA256 = "4c3a9d270ef35e35f049de2a13f822884c6c59d9caeee4ef066568e221108614"
+
+
+def test_golden_label_hashes(mesh, contours):
+    def sha(labels):
+        return hashlib.sha256(np.ascontiguousarray(labels, dtype=np.int8).tobytes()).hexdigest()
+
+    # grid labels of acquire(density=3.0), concatenated in slice order
+    grid = np.concatenate([s.labels[s.kinds == acq.KIND_GRID] for s in contours.slices])
+    assert grid.size == 13032
+    assert sha(grid) == GOLDEN_GRID_LABELS_SHA256
+    sample = build_sample(mesh, "case000", seg_n=8000, reg_n=3000, seed=0)
+    assert sha(sample.seg_labels) == GOLDEN_SEG_LABELS_SHA256
 
 
 def test_contour_points_lie_on_surfaces(mesh, contours):

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from heartfields import acquisition as acq
 from heartfields import anatomy, metrics
 from heartfields.anatomy import frames, labeling
 from heartfields.anatomy.template import (
@@ -9,6 +13,11 @@ from heartfields.anatomy.template import (
     TAG_LV_ENDO,
     TAG_RV_ENDO,
 )
+
+
+def label_point(point, mesh):
+    """Single-point :func:`anatomy.label_points`, as an AnatomicalLabel."""
+    return labeling.AnatomicalLabel(int(anatomy.label_points(np.asarray(point)[None, :], mesh)[0]))
 
 
 @pytest.fixture(scope="module")
@@ -207,12 +216,12 @@ def test_generated_shape_frame_is_canonical(mesh):
 
 
 def test_label_cavity_center(mesh):
-    assert anatomy.label_point([0.0, 0.0, 0.0], mesh) == labeling.AnatomicalLabel.LV
+    assert label_point([0.0, 0.0, 0.0], mesh) == labeling.AnatomicalLabel.LV
 
 
 def test_label_far_outside(mesh):
     lo, hi = mesh.bounds()
-    assert anatomy.label_point(hi + 50.0, mesh) == labeling.AnatomicalLabel.BG
+    assert label_point(hi + 50.0, mesh) == labeling.AnatomicalLabel.BG
 
 
 def test_label_midwall_lv_free_wall(topo, mesh):
@@ -223,7 +232,7 @@ def test_label_midwall_lv_free_wall(topo, mesh):
     j = spec.n_rows // 2
     endo, epi = mesh.vertices[a_row[j, 0]], mesh.vertices[b_row[j, 0]]
     mid = 0.5 * (endo + epi)
-    assert anatomy.label_point(mid, mesh) == labeling.AnatomicalLabel.LVM
+    assert label_point(mid, mesh) == labeling.AnatomicalLabel.LVM
 
 
 def test_label_partition_and_nesting(mesh):
@@ -247,6 +256,77 @@ def test_labeling_matches_winding_oracle(mesh):
         fast = labeling.RayCastIndex(verts, faces).contains(pts)
         oracle = labeling.winding_number_contains(pts, verts, faces)
         np.testing.assert_array_equal(fast, oracle)
+
+
+def test_label_points_cache_frees_mesh(topo):
+    # the cached labeler must not keep its mesh alive through a cycle
+    mesh = anatomy.generate_shape(topo, anatomy.default_params())
+    anatomy.label_points(np.zeros((1, 3)), mesh)
+    ref = weakref.ref(mesh)
+    gc.disable()
+    try:
+        del mesh
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_fallback_matches_winding_oracle(mesh):
+    # the lax_4ch plane is vertical and holds template meridian edges, so
+    # the vertical ray from every point of its grid grazes an edge and the
+    # oblique fallback decides the point
+    plane = next(p for p in acq.standard_views(mesh) if p.view == "lax_4ch")
+    s = acq.slice_mesh(mesh, plane, density=4.0)
+    grid = s.points[s.kinds == acq.KIND_GRID]
+    for name in ("lv_cavity", "rv_cavity", "heart"):
+        verts, faces = mesh.compartment(name)
+        # the grid's lowest row lies on the flat base, where containment is
+        # a tie; the oracle decides only points off the surface
+        tri = verts[faces]
+        off = metrics.point_to_triangles_distance(grid, tri[:, 0], tri[:, 1], tri[:, 2]) > 1e-6
+        pts = grid[off]
+        index = labeling.RayCastIndex(verts, faces)
+        fast = index.contains(pts)
+        np.testing.assert_array_equal(fast, labeling.winding_number_contains(pts, verts, faces))
+        assert index.fallback_points > 0
+        if name != "rv_cavity":
+            assert index.fallback_points == len(pts)
+
+
+def test_labeling_on_surface_terminates(mesh):
+    # queries exactly on vertices and on the corners of the index grid
+    # graze every ray; each must still get one decision
+    lo, hi = mesh.bounds()
+    corners = np.array(
+        [[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+    )
+    for name in ("lv_cavity", "rv_cavity", "heart"):
+        verts, faces = mesh.compartment(name)
+        index = labeling.RayCastIndex(verts, faces)
+        ticks = index.gmin[:, None] + index.gspan[:, None] * np.linspace(0.0, 1.0, 7)
+        grid_corners = np.array(
+            [[x, y, z] for x in ticks[0] for y in ticks[1] for z in (lo[2], 0.0, hi[2])]
+        )
+        pts = np.vstack([verts, corners, grid_corners])
+        inside = index.contains(pts)
+        assert inside.shape == (len(pts),) and inside.dtype == bool
+        assert index.fallback_points > 0
+    labels = anatomy.label_points(np.vstack([mesh.vertices, corners]), mesh)
+    assert labels.min() >= 0 and labels.max() <= 4
+
+
+def test_labeling_nudges_once_then_uses_winding_number():
+    # a tetrahedron with an edge along (1, 1, 1): a query on that edge
+    # stays on it when nudged by the same amount along every axis, so it
+    # grazes every ray before and after the nudge
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    faces = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    index = labeling.RayCastIndex(verts, faces)
+    pts = np.array([[0.5, 0.5, 0.5], [0.5, 0.25, 0.1], [0.7, 0.2, 0.5]])
+    inside = index.contains(pts)
+    # the edge query and its nudged copy; the winding number decides it then
+    assert index.fallback_points == 2
+    np.testing.assert_array_equal(inside, labeling.winding_number_contains(pts, verts, faces))
 
 
 def test_interior_point_contract(mesh):
