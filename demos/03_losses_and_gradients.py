@@ -45,7 +45,7 @@ xyz = rng.standard_normal((5, 3)) * 30
 t5 = AnatomicalLabel.one_hot(rng.integers(0, 5, size=5))
 net = netcore.init_params(netcore.ResidualMlp(7, 5, 16, 2), seed=2)
 
-inputs = training.seg_inputs(xyz, latent, 0.01)
+inputs = training.seg_inputs(xyz, latent)
 logits, cache = netcore.forward_cached(net, inputs)
 _, g_logits = training.seg_loss(logits, t5, with_grad=True)
 g = netcore.backward(net, inputs, g_logits, cache=cache)
@@ -57,7 +57,7 @@ for i in range(latent.size):
         h = latent.copy()
         h[i] += sign * 1e-6
         val = training.seg_loss(
-            netcore.forward(net, training.seg_inputs(xyz, h, 0.01)), t5
+            netcore.forward(net, training.seg_inputs(xyz, h)), t5
         )
         numeric[i] += sign * val / 2e-6
 print(

@@ -31,19 +31,15 @@ print(f"final losses: {result.log[-1][1:]}")
 target = anatomy.generate_shape(topo, anatomy.sample_params(9999))
 contours = acq.acquire(target, "held_out", density=2.0)
 weights = inference.weights_for("ideal", steps=300, max_points=2000)
-rec = inference.optimize_latent(
-    contours, result.seg_net, result.stats, weights, input_scale=cfg.input_scale
-)
+rec = inference.optimize_latent(contours, result.seg_net, result.stats, weights)
 print(f"latent optimization: {rec.n_points} points, "
       f"loss {rec.loss_trace[0]:.3f} -> {rec.loss_trace.min():.3f}")
 
-pred = inference.predict_mesh(result.reg_net, rec.latent, topo, cfg.reg_output_scale)
+pred = inference.predict_mesh(result.reg_net, rec.latent, topo)
 
 ed, rmse = metrics.corresponding_ed(pred.vertices, target.vertices)
 cd_ab, cd_ba, cd_sym = metrics.chamfer(pred.vertices, target.vertices)
-x = training.seg_inputs(
-    target.vertices.astype(np.float32), rec.latent.astype(np.float32), cfg.input_scale
-)
+x = training.seg_inputs(target.vertices.astype(np.float32), rec.latent.astype(np.float32))
 pred_labels = np.argmax(netcore.forward(result.seg_net, x), axis=1)
 dice_lvm = metrics.point_dice(pred_labels, topo.vertex_labels(), 3)
 dice_rvm = metrics.point_dice(pred_labels, topo.vertex_labels(), 4)
@@ -58,9 +54,7 @@ print(f"LV volume: predicted {metrics.enclosed_volume(*pred.compartment('lv_cavi
 lo = pred.vertices.min(axis=0) - 10
 hi = pred.vertices.max(axis=0) + 10
 dims = ((hi - lo) / 4.0).astype(int) + 1
-labels = inference.predict_dense_labels(
-    result.seg_net, rec.latent, lo, 4.0, dims, input_scale=cfg.input_scale
-)
+labels = inference.predict_dense_labels(result.seg_net, rec.latent, lo, 4.0, dims)
 census = {anatomy.AnatomicalLabel(i).name: int(n) for i, n in
           enumerate(np.bincount(labels.ravel(), minlength=5))}
 print(f"dense label map {labels.shape}: {census}")

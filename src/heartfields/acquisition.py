@@ -239,7 +239,7 @@ def inject_misalignment(contours, spec):
     """
     out = []
     for i, s in enumerate(contours.slices):
-        rng = np.random.default_rng([spec.seed, _stable_hash(contours.shape_id), i])
+        rng = np.random.default_rng([spec.seed, stable_hash(contours.shape_id), i])
         if spec.distribution == "gaussian":
             shift = rng.normal(0.0, spec.sigma, size=2)
         else:
@@ -274,33 +274,13 @@ def remove_misalignment(contours):
     return ContourSet(contours.shape_id, out, provenance="ideal")
 
 
-def _stable_hash(text):
+def stable_hash(text):
+    """32-bit FNV-1a hash of ``str(text)``; unlike ``hash`` it is the same in
+    every process, so seeds derived from ids reproduce across runs."""
     h = 2166136261
     for ch in str(text).encode():
         h = (h ^ ch) * 16777619 % (1 << 32)
     return h
-
-
-def rv_epi_offset(points, thickness, plane=None):
-    """Displace contour points radially outward from their in-plane centroid.
-
-    Mimics synthesizing an RV epicardial contour from the endocardial one
-    at the average free-wall thickness. Displacement happens within the
-    slice plane (points are assumed coplanar; ``plane`` overrides the
-    in-plane basis, otherwise displacement is purely radial in 3D from the
-    centroid, which is equivalent for coplanar points).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if len(pts) < 3:
-        raise ValueError("rv_epi_offset needs at least 3 points for a centroid")
-    centroid = pts.mean(axis=0)
-    radial = pts - centroid
-    if plane is not None:
-        radial = np.outer(radial @ plane.e1, plane.e1) + np.outer(radial @ plane.e2, plane.e2)
-    norms = np.linalg.norm(radial, axis=1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise ValueError("a point coincides with the centroid")
-    return pts + thickness * radial / norms
 
 
 def select_subset(contours, config):

@@ -15,8 +15,6 @@ from .shapes import (
     ShapeParams,
     default_params,
     generate_shape,
-    mean_shape,
-    myocardial_interior_point,
     sample_params,
 )
 from .template import (
@@ -44,8 +42,6 @@ __all__ = [
     "generate_shape",
     "invert_frame",
     "label_points",
-    "mean_shape",
-    "myocardial_interior_point",
     "read_landmarks",
     "read_mesh_ply",
     "sample_params",

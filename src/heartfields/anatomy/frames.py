@@ -30,14 +30,6 @@ class CardiacFrame:
         if np.linalg.det(r) < 0:
             raise DegenerateFrameError("rotation is left-handed")
 
-    @property
-    def affine(self):
-        """Homogeneous [R | -O] matrix mapping frame coordinates to world."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = -self.origin
-        return m
-
 
 def cardiac_frame(mvc, tvc, lva):
     """Construct the cardiac frame from the three landmarks."""

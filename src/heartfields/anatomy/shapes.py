@@ -156,45 +156,19 @@ def generate_shape(topology, params, seed=None):
     return InstanceMesh(topology, verts, landmarks, params)
 
 
-def mean_shape(meshes):
-    """Vertex-wise arithmetic mean of frame-aligned, template-corresponding
-    meshes; landmarks are averaged too."""
-    meshes = list(meshes)
-    if not meshes:
-        raise ValueError("mean_shape of an empty cohort")
-    topo = meshes[0].topology
-    verts = np.mean([m.vertices for m in meshes], axis=0)
-    landmarks = {
-        k: np.mean([m.landmarks[k] for m in meshes], axis=0) for k in ("mvc", "tvc", "lva")
-    }
-    return InstanceMesh(topo, verts, landmarks, None)
-
-
-def myocardial_interior_point(endo_vertex, epi_vertex, t):
-    """Linear interpolation across a transmural pair.
-
-    Each vertex is a (position, uvc) tuple; returns (position, uvc) with
-    position = lerp(epi, endo, t), so the transmural coordinate comes out
-    as t (epi end has u2 = 0, endo end u2 = 1).
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie strictly inside (0, 1), got {t}")
-    endo_pos, endo_uvc = endo_vertex
-    epi_pos, epi_uvc = epi_vertex
-    pos = (1.0 - t) * np.asarray(epi_pos, dtype=np.float64) + t * np.asarray(
-        endo_pos, dtype=np.float64
-    )
-    uvc = (1.0 - t) * np.asarray(epi_uvc, dtype=np.float64) + t * np.asarray(
-        endo_uvc, dtype=np.float64
-    )
-    return pos, uvc
-
-
 def interior_points_batch(mesh, pair_indices, ts):
-    """Vectorized :func:`myocardial_interior_point` over template pairs."""
+    """Points inside the wall by linear interpolation across transmural pairs.
+
+    Each pair is an (endo, epi) template vertex pair; returns (positions,
+    uvc) with position = lerp(epi, endo, t), so the transmural coordinate
+    comes out as t (epi end has u2 = 0, endo end u2 = 1). Every t must lie
+    strictly inside (0, 1).
+    """
     topo = mesh.topology
     pairs = topo.transmural_pairs[pair_indices]
     ts = np.asarray(ts, dtype=np.float64)[:, None]
+    if not np.all((ts > 0.0) & (ts < 1.0)):
+        raise ValueError("t must lie strictly inside (0, 1)")
     endo_pos, epi_pos = mesh.vertices[pairs[:, 0]], mesh.vertices[pairs[:, 1]]
     endo_uvc, epi_uvc = topo.uvc[pairs[:, 0]], topo.uvc[pairs[:, 1]]
     pos = (1.0 - ts) * epi_pos + ts * endo_pos

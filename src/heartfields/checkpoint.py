@@ -14,8 +14,10 @@ Network sections ("segnet", "regnet") hold the four dims
 (input/output/hidden/blocks) as u32 followed by the flat parameter vector
 as float64 in layout order. "latents" holds (count u32, dim u32) plus the
 code table; "latstats" holds the latent mean, covariance, and regularized
-inverse; "scales" the input/output scaling constants; "opt*" sections the
-Adam moments so training can resume; "meta" the epoch counter.
+inverse; "scales" the input/output scaling constants of :mod:`training`,
+which loading checks; "opt*" sections the Adam moments and step count
+(the latent table's per-row states as one row-major block) so training
+can resume; "meta" the epoch counter.
 All floating payloads are float64 regardless of the in-memory compute dtype.
 """
 
@@ -25,10 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import ResidualMlp
+from .netcore import OptimizerState, ResidualMlp
+from .training import INPUT_SCALE, REG_OUTPUT_SCALE, LatentStats
 
 MAGIC = b"NIHC"
 VERSION = 1
+SCALES = {"input_scale": INPUT_SCALE, "reg_output_scale": REG_OUTPUT_SCALE}
 
 
 @dataclass
@@ -36,11 +40,9 @@ class Checkpoint:
     seg_net: ResidualMlp
     reg_net: ResidualMlp
     latent_codes: np.ndarray  # (n_shapes, latent_dim)
-    latent_mean: np.ndarray = None
-    latent_cov: np.ndarray = None
-    latent_cov_inv: np.ndarray = None
-    scales: dict = field(default_factory=dict)
-    opt: dict = field(default_factory=dict)  # name -> (m, v, step_count)
+    stats: LatentStats = None
+    # Adam states: "seg" and "reg" one each, "lat" a list with one per row
+    opt: dict = field(default_factory=dict)
     epoch: int = 0
 
     @property
@@ -72,6 +74,12 @@ def _array_from_payload(buf):
     return np.frombuffer(buf, dtype="<f8", offset=8).copy().reshape(rows, cols)
 
 
+def _scales_payload():
+    return b"".join(
+        struct.pack("<16sd", k.encode().ljust(16, b"\0"), v) for k, v in sorted(SCALES.items())
+    )
+
+
 def save_checkpoint(path, ckpt):
     """Write a checkpoint atomically (temp file then rename)."""
     sections = [
@@ -79,27 +87,17 @@ def save_checkpoint(path, ckpt):
         (b"regnet", _net_payload(ckpt.reg_net)),
         (b"latents", _array_payload(np.atleast_2d(ckpt.latent_codes))),
     ]
-    if ckpt.latent_mean is not None:
-        stats = np.concatenate(
-            [
-                ckpt.latent_mean.ravel(),
-                ckpt.latent_cov.ravel(),
-                ckpt.latent_cov_inv.ravel(),
-            ]
-        )
-        sections.append((b"latstats", struct.pack("<I", ckpt.latent_mean.size) + stats.tobytes()))
-    if ckpt.scales:
-        keys = sorted(ckpt.scales)
-        blob = b"".join(
-            struct.pack("<16sd", k.encode().ljust(16, b"\0"), float(ckpt.scales[k]))
-            for k in keys
-        )
-        sections.append((b"scales", blob))
-    for name, (m, v, t) in sorted(ckpt.opt.items()):
-        blob = struct.pack("<2I", m.size, int(t))
-        blob += np.ascontiguousarray(m, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(v, dtype="<f8").tobytes()
-        sections.append((("opt_" + name).encode()[:8], blob))
+    if ckpt.stats is not None:
+        st = ckpt.stats
+        blob = np.concatenate([st.mean.ravel(), st.cov.ravel(), st.cov_inv.ravel()])
+        sections.append((b"latstats", struct.pack("<I", st.mean.size) + blob.tobytes()))
+    sections.append((b"scales", _scales_payload()))
+    for name, state in sorted(ckpt.opt.items()):
+        rows = state if name == "lat" else [state]
+        m = b"".join(np.ascontiguousarray(r.first_moment, dtype="<f8").tobytes() for r in rows)
+        v = b"".join(np.ascontiguousarray(r.second_moment, dtype="<f8").tobytes() for r in rows)
+        head = struct.pack("<2I", len(m) // 8, rows[0].step_count)
+        sections.append((("opt_" + name).encode()[:8], head + m + v))
     sections.append((b"meta", struct.pack("<I", int(ckpt.epoch))))
 
     header = MAGIC + struct.pack("<3I", VERSION, ckpt.latent_dim, len(sections))
@@ -139,23 +137,28 @@ def load_checkpoint(path):
         reg_net=_net_from_payload(sections["regnet"]),
         latent_codes=np.atleast_2d(_array_from_payload(sections["latents"])),
     )
+    if sections.get("scales") != _scales_payload():
+        raise ValueError(f"{path}: scales section missing or not {SCALES}")
     if "latstats" in sections:
         buf = sections["latstats"]
         (dim,) = struct.unpack_from("<I", buf, 0)
         data = np.frombuffer(buf, dtype="<f8", offset=4)
-        ckpt.latent_mean = data[:dim].copy()
-        ckpt.latent_cov = data[dim : dim + dim * dim].reshape(dim, dim).copy()
-        ckpt.latent_cov_inv = data[dim + dim * dim :].reshape(dim, dim).copy()
-    if "scales" in sections:
-        buf = sections["scales"]
-        for i in range(len(buf) // 24):
-            key, value = struct.unpack_from("<16sd", buf, i * 24)
-            ckpt.scales[key.rstrip(b"\0").decode()] = value
+        ckpt.stats = LatentStats(
+            mean=data[:dim].copy(),
+            cov=data[dim : dim + dim * dim].reshape(dim, dim).copy(),
+            cov_inv=data[dim + dim * dim :].reshape(dim, dim).copy(),
+        )
     for name, buf in sections.items():
         if name.startswith("opt_"):
             size, t = struct.unpack_from("<2I", buf, 0)
             data = np.frombuffer(buf, dtype="<f8", offset=8)
-            ckpt.opt[name[4:]] = (data[:size].copy(), data[size:].copy(), t)
+            m, v = data[:size].copy(), data[size:].copy()
+            if name == "opt_lat":
+                rows = len(ckpt.latent_codes)
+                m, v = m.reshape(rows, -1), v.reshape(rows, -1)
+                ckpt.opt["lat"] = [OptimizerState(a, b, t) for a, b in zip(m, v)]
+            else:
+                ckpt.opt[name[4:]] = OptimizerState(m, v, t)
     if "meta" in sections:
         (ckpt.epoch,) = struct.unpack_from("<I", sections["meta"], 0)
     if ckpt.latent_codes.shape[1] != latent_dim:

@@ -133,12 +133,13 @@ class Manifest:
             with open(self.path) as f:
                 self.doc = json.load(f)
 
-    def record_stage(self, name, config, artifacts, duration):
+    def record_stage(self, name, config, artifacts, duration, **extra):
         self.doc["config_hash"] = config.hash()
         self.doc["stages"][name] = {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "duration_s": round(duration, 3),
             "artifacts": {rel: file_hash(os.path.join(self.root, rel)) for rel in sorted(artifacts)},
+            **extra,
         }
         with open(self.path, "w") as f:
             json.dump(self.doc, f, indent=1, sort_keys=True)
@@ -292,36 +293,12 @@ def cmd_train(config, resume=False):
     if resume:
         tc = replace(tc, epochs=max(config.epochs - prior.epoch, 0))
 
-    log_rows = []
-    holder = {}
-
-    def on_epoch(row, seg_net, reg_net, codes, opt_seg, opt_reg, opt_lat):
-        log_rows.append(row)
-        holder["state"] = (seg_net, reg_net, codes, opt_seg, opt_reg, opt_lat)
-        if config.checkpoint_every and (row[0] + 1) % config.checkpoint_every == 0:
-            _write_checkpoint(ckpt_path, config, *holder["state"], epoch=row[0] + 1, stats=None)
+    def on_epoch(state):
+        if config.checkpoint_every and state.epoch % config.checkpoint_every == 0:
+            _write_checkpoint(ckpt_path, state)
 
     result = training.train(samples, tc, resume=prior, on_epoch=on_epoch)
-
-    if "state" in holder:
-        seg_net, reg_net, codes, opt_seg, opt_reg, opt_lat = holder["state"]
-    else:  # epochs == 0: persist the (possibly resumed) initial state
-        seg_net, reg_net = result.seg_net, result.reg_net
-        codes = result.latents.codes
-        opt_seg = opt_reg = None
-        opt_lat = None
-    _write_checkpoint(
-        ckpt_path,
-        config,
-        seg_net,
-        reg_net,
-        codes,
-        opt_seg,
-        opt_reg,
-        opt_lat,
-        epoch=(prior.epoch if resume else 0) + tc.epochs,
-        stats=result.stats,
-    )
+    _write_checkpoint(ckpt_path, result)
 
     log_rel = "train_log.csv"
     mode = "a" if resume and os.path.exists(os.path.join(root, log_rel)) else "w"
@@ -339,32 +316,24 @@ def cmd_train(config, resume=False):
     return result
 
 
-def _write_checkpoint(path, config, seg_net, reg_net, codes, opt_seg, opt_reg, opt_lat, epoch, stats):
-    opt = {}
-    if opt_seg is not None:
-        opt["seg"] = (opt_seg.first_moment, opt_seg.second_moment, opt_seg.step_count)
-        opt["reg"] = (opt_reg.first_moment, opt_reg.second_moment, opt_reg.step_count)
-        opt["lat"] = training.pack_latent_opt(opt_lat)
-    ckpt = Checkpoint(
-        seg_net=seg_net,
-        reg_net=reg_net,
-        latent_codes=np.asarray(codes, dtype=np.float64),
-        latent_mean=None if stats is None else stats.mean,
-        latent_cov=None if stats is None else stats.cov,
-        latent_cov_inv=None if stats is None else stats.cov_inv,
-        scales={"input_scale": 0.01, "reg_output_scale": 100.0},
-        opt=opt,
-        epoch=epoch,
+def _write_checkpoint(path, result):
+    """Persist a :class:`training.TrainResult` as the run's checkpoint."""
+    save_checkpoint(
+        path,
+        Checkpoint(
+            seg_net=result.seg_net,
+            reg_net=result.reg_net,
+            latent_codes=result.latents.codes,
+            stats=result.stats,
+            opt=result.opt,
+            epoch=result.epoch,
+        ),
     )
-    save_checkpoint(path, ckpt)
 
 
 def load_model(root):
     ckpt = load_checkpoint(os.path.join(root, "checkpoint.nihc"))
-    stats = None
-    if ckpt.latent_mean is not None:
-        stats = training.LatentStats(ckpt.latent_mean, ckpt.latent_cov, ckpt.latent_cov_inv)
-    return ckpt, stats
+    return ckpt, ckpt.stats
 
 
 # -------------------------------------------------------------- reconstruct
@@ -404,13 +373,10 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
         ckpt.seg_net,
         stats,
         weights,
-        input_scale=ckpt.scales["input_scale"],
-        seed=acq._stable_hash(f"{case}:{condition}"),
+        seed=acq.stable_hash(f"{case}:{condition}"),
     )
     topo = topo or anatomy.build_template()
-    mesh = inference.predict_mesh(
-        ckpt.reg_net, rec.latent, topo, output_scale=ckpt.scales["reg_output_scale"]
-    )
+    mesh = inference.predict_mesh(ckpt.reg_net, rec.latent, topo)
     duration = time.perf_counter() - t0
 
     cond_dir = condition.replace(":", "_")
@@ -434,10 +400,7 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
         lo = mesh.vertices.min(axis=0) - 10.0
         hi = mesh.vertices.max(axis=0) + 10.0
         dims = np.maximum(((hi - lo) / dense_spacing).astype(int) + 1, 1)
-        labels = inference.predict_dense_labels(
-            ckpt.seg_net, rec.latent, lo, dense_spacing, dims,
-            input_scale=ckpt.scales["input_scale"],
-        )
+        labels = inference.predict_dense_labels(ckpt.seg_net, rec.latent, lo, dense_spacing, dims)
         base = os.path.join(root, "recon", cond_dir, f"{case}_labels")
         inference.save_label_volume(base, labels, lo, dense_spacing)
         rels += [
@@ -464,11 +427,10 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
             artifacts += rels
             durations[f"{condition}/{case}"] = round(dt, 3)
     manifest = Manifest(root)
-    manifest.record_stage("reconstruct", config, artifacts, time.perf_counter() - started)
-    manifest.doc["stages"]["reconstruct"]["case_durations_s"] = durations
-    with open(manifest.path, "w") as f:
-        json.dump(manifest.doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    manifest.record_stage(
+        "reconstruct", config, artifacts, time.perf_counter() - started,
+        case_durations_s=durations,
+    )
     return durations
 
 
@@ -490,7 +452,6 @@ def evaluate_case(root, topo, ckpt, case, condition):
     x = training.seg_inputs(
         true.vertices.astype(ckpt.seg_net.parameters.dtype),
         latent.astype(ckpt.seg_net.parameters.dtype),
-        ckpt.scales["input_scale"],
     )
     pred_labels = np.argmax(netcore.forward(ckpt.seg_net, x), axis=1)
     ref_labels = topo.vertex_labels()

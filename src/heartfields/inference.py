@@ -18,7 +18,7 @@ from . import netcore
 from .acquisition import KIND_GRID
 from .anatomy.labeling import AnatomicalLabel
 from .anatomy.shapes import InstanceMesh, landmarks_from_vertices
-from .training import bce_loss, dice_loss, reg_inputs, seg_inputs
+from .training import REG_OUTPUT_SCALE, bce_loss, dice_loss, reg_inputs, seg_inputs
 
 
 @dataclass
@@ -73,7 +73,7 @@ class ReconstructionResult:
     preset: str = ""
 
 
-def optimize_latent(contours, seg_net, stats, weights, input_scale=0.01, seed=0):
+def optimize_latent(contours, seg_net, stats, weights, seed=0):
     """Fit the latent code to one case's slice labels through the frozen
     classifier.
 
@@ -103,7 +103,7 @@ def optimize_latent(contours, seg_net, stats, weights, input_scale=0.01, seed=0)
     # steps away from the mean; only a sustained blowup counts as divergence
 
     def evaluate(code, want_grad):
-        x = seg_inputs(pts, code, input_scale)
+        x = seg_inputs(pts, code)
         logits, cache = netcore.forward_cached(seg_net, x)
         lb, gb = bce_loss(logits, onehot, with_grad=True)
         ld, gd = dice_loss(logits, onehot, with_grad=True)
@@ -142,7 +142,7 @@ def optimize_latent(contours, seg_net, stats, weights, input_scale=0.01, seed=0)
     )
 
 
-def predict_mesh(reg_net, latent, topology, output_scale=100.0):
+def predict_mesh(reg_net, latent, topology):
     """Decode a personalized mesh from the template coordinate table alone.
 
     Inputs are only the network, the code, and the fixed template; no
@@ -150,13 +150,13 @@ def predict_mesh(reg_net, latent, topology, output_scale=100.0):
     """
     dt = reg_net.parameters.dtype
     x = reg_inputs(topology.uvc.astype(dt), np.asarray(latent, dtype=dt))
-    verts = netcore.forward(reg_net, x).astype(np.float64) * output_scale
+    verts = netcore.forward(reg_net, x).astype(np.float64) * REG_OUTPUT_SCALE
     return InstanceMesh(
         topology, verts, landmarks_from_vertices(topology, verts), params=None
     )
 
 
-def predict_dense_labels(seg_net, latent, origin, spacing, dims, input_scale=0.01):
+def predict_dense_labels(seg_net, latent, origin, spacing, dims):
     """Dense label volume: argmax of the 5 sigmoid channels at voxel centers.
 
     ``origin`` is the center of voxel (0, 0, 0); voxel centers are
@@ -174,7 +174,7 @@ def predict_dense_labels(seg_net, latent, origin, spacing, dims, input_scale=0.0
     chunk = 65536
     code = np.asarray(latent, dtype=dt)
     for s in range(0, len(centers), chunk):
-        x = seg_inputs(centers[s : s + chunk].astype(dt), code, input_scale)
+        x = seg_inputs(centers[s : s + chunk].astype(dt), code)
         logits = netcore.forward(seg_net, x)
         labels[s : s + chunk] = np.argmax(logits, axis=1).astype(np.uint8)
     return labels.reshape(dims)

@@ -64,7 +64,6 @@ class ResidualMlp:
     hidden_dim: int = 128
     num_blocks: int = 8
     parameters: np.ndarray = None
-    activation: str = "relu"
 
     def __post_init__(self):
         n = param_count(self.input_dim, self.output_dim, self.hidden_dim, self.num_blocks)
@@ -77,8 +76,6 @@ class ResidualMlp:
             )
         if not np.all(np.isfinite(self.parameters)):
             raise ValueError("parameters contain non-finite values")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def n_params(self):

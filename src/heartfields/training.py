@@ -12,7 +12,7 @@ suite.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .anatomy.shapes import interior_points_batch
 
 N_LABELS = 5
 DICE_SMOOTH = 1e-6
+INPUT_SCALE = 0.01  # mm -> network units for spatial inputs
+REG_OUTPUT_SCALE = 100.0  # network units -> mm for positions
 
 
 @dataclass
@@ -240,7 +242,7 @@ def sample_reg_points(mesh, n, seed=0):
     return np.concatenate(uvc), np.concatenate(xyz)
 
 
-def build_sample(mesh, shape_id, seg_n=8000, reg_n=2000, margin=20.0, seed=0):
+def build_sample(mesh, shape_id, seg_n, reg_n, margin=20.0, seed=0):
     seg_xyz, seg_labels = sample_seg_points(mesh, seg_n, margin=margin, seed=seed)
     reg_uvc, reg_xyz = sample_reg_points(mesh, reg_n, seed=seed + 1)
     return TrainingSample(
@@ -270,8 +272,6 @@ class TrainConfig:
     freeze_latents: bool = False
     seed: int = 0
     dtype: str = "float32"
-    input_scale: float = 0.01  # mm -> network units for spatial inputs
-    reg_output_scale: float = 100.0  # network units -> mm for positions
 
     @property
     def np_dtype(self):
@@ -287,13 +287,15 @@ class TrainResult:
     log: list  # rows of (epoch, seg, reg, prior, total, val_total)
     train_ids: list
     val_ids: list
+    opt: dict  # Adam states: "seg", "reg", and "lat" (one per latent row)
+    epoch: int  # epochs completed, counting those before a resume
 
 
-def seg_inputs(xyz, code, input_scale):
+def seg_inputs(xyz, code):
     """(x, y, z) scaled to network units, concatenated with the shared code."""
     xyz = np.asarray(xyz)
     h = np.broadcast_to(code, (len(xyz), len(code)))
-    return np.concatenate([xyz * input_scale, h], axis=1)
+    return np.concatenate([xyz * INPUT_SCALE, h], axis=1)
 
 
 def reg_inputs(uvc, code):
@@ -322,7 +324,9 @@ def train(samples, config, resume=None, on_epoch=None):
     80/20 into training and validation; validation shapes contribute
     latent-code updates and logged losses but never network updates.
     ``resume`` continues from a loaded checkpoint (networks, codes, Adam
-    moments, epoch counter). Returns a :class:`TrainResult`.
+    states, epoch counter). ``on_epoch`` is called after every epoch with
+    the :class:`TrainResult` reached so far. Returns the final
+    :class:`TrainResult`.
     """
     if not samples:
         raise ValueError("empty cohort")
@@ -336,6 +340,7 @@ def train(samples, config, resume=None, on_epoch=None):
     n_val = int(round(config.val_fraction * n_shapes)) if n_shapes > 1 else 0
     order = rng.permutation(n_shapes)
     val_set = set(order[:n_val].tolist())
+    train_rows = [i for i in range(n_shapes) if i not in val_set]
 
     if resume is None:
         seg_net, reg_net = make_networks(config)
@@ -355,17 +360,11 @@ def train(samples, config, resume=None, on_epoch=None):
         codes = resume.latent_codes.astype(dt)
         if codes.shape != (n_shapes, config.latent_dim):
             raise ValueError("checkpoint latent table does not match the cohort")
-        opt_seg = _opt_from(resume.opt.get("seg"), seg_net.parameters, config.lr_net)
-        opt_reg = _opt_from(resume.opt.get("reg"), reg_net.parameters, config.lr_net)
-        lat = resume.opt.get("lat")
-        opt_lat = []
-        for i in range(n_shapes):
-            st = netcore.OptimizerState.for_params(codes[i], lr=config.lr_latent)
-            if lat is not None:
-                st.first_moment = lat[0].reshape(n_shapes, -1)[i].astype(dt)
-                st.second_moment = lat[1].reshape(n_shapes, -1)[i].astype(dt)
-                st.step_count = int(lat[2])
-            opt_lat.append(st)
+        if sorted(resume.opt) != ["lat", "reg", "seg"]:
+            raise ValueError("checkpoint holds no optimizer state to resume from")
+        opt_seg = _resumed(resume.opt["seg"], dt, config.lr_net)
+        opt_reg = _resumed(resume.opt["reg"], dt, config.lr_net)
+        opt_lat = [_resumed(st, dt, config.lr_latent) for st in resume.opt["lat"]]
         epoch0 = resume.epoch
 
     # cast the point data once
@@ -375,6 +374,21 @@ def train(samples, config, resume=None, on_epoch=None):
     reg_xyz = [s.reg_xyz.astype(dt) for s in samples]
 
     log = []
+
+    def result(epoch):
+        stat_codes = codes[train_rows] if len(train_rows) >= 2 else codes
+        return TrainResult(
+            seg_net=seg_net,
+            reg_net=reg_net,
+            latents=LatentTable(codes.astype(np.float64), ids),
+            stats=latent_stats(stat_codes) if len(stat_codes) >= 2 else None,
+            log=log,
+            train_ids=[ids[i] for i in train_rows],
+            val_ids=[ids[i] for i in sorted(val_set)],
+            opt={"seg": opt_seg, "reg": opt_reg, "lat": opt_lat},
+            epoch=epoch,
+        )
+
     for epoch in range(epoch0, epoch0 + config.epochs):
         lam_p = prior_schedule(epoch, w)
         epoch_rng = np.random.default_rng([config.seed, 977, epoch])
@@ -388,14 +402,14 @@ def train(samples, config, resume=None, on_epoch=None):
             br = epoch_rng.integers(0, len(reg_uvc[si]), size=min(config.reg_batch, len(reg_uvc[si])))
             h = codes[si]
 
-            xs = seg_inputs(seg_xyz[si][bs], h, config.input_scale)
+            xs = seg_inputs(seg_xyz[si][bs], h)
             ts = seg_onehot[si][bs]
             logits, cache_s = netcore.forward_cached(seg_net, xs)
             l_seg, g_logits = seg_loss(logits, ts, with_grad=True)
 
             xr = reg_inputs(reg_uvc[si][br], h)
             out, cache_r = netcore.forward_cached(reg_net, xr)
-            pred_mm = out * config.reg_output_scale
+            pred_mm = out * REG_OUTPUT_SCALE
             l_reg, g_pred = reg_loss(pred_mm, reg_xyz[si][br], with_grad=True)
 
             l_prior, g_prior = prior_loss(h, with_grad=True)
@@ -408,8 +422,9 @@ def train(samples, config, resume=None, on_epoch=None):
 
             gs = netcore.backward(seg_net, xs, g_logits / w.lambda_seg, cache=cache_s)
             gr = netcore.backward(
-                reg_net, xr, g_pred * (config.reg_output_scale / w.lambda_reg), cache=cache_r
+                reg_net, xr, g_pred * (REG_OUTPUT_SCALE / w.lambda_reg), cache=cache_r
             )
+            del cache_s, cache_r  # free the activations before the next forward pass
             g_h = (
                 gs.input_grads[:, 3:].sum(axis=0)
                 + gr.input_grads[:, 4:].sum(axis=0)
@@ -437,41 +452,16 @@ def train(samples, config, resume=None, on_epoch=None):
         )
         log.append(row)
         if on_epoch is not None:
-            on_epoch(row, seg_net, reg_net, codes, opt_seg, opt_reg, opt_lat)
+            on_epoch(result(epoch + 1))
 
-    train_ids = [ids[i] for i in range(n_shapes) if i not in val_set]
-    val_ids = [ids[i] for i in range(n_shapes) if i in val_set]
-    train_codes = codes[[i for i in range(n_shapes) if i not in val_set]]
-    if len(train_codes) >= 2:
-        stats = latent_stats(train_codes)
-    elif len(codes) >= 2:
-        stats = latent_stats(codes)
-    else:
-        stats = None
-    return TrainResult(
-        seg_net=seg_net,
-        reg_net=reg_net,
-        latents=LatentTable(codes.astype(np.float64), ids),
-        stats=stats,
-        log=log,
-        train_ids=train_ids,
-        val_ids=val_ids,
+    return result(epoch0 + config.epochs)
+
+
+def _resumed(state, dtype, lr):
+    """A loaded Adam state in the compute dtype, at this run's learning rate."""
+    return replace(
+        state,
+        first_moment=state.first_moment.astype(dtype),
+        second_moment=state.second_moment.astype(dtype),
+        lr=lr,
     )
-
-
-def _opt_from(stored, params, lr):
-    st = netcore.OptimizerState.for_params(params, lr=lr)
-    if stored is not None:
-        m, v, t = stored
-        st.first_moment = m.astype(params.dtype)
-        st.second_moment = v.astype(params.dtype)
-        st.step_count = int(t)
-    return st
-
-
-def pack_latent_opt(opt_lat):
-    """Flatten the per-shape latent Adam states for checkpointing."""
-    m = np.stack([o.first_moment for o in opt_lat]).ravel()
-    v = np.stack([o.second_moment for o in opt_lat]).ravel()
-    t = opt_lat[0].step_count if opt_lat else 0
-    return m, v, t

@@ -201,57 +201,6 @@ def test_misalignment_mean_magnitude():
     assert abs(np.mean(mags) - expected) / expected < 0.2
 
 
-# ------------------------------------------------------------ rv epi offset
-
-
-def test_rv_offset_circle():
-    t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    circle = np.column_stack([20 * np.cos(t), 20 * np.sin(t), np.full_like(t, 2.0)])
-    moved = acq.rv_epi_offset(circle, 3.0)
-    np.testing.assert_allclose(np.linalg.norm(moved[:, :2], axis=1), 23.0, atol=1e-9)
-
-
-def test_rv_offset_zero_thickness_identity():
-    t = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-    circle = np.column_stack([np.cos(t), np.sin(t), np.zeros_like(t)])
-    np.testing.assert_allclose(acq.rv_epi_offset(circle, 0.0), circle, atol=1e-12)
-
-
-def test_rv_offset_too_few_points():
-    with pytest.raises(ValueError):
-        acq.rv_epi_offset(np.zeros((2, 3)), 3.0)
-
-
-def test_rv_offset_lands_in_wall_band(mesh, contours):
-    # Offsetting the free-wall portion of the RV endo ring by the true wall
-    # thickness must land on or inside the outer wall. The septal portion of
-    # the ring lies on the LV epicardial locus (offsetting it lands in the
-    # cavity, as in the real protocol), so it is excluded via its distance
-    # to the LV epicardial compartment; near-tip points sit where the wall
-    # ramps down to stitch and are excluded the same way.
-    from heartfields.metrics import point_to_surface, point_to_surface_bruteforce
-
-    s = contours.slices[4]
-    rv = (s.kinds == acq.KIND_CONTOUR) & (s.labels == AnatomicalLabel.RV)
-    assert rv.sum() >= 3
-    pts = s.points[rv]
-    d_lvepi = np.array(
-        [
-            point_to_surface(p[None, :], mesh.vertices, mesh.topology.compartments["lv_epi_volume"])
-            for p in pts
-        ]
-    )
-    free_wall = pts[d_lvepi > 4.0]
-    assert len(free_wall) >= 3
-    moved = acq.rv_epi_offset(free_wall, mesh.params.rv_wall_thickness, plane=s.plane)
-    labels = anatomy.label_points(moved, mesh)
-    for p, lab in zip(moved, labels):
-        if lab == AnatomicalLabel.RVM:
-            continue
-        d = point_to_surface(p[None, :], mesh.vertices, mesh.topology.compartments["heart"])
-        assert d < 1.0, f"offset point strays {d:.2f} mm from the wall band"
-
-
 # ------------------------------------------------------------------ subsets
 
 

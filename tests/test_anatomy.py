@@ -134,23 +134,6 @@ def test_degenerate_params_rejected():
         p.validate()
 
 
-def test_mean_shape(topo):
-    from dataclasses import replace
-
-    p = anatomy.default_params()
-    base = anatomy.generate_shape(topo, p)
-    small = anatomy.generate_shape(topo, replace(p, global_scale=0.5))
-    large = anatomy.generate_shape(topo, replace(p, global_scale=1.5))
-    mean = anatomy.mean_shape([small, large])
-    np.testing.assert_allclose(mean.vertices, base.vertices, atol=1e-9)
-    flipped = anatomy.mean_shape([large, small])
-    np.testing.assert_array_equal(mean.vertices, flipped.vertices)
-    single = anatomy.mean_shape([base])
-    np.testing.assert_array_equal(single.vertices, base.vertices)
-    with pytest.raises(ValueError):
-        anatomy.mean_shape([])
-
-
 # ------------------------------------------------------------------ frames
 
 
@@ -330,17 +313,16 @@ def test_labeling_nudges_once_then_uses_winding_number():
 
 
 def test_interior_point_contract(mesh):
-    pair = mesh.topology.transmural_pairs[0]
-    endo = (mesh.vertices[pair[0]], mesh.topology.uvc[pair[0]])
-    epi = (mesh.vertices[pair[1]], mesh.topology.uvc[pair[1]])
-    pos, uvc = anatomy.myocardial_interior_point(endo, epi, 0.5)
-    np.testing.assert_allclose(pos, 0.5 * (endo[0] + epi[0]), atol=1e-12)
-    assert uvc[1] == pytest.approx(0.5)
-    pos, uvc = anatomy.myocardial_interior_point(endo, epi, 0.999)
-    np.testing.assert_allclose(pos, endo[0], atol=0.05)
-    for bad in (0.0, 1.0, -0.2, 1.3):
+    from heartfields.anatomy.shapes import interior_points_batch
+
+    endo, epi = mesh.topology.transmural_pairs[0]
+    pos, uvc = interior_points_batch(mesh, [0, 0], [0.5, 0.999])
+    np.testing.assert_allclose(pos[0], 0.5 * (mesh.vertices[endo] + mesh.vertices[epi]), atol=1e-12)
+    assert uvc[0, 1] == pytest.approx(0.5)
+    np.testing.assert_allclose(pos[1], mesh.vertices[endo], atol=0.05)
+    for bad in (0.0, 1.0, -0.2, 1.3, np.nan):
         with pytest.raises(ValueError):
-            anatomy.myocardial_interior_point(endo, epi, bad)
+            interior_points_batch(mesh, [0, 0], [0.5, bad])
 
 
 def test_interior_sweep_stays_myocardial(mesh):

@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from heartfields import netcore
 from heartfields.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from heartfields.netcore import OptimizerState
+from heartfields.training import LatentStats
 
 
 def make_checkpoint(with_stats=True, with_opt=True):
@@ -10,22 +14,19 @@ def make_checkpoint(with_stats=True, with_opt=True):
     reg = netcore.init_params(netcore.ResidualMlp(8, 3, 16, 2), seed=2)
     rng = np.random.default_rng(3)
     codes = rng.standard_normal((5, 4))
-    ckpt = Checkpoint(
-        seg_net=seg,
-        reg_net=reg,
-        latent_codes=codes,
-        scales={"input_scale": 0.01, "reg_output_scale": 100.0},
-        epoch=42,
-    )
+    ckpt = Checkpoint(seg_net=seg, reg_net=reg, latent_codes=codes, epoch=42)
     if with_stats:
         cov = np.cov(codes.T)
-        ckpt.latent_mean = codes.mean(axis=0)
-        ckpt.latent_cov = cov
-        ckpt.latent_cov_inv = np.linalg.inv(cov + 1e-6 * np.eye(4))
+        ckpt.stats = LatentStats(codes.mean(axis=0), cov, np.linalg.inv(cov + 1e-6 * np.eye(4)))
     if with_opt:
         ckpt.opt = {
-            "seg": (rng.standard_normal(seg.n_params), np.abs(rng.standard_normal(seg.n_params)), 17),
-            "lat": (rng.standard_normal(20), np.abs(rng.standard_normal(20)), 9),
+            "seg": OptimizerState(
+                rng.standard_normal(seg.n_params), np.abs(rng.standard_normal(seg.n_params)), 17
+            ),
+            "lat": [
+                OptimizerState(rng.standard_normal(4), np.abs(rng.standard_normal(4)), 9)
+                for _ in range(5)
+            ],
         }
     return ckpt
 
@@ -43,22 +44,39 @@ def test_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.seg_net.parameters, ckpt.seg_net.parameters)
     np.testing.assert_array_equal(back.reg_net.parameters, ckpt.reg_net.parameters)
     np.testing.assert_array_equal(back.latent_codes, ckpt.latent_codes)
-    np.testing.assert_array_equal(back.latent_mean, ckpt.latent_mean)
-    np.testing.assert_array_equal(back.latent_cov_inv, ckpt.latent_cov_inv)
-    assert back.scales == ckpt.scales
-    for key in ("seg", "lat"):
-        m, v, t = back.opt[key]
-        np.testing.assert_array_equal(m, ckpt.opt[key][0])
-        np.testing.assert_array_equal(v, ckpt.opt[key][1])
-        assert t == ckpt.opt[key][2]
+    np.testing.assert_array_equal(back.stats.mean, ckpt.stats.mean)
+    np.testing.assert_array_equal(back.stats.cov, ckpt.stats.cov)
+    np.testing.assert_array_equal(back.stats.cov_inv, ckpt.stats.cov_inv)
+    assert sorted(back.opt) == ["lat", "seg"]
+    assert len(back.opt["lat"]) == 5
+    for saved, loaded in zip([ckpt.opt["seg"]] + ckpt.opt["lat"], [back.opt["seg"]] + back.opt["lat"]):
+        np.testing.assert_array_equal(loaded.first_moment, saved.first_moment)
+        np.testing.assert_array_equal(loaded.second_moment, saved.second_moment)
+        assert loaded.step_count == saved.step_count
 
 
 def test_roundtrip_minimal_sections(tmp_path):
     path = tmp_path / "bare.nihc"
     save_checkpoint(path, make_checkpoint(with_stats=False, with_opt=False))
     back = load_checkpoint(path)
-    assert back.latent_mean is None
+    assert back.stats is None
     assert back.opt == {}
+
+
+def test_scales_checked_on_load(tmp_path):
+    path = tmp_path / "model.nihc"
+    save_checkpoint(path, make_checkpoint())
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.nihc"
+    # another value for the input scale
+    at = blob.index(b"input_scale") + 16
+    bad.write_bytes(blob[:at] + struct.pack("<d", 0.02) + blob[at + 8 :])
+    with pytest.raises(ValueError, match="scales"):
+        load_checkpoint(bad)
+    # no scales section: its table entry renamed
+    bad.write_bytes(blob.replace(b"scales\0\0", b"scalez\0\0", 1))
+    with pytest.raises(ValueError, match="scales"):
+        load_checkpoint(bad)
 
 
 def test_magic_and_version_checked(tmp_path):

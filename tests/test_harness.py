@@ -138,8 +138,6 @@ def test_train_resume_continues_trajectory(tmp_path):
     cfg_full = mini_config(out, epochs=60)
     harness.cmd_generate(cfg_full)
     harness.cmd_train(cfg_full)
-    with open(os.path.join(cfg_full.out_dir, "train_log.csv")) as f:
-        full = [float(r[4]) for r in list(csv.reader(f))[1:]]
 
     out2 = tmp_path / "resume2"
     cfg_half = mini_config(out2, epochs=30)
@@ -147,15 +145,46 @@ def test_train_resume_continues_trajectory(tmp_path):
     harness.cmd_train(cfg_half)
     cfg_cont = mini_config(out2, epochs=60)
     harness.cmd_train(cfg_cont, resume=True)
-    with open(os.path.join(out2, "train_log.csv")) as f:
-        resumed = [float(r[4]) for r in list(csv.reader(f))[1:]]
 
-    assert len(resumed) == 60
-    # the resumed trajectory stays within 5% of the uninterrupted one
-    tail_full = np.array(full[30:])
-    tail_resumed = np.array(resumed[30:])
-    rel = np.abs(tail_resumed - tail_full) / np.abs(tail_full)
-    assert rel.max() < 0.05
+    # the resumed run retraces the uninterrupted one exactly
+    for name in ("train_log.csv", "checkpoint.nihc"):
+        assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_train_noop_resume_keeps_checkpoint(tmp_path):
+    cfg = mini_config(tmp_path / "noop", test_shapes=0, epochs=3)
+    harness.cmd_generate(cfg)
+    harness.cmd_train(cfg)
+    path = os.path.join(cfg.out_dir, "checkpoint.nihc")
+    before = open(path, "rb").read()
+    harness.cmd_train(cfg, resume=True)  # no epochs left
+    assert sorted(harness.load_checkpoint(path).opt) == ["lat", "reg", "seg"]
+    assert open(path, "rb").read() == before
+
+
+def test_reconstruct_from_interrupted_training(tmp_path, monkeypatch):
+    """A periodic checkpoint is a complete model: after training stops
+    mid-run, reconstruction works from the last one written."""
+
+    class Interrupted(Exception):
+        pass
+
+    schedule = harness.training.prior_schedule
+
+    def stop_at_epoch_2(epoch, weights=None):
+        if epoch == 2:
+            raise Interrupted
+        return schedule(epoch, weights)
+
+    cfg = mini_config(tmp_path / "interrupted", test_shapes=1, epochs=4, checkpoint_every=2)
+    harness.cmd_generate(cfg)
+    monkeypatch.setattr(harness.training, "prior_schedule", stop_at_epoch_2)
+    with pytest.raises(Interrupted):
+        harness.cmd_train(cfg)
+    ckpt, stats = harness.load_model(cfg.out_dir)
+    assert ckpt.epoch == 2 and stats is not None
+    rels, _ = harness.reconstruct_case(cfg, ckpt, stats, "test_0000", "ideal")
+    assert os.path.exists(os.path.join(cfg.out_dir, rels[0]))
 
 
 # -------------------------------------------------------------- reconstruct

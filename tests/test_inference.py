@@ -110,9 +110,7 @@ def test_optimize_latent_respects_frozen_net_and_trace(topo, small_model):
     contours = acq.acquire(meshes[0], "t000", density=4.0)
     before = hashlib.sha256(result.seg_net.parameters.tobytes()).hexdigest()
     w = inference.weights_for("ideal", steps=60, max_points=800)
-    rec = inference.optimize_latent(
-        contours, result.seg_net, result.stats, w, input_scale=cfg.input_scale
-    )
+    rec = inference.optimize_latent(contours, result.seg_net, result.stats, w)
     after = hashlib.sha256(result.seg_net.parameters.tobytes()).hexdigest()
     assert before == after
     assert len(rec.loss_trace) == w.steps + 1
@@ -130,7 +128,7 @@ def evaluate_loss(rec, contours, result, cfg, w):
         pick = rng.choice(len(pts), size=w.max_points, replace=False)
         pts, labels = pts[pick], labels[pick]
     onehot = anatomy.AnatomicalLabel.one_hot(labels)
-    x = training.seg_inputs(pts, rec.latent, cfg.input_scale)
+    x = training.seg_inputs(pts, rec.latent)
     logits = netcore.forward(result.seg_net, x)
     return (
         w.lambda_r * inference.mahalanobis(rec.latent, result.stats)
@@ -145,9 +143,7 @@ def test_optimize_latent_beats_training_code(topo, small_model):
     result, cfg, meshes, samples = small_model
     contours = acq.acquire(meshes[1], "t001", density=4.0)
     w = inference.weights_for("ideal", steps=250, max_points=1200)
-    rec = inference.optimize_latent(
-        contours, result.seg_net, result.stats, w, input_scale=cfg.input_scale
-    )
+    rec = inference.optimize_latent(contours, result.seg_net, result.stats, w)
     h0 = result.latents.codes[result.latents.index("t001")]
     rec0 = inference.ReconstructionResult(latent=h0, loss_trace=np.zeros(1), n_points=0)
     loss_opt = evaluate_loss(rec, contours, result, cfg, w)
@@ -159,9 +155,7 @@ def test_optimize_latent_prior_dominated_limit(topo, small_model):
     result, cfg, meshes, _ = small_model
     contours = acq.acquire(meshes[2], "t002", density=4.0)
     w = inference.weights_for("ideal", steps=300, max_points=400, lambda_r=1e6)
-    rec = inference.optimize_latent(
-        contours, result.seg_net, result.stats, w, input_scale=cfg.input_scale
-    )
+    rec = inference.optimize_latent(contours, result.seg_net, result.stats, w)
     assert np.linalg.norm(rec.latent - result.stats.mean) < 1e-3
 
 
@@ -176,9 +170,7 @@ def test_optimize_latent_sustained_divergence_aborts(topo, small_model):
     )
     w = inference.weights_for("ideal", steps=50, max_points=200)
     with pytest.raises(FloatingPointError):
-        inference.optimize_latent(
-            contours, result.seg_net, crazy, w, input_scale=cfg.input_scale
-        )
+        inference.optimize_latent(contours, result.seg_net, crazy, w)
 
 
 def test_optimize_latent_single_label_errors(topo, small_model):
@@ -199,9 +191,9 @@ def test_predict_mesh_deterministic_and_nondegenerate(topo, small_model):
     result, cfg, meshes, _ = small_model
     h1 = result.latents.codes[0]
     h2 = result.latents.codes[1]
-    m1 = inference.predict_mesh(result.reg_net, h1, topo, cfg.reg_output_scale)
-    m1b = inference.predict_mesh(result.reg_net, h1, topo, cfg.reg_output_scale)
-    m2 = inference.predict_mesh(result.reg_net, h2, topo, cfg.reg_output_scale)
+    m1 = inference.predict_mesh(result.reg_net, h1, topo)
+    m1b = inference.predict_mesh(result.reg_net, h1, topo)
+    m2 = inference.predict_mesh(result.reg_net, h2, topo)
     np.testing.assert_array_equal(m1.vertices, m1b.vertices)
     assert not np.array_equal(m1.vertices, m2.vertices)
     assert m1.vertices.shape == (topo.vertex_count, 3)

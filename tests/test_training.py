@@ -143,13 +143,12 @@ def test_seg_pipeline_gradient_wrt_params_and_latent():
     xyz = rng.standard_normal((6, 3)) * 30
     t = random_one_hot(6, seed=10)
     h0 = rng.standard_normal(4) * 0.3
-    scale = 0.01
 
     def loss_of(params, h):
         probe = netcore.ResidualMlp(7, 5, 16, 2, params)
-        return seg_loss(netcore.forward(probe, training.seg_inputs(xyz, h, scale)), t)
+        return seg_loss(netcore.forward(probe, training.seg_inputs(xyz, h)), t)
 
-    x = training.seg_inputs(xyz, h0, scale)
+    x = training.seg_inputs(xyz, h0)
     logits, cache = netcore.forward_cached(net, x)
     _, g_logits = seg_loss(logits, t, with_grad=True)
     g = netcore.backward(net, x, g_logits, cache=cache)
@@ -353,7 +352,7 @@ def test_train_single_shape_overfit_accuracy(topo):
     )
     r = training.train(samples, cfg)
     s = samples[0]
-    x = training.seg_inputs(s.seg_xyz, r.latents.codes[0], cfg.input_scale)
+    x = training.seg_inputs(s.seg_xyz, r.latents.codes[0])
     pred = np.argmax(netcore.forward(r.seg_net, x), axis=1)
     acc = np.mean(pred == s.seg_labels)
     assert acc > 0.95
