@@ -75,15 +75,12 @@ class ContourSet:
 
 @dataclass
 class MisalignmentSpec:
-    sigma: float = 3.0  # mm, per-slice in-plane shift scale
+    sigma: float = 3.0  # mm, SD of each in-plane component of a slice's shift
     seed: int = 0
-    distribution: str = "gaussian"  # or "uniform" (per component, +-sigma)
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if self.distribution not in ("gaussian", "uniform"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
 @dataclass
@@ -232,7 +229,7 @@ def acquire(mesh, shape_id, spacing=10.0, density=2.0):
 
 
 def inject_misalignment(contours, spec):
-    """Rigidly translate each slice in-plane by a seeded random shift.
+    """Rigidly translate each slice in-plane by a seeded Gaussian shift.
 
     Point order and labels are untouched, so the shift is exactly
     recoverable; the result is tagged "misaligned".
@@ -240,10 +237,7 @@ def inject_misalignment(contours, spec):
     out = []
     for i, s in enumerate(contours.slices):
         rng = np.random.default_rng([spec.seed, stable_hash(contours.shape_id), i])
-        if spec.distribution == "gaussian":
-            shift = rng.normal(0.0, spec.sigma, size=2)
-        else:
-            shift = rng.uniform(-spec.sigma, spec.sigma, size=2)
+        shift = rng.normal(0.0, spec.sigma, size=2)
         delta = shift[0] * s.plane.e1 + shift[1] * s.plane.e2
         out.append(
             Slice(

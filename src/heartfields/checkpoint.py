@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import OptimizerState, ResidualMlp
+from .netcore import OptimizerState, ResidualMlp, param_count
 from .training import INPUT_SCALE, REG_OUTPUT_SCALE, LatentStats
 
 MAGIC = b"NIHC"
@@ -57,21 +57,26 @@ def _net_payload(net):
     return head + np.ascontiguousarray(net.parameters, dtype="<f8").tobytes()
 
 
-def _net_from_payload(buf):
-    d_in, d_out, h, nb = struct.unpack_from("<4I", buf, 0)
-    params = np.frombuffer(buf, dtype="<f8", offset=16).copy()
-    return ResidualMlp(d_in, d_out, h, nb, params)
-
-
 def _array_payload(arr):
     arr = np.ascontiguousarray(arr, dtype="<f8")
     head = struct.pack("<2I", arr.shape[0], arr.shape[1] if arr.ndim == 2 else 1)
     return head + arr.tobytes()
 
 
-def _array_from_payload(buf):
-    rows, cols = struct.unpack_from("<2I", buf, 0)
-    return np.frombuffer(buf, dtype="<f8", offset=8).copy().reshape(rows, cols)
+def _read_section(path, sections, name, head, count):
+    """Header fields and float64 payload of section ``name``, which must be
+    the ``head`` struct followed by exactly ``count(*fields)`` floats."""
+    buf = sections[name]
+    size = struct.calcsize(head)
+    if len(buf) < size:
+        raise ValueError(f"{path}: section {name!r} is {len(buf)} bytes, shorter than its header")
+    fields = struct.unpack_from(head, buf)
+    want = size + 8 * count(*fields)
+    if len(buf) != want:
+        raise ValueError(
+            f"{path}: section {name!r} is {len(buf)} bytes, its dims {fields} need {want}"
+        )
+    return fields, np.frombuffer(buf, dtype="<f8", offset=size).copy()
 
 
 def _scales_payload():
@@ -118,52 +123,67 @@ def save_checkpoint(path, ckpt):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; raise ``ValueError`` naming ``path`` if it is
+    truncated, lacks a required section, or holds a payload whose length
+    disagrees with its declared dims."""
     with open(path, "rb") as f:
         blob = f.read()
+    if len(blob) < 16:
+        raise ValueError(f"{path}: truncated: {len(blob)} bytes, shorter than the 16-byte header")
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
     version, latent_dim, n_sections = struct.unpack_from("<3I", blob, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    sections = {}
-    pos = 16
-    for _ in range(n_sections):
-        name, offset, size = struct.unpack_from("<8sQQ", blob, pos)
-        pos += 24
-        sections[name.rstrip(b"\0").decode()] = blob[offset : offset + size]
-
-    ckpt = Checkpoint(
-        seg_net=_net_from_payload(sections["segnet"]),
-        reg_net=_net_from_payload(sections["regnet"]),
-        latent_codes=np.atleast_2d(_array_from_payload(sections["latents"])),
-    )
-    if sections.get("scales") != _scales_payload():
-        raise ValueError(f"{path}: scales section missing or not {SCALES}")
-    if "latstats" in sections:
-        buf = sections["latstats"]
-        (dim,) = struct.unpack_from("<I", buf, 0)
-        data = np.frombuffer(buf, dtype="<f8", offset=4)
-        ckpt.stats = LatentStats(
-            mean=data[:dim].copy(),
-            cov=data[dim : dim + dim * dim].reshape(dim, dim).copy(),
-            cov_inv=data[dim + dim * dim :].reshape(dim, dim).copy(),
+    if len(blob) < 16 + 24 * n_sections:
+        raise ValueError(
+            f"{path}: truncated: {len(blob)} bytes, shorter than the table of "
+            f"{n_sections} sections"
         )
-    for name, buf in sections.items():
+    sections = {}
+    for pos in range(16, 16 + 24 * n_sections, 24):
+        name, offset, size = struct.unpack_from("<8sQQ", blob, pos)
+        name = name.rstrip(b"\0").decode(errors="replace")
+        if offset + size > len(blob):
+            raise ValueError(
+                f"{path}: truncated: section {name!r} ends at byte {offset + size} "
+                f"of a {len(blob)}-byte file"
+            )
+        sections[name] = blob[offset : offset + size]
+    missing = [n for n in ("segnet", "regnet", "latents", "scales") if n not in sections]
+    if missing:
+        raise ValueError(f"{path}: missing sections {missing}")
+
+    nets = {}
+    for name in ("segnet", "regnet"):
+        dims, params = _read_section(path, sections, name, "<4I", param_count)
+        nets[name] = ResidualMlp(*dims, params)
+    (rows, cols), codes = _read_section(path, sections, "latents", "<2I", lambda r, c: r * c)
+    if cols != latent_dim:
+        raise ValueError(f"{path}: latent table dim {cols} != header dim {latent_dim}")
+    ckpt = Checkpoint(nets["segnet"], nets["regnet"], codes.reshape(rows, cols))
+    if sections["scales"] != _scales_payload():
+        raise ValueError(f"{path}: scales section does not hold {SCALES}")
+    if "latstats" in sections:
+        (dim,), data = _read_section(path, sections, "latstats", "<I", lambda d: d + 2 * d * d)
+        ckpt.stats = LatentStats(
+            mean=data[:dim],
+            cov=data[dim : dim + dim * dim].reshape(dim, dim),
+            cov_inv=data[dim + dim * dim :].reshape(dim, dim),
+        )
+    for name in sections:
         if name.startswith("opt_"):
-            size, t = struct.unpack_from("<2I", buf, 0)
-            data = np.frombuffer(buf, dtype="<f8", offset=8)
-            m, v = data[:size].copy(), data[size:].copy()
+            (size, t), data = _read_section(path, sections, name, "<2I", lambda n, _t: 2 * n)
+            m, v = data[:size], data[size:]
             if name == "opt_lat":
-                rows = len(ckpt.latent_codes)
+                if not rows or size % rows:
+                    raise ValueError(
+                        f"{path}: section 'opt_lat' holds {size} moments for {rows} latent rows"
+                    )
                 m, v = m.reshape(rows, -1), v.reshape(rows, -1)
                 ckpt.opt["lat"] = [OptimizerState(a, b, t) for a, b in zip(m, v)]
             else:
                 ckpt.opt[name[4:]] = OptimizerState(m, v, t)
     if "meta" in sections:
-        (ckpt.epoch,) = struct.unpack_from("<I", sections["meta"], 0)
-    if ckpt.latent_codes.shape[1] != latent_dim:
-        raise ValueError(
-            f"{path}: latent table dim {ckpt.latent_codes.shape[1]} "
-            f"!= header dim {latent_dim}"
-        )
+        (ckpt.epoch,), _ = _read_section(path, sections, "meta", "<I", lambda _e: 0)
     return ckpt

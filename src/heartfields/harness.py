@@ -463,14 +463,19 @@ def evaluate_case(root, topo, ckpt, case, condition):
     p2s_pred = metrics.point_to_surface(cpts, pred.vertices, topo.faces)
     p2s_ref = metrics.point_to_surface(cpts, true.vertices, topo.faces)
 
+    def mass(outer, inner):
+        try:
+            return metrics.wall_mass(outer, inner)
+        except ValueError:  # an inverted or non-nested wall has no mass
+            return np.nan
+
     def vols(mesh):
         lv = metrics.enclosed_volume(*mesh.compartment("lv_cavity"))
         rv = metrics.enclosed_volume(*mesh.compartment("rv_cavity"))
         lvepi = metrics.enclosed_volume(*mesh.compartment("lv_epi_volume"))
         heart = metrics.enclosed_volume(*mesh.compartment("heart"))
-        lv_mass = (lvepi - lv) * 1.05
-        rv_mass = max(heart - lvepi - rv, 0.0) * 1.05
-        return lv, rv, lv_mass, rv_mass
+        # the RV wall lies inside the heart, outside the LV epicardium and the RV cavity
+        return lv, rv, mass(lvepi, lv), mass(heart - lvepi, rv)
 
     lv, rv, lv_mass, rv_mass = vols(pred)
     true_lv, true_rv, true_lvm, true_rvm = vols(true)

@@ -10,6 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
+
+# (point, triangle) pairs per chunk of the exact point-to-mesh searches; at
+# this size the exact test's temporaries stay below ~120 MB, even when no
+# pair is pruned
+PAIR_BUDGET = 2**18
 
 
 @dataclass
@@ -158,7 +164,7 @@ def point_to_triangles_distance(points, tri_a, tri_b, tri_c):
     points = np.asarray(points, dtype=np.float64)
     n, m = len(points), len(tri_a)
     best = np.full(n, np.inf)
-    chunk = max(1, int(2e6) // max(m, 1))
+    chunk = max(1, PAIR_BUDGET // max(m, 1))
     for s in range(0, n, chunk):
         p = points[s : s + chunk]
         k = len(p)
@@ -176,10 +182,12 @@ def point_to_surface(points, vertices, faces):
     """Mean exact point-to-triangle-mesh distance.
 
     A vertex nearest-neighbor query gives an attainable upper bound per
-    point; triangles are then pruned by the centroid-ball lower bound
-    |p - centroid| - circumradius before the exact point-triangle test, so
-    the result equals the exhaustive scan. Work is chunked to keep the
-    temporaries bounded.
+    point. Points then go in chunks of ``PAIR_BUDGET // len(faces)`` (at
+    least one); each chunk bounds every (point, triangle) pair by
+    |p - centroid| - circumradius and runs the exact point-triangle test on
+    the pairs whose bound is within the upper one, so the result equals the
+    exhaustive scan. Every temporary holds at most ``max(PAIR_BUDGET,
+    len(faces))`` pairs, whatever the shape of the mesh.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     vertices = np.asarray(vertices, dtype=np.float64)
@@ -188,42 +196,16 @@ def point_to_surface(points, vertices, faces):
         raise ValueError("point_to_surface on an empty mesh")
     ta, tb, tc = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
     centroid = (ta + tb + tc) / 3.0
-    radius = np.maximum(
-        np.linalg.norm(ta - centroid, axis=1),
-        np.maximum(
-            np.linalg.norm(tb - centroid, axis=1), np.linalg.norm(tc - centroid, axis=1)
-        ),
-    )
+    radius = np.linalg.norm(np.stack([ta, tb, tc]) - centroid, axis=2).max(axis=0)
     used = np.unique(faces)  # unreferenced vertices must not tighten the bound
-    upper = cKDTree(vertices[used]).query(points)[0]
-
-    best = upper.copy()  # the vertex distance is itself attainable
-    n, m = len(points), len(faces)
-    r_pad = float(radius.max())
-    bbox_diag = float(np.linalg.norm(vertices[used].max(axis=0) - vertices[used].min(axis=0)))
-    if n and r_pad < 0.25 * max(bbox_diag, 1e-12):
-        # well-shaped mesh: candidate triangles from a centroid ball query
-        cand = cKDTree(centroid).query_ball_point(points, upper + r_pad + 1e-12)
-        pi = np.concatenate([np.full(len(c), i, dtype=np.int64) for i, c in enumerate(cand)])
-        ti = np.concatenate([np.asarray(c, dtype=np.int64) for c in cand])
-    else:
-        # oversized triangles (no useful ball radius): all pairs, chunked
-        pi = np.repeat(np.arange(n, dtype=np.int64), m)
-        ti = np.tile(np.arange(m, dtype=np.int64), n)
-    lower = np.linalg.norm(points[pi] - centroid[ti], axis=1) - radius[ti]
-    keep = lower <= upper[pi] + 1e-12
-    pi, ti, lower = pi[keep], ti[keep], lower[keep]
-    # evaluate nearest-first so the tightening best bound prunes the rest
-    order = np.argsort(lower, kind="stable")
-    pi, ti, lower = pi[order], ti[order], lower[order]
-    for e in range(0, len(pi), 500_000):
-        ps, ts = pi[e : e + 500_000], ti[e : e + 500_000]
-        live = lower[e : e + 500_000] <= best[ps] + 1e-12
-        if not live.any():
-            continue
-        ps, ts = ps[live], ts[live]
-        q = _closest_point_on_triangles(points[ps], ta[ts], tb[ts], tc[ts])
-        np.minimum.at(best, ps, np.linalg.norm(points[ps] - q, axis=1))
+    best = cKDTree(vertices[used]).query(points)[0]  # the vertex distance is attainable
+    chunk = max(1, PAIR_BUDGET // len(faces))
+    for s in range(0, len(points), chunk):
+        p = points[s : s + chunk]
+        lower = cdist(p, centroid) - radius
+        pi, ti = np.nonzero(lower <= best[s : s + chunk, None] + 1e-12)
+        q = _closest_point_on_triangles(p[pi], ta[ti], tb[ti], tc[ti])
+        np.minimum.at(best, s + pi, np.linalg.norm(p[pi] - q, axis=1))
     return float(best.mean())
 
 
@@ -259,14 +241,11 @@ def enclosed_volume(vertices, faces):
     return vol_mm3 / 1000.0
 
 
-def wall_mass(epi, endos, density=1.05):
-    """Myocardial mass in grams from nested closed surfaces.
-
-    epi and each endo are (vertices, faces) pairs; mass = (outer volume
-    minus enclosed cavity volumes) times density (g/mL).
+def wall_mass(outer, inner, density=1.05):
+    """Myocardial mass in grams of the wall between two nested closed
+    surfaces, given the volume (mL) enclosed by the outer one and by
+    everything inside the wall: (outer - inner) times density (g/mL).
     """
-    outer = enclosed_volume(*epi)
-    inner = sum(enclosed_volume(*e) for e in endos)
     wall = outer - inner
     if wall < 0:
         raise ValueError(f"negative wall volume ({wall:.3f} mL): surfaces inverted or not nested")

@@ -94,6 +94,46 @@ def test_magic_and_version_checked(tmp_path):
         load_checkpoint(bad)
 
 
+def test_truncated_or_corrupt_file_rejected(tmp_path):
+    path = tmp_path / "model.nihc"
+    save_checkpoint(path, make_checkpoint())
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 12)
+    table = {}
+    for i in range(n):
+        name, offset, size = struct.unpack_from("<8sQQ", blob, 16 + 24 * i)
+        table[name.rstrip(b"\0").decode()] = offset, size
+    bad = tmp_path / "bad.nihc"
+
+    def rejected(data, match):
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=match) as err:
+            load_checkpoint(bad)
+        assert str(bad) in str(err.value)
+
+    # cut inside the header, inside the section table, and inside each section
+    for cut in [0, 10, 15, 16 + 12, 16 + 24 * n - 1]:
+        rejected(blob[:cut], "truncated")
+    for name, (offset, size) in table.items():
+        rejected(blob[: offset + size // 2], f"truncated: section '{name}'")
+    # a required section missing: its table entry renamed
+    for name in ("segnet", "regnet", "latents", "scales"):
+        rejected(blob.replace(name.encode().ljust(8, b"\0"), b"unknown\0", 1), "missing")
+    # a declared dim one larger than the payload holds (the hidden width of
+    # a net, the row or element count of the others)
+    fields = {"segnet": 8, "regnet": 8, "latents": 0, "latstats": 0, "opt_seg": 0}
+    for name, field in fields.items():
+        at = table[name][0] + field
+        corrupt = bytearray(blob)
+        struct.pack_into("<I", corrupt, at, struct.unpack_from("<I", blob, at)[0] + 1)
+        rejected(bytes(corrupt), f"section '{name}' .* need")
+    # latent-row moments that do not split into the table's rows
+    ckpt = make_checkpoint()
+    ckpt.opt["lat"] = ckpt.opt["lat"][:4]
+    save_checkpoint(path, ckpt)
+    rejected(path.read_bytes(), "opt_lat")
+
+
 def test_float32_nets_saved_as_float64(tmp_path):
     ckpt = make_checkpoint(with_stats=False, with_opt=False)
     ckpt.seg_net = ckpt.seg_net.astype(np.float32)

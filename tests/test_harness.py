@@ -274,6 +274,33 @@ def test_evaluate_identity_run(tmp_path, run):
         assert float(rec["chamfer_sym"]) == 0.0
         assert float(rec["p2s_mean"]) == float(rec["p2s_ref"])
         assert float(rec["lv_vol"]) == float(rec["true_lv_vol"])
+        assert float(rec["lv_mass"]) == float(rec["true_lv_mass"])
+        assert float(rec["rv_mass"]) == float(rec["true_rv_mass"])
+
+
+def test_evaluate_inverted_wall_mass_is_nan(tmp_path, run):
+    """An LV cavity that bulges through its epicardium leaves a negative
+    wall volume, which is reported as a NaN mass."""
+    import shutil
+
+    from heartfields import anatomy
+
+    dst = tmp_path / "inverted"
+    shutil.copytree(run.out_dir, dst)
+    topo = anatomy.build_template()
+    true = harness.load_instance_mesh(dst, "test_0000", topo)
+    verts = true.vertices.copy()
+    endo = topo.surface_tag == anatomy.SURFACE_TAGS.index("lv_endo")
+    center = verts[endo].mean(axis=0)
+    verts[endo] = center + 3.0 * (verts[endo] - center)
+    anatomy.write_mesh_ply(
+        os.path.join(dst, "recon", "ideal", "test_0000.ply"),
+        anatomy.InstanceMesh(topo, verts, true.landmarks),
+    )
+    ckpt, _ = harness.load_model(dst)
+    report, extras = harness.evaluate_case(str(dst), topo, ckpt, "test_0000", "ideal")
+    assert np.isnan(report.lv_mass)
+    assert report.rv_mass == extras["true_rv_mass"]  # RV wall untouched
 
 
 def test_evaluate_missing_reconstruction_nonzero_exit(tmp_path, run):

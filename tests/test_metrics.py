@@ -192,14 +192,27 @@ def test_p2s_flat_patch_normal_offset():
     assert metrics.point_to_surface([[0, 0, 5.0]], v, f) == pytest.approx(5.0)
 
 
-def test_p2s_matches_bruteforce():
+def test_p2s_matches_bruteforce(monkeypatch):
     rng = np.random.default_rng(5)
     v, f = icosphere(8.0, 1)
+    # the same faces over permuted vertices: triangles that cross each other
+    # and span the sphere, as on a poorly fitted reconstruction
+    scrambled = rng.permutation(v)
+    inputs = []
     for _ in range(5):
         pts = rng.uniform(-15, 15, size=(100, 3))
-        fast = metrics.point_to_surface(pts, v, f)
-        slow = metrics.point_to_surface_bruteforce(pts, v, f)
-        assert fast == pytest.approx(slow, abs=1e-9)
+        inputs += [(pts, v), (pts, scrambled), (pts * 50.0, v), (pts * 50.0, scrambled)]
+
+    def check():
+        for pts, verts in inputs:
+            fast = metrics.point_to_surface(pts, verts, f)
+            slow = metrics.point_to_surface_bruteforce(pts, verts, f)
+            assert fast == pytest.approx(slow, abs=1e-9)
+
+    check()
+    # more faces than the pair budget: every chunk holds a single point
+    monkeypatch.setattr(metrics, "PAIR_BUDGET", len(f) - 1)
+    check()
 
 
 def test_p2s_ignores_unreferenced_vertices():
@@ -253,28 +266,28 @@ def test_volume_additivity_disjoint():
 
 
 def test_wall_mass_zero_for_equal_surfaces():
-    v, f = icosphere(10.0, 2)
-    assert metrics.wall_mass((v, f), [(v, f)]) == pytest.approx(0.0)
+    vol = metrics.enclosed_volume(*icosphere(10.0, 2))
+    assert metrics.wall_mass(vol, vol) == pytest.approx(0.0)
 
 
 def test_wall_mass_concentric_spheres():
-    vi, fi = icosphere(20.0, 3)
-    vo, fo = icosphere(23.0, 3)
+    inner = metrics.enclosed_volume(*icosphere(20.0, 3))
+    outer = metrics.enclosed_volume(*icosphere(23.0, 3))
     analytic = 4.0 / 3.0 * np.pi * (23.0**3 - 20.0**3) / 1000.0 * 1.05
-    assert metrics.wall_mass((vo, fo), [(vi, fi)]) == pytest.approx(analytic, rel=0.02)
+    assert metrics.wall_mass(outer, inner) == pytest.approx(analytic, rel=0.02)
 
 
 def test_wall_mass_zero_density():
-    vi, fi = icosphere(5.0, 1)
-    vo, fo = icosphere(7.0, 1)
-    assert metrics.wall_mass((vo, fo), [(vi, fi)], density=0.0) == 0.0
+    inner = metrics.enclosed_volume(*icosphere(5.0, 1))
+    outer = metrics.enclosed_volume(*icosphere(7.0, 1))
+    assert metrics.wall_mass(outer, inner, density=0.0) == 0.0
 
 
 def test_wall_mass_inverted_errors():
-    vi, fi = icosphere(5.0, 1)
-    vo, fo = icosphere(7.0, 1)
+    inner = metrics.enclosed_volume(*icosphere(5.0, 1))
+    outer = metrics.enclosed_volume(*icosphere(7.0, 1))
     with pytest.raises(ValueError):
-        metrics.wall_mass((vi, fi), [(vo, fo)])
+        metrics.wall_mass(inner, outer)
 
 
 # ------------------------------------------------------------- bland-altman
