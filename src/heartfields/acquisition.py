@@ -10,15 +10,14 @@ reconstruction optimizes against.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anatomy import apply_frame, cardiac_frame, invert_frame, label_points
-from .anatomy.template import TAG_EPI, TAG_LV_ENDO, TAG_RV_ENDO
+from .anatomy import AnatomicalLabel, apply_frame, cardiac_frame, invert_frame, label_points
+from .anatomy.template import TAG_LV_ENDO, TAG_RV_ENDO
 
 KIND_GRID, KIND_CONTOUR = 0, 1
-_KIND_NAMES = ("grid", "contour")
 
 
 @dataclass
@@ -58,13 +57,11 @@ class ContourSet:
     def views(self):
         return [s.plane.view for s in self.slices]
 
-    def all_points(self, kind=None, views=None):
+    def all_points(self, kind=None):
         """Concatenated (points, labels) over slices, optionally filtered
-        by point kind and view names."""
+        by point kind."""
         pts, labs = [], []
         for s in self.slices:
-            if views is not None and s.plane.view not in views:
-                continue
             keep = slice(None) if kind is None else (s.kinds == kind)
             pts.append(s.points[keep])
             labs.append(s.labels[keep])
@@ -167,35 +164,21 @@ def slice_mesh(mesh, plane, density=2.0, margin=8.0):
     verts = mesh.vertices
     d = (verts - plane.origin) @ plane.normal
 
-    faces = topo.faces
-    fd = d[faces]  # (F, 3)
-    crossing = (fd.min(axis=1) < 0.0) & (fd.max(axis=1) > 0.0)
-    contour_pts, contour_labels = [], []
-    if crossing.any():
-        u1 = topo.uvc[:, 0]
-        for fi in np.flatnonzero(crossing):
-            ids = faces[fi]
-            dv = fd[fi]
-            pts = []
-            for i in range(3):
-                j = (i + 1) % 3
-                if dv[i] * dv[j] < 0.0:
-                    t = dv[i] / (dv[i] - dv[j])
-                    pts.append(verts[ids[i]] + t * (verts[ids[j]] - verts[ids[i]]))
-            if len(pts) != 2:
-                continue
-            group = topo.face_group[fi]
-            if group == TAG_LV_ENDO:
-                lab = 1
-            elif group == TAG_RV_ENDO:
-                lab = 2
-            else:  # epicardium / basal band: myocardium of its ventricle
-                lab = 4 if u1[ids].mean() > 0.5 else 3
-            for p in pts:
-                contour_pts.append(p)
-                contour_labels.append(lab)
-    contour_pts = np.asarray(contour_pts).reshape(-1, 3)
-    contour_labels = np.asarray(contour_labels, dtype=np.int8)
+    # edge k of a face runs from its vertex k to vertex (k + 1) % 3; a face
+    # with exactly two cut edges contributes their two crossing points
+    nxt = [1, 2, 0]
+    fd = d[topo.faces]  # (F, 3)
+    cut = fd * fd[:, nxt] < 0.0
+    two = cut.sum(axis=1) == 2
+    ids, fd, cut = topo.faces[two], fd[two], cut[two]
+    di, dj = fd[cut], fd[:, nxt][cut]  # face order, then edge order
+    vi, vj = verts[ids[cut]], verts[ids[:, nxt][cut]]
+    t = di / (di - dj)
+    contour_pts = vi + t[:, None] * (vj - vi)
+    group = topo.face_group[two]
+    myo = np.where(topo.uvc[ids, 0].mean(axis=1) > 0.5, 4, 3)  # epicardial/basal: LVM or RVM
+    face_labels = np.select([group == TAG_LV_ENDO, group == TAG_RV_ENDO], [1, 2], myo)
+    contour_labels = np.repeat(face_labels, 2).astype(np.int8)
 
     # occupancy grid over the projected footprint
     rel = verts - plane.origin
@@ -213,12 +196,7 @@ def slice_mesh(mesh, plane, density=2.0, margin=8.0):
 
     points = np.vstack([grid, contour_pts])
     labels = np.concatenate([grid_labels, contour_labels])
-    kinds = np.concatenate(
-        [
-            np.full(len(grid), KIND_GRID, dtype=np.uint8),
-            np.full(len(contour_pts), KIND_CONTOUR, dtype=np.uint8),
-        ]
-    )
+    kinds = np.repeat(np.uint8([KIND_GRID, KIND_CONTOUR]), [len(grid), len(contour_pts)])
     return Slice(plane=plane, points=points, labels=labels, kinds=kinds)
 
 
@@ -228,44 +206,34 @@ def acquire(mesh, shape_id, spacing=10.0, density=2.0):
     return ContourSet(shape_id=shape_id, slices=slices, provenance="ideal")
 
 
+def _translated(contours, shifts, provenance):
+    """Copy of ``contours`` with slice i moved in-plane by ``shifts[i]``
+    (mm along its e1, e2) and the move added to its recorded shift."""
+    out = []
+    for s, shift in zip(contours.slices, shifts):
+        delta = shift[0] * s.plane.e1 + shift[1] * s.plane.e2
+        out.append(Slice(s.plane, s.points + delta, s.labels.copy(), s.kinds.copy(),
+                         s.shift + shift))
+    return ContourSet(contours.shape_id, out, provenance=provenance)
+
+
 def inject_misalignment(contours, spec):
     """Rigidly translate each slice in-plane by a seeded Gaussian shift.
 
     Point order and labels are untouched, so the shift is exactly
     recoverable; the result is tagged "misaligned".
     """
-    out = []
-    for i, s in enumerate(contours.slices):
-        rng = np.random.default_rng([spec.seed, stable_hash(contours.shape_id), i])
-        shift = rng.normal(0.0, spec.sigma, size=2)
-        delta = shift[0] * s.plane.e1 + shift[1] * s.plane.e2
-        out.append(
-            Slice(
-                plane=s.plane,
-                points=s.points + delta,
-                labels=s.labels.copy(),
-                kinds=s.kinds.copy(),
-                shift=s.shift + shift,
-            )
-        )
-    return ContourSet(contours.shape_id, out, provenance="misaligned")
+    seed = [spec.seed, stable_hash(contours.shape_id)]
+    shifts = [
+        np.random.default_rng(seed + [i]).normal(0.0, spec.sigma, size=2)
+        for i in range(len(contours.slices))
+    ]
+    return _translated(contours, shifts, "misaligned")
 
 
 def remove_misalignment(contours):
     """Subtract the recorded per-slice shifts (inverse of injection)."""
-    out = []
-    for s in contours.slices:
-        delta = s.shift[0] * s.plane.e1 + s.shift[1] * s.plane.e2
-        out.append(
-            Slice(
-                plane=s.plane,
-                points=s.points - delta,
-                labels=s.labels.copy(),
-                kinds=s.kinds.copy(),
-                shift=np.zeros(2),
-            )
-        )
-    return ContourSet(contours.shape_id, out, provenance="ideal")
+    return _translated(contours, [-s.shift for s in contours.slices], "ideal")
 
 
 def stable_hash(text):
@@ -303,6 +271,9 @@ def select_subset(contours, config):
 # ----------------------------------------------------------------- file I/O
 
 
+CONTOUR_FORMAT = 2
+
+
 def _slice_record(s):
     return {
         "view": s.plane.view,
@@ -312,19 +283,19 @@ def _slice_record(s):
         "e2": s.plane.e2.tolist(),
         "spacing": s.plane.spacing,
         "shift": s.shift.tolist(),
-        "points": [
-            {"xyz": xyz, "label": label, "kind": _KIND_NAMES[kind]}
-            for xyz, label, kind in zip(s.points.tolist(), s.labels.tolist(), s.kinds.tolist())
-        ],
+        "xyz": s.points.tolist(),
+        "labels": s.labels.tolist(),
+        "kinds": s.kinds.tolist(),
     }
 
 
 def save_contours(path, contours):
+    """Write a ``format`` 2 contour file: per slice, its plane, its shift and
+    its ``xyz``, ``labels`` and ``kinds`` arrays."""
     # one slice at a time through json's C encoder: the bytes equal those of
     # json.dump of the whole document, which runs the pure-Python encoder
-    head = json.dumps(
-        {"shape_id": contours.shape_id, "provenance": contours.provenance, "slices": []}
-    )
+    head = json.dumps({"format": CONTOUR_FORMAT, "shape_id": contours.shape_id,
+                       "provenance": contours.provenance, "slices": []})
     with open(path, "w") as f:
         f.write(head[: -len("]}")])
         for i, s in enumerate(contours.slices):
@@ -332,26 +303,46 @@ def save_contours(path, contours):
         f.write("]}\n")
 
 
+def _floats(values, shape, name):
+    a = np.asarray(values, dtype=np.float64)
+    if a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} is not {shape} finite numbers")
+    return a
+
+
+def _codes(values, allowed, name):
+    a = np.asarray(values)
+    if a.ndim != 1 or not np.isin(a, allowed).all():
+        raise ValueError(f"{name} outside {allowed}")
+    return a
+
+
+def _slice_from_record(rec):
+    frame = [_floats(rec[k], (3,), k) for k in ("origin", "normal", "e1", "e2")]
+    plane = SlicePlane(rec["view"], *frame, spacing=rec["spacing"])
+    xyz = rec["xyz"]
+    points = _floats(xyz, (len(xyz), 3), "xyz") if len(xyz) else np.zeros((0, 3))
+    labels = _codes(rec["labels"], [int(a) for a in AnatomicalLabel], "labels")
+    kinds = _codes(rec["kinds"], [KIND_GRID, KIND_CONTOUR], "kinds")
+    if not len(points) == len(labels) == len(kinds):
+        raise ValueError(f"slice {rec['view']!r} holds {len(points)} xyz, "
+                         f"{len(labels)} labels and {len(kinds)} kinds")
+    return Slice(plane, points, labels.astype(np.int8), kinds.astype(np.uint8),
+                 shift=_floats(rec["shift"], (2,), "shift"))
+
+
 def load_contours(path):
-    with open(path) as f:
-        doc = json.load(f)
-    slices = []
-    for rec in doc["slices"]:
-        plane = SlicePlane(
-            view=rec["view"],
-            origin=rec["origin"],
-            normal=rec["normal"],
-            e1=rec["e1"],
-            e2=rec["e2"],
-            spacing=rec.get("spacing", 10.0),
-        )
-        pts = np.array([p["xyz"] for p in rec["points"]], dtype=np.float64).reshape(-1, 3)
-        labels = np.array([p["label"] for p in rec["points"]], dtype=np.int8)
-        kinds = np.array(
-            [_KIND_NAMES.index(p["kind"]) for p in rec["points"]], dtype=np.uint8
-        )
-        slices.append(
-            Slice(plane=plane, points=pts, labels=labels, kinds=kinds,
-                  shift=np.asarray(rec["shift"], dtype=np.float64))
-        )
-    return ContourSet(doc["shape_id"], slices, provenance=doc["provenance"])
+    """Read a file written by :func:`save_contours`. A ``ValueError`` naming
+    ``path`` reports invalid JSON, another ``format``, a missing key, or
+    arrays of the wrong shape, of disagreeing lengths or out of range."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        if doc["format"] != CONTOUR_FORMAT:
+            raise ValueError(f"format {doc['format']!r} is not {CONTOUR_FORMAT}")
+        slices = [_slice_from_record(rec) for rec in doc["slices"]]
+        return ContourSet(doc["shape_id"], slices, provenance=doc["provenance"])
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from e

@@ -35,11 +35,10 @@ def write_mesh_ply(path, mesh, comment=None):
         "end_header",
     ]
     rows = [
-        "%.9g %.9g %.9g %.9g %.9g %.9g %.9g %d"
-        % (v[i, 0], v[i, 1], v[i, 2], uvc[i, 0], uvc[i, 1], uvc[i, 2], uvc[i, 3], tag[i])
-        for i in range(len(v))
+        "%.9g %.9g %.9g %.9g %.9g %.9g %.9g %d" % tuple(r)
+        for r in np.column_stack([v, uvc, tag]).tolist()
     ]
-    rows += ["3 %d %d %d" % tuple(f) for f in faces]
+    rows += ["3 %d %d %d" % tuple(f) for f in faces.tolist()]
     with open(path, "w") as f:
         f.write("\n".join(lines + rows) + "\n")
 
@@ -65,16 +64,15 @@ def read_mesh_ply(path):
             break
     if body is None or n_vertex is None or n_face is None:
         raise ValueError(f"{path}: malformed PLY header")
-    vdata = np.array(
-        [[float(x) for x in lines[body + i].split()] for i in range(n_vertex)]
-    )
-    fdata = np.array(
-        [
-            [int(x) for x in lines[body + n_vertex + i].split()[1:4]]
-            for i in range(n_face)
-        ],
-        dtype=np.int64,
-    )
+    if len(lines) < body + n_vertex + n_face:
+        raise ValueError(f"{path}: {len(lines) - body} body lines, the header declares "
+                         f"{n_vertex} vertices and {n_face} faces")
+    try:
+        vdata = np.loadtxt(lines[body : body + n_vertex], ndmin=2)
+        fdata = np.loadtxt(lines[body + n_vertex : body + n_vertex + n_face],
+                           dtype=np.int64, usecols=(1, 2, 3), ndmin=2)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
     return vdata[:, :3], vdata[:, 3:7], vdata[:, 7].astype(np.int8), fdata
 
 

@@ -544,15 +544,17 @@ def cmd_evaluate(config, conditions=None):
     summary_rel = os.path.join("eval", "summary.csv")
     with open(os.path.join(root, summary_rel), "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["condition", "n"] + [f"{k}_{s}" for k in metrics.MetricsReport.FIELDS for s in ("mean", "sd")])
+        w.writerow(["condition", "n", "inverted_walls"]
+                   + [f"{k}_{s}" for k in metrics.MetricsReport.FIELDS for s in ("mean", "sd")])
         for condition in conditions:
             sel = [r for c, r, _ in rows if c == condition]
             if not sel:
                 continue
-            out = [condition, len(sel)]
+            inverted = sum(np.isnan(r.lv_mass) or np.isnan(r.rv_mass) for r in sel)
+            out = [condition, len(sel), inverted]
             for k in metrics.MetricsReport.FIELDS:
-                vals = np.array([getattr(r, k) for r in sel])
-                out += [f"{vals.mean():.6g}", f"{vals.std(ddof=1) if len(vals) > 1 else 0.0:.6g}"]
+                mean, sd = metrics.finite_mean_sd([getattr(r, k) for r in sel])
+                out += [f"{mean:.6g}", f"{sd:.6g}"]
             w.writerow(out)
 
     ba_rel = os.path.join("eval", "bland_altman.csv")
@@ -651,13 +653,13 @@ def cmd_report(config):
             )
     lines += ["", "## Volumes and masses", ""]
     lines += [
-        "| condition | LV vol (mL) | RV vol (mL) | LV mass (g) | RV mass (g) |",
-        "|---|---|---|---|---|",
+        "| condition | LV vol (mL) | RV vol (mL) | LV mass (g) | RV mass (g) | inverted walls |",
+        "|---|---|---|---|---|---|",
     ]
     for row in body:
         lines.append(
             f"| {row[0]} | {fmt(row, 'lv_vol')} | {fmt(row, 'rv_vol')} | "
-            f"{fmt(row, 'lv_mass')} | {fmt(row, 'rv_mass')} |"
+            f"{fmt(row, 'lv_mass')} | {fmt(row, 'rv_mass')} | {row[col('inverted_walls')]} |"
         )
 
     manifest = Manifest(root)

@@ -252,17 +252,23 @@ def wall_mass(outer, inner, density=1.05):
     return wall * density
 
 
+def finite_mean_sd(values):
+    """Mean and sample SD (ddof=1) over the finite entries of ``values``.
+    The SD is 0 below two such entries, and the mean is nan with none."""
+    v = np.asarray(values, dtype=np.float64)
+    v = v[np.isfinite(v)]
+    return (float(v.mean()) if len(v) else np.nan), (float(v.std(ddof=1)) if len(v) > 1 else 0.0)
+
+
 def bland_altman_rows(reference, predicted):
     """Per-case (mean, difference) rows plus bias and 1.96 SD limits.
 
-    difference is predicted minus reference.
+    difference is predicted minus reference; bias and limits skip non-finite pairs.
     """
     ref = np.asarray(reference, dtype=np.float64)
     pred = np.asarray(predicted, dtype=np.float64)
     if ref.shape != pred.shape:
         raise ValueError(f"length mismatch: {ref.shape} vs {pred.shape}")
     rows = np.column_stack([(ref + pred) / 2.0, pred - ref])
-    diffs = rows[:, 1]
-    bias = float(diffs.mean())
-    sd = float(diffs.std(ddof=1)) if len(diffs) > 1 else 0.0
+    bias, sd = finite_mean_sd(rows[:, 1])
     return rows, bias, bias - 1.96 * sd, bias + 1.96 * sd

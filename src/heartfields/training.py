@@ -269,7 +269,6 @@ class TrainConfig:
     reg_batch: int = 384
     weights: LossWeights = field(default_factory=LossWeights)
     val_fraction: float = 0.2
-    freeze_latents: bool = False
     seed: int = 0
     dtype: str = "float32"
 
@@ -439,8 +438,7 @@ def train(samples, config, resume=None, on_epoch=None):
                 netcore.adam_step(reg_net.parameters, gr.param_grads, opt_reg)
                 sums += (l_seg, l_reg, l_prior, l_total)
                 n_train_steps += 1
-            if not config.freeze_latents:
-                netcore.adam_step(codes[si], g_h.astype(dt), opt_lat[si])
+            netcore.adam_step(codes[si], g_h.astype(dt), opt_lat[si])
 
         row = (
             epoch,

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -122,6 +123,9 @@ def test_grid_label_fidelity(mesh, contours):
 # labeling must keep every label bit-identical
 GOLDEN_GRID_LABELS_SHA256 = "e821c741fcc1d31c121e97f07aae668089d2dfd3ae9fe8d43825f272a1fe054c"
 GOLDEN_SEG_LABELS_SHA256 = "4c3a9d270ef35e35f049de2a13f822884c6c59d9caeee4ef066568e221108614"
+# sha256 of the float64 contour points then the int8 contour labels of
+# acquire(density=3.0), computed at commit 270c25f (per-face slicing loop)
+GOLDEN_CONTOUR_SHA256 = "c6806c46ed470c9470e65fc9b739cc2a91c44df8f26512901a8c5a241f54cc77"
 
 
 def test_golden_label_hashes(mesh, contours):
@@ -134,6 +138,10 @@ def test_golden_label_hashes(mesh, contours):
     assert sha(grid) == GOLDEN_GRID_LABELS_SHA256
     sample = build_sample(mesh, "case000", seg_n=8000, reg_n=3000, seed=0)
     assert sha(sample.seg_labels) == GOLDEN_SEG_LABELS_SHA256
+    pts, labels = contours.all_points(kind=acq.KIND_CONTOUR)
+    assert pts.shape == (4816, 3)
+    digest = hashlib.sha256(pts.astype(np.float64).tobytes() + labels.astype(np.int8).tobytes())
+    assert digest.hexdigest() == GOLDEN_CONTOUR_SHA256
 
 
 def test_contour_points_lie_on_surfaces(mesh, contours):
@@ -256,6 +264,52 @@ def test_contour_roundtrip(tmp_path, contours):
     assert back.provenance == contours.provenance
     assert back.views() == contours.views()
     for a, b in zip(back.slices, contours.slices):
-        np.testing.assert_allclose(a.points, b.points, atol=1e-12)
-        np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.kinds, b.kinds)
+        for k in ("origin", "normal", "e1", "e2", "spacing"):
+            np.testing.assert_array_equal(getattr(a.plane, k), getattr(b.plane, k))
+        for k in ("points", "labels", "kinds", "shift"):
+            np.testing.assert_array_equal(getattr(a, k), getattr(b, k))
+            assert getattr(a, k).dtype == getattr(b, k).dtype
+    again = tmp_path / "again.json"
+    acq.save_contours(again, back)
+    assert again.read_bytes() == path.read_bytes()
+    no_points = acq.Slice(contours.slices[0].plane, np.zeros((0, 3)), np.zeros(0, np.int8), np.zeros(0, np.uint8))
+    acq.save_contours(path, acq.ContourSet("empty", [no_points]))
+    assert acq.load_contours(path).slices[0].points.shape == (0, 3)
+
+
+def test_contour_file_rejects_corrupt_input(tmp_path, contours):
+    path = tmp_path / "good.json"
+    acq.save_contours(path, acq.select_subset(contours, acq.ABLATION_ROWS[4]))
+    text = path.read_text()
+    doc = json.loads(text)
+    s0 = doc["slices"][0]
+    old_layout = {k: v for k, v in doc.items() if k != "format"}
+    old_layout["slices"] = [
+        {k: v for k, v in s0.items() if k not in ("xyz", "labels", "kinds")}
+        | {"points": [{"xyz": p, "label": lab, "kind": ("grid", "contour")[kind]}
+                      for p, lab, kind in zip(s0["xyz"], s0["labels"], s0["kinds"])]}
+    ]
+
+    def edited(**changes):
+        d = json.loads(text)
+        d["slices"][0].update(changes)
+        return json.dumps(d)
+
+    no_spacing = json.loads(text)
+    del no_spacing["slices"][0]["spacing"]
+    bad = {
+        "truncated": (text[: len(text) // 2], "Expecting"),
+        "old_layout": (json.dumps(old_layout), "missing key 'format'"),
+        "format_1": (text.replace('"format": 2', '"format": 1'), "format 1"),
+        "no_spacing": (json.dumps(no_spacing), "missing key 'spacing'"),
+        "short_labels": (edited(labels=s0["labels"][:-1]), "labels and"),
+        "kind_2": (edited(kinds=[2] + s0["kinds"][1:]), "kinds outside"),
+        "label_5": (edited(labels=[5] + s0["labels"][1:]), "labels outside"),
+        "xyz_2d": (edited(xyz=[p[:2] for p in s0["xyz"]]), "xyz is not"),
+    }
+    for name, (content, reason) in bad.items():
+        corrupt = tmp_path / f"{name}.json"
+        corrupt.write_text(content)
+        with pytest.raises(ValueError, match=name) as err:
+            acq.load_contours(corrupt)
+        assert reason in str(err.value), (name, str(err.value))

@@ -363,6 +363,25 @@ def test_ply_roundtrip(tmp_path, mesh):
     np.testing.assert_array_equal(faces, mesh.topology.faces)
 
 
+def test_ply_truncated_or_corrupt_rejected(tmp_path, mesh):
+    path = tmp_path / "shape.ply"
+    anatomy.write_mesh_ply(path, mesh)
+    lines = path.read_text().splitlines(keepends=True)
+    body = lines.index("end_header\n") + 1
+    n_vertex = len(mesh.vertices)
+    bad = {
+        "no_faces": lines[: body + n_vertex],
+        "last_face_cut": lines[:-1],
+        "half_vertices": lines[: body + n_vertex // 2],
+        "garbled_vertex": lines[:body] + ["1 2 x 4 5 6 7 0\n"] + lines[body + 1 :],
+    }
+    for name, content in bad.items():
+        cut = tmp_path / f"{name}.ply"
+        cut.write_text("".join(content))
+        with pytest.raises(ValueError, match=name):
+            anatomy.read_mesh_ply(cut)
+
+
 def test_landmarks_roundtrip(tmp_path, mesh):
     path = tmp_path / "landmarks.json"
     anatomy.write_landmarks(path, mesh.landmarks)

@@ -278,14 +278,13 @@ def test_evaluate_identity_run(tmp_path, run):
         assert float(rec["rv_mass"]) == float(rec["true_rv_mass"])
 
 
-def test_evaluate_inverted_wall_mass_is_nan(tmp_path, run):
-    """An LV cavity that bulges through its epicardium leaves a negative
-    wall volume, which is reported as a NaN mass."""
+def _copy_with_inverted_lv_wall(run, dst):
+    """Copy the run and replace the ideal test_0000 reconstruction by its
+    true mesh with the LV endocardium scaled 3x through the epicardium."""
     import shutil
 
     from heartfields import anatomy
 
-    dst = tmp_path / "inverted"
     shutil.copytree(run.out_dir, dst)
     topo = anatomy.build_template()
     true = harness.load_instance_mesh(dst, "test_0000", topo)
@@ -297,10 +296,39 @@ def test_evaluate_inverted_wall_mass_is_nan(tmp_path, run):
         os.path.join(dst, "recon", "ideal", "test_0000.ply"),
         anatomy.InstanceMesh(topo, verts, true.landmarks),
     )
+    return topo
+
+
+def test_evaluate_inverted_wall_mass_is_nan(tmp_path, run):
+    """An LV cavity that bulges through its epicardium leaves a negative
+    wall volume, which is reported as a NaN mass."""
+    dst = tmp_path / "inverted"
+    topo = _copy_with_inverted_lv_wall(run, dst)
     ckpt, _ = harness.load_model(dst)
     report, extras = harness.evaluate_case(str(dst), topo, ckpt, "test_0000", "ideal")
     assert np.isnan(report.lv_mass)
     assert report.rv_mass == extras["true_rv_mass"]  # RV wall untouched
+
+
+def test_evaluate_summary_counts_inverted_walls(tmp_path, run):
+    """One NaN mass is counted and left out of its condition's mean, SD and
+    Bland-Altman limits instead of turning them into NaN."""
+    dst = tmp_path / "inverted"
+    _copy_with_inverted_lv_wall(run, dst)
+    cfg = mini_config(dst)
+    assert harness.cmd_evaluate(cfg, conditions=["ideal"]) == 0
+    assert harness.cmd_report(cfg) == 0
+    with open(os.path.join(dst, "eval", "summary.csv")) as f:
+        (summary,) = list(csv.DictReader(f))
+    assert int(summary["inverted_walls"]) == 1
+    assert np.isfinite(float(summary["lv_mass_mean"]))
+    assert float(summary["lv_mass_sd"]) == 0.0  # one finite value left
+    with open(os.path.join(dst, "eval", "bland_altman.csv")) as f:
+        ba = [r for r in csv.DictReader(f) if r["case_id"] == "summary"]
+    assert all(np.isfinite(float(x)) for r in ba for x in [r["mean"], *r["difference"].split("|")])
+    with open(os.path.join(dst, "report.md")) as f:
+        mass_row = next(line for line in f if line.startswith("| ideal |") and line.count("|") == 7)
+    assert "nan" not in mass_row and mass_row.rstrip().endswith("| 1 |")
 
 
 def test_evaluate_missing_reconstruction_nonzero_exit(tmp_path, run):

@@ -345,11 +345,9 @@ def test_train_empty_cohort_errors():
 
 
 def test_train_single_shape_overfit_accuracy(topo):
-    # latents frozen, one shape: the classifier should fit its own points
+    # one shape: the classifier should fit its own points
     samples = tiny_cohort(1, topo, seg_n=2800, reg_n=2650)
-    cfg = tiny_config(
-        epochs=900, freeze_latents=True, val_fraction=0.0, hidden_dim=32, seg_batch=768
-    )
+    cfg = tiny_config(epochs=900, val_fraction=0.0, hidden_dim=32, seg_batch=768)
     r = training.train(samples, cfg)
     s = samples[0]
     x = training.seg_inputs(s.seg_xyz, r.latents.codes[0])
