@@ -21,7 +21,6 @@ from .template import (
     SURFACE_TAGS,
     TemplateSpec,
     TemplateTopology,
-    assign_uvc,
     build_template,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "TemplateSpec",
     "TemplateTopology",
     "apply_frame",
-    "assign_uvc",
     "build_template",
     "cardiac_frame",
     "default_params",

@@ -1,6 +1,6 @@
 """Shape family: parameter sampling, instance generation, averaging."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,13 +55,12 @@ def default_params(seed=0):
     return ShapeParams(seed=seed).validate()
 
 
-def sample_params(seed, ranges=None):
+def sample_params(seed):
     """Draw one cohort member's parameters; deterministic per seed."""
-    r = dict(DEFAULT_RANGES, **(ranges or {}))
     rng = np.random.default_rng(seed)
 
     def u(key):
-        lo, hi = r[key]
+        lo, hi = DEFAULT_RANGES[key]
         return float(rng.uniform(lo, hi))
 
     a = u("a")
@@ -107,29 +106,10 @@ class InstanceMesh:
         return float(np.linalg.norm(self.landmarks["lva"] - self.landmarks["mvc"]))
 
 
-def landmarks_from_vertices(topology, positions):
-    """Landmark triple read off template vertex positions: mitral center
-    vertex, LV endocardial apex pole, and the RV cavity base-rim centroid
-    as the tricuspid stand-in."""
-    blocks = topology.blocks
-    spec = topology.spec
-    sector = 3 * spec.n_phi // 16
-    mid = spec.n_phi // 2
-    b_row0 = blocks["B_trunk"].reshape(spec.n_rows, spec.n_phi)[0]
-    d_row0 = blocks["D"].reshape(spec.k_rv, 2 * sector - 1)[0]
-    rim = np.concatenate([b_row0[mid - sector : mid + sector + 1], d_row0])
-    return {
-        "mvc": positions[blocks["M_c"][0]].copy(),
-        "tvc": positions[rim].mean(axis=0),
-        "lva": positions[blocks["A_pole"][0]].copy(),
-    }
-
-
-def generate_shape(topology, params, seed=None):
+def generate_shape(topology, params):
     """Evaluate one shape of the family and canonicalize it to its own
-    cardiac frame. ``seed`` overrides ``params.seed`` (kept for provenance
-    only; the geometry is a deterministic function of the parameters)."""
-    params = replace(params, seed=params.seed if seed is None else seed)
+    cardiac frame (the geometry is a deterministic function of the
+    parameters; ``params.seed`` is kept for provenance only)."""
     params.validate()
     a, b, c = params.lv_semi_axes
     pos = tpl.evaluate_positions(
@@ -144,7 +124,7 @@ def generate_shape(topology, params, seed=None):
     )
     pos = pos * params.global_scale
 
-    lm = landmarks_from_vertices(topology, pos)
+    lm = tpl.landmarks_from_vertices(topology, pos)
     mvc, tvc, lva = lm["mvc"], lm["tvc"], lm["lva"]
     frame = cardiac_frame(mvc, tvc, lva)
     verts = apply_frame(frame, pos)

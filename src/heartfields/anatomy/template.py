@@ -62,7 +62,7 @@ class TemplateTopology:
     face_group: np.ndarray  # per-face tag index, same legend as vertices
     compartments: dict  # name -> (F, 3) closed oriented face arrays
     transmural_pairs: np.ndarray  # (P, 2) endo/epi vertex index pairs
-    blocks: dict = field(default_factory=dict)  # name -> index array
+    blocks: dict = field(default_factory=dict)  # name -> vertex indices, see _Grid.blocks
 
     @property
     def vertex_count(self):
@@ -143,210 +143,150 @@ def _ring_rotational(phi):
 
 
 class _Grid:
-    """Shared azimuth/row bookkeeping derived from a TemplateSpec."""
+    """The template's vertex layout: the shared azimuth grid, the RV
+    sector, the row fractions of the RV wall and the basal rings, and the
+    vertex index blocks of every sheet."""
 
     def __init__(self, spec):
         self.spec = spec
         nphi = spec.n_phi
-        self.sector = 3 * nphi // 16  # tip offset in columns
+        sector = 3 * nphi // 16  # tip offset in columns
         mid = nphi // 2
-        self.jl, self.jh = mid - self.sector, mid + self.sector
+        self.jl, self.jh = mid - sector, mid + sector
         self.interior = np.arange(self.jl + 1, self.jh)
         self.n_int = self.interior.size
         self.phi = 2.0 * np.pi * np.arange(nphi) / nphi
         self.dphi = 2.0 * np.pi / nphi
-        self.half_width = self.sector * self.dphi
+        self.half_width = sector * self.dphi
         self.phi_ant = np.pi - self.half_width
         self.phi_post = np.pi + self.half_width
         self.in_sector = np.zeros(nphi, dtype=bool)
         self.in_sector[self.interior] = True
+        self.lam = (spec.k_rv - np.arange(spec.k_rv)) / spec.k_rv  # 1 at base, 0 at RV apex row
+        self.rho_lv = np.arange(1, spec.rings_lv + 1) / (spec.rings_lv + 1)  # endo -> epi
+        self.rho_rv = np.arange(1, spec.rings_rv + 1) / (spec.rings_rv + 1)
 
     def blocks(self):
-        spec = self.spec
-        counts = {
-            "A_trunk": spec.n_rows * spec.n_phi,
-            "A_apex": spec.n_apex_endo * spec.n_phi,
-            "A_pole": 1,
-            "B_trunk": spec.n_rows * spec.n_phi,
-            "B_apex": spec.n_apex_epi * spec.n_phi,
-            "B_pole": 1,
-            "C": spec.k_rv * self.n_int,
-            "D": spec.k_rv * self.n_int,
-            "E_lv": spec.rings_lv * spec.n_phi,
-            "E_rv": spec.rings_rv * self.n_int,
-            "M_c": 1,
+        """{name: vertex indices} in storage order, sheets and rings shaped
+        (rows, cols) and single vertices (1,), plus the vertex count."""
+        spec, nphi, n_int = self.spec, self.spec.n_phi, self.n_int
+        shapes = {
+            "A_trunk": (spec.n_rows, nphi),
+            "A_apex": (spec.n_apex_endo, nphi),
+            "A_pole": (1,),
+            "B_trunk": (spec.n_rows, nphi),
+            "B_apex": (spec.n_apex_epi, nphi),
+            "B_pole": (1,),
+            "C": (spec.k_rv, n_int),
+            "D": (spec.k_rv, n_int),
+            "E_lv": (spec.rings_lv, nphi),
+            "E_rv": (spec.rings_rv, n_int),
+            "M_c": (1,),
         }
         blocks, off = {}, 0
-        for name, n in counts.items():
-            blocks[name] = np.arange(off, off + n)
+        for name, shape in shapes.items():
+            n = int(np.prod(shape))
+            blocks[name] = np.arange(off, off + n).reshape(shape)
             off += n
         return blocks, off
 
 
-def assign_uvc_tags(spec, blocks, total):
-    """Per-vertex ventricular coordinate 4-tuples and surface tags.
+def build_template(spec=None):
+    """Construct the template topology (indices, coordinates, tags, faces,
+    compartments). Geometry is evaluated separately per shape.
 
     Coordinates are functions of the parametric grid alone (never of shape
     size parameters), which is what makes them identical across every
     generated shape.
     """
+    spec = spec or TemplateSpec()
+    krv = spec.k_rv
     g = _Grid(spec)
-    nphi, nrows, krv = spec.n_phi, spec.n_rows, spec.k_rv
-    na_a, na_b = spec.n_apex_endo, spec.n_apex_epi
-    a_trunk = blocks["A_trunk"].reshape(nrows, nphi)
-    a_apex = blocks["A_apex"].reshape(na_a, nphi)
-    a_pole = int(blocks["A_pole"][0])
-    b_trunk = blocks["B_trunk"].reshape(nrows, nphi)
-    b_apex = blocks["B_apex"].reshape(na_b, nphi)
-    b_pole = int(blocks["B_pole"][0])
-    c_grid = blocks["C"].reshape(krv, g.n_int)
-    d_grid = blocks["D"].reshape(krv, g.n_int)
-    e_lv = blocks["E_lv"].reshape(spec.rings_lv, nphi)
-    e_rv = blocks["E_rv"].reshape(spec.rings_rv, g.n_int)
-    m_c = int(blocks["M_c"][0])
+    jl, jh, interior = g.jl, g.jh, g.interior
 
-    uvc = np.zeros((total, 4))
-    tag = np.zeros(total, dtype=np.int8)
+    blocks, nv = g.blocks()
+    a_trunk, a_apex, a_pole = blocks["A_trunk"], blocks["A_apex"], blocks["A_pole"]
+    b_trunk, b_apex, b_pole = blocks["B_trunk"], blocks["B_apex"], blocks["B_pole"]
+    c_grid, d_grid = blocks["C"], blocks["D"]
+    e_lv, e_rv, m_c = blocks["E_lv"], blocks["E_rv"], blocks["M_c"]
+    # sheet B's sector columns above the RV apex row are septal RV endocardium
+    septal = np.zeros(b_trunk.shape, dtype=bool)
+    septal[:krv] = g.in_sector
 
-    # sheet A: LV endocardium
+    # ---------------------------------------------------- coordinates, tags
+    uvc = np.zeros((nv, 4))
+    tag = np.zeros(nv, dtype=np.int8)
     u3_lv = _lv_rotational(g.phi, g.phi_ant, g.phi_post, g.half_width)
-    ladder_a = nrows + na_a  # base row has ladder index 0, pole has ladder_a
-    for j in range(nrows):
-        ids = a_trunk[j]
-        uvc[ids, 1] = 1.0
-        uvc[ids, 2] = u3_lv
-        uvc[ids, 3] = 1.0 - j / ladder_a
-        tag[ids] = TAG_LV_ENDO
-    for i in range(na_a):
-        ids = a_apex[i]
-        uvc[ids, 1] = 1.0
-        uvc[ids, 2] = u3_lv
-        uvc[ids, 3] = 1.0 - (nrows + i) / ladder_a
-        tag[ids] = TAG_LV_ENDO
+
+    # sheets A and B: u4 descends one ladder step per row from the base row
+    # (1) to the pole (0)
+    sheet_a = np.vstack([a_trunk, a_apex])
+    uvc[sheet_a, 1] = 1.0
+    uvc[sheet_a, 2] = u3_lv
+    uvc[sheet_a, 3] = 1.0 - np.arange(len(sheet_a))[:, None] / len(sheet_a)
+    tag[sheet_a] = TAG_LV_ENDO
     uvc[a_pole] = (0.0, 1.0, 0.0, 0.0)
     tag[a_pole] = TAG_LV_ENDO
 
-    # sheet B: epicardium outside the RV domain, septal RV endocardium inside
-    ladder_b = nrows + na_b
-    for j in range(nrows):
-        ids = b_trunk[j]
-        septal = g.in_sector & (j < krv)
-        uvc[ids, 0] = np.where(septal, 1.0, 0.0)
-        uvc[ids, 1] = np.where(septal, 1.0, 0.0)
-        uvc[ids, 2] = u3_lv
-        uvc[ids, 3] = 1.0 - j / ladder_b
-        tag[ids] = np.where(septal, TAG_RV_ENDO, TAG_EPI)
-    for i in range(na_b):
-        ids = b_apex[i]
-        uvc[ids, 2] = u3_lv
-        uvc[ids, 3] = 1.0 - (nrows + i) / ladder_b
-        tag[ids] = TAG_EPI
-    uvc[b_pole] = (0.0, 0.0, 0.0, 0.0)
-    tag[b_pole] = TAG_EPI
+    sheet_b = np.vstack([b_trunk, b_apex])
+    uvc[b_trunk, 0] = septal
+    uvc[b_trunk, 1] = septal
+    uvc[sheet_b, 2] = u3_lv
+    uvc[sheet_b, 3] = 1.0 - np.arange(len(sheet_b))[:, None] / len(sheet_b)
+    tag[sheet_b] = TAG_EPI
+    tag[b_trunk[septal]] = TAG_RV_ENDO
+    tag[b_pole] = TAG_EPI  # the epicardial pole keeps the zero tuple
 
     # sheets C and D: RV free wall (rows 0..krv-1, interior columns)
-    u3_rv = _rv_rotational(g.phi[g.interior], g.phi_ant, g.phi_post, g.half_width)
-    for j in range(krv):
-        lam = (krv - j) / krv  # 1 at base, 0 at the RV apex row
-        uvc[c_grid[j], 0] = 1.0
-        uvc[c_grid[j], 2] = u3_rv
-        uvc[c_grid[j], 3] = lam
-        tag[c_grid[j]] = TAG_EPI
-        uvc[d_grid[j], 0] = 1.0
-        uvc[d_grid[j], 1] = 1.0
-        uvc[d_grid[j], 2] = u3_rv
-        uvc[d_grid[j], 3] = lam
-        tag[d_grid[j]] = TAG_RV_ENDO
+    u3_rv = _rv_rotational(g.phi[interior], g.phi_ant, g.phi_post, g.half_width)
+    for grid, u2, surface in ((c_grid, 0.0, TAG_EPI), (d_grid, 1.0, TAG_RV_ENDO)):
+        uvc[grid, 0] = 1.0
+        uvc[grid, 1] = u2
+        uvc[grid, 2] = u3_rv
+        uvc[grid, 3] = g.lam[:, None]
+        tag[grid] = surface
 
     # basal ring bands
     u3_ring = _ring_rotational(g.phi)
-    for r in range(spec.rings_lv):
-        rho = (r + 1) / (spec.rings_lv + 1)
-        ids = e_lv[r]
-        uvc[ids, 0] = np.where(g.in_sector & (rho > 0.5), 1.0, 0.0)
-        uvc[ids, 1] = 1.0 - rho
-        uvc[ids, 2] = u3_ring
-        uvc[ids, 3] = 1.0 + 0.25 * rho
-        tag[ids] = TAG_BASE_RING
-    for r in range(spec.rings_rv):
-        rho = (r + 1) / (spec.rings_rv + 1)
-        ids = e_rv[r]
-        uvc[ids, 0] = 1.0
-        uvc[ids, 1] = 1.0 - rho
-        uvc[ids, 2] = u3_ring[g.interior]
-        uvc[ids, 3] = 1.25 + 0.25 * rho
-        tag[ids] = TAG_BASE_RING
+    rho_lv, rho_rv = g.rho_lv[:, None], g.rho_rv[:, None]
+    uvc[e_lv, 0] = g.in_sector & (rho_lv > 0.5)
+    uvc[e_lv, 1] = 1.0 - rho_lv
+    uvc[e_lv, 2] = u3_ring
+    uvc[e_lv, 3] = 1.0 + 0.25 * rho_lv
+    uvc[e_rv, 0] = 1.0
+    uvc[e_rv, 1] = 1.0 - rho_rv
+    uvc[e_rv, 2] = u3_ring[interior]
+    uvc[e_rv, 3] = 1.25 + 0.25 * rho_rv
     uvc[m_c] = (0.0, 0.5, 1.0, 1.5)
-    tag[m_c] = TAG_BASE_RING
-    return uvc, tag
-
-
-def assign_uvc(topology):
-    """Recompute the per-vertex coordinate assignment for a built template
-    (the same function of the grid that build_template applies)."""
-    uvc, _ = assign_uvc_tags(topology.spec, topology.blocks, topology.vertex_count)
-    return uvc
-
-
-def build_template(spec=None):
-    """Construct the template topology (indices, coordinates, tags, faces,
-    compartments). Geometry is evaluated separately per shape."""
-    spec = spec or TemplateSpec()
-    nphi, nrows, krv = spec.n_phi, spec.n_rows, spec.k_rv
-    na_a, na_b = spec.n_apex_endo, spec.n_apex_epi
-    g = _Grid(spec)
-    jl, jh, interior, n_int = g.jl, g.jh, g.interior, g.n_int
-
-    blocks, nv = g.blocks()
-    a_trunk = blocks["A_trunk"].reshape(nrows, nphi)
-    a_apex = blocks["A_apex"].reshape(na_a, nphi)
-    a_pole = int(blocks["A_pole"][0])
-    b_trunk = blocks["B_trunk"].reshape(nrows, nphi)
-    b_apex = blocks["B_apex"].reshape(na_b, nphi)
-    b_pole = int(blocks["B_pole"][0])
-    c_grid = blocks["C"].reshape(krv, n_int)
-    d_grid = blocks["D"].reshape(krv, n_int)
-    e_lv = blocks["E_lv"].reshape(spec.rings_lv, nphi)
-    e_rv = blocks["E_rv"].reshape(spec.rings_rv, n_int)
-    m_c = int(blocks["M_c"][0])
-    in_sector = g.in_sector
-
-    uvc, tag = assign_uvc_tags(spec, blocks, nv)
+    tag[e_lv] = tag[e_rv] = tag[m_c] = TAG_BASE_RING
 
     # ---------------------------------------------------------------- faces
-    def bowl(trunk, apex, pole):
-        m = np.vstack([trunk, apex])
-        return np.vstack([_band_faces(m, wrap=True), _fan(m[-1], pole)])
+    def bowl(sheet, pole):
+        return np.vstack([_band_faces(sheet, wrap=True), _fan(sheet[-1], pole[0])])
 
-    faces_a = bowl(a_trunk, a_apex, a_pole)
-    faces_b = bowl(b_trunk, b_apex, b_pole)
+    faces_a = bowl(sheet_a, a_pole)
+    faces_b = bowl(sheet_b, b_pole)
 
     # exterior: B with the sector rows below the RV apex replaced by C
-    ext = np.vstack([b_trunk, b_apex]).copy()
-    for j in range(krv):
-        ext[j, interior] = c_grid[j]
-    faces_ext = np.vstack([_band_faces(ext, wrap=True), _fan(ext[-1], b_pole)])
+    ext = sheet_b.copy()
+    ext[:krv, interior] = c_grid
+    faces_ext = bowl(ext, b_pole)
 
     # RV free wall patches share the tip columns and the apex row with B
     def sector_matrix(core):
-        m = np.empty((krv + 1, n_int + 2), dtype=np.int64)
-        m[:krv, 0] = b_trunk[:krv, jl]
-        m[:krv, -1] = b_trunk[:krv, jh]
-        m[:krv, 1:-1] = core
-        m[krv] = b_trunk[krv, jl : jh + 1]
-        return m
+        rows = np.column_stack([b_trunk[:krv, jl], core, b_trunk[:krv, jh]])
+        return np.vstack([rows, b_trunk[krv, jl : jh + 1]])
 
     c_mat = sector_matrix(c_grid)
     d_mat = sector_matrix(d_grid)
     faces_c = _band_faces(c_mat, wrap=False)
     faces_d = _band_faces(d_mat, wrap=False)
 
-    # basal bands: endo rim -> rings -> epi rim (LV), and RV wall top
-    e_lv_mat = np.vstack([a_trunk[0][None, :], e_lv, b_trunk[0][None, :]])
-    faces_e_lv = _band_faces(e_lv_mat, wrap=True)
-    e_rv_mat = np.vstack([d_mat[0][None, :]] + [
-        np.concatenate([[b_trunk[0, jl]], row, [b_trunk[0, jh]]])[None, :] for row in e_rv
-    ] + [c_mat[0][None, :]])
+    # basal bands: endo rim -> rings -> epi rim (LV), and RV wall top, whose
+    # rings run between the rim's tip vertices
+    faces_e_lv = _band_faces(np.vstack([a_trunk[0], e_lv, b_trunk[0]]), wrap=True)
+    tip_l, tip_r = (np.full((spec.rings_rv, 1), b_trunk[0, j]) for j in (jl, jh))
+    e_rv_mat = np.vstack([d_mat[0], np.hstack([tip_l, e_rv, tip_r]), c_mat[0]])
     faces_e_rv = _band_faces(e_rv_mat, wrap=False)
 
     faces = np.vstack([faces_a, faces_b, faces_c, faces_d, faces_e_lv, faces_e_rv])
@@ -363,15 +303,14 @@ def build_template(spec=None):
 
     # ---------------------------------------------------------- compartments
     compartments = {
-        "lv_cavity": np.vstack([faces_a, _fan(a_trunk[0], m_c, downward=True)]),
-        "lv_epi_volume": np.vstack([faces_b, _fan(b_trunk[0], m_c, downward=True)]),
-        "heart": np.vstack([faces_ext, _fan(ext[0], m_c, downward=True)]),
+        "lv_cavity": np.vstack([faces_a, _fan(a_trunk[0], m_c[0], downward=True)]),
+        "lv_epi_volume": np.vstack([faces_b, _fan(b_trunk[0], m_c[0], downward=True)]),
+        "heart": np.vstack([faces_ext, _fan(ext[0], m_c[0], downward=True)]),
         "rv_cavity": np.vstack(
             [
                 _band_faces(b_trunk[: krv + 1, jl : jh + 1], wrap=False)[:, ::-1],
                 faces_d,
-                _band_faces(np.vstack([b_trunk[0, jl : jh + 1][None, :], d_mat[0][None, :]]),
-                            wrap=False),
+                _band_faces(np.vstack([b_trunk[0, jl : jh + 1], d_mat[0]]), wrap=False),
             ]
         ),
     }
@@ -380,14 +319,10 @@ def build_template(spec=None):
     # LV wall only: the septum has no epicardial partner (its outer face is
     # the septal RV endocardium) and the thin RV free wall is sampled at its
     # surface vertices rather than by interpolation
-    pairs = []
-    for j in range(nrows):
-        for col in range(nphi):
-            if in_sector[col] and j < krv:
-                continue
-            pairs.append((a_trunk[j, col], b_trunk[j, col]))
-    pairs.append((a_pole, b_pole))
-    pairs = np.array(pairs, dtype=np.int64)
+    pairs = np.vstack([
+        np.column_stack([a_trunk[~septal], b_trunk[~septal]]),
+        [[a_pole[0], b_pole[0]]],
+    ])
 
     topo = TemplateTopology(
         spec=spec,
@@ -401,6 +336,20 @@ def build_template(spec=None):
     )
     _check_unique_uvc(topo)
     return topo
+
+
+def landmarks_from_vertices(topology, positions):
+    """Landmark triple read off template vertex positions: mitral center
+    vertex, LV endocardial apex pole, and the RV cavity base-rim centroid
+    as the tricuspid stand-in."""
+    blocks = topology.blocks
+    g = _Grid(topology.spec)
+    rim = np.concatenate([blocks["B_trunk"][0, g.jl : g.jh + 1], blocks["D"][0]])
+    return {
+        "mvc": positions[blocks["M_c"][0]].copy(),
+        "tvc": positions[rim].mean(axis=0),
+        "lva": positions[blocks["A_pole"][0]].copy(),
+    }
 
 
 def _majority_tag(faces, tag):
@@ -422,6 +371,24 @@ def _check_unique_uvc(topo):
 # ------------------------------------------------------------------ geometry
 
 
+def _ellipsoid_sheet(pos, trunk, apex, pole, ax, by, cz, z_rows, cos_top, cosp, sinp):
+    """Place one truncated-ellipsoid bowl with semi-axes ``(ax, by, cz)``:
+    trunk rows at heights ``z_rows``, apex cap rows evenly spaced in polar
+    angle below the one whose cosine is ``cos_top``, and the pole. Returns
+    the trunk rows' cross-section scale factors."""
+    s = np.sqrt(np.maximum(0.0, 1.0 - (z_rows / cz) ** 2))
+    pos[trunk, 0] = np.outer(ax * s, cosp)
+    pos[trunk, 1] = np.outer(by * s, sinp)
+    pos[trunk, 2] = z_rows[:, None]
+    n = len(apex)
+    theta = np.arccos(cos_top) * ((n - np.arange(n)) / (n + 1))
+    pos[apex, 0] = np.outer(ax * np.sin(theta), cosp)
+    pos[apex, 1] = np.outer(by * np.sin(theta), sinp)
+    pos[apex, 2] = (cz * np.cos(theta))[:, None]
+    pos[pole] = (0.0, 0.0, cz)
+    return s
+
+
 def evaluate_positions(topo, a, b, c, wall, rv_offset, rv_wall, trunc_frac):
     """Vertex positions (mm) in the canonical build frame for one shape.
 
@@ -430,15 +397,10 @@ def evaluate_positions(topo, a, b, c, wall, rv_offset, rv_wall, trunc_frac):
     RV free-wall thickness, and ``trunc_frac`` the basal truncation
     fraction of the endocardial long semi-axis.
     """
-    spec = topo.spec
-    nphi, nrows, krv = spec.n_phi, spec.n_rows, spec.k_rv
+    g = _Grid(topo.spec)
+    nrows, krv = topo.spec.n_rows, topo.spec.k_rv
     blocks = topo.blocks
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    sector = 3 * nphi // 16
-    mid = nphi // 2
-    interior = np.arange(mid - sector + 1, mid + sector)
-    dphi = 2.0 * np.pi / nphi
-    half_width = sector * dphi
+    interior = g.interior
 
     z_base = -trunc_frac * c
     z_top = _TRUNK_TOP * c
@@ -446,69 +408,41 @@ def evaluate_positions(topo, a, b, c, wall, rv_offset, rv_wall, trunc_frac):
     z_rows = z_base + t * (z_top - z_base)
 
     pos = np.zeros((topo.vertex_count, 3))
-    cosp, sinp = np.cos(phi), np.sin(phi)
+    cosp, sinp = np.cos(g.phi), np.sin(g.phi)
 
-    # sheet A
-    s_a = np.sqrt(np.maximum(0.0, 1.0 - (z_rows / c) ** 2))
-    at = blocks["A_trunk"].reshape(nrows, nphi)
-    pos[at, 0] = np.outer(a * s_a, cosp)
-    pos[at, 1] = np.outer(b * s_a, sinp)
-    pos[at, 2] = z_rows[:, None]
-    theta_top_a = np.arccos(_TRUNK_TOP)
-    fr = (spec.n_apex_endo - np.arange(spec.n_apex_endo)) / (spec.n_apex_endo + 1)
-    theta = theta_top_a * fr
-    aa = blocks["A_apex"].reshape(spec.n_apex_endo, nphi)
-    pos[aa, 0] = np.outer(a * np.sin(theta), cosp)
-    pos[aa, 1] = np.outer(b * np.sin(theta), sinp)
-    pos[aa, 2] = (c * np.cos(theta))[:, None]
-    pos[blocks["A_pole"][0]] = (0.0, 0.0, c)
-
-    # sheet B
+    # sheets A (endocardium) and B (epicardium, wall-thickness offset)
+    at, bt = blocks["A_trunk"], blocks["B_trunk"]
+    _ellipsoid_sheet(
+        pos, at, blocks["A_apex"], blocks["A_pole"], a, b, c, z_rows, _TRUNK_TOP, cosp, sinp
+    )
     ce = c + wall
-    s_b = np.sqrt(np.maximum(0.0, 1.0 - (z_rows / ce) ** 2))
-    bt = blocks["B_trunk"].reshape(nrows, nphi)
-    pos[bt, 0] = np.outer((a + wall) * s_b, cosp)
-    pos[bt, 1] = np.outer((b + wall) * s_b, sinp)
-    pos[bt, 2] = z_rows[:, None]
-    theta_top_b = np.arccos(_TRUNK_TOP * c / ce)
-    fr = (spec.n_apex_epi - np.arange(spec.n_apex_epi)) / (spec.n_apex_epi + 1)
-    theta = theta_top_b * fr
-    ba = blocks["B_apex"].reshape(spec.n_apex_epi, nphi)
-    pos[ba, 0] = np.outer((a + wall) * np.sin(theta), cosp)
-    pos[ba, 1] = np.outer((b + wall) * np.sin(theta), sinp)
-    pos[ba, 2] = (ce * np.cos(theta))[:, None]
-    pos[blocks["B_pole"][0]] = (0.0, 0.0, ce)
+    s_b = _ellipsoid_sheet(
+        pos, bt, blocks["B_apex"], blocks["B_pole"],
+        a + wall, b + wall, ce, z_rows, _TRUNK_TOP * c / ce, cosp, sinp,
+    )
 
     # RV sheets: radial offsets added to the epicardial ellipse cross-sections.
     # The cavity bulge tapers smoothly to the RV apex row; the wall keeps its
     # nominal thickness except for short stitch ramps onto sheet B (two rows
     # at the RV apex, two columns at the sector tips).
-    lam = (krv - np.arange(krv)) / krv  # 1 at base, 0 at RV apex row
+    lam = g.lam
     taper = np.sqrt(np.maximum(0.0, 1.0 - (1.0 - lam) ** 2))
     wall_ramp_z = np.clip(lam * krv / 2.0, 0.0, 1.0)
-    bulge_win = np.cos(np.pi * (phi[interior] - np.pi) / (2.0 * half_width))
-    wall_win = np.clip((half_width - np.abs(phi[interior] - np.pi)) / (2.0 * dphi), 0.0, 1.0)
-    cg = blocks["C"].reshape(krv, interior.size)
-    dg = blocks["D"].reshape(krv, interior.size)
-    for j in range(krv):
-        ax, bx = (a + wall) * s_b[j], (b + wall) * s_b[j]
-        bulge = rv_offset * taper[j] * bulge_win
-        pos[dg[j], 0] = (ax + bulge) * cosp[interior]
-        pos[dg[j], 1] = (bx + bulge) * sinp[interior]
-        pos[dg[j], 2] = z_rows[j]
-        outer = bulge + rv_wall * wall_ramp_z[j] * wall_win
-        pos[cg[j], 0] = (ax + outer) * cosp[interior]
-        pos[cg[j], 1] = (bx + outer) * sinp[interior]
-        pos[cg[j], 2] = z_rows[j]
+    bulge_win = np.cos(np.pi * (g.phi[interior] - np.pi) / (2.0 * g.half_width))
+    wall_win = np.clip((g.half_width - np.abs(g.phi[interior] - np.pi)) / (2.0 * g.dphi), 0.0, 1.0)
+    cg, dg = blocks["C"], blocks["D"]
+    ax = ((a + wall) * s_b[:krv])[:, None]
+    bx = ((b + wall) * s_b[:krv])[:, None]
+    bulge = (rv_offset * taper)[:, None] * bulge_win
+    outer = bulge + (rv_wall * wall_ramp_z)[:, None] * wall_win
+    for grid, radial in ((dg, bulge), (cg, outer)):
+        pos[grid, 0] = (ax + radial) * cosp[interior]
+        pos[grid, 1] = (bx + radial) * sinp[interior]
+        pos[grid, 2] = z_rows[:krv, None]
 
     # basal bands
-    el = blocks["E_lv"].reshape(spec.rings_lv, nphi)
-    for r in range(spec.rings_lv):
-        rho = (r + 1) / (spec.rings_lv + 1)
-        pos[el[r]] = (1.0 - rho) * pos[at[0]] + rho * pos[bt[0]]
-    er = blocks["E_rv"].reshape(spec.rings_rv, interior.size)
-    for r in range(spec.rings_rv):
-        rho = (r + 1) / (spec.rings_rv + 1)
-        pos[er[r]] = (1.0 - rho) * pos[dg[0]] + rho * pos[cg[0]]
-    pos[blocks["M_c"][0]] = (0.0, 0.0, z_base)
+    rho_lv, rho_rv = g.rho_lv[:, None, None], g.rho_rv[:, None, None]
+    pos[blocks["E_lv"]] = (1.0 - rho_lv) * pos[at[0]] + rho_lv * pos[bt[0]]
+    pos[blocks["E_rv"]] = (1.0 - rho_rv) * pos[dg[0]] + rho_rv * pos[cg[0]]
+    pos[blocks["M_c"]] = (0.0, 0.0, z_base)
     return pos

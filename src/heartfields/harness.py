@@ -25,7 +25,7 @@ import numpy as np
 
 from . import acquisition as acq
 from . import anatomy, inference, metrics, netcore, training
-from .anatomy.shapes import landmarks_from_vertices
+from .anatomy.template import landmarks_from_vertices
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 
 CONDITIONS = ["ideal", "misaligned"] + [f"ablation:{r.name}" for r in acq.ABLATION_ROWS]
@@ -340,17 +340,19 @@ def load_model(root):
 
 
 def _condition_contours(root, case, condition):
-    if condition == "ideal" or condition.startswith("ablation:"):
-        cs = acq.load_contours(os.path.join(root, "contours", f"{case}_ideal.json"))
-    elif condition == "misaligned":
-        cs = acq.load_contours(os.path.join(root, "contours", f"{case}_misaligned.json"))
-    else:
-        raise ValueError(f"unknown condition {condition!r}")
+    row = None
     if condition.startswith("ablation:"):
-        name = condition.split(":", 1)[1]
-        row = next(r for r in acq.ABLATION_ROWS if r.name == name)
-        cs = acq.select_subset(cs, row)
-    return cs
+        rows = {r.name: r for r in acq.ABLATION_ROWS}
+        row = rows.get(condition.split(":", 1)[1])
+        if row is None:
+            raise ValueError(
+                f"unknown ablation row in condition {condition!r}; known rows: {', '.join(rows)}"
+            )
+    elif condition not in ("ideal", "misaligned"):
+        raise ValueError(f"unknown condition {condition!r}")
+    path = os.path.join(root, "contours", f"{case}_{_condition_preset(condition)}.json")
+    cs = acq.load_contours(path)
+    return cs if row is None else acq.select_subset(cs, row)
 
 
 def _condition_preset(condition):

@@ -17,7 +17,8 @@ import numpy as np
 from . import netcore
 from .acquisition import KIND_GRID
 from .anatomy.labeling import AnatomicalLabel
-from .anatomy.shapes import InstanceMesh, landmarks_from_vertices
+from .anatomy.shapes import InstanceMesh
+from .anatomy.template import landmarks_from_vertices
 from .training import REG_OUTPUT_SCALE, bce_loss, dice_loss, reg_inputs, seg_inputs
 
 
@@ -198,11 +199,3 @@ def save_label_volume(base_path, labels, origin, spacing):
         json.dump(header, f, indent=1, sort_keys=True)
         f.write("\n")
 
-
-def load_label_volume(base_path):
-    import json
-
-    with open(str(base_path) + ".json") as f:
-        header = json.load(f)
-    data = np.fromfile(str(base_path) + ".u8", dtype=np.uint8)
-    return data.reshape(header["dims"]), header

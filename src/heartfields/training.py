@@ -52,10 +52,6 @@ class LatentTable:
         if len(self.shape_ids) != len(self.codes):
             raise ValueError("shape id list does not match the code table")
 
-    @property
-    def dim(self):
-        return self.codes.shape[1]
-
     def index(self, shape_id):
         return self.shape_ids.index(shape_id)
 
@@ -187,9 +183,6 @@ def _sigmoid(z):
     return out
 
 
-sigmoid = _sigmoid
-
-
 # ----------------------------------------------------------------- sampling
 
 
@@ -200,7 +193,6 @@ class TrainingSample:
     seg_labels: np.ndarray  # (n,) int8
     reg_uvc: np.ndarray  # (m, 4)
     reg_xyz: np.ndarray  # (m, 3) mm
-    latent_index: int = -1
 
 
 def sample_seg_points(mesh, n, margin=20.0, seed=0):

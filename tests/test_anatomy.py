@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -84,6 +85,36 @@ def test_uvc_identical_across_shapes_and_builds(topo):
     m1 = anatomy.generate_shape(topo, anatomy.sample_params(1))
     m2 = anatomy.generate_shape(topo, anatomy.sample_params(2))
     assert m1.topology.uvc is m2.topology.uvc
+
+
+def topology_sha256(topo):
+    """sha256 over the coordinates, tags, faces, compartments (by name)
+    and transmural pairs, in fixed little-endian dtypes."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(topo.uvc, dtype="<f8").tobytes())
+    ints = [topo.surface_tag, topo.faces, topo.face_group]
+    ints += [topo.compartments[name] for name in sorted(topo.compartments)]
+    for a in ints + [topo.transmural_pairs]:
+        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# computed at commit d80c47a, before the vertex layout moved into
+# _Grid.blocks; the template uses no transcendental functions for these
+# arrays, so the digests hold on every IEEE platform
+GOLDEN_TOPOLOGY_SHA256 = {
+    "default": ({}, "5fa6aa45fdd26840e8922d68cbd87d93ea680701d184bc1deb328c041cbdc7d2"),
+    "n_phi48": (
+        {"n_phi": 48, "n_rows": 20, "k_rv": 12},
+        "e5318e6cdfc1781908e9da8ef6fab93ec4263ba4516a4780e913c4ddd932b72f",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_TOPOLOGY_SHA256))
+def test_template_topology_golden(spec):
+    kw, digest = GOLDEN_TOPOLOGY_SHA256[spec]
+    assert topology_sha256(anatomy.build_template(anatomy.TemplateSpec(**kw))) == digest
 
 
 def test_compartments_closed_and_oriented(topo, mesh):

@@ -220,7 +220,7 @@ def test_reconstruct_mesh_free(tmp_path, run):
     assert os.path.exists(os.path.join(dst, rels[0]))
 
 
-def test_reconstruct_dense_labels(tmp_path, run):
+def test_reconstruct_dense_labels(tmp_path, run, load_label_volume):
     cfg = mini_config(run.out_dir)
     ckpt, stats = harness.load_model(run.out_dir)
     rels, _ = harness.reconstruct_case(
@@ -228,10 +228,18 @@ def test_reconstruct_dense_labels(tmp_path, run):
     )
     vol = [r for r in rels if r.endswith(".u8")]
     assert vol
-    from heartfields.inference import load_label_volume
-
     labels, header = load_label_volume(os.path.join(run.out_dir, vol[0][: -len(".u8")]))
     assert labels.ndim == 3 and header["spacing"] == 8.0
+
+
+def test_reconstruct_unknown_ablation_row(tmp_path):
+    # the out dir holds no contours: the name is rejected before any read
+    cfg = mini_config(tmp_path)
+    with pytest.raises(ValueError) as err:
+        harness.reconstruct_case(cfg, None, None, "test_0000", "ablation:nope")
+    assert "'ablation:nope'" in str(err.value)
+    for row in acq.ABLATION_ROWS:
+        assert row.name in str(err.value)
 
 
 # ----------------------------------------------------------------- evaluate

@@ -237,11 +237,11 @@ def test_dense_labels_zero_dim_errors(topo, small_model):
         inference.predict_dense_labels(result.seg_net, result.latents.codes[0], (0, 0, 0), 1.0, (0, 4, 4))
 
 
-def test_label_volume_roundtrip(tmp_path):
+def test_label_volume_roundtrip(tmp_path, load_label_volume):
     labels = np.random.default_rng(3).integers(0, 5, size=(5, 6, 7)).astype(np.uint8)
     base = tmp_path / "vol"
     inference.save_label_volume(base, labels, origin=(1.0, 2.0, 3.0), spacing=2.0)
-    back, header = inference.load_label_volume(base)
+    back, header = load_label_volume(base)
     np.testing.assert_array_equal(back, labels)
     assert header["spacing"] == 2.0
     assert header["dims"] == [5, 6, 7]
