@@ -5,6 +5,8 @@ properties everything downstream relies on: coordinate ranges, surface
 values, template correspondence, and compartment volumes.
 """
 
+import json
+
 import numpy as np
 
 from heartfields import anatomy, metrics
@@ -51,5 +53,7 @@ names = [l.name for l in anatomy.AnatomicalLabel]
 print("label census:", dict(zip(names, np.bincount(labels, minlength=5).tolist())))
 
 anatomy.write_mesh_ply("demo_shape.ply", mesh, comment="demo cohort member")
-anatomy.write_landmarks("demo_shape_landmarks.json", mesh.landmarks)
+with open("demo_shape_landmarks.json", "w") as f:
+    json.dump({k: v.tolist() for k, v in mesh.landmarks.items()}, f, indent=1)
+    f.write("\n")
 print("wrote demo_shape.ply / demo_shape_landmarks.json")

@@ -10,7 +10,7 @@ the pipeline commands run the full-size configuration.
 import numpy as np
 
 from heartfields import acquisition as acq
-from heartfields import anatomy, inference, metrics, netcore, training
+from heartfields import anatomy, inference, metrics, training
 
 topo = anatomy.build_template()
 
@@ -39,8 +39,7 @@ pred = inference.predict_mesh(result.reg_net, rec.latent, topo)
 
 ed, rmse = metrics.corresponding_ed(pred.vertices, target.vertices)
 cd_ab, cd_ba, cd_sym = metrics.chamfer(pred.vertices, target.vertices)
-x = training.seg_inputs(target.vertices.astype(np.float32), rec.latent.astype(np.float32))
-pred_labels = np.argmax(netcore.forward(result.seg_net, x), axis=1)
+pred_labels = inference.predict_labels(result.seg_net, rec.latent, target.vertices)
 dice_lvm = metrics.point_dice(pred_labels, topo.vertex_labels(), 3)
 dice_rvm = metrics.point_dice(pred_labels, topo.vertex_labels(), 4)
 

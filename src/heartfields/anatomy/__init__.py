@@ -9,7 +9,7 @@ template correspondence.
 
 from .frames import CardiacFrame, apply_frame, cardiac_frame, invert_frame
 from .labeling import AnatomicalLabel, Labeler, label_points
-from .plyio import read_landmarks, read_mesh_ply, write_landmarks, write_mesh_ply
+from .plyio import read_mesh_ply, write_mesh_ply
 from .shapes import (
     InstanceMesh,
     ShapeParams,
@@ -40,9 +40,7 @@ __all__ = [
     "generate_shape",
     "invert_frame",
     "label_points",
-    "read_landmarks",
     "read_mesh_ply",
     "sample_params",
-    "write_landmarks",
     "write_mesh_ply",
 ]

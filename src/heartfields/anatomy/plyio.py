@@ -1,7 +1,4 @@
-"""ASCII PLY mesh I/O with ventricular-coordinate vertex properties,
-plus the landmark sidecar JSON."""
-
-import json
+"""ASCII PLY mesh I/O with ventricular-coordinate vertex properties."""
 
 import numpy as np
 
@@ -50,7 +47,7 @@ def read_mesh_ply(path):
     """
     with open(path) as f:
         lines = f.read().splitlines()
-    if lines[0] != "ply":
+    if not lines or lines[0] != "ply":
         raise ValueError(f"{path}: not a PLY file")
     n_vertex = n_face = None
     body = None
@@ -73,16 +70,9 @@ def read_mesh_ply(path):
                            dtype=np.int64, usecols=(1, 2, 3), ndmin=2)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
+    if vdata.shape[1] != 8:
+        raise ValueError(f"{path}: vertex rows hold {vdata.shape[1]} values, not 8")
+    if fdata.size and not (0 <= fdata.min() and fdata.max() < n_vertex):
+        raise ValueError(f"{path}: a face index lies outside the {n_vertex} vertices")
     return vdata[:, :3], vdata[:, 3:7], vdata[:, 7].astype(np.int8), fdata
 
-
-def write_landmarks(path, landmarks):
-    with open(path, "w") as f:
-        json.dump({k: [float(x) for x in v] for k, v in landmarks.items()}, f, indent=1)
-        f.write("\n")
-
-
-def read_landmarks(path):
-    with open(path) as f:
-        raw = json.load(f)
-    return {k: np.asarray(v, dtype=np.float64) for k, v in raw.items()}

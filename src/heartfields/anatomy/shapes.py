@@ -78,11 +78,12 @@ def sample_params(seed):
 @dataclass
 class InstanceMesh:
     """One cohort member: template-corresponding vertex positions (mm,
-    cardiac coordinates) plus valve/apex landmarks."""
+    cardiac coordinates) plus valve/apex landmarks, by default those of the
+    vertices."""
 
     topology: tpl.TemplateTopology
     vertices: np.ndarray
-    landmarks: dict  # {"mvc", "tvc", "lva"} -> (3,) arrays
+    landmarks: dict = None  # {"mvc", "tvc", "lva"} -> (3,) arrays
     params: ShapeParams = None
 
     def __post_init__(self):
@@ -94,6 +95,8 @@ class InstanceMesh:
             )
         if not np.all(np.isfinite(self.vertices)):
             raise ValueError("non-finite vertex positions")
+        if self.landmarks is None:
+            self.landmarks = tpl.landmarks_from_vertices(self.topology, self.vertices)
 
     def compartment(self, name):
         """(vertices, faces) of one closed compartment surface."""

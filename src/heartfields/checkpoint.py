@@ -21,7 +21,6 @@ can resume; "meta" the epoch counter.
 All floating payloads are float64 regardless of the in-memory compute dtype.
 """
 
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -86,7 +85,7 @@ def _scales_payload():
 
 
 def save_checkpoint(path, ckpt):
-    """Write a checkpoint atomically (temp file then rename)."""
+    """Write a checkpoint to ``path``."""
     sections = [
         (b"segnet", _net_payload(ckpt.seg_net)),
         (b"regnet", _net_payload(ckpt.reg_net)),
@@ -113,13 +112,11 @@ def save_checkpoint(path, ckpt):
         table += struct.pack("<8sQQ", name.ljust(8, b"\0"), offset, len(payload))
         offset += len(payload)
 
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as f:
+    with open(path, "wb") as f:
         f.write(header)
         f.write(table)
         for _, payload in sections:
             f.write(payload)
-    os.replace(tmp, str(path))
 
 
 def load_checkpoint(path):

@@ -15,8 +15,10 @@ reproduce identical artifact hashes end to end.
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -24,8 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import acquisition as acq
-from . import anatomy, inference, metrics, netcore, training
-from .anatomy.template import landmarks_from_vertices
+from . import anatomy, inference, metrics, training
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 
 CONDITIONS = ["ideal", "misaligned"] + [f"ablation:{r.name}" for r in acq.ABLATION_ROWS]
@@ -121,16 +122,83 @@ def load_config(path=None, overrides=None):
     return config_from(values)
 
 
+# -------------------------------------------------------------------- layout
+# The only code that names run artifacts. Every name is relative to the run
+# directory, as the manifest records it.
+
+MANIFEST = "manifest.json"
+CHECKPOINT = "checkpoint.nihc"
+TRAIN_LOG = "train_log.csv"
+REPORT = "report.md"
+SHAPES, SAMPLES, CONTOURS, RECON, EVAL = "shapes", "samples", "contours", "recon", "eval"
+RUN_ENTRIES = (MANIFEST, CHECKPOINT, TRAIN_LOG, REPORT, SHAPES, SAMPLES, CONTOURS, RECON, EVAL)
+PER_CASE_CSV, SUMMARY_CSV, BLAND_ALTMAN_CSV = (
+    os.path.join(EVAL, f"{name}.csv") for name in ("per_case", "summary", "bland_altman")
+)
+
+
+def _shape_ply(sid):
+    return os.path.join(SHAPES, f"{sid}.ply")
+
+
+def _sample_npys(sid):
+    """The (seg, reg) point-sample files of shape ``sid``."""
+    return tuple(os.path.join(SAMPLES, f"{sid}_{part}.npy") for part in ("seg", "reg"))
+
+
+def _contour_json(case, preset):
+    return os.path.join(CONTOURS, f"{case}_{preset}.json")
+
+
+# suffixes of the files of one reconstruction
+RECON_PLY, RECON_LATENT, RECON_TRACE = ".ply", "_latent.npy", "_trace.csv"
+RECON_LABELS, RECON_LABEL_HEADER = "_labels.u8", "_labels.json"
+
+
+def _recon(condition, case="", suffix=""):
+    """``recon/<condition, ":" -> "_">/<case><suffix>``, or the condition's directory."""
+    return os.path.join(RECON, condition.replace(":", "_"), case + suffix)
+
+
+def _write(root, rel, write, *args):
+    """Write artifact ``rel`` of the run in ``root`` by ``write(path, *args)``
+    to a temporary file next to it and rename that over ``rel``, so no reader
+    sees a partial file. Returns ``rel`` for the manifest."""
+    path = os.path.join(root, rel)
+    folder, name = os.path.split(path)
+    os.makedirs(folder, exist_ok=True)
+    stem, ext = os.path.splitext(name)
+    tmp = os.path.join(folder, f".{stem}.tmp{ext}")  # np.save needs the ".npy"
+    try:
+        write(tmp, *args)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return rel
+
+
+def _write_text(path, text):
+    with open(path, "w", newline="") as f:
+        f.write(text)
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 # ------------------------------------------------------------------ manifest
 
 
 class Manifest:
     def __init__(self, root):
         self.root = root
-        self.path = os.path.join(root, "manifest.json")
         self.doc = {"config_hash": None, "stages": {}}
-        if os.path.exists(self.path):
-            with open(self.path) as f:
+        path = os.path.join(root, MANIFEST)
+        if os.path.exists(path):
+            with open(path) as f:
                 self.doc = json.load(f)
 
     def record_stage(self, name, config, artifacts, duration, **extra):
@@ -141,9 +209,8 @@ class Manifest:
             "artifacts": {rel: file_hash(os.path.join(self.root, rel)) for rel in sorted(artifacts)},
             **extra,
         }
-        with open(self.path, "w") as f:
-            json.dump(self.doc, f, indent=1, sort_keys=True)
-            f.write("\n")
+        text = json.dumps(self.doc, indent=1, sort_keys=True) + "\n"
+        _write(self.root, MANIFEST, _write_text, text)
 
     def artifact_hashes(self):
         """Stage-independent content view used by the determinism checks."""
@@ -170,36 +237,38 @@ def _shape_ids(config):
     return train, test
 
 
-def _paths(root):
-    return {
-        "shapes": os.path.join(root, "shapes"),
-        "samples": os.path.join(root, "samples"),
-        "contours": os.path.join(root, "contours"),
-        "recon": os.path.join(root, "recon"),
-        "eval": os.path.join(root, "eval"),
-    }
-
-
 # ------------------------------------------------------------------ generate
 
 
 def cmd_generate(config, force=False):
+    """Synthesize the cohorts and test contours. ``force`` starts a new run:
+    it first removes every artifact of the one in the directory, so no later
+    stage reads a checkpoint, reconstruction or evaluation of other shapes."""
     root = config.out_dir
-    if os.path.exists(os.path.join(root, "manifest.json")) and not force:
+    if force:
+        for rel in RUN_ENTRIES:
+            path = os.path.join(root, rel)
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            elif os.path.exists(path):
+                os.remove(path)
+    elif os.path.exists(os.path.join(root, MANIFEST)):
         raise FileExistsError(f"{root} already holds a run; pass --force to overwrite")
     started = time.perf_counter()
-    dirs = _paths(root)
-    for d in dirs.values():
-        os.makedirs(d, exist_ok=True)
 
     topo = anatomy.build_template()
     train_ids, test_ids = _shape_ids(config)
     artifacts = []
 
+    def shape(sid, seed):
+        mesh = anatomy.generate_shape(topo, anatomy.sample_params(seed))
+        artifacts.append(
+            _write(root, _shape_ply(sid), anatomy.write_mesh_ply, mesh, f"shape {sid}")
+        )
+        return mesh
+
     for i, sid in enumerate(train_ids):
-        params = anatomy.sample_params(config.train_seed0 + i)
-        mesh = anatomy.generate_shape(topo, params)
-        artifacts += _write_shape(dirs["shapes"], root, sid, mesh)
+        mesh = shape(sid, config.train_seed0 + i)
         sample = training.build_sample(
             mesh,
             sid,
@@ -208,46 +277,26 @@ def cmd_generate(config, force=False):
             margin=config.margin,
             seed=config.train_seed0 + i,
         )
-        artifacts += _write_sample(dirs["samples"], root, sid, sample)
+        seg = np.column_stack([sample.seg_xyz, sample.seg_labels.astype(np.float64)])
+        reg = np.column_stack([sample.reg_uvc, sample.reg_xyz])
+        for rel, data in zip(_sample_npys(sid), (seg, reg)):
+            artifacts.append(_write(root, rel, np.save, data))
 
     spec = acq.MisalignmentSpec(sigma=config.sigma, seed=config.misalign_seed)
     for i, sid in enumerate(test_ids):
-        params = anatomy.sample_params(config.test_seed0 + i)
-        mesh = anatomy.generate_shape(topo, params)
-        artifacts += _write_shape(dirs["shapes"], root, sid, mesh)
+        mesh = shape(sid, config.test_seed0 + i)
         ideal = acq.acquire(mesh, sid, spacing=config.spacing, density=config.density)
         misaligned = acq.inject_misalignment(ideal, spec)
         for tag, cs in (("ideal", ideal), ("misaligned", misaligned)):
-            rel = os.path.join("contours", f"{sid}_{tag}.json")
-            acq.save_contours(os.path.join(root, rel), cs)
-            artifacts.append(rel)
+            artifacts.append(_write(root, _contour_json(sid, tag), acq.save_contours, cs))
 
     manifest = Manifest(root)
     manifest.record_stage("generate", config, artifacts, time.perf_counter() - started)
     return manifest
 
 
-def _write_shape(shape_dir, root, sid, mesh):
-    ply_rel = os.path.join("shapes", f"{sid}.ply")
-    lm_rel = os.path.join("shapes", f"{sid}_landmarks.json")
-    anatomy.write_mesh_ply(os.path.join(root, ply_rel), mesh, comment=f"shape {sid}")
-    anatomy.write_landmarks(os.path.join(root, lm_rel), mesh.landmarks)
-    return [ply_rel, lm_rel]
-
-
-def _write_sample(sample_dir, root, sid, sample):
-    seg_rel = os.path.join("samples", f"{sid}_seg.npy")
-    reg_rel = os.path.join("samples", f"{sid}_reg.npy")
-    seg = np.column_stack([sample.seg_xyz, sample.seg_labels.astype(np.float64)])
-    reg = np.column_stack([sample.reg_uvc, sample.reg_xyz])
-    np.save(os.path.join(root, seg_rel), seg)
-    np.save(os.path.join(root, reg_rel), reg)
-    return [seg_rel, reg_rel]
-
-
 def _load_sample(root, sid):
-    seg = np.load(os.path.join(root, "samples", f"{sid}_seg.npy"))
-    reg = np.load(os.path.join(root, "samples", f"{sid}_reg.npy"))
+    seg, reg = (np.load(os.path.join(root, rel)) for rel in _sample_npys(sid))
     return training.TrainingSample(
         shape_id=sid,
         seg_xyz=seg[:, :3],
@@ -258,12 +307,8 @@ def _load_sample(root, sid):
 
 
 def load_instance_mesh(root, sid, topo=None):
-    topo = topo or anatomy.build_template()
-    verts, _, _, _ = anatomy.read_mesh_ply(os.path.join(root, "shapes", f"{sid}.ply"))
-    landmarks = anatomy.read_landmarks(
-        os.path.join(root, "shapes", f"{sid}_landmarks.json")
-    )
-    return anatomy.InstanceMesh(topo, verts, landmarks)
+    verts, _, _, _ = anatomy.read_mesh_ply(os.path.join(root, _shape_ply(sid)))
+    return anatomy.InstanceMesh(topo or anatomy.build_template(), verts)
 
 
 # -------------------------------------------------------------------- train
@@ -288,38 +333,39 @@ def cmd_train(config, resume=False):
         seed=config.train_seed,
         dtype=config.dtype,
     )
-    ckpt_path = os.path.join(root, "checkpoint.nihc")
-    prior = load_checkpoint(ckpt_path) if resume else None
+    prior = load_checkpoint(os.path.join(root, CHECKPOINT)) if resume else None
     if resume:
         tc = replace(tc, epochs=max(config.epochs - prior.epoch, 0))
 
     def on_epoch(state):
         if config.checkpoint_every and state.epoch % config.checkpoint_every == 0:
-            _write_checkpoint(ckpt_path, state)
+            _write_checkpoint(root, state)
 
     result = training.train(samples, tc, resume=prior, on_epoch=on_epoch)
-    _write_checkpoint(ckpt_path, result)
+    artifacts = [_write_checkpoint(root, result)]
 
-    log_rel = "train_log.csv"
-    mode = "a" if resume and os.path.exists(os.path.join(root, log_rel)) else "w"
-    with open(os.path.join(root, log_rel), mode, newline="") as f:
-        w = csv.writer(f)
-        if mode == "w":
-            w.writerow(["epoch", "seg_loss", "reg_loss", "prior_loss", "total", "val_total"])
-        for row in result.log:
-            w.writerow([row[0]] + [f"{x:.8g}" for x in row[1:]])
+    # a resumed run's log is the old file followed by the new rows
+    log_path = os.path.join(root, TRAIN_LOG)
+    old = ""
+    if resume and os.path.exists(log_path):
+        with open(log_path, newline="") as f:
+            old = f.read()
+    rows = [[row[0]] + [f"{x:.8g}" for x in row[1:]] for row in result.log]
+    if not old:
+        rows.insert(0, ["epoch", "seg_loss", "reg_loss", "prior_loss", "total", "val_total"])
+    artifacts.append(_write(root, TRAIN_LOG, _write_text, old + _csv_text(rows)))
 
     manifest = Manifest(root)
-    manifest.record_stage(
-        "train", config, ["checkpoint.nihc", log_rel], time.perf_counter() - started
-    )
+    manifest.record_stage("train", config, artifacts, time.perf_counter() - started)
     return result
 
 
-def _write_checkpoint(path, result):
+def _write_checkpoint(root, result):
     """Persist a :class:`training.TrainResult` as the run's checkpoint."""
-    save_checkpoint(
-        path,
+    return _write(
+        root,
+        CHECKPOINT,
+        save_checkpoint,
         Checkpoint(
             seg_net=result.seg_net,
             reg_net=result.reg_net,
@@ -332,7 +378,7 @@ def _write_checkpoint(path, result):
 
 
 def load_model(root):
-    ckpt = load_checkpoint(os.path.join(root, "checkpoint.nihc"))
+    ckpt = load_checkpoint(os.path.join(root, CHECKPOINT))
     return ckpt, ckpt.stats
 
 
@@ -350,8 +396,7 @@ def _condition_contours(root, case, condition):
             )
     elif condition not in ("ideal", "misaligned"):
         raise ValueError(f"unknown condition {condition!r}")
-    path = os.path.join(root, "contours", f"{case}_{_condition_preset(condition)}.json")
-    cs = acq.load_contours(path)
+    cs = acq.load_contours(os.path.join(root, _contour_json(case, _condition_preset(condition))))
     return cs if row is None else acq.select_subset(cs, row)
 
 
@@ -381,33 +426,23 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
     mesh = inference.predict_mesh(ckpt.reg_net, rec.latent, topo)
     duration = time.perf_counter() - t0
 
-    cond_dir = condition.replace(":", "_")
-    out_dir = os.path.join(root, "recon", cond_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    rels = []
-    ply_rel = os.path.join("recon", cond_dir, f"{case}.ply")
-    anatomy.write_mesh_ply(os.path.join(root, ply_rel), mesh, comment=f"reconstruction {case}")
-    rels.append(ply_rel)
-    lat_rel = os.path.join("recon", cond_dir, f"{case}_latent.npy")
-    np.save(os.path.join(root, lat_rel), rec.latent)
-    rels.append(lat_rel)
-    trace_rel = os.path.join("recon", cond_dir, f"{case}_trace.csv")
-    with open(os.path.join(root, trace_rel), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["step", "loss"])
-        for i, v in enumerate(rec.loss_trace):
-            w.writerow([i, f"{v:.8g}"])
-    rels.append(trace_rel)
+    trace = [["step", "loss"]] + [[i, f"{v:.8g}"] for i, v in enumerate(rec.loss_trace)]
+    rels = [
+        _write(root, _recon(condition, case, RECON_PLY), anatomy.write_mesh_ply, mesh,
+               f"reconstruction {case}"),
+        _write(root, _recon(condition, case, RECON_LATENT), np.save, rec.latent),
+        _write(root, _recon(condition, case, RECON_TRACE), _write_text, _csv_text(trace)),
+    ]
     if dense_spacing:
         lo = mesh.vertices.min(axis=0) - 10.0
         hi = mesh.vertices.max(axis=0) + 10.0
         dims = np.maximum(((hi - lo) / dense_spacing).astype(int) + 1, 1)
         labels = inference.predict_dense_labels(ckpt.seg_net, rec.latent, lo, dense_spacing, dims)
-        base = os.path.join(root, "recon", cond_dir, f"{case}_labels")
-        inference.save_label_volume(base, labels, lo, dense_spacing)
         rels += [
-            os.path.join("recon", cond_dir, f"{case}_labels.u8"),
-            os.path.join("recon", cond_dir, f"{case}_labels.json"),
+            _write(root, _recon(condition, case, RECON_LABELS), inference.write_label_data,
+                   labels),
+            _write(root, _recon(condition, case, RECON_LABEL_HEADER),
+                   inference.write_label_header, labels, lo, dense_spacing),
         ]
     return rels, duration
 
@@ -428,10 +463,14 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
             )
             artifacts += rels
             durations[f"{condition}/{case}"] = round(dt, 3)
+    # repeated calls add to the stage record; a re-run case replaces its own entries
     manifest = Manifest(root)
+    prev = manifest.doc["stages"].get("reconstruct", {})
+    kept = [rel for rel in prev.get("artifacts", {}) if os.path.exists(os.path.join(root, rel))]
     manifest.record_stage(
-        "reconstruct", config, artifacts, time.perf_counter() - started,
-        case_durations_s=durations,
+        "reconstruct", config, set(kept + artifacts),
+        prev.get("duration_s", 0.0) + time.perf_counter() - started,
+        case_durations_s={**prev.get("case_durations_s", {}), **durations},
     )
     return durations
 
@@ -441,21 +480,14 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
 
 def evaluate_case(root, topo, ckpt, case, condition):
     """Metrics for one reconstructed case against its generating mesh."""
-    cond_dir = condition.replace(":", "_")
-    ply = os.path.join(root, "recon", cond_dir, f"{case}.ply")
+    ply = os.path.join(root, _recon(condition, case, RECON_PLY))
     if not os.path.exists(ply):
         return None
-    pred_verts, _, _, _ = anatomy.read_mesh_ply(ply)
-    pred = anatomy.InstanceMesh(topo, pred_verts, landmarks_from_vertices(topo, pred_verts))
+    pred = anatomy.InstanceMesh(topo, anatomy.read_mesh_ply(ply)[0])
     true = load_instance_mesh(root, case, topo)
-    latent = np.load(os.path.join(root, "recon", cond_dir, f"{case}_latent.npy"))
-
+    latent = np.load(os.path.join(root, _recon(condition, case, RECON_LATENT)))
     # point labels predicted at the reference vertices
-    x = training.seg_inputs(
-        true.vertices.astype(ckpt.seg_net.parameters.dtype),
-        latent.astype(ckpt.seg_net.parameters.dtype),
-    )
-    pred_labels = np.argmax(netcore.forward(ckpt.seg_net, x), axis=1)
+    pred_labels = inference.predict_labels(ckpt.seg_net, latent, true.vertices)
     ref_labels = topo.vertex_labels()
 
     ed, rmse = metrics.corresponding_ed(pred.vertices, true.vertices)
@@ -525,65 +557,47 @@ def cmd_evaluate(config, conditions=None):
             report, extras = out
             rows.append((condition, report, extras))
 
-    eval_dir = os.path.join(root, "eval")
-    os.makedirs(eval_dir, exist_ok=True)
-    per_case_rel = os.path.join("eval", "per_case.csv")
-    with open(os.path.join(root, per_case_rel), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["condition", "case_id"]
-            + metrics.MetricsReport.FIELDS
-            + ["p2s_ref", "true_lv_vol", "true_rv_vol", "true_lv_mass", "true_rv_mass"]
+    extra_keys = ["p2s_ref", "true_lv_vol", "true_rv_vol", "true_lv_mass", "true_rv_mass"]
+    per_case = [["condition", "case_id"] + metrics.MetricsReport.FIELDS + extra_keys]
+    for condition, report, extras in rows:
+        per_case.append(
+            [condition, report.case_id]
+            + [f"{getattr(report, k):.6g}" for k in metrics.MetricsReport.FIELDS]
+            + [f"{extras[k]:.6g}" for k in extra_keys]
         )
-        for condition, report, extras in rows:
-            w.writerow(
-                [condition, report.case_id]
-                + [f"{getattr(report, k):.6g}" for k in metrics.MetricsReport.FIELDS]
-                + [f"{extras[k]:.6g}" for k in
-                   ("p2s_ref", "true_lv_vol", "true_rv_vol", "true_lv_mass", "true_rv_mass")]
-            )
 
-    summary_rel = os.path.join("eval", "summary.csv")
-    with open(os.path.join(root, summary_rel), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["condition", "n", "inverted_walls"]
-                   + [f"{k}_{s}" for k in metrics.MetricsReport.FIELDS for s in ("mean", "sd")])
-        for condition in conditions:
-            sel = [r for c, r, _ in rows if c == condition]
-            if not sel:
-                continue
-            inverted = sum(np.isnan(r.lv_mass) or np.isnan(r.rv_mass) for r in sel)
-            out = [condition, len(sel), inverted]
-            for k in metrics.MetricsReport.FIELDS:
-                mean, sd = metrics.finite_mean_sd([getattr(r, k) for r in sel])
-                out += [f"{mean:.6g}", f"{sd:.6g}"]
-            w.writerow(out)
+    summary = [["condition", "n", "inverted_walls"]
+               + [f"{k}_{s}" for k in metrics.MetricsReport.FIELDS for s in ("mean", "sd")]]
+    for condition in conditions:
+        sel = [r for c, r, _ in rows if c == condition]
+        if not sel:
+            continue
+        inverted = sum(np.isnan(r.lv_mass) or np.isnan(r.rv_mass) for r in sel)
+        out = [condition, len(sel), inverted]
+        for k in metrics.MetricsReport.FIELDS:
+            mean, sd = metrics.finite_mean_sd([getattr(r, k) for r in sel])
+            out += [f"{mean:.6g}", f"{sd:.6g}"]
+        summary.append(out)
 
-    ba_rel = os.path.join("eval", "bland_altman.csv")
-    with open(os.path.join(root, ba_rel), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["condition", "quantity", "case_id", "mean", "difference"])
-        for condition in conditions:
-            sel = [(r, e) for c, r, e in rows if c == condition]
-            if not sel:
-                continue
-            for key, true_key in (
-                ("lv_vol", "true_lv_vol"),
-                ("rv_vol", "true_rv_vol"),
-                ("lv_mass", "true_lv_mass"),
-                ("rv_mass", "true_rv_mass"),
-            ):
-                ref = [e[true_key] for _, e in sel]
-                predv = [getattr(r, key) for r, _ in sel]
-                ba_rows, bias, lo, hi = metrics.bland_altman_rows(ref, predv)
-                for (r, _), (m, d) in zip(sel, ba_rows):
-                    w.writerow([condition, key, r.case_id, f"{m:.6g}", f"{d:.6g}"])
-                w.writerow([condition, key, "summary", f"{bias:.6g}", f"{lo:.6g}|{hi:.6g}"])
+    ba = [["condition", "quantity", "case_id", "mean", "difference"]]
+    for condition in conditions:
+        sel = [(r, e) for c, r, e in rows if c == condition]
+        if not sel:
+            continue
+        for key in ("lv_vol", "rv_vol", "lv_mass", "rv_mass"):
+            ref = [e[f"true_{key}"] for _, e in sel]
+            predv = [getattr(r, key) for r, _ in sel]
+            ba_rows, bias, lo, hi = metrics.bland_altman_rows(ref, predv)
+            for (r, _), (m, d) in zip(sel, ba_rows):
+                ba.append([condition, key, r.case_id, f"{m:.6g}", f"{d:.6g}"])
+            ba.append([condition, key, "summary", f"{bias:.6g}", f"{lo:.6g}|{hi:.6g}"])
 
+    artifacts = [
+        _write(root, rel, _write_text, _csv_text(table))
+        for rel, table in ((PER_CASE_CSV, per_case), (SUMMARY_CSV, summary), (BLAND_ALTMAN_CSV, ba))
+    ]
     manifest = Manifest(root)
-    manifest.record_stage(
-        "evaluate", config, [per_case_rel, summary_rel, ba_rel], time.perf_counter() - started
-    )
+    manifest.record_stage("evaluate", config, artifacts, time.perf_counter() - started)
     if missing:
         print(f"evaluate: skipped {len(missing)} missing reconstructions:", file=sys.stderr)
         for m in missing:
@@ -593,14 +607,7 @@ def cmd_evaluate(config, conditions=None):
 
 
 def _present_conditions(root):
-    recon = os.path.join(root, "recon")
-    if not os.path.isdir(recon):
-        return []
-    found = []
-    for cond in CONDITIONS:
-        if os.path.isdir(os.path.join(recon, cond.replace(":", "_"))):
-            found.append(cond)
-    return found
+    return [c for c in CONDITIONS if os.path.isdir(os.path.join(root, _recon(c)))]
 
 
 # ------------------------------------------------------------------- report
@@ -608,13 +615,11 @@ def _present_conditions(root):
 
 def cmd_report(config):
     root = config.out_dir
-    summary_path = os.path.join(root, "eval", "summary.csv")
-    report_path = os.path.join(root, "report.md")
+    summary_path = os.path.join(root, SUMMARY_CSV)
     lines = ["# Reconstruction run summary", ""]
     if not os.path.exists(summary_path):
         lines.append("No results found (run evaluate first).")
-        with open(report_path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        _write(root, REPORT, _write_text, "\n".join(lines) + "\n")
         return 0
 
     with open(summary_path) as f:
@@ -681,8 +686,7 @@ def cmd_report(config):
                 f"Stage {stage}: {manifest.doc['stages'][stage]['duration_s']} s."
             )
 
-    with open(report_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write(root, REPORT, _write_text, "\n".join(lines) + "\n")
     return 0
 
 

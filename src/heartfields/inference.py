@@ -10,6 +10,7 @@ label map.
 """
 
 import hashlib
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from . import netcore
 from .acquisition import KIND_GRID
 from .anatomy.labeling import AnatomicalLabel
 from .anatomy.shapes import InstanceMesh
-from .anatomy.template import landmarks_from_vertices
 from .training import REG_OUTPUT_SCALE, bce_loss, dice_loss, reg_inputs, seg_inputs
 
 
@@ -152,9 +152,7 @@ def predict_mesh(reg_net, latent, topology):
     dt = reg_net.parameters.dtype
     x = reg_inputs(topology.uvc.astype(dt), np.asarray(latent, dtype=dt))
     verts = netcore.forward(reg_net, x).astype(np.float64) * REG_OUTPUT_SCALE
-    return InstanceMesh(
-        topology, verts, landmarks_from_vertices(topology, verts), params=None
-    )
+    return InstanceMesh(topology, verts)
 
 
 def predict_dense_labels(seg_net, latent, origin, spacing, dims):
@@ -170,32 +168,38 @@ def predict_dense_labels(seg_net, latent, origin, spacing, dims):
     spacing = float(spacing)
     ii, jj, kk = np.meshgrid(*(np.arange(d) for d in dims), indexing="ij")
     centers = origin + spacing * np.column_stack([ii.ravel(), jj.ravel(), kk.ravel()])
+    return predict_labels(seg_net, latent, centers).reshape(dims)
+
+
+def predict_labels(seg_net, latent, points):
+    """Label (argmax of the 5 sigmoid channels) at each of the (n, 3)
+    ``points``, as uint8; the classifier runs on 65536 rows at a time."""
     dt = seg_net.parameters.dtype
-    labels = np.empty(len(centers), dtype=np.uint8)
-    chunk = 65536
     code = np.asarray(latent, dtype=dt)
-    for s in range(0, len(centers), chunk):
-        x = seg_inputs(centers[s : s + chunk].astype(dt), code)
-        logits = netcore.forward(seg_net, x)
-        labels[s : s + chunk] = np.argmax(logits, axis=1).astype(np.uint8)
-    return labels.reshape(dims)
+    labels = np.empty(len(points), dtype=np.uint8)
+    chunk = 65536
+    for s in range(0, len(points), chunk):
+        x = seg_inputs(points[s : s + chunk].astype(dt), code)
+        labels[s : s + chunk] = np.argmax(netcore.forward(seg_net, x), axis=1)
+    return labels
 
 
-def save_label_volume(base_path, labels, origin, spacing):
-    """Write the volume as flat little-endian u8 plus a JSON header."""
-    import json
+def write_label_data(path, labels):
+    """Write a label volume as flat u8 in C order (header: :func:`write_label_header`)."""
+    with open(path, "wb") as f:
+        f.write(np.asarray(labels, dtype=np.uint8).tobytes(order="C"))
 
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(str(base_path) + ".u8", "wb") as f:
-        f.write(labels.tobytes(order="C"))
+
+def write_label_header(path, labels, origin, spacing):
+    """Write a label volume's JSON header: origin, spacing, dims, legend, order."""
     header = {
         "origin": [float(x) for x in origin],
         "spacing": float(spacing),
-        "dims": list(labels.shape),
+        "dims": list(np.shape(labels)),
         "labels": {int(l): l.name for l in AnatomicalLabel},
         "order": "C",
     }
-    with open(str(base_path) + ".json", "w") as f:
+    with open(path, "w") as f:
         json.dump(header, f, indent=1, sort_keys=True)
         f.write("\n")
 

@@ -8,7 +8,8 @@ import pytest
 
 @pytest.fixture
 def load_label_volume():
-    """Reader of the label volumes ``inference.save_label_volume`` writes:
+    """Reader of a label volume ``inference.write_label_data`` and
+    ``write_label_header`` wrote to ``base_path`` + ``.u8`` / ``.json``:
     ``base_path -> (labels, header)``."""
 
     def load(base_path):

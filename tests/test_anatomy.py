@@ -405,6 +405,11 @@ def test_ply_truncated_or_corrupt_rejected(tmp_path, mesh):
         "last_face_cut": lines[:-1],
         "half_vertices": lines[: body + n_vertex // 2],
         "garbled_vertex": lines[:body] + ["1 2 x 4 5 6 7 0\n"] + lines[body + 1 :],
+        "empty": [],
+        "seven_columns": lines[:body]
+        + [" ".join(row.split()[:7]) + "\n" for row in lines[body : body + n_vertex]]
+        + lines[body + n_vertex :],
+        "face_index_999999": lines[:-1] + ["3 0 1 999999\n"],
     }
     for name, content in bad.items():
         cut = tmp_path / f"{name}.ply"
@@ -412,10 +417,3 @@ def test_ply_truncated_or_corrupt_rejected(tmp_path, mesh):
         with pytest.raises(ValueError, match=name):
             anatomy.read_mesh_ply(cut)
 
-
-def test_landmarks_roundtrip(tmp_path, mesh):
-    path = tmp_path / "landmarks.json"
-    anatomy.write_landmarks(path, mesh.landmarks)
-    back = anatomy.read_landmarks(path)
-    for k in ("mvc", "tvc", "lva"):
-        np.testing.assert_allclose(back[k], mesh.landmarks[k])

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,6 +96,44 @@ def test_generate_outputs(run):
 def test_generate_refuses_overwrite(run):
     with pytest.raises(FileExistsError):
         harness.cmd_generate(run)
+
+
+def test_generate_force_starts_a_new_run(tmp_path):
+    cfg = mini_config(tmp_path / "force", test_shapes=1, epochs=2, infer_steps=2)
+    harness.cmd_generate(cfg)
+    harness.cmd_train(cfg)
+    harness.cmd_reconstruct(cfg, conditions=["ideal"])
+    assert harness.cmd_evaluate(cfg) == 0
+
+    harness.cmd_generate(replace(cfg, test_seed0=cfg.test_seed0 + 1), force=True)
+    manifest = harness.Manifest(cfg.out_dir)
+    assert list(manifest.doc["stages"]) == ["generate"]
+    for rel in ("checkpoint.nihc", "train_log.csv", "recon", "eval"):
+        assert not os.path.exists(os.path.join(cfg.out_dir, rel)), rel
+    assert_manifest_matches_files(cfg.out_dir)
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    """A writer that stops half-way leaves neither a partial artifact nor a
+    temporary file behind."""
+    write_ply = harness.anatomy.write_mesh_ply
+
+    def half_then_fail(path, mesh, comment=None):
+        write_ply(path, mesh, comment)
+        with open(path, "r+") as f:
+            f.truncate(os.path.getsize(path) // 2)
+        raise OSError("disk full")
+
+    cfg = mini_config(tmp_path / "failed", train_shapes=1, test_shapes=0)
+    monkeypatch.setattr(harness.anatomy, "write_mesh_ply", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        harness.cmd_generate(cfg)
+    assert os.listdir(os.path.join(cfg.out_dir, "shapes")) == []
+
+
+def assert_manifest_matches_files(root):
+    for rel, digest in harness.Manifest(root).artifact_hashes().items():
+        assert harness.file_hash(os.path.join(root, rel)) == digest, rel
 
 
 def test_ideal_vs_misaligned_differ_only_in_geometry(run):
@@ -214,10 +253,37 @@ def test_reconstruct_mesh_free(tmp_path, run):
     cfg = mini_config(dst)
     for case in ("test_0000", "test_0001"):
         os.remove(os.path.join(dst, "shapes", f"{case}.ply"))
-        os.remove(os.path.join(dst, "shapes", f"{case}_landmarks.json"))
     ckpt, stats = harness.load_model(str(dst))
     rels, _ = harness.reconstruct_case(cfg, ckpt, stats, "test_0001", "ideal")
     assert os.path.exists(os.path.join(dst, rels[0]))
+
+
+def test_reconstruct_calls_add_to_the_manifest(tmp_path, run):
+    """Later calls keep the earlier ones' artifacts and case durations; a
+    re-run case replaces only its own entries."""
+    import shutil
+
+    dst = tmp_path / "added"
+    shutil.copytree(run.out_dir, dst)
+    cfg = mini_config(dst)
+    before = harness.Manifest(dst).doc["stages"]["reconstruct"]
+    harness.cmd_reconstruct(cfg, conditions=["misaligned"])
+    harness.cmd_reconstruct(cfg, cases=["test_0000"], conditions=["ideal"])
+    after = harness.Manifest(dst).doc["stages"]["reconstruct"]
+    added = {"misaligned/test_0000", "misaligned/test_0001"}
+    assert set(after["case_durations_s"]) == set(before["case_durations_s"]) | added
+    assert after["case_durations_s"]["ideal/test_0001"] == (
+        before["case_durations_s"]["ideal/test_0001"]
+    )
+    assert set(after["artifacts"]) == set(before["artifacts"]) | {
+        f"recon/{case}{suffix}" for case in added for suffix in (".ply", "_latent.npy", "_trace.csv")
+    }
+    assert_manifest_matches_files(dst)
+    assert harness.cmd_evaluate(cfg) == 0
+    with open(os.path.join(dst, "eval", "per_case.csv")) as f:
+        assert {r["condition"] for r in csv.DictReader(f)} == {
+            "ideal", "misaligned", "ablation:halfsax"
+        }
 
 
 def test_reconstruct_dense_labels(tmp_path, run, load_label_volume):

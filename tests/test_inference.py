@@ -240,7 +240,8 @@ def test_dense_labels_zero_dim_errors(topo, small_model):
 def test_label_volume_roundtrip(tmp_path, load_label_volume):
     labels = np.random.default_rng(3).integers(0, 5, size=(5, 6, 7)).astype(np.uint8)
     base = tmp_path / "vol"
-    inference.save_label_volume(base, labels, origin=(1.0, 2.0, 3.0), spacing=2.0)
+    inference.write_label_data(f"{base}.u8", labels)
+    inference.write_label_header(f"{base}.json", labels, origin=(1.0, 2.0, 3.0), spacing=2.0)
     back, header = load_label_volume(base)
     np.testing.assert_array_equal(back, labels)
     assert header["spacing"] == 2.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heartfields import anatomy, netcore, training
+from heartfields import anatomy, inference, netcore, training
 from heartfields.anatomy.labeling import AnatomicalLabel
 from heartfields.training import (
     LatentTable,
@@ -350,7 +350,6 @@ def test_train_single_shape_overfit_accuracy(topo):
     cfg = tiny_config(epochs=900, val_fraction=0.0, hidden_dim=32, seg_batch=768)
     r = training.train(samples, cfg)
     s = samples[0]
-    x = training.seg_inputs(s.seg_xyz, r.latents.codes[0])
-    pred = np.argmax(netcore.forward(r.seg_net, x), axis=1)
+    pred = inference.predict_labels(r.seg_net, r.latents.codes[0], s.seg_xyz)
     acc = np.mean(pred == s.seg_labels)
     assert acc > 0.95
