@@ -1,37 +1,34 @@
-"""Binary checkpoint container for the two networks and the latent table.
+"""Checkpoint container for the two networks and the latent table.
 
-Little-endian layout:
-
-    magic       4 bytes   b"NIHC"
-    version     u32       currently 1
-    latent_dim  u32
-    n_sections  u32
-    section table, n_sections entries of (name: 8 bytes NUL-padded,
-                                          offset: u64, size: u64)
-    section payloads
-
-Network sections ("segnet", "regnet") hold the four dims
-(input/output/hidden/blocks) as u32 followed by the flat parameter vector
-as float64 in layout order. "latents" holds (count u32, dim u32) plus the
-code table; "latstats" holds the latent mean, covariance, and regularized
-inverse; "scales" the input/output scaling constants of :mod:`training`,
-which loading checks; "opt*" sections the Adam moments and step count
-(the latent table's per-row states as one row-major block) so training
-can resume; "meta" the epoch counter.
-All floating payloads are float64 regardless of the in-memory compute dtype.
+A checkpoint is a zip archive of ``.npy`` members (numpy's ``.npz`` layout),
+stored uncompressed with a fixed timestamp, so equal checkpoints are equal
+files. Loading checks the CRC-32 zip keeps for every member, so a flipped
+byte is an error instead of a changed parameter. The members are ``format``
+(2); ``scales``, the [INPUT_SCALE, REG_OUTPUT_SCALE] of :mod:`training`,
+which loading checks; per network ``seg_net.dims`` / ``reg_net.dims``
+(input, output, hidden, blocks) and ``.params``, the flat parameter vector
+in layout order; ``latent_codes`` (n_shapes, latent_dim); optionally
+``stats.mean``, ``stats.cov`` and ``stats.cov_inv``; optionally
+``opt.<name>.m``, ``.v`` and ``.t``, the Adam moments and step count of
+"seg", "reg" and "lat" (the latent rows' states as one 2-D block) so
+training can resume; and ``epoch``. All floating members are float64
+regardless of the in-memory compute dtype.
 """
 
-import struct
+import io
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import OptimizerState, ResidualMlp, param_count
+from .netcore import OptimizerState, ResidualMlp
 from .training import INPUT_SCALE, REG_OUTPUT_SCALE, LatentStats
 
-MAGIC = b"NIHC"
-VERSION = 1
-SCALES = {"input_scale": INPUT_SCALE, "reg_output_scale": REG_OUTPUT_SCALE}
+FORMAT = 2
+SCALES = (INPUT_SCALE, REG_OUTPUT_SCALE)
+NETS = ("seg_net", "reg_net")
+# the earliest time zip can record; np.savez would stamp the clock instead
+_DATE_TIME = (1980, 1, 1, 0, 0, 0)
 
 
 @dataclass
@@ -49,138 +46,83 @@ class Checkpoint:
         return int(self.latent_codes.shape[1])
 
 
-def _net_payload(net):
-    head = struct.pack(
-        "<4I", net.input_dim, net.output_dim, net.hidden_dim, net.num_blocks
-    )
-    return head + np.ascontiguousarray(net.parameters, dtype="<f8").tobytes()
-
-
-def _array_payload(arr):
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    head = struct.pack("<2I", arr.shape[0], arr.shape[1] if arr.ndim == 2 else 1)
-    return head + arr.tobytes()
-
-
-def _read_section(path, sections, name, head, count):
-    """Header fields and float64 payload of section ``name``, which must be
-    the ``head`` struct followed by exactly ``count(*fields)`` floats."""
-    buf = sections[name]
-    size = struct.calcsize(head)
-    if len(buf) < size:
-        raise ValueError(f"{path}: section {name!r} is {len(buf)} bytes, shorter than its header")
-    fields = struct.unpack_from(head, buf)
-    want = size + 8 * count(*fields)
-    if len(buf) != want:
-        raise ValueError(
-            f"{path}: section {name!r} is {len(buf)} bytes, its dims {fields} need {want}"
-        )
-    return fields, np.frombuffer(buf, dtype="<f8", offset=size).copy()
-
-
-def _scales_payload():
-    return b"".join(
-        struct.pack("<16sd", k.encode().ljust(16, b"\0"), v) for k, v in sorted(SCALES.items())
-    )
-
-
 def save_checkpoint(path, ckpt):
     """Write a checkpoint to ``path``."""
-    sections = [
-        (b"segnet", _net_payload(ckpt.seg_net)),
-        (b"regnet", _net_payload(ckpt.reg_net)),
-        (b"latents", _array_payload(np.atleast_2d(ckpt.latent_codes))),
-    ]
+    members = {"format": FORMAT, "scales": SCALES}
+    for name in NETS:
+        net = getattr(ckpt, name)
+        members[f"{name}.dims"] = [net.input_dim, net.output_dim, net.hidden_dim, net.num_blocks]
+        members[f"{name}.params"] = net.parameters
+    members["latent_codes"] = np.atleast_2d(ckpt.latent_codes)
     if ckpt.stats is not None:
-        st = ckpt.stats
-        blob = np.concatenate([st.mean.ravel(), st.cov.ravel(), st.cov_inv.ravel()])
-        sections.append((b"latstats", struct.pack("<I", st.mean.size) + blob.tobytes()))
-    sections.append((b"scales", _scales_payload()))
+        for key in ("mean", "cov", "cov_inv"):
+            members[f"stats.{key}"] = getattr(ckpt.stats, key)
     for name, state in sorted(ckpt.opt.items()):
-        rows = state if name == "lat" else [state]
-        m = b"".join(np.ascontiguousarray(r.first_moment, dtype="<f8").tobytes() for r in rows)
-        v = b"".join(np.ascontiguousarray(r.second_moment, dtype="<f8").tobytes() for r in rows)
-        head = struct.pack("<2I", len(m) // 8, rows[0].step_count)
-        sections.append((("opt_" + name).encode()[:8], head + m + v))
-    sections.append((b"meta", struct.pack("<I", int(ckpt.epoch))))
+        if name == "lat":
+            m = np.stack([row.first_moment for row in state])
+            v = np.stack([row.second_moment for row in state])
+            t = state[0].step_count
+        else:
+            m, v, t = state.first_moment, state.second_moment, state.step_count
+        members.update({f"opt.{name}.m": m, f"opt.{name}.v": v, f"opt.{name}.t": t})
+    members["epoch"] = ckpt.epoch
 
-    header = MAGIC + struct.pack("<3I", VERSION, ckpt.latent_dim, len(sections))
-    table_size = len(sections) * (8 + 8 + 8)
-    offset = len(header) + table_size
-    table = b""
-    for name, payload in sections:
-        table += struct.pack("<8sQQ", name.ljust(8, b"\0"), offset, len(payload))
-        offset += len(payload)
-
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(table)
-        for _, payload in sections:
-            f.write(payload)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, value in members.items():
+            arr = np.asarray(value)
+            if arr.dtype.kind == "f":
+                arr = arr.astype("<f8", copy=False)
+            with zf.open(zipfile.ZipInfo(f"{name}.npy", date_time=_DATE_TIME), "w") as f:
+                np.lib.format.write_array(f, arr, allow_pickle=False)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; raise ``ValueError`` naming ``path`` if it is
-    truncated, lacks a required section, or holds a payload whose length
-    disagrees with its declared dims."""
+    """Read a checkpoint; raise ``ValueError`` naming ``path`` if it is not
+    a format-2 archive, is truncated, fails a member's CRC, lacks a required
+    member, or holds members whose dims disagree."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 16:
-        raise ValueError(f"{path}: truncated: {len(blob)} bytes, shorter than the 16-byte header")
-    if blob[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    version, latent_dim, n_sections = struct.unpack_from("<3I", blob, 4)
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    if len(blob) < 16 + 24 * n_sections:
-        raise ValueError(
-            f"{path}: truncated: {len(blob)} bytes, shorter than the table of "
-            f"{n_sections} sections"
-        )
-    sections = {}
-    for pos in range(16, 16 + 24 * n_sections, 24):
-        name, offset, size = struct.unpack_from("<8sQQ", blob, pos)
-        name = name.rstrip(b"\0").decode(errors="replace")
-        if offset + size > len(blob):
-            raise ValueError(
-                f"{path}: truncated: section {name!r} ends at byte {offset + size} "
-                f"of a {len(blob)}-byte file"
-            )
-        sections[name] = blob[offset : offset + size]
-    missing = [n for n in ("segnet", "regnet", "latents", "scales") if n not in sections]
-    if missing:
-        raise ValueError(f"{path}: missing sections {missing}")
+        if f.read(4) == b"NIHC":
+            raise ValueError(f"{path}: checkpoint format 1 is no longer read; retrain")
+    try:
+        with zipfile.ZipFile(path) as zf:
+            # ZipFile.read checks a member's CRC-32 before its .npy header is parsed
+            members = {
+                name.removesuffix(".npy"): np.lib.format.read_array(
+                    io.BytesIO(zf.read(name)), allow_pickle=False
+                )
+                for name in zf.namelist()
+            }
+        return _from_archive(members)
+    except KeyError as err:
+        raise ValueError(f"{path}: missing member {err}") from err
+    # a corrupt zip directory raises these; a missing file raised before the try
+    except (zipfile.BadZipFile, EOFError, OSError, NotImplementedError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from err
 
-    nets = {}
-    for name in ("segnet", "regnet"):
-        dims, params = _read_section(path, sections, name, "<4I", param_count)
-        nets[name] = ResidualMlp(*dims, params)
-    (rows, cols), codes = _read_section(path, sections, "latents", "<2I", lambda r, c: r * c)
-    if cols != latent_dim:
-        raise ValueError(f"{path}: latent table dim {cols} != header dim {latent_dim}")
-    ckpt = Checkpoint(nets["segnet"], nets["regnet"], codes.reshape(rows, cols))
-    if sections["scales"] != _scales_payload():
-        raise ValueError(f"{path}: scales section does not hold {SCALES}")
-    if "latstats" in sections:
-        (dim,), data = _read_section(path, sections, "latstats", "<I", lambda d: d + 2 * d * d)
-        ckpt.stats = LatentStats(
-            mean=data[:dim],
-            cov=data[dim : dim + dim * dim].reshape(dim, dim),
-            cov_inv=data[dim + dim * dim :].reshape(dim, dim),
-        )
-    for name in sections:
-        if name.startswith("opt_"):
-            (size, t), data = _read_section(path, sections, name, "<2I", lambda n, _t: 2 * n)
-            m, v = data[:size], data[size:]
-            if name == "opt_lat":
-                if not rows or size % rows:
-                    raise ValueError(
-                        f"{path}: section 'opt_lat' holds {size} moments for {rows} latent rows"
-                    )
-                m, v = m.reshape(rows, -1), v.reshape(rows, -1)
-                ckpt.opt["lat"] = [OptimizerState(a, b, t) for a, b in zip(m, v)]
-            else:
-                ckpt.opt[name[4:]] = OptimizerState(m, v, t)
-    if "meta" in sections:
-        (ckpt.epoch,), _ = _read_section(path, sections, "meta", "<I", lambda _e: 0)
+
+def _from_archive(arrays):
+    fmt = int(arrays["format"])
+    if fmt != FORMAT:
+        raise ValueError(f"unsupported checkpoint format {fmt}")
+    if not np.array_equal(arrays["scales"], SCALES):
+        raise ValueError(f"scales member holds {arrays['scales']}, not {list(SCALES)}")
+    seg, reg = (ResidualMlp(*map(int, arrays[f"{n}.dims"]), arrays[f"{n}.params"]) for n in NETS)
+    codes = arrays["latent_codes"]
+    _, dim = codes.shape
+    ckpt = Checkpoint(seg, reg, codes, epoch=int(arrays["epoch"]))
+    if "stats.mean" in arrays:
+        ckpt.stats = LatentStats(arrays["stats.mean"], arrays["stats.cov"], arrays["stats.cov_inv"])
+        shapes = [a.shape for a in (ckpt.stats.mean, ckpt.stats.cov, ckpt.stats.cov_inv)]
+        if shapes != [(dim,), (dim, dim), (dim, dim)]:
+            raise ValueError(f"latent stats have shapes {shapes}, latent dim is {dim}")
+    for name, params in (("seg", seg.parameters), ("reg", reg.parameters), ("lat", codes)):
+        if f"opt.{name}.m" not in arrays:
+            continue
+        m, v, t = arrays[f"opt.{name}.m"], arrays[f"opt.{name}.v"], int(arrays[f"opt.{name}.t"])
+        if m.shape != params.shape or v.shape != params.shape:
+            raise ValueError(f"opt.{name} moments are {m.shape}/{v.shape}, not {params.shape}")
+        if name == "lat":
+            ckpt.opt[name] = [OptimizerState(a, b, t) for a, b in zip(m, v)]
+        else:
+            ckpt.opt[name] = OptimizerState(m, v, t)
     return ckpt

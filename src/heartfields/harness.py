@@ -76,8 +76,10 @@ class ExperimentConfig:
         return self
 
     def hash(self):
+        """Hash of the settings; ``out_dir`` is where a run lives, not what it is."""
         payload = json.dumps(
-            {f.name: getattr(self, f.name) for f in fields(self)}, sort_keys=True
+            {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"},
+            sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -104,9 +106,7 @@ def config_from(values):
         if key not in valid:
             raise ValueError(f"unknown config key {key!r}")
         current = getattr(cfg, key)
-        if isinstance(current, bool):
-            parsed = str(val).lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
+        if isinstance(current, int):
             parsed = int(val)
         elif isinstance(current, float):
             parsed = float(val)
@@ -240,18 +240,23 @@ def _shape_ids(config):
 # ------------------------------------------------------------------ generate
 
 
+def _remove(root, rels):
+    """Delete the files and directories ``rels`` of the run in ``root``."""
+    for rel in rels:
+        path = os.path.join(root, rel)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.exists(path):
+            os.remove(path)
+
+
 def cmd_generate(config, force=False):
     """Synthesize the cohorts and test contours. ``force`` starts a new run:
     it first removes every artifact of the one in the directory, so no later
     stage reads a checkpoint, reconstruction or evaluation of other shapes."""
     root = config.out_dir
     if force:
-        for rel in RUN_ENTRIES:
-            path = os.path.join(root, rel)
-            if os.path.isdir(path):
-                shutil.rmtree(path)
-            elif os.path.exists(path):
-                os.remove(path)
+        _remove(root, RUN_ENTRIES)
     elif os.path.exists(os.path.join(root, MANIFEST)):
         raise FileExistsError(f"{root} already holds a run; pass --force to overwrite")
     started = time.perf_counter()
@@ -315,8 +320,15 @@ def load_instance_mesh(root, sid, topo=None):
 
 
 def cmd_train(config, resume=False):
+    """Train the model and write its checkpoint. The reconstructions,
+    evaluations and report of the model it replaces are removed first, so
+    no later stage mixes them with the new checkpoint."""
     root = config.out_dir
     started = time.perf_counter()
+    _remove(root, (RECON, EVAL, REPORT))
+    manifest = Manifest(root)
+    for stage in ("reconstruct", "evaluate"):
+        manifest.doc["stages"].pop(stage, None)
     train_ids, _ = _shape_ids(config)
     samples = [_load_sample(root, sid) for sid in train_ids]
 
@@ -354,8 +366,6 @@ def cmd_train(config, resume=False):
     if not old:
         rows.insert(0, ["epoch", "seg_loss", "reg_loss", "prior_loss", "total", "val_total"])
     artifacts.append(_write(root, TRAIN_LOG, _write_text, old + _csv_text(rows)))
-
-    manifest = Manifest(root)
     manifest.record_stage("train", config, artifacts, time.perf_counter() - started)
     return result
 

@@ -12,7 +12,7 @@ suite.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,18 +26,12 @@ INPUT_SCALE = 0.01  # mm -> network units for spatial inputs
 REG_OUTPUT_SCALE = 100.0  # network units -> mm for positions
 
 
-@dataclass
-class LossWeights:
-    lambda_seg: float = 1.0
-    lambda_reg: float = 1000.0
-    lambda_prior_max: float = 1e-4
-    warmup_epochs: int = 100
-
-    def __post_init__(self):
-        if min(self.lambda_seg, self.lambda_reg, self.lambda_prior_max) <= 0:
-            raise ValueError("loss weights must be positive")
-        if self.warmup_epochs <= 0:
-            raise ValueError("warmup_epochs must be positive")
+# loss weights: the seg and reg losses are divided by theirs, the prior's
+# weight ramps linearly up to its maximum over the warm-up epochs
+LAMBDA_SEG = 1.0
+LAMBDA_REG = 1000.0
+LAMBDA_PRIOR_MAX = 1e-4
+WARMUP_EPOCHS = 100
 
 
 @dataclass
@@ -155,23 +149,21 @@ def prior_loss(codes, with_grad=False):
     return loss, 2.0 * h / len(h)
 
 
-def prior_schedule(epoch, weights=None):
+def prior_schedule(epoch):
     """Warm-up schedule: min(1, epoch / warmup) times the maximum strength."""
-    w = weights or LossWeights()
     if epoch < 0:
         raise ValueError("epoch must be nonnegative")
-    return min(1.0, epoch / w.warmup_epochs) * w.lambda_prior_max
+    return min(1.0, epoch / WARMUP_EPOCHS) * LAMBDA_PRIOR_MAX
 
 
-def total_loss(seg, reg, prior, weights=None, epoch=None):
+def total_loss(seg, reg, prior, epoch=None):
     """Training objective: seg / lambda_seg + reg / lambda_reg +
     lambda_prior(epoch) * prior (the two scale factors divide)."""
-    w = weights or LossWeights()
-    lam_p = w.lambda_prior_max if epoch is None else prior_schedule(epoch, w)
+    lam_p = LAMBDA_PRIOR_MAX if epoch is None else prior_schedule(epoch)
     for name, v in (("seg", seg), ("reg", reg), ("prior", prior)):
         if not math.isfinite(v):
             raise ValueError(f"non-finite {name} loss: {v}")
-    return seg / w.lambda_seg + reg / w.lambda_reg + lam_p * prior
+    return seg / LAMBDA_SEG + reg / LAMBDA_REG + lam_p * prior
 
 
 def _sigmoid(z):
@@ -259,7 +251,6 @@ class TrainConfig:
     lr_latent: float = 1e-3
     seg_batch: int = 1536
     reg_batch: int = 384
-    weights: LossWeights = field(default_factory=LossWeights)
     val_fraction: float = 0.2
     seed: int = 0
     dtype: str = "float32"
@@ -325,7 +316,6 @@ def train(samples, config, resume=None, on_epoch=None):
     ids = [s.shape_id for s in samples]
     n_shapes = len(samples)
     dt = config.np_dtype
-    w = config.weights
 
     rng = np.random.default_rng(config.seed)
     n_val = int(round(config.val_fraction * n_shapes)) if n_shapes > 1 else 0
@@ -381,7 +371,7 @@ def train(samples, config, resume=None, on_epoch=None):
         )
 
     for epoch in range(epoch0, epoch0 + config.epochs):
-        lam_p = prior_schedule(epoch, w)
+        lam_p = prior_schedule(epoch)
         epoch_rng = np.random.default_rng([config.seed, 977, epoch])
         visit = epoch_rng.permutation(n_shapes)
         sums = np.zeros(4)
@@ -404,16 +394,16 @@ def train(samples, config, resume=None, on_epoch=None):
             l_reg, g_pred = reg_loss(pred_mm, reg_xyz[si][br], with_grad=True)
 
             l_prior, g_prior = prior_loss(h, with_grad=True)
-            l_total = total_loss(l_seg, l_reg, l_prior, w, epoch)
+            l_total = total_loss(l_seg, l_reg, l_prior, epoch)
             if not math.isfinite(l_total):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}, shape {ids[si]}: "
                     f"seg={l_seg} reg={l_reg} prior={l_prior}"
                 )
 
-            gs = netcore.backward(seg_net, xs, g_logits / w.lambda_seg, cache=cache_s)
+            gs = netcore.backward(seg_net, xs, g_logits / LAMBDA_SEG, cache=cache_s)
             gr = netcore.backward(
-                reg_net, xr, g_pred * (REG_OUTPUT_SCALE / w.lambda_reg), cache=cache_r
+                reg_net, xr, g_pred * (REG_OUTPUT_SCALE / LAMBDA_REG), cache=cache_r
             )
             del cache_s, cache_r  # free the activations before the next forward pass
             g_h = (

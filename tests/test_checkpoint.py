@@ -1,12 +1,24 @@
 import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 from heartfields import netcore
-from heartfields.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from heartfields.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from heartfields.netcore import OptimizerState
 from heartfields.training import LatentStats
+
+REQUIRED = [
+    "format",
+    "scales",
+    "seg_net.dims",
+    "seg_net.params",
+    "reg_net.dims",
+    "reg_net.params",
+    "latent_codes",
+    "epoch",
+]
 
 
 def make_checkpoint(with_stats=True, with_opt=True):
@@ -31,11 +43,34 @@ def make_checkpoint(with_stats=True, with_opt=True):
     return ckpt
 
 
-def test_roundtrip(tmp_path):
+@pytest.fixture
+def saved(tmp_path):
     path = tmp_path / "model.nihc"
+    save_checkpoint(path, make_checkpoint())
+    return path
+
+
+def edited(path, drop=(), replace=None):
+    """A copy of the checkpoint at ``path`` without the members in ``drop``
+    and with the arrays of ``replace`` put in (or added) by name."""
+    with np.load(path) as z:
+        members = {name: z[name] for name in z.files if name not in drop}
+    members.update(replace or {})
+    out = path.with_name("edited.nihc")
+    with open(out, "wb") as f:
+        np.savez(f, **members)
+    return out
+
+
+def rejected(path, match):
+    with pytest.raises(ValueError, match=match) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_roundtrip(saved):
     ckpt = make_checkpoint()
-    save_checkpoint(path, ckpt)
-    back = load_checkpoint(path)
+    back = load_checkpoint(saved)
     assert back.epoch == 42
     assert back.latent_dim == 4
     for attr in ("input_dim", "output_dim", "hidden_dim", "num_blocks"):
@@ -49,89 +84,85 @@ def test_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.stats.cov_inv, ckpt.stats.cov_inv)
     assert sorted(back.opt) == ["lat", "seg"]
     assert len(back.opt["lat"]) == 5
-    for saved, loaded in zip([ckpt.opt["seg"]] + ckpt.opt["lat"], [back.opt["seg"]] + back.opt["lat"]):
-        np.testing.assert_array_equal(loaded.first_moment, saved.first_moment)
-        np.testing.assert_array_equal(loaded.second_moment, saved.second_moment)
-        assert loaded.step_count == saved.step_count
+    for want, got in zip([ckpt.opt["seg"]] + ckpt.opt["lat"], [back.opt["seg"]] + back.opt["lat"]):
+        np.testing.assert_array_equal(got.first_moment, want.first_moment)
+        np.testing.assert_array_equal(got.second_moment, want.second_moment)
+        assert got.step_count == want.step_count
 
 
 def test_roundtrip_minimal_sections(tmp_path):
     path = tmp_path / "bare.nihc"
     save_checkpoint(path, make_checkpoint(with_stats=False, with_opt=False))
+    with zipfile.ZipFile(path) as zf:
+        assert zf.namelist() == [f"{name}.npy" for name in REQUIRED]
     back = load_checkpoint(path)
     assert back.stats is None
     assert back.opt == {}
 
 
-def test_scales_checked_on_load(tmp_path):
-    path = tmp_path / "model.nihc"
-    save_checkpoint(path, make_checkpoint())
-    blob = path.read_bytes()
+def test_scales_checked_on_load(saved):
+    rejected(edited(saved, replace={"scales": np.array([0.02, 100.0])}), "scales")
+    rejected(edited(saved, drop=["scales"]), "scales")
+
+
+def test_magic_and_version_checked(saved, tmp_path):
+    rejected(edited(saved, replace={"format": np.array(3)}), "format 3")
     bad = tmp_path / "bad.nihc"
-    # another value for the input scale
-    at = blob.index(b"input_scale") + 16
-    bad.write_bytes(blob[:at] + struct.pack("<d", 0.02) + blob[at + 8 :])
-    with pytest.raises(ValueError, match="scales"):
-        load_checkpoint(bad)
-    # no scales section: its table entry renamed
-    bad.write_bytes(blob.replace(b"scales\0\0", b"scalez\0\0", 1))
-    with pytest.raises(ValueError, match="scales"):
-        load_checkpoint(bad)
+    # a file of the old section-table format: magic, version 1, latent dim, no sections
+    bad.write_bytes(b"NIHC" + struct.pack("<3I", 1, 4, 0))
+    rejected(bad, "format 1 is no longer read; retrain")
+    bad.write_bytes(b"XXXX" + saved.read_bytes()[4:])
+    rejected(bad, "Bad magic number")
 
 
-def test_magic_and_version_checked(tmp_path):
-    path = tmp_path / "model.nihc"
-    save_checkpoint(path, make_checkpoint())
-    blob = bytearray(path.read_bytes())
-    assert blob[:4] == MAGIC
+def test_truncated_or_corrupt_file_rejected(saved, tmp_path):
+    blob = saved.read_bytes()
     bad = tmp_path / "bad.nihc"
-    bad.write_bytes(b"XXXX" + bytes(blob[4:]))
-    with pytest.raises(ValueError, match="magic"):
-        load_checkpoint(bad)
-    blob[4] = 99  # version field
-    bad.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(bad)
-
-
-def test_truncated_or_corrupt_file_rejected(tmp_path):
-    path = tmp_path / "model.nihc"
-    save_checkpoint(path, make_checkpoint())
-    blob = path.read_bytes()
-    (n,) = struct.unpack_from("<I", blob, 12)
-    table = {}
-    for i in range(n):
-        name, offset, size = struct.unpack_from("<8sQQ", blob, 16 + 24 * i)
-        table[name.rstrip(b"\0").decode()] = offset, size
-    bad = tmp_path / "bad.nihc"
-
-    def rejected(data, match):
-        bad.write_bytes(data)
-        with pytest.raises(ValueError, match=match) as err:
-            load_checkpoint(bad)
-        assert str(bad) in str(err.value)
-
-    # cut inside the header, inside the section table, and inside each section
-    for cut in [0, 10, 15, 16 + 12, 16 + 24 * n - 1]:
-        rejected(blob[:cut], "truncated")
-    for name, (offset, size) in table.items():
-        rejected(blob[: offset + size // 2], f"truncated: section '{name}'")
-    # a required section missing: its table entry renamed
-    for name in ("segnet", "regnet", "latents", "scales"):
-        rejected(blob.replace(name.encode().ljust(8, b"\0"), b"unknown\0", 1), "missing")
-    # a declared dim one larger than the payload holds (the hidden width of
-    # a net, the row or element count of the others)
-    fields = {"segnet": 8, "regnet": 8, "latents": 0, "latstats": 0, "opt_seg": 0}
-    for name, field in fields.items():
-        at = table[name][0] + field
+    for cut in [0, 3, 4, 100, len(blob) // 2, len(blob) - 22, len(blob) - 1]:
+        bad.write_bytes(blob[:cut])
+        rejected(bad, "not a zip file")
+    # one flipped byte at the start, middle and end of each member's stored
+    # bytes (its .npy header and data), which the CRC-32 of the member catches
+    with zipfile.ZipFile(saved) as zf:
+        members = zf.infolist()
+    assert len(members) == 17
+    for info in members:
+        name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
+        start = info.header_offset + 30 + name_len + extra_len
+        for at in (start, start + info.file_size // 2, start + info.file_size - 1):
+            corrupt = bytearray(blob)
+            corrupt[at] ^= 0xFF
+            bad.write_bytes(bytes(corrupt))
+            rejected(bad, f"Bad CRC-32 for file '{info.filename}'")
+    # a flipped byte in the zip directory: the first entry's compression
+    # method, and the directory's offset in the end record
+    directory = blob.index(b"PK\x01\x02")
+    for at, match in ((directory + 10, "compression method"), (len(blob) - 4, "Invalid argument")):
         corrupt = bytearray(blob)
-        struct.pack_into("<I", corrupt, at, struct.unpack_from("<I", blob, at)[0] + 1)
-        rejected(bytes(corrupt), f"section '{name}' .* need")
-    # latent-row moments that do not split into the table's rows
+        corrupt[at] ^= 0xFF
+        bad.write_bytes(bytes(corrupt))
+        rejected(bad, match)
+
+
+@pytest.mark.parametrize("member", REQUIRED + ["stats.cov", "opt.seg.v", "opt.lat.t"])
+def test_missing_member_rejected(saved, member):
+    rejected(edited(saved, drop=[member]), member)
+
+
+def test_disagreeing_dims_rejected(saved):
+    with np.load(saved) as z:
+        arrays = {name: z[name] for name in z.files}
+    # a net's hidden width one larger than its parameter vector holds
+    for net in ("seg_net", "reg_net"):
+        dims = arrays[f"{net}.dims"] + [0, 0, 1, 0]
+        rejected(edited(saved, replace={f"{net}.dims": dims}), "parameter vector has shape")
+    rejected(edited(saved, replace={"stats.mean": arrays["stats.mean"][:3]}), "latent stats")
+    rejected(edited(saved, replace={"opt.seg.m": arrays["opt.seg.m"][1:]}), "opt.seg moments")
+    # latent-row moments for fewer rows than the table has
     ckpt = make_checkpoint()
     ckpt.opt["lat"] = ckpt.opt["lat"][:4]
-    save_checkpoint(path, ckpt)
-    rejected(path.read_bytes(), "opt_lat")
+    save_checkpoint(saved, ckpt)
+    rejected(saved, "opt.lat moments")
 
 
 def test_float32_nets_saved_as_float64(tmp_path):
@@ -139,6 +170,8 @@ def test_float32_nets_saved_as_float64(tmp_path):
     ckpt.seg_net = ckpt.seg_net.astype(np.float32)
     path = tmp_path / "f32.nihc"
     save_checkpoint(path, ckpt)
+    with np.load(path) as z:
+        assert z["seg_net.params"].dtype == np.dtype("<f8")
     back = load_checkpoint(path)
     assert back.seg_net.parameters.dtype == np.float64
     np.testing.assert_allclose(
@@ -146,10 +179,11 @@ def test_float32_nets_saved_as_float64(tmp_path):
     )
 
 
-def test_write_is_atomic(tmp_path):
-    path = tmp_path / "model.nihc"
-    save_checkpoint(path, make_checkpoint())
-    first = path.read_bytes()
-    save_checkpoint(path, make_checkpoint())
-    assert path.read_bytes() == first  # same content, no partial leftovers
-    assert not (tmp_path / "model.nihc.tmp").exists()
+def test_saves_are_byte_identical(saved, tmp_path):
+    again = tmp_path / "again.nihc"
+    save_checkpoint(again, make_checkpoint())
+    assert again.read_bytes() == saved.read_bytes()
+    with zipfile.ZipFile(saved) as zf:
+        for info in zf.infolist():
+            assert info.date_time == (1980, 1, 1, 0, 0, 0), info.filename
+            assert info.compress_type == zipfile.ZIP_STORED, info.filename

@@ -77,7 +77,9 @@ def test_config_hash_stable():
     a = harness.ExperimentConfig(out_dir="x")
     b = harness.ExperimentConfig(out_dir="x")
     assert a.hash() == b.hash()
-    assert a.hash() != harness.ExperimentConfig(out_dir="y").hash()
+    # the same settings in another directory are the same configuration
+    assert a.hash() == harness.ExperimentConfig(out_dir="y").hash()
+    assert a.hash() != replace(a, epochs=a.epochs + 1).hash()
 
 
 # ----------------------------------------------------------------- generate
@@ -111,6 +113,25 @@ def test_generate_force_starts_a_new_run(tmp_path):
     for rel in ("checkpoint.nihc", "train_log.csv", "recon", "eval"):
         assert not os.path.exists(os.path.join(cfg.out_dir, rel)), rel
     assert_manifest_matches_files(cfg.out_dir)
+
+
+def test_train_removes_outputs_of_the_old_model(tmp_path):
+    """A new model makes the reconstructions, evaluations and report of the
+    old one stale; evaluating them with it would fail (another latent dim)
+    or score old latents through the new classifier."""
+    cfg = mini_config(tmp_path / "retrain", test_shapes=1, epochs=2, infer_steps=2)
+    harness.cmd_generate(cfg)
+    harness.cmd_train(cfg)
+    harness.cmd_reconstruct(cfg, conditions=["ideal"])
+    assert harness.cmd_evaluate(cfg) == 0
+    assert harness.cmd_report(cfg) == 0
+
+    harness.cmd_train(replace(cfg, latent_dim=cfg.latent_dim - 2))
+    assert sorted(harness.Manifest(cfg.out_dir).doc["stages"]) == ["generate", "train"]
+    for rel in ("recon", "eval", "report.md"):
+        assert not os.path.exists(os.path.join(cfg.out_dir, rel)), rel
+    assert_manifest_matches_files(cfg.out_dir)
+    assert harness.cmd_evaluate(cfg) == 0
 
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
@@ -210,10 +231,10 @@ def test_reconstruct_from_interrupted_training(tmp_path, monkeypatch):
 
     schedule = harness.training.prior_schedule
 
-    def stop_at_epoch_2(epoch, weights=None):
+    def stop_at_epoch_2(epoch):
         if epoch == 2:
             raise Interrupted
-        return schedule(epoch, weights)
+        return schedule(epoch)
 
     cfg = mini_config(tmp_path / "interrupted", test_shapes=1, epochs=4, checkpoint_every=2)
     harness.cmd_generate(cfg)

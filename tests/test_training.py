@@ -4,8 +4,9 @@ import pytest
 from heartfields import anatomy, inference, netcore, training
 from heartfields.anatomy.labeling import AnatomicalLabel
 from heartfields.training import (
+    LAMBDA_REG,
+    LAMBDA_SEG,
     LatentTable,
-    LossWeights,
     TrainConfig,
     bce_loss,
     dice_loss,
@@ -122,10 +123,9 @@ def test_total_loss_arithmetic():
     assert total_loss(1.0, 1000.0, 0.0, epoch=200) == pytest.approx(2.0)
     assert total_loss(0.0, 0.0, 0.0, epoch=0) == 0.0
     assert total_loss(1.0, 0.0, 123.0, epoch=0) == pytest.approx(1.0)  # warm-up zero
-    w = LossWeights()
     s, r, p = 0.7, 421.0, 2.5
-    expected = s / w.lambda_seg + r / w.lambda_reg + prior_schedule(40, w) * p
-    assert total_loss(s, r, p, w, epoch=40) == pytest.approx(expected, rel=1e-12)
+    expected = s / LAMBDA_SEG + r / LAMBDA_REG + prior_schedule(40) * p
+    assert total_loss(s, r, p, epoch=40) == pytest.approx(expected, rel=1e-12)
 
 
 def test_total_loss_rejects_nonfinite():
