@@ -46,7 +46,7 @@ t5 = AnatomicalLabel.one_hot(rng.integers(0, 5, size=5))
 net = netcore.init_params(netcore.ResidualMlp(7, 5, 16, 2), seed=2)
 
 inputs = training.seg_inputs(xyz, latent)
-logits, cache = netcore.forward_cached(net, inputs)
+logits, cache = netcore.forward_cached(net, inputs, keep="inputs")  # input gradients only
 _, g_logits = training.seg_loss(logits, t5, with_grad=True)
 g = netcore.backward(net, inputs, g_logits, cache=cache)
 analytic = g.input_grads[:, 3:].sum(axis=0)

@@ -78,7 +78,11 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     """Fit the latent code to one case's slice labels through the frozen
     classifier.
 
-    Uses the occupancy-grid points of the contour set. Returns the
+    Uses the occupancy-grid points of the contour set. Each step needs
+    only the gradient with respect to the network input (the code columns
+    of it), so its forward pass keeps just the ReLU masks
+    (``keep="inputs"``) and its backward forms no parameter gradient; the
+    loss after the last step comes from a plain forward pass. Returns the
     best-loss iterate and the full loss trace; raises if the input carries
     fewer than two distinct labels (the Dice term would be degenerate) or
     if the loss diverges past 1e6.
@@ -105,7 +109,10 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
 
     def evaluate(code, want_grad):
         x = seg_inputs(pts, code)
-        logits, cache = netcore.forward_cached(seg_net, x)
+        if want_grad:
+            logits, cache = netcore.forward_cached(seg_net, x, keep="inputs")
+        else:
+            logits = netcore.forward(seg_net, x)
         lb, gb = bce_loss(logits, onehot, with_grad=True)
         ld, gd = dice_loss(logits, onehot, with_grad=True)
         lm, gm = mahalanobis(code.astype(np.float64), stats, with_grad=True)

@@ -106,9 +106,10 @@ def chamfer_bruteforce(points_a, points_b):
 def _closest_point_on_triangles(p, a, b, c):
     """Closest point to p on each triangle (a, b, c), all (n, 3).
 
-    Ericson's region classification, vectorized; degenerate triangles are
-    handled by the guarded divisions (closest point falls back to a vertex
-    or edge).
+    Ericson's region classification, vectorized: the regions are tested in
+    his order, and each pair's point is computed only in the first region
+    that holds it. Degenerate triangles are handled by the guarded
+    divisions (closest point falls back to a vertex or edge).
     """
     ab = b - a
     ac = c - a
@@ -123,36 +124,37 @@ def _closest_point_on_triangles(p, a, b, c):
     d6 = np.einsum("ij,ij->i", ac, cp)
 
     out = np.empty_like(p)
-    done = np.zeros(len(p), dtype=bool)
+    rest = np.arange(len(p))  # pairs whose region is not decided yet
 
-    def assign(mask, value):
-        nonlocal done
-        m = mask & ~done
-        if m.any():
-            out[m] = value[m] if value.ndim == 2 else value
-        done |= m
+    def pick(mask):
+        """The undecided pairs inside ``mask``; they are decided from here on."""
+        nonlocal rest
+        inside = mask[rest]
+        hit, rest = rest[inside], rest[~inside]
+        return hit
 
-    assign((d1 <= 0) & (d2 <= 0), a)  # vertex a
-    assign((d3 >= 0) & (d4 <= d3), b)  # vertex b
+    i = pick((d1 <= 0) & (d2 <= 0))  # vertex a
+    out[i] = a[i]
+    i = pick((d3 >= 0) & (d4 <= d3))  # vertex b
+    out[i] = b[i]
     vc = d1 * d4 - d3 * d2
-    denom = np.where(np.abs(d1 - d3) > 0, d1 - d3, 1.0)
-    assign((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + ab * (d1 / denom)[:, None])  # edge ab
-    assign((d6 >= 0) & (d5 <= d6), c)  # vertex c
+    i = pick((vc <= 0) & (d1 >= 0) & (d3 <= 0))  # edge ab
+    t = d1[i] - d3[i]
+    out[i] = a[i] + ab[i] * (d1[i] / np.where(np.abs(t) > 0, t, 1.0))[:, None]
+    i = pick((d6 >= 0) & (d5 <= d6))  # vertex c
+    out[i] = c[i]
     vb = d5 * d2 - d1 * d6
-    denom = np.where(np.abs(d2 - d6) > 0, d2 - d6, 1.0)
-    assign((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + ac * (d2 / denom)[:, None])  # edge ac
+    i = pick((vb <= 0) & (d2 >= 0) & (d6 <= 0))  # edge ac
+    t = d2[i] - d6[i]
+    out[i] = a[i] + ac[i] * (d2[i] / np.where(np.abs(t) > 0, t, 1.0))[:, None]
     va = d3 * d6 - d5 * d4
-    e = (d4 - d3) + (d5 - d6)
-    denom = np.where(np.abs(e) > 0, e, 1.0)
-    assign(
-        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
-        b + (c - b) * ((d4 - d3) / denom)[:, None],
-    )  # edge bc
-    total = va + vb + vc
-    denom = np.where(np.abs(total) > 0, total, 1.0)
-    v = vb / denom
-    w = vc / denom
-    assign(np.ones(len(p), dtype=bool), a + ab * v[:, None] + ac * w[:, None])  # interior
+    i = pick((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0))  # edge bc
+    t = (d4[i] - d3[i]) + (d5[i] - d6[i])
+    out[i] = b[i] + (c[i] - b[i]) * ((d4[i] - d3[i]) / np.where(np.abs(t) > 0, t, 1.0))[:, None]
+    i = rest  # interior
+    t = va[i] + vb[i] + vc[i]
+    t = np.where(np.abs(t) > 0, t, 1.0)
+    out[i] = a[i] + ab[i] * (vb[i] / t)[:, None] + ac[i] * (vc[i] / t)[:, None]
     return out
 
 
@@ -222,11 +224,17 @@ def point_to_surface_bruteforce(points, vertices, faces):
 
 def boundary_edges(faces):
     """Directed edges that lack an opposite partner (empty for a closed,
-    consistently oriented surface)."""
+    consistently oriented surface), as (i, j) tuples in increasing order."""
     faces = np.asarray(faces, dtype=np.int64)
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    fwd = set(map(tuple, e))
-    return [edge for edge in fwd if (edge[1], edge[0]) not in fwd]
+    if faces.size == 0:
+        return []
+    lo = int(faces.min())
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]) - lo
+    n = int(e.max()) + 1  # the directed edge (i, j) has the key i * n + j
+    keys = np.unique(e[:, 0] * n + e[:, 1])
+    i, j = np.divmod(keys, n)
+    unpaired = ~np.isin(j * n + i, keys)
+    return list(zip((i[unpaired] + lo).tolist(), (j[unpaired] + lo).tolist()))
 
 
 def enclosed_volume(vertices, faces):

@@ -6,9 +6,16 @@ exact with respect to both parameters and inputs; the input gradients are
 what drive latent-code optimization at reconstruction time. Everything is
 a pure function of (parameters, inputs), so repeated calls are bit-identical
 and independent optimizations can run concurrently without shared state.
+
+A forward pass keeps only what its backward will need: ``keep="params"``
+caches the block inputs and activations for the parameter gradients, while
+``keep="inputs"`` caches just the ReLU masks, and the backward then skips
+every parameter-gradient product. Input gradients are bit-identical either
+way, since both run the same arithmetic on them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,34 +133,63 @@ def forward(net, inputs):
 
     Returns an (n, output_dim) array of raw outputs.
     """
-    y, _ = forward_cached(net, inputs, keep=False)
+    y, _ = forward_cached(net, inputs, keep=None)
     return y
 
 
-def forward_cached(net, inputs, keep=True):
-    """Forward pass that optionally keeps per-block activations for backward."""
+class Cache(NamedTuple):
+    """What :func:`backward` reads of a forward pass.
+
+    ``masks`` holds each block's ReLU mask (pre-activation > 0) as a bool
+    array. The other fields are only kept for parameter gradients: the
+    inputs, each block's input and activation, and the last hidden state.
+    """
+
+    rows: int
+    masks: list
+    x: np.ndarray = None
+    hin: list = None
+    act: list = None
+    hlast: np.ndarray = None
+
+
+_KEEP = ("params", "inputs", None)
+
+
+def forward_cached(net, inputs, keep="params"):
+    """Forward pass that keeps what backward needs, as a :class:`Cache`.
+
+    ``keep="params"`` allows parameter and input gradients; ``"inputs"``
+    keeps only the ReLU masks, which input gradients alone need; ``None``
+    keeps nothing and returns no cache.
+    """
+    if keep not in _KEEP:
+        raise ValueError(f"keep must be one of {_KEEP}, got {keep!r}")
     x = _check_inputs(net, inputs)
     w_in, b_in, blocks, w_out, b_out = net.views()
     h = x @ w_in + b_in
-    hin, pre, act = [], [], []
+    hin, masks, act = [], [], []
     for w1, b1, w2, b2 in blocks:
         a = h @ w1 + b1
         z = np.maximum(a, 0.0)
-        if keep:
+        if keep is not None:
+            masks.append(a > 0)
+        if keep == "params":
             hin.append(h)
-            pre.append(a)
             act.append(z)
         h = h + z @ w2 + b2
     y = h @ w_out + b_out
-    cache = (x, hin, pre, act, h) if keep else None
-    return y, cache
+    if keep == "params":
+        return y, Cache(len(x), masks, x, hin, act, h)
+    return y, (Cache(len(x), masks) if keep == "inputs" else None)
 
 
 @dataclass
 class GradientBuffer:
     """Exact reverse-mode derivatives of (upstream . outputs).
 
-    ``param_grads`` matches the flat parameter layout; ``input_grads`` is
+    ``param_grads`` matches the flat parameter layout, or is ``None`` when
+    the cache was kept for input gradients only; ``input_grads`` is
     per-sample with ``input_dim`` columns.
     """
 
@@ -165,40 +201,45 @@ def backward(net, inputs, upstream_grads, cache=None):
     """Reverse-mode pass: gradients of sum(upstream_grads * forward(inputs)).
 
     Recomputes the forward pass unless a cache from :func:`forward_cached`
-    for the same inputs is supplied. relu'(0) is taken as 0.
+    for the same inputs is supplied. A ``keep="inputs"`` cache skips the
+    parameter gradients; the input gradients have the same bits as with a
+    full cache. relu'(0) is taken as 0.
     """
     if cache is None:
         _, cache = forward_cached(net, inputs)
-    x, hin, pre, act, hlast = cache
     up = np.asarray(upstream_grads, dtype=net.parameters.dtype)
     if up.ndim == 1:
         up = up[None, :]
-    if up.shape != (x.shape[0], net.output_dim):
+    if up.shape != (cache.rows, net.output_dim):
         raise ValueError(
-            f"upstream grads have shape {up.shape}, expected {(x.shape[0], net.output_dim)}"
+            f"upstream grads have shape {up.shape}, expected {(cache.rows, net.output_dim)}"
         )
     if not np.all(np.isfinite(up)):
         raise ValueError("upstream grads contain non-finite values")
 
     w_in, b_in, blocks, w_out, b_out = net.views()
-    grads = np.zeros_like(net.parameters)
-    gw_in, gb_in, gblocks, gw_out, gb_out = _views(
-        grads, net.input_dim, net.output_dim, net.hidden_dim, net.num_blocks
-    )
-
-    gw_out[:] = hlast.T @ up
-    gb_out[:] = up.sum(axis=0)
+    full = cache.x is not None
+    if full:
+        grads = np.zeros_like(net.parameters)
+        gw_in, gb_in, gblocks, gw_out, gb_out = _views(
+            grads, net.input_dim, net.output_dim, net.hidden_dim, net.num_blocks
+        )
+        gw_out[:] = cache.hlast.T @ up
+        gb_out[:] = up.sum(axis=0)
     gh = up @ w_out.T
     for k in range(net.num_blocks - 1, -1, -1):
         w1, _, w2, _ = blocks[k]
-        gw1, gb1, gw2, gb2 = gblocks[k]
-        ga = (gh @ w2.T) * (pre[k] > 0)
-        gw2[:] = act[k].T @ gh
-        gb2[:] = gh.sum(axis=0)
-        gw1[:] = hin[k].T @ ga
-        gb1[:] = ga.sum(axis=0)
+        ga = (gh @ w2.T) * cache.masks[k]
+        if full:
+            gw1, gb1, gw2, gb2 = gblocks[k]
+            gw2[:] = cache.act[k].T @ gh
+            gb2[:] = gh.sum(axis=0)
+            gw1[:] = cache.hin[k].T @ ga
+            gb1[:] = ga.sum(axis=0)
         gh = gh + ga @ w1.T
-    gw_in[:] = x.T @ gh
+    if not full:
+        return GradientBuffer(None, gh @ w_in.T)
+    gw_in[:] = cache.x.T @ gh
     gb_in[:] = gh.sum(axis=0)
     return GradientBuffer(grads, gh @ w_in.T)
 

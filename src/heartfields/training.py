@@ -383,13 +383,15 @@ def train(samples, config, resume=None, on_epoch=None):
             br = epoch_rng.integers(0, len(reg_uvc[si]), size=min(config.reg_batch, len(reg_uvc[si])))
             h = codes[si]
 
+            # a validation shape moves only its code: no parameter gradients
+            keep = "inputs" if si in val_set else "params"
             xs = seg_inputs(seg_xyz[si][bs], h)
             ts = seg_onehot[si][bs]
-            logits, cache_s = netcore.forward_cached(seg_net, xs)
+            logits, cache_s = netcore.forward_cached(seg_net, xs, keep=keep)
             l_seg, g_logits = seg_loss(logits, ts, with_grad=True)
 
             xr = reg_inputs(reg_uvc[si][br], h)
-            out, cache_r = netcore.forward_cached(reg_net, xr)
+            out, cache_r = netcore.forward_cached(reg_net, xr, keep=keep)
             pred_mm = out * REG_OUTPUT_SCALE
             l_reg, g_pred = reg_loss(pred_mm, reg_xyz[si][br], with_grad=True)
 

@@ -121,6 +121,50 @@ def test_optimize_latent_respects_frozen_net_and_trace(topo, small_model):
     )
 
 
+# sha256 of optimize_latent's latent and loss-trace bytes for a fixed
+# random-init classifier (latent 4, 32x2 blocks) on one shape's 6 mm grid
+# points, 30 steps over 500 of them; taken at commit a7e2ae3, whose backward
+# always formed parameter gradients, so they pin the bits of the fit
+GOLDEN_LATENT_FIT_SHA256 = {
+    "float64": "f1fb9037b4d742ebbe94d814833a83c98b6d7d50153596e928c00c0fa14b7889",
+    "float32": "ac0c438b9cafe54f17dc6de06590396406d9700b2de3b1a628d69c4013a7b74d",
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(GOLDEN_LATENT_FIT_SHA256))
+def test_optimize_latent_golden(topo, dtype, golden_arithmetic):
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(500))
+    contours = acq.acquire(mesh, "g000", density=6.0)
+    net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, hidden_dim=32, num_blocks=2), 5)
+    stats = training.latent_stats(np.random.default_rng(6).standard_normal((8, 4)) * 0.3)
+    w = inference.weights_for("ideal", steps=30, max_points=500)
+    rec = inference.optimize_latent(contours, net.astype(dtype), stats, w)
+    digest = hashlib.sha256(rec.latent.tobytes() + rec.loss_trace.tobytes()).hexdigest()
+    assert digest == GOLDEN_LATENT_FIT_SHA256[dtype]
+
+
+def test_optimize_latent_forms_no_parameter_gradients(topo, small_model, monkeypatch):
+    result, cfg, meshes, _ = small_model
+    calls = []
+    true_forward, true_backward = netcore.forward, netcore.backward
+
+    def forward(net, inputs):
+        calls.append("forward")
+        return true_forward(net, inputs)
+
+    def backward(net, inputs, upstream_grads, cache=None):
+        g = true_backward(net, inputs, upstream_grads, cache)
+        calls.append(("backward", g.param_grads is None))
+        return g
+
+    monkeypatch.setattr(netcore, "forward", forward)
+    monkeypatch.setattr(netcore, "backward", backward)
+    contours = acq.acquire(meshes[0], "t000", density=6.0)
+    w = inference.weights_for("ideal", steps=7, max_points=300)
+    inference.optimize_latent(contours, result.seg_net, result.stats, w)
+    assert calls == [("backward", True)] * 7 + ["forward"]
+
+
 def evaluate_loss(rec, contours, result, cfg, w):
     pts, labels = contours.all_points(kind=acq.KIND_GRID)
     rng = np.random.default_rng(0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heartfields import metrics
+from heartfields import anatomy, metrics
 
 
 def icosphere(radius=1.0, subdivisions=2):
@@ -224,6 +224,84 @@ def test_p2s_ignores_unreferenced_vertices():
 def test_p2s_empty_mesh():
     with pytest.raises(ValueError):
         metrics.point_to_surface(np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+
+
+def closest_point_masked(p, a, b, c):
+    """Oracle for ``metrics._closest_point_on_triangles``: every region's
+    candidate over all pairs, assigned through first-match masks."""
+    ab, ac, ap = b - a, c - a, p - a
+    d1, d2 = np.einsum("ij,ij->i", ab, ap), np.einsum("ij,ij->i", ac, ap)
+    bp = p - b
+    d3, d4 = np.einsum("ij,ij->i", ab, bp), np.einsum("ij,ij->i", ac, bp)
+    cp = p - c
+    d5, d6 = np.einsum("ij,ij->i", ab, cp), np.einsum("ij,ij->i", ac, cp)
+    out = np.empty_like(p)
+    done = np.zeros(len(p), dtype=bool)
+
+    def assign(mask, value):
+        nonlocal done
+        m = mask & ~done
+        if m.any():
+            out[m] = value[m] if value.ndim == 2 else value
+        done |= m
+
+    assign((d1 <= 0) & (d2 <= 0), a)
+    assign((d3 >= 0) & (d4 <= d3), b)
+    vc = d1 * d4 - d3 * d2
+    denom = np.where(np.abs(d1 - d3) > 0, d1 - d3, 1.0)
+    assign((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + ab * (d1 / denom)[:, None])
+    assign((d6 >= 0) & (d5 <= d6), c)
+    vb = d5 * d2 - d1 * d6
+    denom = np.where(np.abs(d2 - d6) > 0, d2 - d6, 1.0)
+    assign((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + ac * (d2 / denom)[:, None])
+    va = d3 * d6 - d5 * d4
+    e = (d4 - d3) + (d5 - d6)
+    denom = np.where(np.abs(e) > 0, e, 1.0)
+    assign(
+        (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
+        b + (c - b) * ((d4 - d3) / denom)[:, None],
+    )
+    total = va + vb + vc
+    denom = np.where(np.abs(total) > 0, total, 1.0)
+    assign(np.ones(len(p), dtype=bool), a + ab * (vb / denom)[:, None] + ac * (vc / denom)[:, None])
+    return out
+
+
+def test_closest_point_matches_masked_oracle_bitwise():
+    rng = np.random.default_rng(31)
+    n = 20000
+    p, a, b, c = (rng.uniform(-10, 10, (n, 3)) for _ in range(4))
+    p[:500] = a[:500]  # points on a vertex
+    c[1000:2000] = a[1000:2000]  # two coincident corners: a segment
+    b[2000:3000] = c[2000:3000] = a[2000:3000]  # a point
+    b[3000:4000] = a[3000:4000] + 2.0 * (c[3000:4000] - a[3000:4000])  # collinear
+    p[4000:5000] = a[4000:5000] + 0.3 * (b[4000:5000] - a[4000:5000])  # on edge ab
+    q = metrics._closest_point_on_triangles(p, a, b, c)
+    assert np.array_equal(q, closest_point_masked(p, a, b, c))
+
+
+def boundary_edges_oracle(faces):
+    """The set-of-tuples formulation of ``metrics.boundary_edges``."""
+    faces = np.asarray(faces, dtype=np.int64)
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    fwd = set(map(tuple, e.tolist()))
+    return {edge for edge in fwd if (edge[1], edge[0]) not in fwd}
+
+
+def test_boundary_edges_match_set_oracle():
+    topo = anatomy.build_template()
+    open_edges = metrics.boundary_edges(topo.faces)
+    assert len(open_edges) == 44
+    assert set(open_edges) == boundary_edges_oracle(topo.faces)
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(3))
+    for name in topo.compartments:
+        faces = mesh.compartment(name)[1]
+        assert metrics.boundary_edges(faces) == [] == sorted(boundary_edges_oracle(faces))
+    v, f = unit_cube()
+    for faces in (f[:-1], f[:-3] + 5, np.vstack([f, f[:2]]), f[:0]):
+        got = metrics.boundary_edges(faces)
+        assert len(got) == len(set(got))
+        assert set(got) == boundary_edges_oracle(faces)
 
 
 # -------------------------------------------------------------------- volume

@@ -62,6 +62,8 @@ def test_forward_shape_errors():
         forward(net, np.zeros((4, 7)))
     with pytest.raises(ValueError):
         forward(net, np.array([[1.0, np.nan] + [0.0] * 6]))
+    with pytest.raises(ValueError, match="keep"):
+        netcore.forward_cached(net, np.zeros((2, 8)), keep=True)
 
 
 def test_bad_parameter_vector_rejected():
@@ -98,10 +100,71 @@ def test_backward_shape_errors():
     x = np.zeros((3, 8))
     with pytest.raises(ValueError):
         backward(net, x, np.zeros((2, 5)))
+    _, inputs_only = netcore.forward_cached(net, x, keep="inputs")
+    with pytest.raises(ValueError):
+        backward(net, x, np.zeros((2, 5)), cache=inputs_only)
     up = np.zeros((3, 5))
     up[0, 0] = np.nan
     with pytest.raises(ValueError):
         backward(net, x, up)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims", [(8, 5, 16, 2), (67, 5, 32, 3), (3, 2, 4, 0)])
+def test_input_only_backward_matches_full(dtype, dims):
+    d_in, d_out, hidden, blocks = dims
+    net = small_net(d_in, d_out, hidden, blocks, seed=21).astype(dtype)
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((300, d_in))
+    up = rng.standard_normal((300, d_out))
+    y_full, full = netcore.forward_cached(net, x, keep="params")
+    y_lean, lean = netcore.forward_cached(net, x, keep="inputs")
+    assert np.array_equal(y_lean, y_full)
+    assert np.array_equal(forward(net, x), y_full)
+    g_full = backward(net, x, up, cache=full)
+    g_lean = backward(net, x, up, cache=lean)
+    assert g_lean.param_grads is None
+    assert g_full.param_grads.shape == (net.n_params,)
+    assert g_lean.input_grads.dtype == g_full.input_grads.dtype == dtype
+    assert np.array_equal(g_lean.input_grads, g_full.input_grads)
+
+
+def test_input_gradients_through_lean_cache_match_finite_differences():
+    net = small_net(input_dim=8, output_dim=5, hidden=16, blocks=2, seed=23)
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((4, 8))
+    up = rng.standard_normal((4, 5))
+    _, cache = netcore.forward_cached(net, x, keep="inputs")
+    analytic = backward(net, x, up, cache=cache).input_grads
+    numeric = np.empty_like(x)
+    step = 1e-5
+    for idx in np.ndindex(x.shape):
+        hi, lo = x.copy(), x.copy()
+        hi[idx] += step
+        lo[idx] -= step
+        numeric[idx] = np.sum(up * (forward(net, hi) - forward(net, lo))) / (2 * step)
+    assert netcore.relative_grad_error(analytic, numeric) < 1e-6
+
+
+def cached_arrays(cache):
+    for field in cache:
+        for item in field if isinstance(field, list) else [field]:
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+def test_lean_cache_holds_no_float_arrays():
+    net = small_net(blocks=3)
+    x = np.random.default_rng(25).standard_normal((50, 8))
+    _, lean = netcore.forward_cached(net, x, keep="inputs")
+    arrays = list(cached_arrays(lean))
+    assert len(arrays) == net.num_blocks
+    assert all(a.dtype == bool and a.shape == (50, net.hidden_dim) for a in arrays)
+    # the full cache keeps masks, not pre-activations, besides its float arrays
+    _, full = netcore.forward_cached(net, x, keep="params")
+    assert all(m.dtype == bool for m in full.masks)
+    assert sum(a.dtype != bool for a in cached_arrays(full)) == 2 + 2 * net.num_blocks
+    assert netcore.forward_cached(net, x, keep=None)[1] is None
 
 
 def test_gradients_match_finite_differences():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,41 @@ def test_train_deterministic(topo):
     assert r1.log == r2.log
     np.testing.assert_array_equal(r1.seg_net.parameters, r2.seg_net.parameters)
     np.testing.assert_array_equal(r1.latents.codes, r2.latents.codes)
+
+
+# sha256 of the trained nets, codes and log of a 4-shape, 5-epoch run with
+# one validation shape; taken at commit a7e2ae3, whose backward always formed
+# parameter gradients, validation shapes included
+GOLDEN_TRAIN_SHA256 = {
+    "float64": "61c7a43b76b91ec8ad6955e952c34cf61e26f020d04de671ec149c06e14d941c",
+    "float32": "cf5ff1513300444b35af7154c1d96347019c30437e24f115ebebc45f99e306bd",
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(GOLDEN_TRAIN_SHA256))
+def test_train_golden(topo, dtype, golden_arithmetic):
+    r = training.train(tiny_cohort(4, topo), tiny_config(dtype=dtype, val_fraction=0.25))
+    assert len(r.val_ids) == 1
+    digest = hashlib.sha256()
+    for arr in (r.seg_net.parameters, r.reg_net.parameters, r.latents.codes, np.array(r.log)):
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == GOLDEN_TRAIN_SHA256[dtype]
+
+
+def test_validation_shapes_form_no_parameter_gradients(topo, monkeypatch):
+    grads = []
+    true_backward = netcore.backward
+
+    def recording(net, inputs, upstream_grads, cache=None):
+        g = true_backward(net, inputs, upstream_grads, cache)
+        grads.append(g.param_grads is None)
+        return g
+
+    monkeypatch.setattr(netcore, "backward", recording)
+    r = training.train(tiny_cohort(4, topo), tiny_config(epochs=3, val_fraction=0.25))
+    assert len(r.val_ids) == 1
+    # per step one seg and one reg backward; 3 epochs of 1 validation shape
+    assert sum(grads) == 2 * 3 and len(grads) == 2 * 3 * 4
 
 
 def test_train_updates_everything(topo):
