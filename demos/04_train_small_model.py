@@ -29,7 +29,7 @@ cfg = training.TrainConfig(
     lr_net=1e-3,
     lr_latent=5e-3,
     val_fraction=0.25,
-    seed=0,
+    train_seed=0,
     dtype="float64",
 )
 result = training.train(samples, cfg)

@@ -22,7 +22,7 @@ for i in range(16):
 cfg = training.TrainConfig(
     epochs=250, latent_dim=8, hidden_dim=48, num_blocks=3,
     seg_batch=768, reg_batch=192, lr_net=1e-3, lr_latent=5e-3,
-    val_fraction=0.2, seed=0, dtype="float32",
+    val_fraction=0.2, train_seed=0, dtype="float32",
 )
 result = training.train(samples, cfg)
 print(f"final losses: {result.log[-1][1:]}")

@@ -18,6 +18,11 @@ from .anatomy import AnatomicalLabel, apply_frame, cardiac_frame, invert_frame, 
 from .anatomy.template import TAG_LV_ENDO, TAG_RV_ENDO
 
 KIND_GRID, KIND_CONTOUR = 0, 1
+# the short-axis stack starts this far (mm) inside the apex and stops this
+# far inside the base
+APEX_MARGIN, BASE_MARGIN = 5.0, 2.0
+# the occupancy grid of a slice extends this far (mm) past the mesh footprint
+GRID_MARGIN = 8.0
 
 
 @dataclass
@@ -103,7 +108,7 @@ ABLATION_ROWS = [
 ]
 
 
-def standard_views(mesh, spacing=10.0, apex_margin=5.0, base_margin=2.0):
+def standard_views(mesh, spacing=10.0):
     """Standard view planes for one shape: a short-axis stack perpendicular
     to the long axis at fixed spacing from apex to base, plus three
     long-axis planes containing the long axis (the 4-chamber plane passes
@@ -115,7 +120,7 @@ def standard_views(mesh, spacing=10.0, apex_margin=5.0, base_margin=2.0):
 
     planes = []
     za, xa, ya = frame.rotation[:, 2], frame.rotation[:, 0], frame.rotation[:, 1]
-    levels = np.arange(z_hi - apex_margin, z_lo + base_margin - 1e-9, -spacing)
+    levels = np.arange(z_hi - APEX_MARGIN, z_lo + BASE_MARGIN - 1e-9, -spacing)
     if levels.size == 0:
         levels = np.array([(z_hi + z_lo) / 2.0])  # degenerate short mesh
     for k, z in enumerate(levels):
@@ -152,13 +157,13 @@ def standard_views(mesh, spacing=10.0, apex_margin=5.0, base_margin=2.0):
     return planes
 
 
-def slice_mesh(mesh, plane, density=2.0, margin=8.0):
+def slice_mesh(mesh, plane, density=2.0):
     """Slice one mesh with one plane.
 
     Returns a :class:`Slice` whose points are (a) contour points where the
     anatomical surface triangles cross the plane, labeled by the surface
     they belong to, and (b) an in-plane occupancy grid over the projected
-    footprint of the mesh (plus ``margin``), labeled by containment.
+    footprint of the mesh (plus ``GRID_MARGIN``), labeled by containment.
     """
     topo = mesh.topology
     verts = mesh.vertices
@@ -184,8 +189,8 @@ def slice_mesh(mesh, plane, density=2.0, margin=8.0):
     rel = verts - plane.origin
     u = rel @ plane.e1
     v = rel @ plane.e2
-    ug = np.arange(u.min() - margin, u.max() + margin, density)
-    vg = np.arange(v.min() - margin, v.max() + margin, density)
+    ug = np.arange(u.min() - GRID_MARGIN, u.max() + GRID_MARGIN, density)
+    vg = np.arange(v.min() - GRID_MARGIN, v.max() + GRID_MARGIN, density)
     uu, vv = np.meshgrid(ug, vg, indexing="ij")
     grid = (
         plane.origin

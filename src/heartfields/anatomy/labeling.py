@@ -24,6 +24,8 @@ _EPS_EDGE = 1e-9
 _NUDGE = 1e-7
 # (point, triangle) pairs evaluated at once; bounds the temporaries
 _CHUNK_PAIRS = 8192
+# the ray-cast index buckets triangles on a _CELLS x _CELLS grid in (x, y)
+_CELLS = 48
 _FALLBACK_DIRS = np.array(
     [
         [0.03617126, 0.08912318, 0.99536593],
@@ -56,7 +58,7 @@ class RayCastIndex:
     the oblique directions (a nudged query counts again).
     """
 
-    def __init__(self, vertices, faces, cells=48):
+    def __init__(self, vertices, faces):
         self.v = np.asarray(vertices, dtype=np.float64)
         self.f = np.asarray(faces, dtype=np.int64)
         tri = self.v[self.f]  # (F, 3, 3)
@@ -67,27 +69,26 @@ class RayCastIndex:
         gmin = lo.min(axis=0) - 1e-6
         gmax = hi.max(axis=0) + 1e-6
         self.gmin, self.gspan = gmin, np.maximum(gmax - gmin, 1e-12)
-        self.cells = cells
         # bin triangles into all grid cells their xy-bbox overlaps; a
         # stable sort keeps each bucket in triangle order
-        lo_cell = np.clip(((lo - gmin) / self.gspan * cells).astype(int), 0, cells - 1)
-        hi_cell = np.clip(((hi - gmin) / self.gspan * cells).astype(int), 0, cells - 1)
+        lo_cell = np.clip(((lo - gmin) / self.gspan * _CELLS).astype(int), 0, _CELLS - 1)
+        hi_cell = np.clip(((hi - gmin) / self.gspan * _CELLS).astype(int), 0, _CELLS - 1)
         span = hi_cell - lo_cell + 1
         per_tri = span[:, 0] * span[:, 1]
         owner = np.repeat(np.arange(len(self.f)), per_tri)
         local = np.arange(len(owner)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
         ny = span[owner, 1]
-        cell = (lo_cell[owner, 0] + local // ny) * cells + lo_cell[owner, 1] + local % ny
+        cell = (lo_cell[owner, 0] + local // ny) * _CELLS + lo_cell[owner, 1] + local % ny
         self.bucket_tris = owner[np.argsort(cell, kind="stable")]
         self.offsets = np.concatenate(
-            [[0], np.cumsum(np.bincount(cell, minlength=cells * cells))]
+            [[0], np.cumsum(np.bincount(cell, minlength=_CELLS * _CELLS))]
         )
         self.fallback_points = 0
 
     def _cell_of(self, pts):
-        cell = ((pts[:, :2] - self.gmin) / self.gspan * self.cells).astype(int)
-        np.clip(cell, 0, self.cells - 1, out=cell)
-        return cell[:, 0] * self.cells + cell[:, 1]
+        cell = ((pts[:, :2] - self.gmin) / self.gspan * _CELLS).astype(int)
+        np.clip(cell, 0, _CELLS - 1, out=cell)
+        return cell[:, 0] * _CELLS + cell[:, 1]
 
     def contains(self, points):
         """Boolean containment per query point."""

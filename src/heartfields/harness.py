@@ -21,7 +21,7 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,9 @@ CONDITIONS = ["ideal", "misaligned"] + [f"ablation:{r.name}" for r in acq.ABLATI
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(training.TrainConfig):
+    """The training settings it inherits plus those of the other stages."""
+
     out_dir: str = "runs/default"
     # cohort
     train_shapes: int = 200
@@ -49,18 +51,6 @@ class ExperimentConfig:
     seg_points: int = 8000
     reg_points: int = 3000
     margin: float = 20.0
-    # training
-    epochs: int = 400
-    latent_dim: int = 64
-    hidden_dim: int = 128
-    num_blocks: int = 8
-    lr_net: float = 1e-4
-    lr_latent: float = 1e-3
-    seg_batch: int = 1536
-    reg_batch: int = 384
-    val_fraction: float = 0.2
-    train_seed: int = 7
-    dtype: str = "float32"
     checkpoint_every: int = 0  # 0: final only
     # inference
     infer_steps: int = 300
@@ -332,22 +322,8 @@ def cmd_train(config, resume=False):
     train_ids, _ = _shape_ids(config)
     samples = [_load_sample(root, sid) for sid in train_ids]
 
-    tc = training.TrainConfig(
-        epochs=config.epochs,
-        latent_dim=config.latent_dim,
-        hidden_dim=config.hidden_dim,
-        num_blocks=config.num_blocks,
-        lr_net=config.lr_net,
-        lr_latent=config.lr_latent,
-        seg_batch=config.seg_batch,
-        reg_batch=config.reg_batch,
-        val_fraction=config.val_fraction,
-        seed=config.train_seed,
-        dtype=config.dtype,
-    )
     prior = load_checkpoint(os.path.join(root, CHECKPOINT)) if resume else None
-    if resume:
-        tc = replace(tc, epochs=max(config.epochs - prior.epoch, 0))
+    tc = replace(config, epochs=max(config.epochs - prior.epoch, 0)) if resume else config
 
     def on_epoch(state):
         if config.checkpoint_every and state.epoch % config.checkpoint_every == 0:

@@ -11,7 +11,7 @@ label map.
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,34 +22,33 @@ from .anatomy.shapes import InstanceMesh
 from .training import REG_OUTPUT_SCALE, bce_loss, dice_loss, reg_inputs, seg_inputs
 
 
+# weight of the Mahalanobis prior; the Dice term's weight is 1
+LAMBDA_R = 1e-2
+
+
 @dataclass
 class InferenceWeights:
-    lambda_r: float = 1e-2
     lambda_bce: float = 1.0
-    lambda_dice: float = 1.0
     steps: int = 400
     lr: float = 1e-2
     max_points: int = 2500  # slice points are subsampled to this budget
 
     def __post_init__(self):
-        if min(self.lambda_r, self.lambda_bce, self.lambda_dice) < 0:
+        if self.lambda_bce < 0:
             raise ValueError("inference weights must be nonnegative")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
 
-# weight presets per test condition: consistently sliced contours get the
-# heavier BCE weighting, misaligned ones equal weights
-PRESETS = {
-    "ideal": dict(lambda_bce=10.0, lambda_dice=1.0),
-    "misaligned": dict(lambda_bce=1.0, lambda_dice=1.0),
-}
+# BCE weight per test condition: consistently sliced contours get the
+# heavier BCE weighting, misaligned ones equal BCE and Dice weights
+PRESETS = {"ideal": 10.0, "misaligned": 1.0}
 
 
 def weights_for(preset, **overrides):
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-    return InferenceWeights(**{**PRESETS[preset], **overrides})
+    return InferenceWeights(lambda_bce=PRESETS[preset], **overrides)
 
 
 def mahalanobis(z, stats, with_grad=False):
@@ -71,7 +70,6 @@ class ReconstructionResult:
     latent: np.ndarray
     loss_trace: np.ndarray
     n_points: int
-    preset: str = ""
 
 
 def optimize_latent(contours, seg_net, stats, weights, seed=0):
@@ -116,12 +114,12 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
         lb, gb = bce_loss(logits, onehot, with_grad=True)
         ld, gd = dice_loss(logits, onehot, with_grad=True)
         lm, gm = mahalanobis(code.astype(np.float64), stats, with_grad=True)
-        loss = weights.lambda_r * lm + weights.lambda_bce * lb + weights.lambda_dice * ld
+        loss = LAMBDA_R * lm + weights.lambda_bce * lb + ld
         if not want_grad:
             return loss, None
-        upstream = weights.lambda_bce * gb + weights.lambda_dice * gd
+        upstream = weights.lambda_bce * gb + gd
         g = netcore.backward(seg_net, x, upstream, cache=cache)
-        g_h = g.input_grads[:, 3:].sum(axis=0) + weights.lambda_r * gm.astype(dt)
+        g_h = g.input_grads[:, 3:].sum(axis=0) + LAMBDA_R * gm.astype(dt)
         return loss, g_h
 
     for _ in range(weights.steps):

@@ -244,6 +244,10 @@ def backward(net, inputs, upstream_grads, cache=None):
     return GradientBuffer(grads, gh @ w_in.T)
 
 
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam moment buffers for one flat parameter vector."""
@@ -252,14 +256,11 @@ class OptimizerState:
     second_moment: np.ndarray
     step_count: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_params(cls, params, lr=1e-4):
         z = np.zeros_like(params)
-        return cls(z, z.copy(), 0, lr, beta1, beta2, eps)
+        return cls(z, z.copy(), 0, lr)
 
 
 def adam_step(params, grads, state):
@@ -274,13 +275,13 @@ def adam_step(params, grads, state):
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return params, state
 
 

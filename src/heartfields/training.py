@@ -46,9 +46,6 @@ class LatentTable:
         if len(self.shape_ids) != len(self.codes):
             raise ValueError("shape id list does not match the code table")
 
-    def index(self, shape_id):
-        return self.shape_ids.index(shape_id)
-
 
 @dataclass
 class LatentStats:
@@ -156,14 +153,13 @@ def prior_schedule(epoch):
     return min(1.0, epoch / WARMUP_EPOCHS) * LAMBDA_PRIOR_MAX
 
 
-def total_loss(seg, reg, prior, epoch=None):
+def total_loss(seg, reg, prior, epoch):
     """Training objective: seg / lambda_seg + reg / lambda_reg +
     lambda_prior(epoch) * prior (the two scale factors divide)."""
-    lam_p = LAMBDA_PRIOR_MAX if epoch is None else prior_schedule(epoch)
     for name, v in (("seg", seg), ("reg", reg), ("prior", prior)):
         if not math.isfinite(v):
             raise ValueError(f"non-finite {name} loss: {v}")
-    return seg / LAMBDA_SEG + reg / LAMBDA_REG + lam_p * prior
+    return seg / LAMBDA_SEG + reg / LAMBDA_REG + prior_schedule(epoch) * prior
 
 
 def _sigmoid(z):
@@ -252,7 +248,7 @@ class TrainConfig:
     seg_batch: int = 1536
     reg_batch: int = 384
     val_fraction: float = 0.2
-    seed: int = 0
+    train_seed: int = 7
     dtype: str = "float32"
 
     @property
@@ -286,16 +282,20 @@ def reg_inputs(uvc, code):
     return np.concatenate([uvc, h], axis=1)
 
 
+def _net_dims(config):
+    """(input, output, hidden, blocks) of the seg and the reg network."""
+    return (
+        (3 + config.latent_dim, N_LABELS, config.hidden_dim, config.num_blocks),
+        (4 + config.latent_dim, 3, config.hidden_dim, config.num_blocks),
+    )
+
+
 def make_networks(config):
     dt = config.np_dtype
-    seg = netcore.init_params(
-        netcore.ResidualMlp(3 + config.latent_dim, N_LABELS, config.hidden_dim, config.num_blocks),
-        seed=config.seed + 1,
-    ).astype(dt)
-    reg = netcore.init_params(
-        netcore.ResidualMlp(4 + config.latent_dim, 3, config.hidden_dim, config.num_blocks),
-        seed=config.seed + 2,
-    ).astype(dt)
+    seg, reg = (
+        netcore.init_params(netcore.ResidualMlp(*dims), seed=config.train_seed + k).astype(dt)
+        for k, dims in enumerate(_net_dims(config), 1)
+    )
     return seg, reg
 
 
@@ -317,7 +317,7 @@ def train(samples, config, resume=None, on_epoch=None):
     n_shapes = len(samples)
     dt = config.np_dtype
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.train_seed)
     n_val = int(round(config.val_fraction * n_shapes)) if n_shapes > 1 else 0
     order = rng.permutation(n_shapes)
     val_set = set(order[:n_val].tolist())
@@ -336,6 +336,15 @@ def train(samples, config, resume=None, on_epoch=None):
         ]
         epoch0 = 0
     else:
+        have = tuple(
+            (n.input_dim, n.output_dim, n.hidden_dim, n.num_blocks)
+            for n in (resume.seg_net, resume.reg_net)
+        )
+        if have != _net_dims(config):
+            raise ValueError(
+                f"checkpoint networks have (input, output, hidden, blocks) {have}, "
+                f"the config's are {_net_dims(config)}"
+            )
         seg_net = resume.seg_net.astype(dt)
         reg_net = resume.reg_net.astype(dt)
         codes = resume.latent_codes.astype(dt)
@@ -372,7 +381,7 @@ def train(samples, config, resume=None, on_epoch=None):
 
     for epoch in range(epoch0, epoch0 + config.epochs):
         lam_p = prior_schedule(epoch)
-        epoch_rng = np.random.default_rng([config.seed, 977, epoch])
+        epoch_rng = np.random.default_rng([config.train_seed, 977, epoch])
         visit = epoch_rng.permutation(n_shapes)
         sums = np.zeros(4)
         n_train_steps = 0

@@ -80,6 +80,9 @@ def test_config_hash_stable():
     # the same settings in another directory are the same configuration
     assert a.hash() == harness.ExperimentConfig(out_dir="y").hash()
     assert a.hash() != replace(a, epochs=a.epochs + 1).hash()
+    # taken at commit 1d8de1b, where ExperimentConfig declared the training
+    # settings itself: every manifest written since keeps its config_hash
+    assert a.hash() == "26b4cee68ab856e900713f7dfa31115b30936d0b3fcf10c5eb70562857e485e8"
 
 
 # ----------------------------------------------------------------- generate
@@ -219,6 +222,18 @@ def test_train_noop_resume_keeps_checkpoint(tmp_path):
     before = open(path, "rb").read()
     harness.cmd_train(cfg, resume=True)  # no epochs left
     assert sorted(harness.load_checkpoint(path).opt) == ["lat", "reg", "seg"]
+    assert open(path, "rb").read() == before
+
+
+def test_train_resume_rejects_another_architecture(tmp_path):
+    cfg = mini_config(tmp_path / "arch", test_shapes=0, epochs=2)
+    harness.cmd_generate(cfg)
+    harness.cmd_train(cfg)
+    path = os.path.join(cfg.out_dir, "checkpoint.nihc")
+    before = open(path, "rb").read()
+    wider = replace(cfg, epochs=4, hidden_dim=32, num_blocks=3)
+    with pytest.raises(ValueError, match=r"\(7, 5, 16, 2\).*\(7, 5, 32, 3\)"):
+        harness.cmd_train(wider, resume=True)
     assert open(path, "rb").read() == before
 
 

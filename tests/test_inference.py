@@ -32,7 +32,7 @@ def small_model(topo):
         lr_net=2e-3,
         lr_latent=1e-2,
         val_fraction=0.0,
-        seed=1,
+        train_seed=1,
         dtype="float64",
     )
     result = training.train(samples, cfg)
@@ -91,11 +91,11 @@ def test_mahalanobis_gradient():
 
 def test_weight_presets():
     ideal = inference.weights_for("ideal")
-    assert ideal.lambda_bce == 10.0 and ideal.lambda_dice == 1.0
+    assert ideal.lambda_bce == 10.0
     mis = inference.weights_for("misaligned")
-    assert mis.lambda_bce == 1.0 and mis.lambda_dice == 1.0
-    override = inference.weights_for("ideal", steps=7, lambda_dice=2.5)
-    assert override.steps == 7 and override.lambda_dice == 2.5
+    assert mis.lambda_bce == 1.0
+    override = inference.weights_for("ideal", steps=7)
+    assert override.steps == 7 and override.lambda_bce == 10.0
     with pytest.raises(ValueError):
         inference.weights_for("nope")
     with pytest.raises(ValueError):
@@ -175,9 +175,9 @@ def evaluate_loss(rec, contours, result, cfg, w):
     x = training.seg_inputs(pts, rec.latent)
     logits = netcore.forward(result.seg_net, x)
     return (
-        w.lambda_r * inference.mahalanobis(rec.latent, result.stats)
+        inference.LAMBDA_R * inference.mahalanobis(rec.latent, result.stats)
         + w.lambda_bce * training.bce_loss(logits, onehot)
-        + w.lambda_dice * training.dice_loss(logits, onehot)
+        + training.dice_loss(logits, onehot)
     )
 
 
@@ -188,17 +188,18 @@ def test_optimize_latent_beats_training_code(topo, small_model):
     contours = acq.acquire(meshes[1], "t001", density=4.0)
     w = inference.weights_for("ideal", steps=250, max_points=1200)
     rec = inference.optimize_latent(contours, result.seg_net, result.stats, w)
-    h0 = result.latents.codes[result.latents.index("t001")]
+    h0 = result.latents.codes[result.latents.shape_ids.index("t001")]
     rec0 = inference.ReconstructionResult(latent=h0, loss_trace=np.zeros(1), n_points=0)
     loss_opt = evaluate_loss(rec, contours, result, cfg, w)
     loss_h0 = evaluate_loss(rec0, contours, result, cfg, w)
     assert loss_opt <= loss_h0 + 1e-6
 
 
-def test_optimize_latent_prior_dominated_limit(topo, small_model):
+def test_optimize_latent_prior_dominated_limit(topo, small_model, monkeypatch):
     result, cfg, meshes, _ = small_model
     contours = acq.acquire(meshes[2], "t002", density=4.0)
-    w = inference.weights_for("ideal", steps=300, max_points=400, lambda_r=1e6)
+    monkeypatch.setattr(inference, "LAMBDA_R", 1e6)
+    w = inference.weights_for("ideal", steps=300, max_points=400)
     rec = inference.optimize_latent(contours, result.seg_net, result.stats, w)
     assert np.linalg.norm(rec.latent - result.stats.mean) < 1e-3
 
@@ -248,7 +249,7 @@ def test_predict_mesh_close_to_training_shape(topo, small_model):
     from heartfields.metrics import corresponding_ed
 
     result, cfg, meshes, _ = small_model
-    idx = result.latents.index("t000")
+    idx = result.latents.shape_ids.index("t000")
     pred = inference.predict_mesh(result.reg_net, result.latents.codes[idx], topo)
     ed, _ = corresponding_ed(pred.vertices, meshes[0].vertices)
     assert ed < 8.0  # small model, loose bound; tightened in acceptance

@@ -307,7 +307,7 @@ def tiny_config(**kw):
         reg_batch=64,
         lr_net=1e-3,
         lr_latent=1e-2,
-        seed=0,
+        train_seed=0,
         dtype="float64",
     )
     base.update(kw)
