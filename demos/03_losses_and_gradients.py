@@ -17,13 +17,13 @@ rng = np.random.default_rng(0)
 targets = AnatomicalLabel.one_hot(rng.integers(0, 5, size=50))
 perfect = np.where(targets > 0, 20.0, -20.0)
 agnostic = np.zeros_like(perfect)
-print(f"seg loss, saturated-correct logits: {training.seg_loss(perfect, targets):.2e}")
-print(f"seg loss, all-zero logits:          {training.seg_loss(agnostic, targets):.3f}")
+print(f"seg loss, saturated-correct logits: {training.seg_loss(perfect, targets)[0]:.2e}")
+print(f"seg loss, all-zero logits:          {training.seg_loss(agnostic, targets)[0]:.3f}")
 print(f"  (BCE part alone is ln 2 = {np.log(2):.3f} at zero logits)")
 
 # --------------------------------------------------------------- prior terms
 codes = rng.standard_normal((8, 16)) * 0.3
-print(f"latent prior (mean squared norm): {training.prior_loss(codes):.3f}")
+print(f"latent prior (mean squared norm): {training.prior_loss(codes)[0]:.3f}")
 for epoch in (0, 25, 50, 100, 400):
     print(f"  prior weight at epoch {epoch:>3}: {training.prior_schedule(epoch):.2e}")
 
@@ -47,7 +47,7 @@ net = netcore.init_params(netcore.ResidualMlp(7, 5, 16, 2), seed=2)
 
 inputs = training.seg_inputs(xyz, latent)
 logits, cache = netcore.forward_cached(net, inputs, keep="inputs")  # input gradients only
-_, g_logits = training.seg_loss(logits, t5, with_grad=True)
+_, g_logits = training.seg_loss(logits, t5)
 g = netcore.backward(net, inputs, g_logits, cache=cache)
 analytic = g.input_grads[:, 3:].sum(axis=0)
 
@@ -56,9 +56,7 @@ for i in range(latent.size):
     for sign in (+1, -1):
         h = latent.copy()
         h[i] += sign * 1e-6
-        val = training.seg_loss(
-            netcore.forward(net, training.seg_inputs(xyz, h)), t5
-        )
+        val, _ = training.seg_loss(netcore.forward(net, training.seg_inputs(xyz, h)), t5)
         numeric[i] += sign * val / 2e-6
 print(
     "d seg_loss / d latent, analytic vs numeric: max rel err "

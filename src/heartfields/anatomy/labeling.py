@@ -44,8 +44,11 @@ class AnatomicalLabel(IntEnum):
 
     @staticmethod
     def one_hot(labels):
-        """(n, 5) float one-hot encoding of integer labels."""
+        """(n, 5) float one-hot encoding of integer labels; raises
+        ``ValueError`` for a label outside 0-4."""
         labels = np.asarray(labels, dtype=np.int64)
+        if labels.size and not (0 <= labels.min() and labels.max() < 5):
+            raise ValueError(f"labels must lie in 0-4, got {labels.min()}..{labels.max()}")
         out = np.zeros((labels.size, 5))
         out[np.arange(labels.size), labels.ravel()] = 1.0
         return out

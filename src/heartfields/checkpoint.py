@@ -10,9 +10,9 @@ which loading checks; per network ``seg_net.dims`` / ``reg_net.dims``
 in layout order; ``latent_codes`` (n_shapes, latent_dim); optionally
 ``stats.mean``, ``stats.cov`` and ``stats.cov_inv``; optionally
 ``opt.<name>.m``, ``.v`` and ``.t``, the Adam moments and step count of
-"seg", "reg" and "lat" (the latent rows' states as one 2-D block) so
-training can resume; and ``epoch``. All floating members are float64
-regardless of the in-memory compute dtype.
+"seg", "reg" and "lat" (one state for the whole latent table, counting
+epochs; no learning rate) so training can resume; and ``epoch``. All
+floating members are float64 regardless of the in-memory compute dtype.
 """
 
 import io
@@ -37,7 +37,7 @@ class Checkpoint:
     reg_net: ResidualMlp
     latent_codes: np.ndarray  # (n_shapes, latent_dim)
     stats: LatentStats = None
-    # Adam states: "seg" and "reg" one each, "lat" a list with one per row
+    # Adam states of "seg", "reg" and "lat", one each
     opt: dict = field(default_factory=dict)
     epoch: int = 0
 
@@ -58,13 +58,9 @@ def save_checkpoint(path, ckpt):
         for key in ("mean", "cov", "cov_inv"):
             members[f"stats.{key}"] = getattr(ckpt.stats, key)
     for name, state in sorted(ckpt.opt.items()):
-        if name == "lat":
-            m = np.stack([row.first_moment for row in state])
-            v = np.stack([row.second_moment for row in state])
-            t = state[0].step_count
-        else:
-            m, v, t = state.first_moment, state.second_moment, state.step_count
-        members.update({f"opt.{name}.m": m, f"opt.{name}.v": v, f"opt.{name}.t": t})
+        members[f"opt.{name}.m"] = state.first_moment
+        members[f"opt.{name}.v"] = state.second_moment
+        members[f"opt.{name}.t"] = state.step_count
     members["epoch"] = ckpt.epoch
 
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
@@ -121,8 +117,5 @@ def _from_archive(arrays):
         m, v, t = arrays[f"opt.{name}.m"], arrays[f"opt.{name}.v"], int(arrays[f"opt.{name}.t"])
         if m.shape != params.shape or v.shape != params.shape:
             raise ValueError(f"opt.{name} moments are {m.shape}/{v.shape}, not {params.shape}")
-        if name == "lat":
-            ckpt.opt[name] = [OptimizerState(a, b, t) for a, b in zip(m, v)]
-        else:
-            ckpt.opt[name] = OptimizerState(m, v, t)
+        ckpt.opt[name] = OptimizerState(m, v, t)
     return ckpt

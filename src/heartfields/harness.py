@@ -199,6 +199,9 @@ class Manifest:
             "artifacts": {rel: file_hash(os.path.join(self.root, rel)) for rel in sorted(artifacts)},
             **extra,
         }
+        self.save()
+
+    def save(self):
         text = json.dumps(self.doc, indent=1, sort_keys=True) + "\n"
         _write(self.root, MANIFEST, _write_text, text)
 
@@ -291,7 +294,16 @@ def cmd_generate(config, force=False):
 
 
 def _load_sample(root, sid):
-    seg, reg = (np.load(os.path.join(root, rel)) for rel in _sample_npys(sid))
+    """Read shape ``sid``'s point samples; raise ``ValueError`` naming the file
+    unless seg is (n, 4) with integer labels in 0-4 and reg is (m, 7)."""
+    paths = [os.path.join(root, rel) for rel in _sample_npys(sid)]
+    seg, reg = (np.load(path) for path in paths)
+    for path, arr, width in zip(paths, (seg, reg), (4, 7)):
+        if arr.ndim != 2 or arr.shape[1] != width:
+            raise ValueError(f"{path}: expected an (n, {width}) array, got shape {arr.shape}")
+    labels = seg[:, 3]
+    if not np.all((labels == np.round(labels)) & (labels >= 0) & (labels < training.N_LABELS)):
+        raise ValueError(f"{paths[0]}: labels must be integers in 0-4")
     return training.TrainingSample(
         shape_id=sid,
         seg_xyz=seg[:, :3],
@@ -310,19 +322,23 @@ def load_instance_mesh(root, sid, topo=None):
 
 
 def cmd_train(config, resume=False):
-    """Train the model and write its checkpoint. The reconstructions,
-    evaluations and report of the model it replaces are removed first, so
-    no later stage mixes them with the new checkpoint."""
+    """Train the model and write its checkpoint. Once the samples and any
+    resume pass their checks, the old model's reconstructions, evaluations
+    and report go, with their manifest records, so no later stage mixes
+    them with the new checkpoint; a rejected resume removes nothing."""
     root = config.out_dir
     started = time.perf_counter()
-    _remove(root, (RECON, EVAL, REPORT))
+    train_ids, _ = _shape_ids(config)
+    samples = [_load_sample(root, sid) for sid in train_ids]
+    prior = load_checkpoint(os.path.join(root, CHECKPOINT)) if resume else None
+    if resume:
+        training.check_resume(prior, config, len(samples))
+
     manifest = Manifest(root)
     for stage in ("reconstruct", "evaluate"):
         manifest.doc["stages"].pop(stage, None)
-    train_ids, _ = _shape_ids(config)
-    samples = [_load_sample(root, sid) for sid in train_ids]
-
-    prior = load_checkpoint(os.path.join(root, CHECKPOINT)) if resume else None
+    manifest.save()
+    _remove(root, (RECON, EVAL, REPORT))
     tc = replace(config, epochs=max(config.epochs - prior.epoch, 0)) if resume else config
 
     def on_epoch(state):

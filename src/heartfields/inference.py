@@ -28,10 +28,10 @@ LAMBDA_R = 1e-2
 
 @dataclass
 class InferenceWeights:
-    lambda_bce: float = 1.0
-    steps: int = 400
+    lambda_bce: float
+    steps: int
+    max_points: int  # slice points are subsampled to this budget
     lr: float = 1e-2
-    max_points: int = 2500  # slice points are subsampled to this budget
 
     def __post_init__(self):
         if self.lambda_bce < 0:
@@ -51,18 +51,15 @@ def weights_for(preset, **overrides):
     return InferenceWeights(lambda_bce=PRESETS[preset], **overrides)
 
 
-def mahalanobis(z, stats, with_grad=False):
+def mahalanobis(z, stats):
     """Quadratic form (z - mean)^T cov_inv (z - mean) with the regularized
-    inverse; nonnegative by construction."""
+    inverse, nonnegative by construction, and its gradient."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != stats.mean.shape:
         raise ValueError(f"latent dim {z.shape} vs stats dim {stats.mean.shape}")
     d = z - stats.mean
     sd = stats.cov_inv @ d
-    val = float(d @ sd)
-    if not with_grad:
-        return val
-    return val, 2.0 * sd
+    return float(d @ sd), 2.0 * sd
 
 
 @dataclass
@@ -99,7 +96,7 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
 
     before = hashlib.sha256(seg_net.parameters.tobytes()).hexdigest()
     h = stats.mean.astype(dt).copy()
-    opt = netcore.OptimizerState.for_params(h, lr=weights.lr)
+    opt = netcore.OptimizerState.for_params(h)
     trace = []
     best_loss, best_h = np.inf, h.copy()
     blowups = 0  # a heavily weighted prior spikes transiently on the first
@@ -111,9 +108,9 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
             logits, cache = netcore.forward_cached(seg_net, x, keep="inputs")
         else:
             logits = netcore.forward(seg_net, x)
-        lb, gb = bce_loss(logits, onehot, with_grad=True)
-        ld, gd = dice_loss(logits, onehot, with_grad=True)
-        lm, gm = mahalanobis(code.astype(np.float64), stats, with_grad=True)
+        lb, gb = bce_loss(logits, onehot)
+        ld, gd = dice_loss(logits, onehot)
+        lm, gm = mahalanobis(code.astype(np.float64), stats)
         loss = LAMBDA_R * lm + weights.lambda_bce * lb + ld
         if not want_grad:
             return loss, None
@@ -132,7 +129,7 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
             raise FloatingPointError(
                 f"latent optimization diverged (loss {loss:.3g}); trace tail: {trace[-5:]}"
             )
-        netcore.adam_step(h, g_h.astype(dt), opt)
+        netcore.adam_step(h, g_h.astype(dt), opt, weights.lr)
     final_loss, _ = evaluate(h, want_grad=False)
     trace.append(final_loss)
     if final_loss < best_loss:

@@ -250,21 +250,20 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class OptimizerState:
-    """Adam moment buffers for one flat parameter vector."""
+    """Adam moment buffers and step count for one parameter array."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    lr: float = 1e-4
 
     @classmethod
-    def for_params(cls, params, lr=1e-4):
+    def for_params(cls, params):
         z = np.zeros_like(params)
-        return cls(z, z.copy(), 0, lr)
+        return cls(z, z.copy())
 
 
-def adam_step(params, grads, state):
-    """One bias-corrected Adam update, in place. Returns (params, state)."""
+def adam_step(params, grads, state, lr):
+    """One bias-corrected Adam update at rate ``lr``, in place. Returns (params, state)."""
     g = np.asarray(grads)
     if g.shape != params.shape or state.first_moment.shape != params.shape:
         raise ValueError("parameter/gradient/moment layouts do not match")
@@ -281,7 +280,7 @@ def adam_step(params, grads, state):
     v += (1.0 - BETA2) * g * g
     m_hat = m / (1.0 - BETA1**t)
     v_hat = v / (1.0 - BETA2**t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+    params -= lr * m_hat / (np.sqrt(v_hat) + EPS)
     return params, state
 
 

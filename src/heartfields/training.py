@@ -4,15 +4,15 @@ coordinate regressor.
 Both networks share one latent code per shape. Each optimizer step runs one
 shape: a batch of labeled spatial points through the classifier, a batch of
 (coordinate-tuple, position) pairs through the regressor, the combined loss
-(classification part divided by its scale factor, regression part by its
-much larger one, plus the warm-up weighted latent prior), and one Adam
-update of both parameter vectors and that shape's code. All loss gradients
-are analytic and are validated against finite differences in the test
-suite.
+(classification part, plus the regression part divided by its scale factor,
+plus the warm-up weighted latent prior), and one Adam update of both
+parameter vectors and that shape's code. Every loss returns its value and
+its analytic gradient; the gradients are validated against finite
+differences in the test suite.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,8 @@ INPUT_SCALE = 0.01  # mm -> network units for spatial inputs
 REG_OUTPUT_SCALE = 100.0  # network units -> mm for positions
 
 
-# loss weights: the seg and reg losses are divided by theirs, the prior's
-# weight ramps linearly up to its maximum over the warm-up epochs
-LAMBDA_SEG = 1.0
+# loss weights: the reg loss is divided by its own, the prior's weight
+# ramps linearly up to its maximum over the warm-up epochs
 LAMBDA_REG = 1000.0
 LAMBDA_PRIOR_MAX = 1e-4
 WARMUP_EPOCHS = 100
@@ -82,68 +81,55 @@ def _check_one_hot(targets):
     return t
 
 
-def bce_loss(logits, targets, with_grad=False):
-    """Per-channel sigmoid binary cross-entropy, averaged over points and
-    channels. Numerically stable (softplus form)."""
+def bce_loss(logits, targets):
+    """(value, gradient) of the per-channel sigmoid binary cross-entropy,
+    averaged over points and channels. Numerically stable (softplus form)."""
     z = np.asarray(logits)
     t = _check_one_hot(targets).astype(z.dtype)
     if z.shape != t.shape:
         raise ValueError(f"logits {z.shape} vs targets {t.shape}")
     n = z.size
     loss = float(np.sum(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))) / n)
-    if not with_grad:
-        return loss
-    sig = _sigmoid(z)
-    return loss, (sig - t) / n
+    return loss, (_sigmoid(z) - t) / n
 
 
-def dice_loss(logits, targets, with_grad=False):
-    """One minus the channel-mean soft Dice of the sigmoid probabilities."""
+def dice_loss(logits, targets):
+    """(value, gradient) of one minus the channel-mean soft Dice of the sigmoids."""
     z = np.asarray(logits)
     t = _check_one_hot(targets).astype(z.dtype)
     s = _sigmoid(z)
     num = 2.0 * np.sum(s * t, axis=0) + DICE_SMOOTH
     den = np.sum(s, axis=0) + np.sum(t, axis=0) + DICE_SMOOTH
     loss = float(1.0 - np.mean(num / den))
-    if not with_grad:
-        return loss
     # d(num_c)/d s_ic = 2 t_ic, d(den_c)/d s_ic = 1
     ddice_ds = (2.0 * t * den - num) / (den * den)
     grad = -(ddice_ds / N_LABELS) * s * (1.0 - s)
     return loss, grad
 
 
-def seg_loss(logits, targets, with_grad=False):
-    """Combined BCE and soft-Dice classification loss."""
-    if not with_grad:
-        return bce_loss(logits, targets) + dice_loss(logits, targets)
-    b, gb = bce_loss(logits, targets, with_grad=True)
-    d, gd = dice_loss(logits, targets, with_grad=True)
+def seg_loss(logits, targets):
+    """(value, gradient) of the combined BCE and soft-Dice classification loss."""
+    b, gb = bce_loss(logits, targets)
+    d, gd = dice_loss(logits, targets)
     return b + d, gb + gd
 
 
-def reg_loss(pred, target, with_grad=False):
-    """Mean squared error over points and the 3 coordinates (mm^2)."""
+def reg_loss(pred, target):
+    """(value, gradient) of the mean squared error over points and xyz (mm^2)."""
     p = np.asarray(pred)
     t = np.asarray(target, dtype=p.dtype)
     if p.shape != t.shape:
         raise ValueError(f"prediction {p.shape} vs target {t.shape}")
     diff = p - t
-    loss = float(np.sum(diff * diff) / diff.size)
-    if not with_grad:
-        return loss
-    return loss, 2.0 * diff / diff.size
+    return float(np.sum(diff * diff) / diff.size), 2.0 * diff / diff.size
 
 
-def prior_loss(codes, with_grad=False):
-    """Mean squared latent norm over the batch, (1/B) sum ||h_i||^2."""
+def prior_loss(codes):
+    """(value, gradient) of the mean squared latent norm, (1/B) sum ||h_i||^2."""
     h = np.atleast_2d(np.asarray(codes))
     if h.size == 0:
         raise ValueError("prior loss of an empty batch")
-    loss = float(np.sum(h * h) / len(h))
-    if not with_grad:
-        return loss
-    return loss, 2.0 * h / len(h)
+    return float(np.sum(h * h) / len(h)), 2.0 * h / len(h)
 
 
 def prior_schedule(epoch):
@@ -154,12 +140,12 @@ def prior_schedule(epoch):
 
 
 def total_loss(seg, reg, prior, epoch):
-    """Training objective: seg / lambda_seg + reg / lambda_reg +
-    lambda_prior(epoch) * prior (the two scale factors divide)."""
+    """Training objective: seg + reg / lambda_reg + lambda_prior(epoch) *
+    prior (the regression scale factor divides)."""
     for name, v in (("seg", seg), ("reg", reg), ("prior", prior)):
         if not math.isfinite(v):
             raise ValueError(f"non-finite {name} loss: {v}")
-    return seg / LAMBDA_SEG + reg / LAMBDA_REG + prior_schedule(epoch) * prior
+    return seg + reg / LAMBDA_REG + prior_schedule(epoch) * prior
 
 
 def _sigmoid(z):
@@ -265,7 +251,7 @@ class TrainResult:
     log: list  # rows of (epoch, seg, reg, prior, total, val_total)
     train_ids: list
     val_ids: list
-    opt: dict  # Adam states: "seg", "reg", and "lat" (one per latent row)
+    opt: dict  # Adam states of "seg", "reg" and "lat", the whole latent table
     epoch: int  # epochs completed, counting those before a resume
 
 
@@ -299,6 +285,25 @@ def make_networks(config):
     return seg, reg
 
 
+def check_resume(resume, config, n_shapes):
+    """Raise ``ValueError`` unless checkpoint ``resume`` can continue a run
+    of ``config`` over ``n_shapes`` shapes: equal network dims, one latent
+    row per shape, and the Adam states of both nets and the latent table."""
+    have = tuple(
+        (n.input_dim, n.output_dim, n.hidden_dim, n.num_blocks)
+        for n in (resume.seg_net, resume.reg_net)
+    )
+    if have != _net_dims(config):
+        raise ValueError(
+            f"checkpoint networks have (input, output, hidden, blocks) {have}, "
+            f"the config's are {_net_dims(config)}"
+        )
+    if resume.latent_codes.shape != (n_shapes, config.latent_dim):
+        raise ValueError("checkpoint latent table does not match the cohort")
+    if sorted(resume.opt) != ["lat", "reg", "seg"]:
+        raise ValueError("checkpoint holds no optimizer state to resume from")
+
+
 def train(samples, config, resume=None, on_epoch=None):
     """Run the joint loop over precomputed per-shape samples.
 
@@ -306,9 +311,9 @@ def train(samples, config, resume=None, on_epoch=None):
     80/20 into training and validation; validation shapes contribute
     latent-code updates and logged losses but never network updates.
     ``resume`` continues from a loaded checkpoint (networks, codes, Adam
-    states, epoch counter). ``on_epoch`` is called after every epoch with
-    the :class:`TrainResult` reached so far. Returns the final
-    :class:`TrainResult`.
+    states, epoch counter) that :func:`check_resume` accepts. ``on_epoch``
+    is called after every epoch with the :class:`TrainResult` reached so
+    far. Returns the final :class:`TrainResult`.
     """
     if not samples:
         raise ValueError("empty cohort")
@@ -328,33 +333,17 @@ def train(samples, config, resume=None, on_epoch=None):
         codes = (
             rng.standard_normal((n_shapes, config.latent_dim)) * 0.01
         ).astype(dt)
-        opt_seg = netcore.OptimizerState.for_params(seg_net.parameters, lr=config.lr_net)
-        opt_reg = netcore.OptimizerState.for_params(reg_net.parameters, lr=config.lr_net)
-        opt_lat = [
-            netcore.OptimizerState.for_params(codes[i], lr=config.lr_latent)
-            for i in range(n_shapes)
-        ]
+        opt_seg, opt_reg, opt_lat = (
+            netcore.OptimizerState.for_params(p)
+            for p in (seg_net.parameters, reg_net.parameters, codes)
+        )
         epoch0 = 0
     else:
-        have = tuple(
-            (n.input_dim, n.output_dim, n.hidden_dim, n.num_blocks)
-            for n in (resume.seg_net, resume.reg_net)
-        )
-        if have != _net_dims(config):
-            raise ValueError(
-                f"checkpoint networks have (input, output, hidden, blocks) {have}, "
-                f"the config's are {_net_dims(config)}"
-            )
+        check_resume(resume, config, n_shapes)
         seg_net = resume.seg_net.astype(dt)
         reg_net = resume.reg_net.astype(dt)
         codes = resume.latent_codes.astype(dt)
-        if codes.shape != (n_shapes, config.latent_dim):
-            raise ValueError("checkpoint latent table does not match the cohort")
-        if sorted(resume.opt) != ["lat", "reg", "seg"]:
-            raise ValueError("checkpoint holds no optimizer state to resume from")
-        opt_seg = _resumed(resume.opt["seg"], dt, config.lr_net)
-        opt_reg = _resumed(resume.opt["reg"], dt, config.lr_net)
-        opt_lat = [_resumed(st, dt, config.lr_latent) for st in resume.opt["lat"]]
+        opt_seg, opt_reg, opt_lat = (_resumed(resume.opt[k], dt) for k in ("seg", "reg", "lat"))
         epoch0 = resume.epoch
 
     # cast the point data once
@@ -397,14 +386,14 @@ def train(samples, config, resume=None, on_epoch=None):
             xs = seg_inputs(seg_xyz[si][bs], h)
             ts = seg_onehot[si][bs]
             logits, cache_s = netcore.forward_cached(seg_net, xs, keep=keep)
-            l_seg, g_logits = seg_loss(logits, ts, with_grad=True)
+            l_seg, g_logits = seg_loss(logits, ts)
 
             xr = reg_inputs(reg_uvc[si][br], h)
             out, cache_r = netcore.forward_cached(reg_net, xr, keep=keep)
             pred_mm = out * REG_OUTPUT_SCALE
-            l_reg, g_pred = reg_loss(pred_mm, reg_xyz[si][br], with_grad=True)
+            l_reg, g_pred = reg_loss(pred_mm, reg_xyz[si][br])
 
-            l_prior, g_prior = prior_loss(h, with_grad=True)
+            l_prior, g_prior = prior_loss(h)
             l_total = total_loss(l_seg, l_reg, l_prior, epoch)
             if not math.isfinite(l_total):
                 raise FloatingPointError(
@@ -412,7 +401,7 @@ def train(samples, config, resume=None, on_epoch=None):
                     f"seg={l_seg} reg={l_reg} prior={l_prior}"
                 )
 
-            gs = netcore.backward(seg_net, xs, g_logits / LAMBDA_SEG, cache=cache_s)
+            gs = netcore.backward(seg_net, xs, g_logits, cache=cache_s)
             gr = netcore.backward(
                 reg_net, xr, g_pred * (REG_OUTPUT_SCALE / LAMBDA_REG), cache=cache_r
             )
@@ -427,11 +416,16 @@ def train(samples, config, resume=None, on_epoch=None):
                 val_sum += l_total
                 n_val_steps += 1
             else:
-                netcore.adam_step(seg_net.parameters, gs.param_grads, opt_seg)
-                netcore.adam_step(reg_net.parameters, gr.param_grads, opt_reg)
+                netcore.adam_step(seg_net.parameters, gs.param_grads, opt_seg, config.lr_net)
+                netcore.adam_step(reg_net.parameters, gr.param_grads, opt_reg, config.lr_net)
                 sums += (l_seg, l_reg, l_prior, l_total)
                 n_train_steps += 1
-            netcore.adam_step(codes[si], g_h.astype(dt), opt_lat[si])
+            # each epoch steps every row once: the table's count is the epochs done
+            lat_row = netcore.OptimizerState(
+                opt_lat.first_moment[si], opt_lat.second_moment[si], opt_lat.step_count
+            )
+            netcore.adam_step(codes[si], g_h.astype(dt), lat_row, config.lr_latent)
+        opt_lat.step_count += 1
 
         row = (
             epoch,
@@ -448,11 +442,7 @@ def train(samples, config, resume=None, on_epoch=None):
     return result(epoch0 + config.epochs)
 
 
-def _resumed(state, dtype, lr):
-    """A loaded Adam state in the compute dtype, at this run's learning rate."""
-    return replace(
-        state,
-        first_moment=state.first_moment.astype(dtype),
-        second_moment=state.second_moment.astype(dtype),
-        lr=lr,
-    )
+def _resumed(state, dtype):
+    """A loaded Adam state in the compute dtype."""
+    m, v = (a.astype(dtype) for a in (state.first_moment, state.second_moment))
+    return netcore.OptimizerState(m, v, state.step_count)

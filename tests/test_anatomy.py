@@ -229,6 +229,15 @@ def test_generated_shape_frame_is_canonical(mesh):
 # ---------------------------------------------------------------- labeling
 
 
+def test_one_hot_rejects_labels_outside_0_4():
+    one_hot = labeling.AnatomicalLabel.one_hot
+    np.testing.assert_array_equal(one_hot([0, 4, 2]), np.eye(5)[[0, 4, 2]])
+    assert one_hot([]).shape == (0, 5)
+    for bad in ([-1], [0, 5], [3, 255]):
+        with pytest.raises(ValueError, match="0-4"):
+            one_hot(bad)
+
+
 def test_label_cavity_center(mesh):
     assert label_point([0.0, 0.0, 0.0], mesh) == labeling.AnatomicalLabel.LV
 

@@ -35,10 +35,9 @@ def make_checkpoint(with_stats=True, with_opt=True):
             "seg": OptimizerState(
                 rng.standard_normal(seg.n_params), np.abs(rng.standard_normal(seg.n_params)), 17
             ),
-            "lat": [
-                OptimizerState(rng.standard_normal(4), np.abs(rng.standard_normal(4)), 9)
-                for _ in range(5)
-            ],
+            "lat": OptimizerState(
+                rng.standard_normal((5, 4)), np.abs(rng.standard_normal((5, 4))), 9
+            ),
         }
     return ckpt
 
@@ -83,8 +82,9 @@ def test_roundtrip(saved):
     np.testing.assert_array_equal(back.stats.cov, ckpt.stats.cov)
     np.testing.assert_array_equal(back.stats.cov_inv, ckpt.stats.cov_inv)
     assert sorted(back.opt) == ["lat", "seg"]
-    assert len(back.opt["lat"]) == 5
-    for want, got in zip([ckpt.opt["seg"]] + ckpt.opt["lat"], [back.opt["seg"]] + back.opt["lat"]):
+    assert back.opt["lat"].first_moment.shape == (5, 4)
+    for name in ("seg", "lat"):
+        want, got = ckpt.opt[name], back.opt[name]
         np.testing.assert_array_equal(got.first_moment, want.first_moment)
         np.testing.assert_array_equal(got.second_moment, want.second_moment)
         assert got.step_count == want.step_count
@@ -158,9 +158,10 @@ def test_disagreeing_dims_rejected(saved):
         rejected(edited(saved, replace={f"{net}.dims": dims}), "parameter vector has shape")
     rejected(edited(saved, replace={"stats.mean": arrays["stats.mean"][:3]}), "latent stats")
     rejected(edited(saved, replace={"opt.seg.m": arrays["opt.seg.m"][1:]}), "opt.seg moments")
-    # latent-row moments for fewer rows than the table has
+    # latent moments for fewer rows than the table has
     ckpt = make_checkpoint()
-    ckpt.opt["lat"] = ckpt.opt["lat"][:4]
+    lat = ckpt.opt["lat"]
+    ckpt.opt["lat"] = OptimizerState(lat.first_moment[:4], lat.second_moment[:4], lat.step_count)
     save_checkpoint(saved, ckpt)
     rejected(saved, "opt.lat moments")
 

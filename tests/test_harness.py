@@ -212,6 +212,9 @@ def test_train_resume_continues_trajectory(tmp_path):
     # the resumed run retraces the uninterrupted one exactly
     for name in ("train_log.csv", "checkpoint.nihc"):
         assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
+    # every epoch steps every latent row once: one step count serves the table
+    ckpt = harness.load_checkpoint(out2 / "checkpoint.nihc")
+    assert ckpt.opt["lat"].step_count == ckpt.epoch == 60
 
 
 def test_train_noop_resume_keeps_checkpoint(tmp_path):
@@ -226,15 +229,66 @@ def test_train_noop_resume_keeps_checkpoint(tmp_path):
 
 
 def test_train_resume_rejects_another_architecture(tmp_path):
-    cfg = mini_config(tmp_path / "arch", test_shapes=0, epochs=2)
+    """A resume the checkpoint cannot serve (another architecture or
+    another cohort) is rejected before anything of the run is removed."""
+    cfg = mini_config(tmp_path / "arch", test_shapes=1, epochs=2, infer_steps=2)
     harness.cmd_generate(cfg)
     harness.cmd_train(cfg)
-    path = os.path.join(cfg.out_dir, "checkpoint.nihc")
-    before = open(path, "rb").read()
+    harness.cmd_reconstruct(cfg, conditions=["ideal"])
+    assert harness.cmd_evaluate(cfg) == 0
+    assert harness.cmd_report(cfg) == 0
+    root = cfg.out_dir
+    before = {rel: open(os.path.join(root, rel), "rb").read()
+              for rel in ("checkpoint.nihc", "manifest.json", "report.md")}
     wider = replace(cfg, epochs=4, hidden_dim=32, num_blocks=3)
     with pytest.raises(ValueError, match=r"\(7, 5, 16, 2\).*\(7, 5, 32, 3\)"):
         harness.cmd_train(wider, resume=True)
-    assert open(path, "rb").read() == before
+    fewer = replace(cfg, epochs=4, train_shapes=cfg.train_shapes - 1)
+    with pytest.raises(ValueError, match="latent table does not match the cohort"):
+        harness.cmd_train(fewer, resume=True)
+    for rel, data in before.items():
+        assert open(os.path.join(root, rel), "rb").read() == data, rel
+    for rel in ("recon", "eval"):
+        assert os.path.isdir(os.path.join(root, rel)), rel
+    stages = harness.Manifest(root).doc["stages"]
+    assert sorted(stages) == ["evaluate", "generate", "reconstruct", "train"]
+    assert_manifest_matches_files(root)
+
+
+@pytest.fixture(scope="module")
+def samples_run(tmp_path_factory):
+    """A generated one-shape cohort whose sample files a test may swap out."""
+    cfg = mini_config(tmp_path_factory.mktemp("samples"), train_shapes=1, test_shapes=0)
+    harness.cmd_generate(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "part, label, match",
+    [
+        ("seg", None, r"expected an \(n, 4\) array, got shape \(\d+, 3\)"),
+        ("reg", None, r"expected an \(n, 7\) array, got shape \(\d+, 6\)"),
+        *(("seg", label, "labels must be integers in 0-4") for label in (-1.0, 5.0, 1.5, np.nan)),
+    ],
+    ids=["seg-width", "reg-width", "label-minus-1", "label-5", "label-1.5", "label-nan"],
+)
+def test_train_rejects_malformed_samples(samples_run, part, label, match):
+    """A sample file one column short, or holding a label that is not an
+    integer in 0-4, is rejected with an error naming it."""
+    path = os.path.join(samples_run.out_dir, "samples", f"train_0000_{part}.npy")
+    good = np.load(path)
+    if label is None:
+        bad = good[:, :-1]
+    else:
+        bad = good.copy()
+        bad[7, 3] = label
+    np.save(path, bad)
+    try:
+        with pytest.raises(ValueError, match=match) as err:
+            harness.cmd_train(samples_run)
+        assert path in str(err.value)
+    finally:
+        np.save(path, good)
 
 
 def test_reconstruct_from_interrupted_training(tmp_path, monkeypatch):

@@ -48,13 +48,13 @@ def unit_stats(dim):
 
 def test_mahalanobis_at_mean_is_zero():
     st = unit_stats(4)
-    assert inference.mahalanobis(np.zeros(4), st) == 0.0
+    assert inference.mahalanobis(np.zeros(4), st)[0] == 0.0
 
 
 def test_mahalanobis_identity_cov_is_sq_norm():
     st = unit_stats(6)
     z = np.array([3.0, 4.0, 0, 0, 0, 0])
-    assert inference.mahalanobis(z, st) == pytest.approx(25.0)
+    assert inference.mahalanobis(z, st)[0] == pytest.approx(25.0)
 
 
 def test_mahalanobis_diagonal_cov():
@@ -62,7 +62,7 @@ def test_mahalanobis_diagonal_cov():
     st = LatentStats(mean=np.zeros(dim), cov=4.0 * np.eye(dim), cov_inv=np.eye(dim) / 4.0)
     z = np.zeros(dim)
     z[0] = 1.0
-    assert inference.mahalanobis(z, st) == pytest.approx(0.25)
+    assert inference.mahalanobis(z, st)[0] == pytest.approx(0.25)
 
 
 def test_mahalanobis_dim_mismatch():
@@ -76,13 +76,13 @@ def test_mahalanobis_gradient():
     cov = a @ a.T + np.eye(5)
     st = LatentStats(mean=rng.standard_normal(5), cov=cov, cov_inv=np.linalg.inv(cov))
     z = rng.standard_normal(5)
-    _, grad = inference.mahalanobis(z, st, with_grad=True)
+    _, grad = inference.mahalanobis(z, st)
     num = np.zeros(5)
     for i in range(5):
         zp, zm = z.copy(), z.copy()
         zp[i] += 1e-6
         zm[i] -= 1e-6
-        num[i] = (inference.mahalanobis(zp, st) - inference.mahalanobis(zm, st)) / 2e-6
+        num[i] = (inference.mahalanobis(zp, st)[0] - inference.mahalanobis(zm, st)[0]) / 2e-6
     assert netcore.relative_grad_error(grad, num) < 1e-4
 
 
@@ -90,16 +90,17 @@ def test_mahalanobis_gradient():
 
 
 def test_weight_presets():
-    ideal = inference.weights_for("ideal")
-    assert ideal.lambda_bce == 10.0
-    mis = inference.weights_for("misaligned")
+    ideal = inference.weights_for("ideal", steps=7, max_points=100)
+    assert ideal.lambda_bce == 10.0 and ideal.steps == 7 and ideal.max_points == 100
+    mis = inference.weights_for("misaligned", steps=7, max_points=100)
     assert mis.lambda_bce == 1.0
-    override = inference.weights_for("ideal", steps=7)
-    assert override.steps == 7 and override.lambda_bce == 10.0
     with pytest.raises(ValueError):
         inference.weights_for("nope")
     with pytest.raises(ValueError):
-        inference.InferenceWeights(steps=0)
+        inference.InferenceWeights(lambda_bce=1.0, steps=0, max_points=100)
+    # the step count and the point budget have no defaults: a run sets them
+    with pytest.raises(TypeError):
+        inference.weights_for("ideal")
 
 
 # -------------------------------------------------------- latent optimization
@@ -175,9 +176,9 @@ def evaluate_loss(rec, contours, result, cfg, w):
     x = training.seg_inputs(pts, rec.latent)
     logits = netcore.forward(result.seg_net, x)
     return (
-        inference.LAMBDA_R * inference.mahalanobis(rec.latent, result.stats)
-        + w.lambda_bce * training.bce_loss(logits, onehot)
-        + training.dice_loss(logits, onehot)
+        inference.LAMBDA_R * inference.mahalanobis(rec.latent, result.stats)[0]
+        + w.lambda_bce * training.bce_loss(logits, onehot)[0]
+        + training.dice_loss(logits, onehot)[0]
     )
 
 
@@ -223,10 +224,9 @@ def test_optimize_latent_single_label_errors(topo, small_model):
     plane = acq.SlicePlane("sax00", [0, 0, 200.0], [0, 0, 1.0], [1.0, 0, 0], [0, 1.0, 0])
     s = acq.slice_mesh(meshes[0], plane, density=8.0)  # far away: all BG
     cs = acq.ContourSet("bg", [s])
+    w = inference.weights_for("ideal", steps=5, max_points=2500)
     with pytest.raises(ValueError):
-        inference.optimize_latent(
-            cs, result.seg_net, result.stats, inference.weights_for("ideal", steps=5)
-        )
+        inference.optimize_latent(cs, result.seg_net, result.stats, w)
 
 
 # ------------------------------------------------------------- predict mesh

@@ -197,8 +197,8 @@ def test_finite_diff_check_catches_corruption(monkeypatch):
 
 def test_adam_zero_grad_keeps_params():
     params = np.array([1.0, -2.0, 3.0])
-    state = OptimizerState.for_params(params, lr=0.1)
-    adam_step(params, np.zeros(3), state)
+    state = OptimizerState.for_params(params)
+    adam_step(params, np.zeros(3), state, 0.1)
     np.testing.assert_array_equal(params, [1.0, -2.0, 3.0])
     assert state.step_count == 1
 
@@ -206,17 +206,17 @@ def test_adam_zero_grad_keeps_params():
 def test_adam_first_step_magnitude_is_lr():
     # scalar param, grad 1: bias correction gives m_hat/sqrt(v_hat) = 1
     params = np.array([0.0])
-    state = OptimizerState.for_params(params, lr=1e-2)
-    adam_step(params, np.array([1.0]), state)
+    state = OptimizerState.for_params(params)
+    adam_step(params, np.array([1.0]), state, 1e-2)
     np.testing.assert_allclose(params, [-1e-2], rtol=1e-6)
 
 
 def test_adam_constant_grad_descends():
     params = np.array([0.5])
-    state = OptimizerState.for_params(params, lr=1e-3)
+    state = OptimizerState.for_params(params)
     prev = params[0]
     for _ in range(10):
-        adam_step(params, np.array([2.0]), state)
+        adam_step(params, np.array([2.0]), state, 1e-3)
         assert params[0] < prev
         prev = params[0]
 
@@ -227,7 +227,7 @@ def test_adam_rejects_nonfinite_grad():
     g = np.zeros(4)
     g[2] = np.inf
     with pytest.raises(ValueError, match="index 2"):
-        adam_step(params, g, state)
+        adam_step(params, g, state, 1e-4)
 
 
 def test_init_deterministic():

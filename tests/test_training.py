@@ -7,7 +7,6 @@ from heartfields import anatomy, inference, netcore, training
 from heartfields.anatomy.labeling import AnatomicalLabel
 from heartfields.training import (
     LAMBDA_REG,
-    LAMBDA_SEG,
     LatentTable,
     TrainConfig,
     bce_loss,
@@ -48,12 +47,12 @@ def random_one_hot(n, seed=0):
 def test_seg_loss_saturated_is_tiny():
     t = random_one_hot(40, seed=1)
     logits = np.where(t > 0, 20.0, -20.0)
-    assert seg_loss(logits, t) < 1e-6
+    assert seg_loss(logits, t)[0] < 1e-6
 
 
 def test_bce_at_zero_logits_is_ln2():
     t = random_one_hot(30, seed=2)
-    assert bce_loss(np.zeros((30, 5)), t) == pytest.approx(np.log(2.0))
+    assert bce_loss(np.zeros((30, 5)), t)[0] == pytest.approx(np.log(2.0))
 
 
 def test_seg_loss_rejects_bad_targets():
@@ -69,43 +68,43 @@ def test_seg_loss_gradients_match_fd(loss_fn):
     rng = np.random.default_rng(3)
     t = random_one_hot(10, seed=3)
     z = rng.standard_normal((10, 5)) * 2.0
-    _, grad = loss_fn(z, t, with_grad=True)
-    numeric = finite_diff(lambda zz: loss_fn(zz, t), z.copy())
+    _, grad = loss_fn(z, t)
+    numeric = finite_diff(lambda zz: loss_fn(zz, t)[0], z.copy())
     assert netcore.relative_grad_error(grad, numeric) < 1e-4
 
 
 def test_reg_loss_values():
     p = np.random.default_rng(4).standard_normal((20, 3))
-    assert reg_loss(p, p) == 0.0
+    assert reg_loss(p, p)[0] == 0.0
     shifted = p.copy()
     shifted[:, 1] += 1.0
-    assert reg_loss(shifted, p) == pytest.approx(1.0 / 3.0)
+    assert reg_loss(shifted, p)[0] == pytest.approx(1.0 / 3.0)
 
 
 def test_reg_loss_gradient():
     rng = np.random.default_rng(5)
     p = rng.standard_normal((8, 3))
     t = rng.standard_normal((8, 3))
-    _, grad = reg_loss(p, t, with_grad=True)
-    numeric = finite_diff(lambda x: reg_loss(x, t), p.copy())
+    _, grad = reg_loss(p, t)
+    numeric = finite_diff(lambda x: reg_loss(x, t)[0], p.copy())
     assert netcore.relative_grad_error(grad, numeric) < 1e-4
 
 
 def test_prior_loss_values():
-    assert prior_loss(np.zeros((3, 4))) == 0.0
+    assert prior_loss(np.zeros((3, 4)))[0] == 0.0
     h = np.zeros((2, 4))
     h[1, 0] = 1.0
-    assert prior_loss(h) == pytest.approx(0.5)
+    assert prior_loss(h)[0] == pytest.approx(0.5)
     rng = np.random.default_rng(6)
     codes = rng.standard_normal((5, 6))
-    assert prior_loss(3.0 * codes) == pytest.approx(9.0 * prior_loss(codes))
+    assert prior_loss(3.0 * codes)[0] == pytest.approx(9.0 * prior_loss(codes)[0])
 
 
 def test_prior_loss_gradient():
     rng = np.random.default_rng(7)
     h = rng.standard_normal((4, 6))
-    _, grad = prior_loss(h, with_grad=True)
-    numeric = finite_diff(lambda x: prior_loss(x), h.copy())
+    _, grad = prior_loss(h)
+    numeric = finite_diff(lambda x: prior_loss(x)[0], h.copy())
     assert netcore.relative_grad_error(grad, numeric) < 1e-4
 
 
@@ -121,12 +120,12 @@ def test_prior_schedule_values():
 
 
 def test_total_loss_arithmetic():
-    # the two scale factors divide: seg/1 + reg/1000 + schedule * prior
+    # the regression scale factor divides: seg + reg/1000 + schedule * prior
     assert total_loss(1.0, 1000.0, 0.0, epoch=200) == pytest.approx(2.0)
     assert total_loss(0.0, 0.0, 0.0, epoch=0) == 0.0
     assert total_loss(1.0, 0.0, 123.0, epoch=0) == pytest.approx(1.0)  # warm-up zero
     s, r, p = 0.7, 421.0, 2.5
-    expected = s / LAMBDA_SEG + r / LAMBDA_REG + prior_schedule(40) * p
+    expected = s + r / LAMBDA_REG + prior_schedule(40) * p
     assert total_loss(s, r, p, epoch=40) == pytest.approx(expected, rel=1e-12)
 
 
@@ -148,11 +147,11 @@ def test_seg_pipeline_gradient_wrt_params_and_latent():
 
     def loss_of(params, h):
         probe = netcore.ResidualMlp(7, 5, 16, 2, params)
-        return seg_loss(netcore.forward(probe, training.seg_inputs(xyz, h)), t)
+        return seg_loss(netcore.forward(probe, training.seg_inputs(xyz, h)), t)[0]
 
     x = training.seg_inputs(xyz, h0)
     logits, cache = netcore.forward_cached(net, x)
-    _, g_logits = seg_loss(logits, t, with_grad=True)
+    _, g_logits = seg_loss(logits, t)
     g = netcore.backward(net, x, g_logits, cache=cache)
     g_h = g.input_grads[:, 3:].sum(axis=0)
 
@@ -172,11 +171,11 @@ def test_reg_pipeline_gradient_wrt_latent():
 
     def loss_of(h):
         pred = netcore.forward(net, training.reg_inputs(uvc, h)) * out_scale
-        return reg_loss(pred, target)
+        return reg_loss(pred, target)[0]
 
     x = training.reg_inputs(uvc, h0)
     out, cache = netcore.forward_cached(net, x)
-    _, g_pred = reg_loss(out * out_scale, target, with_grad=True)
+    _, g_pred = reg_loss(out * out_scale, target)
     g = netcore.backward(net, x, g_pred * out_scale, cache=cache)
     g_h = g.input_grads[:, 4:].sum(axis=0)
     num_h = finite_diff(loss_of, h0.copy(), step=1e-5)
