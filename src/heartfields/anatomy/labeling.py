@@ -1,15 +1,17 @@
 """Point labeling against watertight compartment surfaces.
 
-Containment uses ray-crossing parity with a vertical ray and an (x, y)
-uniform grid over triangle footprints. Each query is expanded into
-(point, candidate triangle) pairs from its grid cell, the pairs are
-evaluated in fixed-size chunks, and per-point crossing parity and grazes
-are reduced with ``np.bincount``. Queries that land within epsilon of a
-projected edge (or of the surface itself) are re-cast, all at once, along
-oblique fallback directions with a Moller-Trumbore test against every
-triangle; only the queries that still graze move on to the next
-direction. Queries that graze all of them are nudged off the surface and
-retried once, and any that graze even then are decided by the
+Containment uses ray-crossing parity with a vertical ray. Triangles are
+bucketed on a uniform grid over their (x, y) footprints; each query is
+expanded into (point, candidate triangle) pairs from its grid cell, the
+pairs are evaluated in fixed-size chunks, and per-point crossing parity and
+grazes are reduced with ``np.bincount``. Queries that land within epsilon
+of a projected edge (or of the surface itself) are re-cast, all at once,
+along oblique fallback directions. Each oblique cast buckets the triangles
+the same way, on a grid over their footprints projected on the plane
+orthogonal to that direction, and runs a Moller-Trumbore test on the
+pairs of each query's cell; only the queries that still graze move on to
+the next direction. Queries that graze all of them are nudged off the
+surface and retried once, and any that graze even then are decided by the
 generalized winding number, which also serves as an independent oracle
 for the test suite.
 """
@@ -24,8 +26,21 @@ _EPS_EDGE = 1e-9
 _NUDGE = 1e-7
 # (point, triangle) pairs evaluated at once; bounds the temporaries
 _CHUNK_PAIRS = 8192
-# the ray-cast index buckets triangles on a _CELLS x _CELLS grid in (x, y)
+# triangles are bucketed on a _CELLS x _CELLS grid over their footprints
 _CELLS = 48
+# Oblique footprint boxes are grown by _PAD (mm). A query passes the
+# oblique graze test only if its barycentric coordinates all exceed
+# -_EPS_EDGE, i.e. if its projection lies in the triangle grown about its
+# centroid by 3 * _EPS_EDGE, which is within 2 * _EPS_EDGE times the
+# triangle's diameter of the triangle: under _PAD for any triangle shorter
+# than 500 mm. The rounding of the projections is ~1e-14 mm.
+_PAD = 1e-6
+# Rounding moves a query's oblique barycentrics by about
+# 1e-16 * |q - v0| * E / |det| (E the longer edge from v0), against the
+# margin _PAD / E the box keeps. A triangle nearly parallel to the ray, with
+# |det| below _THIN * E**2, could break that margin, so it is a candidate
+# in every cell; above it the margin holds for queries within ~100 m.
+_THIN = 1e-4
 _FALLBACK_DIRS = np.array(
     [
         [0.03617126, 0.08912318, 0.99536593],
@@ -57,6 +72,11 @@ class AnatomicalLabel(IntEnum):
 class RayCastIndex:
     """Parity ray caster for one closed triangle surface.
 
+    The vertical cast uses a grid over the triangles' (x, y) footprints,
+    built once. Each oblique fallback cast builds its own grid over the
+    footprints projected along its direction, each box grown by ``_PAD``,
+    and drops it when it returns.
+
     ``fallback_points`` counts, over all calls, the queries re-cast along
     the oblique directions (a nudged query counts again).
     """
@@ -64,54 +84,21 @@ class RayCastIndex:
     def __init__(self, vertices, faces):
         self.v = np.asarray(vertices, dtype=np.float64)
         self.f = np.asarray(faces, dtype=np.int64)
-        tri = self.v[self.f]  # (F, 3, 3)
-        self.tri = tri
-        xy = tri[:, :, :2]
-        lo = xy.min(axis=1)
-        hi = xy.max(axis=1)
-        gmin = lo.min(axis=0) - 1e-6
-        gmax = hi.max(axis=0) + 1e-6
-        self.gmin, self.gspan = gmin, np.maximum(gmax - gmin, 1e-12)
-        # bin triangles into all grid cells their xy-bbox overlaps; a
-        # stable sort keeps each bucket in triangle order
-        lo_cell = np.clip(((lo - gmin) / self.gspan * _CELLS).astype(int), 0, _CELLS - 1)
-        hi_cell = np.clip(((hi - gmin) / self.gspan * _CELLS).astype(int), 0, _CELLS - 1)
-        span = hi_cell - lo_cell + 1
-        per_tri = span[:, 0] * span[:, 1]
-        owner = np.repeat(np.arange(len(self.f)), per_tri)
-        local = np.arange(len(owner)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
-        ny = span[owner, 1]
-        cell = (lo_cell[owner, 0] + local // ny) * _CELLS + lo_cell[owner, 1] + local % ny
-        self.bucket_tris = owner[np.argsort(cell, kind="stable")]
-        self.offsets = np.concatenate(
-            [[0], np.cumsum(np.bincount(cell, minlength=_CELLS * _CELLS))]
-        )
+        self.tri = self.v[self.f]  # (F, 3, 3)
+        self.gmin, self.gspan, self.buckets, self.offsets = _buckets(self.tri[:, :, :2], 0.0)
         self.fallback_points = 0
 
-    def _cell_of(self, pts):
-        cell = ((pts[:, :2] - self.gmin) / self.gspan * _CELLS).astype(int)
-        np.clip(cell, 0, _CELLS - 1, out=cell)
-        return cell[:, 0] * _CELLS + cell[:, 1]
-
     def contains(self, points):
-        """Boolean containment per query point."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        """Boolean containment per query point; raises ``ValueError``
+        unless ``points`` is a finite (n, 3) array."""
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
+            raise ValueError(f"query points must be a finite (n, 3) array, got shape {pts.shape}")
         return self._contains(pts, nudged=False)
 
     def _contains(self, pts, nudged):
-        cells = self._cell_of(pts)
-        first = self.offsets[cells]
-        counts = self.offsets[cells + 1] - first
-        inside = np.zeros(len(pts), dtype=bool)
-        retry = np.zeros(len(pts), dtype=bool)
-        for s, e in _chunks(counts):
-            n = e - s
-            cnt = counts[s:e]
-            pair_pt = np.repeat(np.arange(n), cnt)
-            pos = np.repeat(first[s:e] - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(pair_pt))
-            above, graze = self._cross_z(pts[s:e][pair_pt], self.bucket_tris[pos])
-            inside[s:e] = np.bincount(pair_pt[above], minlength=n) % 2 == 1
-            retry[s:e] = np.bincount(pair_pt[graze], minlength=n) > 0
+        cells = _cell(pts[:, :2], self.gmin, self.gspan)
+        inside, retry = _cast(pts, cells, self.buckets, self.offsets, self._cross_z)
         if retry.any():
             idx = np.flatnonzero(retry)
             self.fallback_points += len(idx)
@@ -148,45 +135,121 @@ class RayCastIndex:
         return above, graze
 
     def _contains_oblique(self, pts, depth, nudged):
-        """Full Moller-Trumbore scan along an oblique direction for the
-        queries whose vertical ray grazed; those that graze again move on
-        to the next direction."""
+        """Oblique re-cast for the queries whose vertical ray grazed; those
+        that graze again move on to the next direction."""
         if depth == len(_FALLBACK_DIRS):
             if not nudged:
                 # final resort: nudge the points off the surface and retry once
                 return self._contains(pts + _NUDGE, nudged=True)
             return winding_number_contains(pts, self.v, self.f)
-        d = _FALLBACK_DIRS[depth]
+        inside, grazed = self._cast_oblique(pts, _FALLBACK_DIRS[depth])
+        if grazed.any():
+            idx = np.flatnonzero(grazed)
+            inside[idx] = self._contains_oblique(pts[idx], depth + 1, nudged)
+        return inside
+
+    def _cast_oblique(self, pts, d):
+        """Moller-Trumbore crossing parity and graze flag per query along
+        unit direction ``d``, over the triangles whose footprint box along
+        ``d``, grown by ``_PAD``, holds the query."""
         v0, v1, v2 = self.tri[:, 0], self.tri[:, 1], self.tri[:, 2]
         e1, e2 = v1 - v0, v2 - v0
         pvec = np.cross(d, e2)
         det = np.einsum("ij,ij->i", e1, pvec)
-        ok = np.abs(det) > 1e-14
-        inside = np.zeros(len(pts), dtype=bool)
-        grazed = np.zeros(len(pts), dtype=bool)
-        for s, e in _chunks(np.full(len(pts), len(self.f))):
-            # stacked einsum and matmul run the same kernels per point as a
-            # single point's scan, so every pair's arithmetic is unchanged
-            tvec = pts[s:e, None, :] - v0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                u = np.einsum("pij,ij->pi", tvec, pvec) / det
-                qvec = np.cross(tvec, e1)
-                v = (qvec @ d) / det
-                t = np.einsum("ij,pij->pi", e2, qvec) / det
-            hit = ok & (u > _EPS_EDGE) & (v > _EPS_EDGE) & (u + v < 1 - _EPS_EDGE) & (t > _EPS_EDGE)
-            grazing = ok & (
+        # a triangle with |det| <= 1e-14 never hits or grazes
+        ok = np.flatnonzero(np.abs(det) > 1e-14)
+        edge2 = np.maximum(np.einsum("ij,ij->i", e1, e1), np.einsum("ij,ij->i", e2, e2))
+        thin = np.abs(det[ok]) < _THIN * edge2[ok]
+        plane = _plane_basis(d)
+        gmin, gspan, buckets, offsets = _buckets(self.tri[ok] @ plane.T, _PAD, everywhere=thin)
+
+        def cross(q, tris):
+            # per pair, the same arithmetic as a scan of every triangle
+            k = ok[tris]
+            tvec = q - v0[k]
+            u = np.einsum("ij,ij->i", tvec, pvec[k]) / det[k]
+            qvec = np.cross(tvec, e1[k])
+            v = (qvec @ d) / det[k]
+            t = np.einsum("ij,ij->i", e2[k], qvec) / det[k]
+            hit = (u > _EPS_EDGE) & (v > _EPS_EDGE) & (u + v < 1 - _EPS_EDGE) & (t > _EPS_EDGE)
+            grazing = (
                 (np.abs(u) <= _EPS_EDGE)
                 | (np.abs(v) <= _EPS_EDGE)
                 | (np.abs(1 - u - v) <= _EPS_EDGE)
                 | (np.abs(t) <= _EPS_EDGE)
             )
             grazing &= (u > -_EPS_EDGE) & (v > -_EPS_EDGE) & (u + v < 1 + _EPS_EDGE)
-            inside[s:e] = hit.sum(axis=1) % 2 == 1
-            grazed[s:e] = grazing.any(axis=1)
-        if grazed.any():
-            idx = np.flatnonzero(grazed)
-            inside[idx] = self._contains_oblique(pts[idx], depth + 1, nudged)
-        return inside
+            return hit, grazing
+
+        return _cast(pts, _cell(pts @ plane.T, gmin, gspan), buckets, offsets, cross)
+
+
+def _plane_basis(d):
+    """(2, 3) orthonormal basis of the plane orthogonal to unit ``d``."""
+    a = np.cross(d, [1.0, 0.0, 0.0])
+    a /= np.linalg.norm(a)
+    return np.stack([a, np.cross(d, a)])
+
+
+def _buckets(footprints, pad, everywhere=None):
+    """Bucket triangles on a ``_CELLS`` x ``_CELLS`` grid by their 2-D
+    footprints ((F, 3, 2) projected vertices).
+
+    Each triangle goes into every cell its footprint box, grown by ``pad``,
+    overlaps; those flagged in ``everywhere`` go into every cell. Returns
+    the grid origin and span, the triangle ids sorted by cell (in triangle
+    order within a cell) and the ``_CELLS**2 + 1`` cell offsets into them.
+    """
+    lo = np.minimum(np.minimum(footprints[:, 0], footprints[:, 1]), footprints[:, 2]) - pad
+    hi = np.maximum(np.maximum(footprints[:, 0], footprints[:, 1]), footprints[:, 2]) + pad
+    gmin = lo.min(axis=0) - 1e-6
+    gspan = np.maximum(hi.max(axis=0) + 1e-6 - gmin, 1e-12)
+    lo_cell = _cell_xy(lo, gmin, gspan)
+    hi_cell = _cell_xy(hi, gmin, gspan)
+    if everywhere is not None:
+        lo_cell[everywhere], hi_cell[everywhere] = 0, _CELLS - 1
+    span = hi_cell - lo_cell + 1
+    per_tri = span[:, 0] * span[:, 1]
+    owner = np.repeat(np.arange(len(footprints)), per_tri)
+    local = np.arange(len(owner)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
+    row, col = np.divmod(local, np.repeat(span[:, 1], per_tri))
+    first = lo_cell[:, 0] * _CELLS + lo_cell[:, 1]
+    # int16 cell ids (_CELLS**2 < 2**15) let the stable sort run as a radix sort
+    cell = (np.repeat(first, per_tri) + row * _CELLS + col).astype(np.int16)
+    order = owner[np.argsort(cell, kind="stable")]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=_CELLS * _CELLS))])
+    return gmin, gspan, order, offsets
+
+
+def _cell_xy(xy, gmin, gspan):
+    """(n, 2) grid cell indices of 2-D points, clipped to the grid."""
+    cell = ((xy - gmin) / gspan * _CELLS).astype(int)
+    np.clip(cell, 0, _CELLS - 1, out=cell)
+    return cell
+
+
+def _cell(xy, gmin, gspan):
+    """Flat grid cell id of each 2-D point, clipped to the grid."""
+    cell = _cell_xy(xy, gmin, gspan)
+    return cell[:, 0] * _CELLS + cell[:, 1]
+
+
+def _cast(pts, cells, buckets, offsets, cross):
+    """Crossing parity and graze flag per point, from ``cross`` on the
+    (point, triangle) pairs of each point's cell."""
+    first = offsets[cells]
+    counts = offsets[cells + 1] - first
+    inside = np.zeros(len(pts), dtype=bool)
+    grazed = np.zeros(len(pts), dtype=bool)
+    for s, e in _chunks(counts):
+        n = e - s
+        cnt = counts[s:e]
+        pair_pt = np.repeat(np.arange(n), cnt)
+        pos = np.repeat(first[s:e] - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(pair_pt))
+        hit, graze = cross(pts[s:e][pair_pt], buckets[pos])
+        inside[s:e] = np.bincount(pair_pt[hit], minlength=n) % 2 == 1
+        grazed[s:e] = np.bincount(pair_pt[graze], minlength=n) > 0
+    return inside, grazed
 
 
 def _chunks(counts):
@@ -250,11 +313,9 @@ class Labeler:
         self.u1 = mesh.topology.uvc[:, 0]
 
     def label(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("query points contain non-finite values")
-        out = np.zeros(len(pts), dtype=np.int8)
+        pts = np.asarray(points, dtype=np.float64)
         in_heart = self.heart.contains(pts)
+        out = np.zeros(len(pts), dtype=np.int8)
         idx = np.flatnonzero(in_heart)
         if idx.size:
             sub = pts[idx]

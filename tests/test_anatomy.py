@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from heartfields.anatomy.template import (
     TAG_LV_ENDO,
     TAG_RV_ENDO,
 )
+from heartfields.training import build_sample
 
 
 def label_point(point, mesh):
@@ -301,6 +303,8 @@ def test_fallback_matches_winding_oracle(mesh):
     plane = next(p for p in acq.standard_views(mesh) if p.view == "lax_4ch")
     s = acq.slice_mesh(mesh, plane, density=4.0)
     grid = s.points[s.kinds == acq.KIND_GRID]
+    # re-cast queries per compartment, nudged ones twice
+    fallback_points = {"lv_cavity": 745, "rv_cavity": 238, "heart": 735}
     for name in ("lv_cavity", "rv_cavity", "heart"):
         verts, faces = mesh.compartment(name)
         # the grid's lowest row lies on the flat base, where containment is
@@ -311,9 +315,146 @@ def test_fallback_matches_winding_oracle(mesh):
         index = labeling.RayCastIndex(verts, faces)
         fast = index.contains(pts)
         np.testing.assert_array_equal(fast, labeling.winding_number_contains(pts, verts, faces))
-        assert index.fallback_points > 0
+        assert index.fallback_points == fallback_points[name]
         if name != "rv_cavity":
             assert index.fallback_points == len(pts)
+
+
+def exhaustive_oblique_scan(index, pts, d):
+    """Moller-Trumbore crossing parity and graze flag per query along ``d``
+    against every triangle of ``index``: the oracle for the bucketed
+    oblique cast, which must match it bit for bit."""
+    eps = labeling._EPS_EDGE
+    v0, v1, v2 = index.tri[:, 0], index.tri[:, 1], index.tri[:, 2]
+    e1, e2 = v1 - v0, v2 - v0
+    pvec = np.cross(d, e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    ok = np.abs(det) > 1e-14
+    inside = np.zeros(len(pts), dtype=bool)
+    grazed = np.zeros(len(pts), dtype=bool)
+    for s, e in labeling._chunks(np.full(len(pts), len(index.f))):
+        # stacked einsum and matmul run the same kernels per point as a
+        # single point's scan, so every pair's arithmetic is unchanged
+        tvec = pts[s:e, None, :] - v0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u = np.einsum("pij,ij->pi", tvec, pvec) / det
+            qvec = np.cross(tvec, e1)
+            v = (qvec @ d) / det
+            t = np.einsum("ij,pij->pi", e2, qvec) / det
+        hit = ok & (u > eps) & (v > eps) & (u + v < 1 - eps) & (t > eps)
+        grazing = ok & (
+            (np.abs(u) <= eps)
+            | (np.abs(v) <= eps)
+            | (np.abs(1 - u - v) <= eps)
+            | (np.abs(t) <= eps)
+        )
+        grazing &= (u > -eps) & (v > -eps) & (u + v < 1 + eps)
+        inside[s:e] = hit.sum(axis=1) % 2 == 1
+        grazed[s:e] = grazing.any(axis=1)
+    return inside, grazed
+
+
+def test_oblique_cast_matches_exhaustive_scan(mesh, monkeypatch):
+    # every query that falls back while labeling the default shape's
+    # acquisition grids and classification sample, per compartment index
+    fallback = {}
+    recast = labeling.RayCastIndex._contains_oblique
+
+    def record(index, pts, depth, nudged):
+        fallback.setdefault(index, []).append(pts)
+        return recast(index, pts, depth, nudged)
+
+    monkeypatch.setattr(labeling.RayCastIndex, "_contains_oblique", record)
+    acq.acquire(mesh, "case000", density=3.0)
+    build_sample(mesh, "case000", seg_n=8000, reg_n=3000, seed=0)
+    monkeypatch.undo()
+    assert len(fallback) == 3
+    for index, queries in fallback.items():
+        edges = np.unique(np.sort(index.f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
+        on_mesh = np.vstack([index.v[np.unique(index.f)], index.v[edges].mean(axis=1)])
+        for d in labeling._FALLBACK_DIRS:
+            # the corners of this direction's grid cells, at mid-height
+            plane = labeling._plane_basis(d)
+            gmin, gspan, _, _ = labeling._buckets(index.tri @ plane.T, labeling._PAD)
+            ticks = gmin[:, None] + gspan[:, None] * np.linspace(0.0, 1.0, labeling._CELLS + 1)
+            corners = np.stack(np.meshgrid(ticks[0], ticks[1], indexing="ij"), axis=-1).reshape(-1, 2)
+            mid = index.v.mean(axis=0) @ d
+            corners = corners @ plane + mid * d
+            for pts in (np.unique(np.vstack(queries), axis=0), corners, on_mesh):
+                inside, grazed = index._cast_oblique(pts, d)
+                oracle_inside, oracle_grazed = exhaustive_oblique_scan(index, pts, d)
+                np.testing.assert_array_equal(inside, oracle_inside)
+                np.testing.assert_array_equal(grazed, oracle_grazed)
+            assert grazed.any()
+
+
+def test_oblique_pad_covers_graze_slack(mesh):
+    # an oblique ray grazes a triangle from anywhere its barycentric
+    # coordinates all exceed -_EPS_EDGE: the triangle grown about its
+    # centroid by 3 * _EPS_EDGE. Its projection must stay inside the
+    # footprint box grown by _PAD, and so in the triangle's buckets.
+    eps, pad = labeling._EPS_EDGE, labeling._PAD
+    for name in ("lv_cavity", "rv_cavity", "heart"):
+        verts, faces = mesh.compartment(name)
+        tri = verts[faces]
+        centroid = tri.mean(axis=1, keepdims=True)
+        grown = centroid + (1 + 3 * eps) * (tri - centroid)
+        for d in labeling._FALLBACK_DIRS:
+            plane = labeling._plane_basis(d)
+            footprints, slack = tri @ plane.T, grown @ plane.T
+            lo = footprints.min(axis=1, keepdims=True)
+            hi = footprints.max(axis=1, keepdims=True)
+            assert np.any((slack < lo) | (slack > hi))
+            assert np.all((slack >= lo - pad) & (slack <= hi + pad))
+            gmin, gspan, buckets, offsets = labeling._buckets(footprints, pad)
+            bucket_cell = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+            held = bucket_cell * len(faces) + buckets
+            cells = labeling._cell(slack.reshape(-1, 2), gmin, gspan)
+            assert np.isin(cells * len(faces) + np.repeat(np.arange(len(faces)), 3), held).all()
+
+
+def test_buckets_hold_each_triangle_in_its_padded_box_cells():
+    rng = np.random.default_rng(21)
+    footprints = rng.uniform(0.0, 10.0, size=(60, 1, 2)) + rng.uniform(0.0, 2.0, size=(60, 3, 2))
+    everywhere = np.zeros(60, dtype=bool)
+    everywhere[[4, 17]] = True
+    pad = 0.05
+    gmin, gspan, buckets, offsets = labeling._buckets(footprints, pad, everywhere=everywhere)
+    n_cells = labeling._CELLS**2
+    assert len(offsets) == n_cells + 1 and offsets[-1] == len(buckets)
+    bucket_cell = np.repeat(np.arange(n_cells), np.diff(offsets))
+    # each bucket lists its triangles once, in triangle order
+    assert np.all((np.diff(buckets) > 0) | (np.diff(bucket_cell) > 0))
+    for t in np.flatnonzero(everywhere):
+        np.testing.assert_array_equal(bucket_cell[buckets == t], np.arange(n_cells))
+    # points anywhere in a padded box, its corners included, find the
+    # triangle in their cell
+    lo = footprints.min(axis=1) - pad
+    hi = footprints.max(axis=1) + pad
+    frac = np.vstack([[[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], rng.uniform(size=(20, 2))])
+    pts = lo[:, None] + frac * (hi - lo)[:, None]
+    cells = labeling._cell(pts.reshape(-1, 2), gmin, gspan)
+    owner = np.repeat(np.arange(60), len(frac))
+    assert np.isin(cells * 60 + owner, bucket_cell * 60 + buckets).all()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [np.zeros((2, 2)), [], np.zeros(3), np.zeros((1, 2, 3)), [[0.0, np.nan, 0.0]], [[np.inf, 1.0, 2.0]]],
+)
+def test_labeling_rejects_points_not_finite_n_by_3(mesh, points):
+    shape = re.escape(str(np.shape(points)))
+    with pytest.raises(ValueError, match=shape):
+        labeling.RayCastIndex(*mesh.compartment("heart")).contains(points)
+    with pytest.raises(ValueError, match=shape):
+        anatomy.label_points(points, mesh)
+
+
+def test_labeling_empty_query(mesh):
+    inside = labeling.RayCastIndex(*mesh.compartment("heart")).contains(np.empty((0, 3)))
+    assert inside.shape == (0,) and inside.dtype == bool
+    labels = anatomy.label_points(np.empty((0, 3)), mesh)
+    assert labels.shape == (0,) and labels.dtype == np.int8
 
 
 def test_labeling_on_surface_terminates(mesh):
