@@ -185,29 +185,48 @@ def point_to_surface(points, vertices, faces):
 
     A vertex nearest-neighbor query gives an attainable upper bound per
     point. Points then go in chunks of ``PAIR_BUDGET // len(faces)`` (at
-    least one); each chunk bounds every (point, triangle) pair by
-    |p - centroid| - circumradius and runs the exact point-triangle test on
-    the pairs whose bound is within the upper one, so the result equals the
-    exhaustive scan. Every temporary holds at most ``max(PAIR_BUDGET,
-    len(faces))`` pairs, whatever the shape of the mesh.
+    least one), taken in the leaf order of a k-d tree over the points so
+    that each chunk is spatially compact. A chunk keeps only the triangles
+    whose bounding box lies within the chunk's largest upper bound of the
+    chunk's point box; it then bounds each of their (point, triangle) pairs
+    by |p - centroid| - circumradius and runs the exact point-triangle test
+    on the pairs whose bound is within the point's upper one. The nearest
+    triangle of every point passes both filters, and each pair's distance
+    is computed as in the exhaustive scan, so the result equals it bit for
+    bit. Every temporary holds at most ``max(PAIR_BUDGET, len(faces))``
+    pairs, whatever the shape of the mesh.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
+    if points.size == 0:
+        raise ValueError("point_to_surface of an empty point set")
     if faces.size == 0:
         raise ValueError("point_to_surface on an empty mesh")
     ta, tb, tc = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
+    corners = np.stack([ta, tb, tc])
     centroid = (ta + tb + tc) / 3.0
-    radius = np.linalg.norm(np.stack([ta, tb, tc]) - centroid, axis=2).max(axis=0)
+    radius = np.linalg.norm(corners - centroid, axis=2).max(axis=0)
+    box_lo, box_hi = corners.min(axis=0), corners.max(axis=0)
     used = np.unique(faces)  # unreferenced vertices must not tighten the bound
     best = cKDTree(vertices[used]).query(points)[0]  # the vertex distance is attainable
     chunk = max(1, PAIR_BUDGET // len(faces))
+    order = cKDTree(points, leafsize=chunk).indices
     for s in range(0, len(points), chunk):
-        p = points[s : s + chunk]
-        lower = cdist(p, centroid) - radius
-        pi, ti = np.nonzero(lower <= best[s : s + chunk, None] + 1e-12)
+        idx = order[s : s + chunk]
+        p = points[idx]
+        # The gap between the chunk's point box and a triangle's box is at
+        # most the distance from any point of the chunk to the triangle, so a
+        # triangle whose gap exceeds the chunk's largest upper bound is
+        # nearest to none of its points. The gap is rounded like the ball
+        # bound below, hence the same 1e-12 slack.
+        gap = np.maximum(np.maximum(box_lo - p.max(axis=0), p.min(axis=0) - box_hi), 0.0)
+        tri = np.flatnonzero(np.linalg.norm(gap, axis=1) <= best[idx].max() + 1e-12)
+        lower = cdist(p, centroid[tri]) - radius[tri]
+        pi, ti = np.nonzero(lower <= best[idx, None] + 1e-12)
+        ti = tri[ti]
         q = _closest_point_on_triangles(p[pi], ta[ti], tb[ti], tc[ti])
-        np.minimum.at(best, s + pi, np.linalg.norm(p[pi] - q, axis=1))
+        np.minimum.at(best, idx[pi], np.linalg.norm(p[pi] - q, axis=1))
     return float(best.mean())
 
 
@@ -216,6 +235,8 @@ def point_to_surface_bruteforce(points, vertices, faces):
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
+    if points.size == 0:
+        raise ValueError("point_to_surface of an empty point set")
     if faces.size == 0:
         raise ValueError("point_to_surface on an empty mesh")
     ta, tb, tc = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heartfields import acquisition as acq
 from heartfields import anatomy, metrics
 
 
@@ -192,6 +193,19 @@ def test_p2s_flat_patch_normal_offset():
     assert metrics.point_to_surface([[0, 0, 5.0]], v, f) == pytest.approx(5.0)
 
 
+def contour_like(rng, radius):
+    """A few noisy planar rings near a sphere of ``radius`` about the origin,
+    like the contours of a slice stack, plus far outliers, in shuffled order."""
+    rings = []
+    for z in rng.uniform(-0.8, 0.8, 4) * radius:
+        theta = rng.uniform(0, 2 * np.pi, 40)
+        r = np.sqrt(radius**2 - z**2) + rng.normal(0, 0.05 * radius, 40)
+        rings.append(np.column_stack([r * np.cos(theta), r * np.sin(theta), np.full(40, z)]))
+    far = rng.standard_normal((5, 3))
+    far *= rng.uniform(5, 50, (5, 1)) * radius / np.linalg.norm(far, axis=1, keepdims=True)
+    return rng.permutation(np.vstack(rings + [far]))
+
+
 def test_p2s_matches_bruteforce(monkeypatch):
     rng = np.random.default_rng(5)
     v, f = icosphere(8.0, 1)
@@ -202,17 +216,66 @@ def test_p2s_matches_bruteforce(monkeypatch):
     for _ in range(5):
         pts = rng.uniform(-15, 15, size=(100, 3))
         inputs += [(pts, v), (pts, scrambled), (pts * 50.0, v), (pts * 50.0, scrambled)]
+    for _ in range(3):
+        pts = contour_like(rng, 8.0)
+        inputs += [(pts, v), (pts, scrambled)]
 
     def check():
         for pts, verts in inputs:
             fast = metrics.point_to_surface(pts, verts, f)
             slow = metrics.point_to_surface_bruteforce(pts, verts, f)
-            assert fast == pytest.approx(slow, abs=1e-9)
+            assert fast == slow
 
     check()
-    # more faces than the pair budget: every chunk holds a single point
-    monkeypatch.setattr(metrics, "PAIR_BUDGET", len(f) - 1)
-    check()
+    # chunks of a single point (more faces than the pair budget), of 7
+    # points, and of more points than any input holds
+    for budget in (len(f) - 1, 7 * len(f), 1000 * len(f)):
+        monkeypatch.setattr(metrics, "PAIR_BUDGET", budget)
+        check()
+
+
+@pytest.mark.parametrize("budget_per_face", [0.3, 3.0])
+def test_p2s_batches_within_pair_budget(monkeypatch, budget_per_face):
+    rng = np.random.default_rng(8)
+    v, f = icosphere(8.0, 2)
+    budget = int(budget_per_face * len(f))
+    monkeypatch.setattr(metrics, "PAIR_BUDGET", budget)
+    sizes = []
+    closest, cdist = metrics._closest_point_on_triangles, metrics.cdist
+
+    def closest_counted(p, a, b, c):
+        sizes.append(len(p))
+        return closest(p, a, b, c)
+
+    def cdist_counted(xa, xb, *args, **kwargs):
+        sizes.append(len(xa) * len(xb))
+        return cdist(xa, xb, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_closest_point_on_triangles", closest_counted)
+    monkeypatch.setattr(metrics, "cdist", cdist_counted)
+    pts = np.vstack([rng.uniform(-12, 12, (150, 3)), contour_like(rng, 8.0)])
+    # scrambled vertices prune few pairs, so the batches come near the bound
+    for verts in (v, rng.permutation(v)):
+        metrics.point_to_surface(pts, verts, f)
+    assert sizes and max(sizes) <= max(budget, len(f))
+
+
+# float.hex of point_to_surface as computed before the triangle box cull,
+# which must keep these bits: a seeded shape's ideal contour points against
+# its generating mesh, and (every tenth point) against its vertex-permuted mesh
+GOLDEN_P2S_HEX = ("0x1.fa7f3adb8657ep-54", "0x1.2f39f9f7b053cp-2")
+
+
+def test_p2s_golden(golden_arithmetic):
+    topo = anatomy.build_template()
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(11))
+    pts, _ = acq.acquire(mesh, "pin", density=6.0).all_points(kind=acq.KIND_CONTOUR)
+    scrambled = np.random.default_rng(11).permutation(mesh.vertices)
+    got = (
+        metrics.point_to_surface(pts, mesh.vertices, topo.faces).hex(),
+        metrics.point_to_surface(pts[::10], scrambled, topo.faces).hex(),
+    )
+    assert got == GOLDEN_P2S_HEX
 
 
 def test_p2s_ignores_unreferenced_vertices():
@@ -224,6 +287,13 @@ def test_p2s_ignores_unreferenced_vertices():
 def test_p2s_empty_mesh():
     with pytest.raises(ValueError):
         metrics.point_to_surface(np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+
+
+@pytest.mark.parametrize("p2s", [metrics.point_to_surface, metrics.point_to_surface_bruteforce])
+def test_p2s_empty_point_set_errors(p2s):
+    v, f = icosphere(8.0, 1)
+    with pytest.raises(ValueError, match="empty point set"):
+        p2s(np.zeros((0, 3)), v, f)
 
 
 def closest_point_masked(p, a, b, c):
