@@ -28,10 +28,11 @@ print(f"u3 range: [{u3.min():.2f}, {u3.max():.2f}]   u4 range: [{u4.min():.2f}, 
 for seed in (0, 1, 2):
     params = anatomy.sample_params(seed)
     mesh = anatomy.generate_shape(topo, params)
+    long_axis = np.linalg.norm(mesh.landmarks["lva"] - mesh.landmarks["mvc"])
     lv = metrics.enclosed_volume(*mesh.compartment("lv_cavity"))
     rv = metrics.enclosed_volume(*mesh.compartment("rv_cavity"))
     print(
-        f"seed {seed}: long axis {mesh.long_axis_length():.1f} mm, "
+        f"seed {seed}: long axis {long_axis:.1f} mm, "
         f"LV {lv:.0f} mL, RV {rv:.0f} mL, wall {params.lv_wall_thickness:.1f} mm"
     )
 
@@ -44,7 +45,7 @@ moved = np.linalg.norm(m1.vertices - m2.vertices, axis=1)
 print(f"vertex displacement between two shapes: mean {moved.mean():.1f} mm")
 
 # labels: sample points around one shape and count the five classes
-mesh = anatomy.generate_shape(topo, anatomy.default_params())
+mesh = anatomy.generate_shape(topo, anatomy.ShapeParams())
 rng = np.random.default_rng(0)
 lo, hi = mesh.bounds()
 pts = rng.uniform(lo - 10, hi + 10, size=(4000, 3))

@@ -11,7 +11,7 @@ from heartfields import acquisition as acq
 from heartfields import anatomy
 
 topo = anatomy.build_template()
-mesh = anatomy.generate_shape(topo, anatomy.default_params())
+mesh = anatomy.generate_shape(topo, anatomy.ShapeParams())
 
 planes = acq.standard_views(mesh)
 print(f"{len(planes)} planes: " + ", ".join(p.view for p in planes))
@@ -24,8 +24,7 @@ for s in contours.slices[:4] + contours.slices[-3:]:
     print(f"{s.plane.view}: {n_grid} grid points, {n_contour} contour points, labels {classes}")
 
 # a misaligned twin: same labels per index, rigid in-plane shifts per slice
-spec = acq.MisalignmentSpec(sigma=3.0, seed=5)
-shifted = acq.inject_misalignment(contours, spec)
+shifted = acq.inject_misalignment(contours, sigma=3.0, seed=5)
 mags = [float(np.linalg.norm(s.shift)) for s in shifted.slices]
 print(f"injected shifts: mean {np.mean(mags):.2f} mm, max {np.max(mags):.2f} mm")
 restored = acq.remove_misalignment(shifted)
@@ -37,7 +36,7 @@ print(f"shift removal round-trip error: {err:.2e} mm")
 # ablation subsets of the slice set (the rows of the slice-sparsity study)
 for row in acq.ABLATION_ROWS:
     sub = acq.select_subset(contours, row)
-    print(f"row {row.name:>16}: {len(sub.slices)} slices")
+    print(f"row {row:>16}: {len(sub.slices)} slices")
 
 acq.save_contours("demo_contours.json", shifted)
 print("wrote demo_contours.json")

@@ -10,7 +10,7 @@ the pipeline commands run the full-size configuration.
 import numpy as np
 
 from heartfields import acquisition as acq
-from heartfields import anatomy, inference, metrics, training
+from heartfields import anatomy, harness, inference, metrics, training
 
 topo = anatomy.build_template()
 
@@ -30,7 +30,11 @@ print(f"final losses: {result.log[-1][1:]}")
 # a shape the model has never seen, observed only through its slices
 target = anatomy.generate_shape(topo, anatomy.sample_params(9999))
 contours = acq.acquire(target, "held_out", density=2.0)
-weights = inference.weights_for("ideal", steps=300, max_points=2000)
+# the pipeline's weights for ideal contours, with a smaller point budget
+weights = inference.InferenceWeights(
+    lambda_bce=harness.CONDITIONS["ideal"][1], steps=300, max_points=2000,
+    lr=harness.ExperimentConfig().infer_lr,
+)
 rec = inference.optimize_latent(contours, result.seg_net, result.stats, weights)
 print(f"latent optimization: {rec.n_points} points, "
       f"loss {rec.loss_trace[0]:.3f} -> {rec.loss_trace.min():.3f}")

@@ -59,15 +59,11 @@ class ContourSet:
     slices: list
     provenance: str = "ideal"  # or "misaligned"
 
-    def views(self):
-        return [s.plane.view for s in self.slices]
-
-    def all_points(self, kind=None):
-        """Concatenated (points, labels) over slices, optionally filtered
-        by point kind."""
+    def all_points(self, kind):
+        """Concatenated (points, labels) of kind ``kind`` over slices."""
         pts, labs = [], []
         for s in self.slices:
-            keep = slice(None) if kind is None else (s.kinds == kind)
+            keep = s.kinds == kind
             pts.append(s.points[keep])
             labs.append(s.labels[keep])
         if not pts:
@@ -75,37 +71,15 @@ class ContourSet:
         return np.concatenate(pts), np.concatenate(labs)
 
 
-@dataclass
-class MisalignmentSpec:
-    sigma: float = 3.0  # mm, SD of each in-plane component of a slice's shift
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-
-
-@dataclass
-class AblationConfig:
-    lax_3ch: bool
-    lax_4ch: bool
-    half_sax: bool
-    all_sax: bool
-    name: str = ""
-
-    def __post_init__(self):
-        if self.half_sax and self.all_sax:
-            raise ValueError("half_sax and all_sax are mutually exclusive")
-
-
-# the five ablation rows: toggled long-axis views plus full or half SAX stack
-ABLATION_ROWS = [
-    AblationConfig(True, True, False, True, name="3ch+4ch+allsax"),
-    AblationConfig(False, True, False, True, name="4ch+allsax"),
-    AblationConfig(True, False, False, True, name="3ch+allsax"),
-    AblationConfig(False, False, False, True, name="allsax"),
-    AblationConfig(False, False, True, False, name="halfsax"),
-]
+# the five ablation rows: name -> (long-axis views kept, step through the
+# short-axis stack from its most apical slice)
+ABLATION_ROWS = {
+    "3ch+4ch+allsax": (("lax_3ch", "lax_4ch"), 1),
+    "4ch+allsax": (("lax_4ch",), 1),
+    "3ch+allsax": (("lax_3ch",), 1),
+    "allsax": ((), 1),
+    "halfsax": ((), 2),
+}
 
 
 def standard_views(mesh, spacing=10.0):
@@ -222,15 +196,18 @@ def _translated(contours, shifts, provenance):
     return ContourSet(contours.shape_id, out, provenance=provenance)
 
 
-def inject_misalignment(contours, spec):
-    """Rigidly translate each slice in-plane by a seeded Gaussian shift.
+def inject_misalignment(contours, sigma, seed):
+    """Rigidly translate each slice in-plane by a Gaussian shift whose two
+    components have SD ``sigma`` (mm), drawn from ``seed`` and the shape id.
 
     Point order and labels are untouched, so the shift is exactly
     recoverable; the result is tagged "misaligned".
     """
-    seed = [spec.seed, stable_hash(contours.shape_id)]
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    seed = [seed, stable_hash(contours.shape_id)]
     shifts = [
-        np.random.default_rng(seed + [i]).normal(0.0, spec.sigma, size=2)
+        np.random.default_rng(seed + [i]).normal(0.0, sigma, size=2)
         for i in range(len(contours.slices))
     ]
     return _translated(contours, shifts, "misaligned")
@@ -250,26 +227,18 @@ def stable_hash(text):
     return h
 
 
-def select_subset(contours, config):
-    """Keep the slices selected by one ablation row. HALF SAX keeps every
-    second short-axis slice starting from the most apical; the 2-chamber
-    view is not part of any ablation row."""
+def select_subset(contours, row_name):
+    """Keep the slices of ablation row ``row_name``: every step-th
+    short-axis slice from the most apical one, then the row's long-axis
+    views in file order. No row keeps the 2-chamber view."""
+    lax, step = ABLATION_ROWS[row_name]
     sax = sorted(
         (s for s in contours.slices if s.plane.view.startswith("sax")),
         key=lambda s: s.plane.view,
     )
-    keep = []
-    if config.all_sax:
-        keep += sax
-    elif config.half_sax:
-        keep += sax[::2]
-    for s in contours.slices:
-        if s.plane.view == "lax_3ch" and config.lax_3ch:
-            keep.append(s)
-        if s.plane.view == "lax_4ch" and config.lax_4ch:
-            keep.append(s)
+    keep = sax[::step] + [s for s in contours.slices if s.plane.view in lax]
     if not keep:
-        raise ValueError(f"ablation row {config} selects no slices")
+        raise ValueError(f"ablation row {row_name!r} selects no slices")
     return ContourSet(contours.shape_id, keep, provenance=contours.provenance)
 
 

@@ -13,7 +13,6 @@ from .plyio import read_mesh_ply, write_mesh_ply
 from .shapes import (
     InstanceMesh,
     ShapeParams,
-    default_params,
     generate_shape,
     sample_params,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "apply_frame",
     "build_template",
     "cardiac_frame",
-    "default_params",
     "generate_shape",
     "invert_frame",
     "label_points",

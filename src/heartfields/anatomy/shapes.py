@@ -18,7 +18,6 @@ class ShapeParams:
     rv_wall_thickness: float = 3.0
     base_truncation_fraction: float = 0.55
     global_scale: float = 1.0
-    seed: int = 0
 
     def validate(self):
         a, b, c = self.lv_semi_axes
@@ -51,10 +50,6 @@ DEFAULT_RANGES = {
 }
 
 
-def default_params(seed=0):
-    return ShapeParams(seed=seed).validate()
-
-
 def sample_params(seed):
     """Draw one cohort member's parameters; deterministic per seed."""
     rng = np.random.default_rng(seed)
@@ -71,7 +66,6 @@ def sample_params(seed):
         rv_wall_thickness=3.0,
         base_truncation_fraction=u("trunc"),
         global_scale=u("scale"),
-        seed=seed,
     ).validate()
 
 
@@ -105,14 +99,11 @@ class InstanceMesh:
     def bounds(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
-    def long_axis_length(self):
-        return float(np.linalg.norm(self.landmarks["lva"] - self.landmarks["mvc"]))
-
 
 def generate_shape(topology, params):
     """Evaluate one shape of the family and canonicalize it to its own
     cardiac frame (the geometry is a deterministic function of the
-    parameters; ``params.seed`` is kept for provenance only)."""
+    parameters)."""
     params.validate()
     a, b, c = params.lv_semi_axes
     pos = tpl.evaluate_positions(

@@ -41,10 +41,6 @@ class Checkpoint:
     opt: dict = field(default_factory=dict)
     epoch: int = 0
 
-    @property
-    def latent_dim(self):
-        return int(self.latent_codes.shape[1])
-
 
 def save_checkpoint(path, ckpt):
     """Write a checkpoint to ``path``."""

@@ -29,7 +29,15 @@ from . import acquisition as acq
 from . import anatomy, inference, metrics, training
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 
-CONDITIONS = ["ideal", "misaligned"] + [f"ablation:{r.name}" for r in acq.ABLATION_ROWS]
+# every test condition: (the contour file it reads, the BCE weight of its
+# latent fit, the ablation row that selects its slices or None). Consistently
+# sliced contours get the heavier BCE weighting, misaligned ones equal BCE
+# and Dice weights.
+CONDITIONS = {
+    "ideal": ("ideal", 10.0, None),
+    "misaligned": ("misaligned", 1.0, None),
+    **{f"ablation:{row}": ("ideal", 10.0, row) for row in acq.ABLATION_ROWS},
+}
 
 
 @dataclass
@@ -63,7 +71,7 @@ class ExperimentConfig(training.TrainConfig):
         test_range = range(self.test_seed0, self.test_seed0 + self.test_shapes)
         if set(train_range) & set(test_range):
             raise ValueError("train and test seed ranges overlap")
-        return self
+        return super().validate()
 
     def hash(self):
         """Hash of the settings; ``out_dir`` is where a run lives, not what it is."""
@@ -245,16 +253,23 @@ def _remove(root, rels):
 
 def cmd_generate(config, force=False):
     """Synthesize the cohorts and test contours. ``force`` starts a new run:
-    it first removes every artifact of the one in the directory, so no later
-    stage reads a checkpoint, reconstruction or evaluation of other shapes."""
+    once the point budgets fit the template, it removes every artifact of
+    the one in the directory, so no later stage reads a checkpoint,
+    reconstruction or evaluation of other shapes."""
     root = config.out_dir
+    started = time.perf_counter()
+    topo = anatomy.build_template()
+    v = topo.vertex_count
+    if config.seg_points <= v or config.reg_points < v:
+        raise ValueError(
+            f"seg_points must exceed and reg_points reach the template's {v} vertices, "
+            f"got {config.seg_points} and {config.reg_points}"
+        )
     if force:
         _remove(root, RUN_ENTRIES)
     elif os.path.exists(os.path.join(root, MANIFEST)):
         raise FileExistsError(f"{root} already holds a run; pass --force to overwrite")
-    started = time.perf_counter()
 
-    topo = anatomy.build_template()
     train_ids, test_ids = _shape_ids(config)
     artifacts = []
 
@@ -280,11 +295,10 @@ def cmd_generate(config, force=False):
         for rel, data in zip(_sample_npys(sid), (seg, reg)):
             artifacts.append(_write(root, rel, np.save, data))
 
-    spec = acq.MisalignmentSpec(sigma=config.sigma, seed=config.misalign_seed)
     for i, sid in enumerate(test_ids):
         mesh = shape(sid, config.test_seed0 + i)
         ideal = acq.acquire(mesh, sid, spacing=config.spacing, density=config.density)
-        misaligned = acq.inject_misalignment(ideal, spec)
+        misaligned = acq.inject_misalignment(ideal, config.sigma, config.misalign_seed)
         for tag, cs in (("ideal", ideal), ("misaligned", misaligned)):
             artifacts.append(_write(root, _contour_json(sid, tag), acq.save_contours, cs))
 
@@ -322,17 +336,17 @@ def load_instance_mesh(root, sid, topo=None):
 
 
 def cmd_train(config, resume=False):
-    """Train the model and write its checkpoint. Once the samples and any
-    resume pass their checks, the old model's reconstructions, evaluations
-    and report go, with their manifest records, so no later stage mixes
-    them with the new checkpoint; a rejected resume removes nothing."""
+    """Train the model and write its checkpoint. Once the samples, the
+    config and any resume pass the checks of training, the old model's
+    reconstructions, evaluations and report go, with their manifest
+    records, so no later stage mixes them with the new checkpoint; a
+    rejected run removes nothing."""
     root = config.out_dir
     started = time.perf_counter()
     train_ids, _ = _shape_ids(config)
     samples = [_load_sample(root, sid) for sid in train_ids]
     prior = load_checkpoint(os.path.join(root, CHECKPOINT)) if resume else None
-    if resume:
-        training.check_resume(prior, config, len(samples))
+    training.check_train(config, len(samples), prior)
 
     manifest = Manifest(root)
     for stage in ("reconstruct", "evaluate"):
@@ -388,33 +402,26 @@ def load_model(root):
 
 
 def _condition_contours(root, case, condition):
-    row = None
-    if condition.startswith("ablation:"):
-        rows = {r.name: r for r in acq.ABLATION_ROWS}
-        row = rows.get(condition.split(":", 1)[1])
-        if row is None:
-            raise ValueError(
-                f"unknown ablation row in condition {condition!r}; known rows: {', '.join(rows)}"
-            )
-    elif condition not in ("ideal", "misaligned"):
-        raise ValueError(f"unknown condition {condition!r}")
-    cs = acq.load_contours(os.path.join(root, _contour_json(case, _condition_preset(condition))))
+    """The contour set ``case`` is fitted to under ``condition``; an unknown
+    condition raises ``ValueError`` before any file is read."""
+    if condition not in CONDITIONS:
+        raise ValueError(
+            f"unknown condition {condition!r}; known conditions: {', '.join(CONDITIONS)}"
+        )
+    tag, _, row = CONDITIONS[condition]
+    cs = acq.load_contours(os.path.join(root, _contour_json(case, tag)))
     return cs if row is None else acq.select_subset(cs, row)
-
-
-def _condition_preset(condition):
-    return "misaligned" if condition == "misaligned" else "ideal"
 
 
 def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, topo=None):
     """One case under one condition; returns (artifacts, duration_s)."""
     root = config.out_dir
     cs = _condition_contours(root, case, condition)
-    weights = inference.weights_for(
-        _condition_preset(condition),
+    weights = inference.InferenceWeights(
+        lambda_bce=CONDITIONS[condition][1],
         steps=config.infer_steps,
-        lr=config.infer_lr,
         max_points=config.infer_points,
+        lr=config.infer_lr,
     )
     t0 = time.perf_counter()
     rec = inference.optimize_latent(
@@ -655,9 +662,10 @@ def cmd_report(config):
         "|---|---|---|---|---|---|",
     ]
     for row in body:
-        if row[0].startswith("ablation:"):
+        ablation_row = CONDITIONS[row[0]][2]
+        if ablation_row:
             lines.append(
-                f"| {row[0].split(':', 1)[1]} | {row[1]} | {fmt(row, 'dice_lvm')} | "
+                f"| {ablation_row} | {row[1]} | {fmt(row, 'dice_lvm')} | "
                 f"{fmt(row, 'dice_rvm')} | {fmt(row, 'ed_mean')} | {fmt(row, 'rmse')} |"
             )
     lines += ["", "## Volumes and masses", ""]

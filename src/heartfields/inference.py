@@ -31,24 +31,13 @@ class InferenceWeights:
     lambda_bce: float
     steps: int
     max_points: int  # slice points are subsampled to this budget
-    lr: float = 1e-2
+    lr: float
 
     def __post_init__(self):
         if self.lambda_bce < 0:
             raise ValueError("inference weights must be nonnegative")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-
-
-# BCE weight per test condition: consistently sliced contours get the
-# heavier BCE weighting, misaligned ones equal BCE and Dice weights
-PRESETS = {"ideal": 10.0, "misaligned": 1.0}
-
-
-def weights_for(preset, **overrides):
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-    return InferenceWeights(lambda_bce=PRESETS[preset], **overrides)
 
 
 def mahalanobis(z, stats):

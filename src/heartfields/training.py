@@ -223,6 +223,10 @@ def build_sample(mesh, shape_id, seg_n, reg_n, margin=20.0, seed=0):
 # ----------------------------------------------------------------- training
 
 
+# the compute dtypes training runs in (float16 overflows the reg loss)
+DTYPES = ("float32", "float64")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 400
@@ -240,6 +244,11 @@ class TrainConfig:
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
+
+    def validate(self):
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype {self.dtype!r} is not one of {', '.join(DTYPES)}")
+        return self
 
 
 @dataclass
@@ -304,6 +313,17 @@ def check_resume(resume, config, n_shapes):
         raise ValueError("checkpoint holds no optimizer state to resume from")
 
 
+def check_train(config, n_shapes, resume=None):
+    """Raise ``ValueError`` for what :func:`train` cannot run: no shapes, a
+    config that fails validation, or a ``resume`` checkpoint that
+    :func:`check_resume` rejects."""
+    if not n_shapes:
+        raise ValueError("empty cohort")
+    config.validate()
+    if resume is not None:
+        check_resume(resume, config, n_shapes)
+
+
 def train(samples, config, resume=None, on_epoch=None):
     """Run the joint loop over precomputed per-shape samples.
 
@@ -311,12 +331,11 @@ def train(samples, config, resume=None, on_epoch=None):
     80/20 into training and validation; validation shapes contribute
     latent-code updates and logged losses but never network updates.
     ``resume`` continues from a loaded checkpoint (networks, codes, Adam
-    states, epoch counter) that :func:`check_resume` accepts. ``on_epoch``
-    is called after every epoch with the :class:`TrainResult` reached so
-    far. Returns the final :class:`TrainResult`.
+    states, epoch counter). :func:`check_train` says what is rejected.
+    ``on_epoch`` is called after every epoch with the :class:`TrainResult`
+    reached so far. Returns the final :class:`TrainResult`.
     """
-    if not samples:
-        raise ValueError("empty cohort")
+    check_train(config, len(samples), resume)
     samples = sorted(samples, key=lambda s: s.shape_id)
     ids = [s.shape_id for s in samples]
     n_shapes = len(samples)
@@ -339,7 +358,6 @@ def train(samples, config, resume=None, on_epoch=None):
         )
         epoch0 = 0
     else:
-        check_resume(resume, config, n_shapes)
         seg_net = resume.seg_net.astype(dt)
         reg_net = resume.reg_net.astype(dt)
         codes = resume.latent_codes.astype(dt)

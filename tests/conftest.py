@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 
 
+def views(contours):
+    """The view names of a contour set's slices, in file order."""
+    return [s.plane.view for s in contours.slices]
+
+
 @pytest.fixture
 def load_label_volume():
     """Reader of a label volume ``inference.write_label_data`` and

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import views
 
 from heartfields import acquisition as acq
 from heartfields import anatomy
@@ -13,7 +14,7 @@ from heartfields.training import build_sample
 @pytest.fixture(scope="module")
 def mesh():
     topo = anatomy.build_template()
-    return anatomy.generate_shape(topo, anatomy.default_params())
+    return anatomy.generate_shape(topo, anatomy.ShapeParams())
 
 
 @pytest.fixture(scope="module")
@@ -158,16 +159,16 @@ def test_contour_points_lie_on_surfaces(mesh, contours):
 
 
 def test_misalignment_zero_sigma_identity(contours):
-    spec = acq.MisalignmentSpec(sigma=0.0, seed=5)
-    shifted = acq.inject_misalignment(contours, spec)
+    shifted = acq.inject_misalignment(contours, sigma=0.0, seed=5)
     assert shifted.provenance == "misaligned"
     for a, b in zip(shifted.slices, contours.slices):
         np.testing.assert_array_equal(a.points, b.points)
+    with pytest.raises(ValueError, match="sigma"):
+        acq.inject_misalignment(contours, sigma=-1.0, seed=5)
 
 
 def test_misalignment_roundtrip(contours):
-    spec = acq.MisalignmentSpec(sigma=3.0, seed=6)
-    shifted = acq.inject_misalignment(contours, spec)
+    shifted = acq.inject_misalignment(contours, sigma=3.0, seed=6)
     restored = acq.remove_misalignment(shifted)
     for a, b in zip(restored.slices, contours.slices):
         np.testing.assert_allclose(a.points, b.points, atol=1e-12)
@@ -175,8 +176,7 @@ def test_misalignment_roundtrip(contours):
 
 
 def test_misalignment_preserves_structure(contours):
-    spec = acq.MisalignmentSpec(sigma=3.0, seed=7)
-    shifted = acq.inject_misalignment(contours, spec)
+    shifted = acq.inject_misalignment(contours, sigma=3.0, seed=7)
     for a, b in zip(shifted.slices, contours.slices):
         assert len(a.points) == len(b.points)
         np.testing.assert_array_equal(a.labels, b.labels)
@@ -188,9 +188,8 @@ def test_misalignment_preserves_structure(contours):
 
 
 def test_misalignment_deterministic(contours):
-    spec = acq.MisalignmentSpec(sigma=3.0, seed=8)
-    s1 = acq.inject_misalignment(contours, spec)
-    s2 = acq.inject_misalignment(contours, spec)
+    s1 = acq.inject_misalignment(contours, sigma=3.0, seed=8)
+    s2 = acq.inject_misalignment(contours, sigma=3.0, seed=8)
     for a, b in zip(s1.slices, s2.slices):
         np.testing.assert_array_equal(a.points, b.points)
 
@@ -203,7 +202,7 @@ def test_misalignment_mean_magnitude():
         for _ in range(100)
     ]
     cs = acq.ContourSet("mc", slices)
-    shifted = acq.inject_misalignment(cs, acq.MisalignmentSpec(sigma=3.0, seed=9))
+    shifted = acq.inject_misalignment(cs, sigma=3.0, seed=9)
     mags = [np.linalg.norm(s.shift) for s in shifted.slices]
     expected = 3.0 * np.sqrt(np.pi / 2.0)
     assert abs(np.mean(mags) - expected) / expected < 0.2
@@ -213,44 +212,38 @@ def test_misalignment_mean_magnitude():
 
 
 def test_subset_full_row(contours):
-    row = acq.ABLATION_ROWS[0]
-    sub = acq.select_subset(contours, row)
-    views = set(sub.views())
-    assert "lax_3ch" in views and "lax_4ch" in views and "lax_2ch" not in views
-    n_sax = sum(v.startswith("sax") for v in contours.views())
-    assert sum(v.startswith("sax") for v in views) == n_sax
+    kept = set(views(acq.select_subset(contours, "3ch+4ch+allsax")))
+    assert "lax_3ch" in kept and "lax_4ch" in kept and "lax_2ch" not in kept
+    n_sax = sum(v.startswith("sax") for v in views(contours))
+    assert sum(v.startswith("sax") for v in kept) == n_sax
 
 
 def test_subset_half_sax(contours):
-    sub = acq.select_subset(contours, acq.ABLATION_ROWS[4])
-    views = sub.views()
-    n_sax = sum(v.startswith("sax") for v in contours.views())
-    assert len(views) == int(np.ceil(n_sax / 2))
-    assert all(v.startswith("sax") for v in views)
-    assert "sax00" in views  # most apical retained
+    kept = views(acq.select_subset(contours, "halfsax"))
+    n_sax = sum(v.startswith("sax") for v in views(contours))
+    assert len(kept) == int(np.ceil(n_sax / 2))
+    assert all(v.startswith("sax") for v in kept)
+    assert "sax00" in kept  # most apical retained
 
 
 def test_subset_idempotent(contours):
-    row = acq.ABLATION_ROWS[1]
-    once = acq.select_subset(contours, row)
-    twice = acq.select_subset(once, row)
-    assert once.views() == twice.views()
+    once = acq.select_subset(contours, "4ch+allsax")
+    twice = acq.select_subset(once, "4ch+allsax")
+    assert views(once) == views(twice)
 
 
 def test_subset_monotone(contours):
     for row in acq.ABLATION_ROWS:
         sub = acq.select_subset(contours, row)
-        assert set(sub.views()) <= set(contours.views())
+        assert set(views(sub)) <= set(views(contours))
 
 
 def test_subset_empty_errors(contours):
-    with pytest.raises(ValueError):
-        acq.AblationConfig(False, False, True, True)
     lax_only = acq.ContourSet(
-        "x", [s for s in contours.slices if s.plane.view.startswith("sax")]
+        "x", [s for s in contours.slices if not s.plane.view.startswith("sax")]
     )
     with pytest.raises(ValueError):
-        acq.select_subset(lax_only, acq.AblationConfig(True, True, False, False))
+        acq.select_subset(lax_only, "allsax")
 
 
 # --------------------------------------------------------------------- I/O
@@ -262,7 +255,7 @@ def test_contour_roundtrip(tmp_path, contours):
     back = acq.load_contours(path)
     assert back.shape_id == contours.shape_id
     assert back.provenance == contours.provenance
-    assert back.views() == contours.views()
+    assert views(back) == views(contours)
     for a, b in zip(back.slices, contours.slices):
         for k in ("origin", "normal", "e1", "e2", "spacing"):
             np.testing.assert_array_equal(getattr(a.plane, k), getattr(b.plane, k))
@@ -279,7 +272,7 @@ def test_contour_roundtrip(tmp_path, contours):
 
 def test_contour_file_rejects_corrupt_input(tmp_path, contours):
     path = tmp_path / "good.json"
-    acq.save_contours(path, acq.select_subset(contours, acq.ABLATION_ROWS[4]))
+    acq.save_contours(path, acq.select_subset(contours, "halfsax"))
     text = path.read_text()
     doc = json.loads(text)
     s0 = doc["slices"][0]

@@ -30,7 +30,7 @@ def topo():
 
 @pytest.fixture(scope="module")
 def mesh(topo):
-    return anatomy.generate_shape(topo, anatomy.default_params())
+    return anatomy.generate_shape(topo, anatomy.ShapeParams())
 
 
 # ---------------------------------------------------------------- template
@@ -144,7 +144,7 @@ def test_generate_deterministic(topo):
 def test_global_scale_doubles_coordinates(topo):
     from dataclasses import replace
 
-    p = anatomy.default_params()
+    p = anatomy.ShapeParams()
     base = anatomy.generate_shape(topo, p)
     doubled = anatomy.generate_shape(topo, replace(p, global_scale=2.0))
     np.testing.assert_allclose(doubled.vertices, 2.0 * base.vertices, atol=1e-9)
@@ -285,7 +285,7 @@ def test_labeling_matches_winding_oracle(mesh):
 
 def test_label_points_cache_frees_mesh(topo):
     # the cached labeler must not keep its mesh alive through a cycle
-    mesh = anatomy.generate_shape(topo, anatomy.default_params())
+    mesh = anatomy.generate_shape(topo, anatomy.ShapeParams())
     anatomy.label_points(np.zeros((1, 3)), mesh)
     ref = weakref.ref(mesh)
     gc.disable()

@@ -71,7 +71,7 @@ def test_roundtrip(saved):
     ckpt = make_checkpoint()
     back = load_checkpoint(saved)
     assert back.epoch == 42
-    assert back.latent_dim == 4
+    assert back.latent_codes.shape[1] == 4
     for attr in ("input_dim", "output_dim", "hidden_dim", "num_blocks"):
         assert getattr(back.seg_net, attr) == getattr(ckpt.seg_net, attr)
         assert getattr(back.reg_net, attr) == getattr(ckpt.reg_net, attr)

@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import views
 from heartfields import acquisition as acq
 from heartfields import harness
 
@@ -118,6 +121,19 @@ def test_generate_force_starts_a_new_run(tmp_path):
     assert_manifest_matches_files(cfg.out_dir)
 
 
+@pytest.mark.parametrize("budgets", [dict(seg_points=100), dict(reg_points=2596)])
+def test_generate_force_checks_point_budgets_before_removing(tmp_path, budgets):
+    """Point budgets the template cannot fill are rejected before ``force``
+    removes the old run, not after it wrote the first shape."""
+    cfg = mini_config(tmp_path / "budgets", train_shapes=1, test_shapes=1)
+    harness.cmd_generate(cfg)
+    before = harness.Manifest(cfg.out_dir).doc
+    with pytest.raises(ValueError, match="2597"):
+        harness.cmd_generate(replace(cfg, **budgets), force=True)
+    assert harness.Manifest(cfg.out_dir).doc == before
+    assert_manifest_matches_files(cfg.out_dir)
+
+
 def test_train_removes_outputs_of_the_old_model(tmp_path):
     """A new model makes the reconstructions, evaluations and report of the
     old one stale; evaluating them with it would fail (another latent dim)
@@ -135,6 +151,26 @@ def test_train_removes_outputs_of_the_old_model(tmp_path):
         assert not os.path.exists(os.path.join(cfg.out_dir, rel)), rel
     assert_manifest_matches_files(cfg.out_dir)
     assert harness.cmd_evaluate(cfg) == 0
+
+
+def test_train_checks_the_config_before_removing(tmp_path):
+    """A config training cannot run is rejected before the old model's
+    reconstructions and their manifest record go."""
+    cfg = mini_config(tmp_path / "rejected", test_shapes=1, epochs=2, infer_steps=2)
+    harness.cmd_generate(cfg)
+    harness.cmd_train(cfg)
+    harness.cmd_reconstruct(cfg, conditions=["ideal"])
+    before = harness.Manifest(cfg.out_dir).doc
+    # float16 would overflow the reg loss; no training shape leaves nothing to fit
+    for bad, match in ((dict(train_shapes=0), "empty cohort"), (dict(dtype="float16"), "dtype"),
+                       (dict(dtype="foo"), "dtype")):
+        with pytest.raises(ValueError, match=match):
+            harness.cmd_train(replace(cfg, **bad))
+        assert harness.Manifest(cfg.out_dir).doc == before
+        assert os.path.isdir(os.path.join(cfg.out_dir, "recon"))
+    assert_manifest_matches_files(cfg.out_dir)
+    with pytest.raises(ValueError, match="dtype"):
+        replace(cfg, dtype="float16").validate()
 
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
@@ -164,7 +200,7 @@ def test_ideal_vs_misaligned_differ_only_in_geometry(run):
     root = run.out_dir
     ideal = acq.load_contours(os.path.join(root, "contours", "test_0000_ideal.json"))
     mis = acq.load_contours(os.path.join(root, "contours", "test_0000_misaligned.json"))
-    assert ideal.views() == mis.views()
+    assert views(ideal) == views(mis)
     moved = 0
     for a, b in zip(ideal.slices, mis.slices):
         np.testing.assert_array_equal(a.labels, b.labels)
@@ -391,11 +427,68 @@ def test_reconstruct_dense_labels(tmp_path, run, load_label_volume):
 def test_reconstruct_unknown_ablation_row(tmp_path):
     # the out dir holds no contours: the name is rejected before any read
     cfg = mini_config(tmp_path)
-    with pytest.raises(ValueError) as err:
-        harness.reconstruct_case(cfg, None, None, "test_0000", "ablation:nope")
-    assert "'ablation:nope'" in str(err.value)
-    for row in acq.ABLATION_ROWS:
-        assert row.name in str(err.value)
+    for name in ("ablation:nope", "nope"):
+        with pytest.raises(ValueError) as err:
+            harness.reconstruct_case(cfg, None, None, "test_0000", name)
+        assert f"{name!r}" in str(err.value)
+        for condition in harness.CONDITIONS:
+            assert condition in str(err.value)
+
+
+# each condition's contour file, BCE weight and kept views of the contour
+# set whose views are FILE_VIEWS, taken at commit 42a50c3, where inference
+# held the weights and acquisition the ablation rows
+FILE_VIEWS = ["lax_3ch", "sax01", "lax_4ch", "sax00", "lax_2ch", "sax02", "sax03", "sax04"]
+SAX = ["sax00", "sax01", "sax02", "sax03", "sax04"]
+PINNED_CONDITIONS = {
+    "ideal": ("ideal", 10.0, FILE_VIEWS),
+    "misaligned": ("misaligned", 1.0, FILE_VIEWS),
+    "ablation:3ch+4ch+allsax": ("ideal", 10.0, SAX + ["lax_3ch", "lax_4ch"]),
+    "ablation:4ch+allsax": ("ideal", 10.0, SAX + ["lax_4ch"]),
+    "ablation:3ch+allsax": ("ideal", 10.0, SAX + ["lax_3ch"]),
+    "ablation:allsax": ("ideal", 10.0, SAX),
+    "ablation:halfsax": ("ideal", 10.0, ["sax00", "sax02", "sax04"]),
+}
+
+
+def test_conditions_pinned(tmp_path, monkeypatch, capsys):
+    """What a fit under each condition reads and weighs, up to the call of
+    ``optimize_latent``; and the CLI offers exactly these conditions."""
+    cfg = mini_config(tmp_path)
+    slices = [
+        acq.Slice(acq.SlicePlane(view, [0, 0, 0], [0, 0, 1.0], [1.0, 0, 0], [0, 1.0, 0]),
+                  np.zeros((1, 3)), np.zeros(1, np.int8), np.zeros(1, np.uint8))
+        for view in FILE_VIEWS
+    ]
+    for tag in ("ideal", "misaligned"):
+        path = os.path.join(cfg.out_dir, "contours", f"test_0000_{tag}.json")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        acq.save_contours(path, acq.ContourSet("test_0000", slices, provenance=tag))
+
+    class Fitted(Exception):
+        pass
+
+    def optimize_latent(contours, seg_net, stats, weights, seed=0):
+        raise Fitted(contours.provenance, weights, views(contours))
+
+    monkeypatch.setattr(harness.inference, "optimize_latent", optimize_latent)
+    seen = {}
+    for condition in harness.CONDITIONS:
+        with pytest.raises(Fitted) as fit:
+            harness.reconstruct_case(cfg, SimpleNamespace(seg_net=None), None, "test_0000",
+                                     condition)
+        tag, weights, kept = fit.value.args
+        assert (weights.steps, weights.max_points, weights.lr) == (
+            cfg.infer_steps, cfg.infer_points, cfg.infer_lr)
+        seen[condition] = (tag, weights.lambda_bce, kept)
+    assert seen == PINNED_CONDITIONS
+    assert list(seen) == list(PINNED_CONDITIONS)
+
+    for command in ("reconstruct", "evaluate"):
+        with pytest.raises(SystemExit):
+            harness.main([command, "--help"])
+        choices = re.search(r"--condition \{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert choices.split(",") == list(harness.CONDITIONS)
 
 
 # ----------------------------------------------------------------- evaluate

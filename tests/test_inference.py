@@ -86,21 +86,27 @@ def test_mahalanobis_gradient():
     assert netcore.relative_grad_error(grad, num) < 1e-4
 
 
-# ------------------------------------------------------------------ presets
+# ------------------------------------------------------------------ weights
+
+
+def ideal_weights(steps, max_points):
+    """The weights of the pipeline's ideal condition (``harness.CONDITIONS``)
+    at its default learning rate, for ``steps`` over ``max_points`` points."""
+    return inference.InferenceWeights(
+        lambda_bce=10.0, steps=steps, max_points=max_points, lr=1e-2
+    )
 
 
 def test_weight_presets():
-    ideal = inference.weights_for("ideal", steps=7, max_points=100)
-    assert ideal.lambda_bce == 10.0 and ideal.steps == 7 and ideal.max_points == 100
-    mis = inference.weights_for("misaligned", steps=7, max_points=100)
-    assert mis.lambda_bce == 1.0
+    w = ideal_weights(7, 100)
+    assert (w.lambda_bce, w.steps, w.max_points, w.lr) == (10.0, 7, 100, 1e-2)
     with pytest.raises(ValueError):
-        inference.weights_for("nope")
+        inference.InferenceWeights(lambda_bce=-1.0, steps=7, max_points=100, lr=1e-2)
     with pytest.raises(ValueError):
-        inference.InferenceWeights(lambda_bce=1.0, steps=0, max_points=100)
-    # the step count and the point budget have no defaults: a run sets them
+        inference.InferenceWeights(lambda_bce=1.0, steps=0, max_points=100, lr=1e-2)
+    # no field has a default: a run's condition and config set them all
     with pytest.raises(TypeError):
-        inference.weights_for("ideal")
+        inference.InferenceWeights(lambda_bce=10.0, steps=7, max_points=100)
 
 
 # -------------------------------------------------------- latent optimization
@@ -110,7 +116,7 @@ def test_optimize_latent_respects_frozen_net_and_trace(topo, small_model):
     result, cfg, meshes, samples = small_model
     contours = acq.acquire(meshes[0], "t000", density=4.0)
     before = hashlib.sha256(result.seg_net.parameters.tobytes()).hexdigest()
-    w = inference.weights_for("ideal", steps=60, max_points=800)
+    w = ideal_weights(60, 800)
     rec = inference.optimize_latent(contours, result.seg_net, result.stats, w)
     after = hashlib.sha256(result.seg_net.parameters.tobytes()).hexdigest()
     assert before == after
@@ -138,7 +144,7 @@ def test_optimize_latent_golden(topo, dtype, golden_arithmetic):
     contours = acq.acquire(mesh, "g000", density=6.0)
     net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, hidden_dim=32, num_blocks=2), 5)
     stats = training.latent_stats(np.random.default_rng(6).standard_normal((8, 4)) * 0.3)
-    w = inference.weights_for("ideal", steps=30, max_points=500)
+    w = ideal_weights(30, 500)
     rec = inference.optimize_latent(contours, net.astype(dtype), stats, w)
     digest = hashlib.sha256(rec.latent.tobytes() + rec.loss_trace.tobytes()).hexdigest()
     assert digest == GOLDEN_LATENT_FIT_SHA256[dtype]
@@ -161,7 +167,7 @@ def test_optimize_latent_forms_no_parameter_gradients(topo, small_model, monkeyp
     monkeypatch.setattr(netcore, "forward", forward)
     monkeypatch.setattr(netcore, "backward", backward)
     contours = acq.acquire(meshes[0], "t000", density=6.0)
-    w = inference.weights_for("ideal", steps=7, max_points=300)
+    w = ideal_weights(7, 300)
     inference.optimize_latent(contours, result.seg_net, result.stats, w)
     assert calls == [("backward", True)] * 7 + ["forward"]
 
@@ -187,7 +193,7 @@ def test_optimize_latent_beats_training_code(topo, small_model):
     # optimizer must match or beat its objective value
     result, cfg, meshes, samples = small_model
     contours = acq.acquire(meshes[1], "t001", density=4.0)
-    w = inference.weights_for("ideal", steps=250, max_points=1200)
+    w = ideal_weights(250, 1200)
     rec = inference.optimize_latent(contours, result.seg_net, result.stats, w)
     h0 = result.latents.codes[result.latents.shape_ids.index("t001")]
     rec0 = inference.ReconstructionResult(latent=h0, loss_trace=np.zeros(1), n_points=0)
@@ -200,7 +206,7 @@ def test_optimize_latent_prior_dominated_limit(topo, small_model, monkeypatch):
     result, cfg, meshes, _ = small_model
     contours = acq.acquire(meshes[2], "t002", density=4.0)
     monkeypatch.setattr(inference, "LAMBDA_R", 1e6)
-    w = inference.weights_for("ideal", steps=300, max_points=400)
+    w = ideal_weights(300, 400)
     rec = inference.optimize_latent(contours, result.seg_net, result.stats, w)
     assert np.linalg.norm(rec.latent - result.stats.mean) < 1e-3
 
@@ -214,7 +220,7 @@ def test_optimize_latent_sustained_divergence_aborts(topo, small_model):
     crazy = LatentStats(
         mean=np.full(dim, 1e7), cov=np.eye(dim), cov_inv=np.eye(dim)
     )
-    w = inference.weights_for("ideal", steps=50, max_points=200)
+    w = ideal_weights(50, 200)
     with pytest.raises(FloatingPointError):
         inference.optimize_latent(contours, result.seg_net, crazy, w)
 
@@ -224,7 +230,7 @@ def test_optimize_latent_single_label_errors(topo, small_model):
     plane = acq.SlicePlane("sax00", [0, 0, 200.0], [0, 0, 1.0], [1.0, 0, 0], [0, 1.0, 0])
     s = acq.slice_mesh(meshes[0], plane, density=8.0)  # far away: all BG
     cs = acq.ContourSet("bg", [s])
-    w = inference.weights_for("ideal", steps=5, max_points=2500)
+    w = ideal_weights(5, 2500)
     with pytest.raises(ValueError):
         inference.optimize_latent(cs, result.seg_net, result.stats, w)
 

@@ -218,7 +218,7 @@ def test_latent_stats_needs_two():
 @pytest.fixture(scope="module")
 def mesh():
     topo = anatomy.build_template()
-    return anatomy.generate_shape(topo, anatomy.default_params())
+    return anatomy.generate_shape(topo, anatomy.ShapeParams())
 
 
 def test_sample_seg_counts_and_errors(mesh):
