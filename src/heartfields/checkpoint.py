@@ -11,8 +11,10 @@ in layout order; ``latent_codes`` (n_shapes, latent_dim); optionally
 ``stats.mean``, ``stats.cov`` and ``stats.cov_inv``; optionally
 ``opt.<name>.m``, ``.v`` and ``.t``, the Adam moments and step count of
 "seg", "reg" and "lat" (one state for the whole latent table, counting
-epochs; no learning rate) so training can resume; and ``epoch``. All
-floating members are float64 regardless of the in-memory compute dtype.
+epochs; no learning rate) so training can resume; and ``epoch``. Every
+floating member is stored little-endian in its in-memory dtype, so a net
+loads in the dtype it was trained in (float32 or float64) and computes in
+it, and an Adam state's moments share their parameters' dtype.
 """
 
 import io
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netcore import OptimizerState, ResidualMlp
-from .training import INPUT_SCALE, REG_OUTPUT_SCALE, LatentStats
+from .training import DTYPES, INPUT_SCALE, REG_OUTPUT_SCALE, LatentStats
 
 FORMAT = 2
 SCALES = (INPUT_SCALE, REG_OUTPUT_SCALE)
@@ -63,7 +65,7 @@ def save_checkpoint(path, ckpt):
         for name, value in members.items():
             arr = np.asarray(value)
             if arr.dtype.kind == "f":
-                arr = arr.astype("<f8", copy=False)
+                arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
             with zf.open(zipfile.ZipInfo(f"{name}.npy", date_time=_DATE_TIME), "w") as f:
                 np.lib.format.write_array(f, arr, allow_pickle=False)
 
@@ -71,7 +73,9 @@ def save_checkpoint(path, ckpt):
 def load_checkpoint(path):
     """Read a checkpoint; raise ``ValueError`` naming ``path`` if it is not
     a format-2 archive, is truncated, fails a member's CRC, lacks a required
-    member, or holds members whose dims disagree."""
+    member, holds members whose dims disagree, holds a net whose parameters
+    are not float32 or float64, or holds Adam moments of another dtype than
+    their parameters."""
     with open(path, "rb") as f:
         if f.read(4) == b"NIHC":
             raise ValueError(f"{path}: checkpoint format 1 is no longer read; retrain")
@@ -98,6 +102,10 @@ def _from_archive(arrays):
         raise ValueError(f"unsupported checkpoint format {fmt}")
     if not np.array_equal(arrays["scales"], SCALES):
         raise ValueError(f"scales member holds {arrays['scales']}, not {list(SCALES)}")
+    for n in NETS:
+        dt = arrays[f"{n}.params"].dtype
+        if str(dt) not in DTYPES:
+            raise ValueError(f"{n}.params has dtype {dt}, not one of {', '.join(DTYPES)}")
     seg, reg = (ResidualMlp(*map(int, arrays[f"{n}.dims"]), arrays[f"{n}.params"]) for n in NETS)
     codes = arrays["latent_codes"]
     _, dim = codes.shape
@@ -113,5 +121,9 @@ def _from_archive(arrays):
         m, v, t = arrays[f"opt.{name}.m"], arrays[f"opt.{name}.v"], int(arrays[f"opt.{name}.t"])
         if m.shape != params.shape or v.shape != params.shape:
             raise ValueError(f"opt.{name} moments are {m.shape}/{v.shape}, not {params.shape}")
+        if m.dtype != params.dtype or v.dtype != params.dtype:
+            raise ValueError(
+                f"opt.{name} moments have dtypes {m.dtype}/{v.dtype}, its parameters {params.dtype}"
+            )
         ckpt.opt[name] = OptimizerState(m, v, t)
     return ckpt

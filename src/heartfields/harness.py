@@ -385,7 +385,8 @@ def _write_checkpoint(root, result):
         Checkpoint(
             seg_net=result.seg_net,
             reg_net=result.reg_net,
-            latent_codes=result.latents.codes,
+            # the table trains in the nets' dtype; TrainResult widens it to float64
+            latent_codes=result.latents.codes.astype(result.seg_net.parameters.dtype),
             stats=result.stats,
             opt=result.opt,
             epoch=result.epoch,
@@ -401,13 +402,20 @@ def load_model(root):
 # -------------------------------------------------------------- reconstruct
 
 
+def _check_conditions(conditions):
+    """Raise ``ValueError`` naming every known condition unless each of
+    ``conditions`` is one."""
+    for condition in conditions:
+        if condition not in CONDITIONS:
+            raise ValueError(
+                f"unknown condition {condition!r}; known conditions: {', '.join(CONDITIONS)}"
+            )
+
+
 def _condition_contours(root, case, condition):
     """The contour set ``case`` is fitted to under ``condition``; an unknown
     condition raises ``ValueError`` before any file is read."""
-    if condition not in CONDITIONS:
-        raise ValueError(
-            f"unknown condition {condition!r}; known conditions: {', '.join(CONDITIONS)}"
-        )
+    _check_conditions([condition])
     tag, _, row = CONDITIONS[condition]
     cs = acq.load_contours(os.path.join(root, _contour_json(case, tag)))
     return cs if row is None else acq.select_subset(cs, row)
@@ -549,6 +557,11 @@ def evaluate_case(root, topo, ckpt, case, condition):
 
 
 def cmd_evaluate(config, conditions=None):
+    """Evaluate every test case under ``conditions`` (default: those with
+    reconstructions) and write the CSVs; an unknown condition raises
+    ``ValueError`` before anything is read or written. Returns 1 if a
+    reconstruction was missing, else 0."""
+    _check_conditions(conditions or [])
     root = config.out_dir
     started = time.perf_counter()
     topo = anatomy.build_template()

@@ -25,6 +25,22 @@ from .training import REG_OUTPUT_SCALE, bce_loss, dice_loss, reg_inputs, seg_inp
 # weight of the Mahalanobis prior; the Dice term's weight is 1
 LAMBDA_R = 1e-2
 
+# Exact power-of-two scale of a latent step's BCE + Dice upstream, undone on
+# the code gradient (the loss scaling of Micikevicius et al., "Mixed
+# Precision Training", ICLR 2018). A classifier trained to confidence gives
+# logits of |100-600|, whose float32 upstream holds subnormal entries, and a
+# backward over subnormals runs several times slower. Every nonzero float32
+# is at least 2^-149, so the scaled upstream is at least 2^-89 and leaves 37
+# binades before the backward's products go subnormal. Headroom: an upstream
+# entry is at most lambda_bce / n + 1 (n logits; the Dice part is at most 1),
+# so for any BCE weight below 2^3 n the scaled upstream stays below 2^64, and
+# the input gradients overflow float32 (2^128) only if the backward grows
+# them 2^64-fold, a net far past any trained one. An overflow gives a
+# non-finite gradient, which adam_step rejects. Without subnormals or
+# overflow, scaling by a power of two is exact, so the step's bits do not
+# change; float64 never goes subnormal here.
+GRAD_SCALE = 2.0**60
+
 
 @dataclass
 class InferenceWeights:
@@ -65,11 +81,12 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     Uses the occupancy-grid points of the contour set. Each step needs
     only the gradient with respect to the network input (the code columns
     of it), so its forward pass keeps just the ReLU masks
-    (``keep="inputs"``) and its backward forms no parameter gradient; the
-    loss after the last step comes from a plain forward pass. Returns the
-    best-loss iterate and the full loss trace; raises if the input carries
-    fewer than two distinct labels (the Dice term would be degenerate) or
-    if the loss diverges past 1e6.
+    (``keep="inputs"``) and its backward forms no parameter gradient and
+    runs on an upstream scaled by :data:`GRAD_SCALE`; the loss after the
+    last step comes from a plain forward pass. The fit computes in the
+    classifier's dtype. Returns the best-loss iterate and the full loss
+    trace; raises if the input carries fewer than two distinct labels (the
+    Dice term would be degenerate) or if the loss diverges past 1e6.
     """
     pts, labels = contours.all_points(kind=KIND_GRID)
     if len(np.unique(labels)) < 2:
@@ -103,9 +120,9 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
         loss = LAMBDA_R * lm + weights.lambda_bce * lb + ld
         if not want_grad:
             return loss, None
-        upstream = weights.lambda_bce * gb + gd
+        upstream = (weights.lambda_bce * gb + gd) * GRAD_SCALE
         g = netcore.backward(seg_net, x, upstream, cache=cache)
-        g_h = g.input_grads[:, 3:].sum(axis=0) + LAMBDA_R * gm.astype(dt)
+        g_h = g.input_grads[:, 3:].sum(axis=0) / GRAD_SCALE + LAMBDA_R * gm.astype(dt)
         return loss, g_h
 
     for _ in range(weights.steps):

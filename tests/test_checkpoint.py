@@ -166,18 +166,31 @@ def test_disagreeing_dims_rejected(saved):
     rejected(saved, "opt.lat moments")
 
 
-def test_float32_nets_saved_as_float64(tmp_path):
+def test_float32_nets_keep_their_dtype(tmp_path):
     ckpt = make_checkpoint(with_stats=False, with_opt=False)
     ckpt.seg_net = ckpt.seg_net.astype(np.float32)
     path = tmp_path / "f32.nihc"
     save_checkpoint(path, ckpt)
     with np.load(path) as z:
-        assert z["seg_net.params"].dtype == np.dtype("<f8")
+        assert z["seg_net.params"].dtype == np.dtype("<f4")
+        assert z["reg_net.params"].dtype == np.dtype("<f8")
     back = load_checkpoint(path)
-    assert back.seg_net.parameters.dtype == np.float64
-    np.testing.assert_allclose(
-        back.seg_net.parameters, ckpt.seg_net.parameters.astype(np.float64)
-    )
+    assert back.seg_net.parameters.dtype == np.float32
+    assert back.seg_net.parameters.tobytes() == ckpt.seg_net.parameters.tobytes()
+    assert back.reg_net.parameters.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128])
+def test_net_params_of_another_dtype_rejected(saved, dtype):
+    with np.load(saved) as z:
+        params = z["reg_net.params"]
+    rejected(edited(saved, replace={"reg_net.params": params.astype(dtype)}), "reg_net.params")
+
+
+def test_adam_moments_of_another_dtype_rejected(saved):
+    with np.load(saved) as z:
+        moments = z["opt.seg.v"]
+    rejected(edited(saved, replace={"opt.seg.v": moments.astype(np.float32)}), "opt.seg moments")
 
 
 def test_saves_are_byte_identical(saved, tmp_path):

@@ -352,6 +352,35 @@ def test_reconstruct_from_interrupted_training(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(cfg.out_dir, rels[0]))
 
 
+def test_float32_model_reconstructs_in_float32(tmp_path, run):
+    """A float32 run's checkpoint loads float32 nets, so reconstruct fits
+    the latent with the bits of the net training returned."""
+    import shutil
+
+    from heartfields import inference
+
+    dst = tmp_path / "f32"
+    shutil.copytree(run.out_dir, dst)
+    cfg = mini_config(dst, dtype="float32", epochs=10)
+    result = harness.cmd_train(cfg)
+    ckpt, stats = harness.load_model(cfg.out_dir)
+    for loaded, trained in ((ckpt.seg_net, result.seg_net), (ckpt.reg_net, result.reg_net)):
+        assert loaded.parameters.dtype == np.float32
+        assert loaded.parameters.tobytes() == trained.parameters.tobytes()
+
+    rels, _ = harness.reconstruct_case(cfg, ckpt, stats, "test_0000", "ideal")
+    latent = np.load(os.path.join(dst, next(r for r in rels if r.endswith("_latent.npy"))))
+    weights = inference.InferenceWeights(
+        lambda_bce=harness.CONDITIONS["ideal"][1], steps=cfg.infer_steps,
+        max_points=cfg.infer_points, lr=cfg.infer_lr,
+    )
+    rec = inference.optimize_latent(
+        harness._condition_contours(cfg.out_dir, "test_0000", "ideal"), result.seg_net,
+        result.stats, weights, seed=acq.stable_hash("test_0000:ideal"),
+    )
+    assert latent.tobytes() == rec.latent.tobytes()
+
+
 # -------------------------------------------------------------- reconstruct
 
 
@@ -597,6 +626,23 @@ def test_evaluate_missing_reconstruction_nonzero_exit(tmp_path, run):
     cfg = mini_config(dst)
     os.remove(os.path.join(dst, "recon", "ideal", "test_0001.ply"))
     assert harness.cmd_evaluate(cfg, conditions=["ideal"]) == 1
+
+
+def test_evaluate_unknown_condition_writes_nothing(tmp_path, run):
+    """A condition name not in CONDITIONS is rejected before any case is
+    read, so the last evaluation's tables and manifest record stay."""
+    import shutil
+
+    dst = tmp_path / "typo"
+    shutil.copytree(run.out_dir, dst)
+    kept = [dst / "eval" / "summary.csv", dst / "manifest.json"]
+    before = [path.read_bytes() for path in kept]
+    with pytest.raises(ValueError) as err:
+        harness.cmd_evaluate(mini_config(dst), conditions=["ideal", "ideal:typo"])
+    assert "'ideal:typo'" in str(err.value)
+    for condition in harness.CONDITIONS:
+        assert condition in str(err.value)
+    assert [path.read_bytes() for path in kept] == before
 
 
 # ------------------------------------------------------------------- report

@@ -172,6 +172,44 @@ def test_optimize_latent_forms_no_parameter_gradients(topo, small_model, monkeyp
     assert calls == [("backward", True)] * 7 + ["forward"]
 
 
+def test_saturated_fit_scales_its_upstream_out_of_subnormals(topo, monkeypatch):
+    """A classifier pushed to |logit| >= 200 gives float32 BCE + Dice
+    upstream entries below float32's smallest normal; the fit's scaled
+    upstream holds none, and its float32 code gradient matches the float64
+    one to within 1e-5 of the largest entry (float32 eps is 1.2e-7)."""
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(500))
+    contours = acq.acquire(mesh, "g000", density=6.0)
+    stats = training.latent_stats(np.random.default_rng(6).standard_normal((8, 4)) * 0.3)
+    net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, hidden_dim=16, num_blocks=2), 5)
+    net.views()[3][:] *= 100.0  # the output projection
+    true_backward, true_adam_step = netcore.backward, netcore.adam_step
+    seen = {}
+
+    def backward(net, inputs, upstream_grads, cache=None):
+        seen["upstream"] = upstream_grads.copy()
+        seen["logits"] = netcore.forward(net, inputs)
+        return true_backward(net, inputs, upstream_grads, cache)
+
+    def adam_step(params, grads, state, lr):
+        seen["code_grad"] = grads.astype(np.float64)
+        return true_adam_step(params, grads, state, lr)
+
+    monkeypatch.setattr(netcore, "backward", backward)
+    monkeypatch.setattr(netcore, "adam_step", adam_step)
+    code_grad = {}
+    for dtype in (np.float64, np.float32):
+        inference.optimize_latent(contours, net.astype(dtype), stats, ideal_weights(1, 500))
+        code_grad[dtype] = seen["code_grad"]
+
+    assert np.abs(seen["logits"]).max() >= 200.0
+    tiny = np.finfo(np.float32).tiny
+    magnitude = np.abs(seen["upstream"][seen["upstream"] != 0])
+    assert np.count_nonzero(magnitude < tiny * inference.GRAD_SCALE) > 0  # subnormal unscaled
+    assert magnitude.min() >= tiny
+    error = np.abs(code_grad[np.float32] - code_grad[np.float64]).max()
+    assert error <= 1e-5 * np.abs(code_grad[np.float64]).max()
+
+
 def evaluate_loss(rec, contours, result, cfg, w):
     pts, labels = contours.all_points(kind=acq.KIND_GRID)
     rng = np.random.default_rng(0)
