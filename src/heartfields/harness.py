@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+import scipy
 
 from . import acquisition as acq
 from . import anatomy, inference, metrics, training
@@ -224,6 +225,18 @@ class Manifest:
         return self.doc["stages"].get(name, {}).get("artifacts", {})
 
 
+def _compute_env(dtype):
+    """The compute dtype and numerical libraries a stage's numbers rest on,
+    for its manifest record."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "compute_dtype": np.dtype(dtype).name,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+    }
+
+
 def file_hash(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -372,7 +385,10 @@ def cmd_train(config, resume=False):
     if not old:
         rows.insert(0, ["epoch", "seg_loss", "reg_loss", "prior_loss", "total", "val_total"])
     artifacts.append(_write(root, TRAIN_LOG, _write_text, old + _csv_text(rows)))
-    manifest.record_stage("train", config, artifacts, time.perf_counter() - started)
+    manifest.record_stage(
+        "train", config, artifacts, time.perf_counter() - started,
+        **_compute_env(result.seg_net.parameters.dtype),
+    )
     return result
 
 
@@ -465,11 +481,15 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
 
 
 def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
+    """Reconstruct every case under every condition and record the files in
+    the manifest; an unknown condition raises ``ValueError`` before anything
+    is read or written."""
+    conditions = conditions or ["ideal", "misaligned"]
+    _check_conditions(conditions)
     root = config.out_dir
     started = time.perf_counter()
     _, test_ids = _shape_ids(config)
     cases = cases or test_ids
-    conditions = conditions or ["ideal", "misaligned"]
     ckpt, stats = load_model(root)
     topo = anatomy.build_template()
     artifacts, durations = [], {}
@@ -488,6 +508,7 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
         "reconstruct", config, set(kept + artifacts),
         prev.get("duration_s", 0.0) + time.perf_counter() - started,
         case_durations_s={**prev.get("case_durations_s", {}), **durations},
+        **_compute_env(ckpt.seg_net.parameters.dtype),
     )
     return durations
 

@@ -12,8 +12,21 @@ caches the block inputs and activations for the parameter gradients, while
 ``keep="inputs"`` caches just the ReLU masks, and the backward then skips
 every parameter-gradient product. Input gradients are bit-identical either
 way, since both run the same arithmetic on them.
+
+Every pass allocates its buffers once per call and then works in place:
+matrix products write through ``out=``, and bias adds, ReLUs and residual
+adds update their operands. A ``keep="params"`` forward stores all block
+inputs and activations in one array; the other passes keep the running
+state and two scratch arrays for all blocks, and Adam two temporaries.
+The operation order is that of the plain expressions
+(``t += h`` equals ``h + t`` exactly), so results are bit-identical to
+them. This matters for speed: a fresh temporary per step is freed at the
+end of the call, glibc trims the heap top, and the next step faults the
+same pages in again. No buffer outlives a call except what it returns,
+and nothing is kept across calls.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,7 +56,7 @@ def _views(flat, input_dim, output_dim, hidden_dim, num_blocks):
 
     def take(*shape):
         nonlocal off
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         v = flat[off : off + n].reshape(shape)
         off += n
         return v
@@ -167,21 +180,35 @@ def forward_cached(net, inputs, keep="params"):
         raise ValueError(f"keep must be one of {_KEEP}, got {keep!r}")
     x = _check_inputs(net, inputs)
     w_in, b_in, blocks, w_out, b_out = net.views()
-    h = x @ w_in + b_in
-    hin, masks, act = [], [], []
-    for w1, b1, w2, b2 in blocks:
-        a = h @ w1 + b1
-        z = np.maximum(a, 0.0)
-        if keep is not None:
-            masks.append(a > 0)
-        if keep == "params":
-            hin.append(h)
-            act.append(z)
-        h = h + z @ w2 + b2
-    y = h @ w_out + b_out
+    rows, nb = len(x), net.num_blocks
+    shape = (rows, net.hidden_dim)
+    masks = None if keep is None else np.empty((nb, *shape), dtype=bool)
     if keep == "params":
-        return y, Cache(len(x), masks, x, hin, act, h)
-    return y, (Cache(len(x), masks) if keep == "inputs" else None)
+        # slot 2k holds block k's input, 2k+1 its activation, the last one
+        # the final hidden state
+        states = np.empty((2 * nb + 1, *shape), dtype=x.dtype)
+        h = states[0]
+    else:
+        h, a, t = (np.empty(shape, dtype=x.dtype) for _ in range(3))
+    np.matmul(x, w_in, out=h)
+    h += b_in
+    for k, (w1, b1, w2, b2) in enumerate(blocks):
+        if keep == "params":
+            a, t = states[2 * k + 1], states[2 * k + 2]
+        np.matmul(h, w1, out=a)
+        a += b1
+        if masks is not None:
+            np.greater(a, 0, out=masks[k])
+        np.maximum(a, 0.0, out=a)
+        np.matmul(a, w2, out=t)
+        t += h
+        t += b2
+        h, t = t, h
+    y = h @ w_out
+    y += b_out
+    if keep == "params":
+        return y, Cache(rows, list(masks), x, list(states[0:-1:2]), list(states[1::2]), h)
+    return y, (Cache(rows, list(masks)) if keep == "inputs" else None)
 
 
 @dataclass
@@ -218,29 +245,32 @@ def backward(net, inputs, upstream_grads, cache=None):
         raise ValueError("upstream grads contain non-finite values")
 
     w_in, b_in, blocks, w_out, b_out = net.views()
+    gh, ga, u = (np.empty((cache.rows, net.hidden_dim), dtype=up.dtype) for _ in range(3))
     full = cache.x is not None
     if full:
-        grads = np.zeros_like(net.parameters)
+        grads = np.empty_like(net.parameters)
         gw_in, gb_in, gblocks, gw_out, gb_out = _views(
             grads, net.input_dim, net.output_dim, net.hidden_dim, net.num_blocks
         )
-        gw_out[:] = cache.hlast.T @ up
-        gb_out[:] = up.sum(axis=0)
-    gh = up @ w_out.T
+        np.matmul(cache.hlast.T, up, out=gw_out)
+        np.sum(up, axis=0, out=gb_out)
+    np.matmul(up, w_out.T, out=gh)
     for k in range(net.num_blocks - 1, -1, -1):
         w1, _, w2, _ = blocks[k]
-        ga = (gh @ w2.T) * cache.masks[k]
+        np.matmul(gh, w2.T, out=ga)
+        ga *= cache.masks[k]
         if full:
             gw1, gb1, gw2, gb2 = gblocks[k]
-            gw2[:] = cache.act[k].T @ gh
-            gb2[:] = gh.sum(axis=0)
-            gw1[:] = cache.hin[k].T @ ga
-            gb1[:] = ga.sum(axis=0)
-        gh = gh + ga @ w1.T
+            np.matmul(cache.act[k].T, gh, out=gw2)
+            np.sum(gh, axis=0, out=gb2)
+            np.matmul(cache.hin[k].T, ga, out=gw1)
+            np.sum(ga, axis=0, out=gb1)
+        np.matmul(ga, w1.T, out=u)
+        gh += u
     if not full:
         return GradientBuffer(None, gh @ w_in.T)
-    gw_in[:] = cache.x.T @ gh
-    gb_in[:] = gh.sum(axis=0)
+    np.matmul(cache.x.T, gh, out=gw_in)
+    np.sum(gh, axis=0, out=gb_in)
     return GradientBuffer(grads, gh @ w_in.T)
 
 
@@ -263,24 +293,38 @@ class OptimizerState:
 
 
 def adam_step(params, grads, state, lr):
-    """One bias-corrected Adam update at rate ``lr``, in place. Returns (params, state)."""
+    """One bias-corrected Adam update at rate ``lr``, in place. Returns (params, state).
+
+    The gradient must have the dtype of the parameters and moments, so the
+    whole update runs in that precision; ``lr`` is taken as a Python float.
+    """
     g = np.asarray(grads)
-    if g.shape != params.shape or state.first_moment.shape != params.shape:
+    m, v = state.first_moment, state.second_moment
+    if g.shape != params.shape or m.shape != params.shape:
         raise ValueError("parameter/gradient/moment layouts do not match")
-    finite = np.isfinite(g)
-    if not finite.all():
-        idx = int(np.flatnonzero(~finite)[0])
+    for name, arr in (("parameters", params), ("first moment", m), ("second moment", v)):
+        if arr.dtype != g.dtype:
+            raise ValueError(f"gradient dtype {g.dtype} differs from {name} dtype {arr.dtype}")
+    # min and max propagate NaN, so two reductions test finiteness without a mask
+    if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
+        idx = int(np.flatnonzero(~np.isfinite(g))[0])
         raise ValueError(f"non-finite gradient at index {idx}")
     state.step_count += 1
     t = state.step_count
-    m, v = state.first_moment, state.second_moment
+    step = np.multiply(g, 1.0 - BETA1)
     m *= BETA1
-    m += (1.0 - BETA1) * g
+    m += step
+    np.multiply(g, 1.0 - BETA2, out=step)
+    step *= g
     v *= BETA2
-    v += (1.0 - BETA2) * g * g
-    m_hat = m / (1.0 - BETA1**t)
-    v_hat = v / (1.0 - BETA2**t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+    v += step
+    np.divide(m, 1.0 - BETA1**t, out=step)  # m_hat
+    denom = np.divide(v, 1.0 - BETA2**t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    step *= float(lr)
+    step /= denom
+    params -= step
     return params, state
 
 

@@ -645,6 +645,44 @@ def test_evaluate_unknown_condition_writes_nothing(tmp_path, run):
     assert [path.read_bytes() for path in kept] == before
 
 
+def test_reconstruct_unknown_condition_writes_nothing(tmp_path, run):
+    """A list with an unknown condition after a known one is rejected before
+    the known one's files are written, so no recon file goes unrecorded."""
+    import shutil
+
+    dst = tmp_path / "typo"
+    shutil.copytree(run.out_dir, dst)
+    manifest = (dst / "manifest.json").read_bytes()
+    with pytest.raises(ValueError, match="'ideal:typo'"):
+        harness.cmd_reconstruct(mini_config(dst), conditions=["ablation:allsax", "ideal:typo"])
+    assert not os.path.exists(dst / harness._recon("ablation:allsax"))
+    assert (dst / "manifest.json").read_bytes() == manifest
+
+
+def test_manifest_records_the_compute_environment(tmp_path, run, monkeypatch):
+    import scipy
+
+    stages = harness.Manifest(run.out_dir).doc["stages"]
+    for stage in ("train", "reconstruct"):
+        record = stages[stage]
+        assert record["compute_dtype"] == run.dtype
+        assert record["numpy_version"] == np.__version__
+        assert record["scipy_version"] == scipy.__version__
+        assert record["blas"].split()[0] == np.show_config(mode="dicts")[
+            "Build Dependencies"]["blas"]["name"]
+    # recording it changes no artifact
+    hashes = []
+    for name, env in (("with_env", harness._compute_env), ("without_env", lambda dtype: {})):
+        monkeypatch.setattr(harness, "_compute_env", env)
+        cfg = mini_config(tmp_path / name, epochs=3)
+        harness.cmd_generate(cfg)
+        harness.cmd_train(cfg)
+        harness.cmd_reconstruct(cfg, cases=["test_0000"], conditions=["ideal"])
+        hashes.append(harness.Manifest(cfg.out_dir).artifact_hashes())
+    assert "compute_dtype" not in harness.Manifest(cfg.out_dir).doc["stages"]["train"]
+    assert hashes[0] == hashes[1]
+
+
 # ------------------------------------------------------------------- report
 
 

@@ -234,3 +234,157 @@ def test_init_deterministic():
     a = init_params(ResidualMlp(5, 2, 8, 1), 42).parameters
     b = init_params(ResidualMlp(5, 2, 8, 1), 42).parameters
     assert np.array_equal(a, b)
+
+
+def test_adam_rejects_grad_of_another_dtype():
+    params = np.zeros(4, dtype=np.float32)
+    state = OptimizerState.for_params(params)
+    with pytest.raises(ValueError, match="float64.*float32"):
+        adam_step(params, np.ones(4), state, 1e-3)
+    state64 = OptimizerState(np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError, match="float32.*first moment.*float64"):
+        adam_step(params, np.ones(4, dtype=np.float32), state64, 1e-3)
+    assert state.step_count == state64.step_count == 0
+    assert np.all(params == 0.0) and np.all(state.first_moment == 0.0)
+
+
+# The plain expressions the in-place passes must reproduce bit for bit.
+
+
+def reference_forward_cached(net, inputs):
+    """(y, masks, x, hin, act, hlast) of a forward pass."""
+    x = netcore._check_inputs(net, inputs)
+    w_in, b_in, blocks, w_out, b_out = net.views()
+    h = x @ w_in + b_in
+    hin, masks, act = [], [], []
+    for w1, b1, w2, b2 in blocks:
+        a = h @ w1 + b1
+        z = np.maximum(a, 0.0)
+        masks.append(a > 0)
+        hin.append(h)
+        act.append(z)
+        h = h + z @ w2 + b2
+    return h @ w_out + b_out, masks, x, hin, act, h
+
+
+def reference_backward(net, upstream_grads, masks, x, hin, act, hlast):
+    """(param_grads, input_grads) of sum(upstream_grads * forward(x))."""
+    up = np.asarray(upstream_grads, dtype=net.parameters.dtype)
+    w_in, b_in, blocks, w_out, b_out = net.views()
+    grads = np.zeros_like(net.parameters)
+    gw_in, gb_in, gblocks, gw_out, gb_out = netcore._views(
+        grads, net.input_dim, net.output_dim, net.hidden_dim, net.num_blocks
+    )
+    gw_out[:] = hlast.T @ up
+    gb_out[:] = up.sum(axis=0)
+    gh = up @ w_out.T
+    for k in range(net.num_blocks - 1, -1, -1):
+        w1, _, w2, _ = blocks[k]
+        ga = (gh @ w2.T) * masks[k]
+        gw1, gb1, gw2, gb2 = gblocks[k]
+        gw2[:] = act[k].T @ gh
+        gb2[:] = gh.sum(axis=0)
+        gw1[:] = hin[k].T @ ga
+        gb1[:] = ga.sum(axis=0)
+        gh = gh + ga @ w1.T
+    gw_in[:] = x.T @ gh
+    gb_in[:] = gh.sum(axis=0)
+    return grads, gh @ w_in.T
+
+
+def reference_adam_step(params, g, state, lr):
+    state.step_count += 1
+    t = state.step_count
+    m, v = state.first_moment, state.second_moment
+    m *= netcore.BETA1
+    m += (1.0 - netcore.BETA1) * g
+    v *= netcore.BETA2
+    v += (1.0 - netcore.BETA2) * g * g
+    m_hat = m / (1.0 - netcore.BETA1**t)
+    v_hat = v / (1.0 - netcore.BETA2**t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + netcore.EPS)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "net_dtype,input_dtype",
+    [(np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64)],
+)
+@pytest.mark.parametrize("keep", ["params", "inputs", None])
+@pytest.mark.parametrize("rows", [1, 7, 300])
+@pytest.mark.parametrize("blocks", [0, 1, 3])
+def test_passes_match_plain_expressions_bit_for_bit(net_dtype, input_dtype, keep, rows, blocks):
+    rng = np.random.default_rng([rows, blocks])
+    # nonzero biases, so that an addition out of order shows in the bits
+    params = rng.standard_normal(param_count(6, 4, 16, blocks)) * 0.3
+    net = ResidualMlp(6, 4, 16, blocks, params.astype(net_dtype))
+    x = rng.standard_normal((rows, 6)).astype(input_dtype)
+    up = rng.standard_normal((rows, 4)).astype(net_dtype)
+    ref = reference_forward_cached(net, x)
+    ref_grads, ref_input_grads = reference_backward(net, up, *ref[1:])
+
+    y, cache = netcore.forward_cached(net, x, keep=keep)
+    assert_same_bits(y, ref[0])
+    assert_same_bits(forward(net, x), ref[0])
+    if keep is None:
+        assert cache is None
+        g = backward(net, x, up)  # recomputes a full cache
+    else:
+        assert len(cache.masks) == blocks
+        for mask, expected in zip(cache.masks, ref[1]):
+            assert_same_bits(mask, expected)
+        g = backward(net, x, up, cache=cache)
+    assert_same_bits(g.input_grads, ref_input_grads)
+    if keep == "inputs":
+        assert g.param_grads is None
+        return
+    assert_same_bits(g.param_grads, ref_grads)
+    if keep == "params":
+        assert_same_bits(cache.x, ref[2])
+        assert_same_bits(cache.hlast, ref[5])
+        for arrays, expected in ((cache.hin, ref[3]), (cache.act, ref[4])):
+            assert len(arrays) == blocks
+            for a, e in zip(arrays, expected):
+                assert_same_bits(a, e)
+
+    params, expected = net.parameters.copy(), net.parameters.copy()
+    state, ref_state = OptimizerState.for_params(params), OptimizerState.for_params(params)
+    for lr in (1e-3, 2e-3):
+        adam_step(params, g.param_grads, state, lr)
+        reference_adam_step(expected, ref_grads, ref_state, lr)
+    assert state.step_count == ref_state.step_count == 2
+    assert_same_bits(params, expected)
+    assert_same_bits(state.first_moment, ref_state.first_moment)
+    assert_same_bits(state.second_moment, ref_state.second_moment)
+
+
+@pytest.mark.parametrize("keep", ["params", "inputs"])
+def test_calls_share_no_buffers(keep):
+    net = small_net(blocks=3, seed=33)
+    rng = np.random.default_rng(34)
+    x1, x2 = rng.standard_normal((2, 40, 8))
+    up1, up2 = rng.standard_normal((2, 40, 5))
+    up1_before = up1.copy()
+
+    y1, c1 = netcore.forward_cached(net, x1, keep=keep)
+    first = [y1, *cached_arrays(c1)]
+    first_before = [a.copy() for a in first]
+    g1 = backward(net, x1, up1, cache=c1)
+    # backward writes into neither the cache nor the upstream
+    assert all(np.array_equal(a, b) for a, b in zip(first, first_before))
+    assert np.array_equal(up1, up1_before)
+
+    first.append(g1.input_grads)
+    if g1.param_grads is not None:
+        first.append(g1.param_grads)
+    first_before = [a.copy() for a in first]
+    y2, c2 = netcore.forward_cached(net, x2, keep=keep)
+    g2 = backward(net, x2, up2, cache=c2)
+    forward(net, x2)
+    second = [y2, *cached_arrays(c2), g2.input_grads]
+    assert all(np.array_equal(a, b) for a, b in zip(first, first_before))
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
