@@ -45,11 +45,12 @@ xyz = rng.standard_normal((5, 3)) * 30
 t5 = AnatomicalLabel.one_hot(rng.integers(0, 5, size=5))
 net = netcore.init_params(netcore.ResidualMlp(7, 5, 16, 2), seed=2)
 
+# the one forward-loss-backward pass training and reconstruction share;
+# keep="inputs" forms the input (and so the code) gradient only
 inputs = training.seg_inputs(xyz, latent)
-logits, cache = netcore.forward_cached(net, inputs, keep="inputs")  # input gradients only
-_, g_logits = training.seg_loss(logits, t5)
-g = netcore.backward(net, inputs, g_logits, cache=cache)
-analytic = g.input_grads[:, 3:].sum(axis=0)
+_, analytic, _ = training.through_net(
+    net, inputs, lambda z: training.seg_loss(z, t5), latent.size, keep="inputs"
+)
 
 numeric = np.zeros_like(latent)
 for i in range(latent.size):

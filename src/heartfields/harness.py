@@ -72,6 +72,14 @@ class ExperimentConfig(training.TrainConfig):
         test_range = range(self.test_seed0, self.test_seed0 + self.test_shapes)
         if set(train_range) & set(test_range):
             raise ValueError("train and test seed ranges overlap")
+        for name in ("spacing", "density"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.sigma >= 0.0:
+            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        for name in ("infer_steps", "infer_points"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         return super().validate()
 
     def hash(self):
@@ -266,9 +274,10 @@ def _remove(root, rels):
 
 def cmd_generate(config, force=False):
     """Synthesize the cohorts and test contours. ``force`` starts a new run:
-    once the point budgets fit the template, it removes every artifact of
-    the one in the directory, so no later stage reads a checkpoint,
-    reconstruction or evaluation of other shapes."""
+    once the config validates and the point budgets fit the template, it
+    removes every artifact of the one in the directory, so no later stage
+    reads a checkpoint, reconstruction or evaluation of other shapes."""
+    config.validate()
     root = config.out_dir
     started = time.perf_counter()
     topo = anatomy.build_template()
@@ -482,8 +491,8 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
 
 def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
     """Reconstruct every case under every condition and record the files in
-    the manifest; an unknown condition raises ``ValueError`` before anything
-    is read or written."""
+    the manifest; an unknown condition or a checkpoint without latent stats
+    raises ``ValueError`` before any contour is read or file written."""
     conditions = conditions or ["ideal", "misaligned"]
     _check_conditions(conditions)
     root = config.out_dir
@@ -491,6 +500,11 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
     _, test_ids = _shape_ids(config)
     cases = cases or test_ids
     ckpt, stats = load_model(root)
+    if stats is None:
+        raise ValueError(
+            f"{os.path.join(root, CHECKPOINT)} holds no latent stats for the fit's prior: "
+            "its model was trained on fewer than 2 shapes"
+        )
     topo = anatomy.build_template()
     artifacts, durations = [], {}
     for condition in conditions:

@@ -19,7 +19,7 @@ from . import netcore
 from .acquisition import KIND_GRID
 from .anatomy.labeling import AnatomicalLabel
 from .anatomy.shapes import InstanceMesh
-from .training import REG_OUTPUT_SCALE, bce_loss, dice_loss, reg_inputs, seg_inputs
+from .training import REG_OUTPUT_SCALE, bce_loss, dice_loss, reg_inputs, seg_inputs, through_net
 
 
 # weight of the Mahalanobis prior; the Dice term's weight is 1
@@ -78,23 +78,23 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     """Fit the latent code to one case's slice labels through the frozen
     classifier.
 
-    Uses the occupancy-grid points of the contour set. Each step needs
-    only the gradient with respect to the network input (the code columns
-    of it), so its forward pass keeps just the ReLU masks
-    (``keep="inputs"``) and its backward forms no parameter gradient and
-    runs on an upstream scaled by :data:`GRAD_SCALE`; the loss after the
-    last step comes from a plain forward pass. The fit computes in the
-    classifier's dtype. Returns the best-loss iterate and the full loss
-    trace; raises if the input carries fewer than two distinct labels (the
-    Dice term would be degenerate) or if the loss diverges past 1e6.
+    Uses up to ``weights.max_points`` of the contour set's occupancy-grid
+    points. Each step is one :func:`training.through_net` pass: it needs
+    only the code columns of the input gradient, so it keeps just the ReLU
+    masks (``keep="inputs"``) and scales its upstream by
+    :data:`GRAD_SCALE`; the loss after the last step comes from a plain
+    forward pass. The fit computes in the classifier's dtype. Returns the
+    best-loss iterate and the full loss trace; raises if the fitted points
+    carry fewer than two distinct labels (the Dice term would be
+    degenerate) or if the loss diverges past 1e6.
     """
     pts, labels = contours.all_points(kind=KIND_GRID)
-    if len(np.unique(labels)) < 2:
-        raise ValueError("latent optimization needs at least 2 distinct labels")
     rng = np.random.default_rng(seed)
     if len(pts) > weights.max_points:
         pick = rng.choice(len(pts), size=weights.max_points, replace=False)
         pts, labels = pts[pick], labels[pick]
+    if len(np.unique(labels)) < 2:
+        raise ValueError(f"latent optimization needs 2 distinct labels in its {len(pts)} points")
 
     dt = seg_net.parameters.dtype
     pts = pts.astype(dt)
@@ -108,25 +108,23 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     blowups = 0  # a heavily weighted prior spikes transiently on the first
     # steps away from the mean; only a sustained blowup counts as divergence
 
-    def evaluate(code, want_grad):
-        x = seg_inputs(pts, code)
-        if want_grad:
-            logits, cache = netcore.forward_cached(seg_net, x, keep="inputs")
-        else:
-            logits = netcore.forward(seg_net, x)
-        lb, gb = bce_loss(logits, onehot)
-        ld, gd = dice_loss(logits, onehot)
+    def loss_at(code):
+        """The loss of ``code``'s logits, prior term included, and the prior's
+        share of the code gradient."""
         lm, gm = mahalanobis(code.astype(np.float64), stats)
-        loss = LAMBDA_R * lm + weights.lambda_bce * lb + ld
-        if not want_grad:
-            return loss, None
-        upstream = (weights.lambda_bce * gb + gd) * GRAD_SCALE
-        g = netcore.backward(seg_net, x, upstream, cache=cache)
-        g_h = g.input_grads[:, 3:].sum(axis=0) / GRAD_SCALE + LAMBDA_R * gm.astype(dt)
-        return loss, g_h
+
+        def loss(logits):
+            lb, gb = bce_loss(logits, onehot)
+            ld, gd = dice_loss(logits, onehot)
+            return LAMBDA_R * lm + weights.lambda_bce * lb + ld, weights.lambda_bce * gb + gd
+
+        return loss, LAMBDA_R * gm.astype(dt)
 
     for _ in range(weights.steps):
-        loss, g_h = evaluate(h, want_grad=True)
+        loss_of, g_prior = loss_at(h)
+        loss, g_h, _ = through_net(
+            seg_net, seg_inputs(pts, h), loss_of, len(h), keep="inputs", scale=GRAD_SCALE
+        )
         trace.append(loss)
         if loss < best_loss:
             best_loss, best_h = loss, h.copy()
@@ -135,8 +133,9 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
             raise FloatingPointError(
                 f"latent optimization diverged (loss {loss:.3g}); trace tail: {trace[-5:]}"
             )
-        netcore.adam_step(h, g_h.astype(dt), opt, weights.lr)
-    final_loss, _ = evaluate(h, want_grad=False)
+        netcore.adam_step(h, (g_h + g_prior).astype(dt), opt, weights.lr)
+    loss_of, _ = loss_at(h)
+    final_loss, _ = loss_of(netcore.forward(seg_net, seg_inputs(pts, h)))
     trace.append(final_loss)
     if final_loss < best_loss:
         best_loss, best_h = final_loss, h.copy()

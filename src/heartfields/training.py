@@ -148,6 +148,13 @@ def total_loss(seg, reg, prior, epoch):
     return seg + reg / LAMBDA_REG + prior_schedule(epoch) * prior
 
 
+def _reg_share(out, target):
+    """reg_loss of regressor outputs scaled to mm, with the gradient of its
+    share of the total (divided by LAMBDA_REG) in network units."""
+    value, g = reg_loss(out * REG_OUTPUT_SCALE, target)
+    return value, g * (REG_OUTPUT_SCALE / LAMBDA_REG)
+
+
 def _sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -277,6 +284,20 @@ def reg_inputs(uvc, code):
     return np.concatenate([uvc, h], axis=1)
 
 
+def through_net(net, inputs, loss, code_dim, keep="params", scale=1.0):
+    """One forward-loss-backward pass: (loss value, code gradient, parameter
+    gradient). ``loss(outputs)`` returns (value, upstream gradient); the
+    backward runs on the upstream times ``scale``, and the code gradient
+    (the last ``code_dim`` input columns summed over rows) is divided by it
+    again, as is the parameter gradient (``None`` for ``keep="inputs"``)."""
+    outputs, cache = netcore.forward_cached(net, inputs, keep=keep)
+    value, upstream = loss(outputs)
+    g = netcore.backward(net, inputs, upstream * scale, cache=cache)
+    if g.param_grads is not None:
+        g.param_grads /= scale
+    return value, g.input_grads[:, -code_dim:].sum(axis=0) / scale, g.param_grads
+
+
 def _net_dims(config):
     """(input, output, hidden, blocks) of the seg and the reg network."""
     return (
@@ -401,41 +422,20 @@ def train(samples, config, resume=None, on_epoch=None):
 
             # a validation shape moves only its code: no parameter gradients
             keep = "inputs" if si in val_set else "params"
-            xs = seg_inputs(seg_xyz[si][bs], h)
-            ts = seg_onehot[si][bs]
-            logits, cache_s = netcore.forward_cached(seg_net, xs, keep=keep)
-            l_seg, g_logits = seg_loss(logits, ts)
-
-            xr = reg_inputs(reg_uvc[si][br], h)
-            out, cache_r = netcore.forward_cached(reg_net, xr, keep=keep)
-            pred_mm = out * REG_OUTPUT_SCALE
-            l_reg, g_pred = reg_loss(pred_mm, reg_xyz[si][br])
-
+            ts, xs = seg_onehot[si][bs], seg_inputs(seg_xyz[si][bs], h)
+            l_seg, g_seg, gs = through_net(seg_net, xs, lambda z: seg_loss(z, ts), len(h), keep)
+            tr, xr = reg_xyz[si][br], reg_inputs(reg_uvc[si][br], h)
+            l_reg, g_reg, gr = through_net(reg_net, xr, lambda o: _reg_share(o, tr), len(h), keep)
             l_prior, g_prior = prior_loss(h)
             l_total = total_loss(l_seg, l_reg, l_prior, epoch)
-            if not math.isfinite(l_total):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, shape {ids[si]}: "
-                    f"seg={l_seg} reg={l_reg} prior={l_prior}"
-                )
-
-            gs = netcore.backward(seg_net, xs, g_logits, cache=cache_s)
-            gr = netcore.backward(
-                reg_net, xr, g_pred * (REG_OUTPUT_SCALE / LAMBDA_REG), cache=cache_r
-            )
-            del cache_s, cache_r  # free the activations before the next forward pass
-            g_h = (
-                gs.input_grads[:, 3:].sum(axis=0)
-                + gr.input_grads[:, 4:].sum(axis=0)
-                + lam_p * g_prior[0]
-            )
+            g_h = g_seg + g_reg + lam_p * g_prior[0]
 
             if si in val_set:
                 val_sum += l_total
                 n_val_steps += 1
             else:
-                netcore.adam_step(seg_net.parameters, gs.param_grads, opt_seg, config.lr_net)
-                netcore.adam_step(reg_net.parameters, gr.param_grads, opt_reg, config.lr_net)
+                netcore.adam_step(seg_net.parameters, gs, opt_seg, config.lr_net)
+                netcore.adam_step(reg_net.parameters, gr, opt_reg, config.lr_net)
                 sums += (l_seg, l_reg, l_prior, l_total)
                 n_train_steps += 1
             # each epoch steps every row once: the table's count is the epochs done

@@ -134,6 +134,33 @@ def test_generate_force_checks_point_budgets_before_removing(tmp_path, budgets):
     assert_manifest_matches_files(cfg.out_dir)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [dict(spacing=0.0), dict(density=-1.0), dict(sigma=-0.5), dict(infer_steps=0),
+     dict(infer_points=0)],
+)
+def test_generate_force_validates_before_removing(tmp_path, run, bad):
+    """Acquisition and inference settings no stage can run are rejected
+    before ``force`` removes a finished run, not after it wrote shapes."""
+    import shutil
+
+    dst = tmp_path / "bad"
+    shutil.copytree(run.out_dir, dst)
+    before = tree_hashes(dst)
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        harness.cmd_generate(replace(mini_config(dst), **bad), force=True)
+    assert tree_hashes(dst) == before
+
+
+def tree_hashes(root):
+    """{path relative to ``root``: sha256} of every file below ``root``."""
+    return {
+        os.path.relpath(os.path.join(d, f), root): harness.file_hash(os.path.join(d, f))
+        for d, _, files in os.walk(root)
+        for f in files
+    }
+
+
 def test_train_removes_outputs_of_the_old_model(tmp_path):
     """A new model makes the reconstructions, evaluations and report of the
     old one stale; evaluating them with it would fail (another latent dim)
@@ -657,6 +684,23 @@ def test_reconstruct_unknown_condition_writes_nothing(tmp_path, run):
         harness.cmd_reconstruct(mini_config(dst), conditions=["ablation:allsax", "ideal:typo"])
     assert not os.path.exists(dst / harness._recon("ablation:allsax"))
     assert (dst / "manifest.json").read_bytes() == manifest
+
+
+def test_reconstruct_without_latent_stats_is_rejected(tmp_path, monkeypatch):
+    """A model trained on one shape has no latent stats for the prior; the
+    reconstruction says so before it reads a contour or writes a file."""
+    cfg = mini_config(tmp_path / "one", train_shapes=1, test_shapes=1, epochs=2)
+    harness.cmd_generate(cfg)
+    harness.cmd_train(cfg)
+    before = tree_hashes(cfg.out_dir)
+
+    def load_contours(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(harness.acq, "load_contours", load_contours)
+    with pytest.raises(ValueError, match=r"checkpoint\.nihc .*fewer than 2 shapes"):
+        harness.cmd_reconstruct(cfg, conditions=["ideal"])
+    assert tree_hashes(cfg.out_dir) == before
 
 
 def test_manifest_records_the_compute_environment(tmp_path, run, monkeypatch):

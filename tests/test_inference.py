@@ -273,6 +273,17 @@ def test_optimize_latent_single_label_errors(topo, small_model):
         inference.optimize_latent(cs, result.seg_net, result.stats, w)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("max_points", [0, 1])
+def test_optimize_latent_checks_the_labels_it_fits(topo, small_model, max_points):
+    # the whole grid carries every label; a budget of 0 or 1 points cannot
+    result, cfg, meshes, _ = small_model
+    contours = acq.acquire(meshes[0], "t000", density=6.0)
+    w = ideal_weights(5, max_points)
+    with pytest.raises(ValueError, match="2 distinct labels"):
+        inference.optimize_latent(contours, result.seg_net, result.stats, w)
+
+
 # ------------------------------------------------------------- predict mesh
 
 

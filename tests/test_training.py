@@ -149,37 +149,55 @@ def test_seg_pipeline_gradient_wrt_params_and_latent():
         probe = netcore.ResidualMlp(7, 5, 16, 2, params)
         return seg_loss(netcore.forward(probe, training.seg_inputs(xyz, h)), t)[0]
 
-    x = training.seg_inputs(xyz, h0)
-    logits, cache = netcore.forward_cached(net, x)
-    _, g_logits = seg_loss(logits, t)
-    g = netcore.backward(net, x, g_logits, cache=cache)
-    g_h = g.input_grads[:, 3:].sum(axis=0)
+    value, g_h, g_params = training.through_net(
+        net, training.seg_inputs(xyz, h0), lambda z: seg_loss(z, t), len(h0)
+    )
+    assert value == loss_of(net.parameters, h0)
 
     num_p = finite_diff(lambda p: loss_of(p, h0), net.parameters.copy(), step=1e-5)
     num_h = finite_diff(lambda hh: loss_of(net.parameters, hh), h0.copy(), step=1e-5)
-    assert netcore.relative_grad_error(g.param_grads, num_p) < 1e-4
+    assert netcore.relative_grad_error(g_params, num_p) < 1e-4
     assert netcore.relative_grad_error(g_h, num_h) < 1e-4
 
 
 def test_reg_pipeline_gradient_wrt_latent():
+    # training's reg half: d(reg_loss(net([uvc, h]) * 100 mm) / LAMBDA_REG) / dh
     rng = np.random.default_rng(11)
     net = netcore.init_params(netcore.ResidualMlp(4 + 4, 3, 16, 2), seed=12)
     uvc = rng.uniform(0, 1, size=(5, 4))
     target = rng.standard_normal((5, 3)) * 20
     h0 = rng.standard_normal(4) * 0.3
-    out_scale = 100.0
 
     def loss_of(h):
-        pred = netcore.forward(net, training.reg_inputs(uvc, h)) * out_scale
-        return reg_loss(pred, target)[0]
+        pred = netcore.forward(net, training.reg_inputs(uvc, h)) * training.REG_OUTPUT_SCALE
+        return reg_loss(pred, target)[0] / LAMBDA_REG
 
-    x = training.reg_inputs(uvc, h0)
-    out, cache = netcore.forward_cached(net, x)
-    _, g_pred = reg_loss(out * out_scale, target)
-    g = netcore.backward(net, x, g_pred * out_scale, cache=cache)
-    g_h = g.input_grads[:, 4:].sum(axis=0)
+    _, g_h, _ = training.through_net(
+        net, training.reg_inputs(uvc, h0), lambda o: training._reg_share(o, target), len(h0),
+        keep="inputs",
+    )
     num_h = finite_diff(loss_of, h0.copy(), step=1e-5)
     assert netcore.relative_grad_error(g_h, num_h) < 1e-4
+
+
+@pytest.mark.parametrize("keep", ["params", "inputs"])
+def test_grad_scale_leaves_the_gradients_bits(keep):
+    """A power-of-two upstream scale is undone exactly when no product
+    leaves the normal range: float64 on an unsaturated net."""
+    rng = np.random.default_rng(13)
+    net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, 32, 2), seed=14)
+    x = training.seg_inputs(rng.standard_normal((64, 3)) * 30, rng.standard_normal(4) * 0.3)
+    t = random_one_hot(64, seed=15)
+    plain, scaled = (
+        training.through_net(net, x, lambda z: seg_loss(z, t), 4, keep, scale)
+        for scale in (1.0, inference.GRAD_SCALE)
+    )
+    assert plain[0] == scaled[0]
+    assert plain[1].tobytes() == scaled[1].tobytes()
+    if keep == "params":
+        assert plain[2].tobytes() == scaled[2].tobytes()
+    else:
+        assert plain[2] is None and scaled[2] is None
 
 
 # ------------------------------------------------------------- latent stats
