@@ -180,65 +180,127 @@ def point_to_triangles_distance(points, tri_a, tri_b, tri_c):
     return best
 
 
+def _surface_query(points, vertices, faces):
+    """``points`` and ``vertices`` as finite float64 (n, 3) arrays and
+    ``faces`` as int64 (m, 3) indices into ``vertices``; raises ValueError."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    vertices = np.asarray(vertices, dtype=np.float64)
+    faces = np.asarray(faces)
+    if points.size == 0:
+        raise ValueError("point_to_surface of an empty point set")
+    if faces.size == 0:
+        raise ValueError("point_to_surface on an empty mesh")
+    for name, a in (("points", points), ("vertices", vertices)):
+        if a.ndim != 2 or a.shape[1] != 3:
+            raise ValueError(f"{name} must be an (n, 3) array, not shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+    if faces.ndim != 2 or faces.shape[1] != 3 or not np.issubdtype(faces.dtype, np.integer):
+        raise ValueError(f"faces must be an integer (m, 3) array, not {faces.dtype} {faces.shape}")
+    lo, hi = faces.min(), faces.max()
+    if lo < 0 or hi >= len(vertices):
+        raise ValueError(f"face indices must lie in [0, {len(vertices)}), not [{lo}, {hi}]")
+    return points, vertices, faces.astype(np.int64)
+
+
+def _boxes_near(lo, hi, box_lo, box_hi, reach):
+    """Indices of the boxes (rows of box_lo, box_hi) within ``reach`` of
+    the box [lo, hi], by squared gaps."""
+    gap = box_lo - hi
+    np.maximum(gap, lo - box_hi, out=gap)
+    np.maximum(gap, 0.0, out=gap)
+    gap *= gap
+    return np.flatnonzero(gap[:, 0] + gap[:, 1] + gap[:, 2] <= reach * reach)
+
+
+def _pair_bounds(p, centroid, radius, normal, offset, half):
+    """Lower bounds of the distance from each point p to each triangle,
+    (len(p), len(centroid)): the larger of the ball bound and the plane
+    bound (see :func:`point_to_surface`)."""
+    lower = cdist(p, centroid)
+    lower -= radius
+    plane = p @ normal.T
+    plane -= offset
+    np.abs(plane, out=plane)
+    plane -= half
+    return np.maximum(lower, plane, out=lower)
+
+
 def point_to_surface(points, vertices, faces):
     """Mean exact point-to-triangle-mesh distance.
 
     A vertex nearest-neighbor query gives an attainable upper bound per
     point. Points then go in chunks of ``PAIR_BUDGET // len(faces)`` (at
     least one), taken in the leaf order of a k-d tree over the points so
-    that each chunk is spatially compact. A chunk keeps only the triangles
-    whose bounding box lies within the chunk's largest upper bound of the
-    chunk's point box; it then bounds each of their (point, triangle) pairs
-    by |p - centroid| - circumradius and runs the exact point-triangle test
-    on the pairs whose bound is within the point's upper one. The nearest
-    triangle of every point passes both filters, and each pair's distance
-    is computed as in the exhaustive scan, so the result equals it bit for
-    bit. Every temporary holds at most ``max(PAIR_BUDGET, len(faces))``
-    pairs, whatever the shape of the mesh.
+    that each chunk is spatially compact, and the chunks go in groups of
+    eight consecutive ones. Three filters drop what cannot be nearest:
+
+    - group box cull: a group keeps the triangles whose bounding box lies
+      within the group's largest upper bound of the group's point box;
+    - chunk box cull: each chunk of the group keeps those of them whose
+      box lies within the chunk's largest upper bound of the chunk's
+      point box (a box gap is at most the distance from any point in the
+      one box to anything in the other);
+    - pair bound: each (point, triangle) pair of a chunk is kept if the
+      larger of two lower bounds of its distance is within the point's
+      upper bound. One is the ball bound |p - centroid| - circumradius.
+      The other is the plane bound |n.p - offset| - half: with n the
+      triangle's computed unit normal, its corners' heights n.x span a
+      slab of mid height ``offset`` and half thickness ``half``, which
+      holds the whole triangle, and the plane bound is p's distance to
+      that slab. A triangle of zero computed area has n = 0, so its plane
+      bound is negative and prunes nothing.
+
+    Each bound is a true lower bound up to rounding: the box gaps, the
+    ball bound, n's length, the corner heights and the product n.p each
+    err by at most a few dozen ulps of the largest coordinate magnitude S
+    of the points and corners (the inputs are checked finite). Every
+    comparison therefore allows a slack of 2**-40 * S, 8192 such ulps.
+    The nearest triangle of every point passes all three filters, and
+    the exact point-triangle test computes each surviving pair's distance
+    as the exhaustive scan does, so the result equals it bit for bit.
+    Every temporary holds at most ``max(PAIR_BUDGET, len(faces))`` pairs
+    or boxes, whatever the shape of the mesh.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    vertices = np.asarray(vertices, dtype=np.float64)
-    faces = np.asarray(faces, dtype=np.int64)
-    if points.size == 0:
-        raise ValueError("point_to_surface of an empty point set")
-    if faces.size == 0:
-        raise ValueError("point_to_surface on an empty mesh")
+    points, vertices, faces = _surface_query(points, vertices, faces)
     ta, tb, tc = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
     corners = np.stack([ta, tb, tc])
     centroid = (ta + tb + tc) / 3.0
     radius = np.linalg.norm(corners - centroid, axis=2).max(axis=0)
     box_lo, box_hi = corners.min(axis=0), corners.max(axis=0)
+    normal = np.cross(tb - ta, tc - ta)
+    length = np.linalg.norm(normal, axis=1, keepdims=True)
+    normal = np.divide(normal, length, out=np.zeros_like(normal), where=length > 0)
+    height = np.einsum("kij,ij->ki", corners, normal)
+    top, bottom = height.max(axis=0), height.min(axis=0)
+    offset = (top + bottom) / 2.0
+    tol = 2.0**-40 * max(np.abs(points).max(), np.abs(corners).max())
+    half = (top - bottom) / 2.0 + tol  # the rounding of n.p and of offset
     used = np.unique(faces)  # unreferenced vertices must not tighten the bound
     best = cKDTree(vertices[used]).query(points)[0]  # the vertex distance is attainable
     chunk = max(1, PAIR_BUDGET // len(faces))
     order = cKDTree(points, leafsize=chunk).indices
-    for s in range(0, len(points), chunk):
-        idx = order[s : s + chunk]
-        p = points[idx]
-        # The gap between the chunk's point box and a triangle's box is at
-        # most the distance from any point of the chunk to the triangle, so a
-        # triangle whose gap exceeds the chunk's largest upper bound is
-        # nearest to none of its points. The gap is rounded like the ball
-        # bound below, hence the same 1e-12 slack.
-        gap = np.maximum(np.maximum(box_lo - p.max(axis=0), p.min(axis=0) - box_hi), 0.0)
-        tri = np.flatnonzero(np.linalg.norm(gap, axis=1) <= best[idx].max() + 1e-12)
-        lower = cdist(p, centroid[tri]) - radius[tri]
-        pi, ti = np.nonzero(lower <= best[idx, None] + 1e-12)
-        ti = tri[ti]
-        q = _closest_point_on_triangles(p[pi], ta[ti], tb[ti], tc[ti])
-        np.minimum.at(best, idx[pi], np.linalg.norm(p[pi] - q, axis=1))
+    for g in range(0, len(points), 8 * chunk):
+        group = order[g : g + 8 * chunk]
+        pg = points[group]
+        near = _boxes_near(pg.min(axis=0), pg.max(axis=0), box_lo, box_hi, best[group].max() + tol)
+        near_lo, near_hi = box_lo[near], box_hi[near]
+        for s in range(0, len(group), chunk):
+            idx = group[s : s + chunk]
+            p = points[idx]
+            reach = best[idx].max() + tol
+            tri = near[_boxes_near(p.min(axis=0), p.max(axis=0), near_lo, near_hi, reach)]
+            lower = _pair_bounds(p, centroid[tri], radius[tri], normal[tri], offset[tri], half[tri])
+            pi, ti = np.nonzero(lower <= best[idx, None] + tol)
+            ti = tri[ti]
+            q = _closest_point_on_triangles(p[pi], ta[ti], tb[ti], tc[ti])
+            np.minimum.at(best, idx[pi], np.linalg.norm(p[pi] - q, axis=1))
     return float(best.mean())
 
 
 def point_to_surface_bruteforce(points, vertices, faces):
     """Exhaustive-scan oracle for :func:`point_to_surface`."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    vertices = np.asarray(vertices, dtype=np.float64)
-    faces = np.asarray(faces, dtype=np.int64)
-    if points.size == 0:
-        raise ValueError("point_to_surface of an empty point set")
-    if faces.size == 0:
-        raise ValueError("point_to_surface on an empty mesh")
+    points, vertices, faces = _surface_query(points, vertices, faces)
     ta, tb, tc = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
     return float(point_to_triangles_distance(points, ta, tb, tc).mean())
 

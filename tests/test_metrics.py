@@ -206,24 +206,69 @@ def contour_like(rng, radius):
     return rng.permutation(np.vstack(rings + [far]))
 
 
+def with_degenerate_faces(v, f):
+    """(v, f) plus three zero-area triangles that reach out beyond a sphere
+    of radius ~8 about the origin. One repeats a new corner and ends at
+    vertex 0: the exact test returns the repeated corner for every point,
+    so the far corner is one the sphere's faces hold too. Two have three
+    collinear corners: one exactly, so its cross product is zero, and one
+    up to rounding, so its cross product is a tiny normal of arbitrary
+    direction. The last seven rows of the result are the new vertices."""
+    q = np.array([11.0, 1.0, 0.5])
+    r = q * [1, -1, 1]
+    d = np.array([0.1, 0.2, 0.7])
+    e = np.array([0.25, 0.5, 1.0])
+    extra = np.array([q, -q, -q + 0.3 * d, -q + 1.1 * d, r, r + e, r + 3 * e])
+    n = len(v)
+    faces = np.vstack([f, [[n, n, 0], [n + 1, n + 2, n + 3], [n + 4, n + 5, n + 6]]])
+    return np.vstack([v, extra]), faces
+
+
+def planar_probes(rng, v, f):
+    """Points in the planes of random triangles of (v, f): inside them,
+    and 1e-9 to 1 off them along the normal on either side. Half of them
+    lie over a point 1e-9 or 1e-8 (in barycentric weight) from a corner,
+    where the plane bound is within rounding of the corner's distance."""
+    tri = v[f[rng.choice(len(f), 16, replace=False)]]
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    w = rng.dirichlet(np.ones(3), 16)
+    w[:4] = [1 - 2e-9, 1e-9, 1e-9]
+    w[4:8] = [1e-8, 1 - 2e-8, 1e-8]
+    foot = np.einsum("ij,ijk->ik", w, tri)
+    h = np.array([0.0, 1e-9, -1e-9, 1e-6, -1e-3, 0.1, 1.0])
+    return (foot[:, None, :] + h[None, :, None] * normal[:, None, :]).reshape(-1, 3)
+
+
 def test_p2s_matches_bruteforce(monkeypatch):
     rng = np.random.default_rng(5)
     v, f = icosphere(8.0, 1)
     # the same faces over permuted vertices: triangles that cross each other
-    # and span the sphere, as on a poorly fitted reconstruction
+    # and span the sphere, as on a poorly fitted reconstruction; and again
+    # 300 times as far out, like the metre-wide triangles of an exploded decode
     scrambled = rng.permutation(v)
+    exploded = rng.permutation(v) * 300.0
     inputs = []
     for _ in range(5):
         pts = rng.uniform(-15, 15, size=(100, 3))
         inputs += [(pts, v), (pts, scrambled), (pts * 50.0, v), (pts * 50.0, scrambled)]
+        inputs += [(pts, exploded), (pts * 50.0, exploded)]
     for _ in range(3):
         pts = contour_like(rng, 8.0)
-        inputs += [(pts, v), (pts, scrambled)]
+        inputs += [(pts, v), (pts, scrambled), (pts, exploded)]
+    dv, df = with_degenerate_faces(v, f)
+    near = (dv[-7:] + rng.normal(0, 0.3, (6, 7, 3))).reshape(-1, 3)
+    inputs += [(near, dv), (np.vstack([near, contour_like(rng, 8.0)]), dv)]
+    # in-plane probes on meshes moved 1e3 and 1e4 away from the origin
+    for shift in (1e3, 1e4):
+        for verts in (v + shift, scrambled + shift):
+            inputs.append((planar_probes(rng, verts, f), verts))
 
     def check():
         for pts, verts in inputs:
-            fast = metrics.point_to_surface(pts, verts, f)
-            slow = metrics.point_to_surface_bruteforce(pts, verts, f)
+            faces = df if len(verts) == len(dv) else f
+            fast = metrics.point_to_surface(pts, verts, faces)
+            slow = metrics.point_to_surface_bruteforce(pts, verts, faces)
             assert fast == slow
 
     check()
@@ -242,6 +287,7 @@ def test_p2s_batches_within_pair_budget(monkeypatch, budget_per_face):
     monkeypatch.setattr(metrics, "PAIR_BUDGET", budget)
     sizes = []
     closest, cdist = metrics._closest_point_on_triangles, metrics.cdist
+    boxes_near, pair_bounds = metrics._boxes_near, metrics._pair_bounds
 
     def closest_counted(p, a, b, c):
         sizes.append(len(p))
@@ -251,19 +297,33 @@ def test_p2s_batches_within_pair_budget(monkeypatch, budget_per_face):
         sizes.append(len(xa) * len(xb))
         return cdist(xa, xb, *args, **kwargs)
 
+    def boxes_near_counted(lo, hi, box_lo, box_hi, reach):
+        sizes.append(len(box_lo))  # the group and the chunk box culls
+        return boxes_near(lo, hi, box_lo, box_hi, reach)
+
+    def pair_bounds_counted(p, centroid, *args):
+        # the plane-bound product has the same (points, triangles) shape
+        sizes.append(len(p) * len(centroid))
+        return pair_bounds(p, centroid, *args)
+
     monkeypatch.setattr(metrics, "_closest_point_on_triangles", closest_counted)
     monkeypatch.setattr(metrics, "cdist", cdist_counted)
+    monkeypatch.setattr(metrics, "_boxes_near", boxes_near_counted)
+    monkeypatch.setattr(metrics, "_pair_bounds", pair_bounds_counted)
     pts = np.vstack([rng.uniform(-12, 12, (150, 3)), contour_like(rng, 8.0)])
     # scrambled vertices prune few pairs, so the batches come near the bound
-    for verts in (v, rng.permutation(v)):
+    for verts in (v, rng.permutation(v), rng.permutation(v) * 300.0):
         metrics.point_to_surface(pts, verts, f)
     assert sizes and max(sizes) <= max(budget, len(f))
 
 
 # float.hex of point_to_surface as computed before the triangle box cull,
 # which must keep these bits: a seeded shape's ideal contour points against
-# its generating mesh, and (every tenth point) against its vertex-permuted mesh
-GOLDEN_P2S_HEX = ("0x1.fa7f3adb8657ep-54", "0x1.2f39f9f7b053cp-2")
+# its generating mesh, and (every tenth point) against its vertex-permuted
+# mesh; and, as computed before the plane bound, those tenth points against
+# the permuted mesh scaled 30 times about the origin, an exploded mesh ~3 m
+# across like a poorly trained model's decode
+GOLDEN_P2S_HEX = ("0x1.fa7f3adb8657ep-54", "0x1.2f39f9f7b053cp-2", "0x1.c9b1ab4cf716fp-3")
 
 
 def test_p2s_golden(golden_arithmetic):
@@ -274,6 +334,7 @@ def test_p2s_golden(golden_arithmetic):
     got = (
         metrics.point_to_surface(pts, mesh.vertices, topo.faces).hex(),
         metrics.point_to_surface(pts[::10], scrambled, topo.faces).hex(),
+        metrics.point_to_surface(pts[::10], scrambled * 30.0, topo.faces).hex(),
     )
     assert got == GOLDEN_P2S_HEX
 
@@ -294,6 +355,27 @@ def test_p2s_empty_point_set_errors(p2s):
     v, f = icosphere(8.0, 1)
     with pytest.raises(ValueError, match="empty point set"):
         p2s(np.zeros((0, 3)), v, f)
+
+
+@pytest.mark.parametrize("p2s", [metrics.point_to_surface, metrics.point_to_surface_bruteforce])
+@pytest.mark.parametrize(
+    "points, vertices, faces, match",
+    [
+        ([[0, 0, 1.0]], None, [[0, 1, -1]], "face indices"),
+        ([[0, 0, 1.0]], None, [[0, 1, 4]], "face indices"),
+        ([[0, 0, 1.0]], None, [[0.0, 1.0, 2.0]], "integer"),
+        ([[0, 0, 1.0]], None, [[0, 1, 2, 3]], "integer"),
+        ([[0, 0, 1.0]], [[0, 0, 0], [1, 0, 0], [0, 1, np.nan]], [[0, 1, 2]], "vertices must be finite"),
+        ([[0, 0, np.inf]], None, [[0, 1, 2]], "points must be finite"),
+        ([[0, 0], [1, 1]], None, [[0, 1, 2]], "points must be an"),
+        ([[0, 0, 1.0]], [[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], "vertices must be an"),
+    ],
+)
+def test_p2s_rejects_bad_input(p2s, points, vertices, faces, match):
+    if vertices is None:
+        vertices = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match=match):
+        p2s(points, vertices, faces)
 
 
 def closest_point_masked(p, a, b, c):
