@@ -4,16 +4,20 @@ Containment uses ray-crossing parity with a vertical ray. Triangles are
 bucketed on a uniform grid over their (x, y) footprints; each query is
 expanded into (point, candidate triangle) pairs from its grid cell, the
 pairs are evaluated in fixed-size chunks, and per-point crossing parity and
-grazes are reduced with ``np.bincount``. Queries that land within epsilon
-of a projected edge (or of the surface itself) are re-cast, all at once,
-along oblique fallback directions. Each oblique cast buckets the triangles
-the same way, on a grid over their footprints projected on the plane
-orthogonal to that direction, and runs a Moller-Trumbore test on the
-pairs of each query's cell; only the queries that still graze move on to
-the next direction. Queries that graze all of them are nudged off the
-surface and retried once, and any that graze even then are decided by the
-generalized winding number, which also serves as an independent oracle
-for the test suite.
+grazes are reduced with ``np.bincount``. The terms of the crossing test
+that depend only on a triangle are computed once per surface. Queries that
+land within epsilon of a projected edge (or of the surface itself) are
+re-cast, all at once, along oblique fallback directions. Each oblique
+direction buckets the triangles the same way, on a grid over their
+footprints projected on the plane orthogonal to that direction, and runs a
+Moller-Trumbore test on the pairs of each query's cell; only the queries
+that still graze move on to the next direction. A direction's grid and
+per-triangle terms are built on its first use and kept with the surface's
+index, so the many small fallback batches of one mesh share them (see
+:class:`RayCastIndex` for their memory). Queries that graze all of them are
+nudged off the surface and retried once, and any that graze even then are
+decided by the generalized winding number, which also serves as an
+independent oracle for the test suite.
 """
 
 import weakref
@@ -72,10 +76,21 @@ class AnatomicalLabel(IntEnum):
 class RayCastIndex:
     """Parity ray caster for one closed triangle surface.
 
-    The vertical cast uses a grid over the triangles' (x, y) footprints,
-    built once. Each oblique fallback cast builds its own grid over the
-    footprints projected along its direction, each box grown by ``_PAD``,
-    and drops it when it returns.
+    The vertical cast uses a grid over the triangles' (x, y) footprints and
+    the per-triangle terms of its crossing test, both built once. Each
+    oblique fallback direction gets its own grid over the footprints
+    projected along it, each box grown by ``_PAD``, and its own
+    Moller-Trumbore terms; they are built on that direction's first use and
+    kept, so an index holds at most ``len(_FALLBACK_DIRS)`` of them.
+
+    Memory: the vertical terms take 137 bytes per triangle. Each oblique
+    direction takes 40 bytes per triangle it can hit, and the corner and
+    edge vectors the directions share take 72 bytes per triangle. Every
+    grid stores 2 bytes per (cell, triangle) entry (4 above 2**15
+    triangles), and a triangle's footprint box covers 15-35 cells on the
+    template's compartments. One direction thus takes 0.1-0.17 MB there,
+    an index with all three 0.6-1.0 MB, and the three indexes of a labeled
+    mesh about 2.6 MB, which the mesh's :class:`Labeler` keeps.
 
     ``fallback_points`` counts, over all calls, the queries re-cast along
     the oblique directions (a nudged query counts again).
@@ -84,9 +99,20 @@ class RayCastIndex:
     def __init__(self, vertices, faces):
         self.v = np.asarray(vertices, dtype=np.float64)
         self.f = np.asarray(faces, dtype=np.int64)
-        self.tri = self.v[self.f]  # (F, 3, 3)
-        self.gmin, self.gspan, self.buckets, self.offsets = _buckets(self.tri[:, :, :2], 0.0)
+        tri = self.v[self.f]  # (F, 3, 3)
+        self.gmin, self.gspan, self.buckets, self.offsets = _buckets(tri[:, :, :2], 0.0)
         self.fallback_points = 0
+        # per triangle: the corners' (x, y), the edge vectors ab, bc, ca,
+        # the signed area, its edge tolerance and the corners' z, one row
+        # each so that a pair gathers its triangle's terms at once
+        a, b, c = tri[:, 0, :2], tri[:, 1, :2], tri[:, 2, :2]
+        ab, bc, ca = b - a, c - b, a - c
+        area = _cross2(ab, c - a)
+        tol = _EPS_EDGE * (np.abs(area) + 1e-300)
+        self._terms = np.column_stack([a, b, c, ab, bc, ca, area, tol, tri[:, :, 2]])
+        self._flat = np.abs(area) < 1e-14
+        self._corner = None  # corner a and the edges b - a, c - a, shared by the directions
+        self._oblique = [None] * len(_FALLBACK_DIRS)
 
     def contains(self, points):
         """Boolean containment per query point; raises ``ValueError``
@@ -108,30 +134,27 @@ class RayCastIndex:
     def _cross_z(self, q, tris):
         """Per (point, triangle) pair: does the +z ray from ``q`` cross the
         triangle above it, and does it graze an edge or the surface?"""
-        t = self.tri[tris]  # (m, 3, 3)
-        a, b, c = t[:, 0], t[:, 1], t[:, 2]
-        ab, bc, ca = b[:, :2] - a[:, :2], c[:, :2] - b[:, :2], a[:, :2] - c[:, :2]
-        d0 = _cross2(ab, q[:, :2] - a[:, :2])
-        d1 = _cross2(bc, q[:, :2] - b[:, :2])
-        d2 = _cross2(ca, q[:, :2] - c[:, :2])
-        area = _cross2(ab, c[:, :2] - a[:, :2])
+        t = self._terms[tris]  # (m, 17), see __init__
+        qx, qy = q[:, 0], q[:, 1]
+        # the 2-D cross products ab x (q - a), bc x (q - b), ca x (q - c)
+        d0 = t[:, 6] * (qy - t[:, 1]) - t[:, 7] * (qx - t[:, 0])
+        d1 = t[:, 8] * (qy - t[:, 3]) - t[:, 9] * (qx - t[:, 2])
+        d2 = t[:, 10] * (qy - t[:, 5]) - t[:, 11] * (qx - t[:, 4])
         pos = (d0 > 0) & (d1 > 0) & (d2 > 0)
         neg = (d0 < 0) & (d1 < 0) & (d2 < 0)
         strict = pos | neg
-        scale = np.abs(area) + 1e-300
-        near_edge = (
-            (np.minimum(np.abs(d0), np.minimum(np.abs(d1), np.abs(d2))) < _EPS_EDGE * scale)
-            | (np.abs(area) < 1e-14)
-        )
-        # barycentric z of the intersection
+        near_edge = np.minimum(np.abs(d0), np.minimum(np.abs(d1), np.abs(d2))) < t[:, 13]
+        graze = (near_edge | self._flat[tris]) & ~strict
+        above = np.zeros(len(q), dtype=bool)
+        # barycentric z of the intersection, on the pairs whose ray crosses
+        s = np.flatnonzero(strict)
+        ts = t[s]
+        area = ts[:, 12]
         with np.errstate(invalid="ignore", divide="ignore"):
-            la = d1 / area
-            lb = d2 / area
-            lc = d0 / area
-        z_hit = la * a[:, 2] + lb * b[:, 2] + lc * c[:, 2]
-        dz = z_hit - q[:, 2]
-        above = strict & (dz > _EPS_EDGE)
-        graze = (strict & (np.abs(dz) <= _EPS_EDGE)) | (near_edge & ~strict)
+            la, lb, lc = d1[s] / area, d2[s] / area, d0[s] / area
+        dz = (la * ts[:, 14] + lb * ts[:, 15] + lc * ts[:, 16]) - q[s, 2]
+        above[s] = dz > _EPS_EDGE
+        graze[s] = np.abs(dz) <= _EPS_EDGE
         return above, graze
 
     def _contains_oblique(self, pts, depth, nudged):
@@ -142,35 +165,50 @@ class RayCastIndex:
                 # final resort: nudge the points off the surface and retry once
                 return self._contains(pts + _NUDGE, nudged=True)
             return winding_number_contains(pts, self.v, self.f)
-        inside, grazed = self._cast_oblique(pts, _FALLBACK_DIRS[depth])
+        inside, grazed = self._cast_oblique(pts, depth)
         if grazed.any():
             idx = np.flatnonzero(grazed)
             inside[idx] = self._contains_oblique(pts[idx], depth + 1, nudged)
         return inside
 
-    def _cast_oblique(self, pts, d):
+    def _direction(self, depth):
+        """The kept state of fallback direction ``depth``, built on first use:
+        the triangles that can be hit (``ok``), their ``pvec`` and ``det``,
+        the plane basis and the grid over their padded footprints."""
+        if self._oblique[depth] is None:
+            if self._corner is None:
+                v0, v1, v2 = (self.v[self.f[:, i]] for i in range(3))
+                self._corner = v0, v1 - v0, v2 - v0
+            _, e1, e2 = self._corner
+            d = _FALLBACK_DIRS[depth]
+            pvec = np.cross(d, e2)
+            det = np.einsum("ij,ij->i", e1, pvec)
+            # a triangle with |det| <= 1e-14 never hits or grazes
+            ok = np.flatnonzero(np.abs(det) > 1e-14)
+            edge2 = np.maximum(np.einsum("ij,ij->i", e1, e1), np.einsum("ij,ij->i", e2, e2))
+            thin = np.abs(det[ok]) < _THIN * edge2[ok]
+            plane = _plane_basis(d)
+            grid = _buckets(self.v[self.f[ok]] @ plane.T, _PAD, everywhere=thin)
+            self._oblique[depth] = (ok, pvec[ok], det[ok], plane, grid)
+        return self._oblique[depth]
+
+    def _cast_oblique(self, pts, depth):
         """Moller-Trumbore crossing parity and graze flag per query along
-        unit direction ``d``, over the triangles whose footprint box along
-        ``d``, grown by ``_PAD``, holds the query."""
-        v0, v1, v2 = self.tri[:, 0], self.tri[:, 1], self.tri[:, 2]
-        e1, e2 = v1 - v0, v2 - v0
-        pvec = np.cross(d, e2)
-        det = np.einsum("ij,ij->i", e1, pvec)
-        # a triangle with |det| <= 1e-14 never hits or grazes
-        ok = np.flatnonzero(np.abs(det) > 1e-14)
-        edge2 = np.maximum(np.einsum("ij,ij->i", e1, e1), np.einsum("ij,ij->i", e2, e2))
-        thin = np.abs(det[ok]) < _THIN * edge2[ok]
-        plane = _plane_basis(d)
-        gmin, gspan, buckets, offsets = _buckets(self.tri[ok] @ plane.T, _PAD, everywhere=thin)
+        fallback direction ``depth``, over the triangles whose footprint
+        box along it, grown by ``_PAD``, holds the query."""
+        d = _FALLBACK_DIRS[depth]
+        ok, pvec, det, plane, (gmin, gspan, buckets, offsets) = self._direction(depth)
+        v0, e1, e2 = self._corner
 
         def cross(q, tris):
             # per pair, the same arithmetic as a scan of every triangle
             k = ok[tris]
             tvec = q - v0[k]
-            u = np.einsum("ij,ij->i", tvec, pvec[k]) / det[k]
+            dk = det[tris]
+            u = np.einsum("ij,ij->i", tvec, pvec[tris]) / dk
             qvec = np.cross(tvec, e1[k])
-            v = (qvec @ d) / det[k]
-            t = np.einsum("ij,ij->i", e2[k], qvec) / det[k]
+            v = (qvec @ d) / dk
+            t = np.einsum("ij,ij->i", e2[k], qvec) / dk
             hit = (u > _EPS_EDGE) & (v > _EPS_EDGE) & (u + v < 1 - _EPS_EDGE) & (t > _EPS_EDGE)
             grazing = (
                 (np.abs(u) <= _EPS_EDGE)
@@ -210,7 +248,9 @@ def _buckets(footprints, pad, everywhere=None):
         lo_cell[everywhere], hi_cell[everywhere] = 0, _CELLS - 1
     span = hi_cell - lo_cell + 1
     per_tri = span[:, 0] * span[:, 1]
-    owner = np.repeat(np.arange(len(footprints)), per_tri)
+    # int16 triangle ids, where they fit, halve the grids an index keeps
+    ids = np.arange(len(footprints), dtype=np.int16 if len(footprints) <= 2**15 else np.int32)
+    owner = np.repeat(ids, per_tri)
     local = np.arange(len(owner)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
     row, col = np.divmod(local, np.repeat(span[:, 1], per_tri))
     first = lo_cell[:, 0] * _CELLS + lo_cell[:, 1]

@@ -1,15 +1,41 @@
-"""ASCII PLY mesh I/O with ventricular-coordinate vertex properties."""
+"""ASCII PLY mesh I/O with ventricular-coordinate vertex properties.
+
+Every mesh of one template topology shares the coordinates, tags and faces
+of its PLY text; only x, y, z differ. :func:`write_mesh_ply` therefore
+formats the ``u1 u2 u3 u4 tag`` tail of each vertex row and the whole face
+block once per topology object, on its first write, and keeps them on the
+object, as :func:`~heartfields.anatomy.labeling.label_points` keeps its
+labeler on a mesh; each mesh then formats only its positions. The text
+assumes the topology is not mutated: a topology's ``uvc``,
+``surface_tag`` and ``faces`` must not change once a mesh of it has been
+written.
+"""
 
 import numpy as np
 
 from .template import SURFACE_TAGS
 
 
+def _topology_text(topo):
+    """``(vertex_rows, face_rows)`` of ``topo``'s PLY body: a format string
+    of one row per vertex that takes its x, y, z and holds its coordinates
+    and tag, and the face rows. Built on the first call, kept on ``topo``."""
+    cached = getattr(topo, "_ply_text", None)
+    if cached is None:
+        vertex_rows = "".join(
+            "%%.9g %%.9g %%.9g %.9g %.9g %.9g %.9g %d\n" % tuple(r)
+            for r in np.column_stack([topo.uvc, topo.surface_tag]).tolist()
+        )
+        face_rows = "".join("3 %d %d %d\n" % tuple(f) for f in topo.faces.tolist())
+        cached = topo._ply_text = (vertex_rows, face_rows)
+    return cached
+
+
 def write_mesh_ply(path, mesh, comment=None):
     """Write vertices (x, y, z, u1..u4, tag) and the anatomical faces."""
     topo = mesh.topology
-    v, uvc, tag = mesh.vertices, topo.uvc, topo.surface_tag
-    faces = topo.faces
+    v = np.asarray(mesh.vertices, dtype=np.float64)
+    vertex_rows, face_rows = _topology_text(topo)
     lines = [
         "ply",
         "format ascii 1.0",
@@ -27,17 +53,12 @@ def write_mesh_ply(path, mesh, comment=None):
         "property float64 u3",
         "property float64 u4",
         "property uchar tag",
-        f"element face {len(faces)}",
+        f"element face {len(topo.faces)}",
         "property list uchar int32 vertex_indices",
         "end_header",
     ]
-    rows = [
-        "%.9g %.9g %.9g %.9g %.9g %.9g %.9g %d" % tuple(r)
-        for r in np.column_stack([v, uvc, tag]).tolist()
-    ]
-    rows += ["3 %d %d %d" % tuple(f) for f in faces.tolist()]
     with open(path, "w") as f:
-        f.write("\n".join(lines + rows) + "\n")
+        f.write("\n".join(lines) + "\n" + vertex_rows % tuple(v.ravel().tolist()) + face_rows)
 
 
 def read_mesh_ply(path):

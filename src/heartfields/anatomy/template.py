@@ -82,30 +82,24 @@ class TemplateTopology:
 
 def _band_faces(matrix, wrap):
     """Triangulate a (rows, cols) vertex-index matrix; consecutive rows are
-    joined by quads, columns optionally wrap. Degenerate triangles (repeated
-    indices, as happens along stitched seams) are dropped."""
-    m = np.asarray(matrix)
-    rows, cols = m.shape
-    ncol = cols if wrap else cols - 1
-    faces = []
-    for r in range(rows - 1):
-        for c in range(ncol):
-            c2 = (c + 1) % cols
-            v00, v01 = m[r, c], m[r, c2]
-            v10, v11 = m[r + 1, c], m[r + 1, c2]
-            faces.append((v00, v01, v11))
-            faces.append((v00, v11, v10))
-    return _drop_degenerate(np.array(faces, dtype=np.int64).reshape(-1, 3))
+    joined by quads, columns optionally wrap. Quads go row by row, each as
+    the triangles (v00, v01, v11) and (v00, v11, v10). Degenerate triangles
+    (repeated indices, as happens along stitched seams) are dropped."""
+    m = np.asarray(matrix, dtype=np.int64)
+    cols = m.shape[1]
+    c = np.arange(cols if wrap else cols - 1)
+    v00, v01 = m[:-1, c], m[:-1, (c + 1) % cols]
+    v10, v11 = m[1:, c], m[1:, (c + 1) % cols]
+    quads = np.stack([v00, v01, v11, v00, v11, v10], axis=-1)
+    return _drop_degenerate(quads.reshape(-1, 3))
 
 
 def _fan(ring, apex, downward=False):
-    ring = np.asarray(ring)
-    n = len(ring)
-    faces = []
-    for c in range(n):
-        a, b = ring[c], ring[(c + 1) % n]
-        faces.append((b, a, apex) if downward else (a, b, apex))
-    return _drop_degenerate(np.array(faces, dtype=np.int64))
+    ring = np.asarray(ring, dtype=np.int64)
+    a, b = ring, np.roll(ring, -1)
+    if downward:
+        a, b = b, a
+    return _drop_degenerate(np.column_stack([a, b, np.full(len(ring), apex)]))
 
 
 def _drop_degenerate(faces):
@@ -361,10 +355,12 @@ def _majority_tag(faces, tag):
 
 
 def _check_unique_uvc(topo):
-    seen = {tuple(np.round(row, 12)) for row in topo.uvc}
-    if len(seen) != topo.vertex_count:
+    # rows equal after rounding to 12 decimals collide; adding 0.0 turns
+    # -0.0 into 0.0, which compare equal
+    unique = len(np.unique(np.round(topo.uvc, 12) + 0.0, axis=0))
+    if unique != topo.vertex_count:
         raise AssertionError(
-            f"template coordinates are not unique: {topo.vertex_count - len(seen)} collisions"
+            f"template coordinates are not unique: {topo.vertex_count - unique} collisions"
         )
 
 

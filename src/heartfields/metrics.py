@@ -138,7 +138,9 @@ def _closest_point_on_triangles(p, a, b, c):
     i = pick((d3 >= 0) & (d4 <= d3))  # vertex b
     out[i] = b[i]
     vc = d1 * d4 - d3 * d2
-    i = pick((vc <= 0) & (d1 >= 0) & (d3 <= 0))  # edge ab
+    # edge ab, if it has a length: with a == b its pairs go on to vertex c
+    # and edge ac
+    i = pick((vc <= 0) & (d1 >= 0) & (d3 <= 0) & (np.einsum("ij,ij->i", ab, ab) > 0))
     t = d1[i] - d3[i]
     out[i] = a[i] + ab[i] * (d1[i] / np.where(np.abs(t) > 0, t, 1.0))[:, None]
     i = pick((d6 >= 0) & (d5 <= d6))  # vertex c

@@ -119,6 +119,23 @@ def test_template_topology_golden(spec):
     assert topology_sha256(anatomy.build_template(anatomy.TemplateSpec(**kw))) == digest
 
 
+def test_check_unique_uvc_rejects_collisions(topo):
+    from dataclasses import replace
+
+    from heartfields.anatomy.template import _check_unique_uvc
+
+    _check_unique_uvc(topo)
+    twin = topo.uvc.copy()
+    twin[5] = twin[9]
+    with pytest.raises(AssertionError, match="1 collisions"):
+        _check_unique_uvc(replace(topo, uvc=twin))
+    # rows that differ only by the sign of a zero are the same coordinates
+    zeros = topo.uvc.copy()
+    zeros[:2] = [[0.0, 0.5, 0.25, 0.0], [-0.0, 0.5, 0.25, 0.0]]
+    with pytest.raises(AssertionError, match="1 collisions"):
+        _check_unique_uvc(replace(topo, uvc=zeros))
+
+
 def test_compartments_closed_and_oriented(topo, mesh):
     for name in topo.compartments:
         verts, faces = mesh.compartment(name)
@@ -325,7 +342,8 @@ def exhaustive_oblique_scan(index, pts, d):
     against every triangle of ``index``: the oracle for the bucketed
     oblique cast, which must match it bit for bit."""
     eps = labeling._EPS_EDGE
-    v0, v1, v2 = index.tri[:, 0], index.tri[:, 1], index.tri[:, 2]
+    tri = index.v[index.f]
+    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
     e1, e2 = v1 - v0, v2 - v0
     pvec = np.cross(d, e2)
     det = np.einsum("ij,ij->i", e1, pvec)
@@ -372,16 +390,16 @@ def test_oblique_cast_matches_exhaustive_scan(mesh, monkeypatch):
     for index, queries in fallback.items():
         edges = np.unique(np.sort(index.f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
         on_mesh = np.vstack([index.v[np.unique(index.f)], index.v[edges].mean(axis=1)])
-        for d in labeling._FALLBACK_DIRS:
+        for depth, d in enumerate(labeling._FALLBACK_DIRS):
             # the corners of this direction's grid cells, at mid-height
             plane = labeling._plane_basis(d)
-            gmin, gspan, _, _ = labeling._buckets(index.tri @ plane.T, labeling._PAD)
+            gmin, gspan, _, _ = labeling._buckets(index.v[index.f] @ plane.T, labeling._PAD)
             ticks = gmin[:, None] + gspan[:, None] * np.linspace(0.0, 1.0, labeling._CELLS + 1)
             corners = np.stack(np.meshgrid(ticks[0], ticks[1], indexing="ij"), axis=-1).reshape(-1, 2)
             mid = index.v.mean(axis=0) @ d
             corners = corners @ plane + mid * d
             for pts in (np.unique(np.vstack(queries), axis=0), corners, on_mesh):
-                inside, grazed = index._cast_oblique(pts, d)
+                inside, grazed = index._cast_oblique(pts, depth)
                 oracle_inside, oracle_grazed = exhaustive_oblique_scan(index, pts, d)
                 np.testing.assert_array_equal(inside, oracle_inside)
                 np.testing.assert_array_equal(grazed, oracle_grazed)
@@ -411,6 +429,142 @@ def test_oblique_pad_covers_graze_slack(mesh):
             held = bucket_cell * len(faces) + buckets
             cells = labeling._cell(slack.reshape(-1, 2), gmin, gspan)
             assert np.isin(cells * len(faces) + np.repeat(np.arange(len(faces)), 3), held).all()
+
+
+def reference_cross_z(index, q, tris):
+    """The vertical crossing test with every term computed per pair from
+    the triangle's corners: the oracle for the per-triangle terms that
+    :class:`labeling.RayCastIndex` keeps, which must match it bit for bit."""
+    t = index.v[index.f[tris]]
+    a, b, c = t[:, 0], t[:, 1], t[:, 2]
+    ab, bc, ca = b[:, :2] - a[:, :2], c[:, :2] - b[:, :2], a[:, :2] - c[:, :2]
+    d0 = labeling._cross2(ab, q[:, :2] - a[:, :2])
+    d1 = labeling._cross2(bc, q[:, :2] - b[:, :2])
+    d2 = labeling._cross2(ca, q[:, :2] - c[:, :2])
+    area = labeling._cross2(ab, c[:, :2] - a[:, :2])
+    pos = (d0 > 0) & (d1 > 0) & (d2 > 0)
+    neg = (d0 < 0) & (d1 < 0) & (d2 < 0)
+    strict = pos | neg
+    eps = labeling._EPS_EDGE
+    scale = np.abs(area) + 1e-300
+    near_edge = (
+        (np.minimum(np.abs(d0), np.minimum(np.abs(d1), np.abs(d2))) < eps * scale)
+        | (np.abs(area) < 1e-14)
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        la = d1 / area
+        lb = d2 / area
+        lc = d0 / area
+        z_hit = la * a[:, 2] + lb * b[:, 2] + lc * c[:, 2]
+    dz = z_hit - q[:, 2]
+    above = strict & (dz > eps)
+    graze = (strict & (np.abs(dz) <= eps)) | (near_edge & ~strict)
+    return above, graze
+
+
+def reference_cast_oblique(index, pts, d):
+    """The oblique cast along ``d`` with its grid and Moller-Trumbore terms
+    built afresh on each call: the oracle for the ones an index keeps."""
+    eps = labeling._EPS_EDGE
+    tri = index.v[index.f]
+    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
+    e1, e2 = v1 - v0, v2 - v0
+    pvec = np.cross(d, e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    ok = np.flatnonzero(np.abs(det) > 1e-14)
+    edge2 = np.maximum(np.einsum("ij,ij->i", e1, e1), np.einsum("ij,ij->i", e2, e2))
+    thin = np.abs(det[ok]) < labeling._THIN * edge2[ok]
+    plane = labeling._plane_basis(d)
+    gmin, gspan, buckets, offsets = labeling._buckets(
+        tri[ok] @ plane.T, labeling._PAD, everywhere=thin
+    )
+
+    def cross(q, tris):
+        k = ok[tris]
+        tvec = q - v0[k]
+        u = np.einsum("ij,ij->i", tvec, pvec[k]) / det[k]
+        qvec = np.cross(tvec, e1[k])
+        v = (qvec @ d) / det[k]
+        t = np.einsum("ij,ij->i", e2[k], qvec) / det[k]
+        hit = (u > eps) & (v > eps) & (u + v < 1 - eps) & (t > eps)
+        grazing = (
+            (np.abs(u) <= eps) | (np.abs(v) <= eps) | (np.abs(1 - u - v) <= eps) | (np.abs(t) <= eps)
+        )
+        grazing &= (u > -eps) & (v > -eps) & (u + v < 1 + eps)
+        return hit, grazing
+
+    cells = labeling._cell(pts @ plane.T, gmin, gspan)
+    return labeling._cast(pts, cells, buckets, offsets, cross)
+
+
+def test_kept_triangle_terms_match_per_call_reference(topo, monkeypatch):
+    # every (point, triangle) pair the vertical test sees, and every query
+    # an oblique cast sees, while labeling slice grids, classification
+    # samples, on-surface points and basal-cap ties of three shapes and of
+    # one moved 1e3 mm away
+    pairs = {"vertical": 0, "oblique": 0}
+    cross_z, cast_oblique = labeling.RayCastIndex._cross_z, labeling.RayCastIndex._cast_oblique
+
+    def checked_cross_z(index, q, tris):
+        above, graze = cross_z(index, q, tris)
+        ref_above, ref_graze = reference_cross_z(index, q, tris)
+        np.testing.assert_array_equal(above, ref_above)
+        np.testing.assert_array_equal(graze, ref_graze)
+        pairs["vertical"] += len(tris)
+        return above, graze
+
+    def checked_cast_oblique(index, pts, depth):
+        inside, grazed = cast_oblique(index, pts, depth)
+        ref_inside, ref_grazed = reference_cast_oblique(index, pts, labeling._FALLBACK_DIRS[depth])
+        np.testing.assert_array_equal(inside, ref_inside)
+        np.testing.assert_array_equal(grazed, ref_grazed)
+        pairs["oblique"] += len(pts)
+        return inside, grazed
+
+    monkeypatch.setattr(labeling.RayCastIndex, "_cross_z", checked_cross_z)
+    monkeypatch.setattr(labeling.RayCastIndex, "_cast_oblique", checked_cast_oblique)
+    meshes = [anatomy.generate_shape(topo, anatomy.sample_params(seed)) for seed in (1, 2, 3)]
+    meshes.append(anatomy.InstanceMesh(topo, meshes[0].vertices + 1e3))
+    edges = np.unique(np.sort(topo.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
+    for mesh in meshes:
+        slices = [acq.slice_mesh(mesh, plane, density=4.0) for plane in acq.standard_views(mesh)]
+        build_sample(mesh, "case000", seg_n=4000, reg_n=3000, seed=0)
+        grid = np.vstack([s.points[s.kinds == acq.KIND_GRID] for s in slices])
+        # the grid rows in the plane of the flat basal cap
+        ties = grid[grid[:, 2] == mesh.vertices[:, 2].min()]
+        assert len(ties) > 0
+        on_mesh = np.vstack([mesh.vertices, mesh.vertices[edges].mean(axis=1), ties])
+        anatomy.label_points(on_mesh, mesh)
+    # a tetrahedron with a vertical face that has no vertical edge: the
+    # face has no (x, y) area, but no query lies on its projected edges
+    tet = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.5]])
+    axes = np.linspace(-0.5, 2.5, 13), np.linspace(-0.5, 1.5, 9), np.linspace(-0.5, 1.5, 9)
+    lattice = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, 3)
+    for shift in (0.0, 1e3):
+        index = labeling.RayCastIndex(tet + shift, [[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]])
+        index.contains(lattice + shift)
+        assert index.fallback_points > 0
+    assert pairs["vertical"] > 10**6 and pairs["oblique"] > 10**4
+
+
+def test_oblique_directions_built_once_per_index(mesh, monkeypatch):
+    builds = []
+    buckets = labeling._buckets
+
+    def counted(*args, **kwargs):
+        builds.append(len(args[0]))
+        return buckets(*args, **kwargs)
+
+    monkeypatch.setattr(labeling, "_buckets", counted)
+    index = labeling.RayCastIndex(*mesh.compartment("heart"))
+    assert len(builds) == 1
+    # the vertices graze every direction and so are nudged and cast again
+    pts = np.vstack([mesh.vertices, np.random.default_rng(3).uniform(*mesh.bounds(), (500, 3))])
+    first = index.contains(pts)
+    assert len(builds) == 1 + len(labeling._FALLBACK_DIRS)
+    for _ in range(3):
+        np.testing.assert_array_equal(index.contains(pts), first)
+    assert len(builds) == 1 + len(labeling._FALLBACK_DIRS)
 
 
 def test_buckets_hold_each_triangle_in_its_padded_box_cells():
@@ -542,6 +696,65 @@ def test_ply_roundtrip(tmp_path, mesh):
     np.testing.assert_allclose(uvc, mesh.topology.uvc, atol=1e-9)
     np.testing.assert_array_equal(tags, mesh.topology.surface_tag)
     np.testing.assert_array_equal(faces, mesh.topology.faces)
+
+
+def reference_ply_text(mesh, comment=None):
+    """The PLY text formatted row by row from the mesh's vertices,
+    coordinates, tags and faces: the oracle for the per-topology text
+    that :func:`anatomy.write_mesh_ply` keeps."""
+    topo = mesh.topology
+    legend = " ".join(f"{i}={t}" for i, t in enumerate(anatomy.SURFACE_TAGS))
+    lines = ["ply", "format ascii 1.0", f"comment tag legend: {legend}"]
+    lines += [f"comment {comment}"] if comment else []
+    lines += [f"element vertex {len(mesh.vertices)}"]
+    lines += [f"property float64 {p}" for p in ("x", "y", "z", "u1", "u2", "u3", "u4")]
+    lines += ["property uchar tag", f"element face {len(topo.faces)}"]
+    lines += ["property list uchar int32 vertex_indices", "end_header"]
+    rows = [
+        "%.9g %.9g %.9g %.9g %.9g %.9g %.9g %d" % tuple(r)
+        for r in np.column_stack([mesh.vertices, topo.uvc, topo.surface_tag]).tolist()
+    ]
+    rows += ["3 %d %d %d" % tuple(f) for f in topo.faces.tolist()]
+    return "\n".join(lines + rows) + "\n"
+
+
+FINE_SPEC = {"n_phi": 64, "n_rows": 49, "k_rv": 36}
+# sha256 of write_mesh_ply's bytes for ShapeParams() on the default
+# template (no comment) and on FINE_SPEC (comment "shape fine"), taken at
+# commit 067f039, before the topology's text was kept
+GOLDEN_PLY_SHA256 = {
+    "default": "fd35cb71ed2a90a6002bde08db974377e8008518ee26d54c8ba44dd9cf1f0572",
+    "fine": "d7d23bedc3442377162c8389b33810a8206b1bd7fb0492dba3bbeed4306c5e6e",
+}
+
+
+@pytest.fixture(scope="module")
+def fine_mesh():
+    fine = anatomy.build_template(anatomy.TemplateSpec(**FINE_SPEC))
+    return anatomy.generate_shape(fine, anatomy.ShapeParams())
+
+
+def test_ply_golden(tmp_path, mesh, fine_mesh, golden_arithmetic):
+    for name, m, comment in (("default", mesh, None), ("fine", fine_mesh, "shape fine")):
+        path = tmp_path / f"{name}.ply"
+        anatomy.write_mesh_ply(path, m, comment)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_PLY_SHA256[name]
+
+
+def test_ply_text_kept_per_topology(tmp_path, topo, fine_mesh):
+    # meshes of two topologies, written alternately, each with its own
+    # positions and its own topology's coordinates, tags and faces
+    meshes = [
+        anatomy.generate_shape(topo, anatomy.sample_params(4)),
+        fine_mesh,
+        anatomy.generate_shape(topo, anatomy.sample_params(5)),
+        anatomy.InstanceMesh(fine_mesh.topology, 2.0 * fine_mesh.vertices),
+    ]
+    path = tmp_path / "shape.ply"
+    for i, m in enumerate(meshes + meshes[::-1]):
+        comment = f"shape {i}" if i % 2 else None
+        anatomy.write_mesh_ply(path, m, comment)
+        assert path.read_text() == reference_ply_text(m, comment)
 
 
 def test_ply_truncated_or_corrupt_rejected(tmp_path, mesh):

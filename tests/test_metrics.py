@@ -207,21 +207,22 @@ def contour_like(rng, radius):
 
 
 def with_degenerate_faces(v, f):
-    """(v, f) plus three zero-area triangles that reach out beyond a sphere
-    of radius ~8 about the origin. One repeats a new corner and ends at
-    vertex 0: the exact test returns the repeated corner for every point,
-    so the far corner is one the sphere's faces hold too. Two have three
-    collinear corners: one exactly, so its cross product is zero, and one
-    up to rounding, so its cross product is a tiny normal of arbitrary
-    direction. The last seven rows of the result are the new vertices."""
+    """(v, f) plus four zero-area triangles that reach out beyond a sphere
+    of radius ~8 about the origin. Two repeat a new corner: one ends at
+    vertex 0, which the sphere's faces hold too, and one, ``[n, n, n + 1]``,
+    at a vertex that only it holds, so only the segment to it is nearest
+    there. Two have three collinear corners: one exactly, so its cross
+    product is zero, and one up to rounding, so its cross product is a tiny
+    normal of arbitrary direction. The last eight rows of the result are
+    the new vertices."""
     q = np.array([11.0, 1.0, 0.5])
     r = q * [1, -1, 1]
     d = np.array([0.1, 0.2, 0.7])
     e = np.array([0.25, 0.5, 1.0])
-    extra = np.array([q, -q, -q + 0.3 * d, -q + 1.1 * d, r, r + e, r + 3 * e])
+    extra = np.array([q, q + [0.0, 6.0, 3.0], -q, -q + 0.3 * d, -q + 1.1 * d, r, r + e, r + 3 * e])
     n = len(v)
-    faces = np.vstack([f, [[n, n, 0], [n + 1, n + 2, n + 3], [n + 4, n + 5, n + 6]]])
-    return np.vstack([v, extra]), faces
+    new_faces = [[n, n, 0], [n, n, n + 1], [n + 2, n + 3, n + 4], [n + 5, n + 6, n + 7]]
+    return np.vstack([v, extra]), np.vstack([f, new_faces])
 
 
 def planar_probes(rng, v, f):
@@ -257,7 +258,9 @@ def test_p2s_matches_bruteforce(monkeypatch):
         pts = contour_like(rng, 8.0)
         inputs += [(pts, v), (pts, scrambled), (pts, exploded)]
     dv, df = with_degenerate_faces(v, f)
-    near = (dv[-7:] + rng.normal(0, 0.3, (6, 7, 3))).reshape(-1, 3)
+    near = (dv[-8:] + rng.normal(0, 0.3, (6, 8, 3))).reshape(-1, 3)
+    along = dv[-8] + rng.uniform(-0.2, 1.2, (40, 1)) * (dv[-7] - dv[-8])
+    near = np.vstack([near, along + rng.normal(0, 0.3, (40, 3))])
     inputs += [(near, dv), (np.vstack([near, contour_like(rng, 8.0)]), dv)]
     # in-plane probes on meshes moved 1e3 and 1e4 away from the origin
     for shift in (1e3, 1e4):
@@ -272,6 +275,21 @@ def test_p2s_matches_bruteforce(monkeypatch):
             assert fast == slow
 
     check()
+    # a triangle with two equal corners is the segment between the other
+    # two, whichever corners are equal
+    seg = dv[-8:-6]
+    pts = seg[0] + rng.uniform(-0.5, 1.5, (60, 1)) * (seg[1] - seg[0]) + rng.normal(0, 1.0, (60, 3))
+    ab = seg[1] - seg[0]
+    t = np.clip((pts - seg[0]) @ ab / (ab @ ab), 0.0, 1.0)
+    exact = np.linalg.norm(pts - (seg[0] + t[:, None] * ab), axis=1)
+    for faces in ([[0, 0, 1]], [[1, 1, 0]], [[0, 1, 1]], [[0, 1, 0]]):
+        tri = seg[faces[0]]
+        np.testing.assert_allclose(
+            metrics.point_to_triangles_distance(pts, tri[:1], tri[1:2], tri[2:]), exact, rtol=1e-12
+        )
+        fast = metrics.point_to_surface(pts, seg, faces)
+        assert fast == metrics.point_to_surface_bruteforce(pts, seg, faces)
+        assert fast == pytest.approx(exact.mean(), rel=1e-12)
     # chunks of a single point (more faces than the pair budget), of 7
     # points, and of more points than any input holds
     for budget in (len(f) - 1, 7 * len(f), 1000 * len(f)):
