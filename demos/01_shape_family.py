@@ -51,7 +51,7 @@ lo, hi = mesh.bounds()
 pts = rng.uniform(lo - 10, hi + 10, size=(4000, 3))
 labels = anatomy.label_points(pts, mesh)
 names = [l.name for l in anatomy.AnatomicalLabel]
-print("label census:", dict(zip(names, np.bincount(labels, minlength=5).tolist())))
+print("label census:", dict(zip(names, np.bincount(labels, minlength=len(anatomy.AnatomicalLabel)).tolist())))
 
 anatomy.write_mesh_ply("demo_shape.ply", mesh, comment="demo cohort member")
 with open("demo_shape_landmarks.json", "w") as f:

@@ -44,8 +44,8 @@ pred = inference.predict_mesh(result.reg_net, rec.latent, topo)
 ed, rmse = metrics.corresponding_ed(pred.vertices, target.vertices)
 cd_ab, cd_ba, cd_sym = metrics.chamfer(pred.vertices, target.vertices)
 pred_labels = inference.predict_labels(result.seg_net, rec.latent, target.vertices)
-dice_lvm = metrics.point_dice(pred_labels, topo.vertex_labels(), 3)
-dice_rvm = metrics.point_dice(pred_labels, topo.vertex_labels(), 4)
+dice_lvm = metrics.point_dice(pred_labels, topo.vertex_labels(), anatomy.AnatomicalLabel.LVM)
+dice_rvm = metrics.point_dice(pred_labels, topo.vertex_labels(), anatomy.AnatomicalLabel.RVM)
 
 print(f"corresponding-vertex ED {ed:.2f} mm, RMSE {rmse:.2f} mm")
 print(f"chamfer: directed {cd_ab:.2f} / {cd_ba:.2f} mm, symmetric {cd_sym:.2f} mm")
@@ -59,5 +59,5 @@ hi = pred.vertices.max(axis=0) + 10
 dims = ((hi - lo) / 4.0).astype(int) + 1
 labels = inference.predict_dense_labels(result.seg_net, rec.latent, lo, 4.0, dims)
 census = {anatomy.AnatomicalLabel(i).name: int(n) for i, n in
-          enumerate(np.bincount(labels.ravel(), minlength=5))}
+          enumerate(np.bincount(labels.ravel(), minlength=len(anatomy.AnatomicalLabel)))}
 print(f"dense label map {labels.shape}: {census}")

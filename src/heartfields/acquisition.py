@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anatomy import AnatomicalLabel, apply_frame, cardiac_frame, invert_frame, label_points
-from .anatomy.template import TAG_LV_ENDO, TAG_RV_ENDO
+from .anatomy.template import surface_label
 
 KIND_GRID, KIND_CONTOUR = 0, 1
 # the short-axis stack starts this far (mm) inside the apex and stops this
@@ -135,9 +135,9 @@ def slice_mesh(mesh, plane, density=2.0):
     """Slice one mesh with one plane.
 
     Returns a :class:`Slice` whose points are (a) contour points where the
-    anatomical surface triangles cross the plane, labeled by the surface
-    they belong to, and (b) an in-plane occupancy grid over the projected
-    footprint of the mesh (plus ``GRID_MARGIN``), labeled by containment.
+    anatomical surface triangles cross the plane, labeled by ``surface_label``
+    of their triangle's face group and mean u1, and (b) an in-plane occupancy
+    grid over the mesh footprint (plus ``GRID_MARGIN``), labeled by containment.
     """
     topo = mesh.topology
     verts = mesh.vertices
@@ -154,10 +154,8 @@ def slice_mesh(mesh, plane, density=2.0):
     vi, vj = verts[ids[cut]], verts[ids[:, nxt][cut]]
     t = di / (di - dj)
     contour_pts = vi + t[:, None] * (vj - vi)
-    group = topo.face_group[two]
-    myo = np.where(topo.uvc[ids, 0].mean(axis=1) > 0.5, 4, 3)  # epicardial/basal: LVM or RVM
-    face_labels = np.select([group == TAG_LV_ENDO, group == TAG_RV_ENDO], [1, 2], myo)
-    contour_labels = np.repeat(face_labels, 2).astype(np.int8)
+    face_labels = surface_label(topo.face_group[two], topo.uvc[ids, 0].mean(axis=1))
+    contour_labels = np.repeat(face_labels, 2)
 
     # occupancy grid over the projected footprint
     rel = verts - plane.origin

@@ -8,7 +8,7 @@ template correspondence.
 """
 
 from .frames import CardiacFrame, apply_frame, cardiac_frame, invert_frame
-from .labeling import AnatomicalLabel, Labeler, label_points
+from .labeling import Labeler, label_points
 from .plyio import read_mesh_ply, write_mesh_ply
 from .shapes import (
     InstanceMesh,
@@ -18,6 +18,7 @@ from .shapes import (
 )
 from .template import (
     SURFACE_TAGS,
+    AnatomicalLabel,
     TemplateSpec,
     TemplateTopology,
     build_template,

@@ -21,10 +21,11 @@ independent oracle for the test suite.
 """
 
 import weakref
-from enum import IntEnum
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .template import AnatomicalLabel, myocardium_label
 
 _EPS_EDGE = 1e-9
 _NUDGE = 1e-7
@@ -52,25 +53,6 @@ _FALLBACK_DIRS = np.array(
         [0.17364818, -0.09848078, 0.97986814],
     ]
 )
-
-
-class AnatomicalLabel(IntEnum):
-    BG = 0
-    LV = 1
-    RV = 2
-    LVM = 3
-    RVM = 4
-
-    @staticmethod
-    def one_hot(labels):
-        """(n, 5) float one-hot encoding of integer labels; raises
-        ``ValueError`` for a label outside 0-4."""
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.size and not (0 <= labels.min() and labels.max() < 5):
-            raise ValueError(f"labels must lie in 0-4, got {labels.min()}..{labels.max()}")
-        out = np.zeros((labels.size, 5))
-        out[np.arange(labels.size), labels.ravel()] = 1.0
-        return out
 
 
 class RayCastIndex:
@@ -340,9 +322,9 @@ class Labeler:
     """Label arbitrary points against one instance mesh.
 
     Blood pools by cavity containment, myocardium by heart-exterior
-    containment with the LV/RV split taken from the transventricular
-    coordinate of the nearest template vertex (which puts the transition
-    at the mid-septum), background elsewhere.
+    containment with the LV/RV split of ``myocardium_label`` on the ``u1``
+    of the nearest template vertex (which puts the transition at the
+    mid-septum), background elsewhere.
     """
 
     def __init__(self, mesh):
@@ -368,11 +350,7 @@ class Labeler:
             lab = np.empty(len(sub), dtype=np.int8)
             lab[in_lv] = AnatomicalLabel.LV
             lab[in_rv] = AnatomicalLabel.RV
-            if myo.any():
-                nearest = self.tree.query(sub[myo])[1]
-                lab[myo] = np.where(
-                    self.u1[nearest] < 0.5, AnatomicalLabel.LVM, AnatomicalLabel.RVM
-                )
+            lab[myo] = myocardium_label(self.u1[self.tree.query(sub[myo])[1]])
             out[idx] = lab
         return out
 

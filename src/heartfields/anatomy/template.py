@@ -22,11 +22,45 @@ the same vertex indices for containment and volume queries.
 """
 
 from dataclasses import dataclass, field
+from enum import IntEnum
 
 import numpy as np
 
 SURFACE_TAGS = ("lv_endo", "rv_endo", "epi", "base_ring")
 TAG_LV_ENDO, TAG_RV_ENDO, TAG_EPI, TAG_BASE_RING = range(4)
+
+
+class AnatomicalLabel(IntEnum):
+    BG = 0
+    LV = 1
+    RV = 2
+    LVM = 3
+    RVM = 4
+
+    @staticmethod
+    def one_hot(labels):
+        """(n, len(AnatomicalLabel)) float one-hot rows of integer labels;
+        raises ``ValueError`` for a label outside the legend."""
+        n = len(AnatomicalLabel)
+        labels = np.asarray(labels, dtype=np.int64).ravel()
+        if labels.size and not (0 <= labels.min() and labels.max() < n):
+            raise ValueError(f"labels must lie in 0-{n - 1}, got {labels.min()}..{labels.max()}")
+        return np.eye(n)[labels]
+
+
+def myocardium_label(u1):
+    """Myocardium by transventricular ``u1`` (int8): LVM where u1 < 0.5, else RVM."""
+    return np.where(u1 < 0.5, AnatomicalLabel.LVM, AnatomicalLabel.RVM).astype(np.int8)
+
+
+def surface_label(tag, u1):
+    """Label (int8) of surface points by their tag and ``u1``: endocardium
+    takes its blood pool, any other surface :func:`myocardium_label`."""
+    labels = myocardium_label(u1)
+    labels[tag == TAG_LV_ENDO] = AnatomicalLabel.LV
+    labels[tag == TAG_RV_ENDO] = AnatomicalLabel.RV
+    return labels
+
 
 # fraction of the LV endo apex height where the shared trunk rows stop and
 # per-sheet apex cap rows take over
@@ -69,15 +103,8 @@ class TemplateTopology:
         return self.uvc.shape[0]
 
     def vertex_labels(self):
-        """Anatomical label per vertex by the adjacent-compartment rule:
-        endocardial vertices take their blood pool, everything else takes
-        the myocardium of its ventricle."""
-        tag = self.surface_tag
-        u1 = self.uvc[:, 0]
-        labels = np.where(u1 < 0.5, 3, 4)  # LVM / RVM
-        labels = np.where(tag == TAG_LV_ENDO, 1, labels)  # LV
-        labels = np.where(tag == TAG_RV_ENDO, 2, labels)  # RV
-        return labels.astype(np.int8)
+        """Label per vertex: :func:`surface_label` of its tag and ``u1``."""
+        return surface_label(self.surface_tag, self.uvc[:, 0])
 
 
 def _band_faces(matrix, wrap):

@@ -331,15 +331,14 @@ def cmd_generate(config, force=False):
 
 def _load_sample(root, sid):
     """Read shape ``sid``'s point samples; raise ``ValueError`` naming the file
-    unless seg is (n, 4) with integer labels in 0-4 and reg is (m, 7)."""
+    unless seg is (n, 4) with labels of the legend and reg is (m, 7)."""
     paths = [os.path.join(root, rel) for rel in _sample_npys(sid)]
     seg, reg = (np.load(path) for path in paths)
     for path, arr, width in zip(paths, (seg, reg), (4, 7)):
         if arr.ndim != 2 or arr.shape[1] != width:
             raise ValueError(f"{path}: expected an (n, {width}) array, got shape {arr.shape}")
-    labels = seg[:, 3]
-    if not np.all((labels == np.round(labels)) & (labels >= 0) & (labels < training.N_LABELS)):
-        raise ValueError(f"{paths[0]}: labels must be integers in 0-4")
+    if not np.isin(seg[:, 3], list(anatomy.AnatomicalLabel)).all():
+        raise ValueError(f"{paths[0]}: labels must be integers in 0-{max(anatomy.AnatomicalLabel)}")
     return training.TrainingSample(
         shape_id=sid,
         seg_xyz=seg[:, :3],
@@ -568,8 +567,8 @@ def evaluate_case(root, topo, ckpt, case, condition):
 
     report = metrics.MetricsReport(
         case_id=case,
-        dice_lvm=metrics.point_dice(pred_labels, ref_labels, 3),
-        dice_rvm=metrics.point_dice(pred_labels, ref_labels, 4),
+        dice_lvm=metrics.point_dice(pred_labels, ref_labels, anatomy.AnatomicalLabel.LVM),
+        dice_rvm=metrics.point_dice(pred_labels, ref_labels, anatomy.AnatomicalLabel.RVM),
         ed_mean=ed,
         rmse=rmse,
         chamfer_ab=cd_ab,

@@ -163,7 +163,7 @@ def predict_mesh(reg_net, latent, topology):
 
 
 def predict_dense_labels(seg_net, latent, origin, spacing, dims):
-    """Dense label volume: argmax of the 5 sigmoid channels at voxel centers.
+    """Dense label volume: argmax of the sigmoid channels at voxel centers.
 
     ``origin`` is the center of voxel (0, 0, 0); voxel centers are
     origin + index * spacing. Returns a uint8 array of shape ``dims``.
@@ -179,7 +179,7 @@ def predict_dense_labels(seg_net, latent, origin, spacing, dims):
 
 
 def predict_labels(seg_net, latent, points):
-    """Label (argmax of the 5 sigmoid channels) at each of the (n, 3)
+    """Label (argmax of the sigmoid channels) at each of the (n, 3)
     ``points``, as uint8; the classifier runs on 65536 rows at a time."""
     dt = seg_net.parameters.dtype
     code = np.asarray(latent, dtype=dt)

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netcore
-from .anatomy.labeling import AnatomicalLabel
+from .anatomy.labeling import AnatomicalLabel, label_points
 from .anatomy.shapes import interior_points_batch
 
-N_LABELS = 5
 DICE_SMOOTH = 1e-6
 INPUT_SCALE = 0.01  # mm -> network units for spatial inputs
 REG_OUTPUT_SCALE = 100.0  # network units -> mm for positions
@@ -74,8 +73,8 @@ def latent_stats(codes):
 
 def _check_one_hot(targets):
     t = np.asarray(targets)
-    if t.ndim != 2 or t.shape[1] != N_LABELS:
-        raise ValueError(f"targets must be (n, {N_LABELS}) one-hot, got {t.shape}")
+    if t.ndim != 2 or t.shape[1] != len(AnatomicalLabel):
+        raise ValueError(f"targets must be (n, {len(AnatomicalLabel)}) one-hot, got {t.shape}")
     if not (np.all((t == 0.0) | (t == 1.0)) and np.all(t.sum(axis=1) == 1.0)):
         raise ValueError("targets are not one-hot")
     return t
@@ -103,7 +102,7 @@ def dice_loss(logits, targets):
     loss = float(1.0 - np.mean(num / den))
     # d(num_c)/d s_ic = 2 t_ic, d(den_c)/d s_ic = 1
     ddice_ds = (2.0 * t * den - num) / (den * den)
-    grad = -(ddice_ds / N_LABELS) * s * (1.0 - s)
+    grad = -(ddice_ds / len(AnatomicalLabel)) * s * (1.0 - s)
     return loss, grad
 
 
@@ -180,8 +179,6 @@ def sample_seg_points(mesh, n, margin=20.0, seed=0):
     """Classification point set: all template vertices (labeled by their
     surface's adjacent compartment) plus uniform points in the margin-grown
     bounding box labeled by containment. Requires n > vertex count."""
-    from .anatomy.labeling import label_points
-
     topo = mesh.topology
     v = topo.vertex_count
     if n <= v:
@@ -301,7 +298,7 @@ def through_net(net, inputs, loss, code_dim, keep="params", scale=1.0):
 def _net_dims(config):
     """(input, output, hidden, blocks) of the seg and the reg network."""
     return (
-        (3 + config.latent_dim, N_LABELS, config.hidden_dim, config.num_blocks),
+        (3 + config.latent_dim, len(AnatomicalLabel), config.hidden_dim, config.num_blocks),
         (4 + config.latent_dim, 3, config.hidden_dim, config.num_blocks),
     )
 

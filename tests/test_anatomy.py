@@ -2,18 +2,20 @@ import gc
 import hashlib
 import re
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from heartfields import acquisition as acq
 from heartfields import anatomy, metrics
-from heartfields.anatomy import frames, labeling
+from heartfields.anatomy import frames, labeling, template
 from heartfields.anatomy.template import (
     TAG_BASE_RING,
     TAG_EPI,
     TAG_LV_ENDO,
     TAG_RV_ENDO,
+    surface_label,
 )
 from heartfields.training import build_sample
 
@@ -682,7 +684,54 @@ def test_vertex_labels_rule(topo):
     assert np.all(labels[tag == TAG_LV_ENDO] == labeling.AnatomicalLabel.LV)
     assert np.all(labels[tag == TAG_RV_ENDO] == labeling.AnatomicalLabel.RV)
     epi = labels[tag == TAG_EPI]
-    assert set(np.unique(epi)) <= {3, 4}
+    assert set(np.unique(epi)) <= {labeling.AnatomicalLabel.LVM, labeling.AnatomicalLabel.RVM}
+
+
+def test_surface_label_rule_breaks_the_tie_to_rvm():
+    L = labeling.AnatomicalLabel
+    below = np.nextafter(0.5, 0.0)
+    tag = np.array([TAG_LV_ENDO, TAG_RV_ENDO, TAG_EPI, TAG_BASE_RING, TAG_EPI, TAG_BASE_RING])
+    u1 = np.array([0.5, 0.5, 0.5, 0.5, below, below])
+    labels = surface_label(tag, u1)
+    assert labels.dtype == np.int8
+    np.testing.assert_array_equal(labels, [L.LV, L.RV, L.RVM, L.RVM, L.LVM, L.LVM])
+
+
+def test_every_label_producer_calls_the_rule(topo, mesh, monkeypatch):
+    """Vertex labels and contour labels go through ``surface_label``, and the
+    labeler's myocardium split through its ``myocardium_label`` part, so a
+    tie at u1 = 0.5 comes out RVM from all three."""
+    calls = Counter()
+
+    def spy(fn):
+        def counted(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return counted
+
+    # every module binding of the two functions
+    for module, name in ((template, "surface_label"), (acq, "surface_label"),
+                         (template, "myocardium_label"), (labeling, "myocardium_label")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+
+    topo.vertex_labels()
+    assert calls == {"surface_label": 1, "myocardium_label": 1}
+    calls.clear()
+    labeler = labeling.Labeler(mesh)
+    spec = topo.spec
+    a_row = topo.blocks["A_trunk"].reshape(spec.n_rows, spec.n_phi)
+    b_row = topo.blocks["B_trunk"].reshape(spec.n_rows, spec.n_phi)
+    j = spec.n_rows // 2
+    mid = 0.5 * (mesh.vertices[a_row[j, 0]] + mesh.vertices[b_row[j, 0]])
+    assert labeler.label(mid[None]) == labeling.AnatomicalLabel.LVM
+    assert calls == {"myocardium_label": 1}
+    labeler.u1 = np.full_like(labeler.u1, 0.5)
+    assert labeler.label(mid[None]) == labeling.AnatomicalLabel.RVM
+    calls.clear()
+    acq.slice_mesh(mesh, acq.standard_views(mesh)[0], density=8.0)
+    # the contour labels' rule call, then the split of the grid's labeler
+    assert calls == {"surface_label": 1, "myocardium_label": 2}
 
 
 # --------------------------------------------------------------------- I/O
