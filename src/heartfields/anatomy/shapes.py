@@ -78,7 +78,6 @@ class InstanceMesh:
     topology: tpl.TemplateTopology
     vertices: np.ndarray
     landmarks: dict = None  # {"mvc", "tvc", "lva"} -> (3,) arrays
-    params: ShapeParams = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
@@ -127,7 +126,7 @@ def generate_shape(topology, params):
         "tvc": apply_frame(frame, tvc),
         "lva": apply_frame(frame, lva),
     }
-    return InstanceMesh(topology, verts, landmarks, params)
+    return InstanceMesh(topology, verts, landmarks)
 
 
 def interior_points_batch(mesh, pair_indices, ts):

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -72,14 +73,10 @@ class ExperimentConfig(training.TrainConfig):
         test_range = range(self.test_seed0, self.test_seed0 + self.test_shapes)
         if set(train_range) & set(test_range):
             raise ValueError("train and test seed ranges overlap")
-        for name in ("spacing", "density"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        for name in ("infer_steps", "infer_points"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        self._require(lambda v: v > 0, "positive", "spacing", "density")
+        self._require(lambda v: v >= 0, "nonnegative", "sigma", "checkpoint_every")
+        self._require(lambda v: v >= 1, "at least 1", "infer_steps", "infer_points")
+        self._require(lambda v: 0 < v < math.inf, "positive and finite", "infer_lr")
         return super().validate()
 
     def hash(self):
@@ -106,27 +103,36 @@ def parse_config_file(path):
     return values
 
 
-def config_from(values):
-    cfg = ExperimentConfig()
-    valid = {f.name: f.type for f in fields(ExperimentConfig)}
+def _typed(values):
+    """``values`` converted to the types of the ExperimentConfig defaults;
+    a ``ValueError`` names an unknown key or one whose value does not parse."""
+    kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+    out = {}
     for key, val in values.items():
-        if key not in valid:
+        if key not in kinds:
             raise ValueError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        if isinstance(current, int):
-            parsed = int(val)
-        elif isinstance(current, float):
-            parsed = float(val)
-        else:
-            parsed = str(val)
-        setattr(cfg, key, parsed)
-    return cfg.validate()
+        kind = kinds[key]
+        try:
+            out[key] = kind(val)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"config key {key!r}: cannot parse {val!r} as {kind.__name__}") from e
+    return out
+
+
+def config_from(values):
+    return ExperimentConfig(**_typed(values)).validate()
 
 
 def load_config(path=None, overrides=None):
+    """The config of file ``path`` (see :func:`parse_config_file`) with the
+    non-``None`` ``overrides`` on top; an error in a file value names ``path``."""
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     values = parse_config_file(path) if path else {}
-    values.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    return config_from(values)
+    try:
+        values = _typed({k: v for k, v in values.items() if k not in overrides})
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+    return ExperimentConfig(**values, **_typed(overrides)).validate()
 
 
 # -------------------------------------------------------------------- layout
@@ -529,8 +535,16 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
 # ----------------------------------------------------------------- evaluate
 
 
+# the volumes and masses a report holds for the reconstruction, each also
+# taken of the generating mesh as the extra "true_<name>"
+VOLUMES = ("lv_vol", "rv_vol", "lv_mass", "rv_mass")
+EXTRA_KEYS = ["p2s_ref"] + [f"true_{k}" for k in VOLUMES]
+
+
 def evaluate_case(root, topo, ckpt, case, condition):
-    """Metrics for one reconstructed case against its generating mesh."""
+    """Metrics for one reconstructed case against its generating mesh: a
+    :class:`metrics.MetricsReport` and a dict of the EXTRA_KEYS, or ``None``
+    when the reconstruction is missing."""
     ply = os.path.join(root, _recon(condition, case, RECON_PLY))
     if not os.path.exists(ply):
         return None
@@ -555,15 +569,13 @@ def evaluate_case(root, topo, ckpt, case, condition):
             return np.nan
 
     def vols(mesh):
+        """The VOLUMES of ``mesh``, by name."""
         lv = metrics.enclosed_volume(*mesh.compartment("lv_cavity"))
         rv = metrics.enclosed_volume(*mesh.compartment("rv_cavity"))
         lvepi = metrics.enclosed_volume(*mesh.compartment("lv_epi_volume"))
         heart = metrics.enclosed_volume(*mesh.compartment("heart"))
         # the RV wall lies inside the heart, outside the LV epicardium and the RV cavity
-        return lv, rv, mass(lvepi, lv), mass(heart - lvepi, rv)
-
-    lv, rv, lv_mass, rv_mass = vols(pred)
-    true_lv, true_rv, true_lvm, true_rvm = vols(true)
+        return dict(zip(VOLUMES, (lv, rv, mass(lvepi, lv), mass(heart - lvepi, rv))))
 
     report = metrics.MetricsReport(
         case_id=case,
@@ -575,18 +587,9 @@ def evaluate_case(root, topo, ckpt, case, condition):
         chamfer_ba=cd_ba,
         chamfer_sym=cd_sym,
         p2s_mean=p2s_pred,
-        lv_vol=lv,
-        rv_vol=rv,
-        lv_mass=lv_mass,
-        rv_mass=rv_mass,
+        **vols(pred),
     )
-    extras = {
-        "p2s_ref": p2s_ref,
-        "true_lv_vol": true_lv,
-        "true_rv_vol": true_rv,
-        "true_lv_mass": true_lvm,
-        "true_rv_mass": true_rvm,
-    }
+    extras = dict(zip(EXTRA_KEYS, (p2s_ref, *vols(true).values())))
     return report, extras
 
 
@@ -613,13 +616,12 @@ def cmd_evaluate(config, conditions=None):
             report, extras = out
             rows.append((condition, report, extras))
 
-    extra_keys = ["p2s_ref", "true_lv_vol", "true_rv_vol", "true_lv_mass", "true_rv_mass"]
-    per_case = [["condition", "case_id"] + metrics.MetricsReport.FIELDS + extra_keys]
+    per_case = [["condition", "case_id"] + metrics.MetricsReport.FIELDS + EXTRA_KEYS]
     for condition, report, extras in rows:
         per_case.append(
             [condition, report.case_id]
             + [f"{getattr(report, k):.6g}" for k in metrics.MetricsReport.FIELDS]
-            + [f"{extras[k]:.6g}" for k in extra_keys]
+            + [f"{extras[k]:.6g}" for k in EXTRA_KEYS]
         )
 
     summary = [["condition", "n", "inverted_walls"]
@@ -640,7 +642,7 @@ def cmd_evaluate(config, conditions=None):
         sel = [(r, e) for c, r, e in rows if c == condition]
         if not sel:
             continue
-        for key in ("lv_vol", "rv_vol", "lv_mass", "rv_mass"):
+        for key in VOLUMES:
             ref = [e[f"true_{key}"] for _, e in sel]
             predv = [getattr(r, key) for r, _ in sel]
             ba_rows, bias, lo, hi = metrics.bland_altman_rows(ref, predv)

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import netcore
 from .acquisition import KIND_GRID
-from .anatomy.labeling import AnatomicalLabel
 from .anatomy.shapes import InstanceMesh
+from .anatomy.template import AnatomicalLabel
 from .training import REG_OUTPUT_SCALE, bce_loss, dice_loss, reg_inputs, seg_inputs, through_net
 
 

@@ -6,7 +6,7 @@ point-to-triangle search) are exact, and each ships with a brute-force
 counterpart used as an oracle in the test suite.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -36,10 +36,9 @@ class MetricsReport:
     lv_mass: float = np.nan
     rv_mass: float = np.nan
 
-    FIELDS = (
-        "dice_lvm dice_rvm ed_mean rmse chamfer_ab chamfer_ba chamfer_sym "
-        "p2s_mean lv_vol rv_vol lv_mass rv_mass"
-    ).split()
+
+# the metric columns: every field after the case id, in order
+MetricsReport.FIELDS = [f.name for f in fields(MetricsReport)][1:]
 
 
 def point_dice(pred_labels, ref_labels, cls):

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netcore
-from .anatomy.labeling import AnatomicalLabel, label_points
+from .anatomy.labeling import label_points
 from .anatomy.shapes import interior_points_batch
+from .anatomy.template import AnatomicalLabel
 
 DICE_SMOOTH = 1e-6
 INPUT_SCALE = 0.01  # mm -> network units for spatial inputs
@@ -250,9 +251,23 @@ class TrainConfig:
         return np.dtype(self.dtype)
 
     def validate(self):
+        """Raise ``ValueError`` naming the first setting training cannot run with."""
+        self._require(lambda v: v >= 1, "at least 1", "latent_dim", "hidden_dim", "seg_batch",
+                      "reg_batch")
+        self._require(lambda v: v >= 0, "nonnegative", "epochs", "num_blocks")
+        self._require(lambda v: 0 < v < math.inf, "positive and finite", "lr_net", "lr_latent")
+        # a fraction of 1 would leave no shape to update the networks
+        self._require(lambda v: 0 <= v < 1, "in [0, 1)", "val_fraction")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype {self.dtype!r} is not one of {', '.join(DTYPES)}")
         return self
+
+    def _require(self, test, needs, *names):
+        """Raise ``ValueError`` for the first of settings ``names`` that fails ``test``."""
+        for name in names:
+            value = getattr(self, name)
+            if not test(value):
+                raise ValueError(f"{name} must be {needs}, got {value}")
 
 
 @dataclass

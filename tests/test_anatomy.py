@@ -170,8 +170,9 @@ def test_global_scale_doubles_coordinates(topo):
 
 
 def test_lv_cavity_volume_matches_analytic(topo, mesh):
-    a, b, c = mesh.params.lv_semi_axes
-    fb = mesh.params.base_truncation_fraction
+    params = anatomy.ShapeParams()  # the parameters the mesh fixture is built from
+    a, b, c = params.lv_semi_axes
+    fb = params.base_truncation_fraction
     full = 4.0 / 3.0 * np.pi * a * b * c
     # fraction of the ellipsoid kept above the truncation plane z = -fb*c
     kept = 1.0 - (2.0 / 3.0 - (fb - fb**3 / 3.0)) / (4.0 / 3.0)
@@ -268,15 +269,15 @@ def test_label_far_outside(mesh):
     assert label_point(hi + 50.0, mesh) == labeling.AnatomicalLabel.BG
 
 
+def lv_free_wall_midpoint(topo, mesh):
+    """The point halfway across the LV free wall on a mid trunk row."""
+    j = topo.spec.n_rows // 2
+    endo, epi = (mesh.vertices[topo.blocks[sheet][j, 0]] for sheet in ("A_trunk", "B_trunk"))
+    return 0.5 * (endo + epi)
+
+
 def test_label_midwall_lv_free_wall(topo, mesh):
-    # construct the point from the parametric wall pair at half thickness
-    spec = topo.spec
-    a_row = topo.blocks["A_trunk"].reshape(spec.n_rows, spec.n_phi)
-    b_row = topo.blocks["B_trunk"].reshape(spec.n_rows, spec.n_phi)
-    j = spec.n_rows // 2
-    endo, epi = mesh.vertices[a_row[j, 0]], mesh.vertices[b_row[j, 0]]
-    mid = 0.5 * (endo + epi)
-    assert label_point(mid, mesh) == labeling.AnatomicalLabel.LVM
+    assert label_point(lv_free_wall_midpoint(topo, mesh), mesh) == labeling.AnatomicalLabel.LVM
 
 
 def test_label_partition_and_nesting(mesh):
@@ -687,20 +688,17 @@ def test_vertex_labels_rule(topo):
     assert set(np.unique(epi)) <= {labeling.AnatomicalLabel.LVM, labeling.AnatomicalLabel.RVM}
 
 
-def test_surface_label_rule_breaks_the_tie_to_rvm():
+def test_surface_label_rule_and_its_callers(topo, mesh, monkeypatch):
+    """The rule breaks a tie at u1 = 0.5 to RVM. Vertex labels and contour
+    labels go through ``surface_label``, and the labeler's myocardium split
+    through its ``myocardium_label`` part, so all three break it alike."""
     L = labeling.AnatomicalLabel
     below = np.nextafter(0.5, 0.0)
     tag = np.array([TAG_LV_ENDO, TAG_RV_ENDO, TAG_EPI, TAG_BASE_RING, TAG_EPI, TAG_BASE_RING])
-    u1 = np.array([0.5, 0.5, 0.5, 0.5, below, below])
-    labels = surface_label(tag, u1)
+    labels = surface_label(tag, np.array([0.5, 0.5, 0.5, 0.5, below, below]))
     assert labels.dtype == np.int8
     np.testing.assert_array_equal(labels, [L.LV, L.RV, L.RVM, L.RVM, L.LVM, L.LVM])
 
-
-def test_every_label_producer_calls_the_rule(topo, mesh, monkeypatch):
-    """Vertex labels and contour labels go through ``surface_label``, and the
-    labeler's myocardium split through its ``myocardium_label`` part, so a
-    tie at u1 = 0.5 comes out RVM from all three."""
     calls = Counter()
 
     def spy(fn):
@@ -719,15 +717,11 @@ def test_every_label_producer_calls_the_rule(topo, mesh, monkeypatch):
     assert calls == {"surface_label": 1, "myocardium_label": 1}
     calls.clear()
     labeler = labeling.Labeler(mesh)
-    spec = topo.spec
-    a_row = topo.blocks["A_trunk"].reshape(spec.n_rows, spec.n_phi)
-    b_row = topo.blocks["B_trunk"].reshape(spec.n_rows, spec.n_phi)
-    j = spec.n_rows // 2
-    mid = 0.5 * (mesh.vertices[a_row[j, 0]] + mesh.vertices[b_row[j, 0]])
-    assert labeler.label(mid[None]) == labeling.AnatomicalLabel.LVM
+    mid = lv_free_wall_midpoint(topo, mesh)
+    assert labeler.label(mid[None]) == L.LVM
     assert calls == {"myocardium_label": 1}
     labeler.u1 = np.full_like(labeler.u1, 0.5)
-    assert labeler.label(mid[None]) == labeling.AnatomicalLabel.RVM
+    assert labeler.label(mid[None]) == L.RVM
     calls.clear()
     acq.slice_mesh(mesh, acq.standard_views(mesh)[0], density=8.0)
     # the contour labels' rule call, then the split of the grid's labeler

@@ -69,6 +69,38 @@ def test_config_unknown_key(tmp_path):
         harness.load_config(p)
 
 
+def test_config_value_that_does_not_parse_names_key_and_file(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_text("train_shapes = 3\nepochs = abc\n")
+    message = f"{p}: config key 'epochs': cannot parse 'abc' as int"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        harness.load_config(p)
+    # an overridden file value is not read, and an override's error names no file
+    assert harness.load_config(p, {"epochs": 4}).epochs == 4
+    with pytest.raises(ValueError, match="^config key 'sigma': cannot parse 'x' as float$"):
+        harness.config_from({"sigma": "x"})
+
+
+# settings training or reconstruction cannot run with
+BAD_SETTINGS = [
+    ("latent_dim", "0"), ("epochs", "-3"), ("val_fraction", "1.5"), ("lr_net", "nan"),
+    ("seg_batch", "0"), ("checkpoint_every", "-1"), ("val_fraction", "1"), ("lr_latent", "inf"),
+    ("reg_batch", "0"), ("hidden_dim", "0"), ("num_blocks", "-1"), ("infer_lr", "0"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_SETTINGS)
+def test_config_rejects_settings_the_stages_cannot_run(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        harness.config_from({key: value})
+
+
+def test_config_keeps_boundary_settings_valid():
+    cfg = harness.config_from({"epochs": "0", "val_fraction": "0", "num_blocks": "0",
+                               "checkpoint_every": "0", "train_shapes": "0"})
+    assert (cfg.epochs, cfg.val_fraction, cfg.num_blocks) == (0, 0.0, 0)
+
+
 def test_config_seed_ranges_must_be_disjoint():
     with pytest.raises(ValueError):
         harness.ExperimentConfig(
@@ -189,8 +221,12 @@ def test_train_checks_the_config_before_removing(tmp_path):
     harness.cmd_reconstruct(cfg, conditions=["ideal"])
     before = harness.Manifest(cfg.out_dir).doc
     # float16 would overflow the reg loss; no training shape leaves nothing to fit
-    for bad, match in ((dict(train_shapes=0), "empty cohort"), (dict(dtype="float16"), "dtype"),
-                       (dict(dtype="foo"), "dtype")):
+    bad_settings = [(dict(train_shapes=0), "empty cohort"), (dict(dtype="float16"), "dtype"),
+                    (dict(dtype="foo"), "dtype"), (dict(latent_dim=0), "latent_dim"),
+                    (dict(epochs=-3), "epochs"), (dict(val_fraction=1.5), "val_fraction"),
+                    (dict(lr_net=float("nan")), "lr_net"), (dict(seg_batch=0), "seg_batch"),
+                    (dict(checkpoint_every=-1), "checkpoint_every")]
+    for bad, match in bad_settings:
         with pytest.raises(ValueError, match=match):
             harness.cmd_train(replace(cfg, **bad))
         assert harness.Manifest(cfg.out_dir).doc == before
