@@ -9,6 +9,7 @@ which supplies the background/blood/myocardium occupancy targets that
 reconstruction optimizes against.
 """
 
+import base64
 import json
 from dataclasses import dataclass, field
 
@@ -243,11 +244,40 @@ def select_subset(contours, row_name):
 # ----------------------------------------------------------------- file I/O
 
 
-CONTOUR_FORMAT = 2
+CONTOUR_FORMAT = 3
+# the per-point arrays of a slice record: key, dtype in the file, shape of
+# one point's entry, and the dtype the reader returns
+_BLOCKS = (
+    ("xyz", "<f8", (3,), np.float64),
+    ("labels", "i1", (), np.int8),
+    ("kinds", "u1", (), np.uint8),
+)
+_CODES = {"labels": [int(a) for a in AnatomicalLabel], "kinds": [KIND_GRID, KIND_CONTOUR]}
+
+
+def _check_arrays(points, labels, kinds):
+    """Raise a ``ValueError`` unless ``points`` are n finite rows of 3 and
+    ``labels`` and ``kinds`` hold n legend labels and n point kinds."""
+    n = len(points)
+    if points.shape != (n, 3) or not np.isfinite(points).all():
+        raise ValueError(f"xyz is not {(n, 3)} finite numbers")
+    if not len(labels) == len(kinds) == n:
+        raise ValueError(f"{n} xyz, {len(labels)} labels and {len(kinds)} kinds")
+    for name, a in (("labels", labels), ("kinds", kinds)):
+        if a.ndim != 1 or not np.isin(a, _CODES[name]).all():
+            raise ValueError(f"{name} outside {_CODES[name]}")
 
 
 def _slice_record(s):
-    return {
+    arrays = [np.asarray(a) for a in (s.points, s.labels, s.kinds)]
+    try:
+        for k in ("origin", "normal", "e1", "e2"):
+            _floats(getattr(s.plane, k), (3,), k)
+        _floats(s.shift, (2,), "shift")
+        _check_arrays(*arrays)
+    except ValueError as e:
+        raise ValueError(f"slice {s.plane.view!r}: {e}") from e
+    rec = {
         "view": s.plane.view,
         "origin": s.plane.origin.tolist(),
         "normal": s.plane.normal.tolist(),
@@ -255,24 +285,24 @@ def _slice_record(s):
         "e2": s.plane.e2.tolist(),
         "spacing": s.plane.spacing,
         "shift": s.shift.tolist(),
-        "xyz": s.points.tolist(),
-        "labels": s.labels.tolist(),
-        "kinds": s.kinds.tolist(),
+        "n": len(arrays[0]),
     }
+    for (key, dtype, _, _), a in zip(_BLOCKS, arrays):
+        rec[key] = base64.b64encode(np.ascontiguousarray(a, dtype=dtype)).decode("ascii")
+    return rec
 
 
 def save_contours(path, contours):
-    """Write a ``format`` 2 contour file: per slice, its plane, its shift and
-    its ``xyz``, ``labels`` and ``kinds`` arrays."""
-    # one slice at a time through json's C encoder: the bytes equal those of
-    # json.dump of the whole document, which runs the pure-Python encoder
-    head = json.dumps({"format": CONTOUR_FORMAT, "shape_id": contours.shape_id,
-                       "provenance": contours.provenance, "slices": []})
+    """Write a ``format`` 3 contour file: per slice, its plane, its shift, its
+    point count ``n`` and its ``xyz``, ``labels`` and ``kinds`` arrays as
+    base64 blocks of little-endian float64 (n x 3), int8 and uint8. A
+    ``ValueError`` naming the slice's view rejects a frame, shift or arrays
+    that :func:`load_contours` would reject, before ``path`` is opened."""
+    slices = [_slice_record(s) for s in contours.slices]
+    doc = {"format": CONTOUR_FORMAT, "shape_id": contours.shape_id,
+           "provenance": contours.provenance, "slices": slices}
     with open(path, "w") as f:
-        f.write(head[: -len("]}")])
-        for i, s in enumerate(contours.slices):
-            f.write((", " if i else "") + json.dumps(_slice_record(s)))
-        f.write("]}\n")
+        f.write(json.dumps(doc) + "\n")
 
 
 def _floats(values, shape, name):
@@ -282,31 +312,47 @@ def _floats(values, shape, name):
     return a
 
 
-def _codes(values, allowed, name):
-    a = np.asarray(values)
-    if a.ndim != 1 or not np.isin(a, allowed).all():
-        raise ValueError(f"{name} outside {allowed}")
-    return a
+def _block(rec, key, dtype, shape, native, n):
+    """Block ``key`` of ``rec`` decoded to an owned array of ``native`` dtype."""
+    try:
+        raw = base64.b64decode(rec[key], validate=True)
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise ValueError(f"{key} block is not base64: {e}") from e
+    size = n * int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if len(raw) != size:
+        raise ValueError(f"{key} block holds {len(raw)} bytes, not the {size} of n = {n}")
+    return np.frombuffer(raw, dtype).reshape((n, *shape)).astype(native)
 
 
 def _slice_from_record(rec):
-    frame = [_floats(rec[k], (3,), k) for k in ("origin", "normal", "e1", "e2")]
-    plane = SlicePlane(rec["view"], *frame, spacing=rec["spacing"])
-    xyz = rec["xyz"]
-    points = _floats(xyz, (len(xyz), 3), "xyz") if len(xyz) else np.zeros((0, 3))
-    labels = _codes(rec["labels"], [int(a) for a in AnatomicalLabel], "labels")
-    kinds = _codes(rec["kinds"], [KIND_GRID, KIND_CONTOUR], "kinds")
-    if not len(points) == len(labels) == len(kinds):
-        raise ValueError(f"slice {rec['view']!r} holds {len(points)} xyz, "
-                         f"{len(labels)} labels and {len(kinds)} kinds")
-    return Slice(plane, points, labels.astype(np.int8), kinds.astype(np.uint8),
-                 shift=_floats(rec["shift"], (2,), "shift"))
+    view = rec["view"]
+    try:
+        if type(view) is not str:
+            raise ValueError("view is not a string")
+        spacing, n = rec["spacing"], rec["n"]
+        if type(spacing) not in (int, float) or not np.isfinite(spacing):
+            raise ValueError(f"spacing is not a finite number: {spacing!r}")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n is not a point count: {n!r}")
+        frame = [_floats(rec[k], (3,), k) for k in ("origin", "normal", "e1", "e2")]
+        plane = SlicePlane(view, *frame, spacing=spacing)
+        points, labels, kinds = (_block(rec, *spec, n) for spec in _BLOCKS)
+        _check_arrays(points, labels, kinds)
+        return Slice(plane, points, labels, kinds, shift=_floats(rec["shift"], (2,), "shift"))
+    except KeyError as e:
+        raise ValueError(f"slice {view!r}: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"slice {view!r}: {e}") from e
 
 
 def load_contours(path):
     """Read a file written by :func:`save_contours`. A ``ValueError`` naming
-    ``path`` reports invalid JSON, another ``format``, a missing key, or
-    arrays of the wrong shape, of disagreeing lengths or out of range."""
+    ``path`` reports invalid JSON, another ``format`` or a missing key; for
+    one slice (named by its view) also a view that is not a string, a
+    spacing, frame or shift that is not finite, a block that is not base64 or
+    whose byte length disagrees with ``n``, points that are not finite, or
+    labels or kinds out of range. The arrays are owned, writable and in
+    native byte order."""
     try:
         with open(path) as f:
             doc = json.load(f)

@@ -119,10 +119,6 @@ def _typed(values):
     return out
 
 
-def config_from(values):
-    return ExperimentConfig(**_typed(values)).validate()
-
-
 def load_config(path=None, overrides=None):
     """The config of file ``path`` (see :func:`parse_config_file`) with the
     non-``None`` ``overrides`` on top; an error in a file value names ``path``."""

@@ -1,5 +1,7 @@
+import base64
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,9 +251,15 @@ def test_subset_empty_errors(contours):
 # --------------------------------------------------------------------- I/O
 
 
+# sha256 of the bytes save_contours writes for acquire(density=3.0) in
+# contour format 3; it moves with the file layout, GOLDEN_CONTOUR_SHA256 not
+GOLDEN_CONTOUR_FILE_SHA256 = "96523c364721d2bd6731d6086243f20653287208c6ce177c5b68a4b83070bfd7"
+
+
 def test_contour_roundtrip(tmp_path, contours):
     path = tmp_path / "contours.json"
     acq.save_contours(path, contours)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CONTOUR_FILE_SHA256
     back = acq.load_contours(path)
     assert back.shape_id == contours.shape_id
     assert back.provenance == contours.provenance
@@ -262,6 +270,9 @@ def test_contour_roundtrip(tmp_path, contours):
         for k in ("points", "labels", "kinds", "shift"):
             np.testing.assert_array_equal(getattr(a, k), getattr(b, k))
             assert getattr(a, k).dtype == getattr(b, k).dtype
+        for k in ("points", "labels", "kinds"):
+            arr = getattr(a, k)
+            assert arr.flags.writeable and arr.flags.owndata and arr.dtype.isnative, k
     again = tmp_path / "again.json"
     acq.save_contours(again, back)
     assert again.read_bytes() == path.read_bytes()
@@ -270,17 +281,25 @@ def test_contour_roundtrip(tmp_path, contours):
     assert acq.load_contours(path).slices[0].points.shape == (0, 3)
 
 
+def _b64(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
 def test_contour_file_rejects_corrupt_input(tmp_path, contours):
+    sub = acq.select_subset(contours, "halfsax")
     path = tmp_path / "good.json"
-    acq.save_contours(path, acq.select_subset(contours, "halfsax"))
+    acq.save_contours(path, sub)
     text = path.read_text()
     doc = json.loads(text)
-    s0 = doc["slices"][0]
+    first = sub.slices[0]
+    n, xyz = len(first.points), first.points.astype("<f8").tobytes()
+    block = doc["slices"][0]["xyz"]
     old_layout = {k: v for k, v in doc.items() if k != "format"}
     old_layout["slices"] = [
-        {k: v for k, v in s0.items() if k not in ("xyz", "labels", "kinds")}
+        {k: v for k, v in doc["slices"][0].items() if k not in ("n", "xyz", "labels", "kinds")}
         | {"points": [{"xyz": p, "label": lab, "kind": ("grid", "contour")[kind]}
-                      for p, lab, kind in zip(s0["xyz"], s0["labels"], s0["kinds"])]}
+                      for p, lab, kind in zip(first.points.tolist(), first.labels.tolist(),
+                                              first.kinds.tolist())]}
     ]
 
     def edited(**changes):
@@ -288,21 +307,73 @@ def test_contour_file_rejects_corrupt_input(tmp_path, contours):
         d["slices"][0].update(changes)
         return json.dumps(d)
 
+    def with_point(value):
+        points = first.points.copy()
+        points[n // 2, 1] = value
+        return edited(xyz=_b64(points.astype("<f8").tobytes()))
+
     no_spacing = json.loads(text)
     del no_spacing["slices"][0]["spacing"]
-    bad = {
-        "truncated": (text[: len(text) // 2], "Expecting"),
+    file_errors = {
+        "truncated": (text[: len(text) // 2], "Unterminated string"),
         "old_layout": (json.dumps(old_layout), "missing key 'format'"),
-        "format_1": (text.replace('"format": 2', '"format": 1'), "format 1"),
-        "no_spacing": (json.dumps(no_spacing), "missing key 'spacing'"),
-        "short_labels": (edited(labels=s0["labels"][:-1]), "labels and"),
-        "kind_2": (edited(kinds=[2] + s0["kinds"][1:]), "kinds outside"),
-        "label_5": (edited(labels=[5] + s0["labels"][1:]), "labels outside"),
-        "xyz_2d": (edited(xyz=[p[:2] for p in s0["xyz"]]), "xyz is not"),
+        "format_2": (text.replace('"format": 3', '"format": 2'), "format 2"),
+        "view_number": (edited(view=7), "slice 7: view is not a string"),
     }
-    for name, (content, reason) in bad.items():
+    slice_errors = {
+        "no_spacing": (json.dumps(no_spacing), "missing key 'spacing'"),
+        "short_labels": (edited(labels=_b64(first.labels[:-1].tobytes())),
+                         f"labels block holds {n - 1} bytes, not the {n} of n = {n}"),
+        "short_kinds": (edited(kinds=_b64(first.kinds[:-1].tobytes())),
+                        f"kinds block holds {n - 1} bytes, not the {n} of n = {n}"),
+        "kind_2": (edited(kinds=_b64(np.uint8([2, *first.kinds[1:]]).tobytes())), "kinds outside"),
+        "label_5": (edited(labels=_b64(np.int8([5, *first.labels[1:]]).tobytes())),
+                    "labels outside"),
+        "xyz_2d": (edited(xyz=_b64(first.points[:, :2].astype("<f8").tobytes())),
+                   f"xyz block holds {16 * n} bytes"),
+        "xyz_list": (edited(xyz=first.points.tolist()), "xyz block is not base64"),
+        # urlsafe-alphabet characters, which a lenient decoder would skip
+        "not_alphabet": (edited(xyz=block[:40] + "-_-_" + block[40:]), "xyz block is not base64"),
+        "byte_short": (edited(xyz=_b64(xyz[:-1])), f"xyz block holds {24 * n - 1} bytes"),
+        "row_short": (edited(xyz=_b64(xyz[:-24])), f"xyz block holds {24 * (n - 1)} bytes"),
+        "n_off": (edited(n=n + 1),
+                  f"xyz block holds {24 * n} bytes, not the {24 * (n + 1)} of n = {n + 1}"),
+        "spacing_text": (edited(spacing="10"), "spacing is not a finite number: '10'"),
+        "n_float": (edited(n=float(n)), f"n is not a point count: {float(n)}"),
+        "nan_xyz": (with_point(np.nan), f"xyz is not {(n, 3)} finite numbers"),
+        "inf_xyz": (with_point(np.inf), f"xyz is not {(n, 3)} finite numbers"),
+    }
+    for name, (content, reason) in (file_errors | slice_errors).items():
         corrupt = tmp_path / f"{name}.json"
         corrupt.write_text(content)
         with pytest.raises(ValueError, match=name) as err:
             acq.load_contours(corrupt)
         assert reason in str(err.value), (name, str(err.value))
+        if name in slice_errors:
+            assert f"slice {first.plane.view!r}: " in str(err.value), (name, str(err.value))
+
+
+def test_save_contours_rejects_what_load_would(tmp_path, contours):
+    good = contours.slices[1]
+    n = len(good.points)
+    not_finite = good.points.copy()
+    not_finite[0, 2] = np.inf
+    bad = {
+        "not_finite": (replace(good, points=not_finite), "xyz is not"),
+        "xyz_2d": (replace(good, points=good.points[:, :2]), "xyz is not"),
+        "short_labels": (replace(good, labels=good.labels[:-1]),
+                         f"{n} xyz, {n - 1} labels and {n} kinds"),
+        "short_kinds": (replace(good, kinds=good.kinds[:-1]),
+                        f"{n} xyz, {n} labels and {n - 1} kinds"),
+        # 257 would wrap to label 1 as int8
+        "label_257": (replace(good, labels=np.r_[257, good.labels[1:].astype(np.int64)]),
+                      "labels outside"),
+        "kind_2": (replace(good, kinds=np.r_[np.uint8(2), good.kinds[1:]]), "kinds outside"),
+        "shift_nan": (replace(good, shift=np.array([0.0, np.nan])), "shift is not"),
+    }
+    for name, (bad_slice, reason) in bad.items():
+        path = tmp_path / f"{name}.json"
+        with pytest.raises(ValueError, match=f"^slice {good.plane.view!r}: ") as err:
+            acq.save_contours(path, acq.ContourSet("x", [contours.slices[0], bad_slice]))
+        assert reason in str(err.value), (name, str(err.value))
+        assert not path.exists()

@@ -78,7 +78,7 @@ def test_config_value_that_does_not_parse_names_key_and_file(tmp_path):
     # an overridden file value is not read, and an override's error names no file
     assert harness.load_config(p, {"epochs": 4}).epochs == 4
     with pytest.raises(ValueError, match="^config key 'sigma': cannot parse 'x' as float$"):
-        harness.config_from({"sigma": "x"})
+        harness.load_config(overrides={"sigma": "x"})
 
 
 # settings training or reconstruction cannot run with
@@ -92,12 +92,12 @@ BAD_SETTINGS = [
 @pytest.mark.parametrize("key, value", BAD_SETTINGS)
 def test_config_rejects_settings_the_stages_cannot_run(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be"):
-        harness.config_from({key: value})
+        harness.load_config(overrides={key: value})
 
 
 def test_config_keeps_boundary_settings_valid():
-    cfg = harness.config_from({"epochs": "0", "val_fraction": "0", "num_blocks": "0",
-                               "checkpoint_every": "0", "train_shapes": "0"})
+    cfg = harness.load_config(overrides={"epochs": "0", "val_fraction": "0", "num_blocks": "0",
+                                         "checkpoint_every": "0", "train_shapes": "0"})
     assert (cfg.epochs, cfg.val_fraction, cfg.num_blocks) == (0, 0.0, 0)
 
 
