@@ -37,7 +37,7 @@ class SlicePlane:
 
     def __post_init__(self):
         for name in ("origin", "normal", "e1", "e2"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            setattr(self, name, _floats(getattr(self, name), (3,), name))
         if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
             raise ValueError("plane normal must be unit length")
         for u, v in ((self.e1, self.e2), (self.e1, self.normal), (self.e2, self.normal)):
@@ -334,8 +334,7 @@ def _slice_from_record(rec):
             raise ValueError(f"spacing is not a finite number: {spacing!r}")
         if type(n) is not int or n < 0:
             raise ValueError(f"n is not a point count: {n!r}")
-        frame = [_floats(rec[k], (3,), k) for k in ("origin", "normal", "e1", "e2")]
-        plane = SlicePlane(view, *frame, spacing=spacing)
+        plane = SlicePlane(view, *(rec[k] for k in ("origin", "normal", "e1", "e2")), spacing=spacing)
         points, labels, kinds = (_block(rec, *spec, n) for spec in _BLOCKS)
         _check_arrays(points, labels, kinds)
         return Slice(plane, points, labels, kinds, shift=_floats(rec["shift"], (2,), "shift"))

@@ -1,23 +1,21 @@
 """Point labeling against watertight compartment surfaces.
 
-Containment uses ray-crossing parity with a vertical ray. Triangles are
-bucketed on a uniform grid over their (x, y) footprints; each query is
-expanded into (point, candidate triangle) pairs from its grid cell, the
-pairs are evaluated in fixed-size chunks, and per-point crossing parity and
-grazes are reduced with ``np.bincount``. The terms of the crossing test
-that depend only on a triangle are computed once per surface. Queries that
-land within epsilon of a projected edge (or of the surface itself) are
-re-cast, all at once, along oblique fallback directions. Each oblique
-direction buckets the triangles the same way, on a grid over their
-footprints projected on the plane orthogonal to that direction, and runs a
-Moller-Trumbore test on the pairs of each query's cell; only the queries
-that still graze move on to the next direction. A direction's grid and
-per-triangle terms are built on its first use and kept with the surface's
-index, so the many small fallback batches of one mesh share them (see
-:class:`RayCastIndex` for their memory). Queries that graze all of them are
-nudged off the surface and retried once, and any that graze even then are
-decided by the generalized winding number, which also serves as an
-independent oracle for the test suite.
+Containment uses ray-crossing parity with one ray direction, vertical
+(+z). Triangles are bucketed on a uniform grid over their (x, y)
+footprints; each query is expanded into (point, candidate triangle) pairs
+from its grid cell, the pairs are evaluated in fixed-size chunks, and
+per-point crossing parity and grazes are reduced with ``np.bincount``. The
+terms of the crossing test that depend only on a triangle are computed
+once per surface. Queries whose ray grazes (lands within epsilon of a
+projected edge, or of the surface itself) are moved by ``_NUDGE`` along
+every axis and cast vertically once more, all at once; any that graze
+even then are decided by the generalized winding number, which also
+serves as an independent oracle for the test suite.
+
+Containment is therefore exact for every query farther than
+sqrt(3) * ``_NUDGE`` (~1.7e-7 mm) from the surface. A closer query whose
+ray grazes takes the side of its nudged copy; that includes exact ties,
+such as grid rows that lie on a flat cap.
 """
 
 import weakref
@@ -33,56 +31,31 @@ _NUDGE = 1e-7
 _CHUNK_PAIRS = 8192
 # triangles are bucketed on a _CELLS x _CELLS grid over their footprints
 _CELLS = 48
-# Oblique footprint boxes are grown by _PAD (mm). A query passes the
-# oblique graze test only if its barycentric coordinates all exceed
-# -_EPS_EDGE, i.e. if its projection lies in the triangle grown about its
-# centroid by 3 * _EPS_EDGE, which is within 2 * _EPS_EDGE times the
-# triangle's diameter of the triangle: under _PAD for any triangle shorter
-# than 500 mm. The rounding of the projections is ~1e-14 mm.
-_PAD = 1e-6
-# Rounding moves a query's oblique barycentrics by about
-# 1e-16 * |q - v0| * E / |det| (E the longer edge from v0), against the
-# margin _PAD / E the box keeps. A triangle nearly parallel to the ray, with
-# |det| below _THIN * E**2, could break that margin, so it is a candidate
-# in every cell; above it the margin holds for queries within ~100 m.
-_THIN = 1e-4
-_FALLBACK_DIRS = np.array(
-    [
-        [0.03617126, 0.08912318, 0.99536593],
-        [-0.11523119, 0.05731221, 0.99168392],
-        [0.17364818, -0.09848078, 0.97986814],
-    ]
-)
 
 
 class RayCastIndex:
-    """Parity ray caster for one closed triangle surface.
+    """Vertical parity ray caster for one closed triangle surface.
 
-    The vertical cast uses a grid over the triangles' (x, y) footprints and
-    the per-triangle terms of its crossing test, both built once. Each
-    oblique fallback direction gets its own grid over the footprints
-    projected along it, each box grown by ``_PAD``, and its own
-    Moller-Trumbore terms; they are built on that direction's first use and
-    kept, so an index holds at most ``len(_FALLBACK_DIRS)`` of them.
+    The grid over the triangles' (x, y) footprints and the per-triangle
+    terms of the crossing test are built once, in the constructor.
 
-    Memory: the vertical terms take 137 bytes per triangle. Each oblique
-    direction takes 40 bytes per triangle it can hit, and the corner and
-    edge vectors the directions share take 72 bytes per triangle. Every
-    grid stores 2 bytes per (cell, triangle) entry (4 above 2**15
-    triangles), and a triangle's footprint box covers 15-35 cells on the
-    template's compartments. One direction thus takes 0.1-0.17 MB there,
-    an index with all three 0.6-1.0 MB, and the three indexes of a labeled
-    mesh about 2.6 MB, which the mesh's :class:`Labeler` keeps.
+    Memory: the terms take 137 bytes per triangle. The grid stores 2 bytes
+    per (cell, triangle) entry (4 above 2**15 triangles) plus 18 kB of cell
+    offsets, and a triangle's footprint box covers 15-33 cells on average
+    on the template's compartments. One index thus takes 0.2-0.37 MB there,
+    and the three indexes of a labeled mesh about 0.93 MB, which the mesh's
+    :class:`Labeler` keeps.
 
-    ``fallback_points`` counts, over all calls, the queries re-cast along
-    the oblique directions (a nudged query counts again).
+    ``fallback_points`` counts, over all calls, the queries whose vertical
+    ray grazed and that were cast again (a nudged query that grazes again
+    counts twice).
     """
 
     def __init__(self, vertices, faces):
         self.v = np.asarray(vertices, dtype=np.float64)
         self.f = np.asarray(faces, dtype=np.int64)
         tri = self.v[self.f]  # (F, 3, 3)
-        self.gmin, self.gspan, self.buckets, self.offsets = _buckets(tri[:, :, :2], 0.0)
+        self.gmin, self.gspan, self.buckets, self.offsets = _buckets(tri[:, :, :2])
         self.fallback_points = 0
         # per triangle: the corners' (x, y), the edge vectors ab, bc, ca,
         # the signed area, its edge tolerance and the corners' z, one row
@@ -93,8 +66,6 @@ class RayCastIndex:
         tol = _EPS_EDGE * (np.abs(area) + 1e-300)
         self._terms = np.column_stack([a, b, c, ab, bc, ca, area, tol, tri[:, :, 2]])
         self._flat = np.abs(area) < 1e-14
-        self._corner = None  # corner a and the edges b - a, c - a, shared by the directions
-        self._oblique = [None] * len(_FALLBACK_DIRS)
 
     def contains(self, points):
         """Boolean containment per query point; raises ``ValueError``
@@ -102,16 +73,36 @@ class RayCastIndex:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
             raise ValueError(f"query points must be a finite (n, 3) array, got shape {pts.shape}")
-        return self._contains(pts, nudged=False)
-
-    def _contains(self, pts, nudged):
-        cells = _cell(pts[:, :2], self.gmin, self.gspan)
-        inside, retry = _cast(pts, cells, self.buckets, self.offsets, self._cross_z)
-        if retry.any():
-            idx = np.flatnonzero(retry)
+        inside, grazed = self._cast(pts)
+        idx = np.flatnonzero(grazed)
+        if idx.size:
+            # cast the grazing queries again from copies moved by _NUDGE along every axis
             self.fallback_points += len(idx)
-            inside[idx] = self._contains_oblique(pts[idx], 0, nudged)
+            nudged = pts[idx] + _NUDGE
+            inside[idx], grazed = self._cast(nudged)
+            again = np.flatnonzero(grazed)
+            if again.size:
+                self.fallback_points += len(again)
+                inside[idx[again]] = winding_number_contains(nudged[again], self.v, self.f)
         return inside
+
+    def _cast(self, pts):
+        """Crossing parity and graze flag per point, from ``_cross_z`` on
+        the (point, triangle) pairs of each point's grid cell."""
+        cells = _cell(pts[:, :2], self.gmin, self.gspan)
+        first = self.offsets[cells]
+        counts = self.offsets[cells + 1] - first
+        inside = np.zeros(len(pts), dtype=bool)
+        grazed = np.zeros(len(pts), dtype=bool)
+        for s, e in _chunks(counts):
+            n = e - s
+            cnt = counts[s:e]
+            pair_pt = np.repeat(np.arange(n), cnt)
+            pos = np.repeat(first[s:e] - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(pair_pt))
+            hit, graze = self._cross_z(pts[s:e][pair_pt], self.buckets[pos])
+            inside[s:e] = np.bincount(pair_pt[hit], minlength=n) % 2 == 1
+            grazed[s:e] = np.bincount(pair_pt[graze], minlength=n) > 0
+        return inside, grazed
 
     def _cross_z(self, q, tris):
         """Per (point, triangle) pair: does the +z ray from ``q`` cross the
@@ -139,95 +130,21 @@ class RayCastIndex:
         graze[s] = np.abs(dz) <= _EPS_EDGE
         return above, graze
 
-    def _contains_oblique(self, pts, depth, nudged):
-        """Oblique re-cast for the queries whose vertical ray grazed; those
-        that graze again move on to the next direction."""
-        if depth == len(_FALLBACK_DIRS):
-            if not nudged:
-                # final resort: nudge the points off the surface and retry once
-                return self._contains(pts + _NUDGE, nudged=True)
-            return winding_number_contains(pts, self.v, self.f)
-        inside, grazed = self._cast_oblique(pts, depth)
-        if grazed.any():
-            idx = np.flatnonzero(grazed)
-            inside[idx] = self._contains_oblique(pts[idx], depth + 1, nudged)
-        return inside
 
-    def _direction(self, depth):
-        """The kept state of fallback direction ``depth``, built on first use:
-        the triangles that can be hit (``ok``), their ``pvec`` and ``det``,
-        the plane basis and the grid over their padded footprints."""
-        if self._oblique[depth] is None:
-            if self._corner is None:
-                v0, v1, v2 = (self.v[self.f[:, i]] for i in range(3))
-                self._corner = v0, v1 - v0, v2 - v0
-            _, e1, e2 = self._corner
-            d = _FALLBACK_DIRS[depth]
-            pvec = np.cross(d, e2)
-            det = np.einsum("ij,ij->i", e1, pvec)
-            # a triangle with |det| <= 1e-14 never hits or grazes
-            ok = np.flatnonzero(np.abs(det) > 1e-14)
-            edge2 = np.maximum(np.einsum("ij,ij->i", e1, e1), np.einsum("ij,ij->i", e2, e2))
-            thin = np.abs(det[ok]) < _THIN * edge2[ok]
-            plane = _plane_basis(d)
-            grid = _buckets(self.v[self.f[ok]] @ plane.T, _PAD, everywhere=thin)
-            self._oblique[depth] = (ok, pvec[ok], det[ok], plane, grid)
-        return self._oblique[depth]
+def _buckets(footprints):
+    """Bucket triangles on a ``_CELLS`` x ``_CELLS`` grid by their (x, y)
+    footprints ((F, 3, 2) corner coordinates).
 
-    def _cast_oblique(self, pts, depth):
-        """Moller-Trumbore crossing parity and graze flag per query along
-        fallback direction ``depth``, over the triangles whose footprint
-        box along it, grown by ``_PAD``, holds the query."""
-        d = _FALLBACK_DIRS[depth]
-        ok, pvec, det, plane, (gmin, gspan, buckets, offsets) = self._direction(depth)
-        v0, e1, e2 = self._corner
-
-        def cross(q, tris):
-            # per pair, the same arithmetic as a scan of every triangle
-            k = ok[tris]
-            tvec = q - v0[k]
-            dk = det[tris]
-            u = np.einsum("ij,ij->i", tvec, pvec[tris]) / dk
-            qvec = np.cross(tvec, e1[k])
-            v = (qvec @ d) / dk
-            t = np.einsum("ij,ij->i", e2[k], qvec) / dk
-            hit = (u > _EPS_EDGE) & (v > _EPS_EDGE) & (u + v < 1 - _EPS_EDGE) & (t > _EPS_EDGE)
-            grazing = (
-                (np.abs(u) <= _EPS_EDGE)
-                | (np.abs(v) <= _EPS_EDGE)
-                | (np.abs(1 - u - v) <= _EPS_EDGE)
-                | (np.abs(t) <= _EPS_EDGE)
-            )
-            grazing &= (u > -_EPS_EDGE) & (v > -_EPS_EDGE) & (u + v < 1 + _EPS_EDGE)
-            return hit, grazing
-
-        return _cast(pts, _cell(pts @ plane.T, gmin, gspan), buckets, offsets, cross)
-
-
-def _plane_basis(d):
-    """(2, 3) orthonormal basis of the plane orthogonal to unit ``d``."""
-    a = np.cross(d, [1.0, 0.0, 0.0])
-    a /= np.linalg.norm(a)
-    return np.stack([a, np.cross(d, a)])
-
-
-def _buckets(footprints, pad, everywhere=None):
-    """Bucket triangles on a ``_CELLS`` x ``_CELLS`` grid by their 2-D
-    footprints ((F, 3, 2) projected vertices).
-
-    Each triangle goes into every cell its footprint box, grown by ``pad``,
-    overlaps; those flagged in ``everywhere`` go into every cell. Returns
+    Each triangle goes into every cell its footprint box overlaps. Returns
     the grid origin and span, the triangle ids sorted by cell (in triangle
     order within a cell) and the ``_CELLS**2 + 1`` cell offsets into them.
     """
-    lo = np.minimum(np.minimum(footprints[:, 0], footprints[:, 1]), footprints[:, 2]) - pad
-    hi = np.maximum(np.maximum(footprints[:, 0], footprints[:, 1]), footprints[:, 2]) + pad
+    lo = np.minimum(np.minimum(footprints[:, 0], footprints[:, 1]), footprints[:, 2])
+    hi = np.maximum(np.maximum(footprints[:, 0], footprints[:, 1]), footprints[:, 2])
     gmin = lo.min(axis=0) - 1e-6
     gspan = np.maximum(hi.max(axis=0) + 1e-6 - gmin, 1e-12)
     lo_cell = _cell_xy(lo, gmin, gspan)
     hi_cell = _cell_xy(hi, gmin, gspan)
-    if everywhere is not None:
-        lo_cell[everywhere], hi_cell[everywhere] = 0, _CELLS - 1
     span = hi_cell - lo_cell + 1
     per_tri = span[:, 0] * span[:, 1]
     # int16 triangle ids, where they fit, halve the grids an index keeps
@@ -254,24 +171,6 @@ def _cell(xy, gmin, gspan):
     """Flat grid cell id of each 2-D point, clipped to the grid."""
     cell = _cell_xy(xy, gmin, gspan)
     return cell[:, 0] * _CELLS + cell[:, 1]
-
-
-def _cast(pts, cells, buckets, offsets, cross):
-    """Crossing parity and graze flag per point, from ``cross`` on the
-    (point, triangle) pairs of each point's cell."""
-    first = offsets[cells]
-    counts = offsets[cells + 1] - first
-    inside = np.zeros(len(pts), dtype=bool)
-    grazed = np.zeros(len(pts), dtype=bool)
-    for s, e in _chunks(counts):
-        n = e - s
-        cnt = counts[s:e]
-        pair_pt = np.repeat(np.arange(n), cnt)
-        pos = np.repeat(first[s:e] - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(pair_pt))
-        hit, graze = cross(pts[s:e][pair_pt], buckets[pos])
-        inside[s:e] = np.bincount(pair_pt[hit], minlength=n) % 2 == 1
-        grazed[s:e] = np.bincount(pair_pt[graze], minlength=n) > 0
-    return inside, grazed
 
 
 def _chunks(counts):

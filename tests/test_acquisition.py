@@ -64,6 +64,20 @@ def test_4ch_passes_through_tvc(mesh):
     assert abs((mesh.landmarks["tvc"] - p.origin) @ p.normal) < 1e-9
 
 
+@pytest.mark.parametrize("field", ["origin", "normal", "e1", "e2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_slice_plane_rejects_frame_not_finite(field, bad):
+    frame = {"origin": [0.0, 0.0, 0.0], "normal": [0.0, 0.0, 1.0], "e1": [1.0, 0.0, 0.0],
+             "e2": [0.0, 1.0, 0.0]}
+    acq.SlicePlane("sax00", **frame)
+    frame[field] = [bad, 0.0, 0.0]
+    with pytest.raises(ValueError, match=f"^{field} is not \\(3,\\) finite numbers"):
+        acq.SlicePlane("sax00", **frame)
+    # a frame all of whose vectors are bad names the first
+    with pytest.raises(ValueError, match="^origin is not"):
+        acq.SlicePlane("sax00", **{k: [bad] * 3 for k in frame})
+
+
 def test_short_mesh_single_plane(mesh):
     planes = acq.standard_views(mesh, spacing=500.0)
     assert sum(p.view.startswith("sax") for p in planes) == 1
@@ -145,6 +159,43 @@ def test_golden_label_hashes(mesh, contours):
     assert pts.shape == (4816, 3)
     digest = hashlib.sha256(pts.astype(np.float64).tobytes() + labels.astype(np.int8).tobytes())
     assert digest.hexdigest() == GOLDEN_CONTOUR_SHA256
+
+
+# per sample_params seed: sha256 of the int8 grid labels of acquire(density=2.0),
+# concatenated in slice order, and of the build_sample seg labels, computed at
+# commit 0dbb1d0 (vertical cast with three oblique fallback directions)
+GOLDEN_SEED_LABELS_SHA256 = {
+    1000: (
+        23840,
+        "b3edc58aa3cc3e73acddd25662c01bf5adf75fca7393810cbe37caeb951e467c",
+        "5482b3f650683fc3cf1cd8b2cb1d6a2219b700db2e6698146a60aab35ab31a4a",
+    ),
+    9000: (
+        32452,
+        "0405609e0f4ae7fe5b61635cc66767bcc2fca316928741562da1d31e2e04dc92",
+        "c72e96f0592728ef2e4a49ea2efda414b53ff635f40d657d64f979043e5895f5",
+    ),
+    500000: (
+        30096,
+        "e90e3461bfd9fd52594def47ab8d8d8698d15b2d17d9d28dd8216172b4cab2cd",
+        "afb10f291a587446cc819239b407e3d9d024049716c76ea455a37b8720b24daf",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SEED_LABELS_SHA256))
+def test_golden_label_hashes_per_seed(mesh, seed):
+    def sha(labels):
+        return hashlib.sha256(np.ascontiguousarray(labels, dtype=np.int8).tobytes()).hexdigest()
+
+    n_grid, grid_digest, seg_digest = GOLDEN_SEED_LABELS_SHA256[seed]
+    shape = anatomy.generate_shape(mesh.topology, anatomy.sample_params(seed))
+    slices = acq.acquire(shape, "case000", density=2.0).slices
+    grid = np.concatenate([s.labels[s.kinds == acq.KIND_GRID] for s in slices])
+    assert grid.size == n_grid
+    assert sha(grid) == grid_digest
+    sample = build_sample(shape, "case000", seg_n=8000, reg_n=3000, seed=0)
+    assert sha(sample.seg_labels) == seg_digest
 
 
 def test_contour_points_lie_on_surfaces(mesh, contours):

@@ -319,119 +319,34 @@ def test_label_points_cache_frees_mesh(topo):
 def test_fallback_matches_winding_oracle(mesh):
     # the lax_4ch plane is vertical and holds template meridian edges, so
     # the vertical ray from every point of its grid grazes an edge and the
-    # oblique fallback decides the point
+    # re-cast decides the point; the jittered surface samples probe the
+    # band near the surface, where a nudged re-cast must keep its side
     plane = next(p for p in acq.standard_views(mesh) if p.view == "lax_4ch")
     s = acq.slice_mesh(mesh, plane, density=4.0)
     grid = s.points[s.kinds == acq.KIND_GRID]
-    # re-cast queries per compartment, nudged ones twice
+    rng = np.random.default_rng(17)
+    # re-cast queries of the grid per compartment, nudged ones twice
     fallback_points = {"lv_cavity": 745, "rv_cavity": 238, "heart": 735}
     for name in ("lv_cavity", "rv_cavity", "heart"):
         verts, faces = mesh.compartment(name)
-        # the grid's lowest row lies on the flat base, where containment is
-        # a tie; the oracle decides only points off the surface
         tri = verts[faces]
-        off = metrics.point_to_triangles_distance(grid, tri[:, 0], tri[:, 1], tri[:, 2]) > 1e-6
-        pts = grid[off]
+        edges = np.unique(np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
+        surface = np.vstack([verts[np.unique(faces)], verts[edges].mean(axis=1)])
+        surface = surface[rng.choice(len(surface), 600, replace=False)]
+        jittered = [surface + rng.normal(0.0, sd, surface.shape) for sd in (1e-6, 1e-4)]
         index = labeling.RayCastIndex(verts, faces)
-        fast = index.contains(pts)
-        np.testing.assert_array_equal(fast, labeling.winding_number_contains(pts, verts, faces))
-        assert index.fallback_points == fallback_points[name]
-        if name != "rv_cavity":
-            assert index.fallback_points == len(pts)
-
-
-def exhaustive_oblique_scan(index, pts, d):
-    """Moller-Trumbore crossing parity and graze flag per query along ``d``
-    against every triangle of ``index``: the oracle for the bucketed
-    oblique cast, which must match it bit for bit."""
-    eps = labeling._EPS_EDGE
-    tri = index.v[index.f]
-    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    e1, e2 = v1 - v0, v2 - v0
-    pvec = np.cross(d, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
-    ok = np.abs(det) > 1e-14
-    inside = np.zeros(len(pts), dtype=bool)
-    grazed = np.zeros(len(pts), dtype=bool)
-    for s, e in labeling._chunks(np.full(len(pts), len(index.f))):
-        # stacked einsum and matmul run the same kernels per point as a
-        # single point's scan, so every pair's arithmetic is unchanged
-        tvec = pts[s:e, None, :] - v0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u = np.einsum("pij,ij->pi", tvec, pvec) / det
-            qvec = np.cross(tvec, e1)
-            v = (qvec @ d) / det
-            t = np.einsum("ij,pij->pi", e2, qvec) / det
-        hit = ok & (u > eps) & (v > eps) & (u + v < 1 - eps) & (t > eps)
-        grazing = ok & (
-            (np.abs(u) <= eps)
-            | (np.abs(v) <= eps)
-            | (np.abs(1 - u - v) <= eps)
-            | (np.abs(t) <= eps)
-        )
-        grazing &= (u > -eps) & (v > -eps) & (u + v < 1 + eps)
-        inside[s:e] = hit.sum(axis=1) % 2 == 1
-        grazed[s:e] = grazing.any(axis=1)
-    return inside, grazed
-
-
-def test_oblique_cast_matches_exhaustive_scan(mesh, monkeypatch):
-    # every query that falls back while labeling the default shape's
-    # acquisition grids and classification sample, per compartment index
-    fallback = {}
-    recast = labeling.RayCastIndex._contains_oblique
-
-    def record(index, pts, depth, nudged):
-        fallback.setdefault(index, []).append(pts)
-        return recast(index, pts, depth, nudged)
-
-    monkeypatch.setattr(labeling.RayCastIndex, "_contains_oblique", record)
-    acq.acquire(mesh, "case000", density=3.0)
-    build_sample(mesh, "case000", seg_n=8000, reg_n=3000, seed=0)
-    monkeypatch.undo()
-    assert len(fallback) == 3
-    for index, queries in fallback.items():
-        edges = np.unique(np.sort(index.f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
-        on_mesh = np.vstack([index.v[np.unique(index.f)], index.v[edges].mean(axis=1)])
-        for depth, d in enumerate(labeling._FALLBACK_DIRS):
-            # the corners of this direction's grid cells, at mid-height
-            plane = labeling._plane_basis(d)
-            gmin, gspan, _, _ = labeling._buckets(index.v[index.f] @ plane.T, labeling._PAD)
-            ticks = gmin[:, None] + gspan[:, None] * np.linspace(0.0, 1.0, labeling._CELLS + 1)
-            corners = np.stack(np.meshgrid(ticks[0], ticks[1], indexing="ij"), axis=-1).reshape(-1, 2)
-            mid = index.v.mean(axis=0) @ d
-            corners = corners @ plane + mid * d
-            for pts in (np.unique(np.vstack(queries), axis=0), corners, on_mesh):
-                inside, grazed = index._cast_oblique(pts, depth)
-                oracle_inside, oracle_grazed = exhaustive_oblique_scan(index, pts, d)
-                np.testing.assert_array_equal(inside, oracle_inside)
-                np.testing.assert_array_equal(grazed, oracle_grazed)
-            assert grazed.any()
-
-
-def test_oblique_pad_covers_graze_slack(mesh):
-    # an oblique ray grazes a triangle from anywhere its barycentric
-    # coordinates all exceed -_EPS_EDGE: the triangle grown about its
-    # centroid by 3 * _EPS_EDGE. Its projection must stay inside the
-    # footprint box grown by _PAD, and so in the triangle's buckets.
-    eps, pad = labeling._EPS_EDGE, labeling._PAD
-    for name in ("lv_cavity", "rv_cavity", "heart"):
-        verts, faces = mesh.compartment(name)
-        tri = verts[faces]
-        centroid = tri.mean(axis=1, keepdims=True)
-        grown = centroid + (1 + 3 * eps) * (tri - centroid)
-        for d in labeling._FALLBACK_DIRS:
-            plane = labeling._plane_basis(d)
-            footprints, slack = tri @ plane.T, grown @ plane.T
-            lo = footprints.min(axis=1, keepdims=True)
-            hi = footprints.max(axis=1, keepdims=True)
-            assert np.any((slack < lo) | (slack > hi))
-            assert np.all((slack >= lo - pad) & (slack <= hi + pad))
-            gmin, gspan, buckets, offsets = labeling._buckets(footprints, pad)
-            bucket_cell = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-            held = bucket_cell * len(faces) + buckets
-            cells = labeling._cell(slack.reshape(-1, 2), gmin, gspan)
-            assert np.isin(cells * len(faces) + np.repeat(np.arange(len(faces)), 3), held).all()
+        for k, queries in enumerate([grid, *jittered]):
+            # the grid's lowest row lies on the flat base, where containment
+            # is a tie; the oracle decides only points off the surface by
+            # more than a nudge
+            dist = metrics.point_to_triangles_distance(queries, tri[:, 0], tri[:, 1], tri[:, 2])
+            pts = queries[dist > 2 * labeling._NUDGE]
+            fast = index.contains(pts)
+            np.testing.assert_array_equal(fast, labeling.winding_number_contains(pts, verts, faces))
+            if k == 0:
+                assert index.fallback_points == fallback_points[name]
+                if name != "rv_cavity":
+                    assert index.fallback_points == len(pts)
 
 
 def reference_cross_z(index, q, tris):
@@ -465,67 +380,23 @@ def reference_cross_z(index, q, tris):
     return above, graze
 
 
-def reference_cast_oblique(index, pts, d):
-    """The oblique cast along ``d`` with its grid and Moller-Trumbore terms
-    built afresh on each call: the oracle for the ones an index keeps."""
-    eps = labeling._EPS_EDGE
-    tri = index.v[index.f]
-    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    e1, e2 = v1 - v0, v2 - v0
-    pvec = np.cross(d, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
-    ok = np.flatnonzero(np.abs(det) > 1e-14)
-    edge2 = np.maximum(np.einsum("ij,ij->i", e1, e1), np.einsum("ij,ij->i", e2, e2))
-    thin = np.abs(det[ok]) < labeling._THIN * edge2[ok]
-    plane = labeling._plane_basis(d)
-    gmin, gspan, buckets, offsets = labeling._buckets(
-        tri[ok] @ plane.T, labeling._PAD, everywhere=thin
-    )
-
-    def cross(q, tris):
-        k = ok[tris]
-        tvec = q - v0[k]
-        u = np.einsum("ij,ij->i", tvec, pvec[k]) / det[k]
-        qvec = np.cross(tvec, e1[k])
-        v = (qvec @ d) / det[k]
-        t = np.einsum("ij,ij->i", e2[k], qvec) / det[k]
-        hit = (u > eps) & (v > eps) & (u + v < 1 - eps) & (t > eps)
-        grazing = (
-            (np.abs(u) <= eps) | (np.abs(v) <= eps) | (np.abs(1 - u - v) <= eps) | (np.abs(t) <= eps)
-        )
-        grazing &= (u > -eps) & (v > -eps) & (u + v < 1 + eps)
-        return hit, grazing
-
-    cells = labeling._cell(pts @ plane.T, gmin, gspan)
-    return labeling._cast(pts, cells, buckets, offsets, cross)
-
-
 def test_kept_triangle_terms_match_per_call_reference(topo, monkeypatch):
-    # every (point, triangle) pair the vertical test sees, and every query
-    # an oblique cast sees, while labeling slice grids, classification
-    # samples, on-surface points and basal-cap ties of three shapes and of
-    # one moved 1e3 mm away
-    pairs = {"vertical": 0, "oblique": 0}
-    cross_z, cast_oblique = labeling.RayCastIndex._cross_z, labeling.RayCastIndex._cast_oblique
+    # every (point, triangle) pair the vertical test sees while labeling
+    # slice grids, classification samples, on-surface points and basal-cap
+    # ties of three shapes and of one moved 1e3 mm away
+    pairs = 0
+    cross_z = labeling.RayCastIndex._cross_z
 
     def checked_cross_z(index, q, tris):
+        nonlocal pairs
         above, graze = cross_z(index, q, tris)
         ref_above, ref_graze = reference_cross_z(index, q, tris)
         np.testing.assert_array_equal(above, ref_above)
         np.testing.assert_array_equal(graze, ref_graze)
-        pairs["vertical"] += len(tris)
+        pairs += len(tris)
         return above, graze
 
-    def checked_cast_oblique(index, pts, depth):
-        inside, grazed = cast_oblique(index, pts, depth)
-        ref_inside, ref_grazed = reference_cast_oblique(index, pts, labeling._FALLBACK_DIRS[depth])
-        np.testing.assert_array_equal(inside, ref_inside)
-        np.testing.assert_array_equal(grazed, ref_grazed)
-        pairs["oblique"] += len(pts)
-        return inside, grazed
-
     monkeypatch.setattr(labeling.RayCastIndex, "_cross_z", checked_cross_z)
-    monkeypatch.setattr(labeling.RayCastIndex, "_cast_oblique", checked_cast_oblique)
     meshes = [anatomy.generate_shape(topo, anatomy.sample_params(seed)) for seed in (1, 2, 3)]
     meshes.append(anatomy.InstanceMesh(topo, meshes[0].vertices + 1e3))
     edges = np.unique(np.sort(topo.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
@@ -547,47 +418,42 @@ def test_kept_triangle_terms_match_per_call_reference(topo, monkeypatch):
         index = labeling.RayCastIndex(tet + shift, [[0, 2, 1], [0, 1, 3], [1, 2, 3], [2, 0, 3]])
         index.contains(lattice + shift)
         assert index.fallback_points > 0
-    assert pairs["vertical"] > 10**6 and pairs["oblique"] > 10**4
+    assert pairs > 10**6
 
 
-def test_oblique_directions_built_once_per_index(mesh, monkeypatch):
+def test_grid_built_once_per_index(mesh, monkeypatch):
     builds = []
     buckets = labeling._buckets
 
-    def counted(*args, **kwargs):
-        builds.append(len(args[0]))
-        return buckets(*args, **kwargs)
+    def counted(footprints):
+        builds.append(len(footprints))
+        return buckets(footprints)
 
     monkeypatch.setattr(labeling, "_buckets", counted)
     index = labeling.RayCastIndex(*mesh.compartment("heart"))
-    assert len(builds) == 1
-    # the vertices graze every direction and so are nudged and cast again
+    assert builds == [len(index.f)]
+    # the vertices graze the vertical ray and so are nudged and cast again
     pts = np.vstack([mesh.vertices, np.random.default_rng(3).uniform(*mesh.bounds(), (500, 3))])
     first = index.contains(pts)
-    assert len(builds) == 1 + len(labeling._FALLBACK_DIRS)
+    assert index.fallback_points > 0
     for _ in range(3):
         np.testing.assert_array_equal(index.contains(pts), first)
-    assert len(builds) == 1 + len(labeling._FALLBACK_DIRS)
+    assert builds == [len(index.f)]
 
 
-def test_buckets_hold_each_triangle_in_its_padded_box_cells():
+def test_buckets_hold_each_triangle_in_its_box_cells():
     rng = np.random.default_rng(21)
     footprints = rng.uniform(0.0, 10.0, size=(60, 1, 2)) + rng.uniform(0.0, 2.0, size=(60, 3, 2))
-    everywhere = np.zeros(60, dtype=bool)
-    everywhere[[4, 17]] = True
-    pad = 0.05
-    gmin, gspan, buckets, offsets = labeling._buckets(footprints, pad, everywhere=everywhere)
+    gmin, gspan, buckets, offsets = labeling._buckets(footprints)
     n_cells = labeling._CELLS**2
     assert len(offsets) == n_cells + 1 and offsets[-1] == len(buckets)
     bucket_cell = np.repeat(np.arange(n_cells), np.diff(offsets))
     # each bucket lists its triangles once, in triangle order
     assert np.all((np.diff(buckets) > 0) | (np.diff(bucket_cell) > 0))
-    for t in np.flatnonzero(everywhere):
-        np.testing.assert_array_equal(bucket_cell[buckets == t], np.arange(n_cells))
-    # points anywhere in a padded box, its corners included, find the
+    # points anywhere in a footprint box, its corners included, find the
     # triangle in their cell
-    lo = footprints.min(axis=1) - pad
-    hi = footprints.max(axis=1) + pad
+    lo = footprints.min(axis=1)
+    hi = footprints.max(axis=1)
     frac = np.vstack([[[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], rng.uniform(size=(20, 2))])
     pts = lo[:, None] + frac * (hi - lo)[:, None]
     cells = labeling._cell(pts.reshape(-1, 2), gmin, gspan)
