@@ -10,7 +10,7 @@ the pipeline commands run the full-size configuration.
 import numpy as np
 
 from heartfields import acquisition as acq
-from heartfields import anatomy, harness, inference, metrics, training
+from heartfields import anatomy, harness, inference, training
 
 topo = anatomy.build_template()
 
@@ -41,17 +41,13 @@ print(f"latent optimization: {rec.n_points} points, "
 
 pred = inference.predict_mesh(result.reg_net, rec.latent, topo)
 
-ed, rmse = metrics.corresponding_ed(pred.vertices, target.vertices)
-cd_ab, cd_ba, cd_sym = metrics.chamfer(pred.vertices, target.vertices)
-pred_labels = inference.predict_labels(result.seg_net, rec.latent, target.vertices)
-dice_lvm = metrics.point_dice(pred_labels, topo.vertex_labels(), anatomy.AnatomicalLabel.LVM)
-dice_rvm = metrics.point_dice(pred_labels, topo.vertex_labels(), anatomy.AnatomicalLabel.RVM)
+m, extras = harness.case_metrics(pred, target, contours, result.seg_net, rec.latent)
 
-print(f"corresponding-vertex ED {ed:.2f} mm, RMSE {rmse:.2f} mm")
-print(f"chamfer: directed {cd_ab:.2f} / {cd_ba:.2f} mm, symmetric {cd_sym:.2f} mm")
-print(f"point Dice: LVM {dice_lvm:.3f}, RVM {dice_rvm:.3f}")
-print(f"LV volume: predicted {metrics.enclosed_volume(*pred.compartment('lv_cavity')):.0f} mL, "
-      f"true {metrics.enclosed_volume(*target.compartment('lv_cavity')):.0f} mL")
+print(f"corresponding-vertex ED {m['ed_mean']:.2f} mm, RMSE {m['rmse']:.2f} mm")
+print(f"chamfer: directed {m['chamfer_ab']:.2f} / {m['chamfer_ba']:.2f} mm, "
+      f"symmetric {m['chamfer_sym']:.2f} mm")
+print(f"point Dice: LVM {m['dice_lvm']:.3f}, RVM {m['dice_rvm']:.3f}")
+print(f"LV volume: predicted {m['lv_vol']:.0f} mL, true {extras['true_lv_vol']:.0f} mL")
 
 # a dense label map decoded from the same latent code
 lo = pred.vertices.min(axis=0) - 10

@@ -38,8 +38,9 @@ class SlicePlane:
     def __post_init__(self):
         for name in ("origin", "normal", "e1", "e2"):
             setattr(self, name, _floats(getattr(self, name), (3,), name))
-        if abs(np.linalg.norm(self.normal) - 1.0) > 1e-9:
-            raise ValueError("plane normal must be unit length")
+        for name in ("normal", "e1", "e2"):
+            if abs(np.linalg.norm(getattr(self, name)) - 1.0) > 1e-9:
+                raise ValueError(f"plane {name} must be unit length")
         for u, v in ((self.e1, self.e2), (self.e1, self.normal), (self.e2, self.normal)):
             if abs(float(u @ v)) > 1e-9:
                 raise ValueError("plane axes must be orthonormal")

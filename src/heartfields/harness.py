@@ -492,14 +492,18 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
 
 def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
     """Reconstruct every case under every condition and record the files in
-    the manifest; an unknown condition or a checkpoint without latent stats
-    raises ``ValueError`` before any contour is read or file written."""
+    the manifest; an unknown condition or case or a checkpoint without latent
+    stats raises ``ValueError`` before any contour is read or file written."""
     conditions = conditions or ["ideal", "misaligned"]
     _check_conditions(conditions)
     root = config.out_dir
     started = time.perf_counter()
     _, test_ids = _shape_ids(config)
     cases = cases or test_ids
+    for case in cases:
+        if case not in test_ids:
+            known = f"{test_ids[0]} to {test_ids[-1]}" if test_ids else "none"
+            raise ValueError(f"unknown case {case!r}; known cases: {known}")
     ckpt, stats = load_model(root)
     if stats is None:
         raise ValueError(
@@ -531,32 +535,31 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
 # ----------------------------------------------------------------- evaluate
 
 
-# the volumes and masses a report holds for the reconstruction, each also
-# taken of the generating mesh as the extra "true_<name>"
-VOLUMES = ("lv_vol", "rv_vol", "lv_mass", "rv_mass")
+# every metric of an evaluated case, in CSV order, with the header of its
+# report column (None: in no report table). Distances in mm, volumes in mL,
+# masses in g. VOLUMES are also taken of the generating mesh, as the extras
+# "true_<name>".
+VOLUMES = {"lv_vol": "LV vol (mL)", "rv_vol": "RV vol (mL)",
+           "lv_mass": "LV mass (g)", "rv_mass": "RV mass (g)"}
+METRICS = {
+    "dice_lvm": "DICE LVM", "dice_rvm": "DICE RVM",
+    "ed_mean": "ED (mm)", "rmse": "RMSE (mm)",
+    "chamfer_ab": "CD asym (mm)", "chamfer_ba": None, "chamfer_sym": "CD sym (mm)",
+    "p2s_mean": "contour->predicted mesh (mm)",
+    **VOLUMES,
+}
 EXTRA_KEYS = ["p2s_ref"] + [f"true_{k}" for k in VOLUMES]
 
 
-def evaluate_case(root, topo, ckpt, case, condition):
-    """Metrics for one reconstructed case against its generating mesh: a
-    :class:`metrics.MetricsReport` and a dict of the EXTRA_KEYS, or ``None``
-    when the reconstruction is missing."""
-    ply = os.path.join(root, _recon(condition, case, RECON_PLY))
-    if not os.path.exists(ply):
-        return None
-    pred = anatomy.InstanceMesh(topo, anatomy.read_mesh_ply(ply)[0])
-    true = load_instance_mesh(root, case, topo)
-    latent = np.load(os.path.join(root, _recon(condition, case, RECON_LATENT)))
+def case_metrics(pred, true, contours, seg_net, latent):
+    """The METRICS of the reconstruction ``pred`` of the generating mesh
+    ``true``, fitted to ``contours`` with the code ``latent`` of
+    ``seg_net``, and a dict of the EXTRA_KEYS."""
+    topo = true.topology
     # point labels predicted at the reference vertices
-    pred_labels = inference.predict_labels(ckpt.seg_net, latent, true.vertices)
+    pred_labels = inference.predict_labels(seg_net, latent, true.vertices)
     ref_labels = topo.vertex_labels()
-
-    ed, rmse = metrics.corresponding_ed(pred.vertices, true.vertices)
-    cd_ab, cd_ba, cd_sym = metrics.chamfer(pred.vertices, true.vertices)
-    contours = _condition_contours(root, case, condition)
     cpts, _ = contours.all_points(kind=acq.KIND_CONTOUR)
-    p2s_pred = metrics.point_to_surface(cpts, pred.vertices, topo.faces)
-    p2s_ref = metrics.point_to_surface(cpts, true.vertices, topo.faces)
 
     def mass(outer, inner):
         try:
@@ -565,35 +568,44 @@ def evaluate_case(root, topo, ckpt, case, condition):
             return np.nan
 
     def vols(mesh):
-        """The VOLUMES of ``mesh``, by name."""
+        """The VOLUMES of ``mesh``, in order."""
         lv = metrics.enclosed_volume(*mesh.compartment("lv_cavity"))
         rv = metrics.enclosed_volume(*mesh.compartment("rv_cavity"))
         lvepi = metrics.enclosed_volume(*mesh.compartment("lv_epi_volume"))
         heart = metrics.enclosed_volume(*mesh.compartment("heart"))
         # the RV wall lies inside the heart, outside the LV epicardium and the RV cavity
-        return dict(zip(VOLUMES, (lv, rv, mass(lvepi, lv), mass(heart - lvepi, rv))))
+        return lv, rv, mass(lvepi, lv), mass(heart - lvepi, rv)
 
-    report = metrics.MetricsReport(
-        case_id=case,
-        dice_lvm=metrics.point_dice(pred_labels, ref_labels, anatomy.AnatomicalLabel.LVM),
-        dice_rvm=metrics.point_dice(pred_labels, ref_labels, anatomy.AnatomicalLabel.RVM),
-        ed_mean=ed,
-        rmse=rmse,
-        chamfer_ab=cd_ab,
-        chamfer_ba=cd_ba,
-        chamfer_sym=cd_sym,
-        p2s_mean=p2s_pred,
-        **vols(pred),
+    values = (
+        *(metrics.point_dice(pred_labels, ref_labels, cls)
+          for cls in (anatomy.AnatomicalLabel.LVM, anatomy.AnatomicalLabel.RVM)),
+        *metrics.corresponding_ed(pred.vertices, true.vertices),
+        *metrics.chamfer(pred.vertices, true.vertices),
+        metrics.point_to_surface(cpts, pred.vertices, topo.faces),
+        *vols(pred),
     )
-    extras = dict(zip(EXTRA_KEYS, (p2s_ref, *vols(true).values())))
-    return report, extras
+    p2s_ref = metrics.point_to_surface(cpts, true.vertices, topo.faces)
+    return (dict(zip(METRICS, values, strict=True)),
+            dict(zip(EXTRA_KEYS, (p2s_ref, *vols(true)), strict=True)))
+
+
+def evaluate_case(root, topo, ckpt, case, condition):
+    """:func:`case_metrics` of the reconstruction of ``case`` under
+    ``condition`` in the run in ``root``, or ``None`` when it is missing."""
+    ply = os.path.join(root, _recon(condition, case, RECON_PLY))
+    if not os.path.exists(ply):
+        return None
+    pred = anatomy.InstanceMesh(topo, anatomy.read_mesh_ply(ply)[0])
+    latent = np.load(os.path.join(root, _recon(condition, case, RECON_LATENT)))
+    return case_metrics(pred, load_instance_mesh(root, case, topo),
+                        _condition_contours(root, case, condition), ckpt.seg_net, latent)
 
 
 def cmd_evaluate(config, conditions=None):
     """Evaluate every test case under ``conditions`` (default: those with
-    reconstructions) and write the CSVs; an unknown condition raises
-    ``ValueError`` before anything is read or written. Returns 1 if a
-    reconstruction was missing, else 0."""
+    reconstructions) and write the CSVs. An unknown condition, or no
+    reconstruction of any case under them, raises ``ValueError`` before
+    anything is written. Returns 1 if a reconstruction was missing, else 0."""
     _check_conditions(conditions or [])
     root = config.out_dir
     started = time.perf_counter()
@@ -602,49 +614,38 @@ def cmd_evaluate(config, conditions=None):
     _, test_ids = _shape_ids(config)
     conditions = conditions or _present_conditions(root)
 
-    rows, missing = [], []
+    per_case = [["condition", "case_id", *METRICS, *EXTRA_KEYS]]
+    summary = [["condition", "n", "inverted_walls"]
+               + [f"{k}_{s}" for k in METRICS for s in ("mean", "sd")]]
+    ba = [["condition", "quantity", "case_id", "mean", "difference"]]
+    missing = []
     for condition in conditions:
+        scored = {}
         for case in test_ids:
             out = evaluate_case(root, topo, ckpt, case, condition)
             if out is None:
                 missing.append(f"{condition}/{case}")
-                continue
-            report, extras = out
-            rows.append((condition, report, extras))
-
-    per_case = [["condition", "case_id"] + metrics.MetricsReport.FIELDS + EXTRA_KEYS]
-    for condition, report, extras in rows:
-        per_case.append(
-            [condition, report.case_id]
-            + [f"{getattr(report, k):.6g}" for k in metrics.MetricsReport.FIELDS]
-            + [f"{extras[k]:.6g}" for k in EXTRA_KEYS]
-        )
-
-    summary = [["condition", "n", "inverted_walls"]
-               + [f"{k}_{s}" for k in metrics.MetricsReport.FIELDS for s in ("mean", "sd")]]
-    for condition in conditions:
-        sel = [r for c, r, _ in rows if c == condition]
-        if not sel:
+            else:
+                scored[case] = out
+                per_case.append([condition, case] + [f"{v:.6g}" for d in out for v in d.values()])
+        if not scored:
             continue
-        inverted = sum(np.isnan(r.lv_mass) or np.isnan(r.rv_mass) for r in sel)
-        out = [condition, len(sel), inverted]
-        for k in metrics.MetricsReport.FIELDS:
-            mean, sd = metrics.finite_mean_sd([getattr(r, k) for r in sel])
-            out += [f"{mean:.6g}", f"{sd:.6g}"]
-        summary.append(out)
-
-    ba = [["condition", "quantity", "case_id", "mean", "difference"]]
-    for condition in conditions:
-        sel = [(r, e) for c, r, e in rows if c == condition]
-        if not sel:
-            continue
+        scores, extras = zip(*scored.values())
+        # a NaN among the VOLUMES is the mass of an inverted wall
+        inverted = sum(np.isnan([m[k] for k in VOLUMES]).any() for m in scores)
+        row = [condition, len(scores), inverted]
+        for k in METRICS:
+            row += [f"{v:.6g}" for v in metrics.finite_mean_sd([m[k] for m in scores])]
+        summary.append(row)
         for key in VOLUMES:
-            ref = [e[f"true_{key}"] for _, e in sel]
-            predv = [getattr(r, key) for r, _ in sel]
-            ba_rows, bias, lo, hi = metrics.bland_altman_rows(ref, predv)
-            for (r, _), (m, d) in zip(sel, ba_rows):
-                ba.append([condition, key, r.case_id, f"{m:.6g}", f"{d:.6g}"])
+            ba_rows, bias, lo, hi = metrics.bland_altman_rows(
+                [e[f"true_{key}"] for e in extras], [m[key] for m in scores])
+            for case, (mean, diff) in zip(scored, ba_rows):
+                ba.append([condition, key, case, f"{mean:.6g}", f"{diff:.6g}"])
             ba.append([condition, key, "summary", f"{bias:.6g}", f"{lo:.6g}|{hi:.6g}"])
+    if len(per_case) == 1:
+        raise ValueError(f"nothing to evaluate: {root} holds no reconstruction under "
+                         f"{', '.join(conditions) or 'any condition'}; run reconstruct first")
 
     artifacts = [
         _write(root, rel, _write_text, _csv_text(table))
@@ -666,63 +667,54 @@ def _present_conditions(root):
 
 # ------------------------------------------------------------------- report
 
+# the report's tables: (title, the first column, summary columns). The first
+# column names a row by its "condition" or by the ablation row of its
+# condition ("slices"; conditions without one are left out). A METRICS column
+# shows mean ± SD under its report header, any other the summary value.
+_SHAPE_COLUMNS = ("dice_lvm", "dice_rvm", "ed_mean", "rmse")
+REPORT_TABLES = (
+    ("Surface agreement with slice contours (experiment 1 analog)", "condition",
+     ("n", "p2s_mean")),
+    ("Agreement with the generating meshes (experiment 2 analog)", "condition",
+     ("n", *_SHAPE_COLUMNS, "chamfer_sym", "chamfer_ab")),
+    ("Slice-subset ablation (experiment 3 analog)", "slices", ("n", *_SHAPE_COLUMNS)),
+    ("Volumes and masses", "condition", (*VOLUMES, "inverted_walls")),
+)
+
+
+def _report_table(title, first, columns, summary):
+    """The markdown lines of one REPORT_TABLES entry over the summary rows."""
+
+    def cell(row, k):
+        if k not in METRICS:
+            return row[k]
+        return f"{float(row[k + '_mean']):.2f} ± {float(row[k + '_sd']):.2f}"
+
+    lines = [
+        "", f"## {title}", "",
+        "| " + " | ".join([first] + [METRICS.get(k, k.replace("_", " ")) for k in columns]) + " |",
+        "|---" * (len(columns) + 1) + "|",
+    ]
+    for row in summary:
+        name = row["condition"] if first == "condition" else CONDITIONS[row["condition"]][2]
+        if name:
+            lines.append("| " + " | ".join([name] + [cell(row, k) for k in columns]) + " |")
+    return lines
+
 
 def cmd_report(config):
     root = config.out_dir
     summary_path = os.path.join(root, SUMMARY_CSV)
-    lines = ["# Reconstruction run summary", ""]
+    lines = ["# Reconstruction run summary"]
     if not os.path.exists(summary_path):
-        lines.append("No results found (run evaluate first).")
+        lines += ["", "No results found (run evaluate first)."]
         _write(root, REPORT, _write_text, "\n".join(lines) + "\n")
         return 0
 
-    with open(summary_path) as f:
-        reader = list(csv.reader(f))
-    header, body = reader[0], reader[1:]
-
-    def col(name):
-        return header.index(name)
-
-    def fmt(row, key):
-        return f"{float(row[col(key + '_mean')]):.2f} ± {float(row[col(key + '_sd')]):.2f}"
-
-    lines += ["## Surface agreement with slice contours (experiment 1 analog)", ""]
-    lines += ["| condition | n | contour->predicted mesh (mm) |", "|---|---|---|"]
-    for row in body:
-        lines.append(f"| {row[0]} | {row[1]} | {fmt(row, 'p2s_mean')} |")
-    lines += ["", "## Agreement with the generating meshes (experiment 2 analog)", ""]
-    lines += [
-        "| condition | n | DICE LVM | DICE RVM | ED (mm) | RMSE (mm) | CD sym (mm) | CD asym (mm) |",
-        "|---|---|---|---|---|---|---|---|",
-    ]
-    for row in body:
-        lines.append(
-            f"| {row[0]} | {row[1]} | {fmt(row, 'dice_lvm')} | {fmt(row, 'dice_rvm')} | "
-            f"{fmt(row, 'ed_mean')} | {fmt(row, 'rmse')} | {fmt(row, 'chamfer_sym')} | "
-            f"{fmt(row, 'chamfer_ab')} |"
-        )
-    lines += ["", "## Slice-subset ablation (experiment 3 analog)", ""]
-    lines += [
-        "| slices | n | DICE LVM | DICE RVM | ED (mm) | RMSE (mm) |",
-        "|---|---|---|---|---|---|",
-    ]
-    for row in body:
-        ablation_row = CONDITIONS[row[0]][2]
-        if ablation_row:
-            lines.append(
-                f"| {ablation_row} | {row[1]} | {fmt(row, 'dice_lvm')} | "
-                f"{fmt(row, 'dice_rvm')} | {fmt(row, 'ed_mean')} | {fmt(row, 'rmse')} |"
-            )
-    lines += ["", "## Volumes and masses", ""]
-    lines += [
-        "| condition | LV vol (mL) | RV vol (mL) | LV mass (g) | RV mass (g) | inverted walls |",
-        "|---|---|---|---|---|---|",
-    ]
-    for row in body:
-        lines.append(
-            f"| {row[0]} | {fmt(row, 'lv_vol')} | {fmt(row, 'rv_vol')} | "
-            f"{fmt(row, 'lv_mass')} | {fmt(row, 'rv_mass')} | {row[col('inverted_walls')]} |"
-        )
+    with open(summary_path, newline="") as f:
+        summary = list(csv.DictReader(f))
+    for table in REPORT_TABLES:
+        lines += _report_table(*table, summary)
 
     manifest = Manifest(root)
     durations = manifest.doc["stages"].get("reconstruct", {}).get("case_durations_s", {})

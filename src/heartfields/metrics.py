@@ -6,8 +6,6 @@ point-to-triangle search) are exact, and each ships with a brute-force
 counterpart used as an oracle in the test suite.
 """
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -16,29 +14,6 @@ from scipy.spatial.distance import cdist
 # this size the exact test's temporaries stay below ~120 MB, even when no
 # pair is pruned
 PAIR_BUDGET = 2**18
-
-
-@dataclass
-class MetricsReport:
-    """One evaluated case. Distances in mm, volumes in mL, masses in g."""
-
-    case_id: str
-    dice_lvm: float = np.nan
-    dice_rvm: float = np.nan
-    ed_mean: float = np.nan
-    rmse: float = np.nan
-    chamfer_ab: float = np.nan
-    chamfer_ba: float = np.nan
-    chamfer_sym: float = np.nan
-    p2s_mean: float = np.nan
-    lv_vol: float = np.nan
-    rv_vol: float = np.nan
-    lv_mass: float = np.nan
-    rv_mass: float = np.nan
-
-
-# the metric columns: every field after the case id, in order
-MetricsReport.FIELDS = [f.name for f in fields(MetricsReport)][1:]
 
 
 def point_dice(pred_labels, ref_labels, cls):

@@ -78,6 +78,26 @@ def test_slice_plane_rejects_frame_not_finite(field, bad):
         acq.SlicePlane("sax00", **{k: [bad] * 3 for k in frame})
 
 
+@pytest.mark.parametrize("field", ["e1", "e2"])
+def test_slice_plane_rejects_scaled_axis(tmp_path, field):
+    """An in-plane axis of length 2 would lay the slice grid at twice the
+    spacing; it is rejected on construction and in a contour file."""
+    frame = {"origin": [0.0, 0.0, 0.0], "normal": [0.0, 0.0, 1.0], "e1": [1.0, 0.0, 0.0],
+             "e2": [0.0, 1.0, 0.0]}
+    good = acq.Slice(acq.SlicePlane("sax00", **frame), np.zeros((1, 3)), np.zeros(1, np.int8),
+                     np.zeros(1, np.uint8))
+    path = tmp_path / "scaled.json"
+    acq.save_contours(path, acq.ContourSet("x", [good]))
+    frame[field] = [2.0 * x for x in frame[field]]
+    with pytest.raises(ValueError, match=f"^plane {field} must be unit length$"):
+        acq.SlicePlane("sax00", **frame)
+    doc = json.loads(path.read_text())
+    doc["slices"][0][field] = frame[field]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"slice 'sax00': plane {field} must be unit length"):
+        acq.load_contours(path)
+
+
 def test_short_mesh_single_plane(mesh):
     planes = acq.standard_views(mesh, spacing=500.0)
     assert sum(p.view.startswith("sax") for p in planes) == 1

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -209,7 +210,9 @@ def test_train_removes_outputs_of_the_old_model(tmp_path):
     for rel in ("recon", "eval", "report.md"):
         assert not os.path.exists(os.path.join(cfg.out_dir, rel)), rel
     assert_manifest_matches_files(cfg.out_dir)
-    assert harness.cmd_evaluate(cfg) == 0
+    # no reconstruction of the old model is left to score
+    with pytest.raises(ValueError, match="nothing to evaluate"):
+        harness.cmd_evaluate(cfg)
 
 
 def test_train_checks_the_config_before_removing(tmp_path):
@@ -655,8 +658,8 @@ def test_evaluate_inverted_wall_mass_is_nan(tmp_path, run):
     topo = _copy_with_inverted_lv_wall(run, dst)
     ckpt, _ = harness.load_model(dst)
     report, extras = harness.evaluate_case(str(dst), topo, ckpt, "test_0000", "ideal")
-    assert np.isnan(report.lv_mass)
-    assert report.rv_mass == extras["true_rv_mass"]  # RV wall untouched
+    assert np.isnan(report["lv_mass"])
+    assert report["rv_mass"] == extras["true_rv_mass"]  # RV wall untouched
 
 
 def test_evaluate_summary_counts_inverted_walls(tmp_path, run):
@@ -680,6 +683,46 @@ def test_evaluate_summary_counts_inverted_walls(tmp_path, run):
     assert "nan" not in mass_row and mass_row.rstrip().endswith("| 1 |")
 
 
+# sha256 of the evaluation tables and of report.md up to its Timing section,
+# for the `run` fixture and for its copy with an inverted LV wall, taken at
+# commit 92d0a09
+GOLDEN_EVAL_SHA256 = {
+    "run": {
+        "eval/per_case.csv": "138416df5569a205d76e8b18523581b2d7cf5f4df29d54eea3d758f53092049d",
+        "eval/summary.csv": "6d58a931cd0c9eff0c43d7d76fc8dbd7589c6bb9c5a03797c6cd0f3187d70e6c",
+        "eval/bland_altman.csv": "85cfb8aff2ad2942c5f0603281c3327eda5e78fccbf8e668fe54cff0c379561b",
+        "report.md": "974c2ac617e059cd025ea8a0e6f6e940f31de6e7cdf7734df779bb6e02bd404e",
+    },
+    "inverted": {
+        "eval/per_case.csv": "1a30f1b05c30b611b90c179643036a5e50face30bc2f84f39c34bc8a25087e4f",
+        "eval/summary.csv": "cfde99fe8f66d9d12e5c55569891fc9e2f047a5a24751cef21614b664cfbdd60",
+        "eval/bland_altman.csv": "ae38d4a9735e2137f3864903679f20ea5ae05912f8c642d2deb5564486e0ba9a",
+        "report.md": "9ba46e860cce2a79d48d53551841122d03b86f1a529386d998be4a4332a395ee",
+    },
+}
+
+
+def _evaluation_digests(root):
+    out = {
+        rel: harness.file_hash(os.path.join(root, rel))
+        for rel in (harness.PER_CASE_CSV, harness.SUMMARY_CSV, harness.BLAND_ALTMAN_CSV)
+    }
+    with open(os.path.join(root, harness.REPORT), "rb") as f:
+        report = f.read().split(b"## Timing")[0]
+    out[harness.REPORT] = hashlib.sha256(report).hexdigest()
+    return out
+
+
+def test_evaluation_outputs_golden(tmp_path, run, golden_arithmetic):
+    dst = tmp_path / "inverted"
+    _copy_with_inverted_lv_wall(run, dst)
+    cfg = mini_config(dst)
+    assert harness.cmd_evaluate(cfg) == 0
+    assert harness.cmd_report(cfg) == 0
+    digests = {"run": _evaluation_digests(run.out_dir), "inverted": _evaluation_digests(dst)}
+    assert digests == GOLDEN_EVAL_SHA256
+
+
 def test_evaluate_missing_reconstruction_nonzero_exit(tmp_path, run):
     import shutil
 
@@ -689,6 +732,24 @@ def test_evaluate_missing_reconstruction_nonzero_exit(tmp_path, run):
     cfg = mini_config(dst)
     os.remove(os.path.join(dst, "recon", "ideal", "test_0001.ply"))
     assert harness.cmd_evaluate(cfg, conditions=["ideal"]) == 1
+
+
+def test_evaluate_nothing_to_evaluate_writes_nothing(tmp_path, run):
+    """No reconstruction under the selected conditions is an error, not a
+    set of header-only tables that the report would show as empty."""
+    import shutil
+
+    dst = tmp_path / "nothing"
+    shutil.copytree(run.out_dir, dst)
+    before = tree_hashes(dst)
+    with pytest.raises(ValueError, match="nothing to evaluate: .* misaligned; run reconstruct"):
+        harness.cmd_evaluate(mini_config(dst), conditions=["misaligned"])
+    assert tree_hashes(dst) == before
+    shutil.rmtree(dst / "recon")
+    before = tree_hashes(dst)
+    with pytest.raises(ValueError, match="nothing to evaluate"):
+        harness.cmd_evaluate(mini_config(dst))
+    assert tree_hashes(dst) == before
 
 
 def test_evaluate_unknown_condition_writes_nothing(tmp_path, run):
@@ -720,6 +781,20 @@ def test_reconstruct_unknown_condition_writes_nothing(tmp_path, run):
         harness.cmd_reconstruct(mini_config(dst), conditions=["ablation:allsax", "ideal:typo"])
     assert not os.path.exists(dst / harness._recon("ablation:allsax"))
     assert (dst / "manifest.json").read_bytes() == manifest
+
+
+def test_reconstruct_unknown_case_writes_nothing(tmp_path, run):
+    """A case list with a typo after a known case is rejected before the
+    known one's files are written, so no recon file goes unrecorded."""
+    import shutil
+
+    dst = tmp_path / "typo"
+    shutil.copytree(run.out_dir, dst)
+    before = tree_hashes(dst)
+    with pytest.raises(ValueError, match="'test_00O1'; known cases: test_0000 to test_0001"):
+        harness.cmd_reconstruct(mini_config(dst), cases=["test_0000", "test_00O1"],
+                                conditions=["misaligned"])
+    assert tree_hashes(dst) == before
 
 
 def test_reconstruct_without_latent_stats_is_rejected(tmp_path, monkeypatch):
@@ -834,4 +909,8 @@ def test_cli_roundtrip(tmp_path):
         )
         == 0
     )
+    assert harness.main(["evaluate", "--config", str(cfgfile)]) == 0
     assert harness.main(["report", "--config", str(cfgfile)]) == 0
+    report = (out / "report.md").read_text()
+    # the ideal rows of the three tables that show every condition
+    assert len(re.findall(r"^\| ideal \| ", report, re.M)) == 3
