@@ -6,6 +6,7 @@ values, template correspondence, and compartment volumes.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -54,7 +55,12 @@ names = [l.name for l in anatomy.AnatomicalLabel]
 print("label census:", dict(zip(names, np.bincount(labels, minlength=len(anatomy.AnatomicalLabel)).tolist())))
 
 anatomy.write_mesh_ply("demo_shape.ply", mesh, comment="demo cohort member")
+back = anatomy.read_mesh_ply("demo_shape.ply")
+kept = (mesh.vertices, topo.uvc, topo.surface_tag, topo.faces)
+for name, a, b in zip(("vertices", "uvc", "tags", "faces"), back, kept, strict=True):
+    assert np.array_equal(a, b), name
 with open("demo_shape_landmarks.json", "w") as f:
     json.dump({k: v.tolist() for k, v in mesh.landmarks.items()}, f, indent=1)
     f.write("\n")
-print("wrote demo_shape.ply / demo_shape_landmarks.json")
+size_kb = os.path.getsize("demo_shape.ply") / 1e3
+print(f"wrote demo_shape.ply ({size_kb:.0f} kB, read back exactly) / demo_shape_landmarks.json")

@@ -74,7 +74,8 @@ class ExperimentConfig(training.TrainConfig):
         if set(train_range) & set(test_range):
             raise ValueError("train and test seed ranges overlap")
         self._require(lambda v: v > 0, "positive", "spacing", "density")
-        self._require(lambda v: v >= 0, "nonnegative", "sigma", "checkpoint_every")
+        self._require(lambda v: v >= 0, "nonnegative", "sigma", "checkpoint_every",
+                      "train_seed0", "test_seed0", "misalign_seed")
         self._require(lambda v: v >= 1, "at least 1", "infer_steps", "infer_points")
         self._require(lambda v: 0 < v < math.inf, "positive and finite", "infer_lr")
         return super().validate()

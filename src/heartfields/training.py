@@ -254,7 +254,7 @@ class TrainConfig:
         """Raise ``ValueError`` naming the first setting training cannot run with."""
         self._require(lambda v: v >= 1, "at least 1", "latent_dim", "hidden_dim", "seg_batch",
                       "reg_batch")
-        self._require(lambda v: v >= 0, "nonnegative", "epochs", "num_blocks")
+        self._require(lambda v: v >= 0, "nonnegative", "epochs", "num_blocks", "train_seed")
         self._require(lambda v: 0 < v < math.inf, "positive and finite", "lr_net", "lr_latent")
         # a fraction of 1 would leave no shape to update the networks
         self._require(lambda v: 0 <= v < 1, "in [0, 1)", "val_fraction")
@@ -329,8 +329,8 @@ def make_networks(config):
 
 def check_resume(resume, config, n_shapes):
     """Raise ``ValueError`` unless checkpoint ``resume`` can continue a run
-    of ``config`` over ``n_shapes`` shapes: equal network dims, one latent
-    row per shape, and the Adam states of both nets and the latent table."""
+    of ``config`` over ``n_shapes`` shapes: equal network dims and dtype,
+    one latent row per shape, and Adam states of both nets and the codes."""
     have = tuple(
         (n.input_dim, n.output_dim, n.hidden_dim, n.num_blocks)
         for n in (resume.seg_net, resume.reg_net)
@@ -342,6 +342,11 @@ def check_resume(resume, config, n_shapes):
         )
     if resume.latent_codes.shape != (n_shapes, config.latent_dim):
         raise ValueError("checkpoint latent table does not match the cohort")
+    dtypes = {str(a.dtype) for a in (resume.seg_net.parameters, resume.reg_net.parameters,
+                                     resume.latent_codes)}
+    if dtypes != {config.dtype}:  # another dtype would not retrace an uninterrupted run
+        raise ValueError(f"checkpoint is {', '.join(sorted(dtypes))}, the config's dtype is "
+                         f"{config.dtype}; a run resumes in the dtype it was trained in")
     if sorted(resume.opt) != ["lat", "reg", "seg"]:
         raise ValueError("checkpoint holds no optimizer state to resume from")
 

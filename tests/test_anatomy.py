@@ -599,41 +599,24 @@ def test_surface_label_rule_and_its_callers(topo, mesh, monkeypatch):
 
 def test_ply_roundtrip(tmp_path, mesh):
     path = tmp_path / "shape.ply"
+    before = dict(vars(mesh.topology))
     anatomy.write_mesh_ply(path, mesh)
     verts, uvc, tags, faces = anatomy.read_mesh_ply(path)
-    np.testing.assert_allclose(verts, mesh.vertices, atol=1e-6, rtol=1e-6)
-    np.testing.assert_allclose(uvc, mesh.topology.uvc, atol=1e-9)
+    np.testing.assert_array_equal(verts, mesh.vertices)
+    np.testing.assert_array_equal(uvc, mesh.topology.uvc)
     np.testing.assert_array_equal(tags, mesh.topology.surface_tag)
     np.testing.assert_array_equal(faces, mesh.topology.faces)
-
-
-def reference_ply_text(mesh, comment=None):
-    """The PLY text formatted row by row from the mesh's vertices,
-    coordinates, tags and faces: the oracle for the per-topology text
-    that :func:`anatomy.write_mesh_ply` keeps."""
-    topo = mesh.topology
-    legend = " ".join(f"{i}={t}" for i, t in enumerate(anatomy.SURFACE_TAGS))
-    lines = ["ply", "format ascii 1.0", f"comment tag legend: {legend}"]
-    lines += [f"comment {comment}"] if comment else []
-    lines += [f"element vertex {len(mesh.vertices)}"]
-    lines += [f"property float64 {p}" for p in ("x", "y", "z", "u1", "u2", "u3", "u4")]
-    lines += ["property uchar tag", f"element face {len(topo.faces)}"]
-    lines += ["property list uchar int32 vertex_indices", "end_header"]
-    rows = [
-        "%.9g %.9g %.9g %.9g %.9g %.9g %.9g %d" % tuple(r)
-        for r in np.column_stack([mesh.vertices, topo.uvc, topo.surface_tag]).tolist()
-    ]
-    rows += ["3 %d %d %d" % tuple(f) for f in topo.faces.tolist()]
-    return "\n".join(lines + rows) + "\n"
+    # the writer keeps nothing on the topology
+    assert vars(mesh.topology).keys() == before.keys()
 
 
 FINE_SPEC = {"n_phi": 64, "n_rows": 49, "k_rv": 36}
 # sha256 of write_mesh_ply's bytes for ShapeParams() on the default
-# template (no comment) and on FINE_SPEC (comment "shape fine"), taken at
-# commit 067f039, before the topology's text was kept
+# template (no comment) and on FINE_SPEC (comment "shape fine"), taken when
+# the PLY body became binary little-endian
 GOLDEN_PLY_SHA256 = {
-    "default": "fd35cb71ed2a90a6002bde08db974377e8008518ee26d54c8ba44dd9cf1f0572",
-    "fine": "d7d23bedc3442377162c8389b33810a8206b1bd7fb0492dba3bbeed4306c5e6e",
+    "default": "f479927873c5291eb3008b6ac107104624e764157bf56aa94bbdb8da3ca6f60f",
+    "fine": "6459849b3e9204218e19645bd7085d8f0b7324aaff93e59babc368d8722efdca",
 }
 
 
@@ -650,42 +633,41 @@ def test_ply_golden(tmp_path, mesh, fine_mesh, golden_arithmetic):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_PLY_SHA256[name]
 
 
-def test_ply_text_kept_per_topology(tmp_path, topo, fine_mesh):
-    # meshes of two topologies, written alternately, each with its own
-    # positions and its own topology's coordinates, tags and faces
-    meshes = [
-        anatomy.generate_shape(topo, anatomy.sample_params(4)),
-        fine_mesh,
-        anatomy.generate_shape(topo, anatomy.sample_params(5)),
-        anatomy.InstanceMesh(fine_mesh.topology, 2.0 * fine_mesh.vertices),
-    ]
-    path = tmp_path / "shape.ply"
-    for i, m in enumerate(meshes + meshes[::-1]):
-        comment = f"shape {i}" if i % 2 else None
-        anatomy.write_mesh_ply(path, m, comment)
-        assert path.read_text() == reference_ply_text(m, comment)
-
-
 def test_ply_truncated_or_corrupt_rejected(tmp_path, mesh):
     path = tmp_path / "shape.ply"
     anatomy.write_mesh_ply(path, mesh)
-    lines = path.read_text().splitlines(keepends=True)
-    body = lines.index("end_header\n") + 1
-    n_vertex = len(mesh.vertices)
+    data = path.read_bytes()
+    body = data.index(b"end_header\n") + len(b"end_header\n")
+    header, n_vertex = data[:body], len(mesh.vertices)
+    faces = body + 57 * n_vertex  # a vertex record is 7 float64 and a uchar
+    last_face = len(data) - 13  # a face record is a uchar and 3 int32
+    topo = mesh.topology
+    ascii_rows = "".join(
+        "%r %r %r %r %r %r %r %d\n" % tuple(r)
+        for r in np.column_stack([mesh.vertices, topo.uvc, topo.surface_tag]).tolist()
+    ) + "".join("3 %d %d %d\n" % tuple(f) for f in topo.faces.tolist())
+    header_error, size_error = "not a binary PLY written by write_mesh_ply", "the body holds"
     bad = {
-        "no_faces": lines[: body + n_vertex],
-        "last_face_cut": lines[:-1],
-        "half_vertices": lines[: body + n_vertex // 2],
-        "garbled_vertex": lines[:body] + ["1 2 x 4 5 6 7 0\n"] + lines[body + 1 :],
-        "empty": [],
-        "seven_columns": lines[:body]
-        + [" ".join(row.split()[:7]) + "\n" for row in lines[body : body + n_vertex]]
-        + lines[body + n_vertex :],
-        "face_index_999999": lines[:-1] + ["3 0 1 999999\n"],
+        "empty": (b"", header_error),
+        "header_only": (header, size_error),
+        "no_faces": (data[:faces], size_error),
+        "half_vertices": (data[: body + 57 * (n_vertex // 2)], size_error),
+        "last_face_cut": (data[:-1], size_error),
+        "one_byte_too_many": (data + b"\0", size_error),
+        "no_header": (data[body:], header_error),
+        "no_end_header": (data.replace(b"end_header\n", b""), header_error),
+        "ascii": (header.replace(b"binary_little_endian", b"ascii") + ascii_rows.encode(),
+                  "regenerate ASCII PLYs of older runs with generate --force"),
+        "big_endian": (data.replace(b"binary_little_endian", b"binary_big_endian"), header_error),
+        "float32_x": (data.replace(b"float64 x", b"float32 x"), header_error),
+        "two_vertices_more": (
+            data.replace(b"vertex %d" % n_vertex, b"vertex %d" % (n_vertex + 2)), size_error),
+        "quad_face": (data[:last_face] + b"\4" + data[last_face + 1 :], "not a triangle"),
+        "face_index_999999": (data[:-4] + np.int32(999999).tobytes(), f"outside the {n_vertex}"),
+        "face_index_minus_1": (data[:-4] + np.int32(-1).tobytes(), f"outside the {n_vertex}"),
     }
-    for name, content in bad.items():
+    for name, (content, error) in bad.items():
         cut = tmp_path / f"{name}.ply"
-        cut.write_text("".join(content))
-        with pytest.raises(ValueError, match=name):
+        cut.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"{cut}: ") + ".*" + re.escape(error)):
             anatomy.read_mesh_ply(cut)
-

@@ -87,6 +87,7 @@ BAD_SETTINGS = [
     ("latent_dim", "0"), ("epochs", "-3"), ("val_fraction", "1.5"), ("lr_net", "nan"),
     ("seg_batch", "0"), ("checkpoint_every", "-1"), ("val_fraction", "1"), ("lr_latent", "inf"),
     ("reg_batch", "0"), ("hidden_dim", "0"), ("num_blocks", "-1"), ("infer_lr", "0"),
+    ("misalign_seed", "-1"), ("test_seed0", "-5"), ("train_seed0", "-100"), ("train_seed", "-1"),
 ]
 
 
@@ -170,11 +171,12 @@ def test_generate_force_checks_point_budgets_before_removing(tmp_path, budgets):
 @pytest.mark.parametrize(
     "bad",
     [dict(spacing=0.0), dict(density=-1.0), dict(sigma=-0.5), dict(infer_steps=0),
-     dict(infer_points=0)],
+     dict(infer_points=0), dict(misalign_seed=-1), dict(test_seed0=-5), dict(train_seed0=-100)],
 )
 def test_generate_force_validates_before_removing(tmp_path, run, bad):
-    """Acquisition and inference settings no stage can run are rejected
-    before ``force`` removes a finished run, not after it wrote shapes."""
+    """Acquisition and inference settings and seeds no stage can run are
+    rejected before ``force`` removes a finished run, not after it wrote
+    shapes."""
     import shutil
 
     dst = tmp_path / "bad"
@@ -228,7 +230,8 @@ def test_train_checks_the_config_before_removing(tmp_path):
                     (dict(dtype="foo"), "dtype"), (dict(latent_dim=0), "latent_dim"),
                     (dict(epochs=-3), "epochs"), (dict(val_fraction=1.5), "val_fraction"),
                     (dict(lr_net=float("nan")), "lr_net"), (dict(seg_batch=0), "seg_batch"),
-                    (dict(checkpoint_every=-1), "checkpoint_every")]
+                    (dict(checkpoint_every=-1), "checkpoint_every"),
+                    (dict(train_seed=-1), "train_seed")]
     for bad, match in bad_settings:
         with pytest.raises(ValueError, match=match):
             harness.cmd_train(replace(cfg, **bad))
@@ -331,8 +334,9 @@ def test_train_noop_resume_keeps_checkpoint(tmp_path):
 
 
 def test_train_resume_rejects_another_architecture(tmp_path):
-    """A resume the checkpoint cannot serve (another architecture or
-    another cohort) is rejected before anything of the run is removed."""
+    """A resume the checkpoint cannot serve (another architecture, another
+    cohort or another dtype) is rejected before anything of the run is
+    removed."""
     cfg = mini_config(tmp_path / "arch", test_shapes=1, epochs=2, infer_steps=2)
     harness.cmd_generate(cfg)
     harness.cmd_train(cfg)
@@ -348,6 +352,16 @@ def test_train_resume_rejects_another_architecture(tmp_path):
     fewer = replace(cfg, epochs=4, train_shapes=cfg.train_shapes - 1)
     with pytest.raises(ValueError, match="latent table does not match the cohort"):
         harness.cmd_train(fewer, resume=True)
+    # widening or narrowing the dtype would not retrace an uninterrupted run
+    narrower = replace(cfg, epochs=4, dtype="float32")
+    with pytest.raises(ValueError, match="checkpoint is float64, the config's dtype is float32"):
+        harness.cmd_train(narrower, resume=True)
+    ckpt = harness.load_checkpoint(os.path.join(root, "checkpoint.nihc"))
+    f32 = replace(ckpt, seg_net=ckpt.seg_net.astype(np.float32),
+                  reg_net=ckpt.reg_net.astype(np.float32),
+                  latent_codes=ckpt.latent_codes.astype(np.float32))
+    with pytest.raises(ValueError, match="checkpoint is float32, the config's dtype is float64"):
+        harness.training.check_resume(f32, cfg, cfg.train_shapes)
     for rel, data in before.items():
         assert open(os.path.join(root, rel), "rb").read() == data, rel
     for rel in ("recon", "eval"):
@@ -601,6 +615,16 @@ def test_evaluate_csvs(run):
     assert len(srows) - 1 == 2  # one row per evaluated condition
 
 
+def test_evaluate_reads_the_generating_mesh_exactly(run):
+    """Ideal contours lie on the generating mesh, and its PLY keeps every
+    bit, so their distance to it is rounding of the slicer alone; a mesh
+    read back from 9-digit text would leave ~2e-8 mm."""
+    with open(os.path.join(run.out_dir, "eval", "per_case.csv")) as f:
+        rows = list(csv.DictReader(f))
+    assert {r["condition"] for r in rows} == {"ideal", "ablation:halfsax"}
+    assert all(float(r["p2s_ref"]) < 1e-12 for r in rows)
+
+
 def test_evaluate_identity_run(tmp_path, run):
     """Copying the true meshes in as reconstructions gives zero geometric
     error and perfect correspondence metrics."""
@@ -685,16 +709,18 @@ def test_evaluate_summary_counts_inverted_walls(tmp_path, run):
 
 # sha256 of the evaluation tables and of report.md up to its Timing section,
 # for the `run` fixture and for its copy with an inverted LV wall, taken at
-# commit 92d0a09
+# commit 92d0a09 and re-taken when meshes became binary PLYs that read back
+# exactly (per-case p2s_ref ~2e-8 -> ~1e-16 mm, ideal lv_mass_sd
+# 0.0458256 -> 0.0458257)
 GOLDEN_EVAL_SHA256 = {
     "run": {
-        "eval/per_case.csv": "138416df5569a205d76e8b18523581b2d7cf5f4df29d54eea3d758f53092049d",
-        "eval/summary.csv": "6d58a931cd0c9eff0c43d7d76fc8dbd7589c6bb9c5a03797c6cd0f3187d70e6c",
+        "eval/per_case.csv": "d54046b9c306141f1258af5ecdb90a4df5eafe4ae19108d1eda16fdb9763037c",
+        "eval/summary.csv": "fd3afb99de31a7eeec26f7fa61e2b931cbd24b2f09d9e0ed6ece1a3420a35421",
         "eval/bland_altman.csv": "85cfb8aff2ad2942c5f0603281c3327eda5e78fccbf8e668fe54cff0c379561b",
         "report.md": "974c2ac617e059cd025ea8a0e6f6e940f31de6e7cdf7734df779bb6e02bd404e",
     },
     "inverted": {
-        "eval/per_case.csv": "1a30f1b05c30b611b90c179643036a5e50face30bc2f84f39c34bc8a25087e4f",
+        "eval/per_case.csv": "1b1a75e94c25e8742b09730c5e4869769ec605b436ae0ed8d00fca1a5ccac14f",
         "eval/summary.csv": "cfde99fe8f66d9d12e5c55569891fc9e2f047a5a24751cef21614b664cfbdd60",
         "eval/bland_altman.csv": "ae38d4a9735e2137f3864903679f20ea5ae05912f8c642d2deb5564486e0ba9a",
         "report.md": "9ba46e860cce2a79d48d53551841122d03b86f1a529386d998be4a4332a395ee",

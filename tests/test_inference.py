@@ -210,6 +210,44 @@ def test_saturated_fit_scales_its_upstream_out_of_subnormals(topo, monkeypatch):
     assert error <= 1e-5 * np.abs(code_grad[np.float64]).max()
 
 
+def test_fit_gradient_matches_finite_differences(topo, monkeypatch):
+    """The code gradient a float64 fit hands to Adam is the gradient of its
+    whole objective, LAMBDA_R * Mahalanobis + lambda_bce * BCE + Dice over
+    every grid point, through the classifier at GRAD_SCALE. The second step
+    is checked: the first iterate is the prior mean, where the prior's
+    gradient vanishes."""
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(500))
+    contours = acq.acquire(mesh, "g000", density=6.0)
+    pts, labels = contours.all_points(kind=acq.KIND_GRID)
+    onehot = anatomy.AnatomicalLabel.one_hot(labels)
+    stats = training.latent_stats(np.random.default_rng(6).standard_normal((8, 4)) * 0.3)
+    net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, hidden_dim=16, num_blocks=2), 5)
+    true_adam_step = netcore.adam_step
+    seen = {}
+
+    def adam_step(params, grads, state, lr):
+        seen["code"], seen["grad"] = params.copy(), grads.copy()
+        return true_adam_step(params, grads, state, lr)
+
+    monkeypatch.setattr(netcore, "adam_step", adam_step)
+    # a rate of 0.5 moves the code ~0.5 per entry away from the mean, so the
+    # prior's share of the second step's gradient is not negligible
+    w = inference.InferenceWeights(lambda_bce=10.0, steps=2, max_points=len(pts), lr=0.5)
+    inference.optimize_latent(contours, net, stats, w)
+
+    def objective(code):
+        logits = netcore.forward(net, training.seg_inputs(pts, code))
+        return (inference.LAMBDA_R * inference.mahalanobis(code, stats)[0]
+                + w.lambda_bce * training.bce_loss(logits, onehot)[0]
+                + training.dice_loss(logits, onehot)[0])
+
+    code, step = seen["code"], 1e-6
+    assert np.abs(code - stats.mean).min() > 0.1
+    numeric = [(objective(code + step * e) - objective(code - step * e)) / (2 * step)
+               for e in np.eye(len(code))]
+    assert netcore.relative_grad_error(seen["grad"], numeric) < 1e-4
+
+
 def evaluate_loss(rec, contours, result, cfg, w):
     pts, labels = contours.all_points(kind=acq.KIND_GRID)
     rng = np.random.default_rng(0)
