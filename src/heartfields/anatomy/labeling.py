@@ -1,7 +1,9 @@
 """Point labeling against watertight compartment surfaces.
 
 Containment uses ray-crossing parity with one ray direction, vertical
-(+z). Triangles are bucketed on a uniform grid over their (x, y)
+(+z). A closed surface lies inside the bounding box of its triangles, so a
+query outside that box, grown by ``_BOX_MARGIN`` on every side, is outside
+and casts no ray. Triangles are bucketed on a uniform grid over their (x, y)
 footprints; each query is expanded into (point, candidate triangle) pairs
 from its grid cell, the pairs are evaluated in fixed-size chunks, and
 per-point crossing parity and grazes are reduced with ``np.bincount``. The
@@ -15,7 +17,9 @@ serves as an independent oracle for the test suite.
 Containment is therefore exact for every query farther than
 sqrt(3) * ``_NUDGE`` (~1.7e-7 mm) from the surface. A closer query whose
 ray grazes takes the side of its nudged copy; that includes exact ties,
-such as grid rows that lie on a flat cap.
+such as grid rows that lie on a flat cap. The margin is ten nudges, so a
+query whose nudged copy could reach the box is still cast, and the box
+cull changes no label.
 """
 
 import weakref
@@ -27,6 +31,9 @@ from .template import AnatomicalLabel, myocardium_label
 
 _EPS_EDGE = 1e-9
 _NUDGE = 1e-7
+# the bounding box of a surface's triangles is grown by this much on every
+# side; a nudge cannot move a query outside it into the tight box
+_BOX_MARGIN = 10 * _NUDGE
 # (point, triangle) pairs evaluated at once; bounds the temporaries
 _CHUNK_PAIRS = 8192
 # triangles are bucketed on a _CELLS x _CELLS grid over their footprints
@@ -36,8 +43,10 @@ _CELLS = 48
 class RayCastIndex:
     """Vertical parity ray caster for one closed triangle surface.
 
-    The grid over the triangles' (x, y) footprints and the per-triangle
-    terms of the crossing test are built once, in the constructor.
+    The triangles' bounding box grown by ``_BOX_MARGIN`` (``lo``, ``hi``),
+    the grid over their (x, y) footprints and the per-triangle terms of the
+    crossing test are built once, in the constructor; :meth:`contains`
+    casts only the queries in the box.
 
     Memory: the terms take 137 bytes per triangle. The grid stores 2 bytes
     per (cell, triangle) entry (4 above 2**15 triangles) plus 18 kB of cell
@@ -46,15 +55,17 @@ class RayCastIndex:
     and the three indexes of a labeled mesh about 0.93 MB, which the mesh's
     :class:`Labeler` keeps.
 
-    ``fallback_points`` counts, over all calls, the queries whose vertical
-    ray grazed and that were cast again (a nudged query that grazes again
-    counts twice).
+    ``fallback_points`` counts, over all calls, the queries in the box
+    whose vertical ray grazed and that were cast again (a nudged query that
+    grazes again counts twice); a query outside the box is never cast.
     """
 
     def __init__(self, vertices, faces):
         self.v = np.asarray(vertices, dtype=np.float64)
         self.f = np.asarray(faces, dtype=np.int64)
         tri = self.v[self.f]  # (F, 3, 3)
+        self.lo = tri.min(axis=(0, 1)) - _BOX_MARGIN
+        self.hi = tri.max(axis=(0, 1)) + _BOX_MARGIN
         self.gmin, self.gspan, self.buckets, self.offsets = _buckets(tri[:, :, :2])
         self.fallback_points = 0
         # per triangle: the corners' (x, y), the edge vectors ab, bc, ca,
@@ -73,17 +84,26 @@ class RayCastIndex:
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3 or not np.all(np.isfinite(pts)):
             raise ValueError(f"query points must be a finite (n, 3) array, got shape {pts.shape}")
-        inside, grazed = self._cast(pts)
+        # a closed surface lies inside its box, so only the queries in the
+        # box are cast; they are not copied when every query is
+        boxed = np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
+        whole = boxed.all()
+        q = pts if whole else pts[boxed]
+        hit, grazed = self._cast(q)
         idx = np.flatnonzero(grazed)
         if idx.size:
             # cast the grazing queries again from copies moved by _NUDGE along every axis
             self.fallback_points += len(idx)
-            nudged = pts[idx] + _NUDGE
-            inside[idx], grazed = self._cast(nudged)
+            nudged = q[idx] + _NUDGE
+            hit[idx], grazed = self._cast(nudged)
             again = np.flatnonzero(grazed)
             if again.size:
                 self.fallback_points += len(again)
-                inside[idx[again]] = winding_number_contains(nudged[again], self.v, self.f)
+                hit[idx[again]] = winding_number_contains(nudged[again], self.v, self.f)
+        if whole:
+            return hit
+        inside = np.zeros(len(pts), dtype=bool)
+        inside[boxed] = hit
         return inside
 
     def _cast(self, pts):

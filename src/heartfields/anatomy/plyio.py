@@ -26,7 +26,13 @@ def _header(n_vertex, n_face, comments):
 
 
 def write_mesh_ply(path, mesh, comment=None):
-    """Write vertices (x, y, z, u1..u4, tag) and the anatomical faces."""
+    """Write vertices (x, y, z, u1..u4, tag) and the anatomical faces.
+
+    ``comment`` becomes one header line, so a comment holding a line break
+    or non-ASCII text raises a ``ValueError`` before the file is opened.
+    """
+    if comment and (not comment.isascii() or "\n" in comment or "\r" in comment):
+        raise ValueError(f"a PLY comment must be one line of ASCII text, not {comment!r}")
     topo = mesh.topology
     vertices = np.empty(len(mesh.vertices), _VERTEX)
     vertices["xyz"] = mesh.vertices

@@ -205,11 +205,14 @@ def _pair_bounds(p, centroid, radius, normal, offset, half):
 def point_to_surface(points, vertices, faces):
     """Mean exact point-to-triangle-mesh distance.
 
-    A vertex nearest-neighbor query gives an attainable upper bound per
-    point. Points then go in chunks of ``PAIR_BUDGET // len(faces)`` (at
-    least one), taken in the leaf order of a k-d tree over the points so
-    that each chunk is spatially compact, and the chunks go in groups of
-    eight consecutive ones. Three filters drop what cannot be nearest:
+    Each point's upper bound starts as its exact distance to the triangle
+    whose centroid is nearest to it (a k-d tree query over the centroids,
+    then the exact point-triangle test in chunks of at most
+    ``PAIR_BUDGET`` points). Being a pair distance, it is attained by a
+    pair that the exhaustive scan computes too. Points then go in chunks
+    of ``PAIR_BUDGET // len(faces)`` (at least one), taken in the leaf
+    order of a k-d tree over the points so that each chunk is spatially
+    compact, and the chunks go in groups of eight consecutive ones. Three filters drop what cannot be nearest:
 
     - group box cull: a group keeps the triangles whose bounding box lies
       within the group's largest upper bound of the group's point box;
@@ -252,8 +255,13 @@ def point_to_surface(points, vertices, faces):
     offset = (top + bottom) / 2.0
     tol = 2.0**-40 * max(np.abs(points).max(), np.abs(corners).max())
     half = (top - bottom) / 2.0 + tol  # the rounding of n.p and of offset
-    used = np.unique(faces)  # unreferenced vertices must not tighten the bound
-    best = cKDTree(vertices[used]).query(points)[0]  # the vertex distance is attainable
+    # the upper bound: each point's distance to its nearest-centroid triangle
+    seed = cKDTree(centroid).query(points)[1]
+    best = np.empty(len(points))
+    for s in range(0, len(points), PAIR_BUDGET):
+        p, t = points[s : s + PAIR_BUDGET], seed[s : s + PAIR_BUDGET]
+        q = _closest_point_on_triangles(p, ta[t], tb[t], tc[t])
+        best[s : s + PAIR_BUDGET] = np.linalg.norm(p - q, axis=1)
     chunk = max(1, PAIR_BUDGET // len(faces))
     order = cKDTree(points, leafsize=chunk).indices
     for g in range(0, len(points), 8 * chunk):

@@ -318,15 +318,17 @@ def test_label_points_cache_frees_mesh(topo):
 
 def test_fallback_matches_winding_oracle(mesh):
     # the lax_4ch plane is vertical and holds template meridian edges, so
-    # the vertical ray from every point of its grid grazes an edge and the
-    # re-cast decides the point; the jittered surface samples probe the
-    # band near the surface, where a nudged re-cast must keep its side
+    # the vertical ray from every point of its grid in the box grazes an
+    # edge and the re-cast decides the point; the jittered surface samples
+    # probe the band near the surface, where a nudged re-cast must keep its
+    # side
     plane = next(p for p in acq.standard_views(mesh) if p.view == "lax_4ch")
     s = acq.slice_mesh(mesh, plane, density=4.0)
     grid = s.points[s.kinds == acq.KIND_GRID]
     rng = np.random.default_rng(17)
-    # re-cast queries of the grid per compartment, nudged ones twice
-    fallback_points = {"lv_cavity": 745, "rv_cavity": 238, "heart": 735}
+    # re-cast queries of the grid per compartment, nudged ones twice; only
+    # the queries in the compartment's box are cast at all
+    fallback_points = {"lv_cavity": 262, "rv_cavity": 79, "heart": 531}
     for name in ("lv_cavity", "rv_cavity", "heart"):
         verts, faces = mesh.compartment(name)
         tri = verts[faces]
@@ -346,7 +348,50 @@ def test_fallback_matches_winding_oracle(mesh):
             if k == 0:
                 assert index.fallback_points == fallback_points[name]
                 if name != "rv_cavity":
-                    assert index.fallback_points == len(pts)
+                    boxed = np.all((pts >= index.lo) & (pts <= index.hi), axis=1)
+                    assert index.fallback_points == np.count_nonzero(boxed)
+
+
+def test_box_cull_keeps_every_label(topo):
+    # containment with the box cull equals the cast of every query (an
+    # infinite box) on sample and grid points, on-surface points, the
+    # basal-cap ties, and points just outside each face of the surface's
+    # box, whose nudged copies may lie inside it
+    base = anatomy.generate_shape(topo, anatomy.sample_params(4))
+    edges = np.unique(np.sort(topo.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
+    rng = np.random.default_rng(23)
+    for mesh in (base, anatomy.InstanceMesh(topo, base.vertices + 1e3)):
+        lo, hi = mesh.bounds()
+        grids = [
+            s.points[s.kinds == acq.KIND_GRID]
+            for density in (2.0, 4.0)
+            for s in (acq.slice_mesh(mesh, p, density=density) for p in acq.standard_views(mesh))
+        ]
+        grid = np.vstack(grids)
+        ties = grid[grid[:, 2] == mesh.vertices[:, 2].min()]
+        assert len(ties) > 0
+        shared = [rng.uniform(lo - 20, hi + 20, (3000, 3)), grid, mesh.vertices,
+                  mesh.vertices[edges].mean(axis=1), ties]
+        for name in ("lv_cavity", "rv_cavity", "heart"):
+            verts, faces = mesh.compartment(name)
+            tri = verts[faces].reshape(-1, 3)
+            box = (tri.min(axis=0), tri.max(axis=0))
+            # some of the compartment's vertices moved onto each face of its
+            # box and then k nudges outward
+            used = rng.choice(np.unique(faces), 150, replace=False)
+            on_faces = []
+            for axis in range(3):
+                for side, sign in zip(box, (-1.0, 1.0)):
+                    for k in (0.0, 0.5, 1.0, 2.0, 20.0):
+                        q = verts[used]
+                        q[:, axis] = side[axis] + sign * k * labeling._NUDGE
+                        on_faces.append(q)
+            pts = np.vstack(shared + on_faces)
+            culled = labeling.RayCastIndex(verts, faces)
+            cast = labeling.RayCastIndex(verts, faces)
+            cast.lo, cast.hi = np.full(3, -np.inf), np.full(3, np.inf)
+            np.testing.assert_array_equal(culled.contains(pts), cast.contains(pts))
+            assert 0 < culled.fallback_points < cast.fallback_points
 
 
 def reference_cross_z(index, q, tris):
@@ -608,6 +653,17 @@ def test_ply_roundtrip(tmp_path, mesh):
     np.testing.assert_array_equal(faces, mesh.topology.faces)
     # the writer keeps nothing on the topology
     assert vars(mesh.topology).keys() == before.keys()
+
+
+@pytest.mark.parametrize("comment", ["shape\nend_header", "line\rbreak", "sh\u00e4pe"])
+def test_ply_comment_must_be_one_ascii_line(tmp_path, mesh, comment):
+    path = tmp_path / "shape.ply"
+    with pytest.raises(ValueError, match="one line of ASCII text"):
+        anatomy.write_mesh_ply(path, mesh, comment)
+    assert not path.exists()
+    anatomy.write_mesh_ply(path, mesh, "shape 7")
+    assert b"\ncomment shape 7\n" in path.read_bytes()
+    np.testing.assert_array_equal(anatomy.read_mesh_ply(path)[0], mesh.vertices)
 
 
 FINE_SPEC = {"n_phi": 64, "n_rows": 49, "k_rv": 36}

@@ -297,6 +297,24 @@ def test_p2s_matches_bruteforce(monkeypatch):
         check()
 
 
+def test_p2s_sliver_nearer_than_nearest_centroid():
+    # a long sliver passes ~0.5 below the points, far from its centroid,
+    # while the small triangle of nearest centroid lies ~1 above them: the
+    # seed bound is the small triangle's distance, and the scan must still
+    # find the sliver
+    v = np.array([[-0.1, -0.1, 1.0], [0.1, -0.1, 1.0], [0.0, 0.1, 1.0],
+                  [-100.0, 0.0, -0.5], [100.0, 0.0, -0.5], [100.0, 0.01, -0.5]])
+    f = np.array([[0, 1, 2], [3, 4, 5]])
+    pts = np.random.default_rng(31).normal(0.0, 0.05, (50, 3))
+    tri = v[f]
+    assert np.all(np.linalg.norm(pts[:, None] - tri.mean(axis=1), axis=2).argmin(axis=1) == 0)
+    small, sliver = (metrics.point_to_triangles_distance(pts, *t[:, None]) for t in tri)
+    assert np.all(sliver < small)
+    for shift in (0.0, 1e3):
+        fast = metrics.point_to_surface(pts + shift, v + shift, f)
+        assert fast == metrics.point_to_surface_bruteforce(pts + shift, v + shift, f)
+
+
 @pytest.mark.parametrize("budget_per_face", [0.3, 3.0])
 def test_p2s_batches_within_pair_budget(monkeypatch, budget_per_face):
     rng = np.random.default_rng(8)
