@@ -50,9 +50,7 @@ print(f"point Dice: LVM {m['dice_lvm']:.3f}, RVM {m['dice_rvm']:.3f}")
 print(f"LV volume: predicted {m['lv_vol']:.0f} mL, true {extras['true_lv_vol']:.0f} mL")
 
 # a dense label map decoded from the same latent code
-lo = pred.vertices.min(axis=0) - 10
-hi = pred.vertices.max(axis=0) + 10
-dims = ((hi - lo) / 4.0).astype(int) + 1
+lo, dims = inference.label_box(pred.vertices, 4.0)
 labels = inference.predict_dense_labels(result.seg_net, rec.latent, lo, 4.0, dims)
 census = {anatomy.AnatomicalLabel(i).name: int(n) for i, n in
           enumerate(np.bincount(labels.ravel(), minlength=len(anatomy.AnatomicalLabel)))}

@@ -72,12 +72,11 @@ def sample_params(seed):
 @dataclass
 class InstanceMesh:
     """One cohort member: template-corresponding vertex positions (mm,
-    cardiac coordinates) plus valve/apex landmarks, by default those of the
+    cardiac coordinates); its valve/apex ``landmarks`` are those of the
     vertices."""
 
     topology: tpl.TemplateTopology
     vertices: np.ndarray
-    landmarks: dict = None  # {"mvc", "tvc", "lva"} -> (3,) arrays
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
@@ -88,8 +87,11 @@ class InstanceMesh:
             )
         if not np.all(np.isfinite(self.vertices)):
             raise ValueError("non-finite vertex positions")
-        if self.landmarks is None:
-            self.landmarks = tpl.landmarks_from_vertices(self.topology, self.vertices)
+
+    @property
+    def landmarks(self):
+        """{"mvc", "tvc", "lva"} -> (3,) arrays, read off the vertices."""
+        return tpl.landmarks_from_vertices(self.topology, self.vertices)
 
     def compartment(self, name):
         """(vertices, faces) of one closed compartment surface."""
@@ -104,29 +106,9 @@ def generate_shape(topology, params):
     cardiac frame (the geometry is a deterministic function of the
     parameters)."""
     params.validate()
-    a, b, c = params.lv_semi_axes
-    pos = tpl.evaluate_positions(
-        topology,
-        a,
-        b,
-        c,
-        params.lv_wall_thickness,
-        params.rv_crescent_offset,
-        params.rv_wall_thickness,
-        params.base_truncation_fraction,
-    )
-    pos = pos * params.global_scale
-
-    lm = tpl.landmarks_from_vertices(topology, pos)
-    mvc, tvc, lva = lm["mvc"], lm["tvc"], lm["lva"]
-    frame = cardiac_frame(mvc, tvc, lva)
-    verts = apply_frame(frame, pos)
-    landmarks = {
-        "mvc": apply_frame(frame, mvc),
-        "tvc": apply_frame(frame, tvc),
-        "lva": apply_frame(frame, lva),
-    }
-    return InstanceMesh(topology, verts, landmarks)
+    pos = tpl.evaluate_positions(topology, params)
+    frame = cardiac_frame(**tpl.landmarks_from_vertices(topology, pos))
+    return InstanceMesh(topology, apply_frame(frame, pos))
 
 
 def interior_points_batch(mesh, pair_indices, ts):

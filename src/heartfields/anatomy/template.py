@@ -21,7 +21,7 @@ volume, LV cavity, RV cavity) are provided as separate face arrays over
 the same vertex indices for containment and volume queries.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -65,6 +65,9 @@ def surface_label(tag, u1):
 # fraction of the LV endo apex height where the shared trunk rows stop and
 # per-sheet apex cap rows take over
 _TRUNK_TOP = 0.88
+# apex cap rows of the LV endocardial and epicardial bowls (sheets A and B)
+# and basal ring rows of the LV and RV wall tops, the same at every spec
+N_APEX_ENDO, N_APEX_EPI, RINGS_LV, RINGS_RV = 7, 8, 3, 2
 
 
 @dataclass
@@ -75,10 +78,6 @@ class TemplateSpec:
     n_phi: int = 32
     n_rows: int = 25
     k_rv: int = 18
-    n_apex_endo: int = 7
-    n_apex_epi: int = 8
-    rings_lv: int = 3
-    rings_rv: int = 2
 
     def __post_init__(self):
         if self.n_phi % 16:
@@ -89,14 +88,21 @@ class TemplateSpec:
 
 @dataclass
 class TemplateTopology:
-    spec: TemplateSpec
+    grid: "_Grid"  # the vertex layout the topology was built on
     uvc: np.ndarray  # (V, 4)
     surface_tag: np.ndarray  # (V,) int8 indices into SURFACE_TAGS
     faces: np.ndarray  # anatomical surface faces (no cap fans)
     face_group: np.ndarray  # per-face tag index, same legend as vertices
     compartments: dict  # name -> (F, 3) closed oriented face arrays
     transmural_pairs: np.ndarray  # (P, 2) endo/epi vertex index pairs
-    blocks: dict = field(default_factory=dict)  # name -> vertex indices, see _Grid.blocks
+
+    @property
+    def spec(self):
+        return self.grid.spec
+
+    @property
+    def blocks(self):
+        return self.grid.blocks
 
     @property
     def vertex_count(self):
@@ -166,7 +172,9 @@ def _ring_rotational(phi):
 class _Grid:
     """The template's vertex layout: the shared azimuth grid, the RV
     sector, the row fractions of the RV wall and the basal rings, and the
-    vertex index blocks of every sheet."""
+    vertex index ``blocks`` of every sheet: {name: vertex indices} in
+    storage order, sheets and rings shaped (rows, cols) and single vertices
+    (1,)."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -184,24 +192,20 @@ class _Grid:
         self.in_sector = np.zeros(nphi, dtype=bool)
         self.in_sector[self.interior] = True
         self.lam = (spec.k_rv - np.arange(spec.k_rv)) / spec.k_rv  # 1 at base, 0 at RV apex row
-        self.rho_lv = np.arange(1, spec.rings_lv + 1) / (spec.rings_lv + 1)  # endo -> epi
-        self.rho_rv = np.arange(1, spec.rings_rv + 1) / (spec.rings_rv + 1)
+        self.rho_lv = np.arange(1, RINGS_LV + 1) / (RINGS_LV + 1)  # endo -> epi
+        self.rho_rv = np.arange(1, RINGS_RV + 1) / (RINGS_RV + 1)
 
-    def blocks(self):
-        """{name: vertex indices} in storage order, sheets and rings shaped
-        (rows, cols) and single vertices (1,), plus the vertex count."""
-        spec, nphi, n_int = self.spec, self.spec.n_phi, self.n_int
         shapes = {
             "A_trunk": (spec.n_rows, nphi),
-            "A_apex": (spec.n_apex_endo, nphi),
+            "A_apex": (N_APEX_ENDO, nphi),
             "A_pole": (1,),
             "B_trunk": (spec.n_rows, nphi),
-            "B_apex": (spec.n_apex_epi, nphi),
+            "B_apex": (N_APEX_EPI, nphi),
             "B_pole": (1,),
-            "C": (spec.k_rv, n_int),
-            "D": (spec.k_rv, n_int),
-            "E_lv": (spec.rings_lv, nphi),
-            "E_rv": (spec.rings_rv, n_int),
+            "C": (spec.k_rv, self.n_int),
+            "D": (spec.k_rv, self.n_int),
+            "E_lv": (RINGS_LV, nphi),
+            "E_rv": (RINGS_RV, self.n_int),
             "M_c": (1,),
         }
         blocks, off = {}, 0
@@ -209,7 +213,9 @@ class _Grid:
             n = int(np.prod(shape))
             blocks[name] = np.arange(off, off + n).reshape(shape)
             off += n
-        return blocks, off
+        self.blocks, self.vertex_count = blocks, off
+        # the RV cavity's base rim, whose centroid stands in for the tricuspid valve
+        self.rv_rim = np.concatenate([blocks["B_trunk"][0, self.jl : self.jh + 1], blocks["D"][0]])
 
 
 def build_template(spec=None):
@@ -225,7 +231,7 @@ def build_template(spec=None):
     g = _Grid(spec)
     jl, jh, interior = g.jl, g.jh, g.interior
 
-    blocks, nv = g.blocks()
+    blocks, nv = g.blocks, g.vertex_count
     a_trunk, a_apex, a_pole = blocks["A_trunk"], blocks["A_apex"], blocks["A_pole"]
     b_trunk, b_apex, b_pole = blocks["B_trunk"], blocks["B_apex"], blocks["B_pole"]
     c_grid, d_grid = blocks["C"], blocks["D"]
@@ -306,7 +312,7 @@ def build_template(spec=None):
     # basal bands: endo rim -> rings -> epi rim (LV), and RV wall top, whose
     # rings run between the rim's tip vertices
     faces_e_lv = _band_faces(np.vstack([a_trunk[0], e_lv, b_trunk[0]]), wrap=True)
-    tip_l, tip_r = (np.full((spec.rings_rv, 1), b_trunk[0, j]) for j in (jl, jh))
+    tip_l, tip_r = (np.full((RINGS_RV, 1), b_trunk[0, j]) for j in (jl, jh))
     e_rv_mat = np.vstack([d_mat[0], np.hstack([tip_l, e_rv, tip_r]), c_mat[0]])
     faces_e_rv = _band_faces(e_rv_mat, wrap=False)
 
@@ -346,14 +352,13 @@ def build_template(spec=None):
     ])
 
     topo = TemplateTopology(
-        spec=spec,
+        grid=g,
         uvc=uvc,
         surface_tag=tag,
         faces=faces,
         face_group=face_group,
         compartments=compartments,
         transmural_pairs=pairs,
-        blocks=blocks,
     )
     _check_unique_uvc(topo)
     return topo
@@ -364,11 +369,9 @@ def landmarks_from_vertices(topology, positions):
     vertex, LV endocardial apex pole, and the RV cavity base-rim centroid
     as the tricuspid stand-in."""
     blocks = topology.blocks
-    g = _Grid(topology.spec)
-    rim = np.concatenate([blocks["B_trunk"][0, g.jl : g.jh + 1], blocks["D"][0]])
     return {
         "mvc": positions[blocks["M_c"][0]].copy(),
-        "tvc": positions[rim].mean(axis=0),
+        "tvc": positions[topology.grid.rv_rim].mean(axis=0),
         "lva": positions[blocks["A_pole"][0]].copy(),
     }
 
@@ -412,20 +415,16 @@ def _ellipsoid_sheet(pos, trunk, apex, pole, ax, by, cz, z_rows, cos_top, cosp, 
     return s
 
 
-def evaluate_positions(topo, a, b, c, wall, rv_offset, rv_wall, trunc_frac):
-    """Vertex positions (mm) in the canonical build frame for one shape.
-
-    ``a, b, c`` are the LV endocardial semi-axes, ``wall`` the LV wall
-    thickness, ``rv_offset`` the crescent bulge amplitude, ``rv_wall`` the
-    RV free-wall thickness, and ``trunc_frac`` the basal truncation
-    fraction of the endocardial long semi-axis.
-    """
-    g = _Grid(topo.spec)
-    nrows, krv = topo.spec.n_rows, topo.spec.k_rv
+def evaluate_positions(topo, params):
+    """Vertex positions (mm) in the canonical build frame of the shape with
+    the size parameters ``params`` (a :class:`~.shapes.ShapeParams`)."""
+    (a, b, c), wall = params.lv_semi_axes, params.lv_wall_thickness
+    g = topo.grid
+    nrows, krv = g.spec.n_rows, g.spec.k_rv
     blocks = topo.blocks
     interior = g.interior
 
-    z_base = -trunc_frac * c
+    z_base = -params.base_truncation_fraction * c
     z_top = _TRUNK_TOP * c
     t = np.arange(nrows) / (nrows - 1)
     z_rows = z_base + t * (z_top - z_base)
@@ -456,8 +455,8 @@ def evaluate_positions(topo, a, b, c, wall, rv_offset, rv_wall, trunc_frac):
     cg, dg = blocks["C"], blocks["D"]
     ax = ((a + wall) * s_b[:krv])[:, None]
     bx = ((b + wall) * s_b[:krv])[:, None]
-    bulge = (rv_offset * taper)[:, None] * bulge_win
-    outer = bulge + (rv_wall * wall_ramp_z)[:, None] * wall_win
+    bulge = (params.rv_crescent_offset * taper)[:, None] * bulge_win
+    outer = bulge + (params.rv_wall_thickness * wall_ramp_z)[:, None] * wall_win
     for grid, radial in ((dg, bulge), (cg, outer)):
         pos[grid, 0] = (ax + radial) * cosp[interior]
         pos[grid, 1] = (bx + radial) * sinp[interior]
@@ -468,4 +467,4 @@ def evaluate_positions(topo, a, b, c, wall, rv_offset, rv_wall, trunc_frac):
     pos[blocks["E_lv"]] = (1.0 - rho_lv) * pos[at[0]] + rho_lv * pos[bt[0]]
     pos[blocks["E_rv"]] = (1.0 - rho_rv) * pos[dg[0]] + rho_rv * pos[cg[0]]
     pos[blocks["M_c"]] = (0.0, 0.0, z_base)
-    return pos
+    return pos * params.global_scale

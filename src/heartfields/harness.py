@@ -90,8 +90,9 @@ class ExperimentConfig(training.TrainConfig):
 
 
 def parse_config_file(path):
-    """Plain-text key=value configuration ('#' starts a comment)."""
-    values = {}
+    """Plain-text key=value configuration ('#' starts a comment); a key set
+    twice raises ``ValueError`` naming both lines."""
+    values, lines = {}, {}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -100,7 +101,9 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key] = val
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {lines[key]}")
+            values[key], lines[key] = val, lineno
     return values
 
 
@@ -449,7 +452,11 @@ def _condition_contours(root, case, condition):
 
 
 def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, topo=None):
-    """One case under one condition; returns (artifacts, duration_s)."""
+    """One case under one condition, plus a label volume at ``dense_spacing``
+    mm unless it is ``None``; returns (artifacts, duration_s). A spacing that
+    is not positive and finite raises ``ValueError`` before any file is read."""
+    if dense_spacing is not None and not 0.0 < dense_spacing < math.inf:
+        raise ValueError(f"dense_spacing must be positive and finite, got {dense_spacing}")
     root = config.out_dir
     cs = _condition_contours(root, case, condition)
     weights = inference.InferenceWeights(
@@ -477,10 +484,8 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
         _write(root, _recon(condition, case, RECON_LATENT), np.save, rec.latent),
         _write(root, _recon(condition, case, RECON_TRACE), _write_text, _csv_text(trace)),
     ]
-    if dense_spacing:
-        lo = mesh.vertices.min(axis=0) - 10.0
-        hi = mesh.vertices.max(axis=0) + 10.0
-        dims = np.maximum(((hi - lo) / dense_spacing).astype(int) + 1, 1)
+    if dense_spacing is not None:
+        lo, dims = inference.label_box(mesh.vertices, dense_spacing)
         labels = inference.predict_dense_labels(ckpt.seg_net, rec.latent, lo, dense_spacing, dims)
         rels += [
             _write(root, _recon(condition, case, RECON_LABELS), inference.write_label_data,
@@ -493,8 +498,9 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
 
 def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
     """Reconstruct every case under every condition and record the files in
-    the manifest; an unknown condition or case or a checkpoint without latent
-    stats raises ``ValueError`` before any contour is read or file written."""
+    the manifest; an unknown condition or case, a checkpoint without latent
+    stats or a ``dense_spacing`` :func:`reconstruct_case` rejects raises
+    ``ValueError`` before any contour is read or file written."""
     conditions = conditions or ["ideal", "misaligned"]
     _check_conditions(conditions)
     root = config.out_dir
@@ -767,7 +773,8 @@ def main(argv=None):
         "--condition", action="append", choices=CONDITIONS,
         help="condition (repeatable; default ideal+misaligned)",
     )
-    p_rec.add_argument("--dense-spacing", type=float, help="also export a label volume")
+    p_rec.add_argument("--dense-spacing", type=float,
+                       help="also export a label volume at this positive spacing (mm)")
 
     p_eval = sub.add_parser("evaluate", help="metrics against generating meshes")
     add_common(p_eval)

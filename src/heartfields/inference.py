@@ -162,6 +162,14 @@ def predict_mesh(reg_net, latent, topology):
     return InstanceMesh(topology, verts)
 
 
+def label_box(vertices, spacing):
+    """(origin, dims) of the label volume at a positive ``spacing`` (mm) that
+    covers the bounds of ``vertices`` with 10 mm to spare; the margin gives
+    every axis at least one voxel."""
+    lo, hi = vertices.min(axis=0) - 10.0, vertices.max(axis=0) + 10.0
+    return lo, ((hi - lo) / spacing).astype(int) + 1
+
+
 def predict_dense_labels(seg_net, latent, origin, spacing, dims):
     """Dense label volume: argmax of the sigmoid channels at voxel centers.
 

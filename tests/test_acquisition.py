@@ -162,7 +162,9 @@ GOLDEN_GRID_LABELS_SHA256 = "e821c741fcc1d31c121e97f07aae668089d2dfd3ae9fe8d4382
 GOLDEN_SEG_LABELS_SHA256 = "4c3a9d270ef35e35f049de2a13f822884c6c59d9caeee4ef066568e221108614"
 # sha256 of the float64 contour points then the int8 contour labels of
 # acquire(density=3.0), computed at commit 270c25f (per-face slicing loop)
-GOLDEN_CONTOUR_SHA256 = "c6806c46ed470c9470e65fc9b739cc2a91c44df8f26512901a8c5a241f54cc77"
+# and re-taken when a mesh's landmarks became those of its vertices (the
+# points move by at most 7.1e-15 mm, no label changes)
+GOLDEN_CONTOUR_SHA256 = "58a156b5e3c42bb2f62d402c4fc761b3bb6ec579d846f047244b95b86218ba2c"
 
 
 def test_golden_label_hashes(mesh, contours):
@@ -323,8 +325,8 @@ def test_subset_empty_errors(contours):
 
 
 # sha256 of the bytes save_contours writes for acquire(density=3.0) in
-# contour format 3; it moves with the file layout, GOLDEN_CONTOUR_SHA256 not
-GOLDEN_CONTOUR_FILE_SHA256 = "96523c364721d2bd6731d6086243f20653287208c6ce177c5b68a4b83070bfd7"
+# contour format 3; it moves with the file layout and with GOLDEN_CONTOUR_SHA256
+GOLDEN_CONTOUR_FILE_SHA256 = "d4e8039745187c9ff2f45974b34344cbce2c2909300d7d93f0c4649ba1ea2062"
 
 
 def test_contour_roundtrip(tmp_path, contours):
@@ -350,6 +352,25 @@ def test_contour_roundtrip(tmp_path, contours):
     no_points = acq.Slice(contours.slices[0].plane, np.zeros((0, 3)), np.zeros(0, np.int8), np.zeros(0, np.uint8))
     acq.save_contours(path, acq.ContourSet("empty", [no_points]))
     assert acq.load_contours(path).slices[0].points.shape == (0, 3)
+
+
+@pytest.mark.parametrize("seed", [9000, 9001, 9002])
+def test_contours_regenerate_from_the_shape_ply(tmp_path, seed):
+    """The contour files of a held-out shape come back byte for byte when
+    its stored PLY is read and sliced again: a mesh's landmarks, and with
+    them its view planes, are functions of its vertices alone."""
+    topo = anatomy.build_template()
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(seed))
+    anatomy.write_mesh_ply(tmp_path / "shape.ply", mesh)
+    back = anatomy.InstanceMesh(topo, anatomy.read_mesh_ply(tmp_path / "shape.ply")[0])
+    for name, m in (("generated", mesh), ("read_back", back)):
+        ideal = acq.acquire(m, "test", spacing=10.0, density=4.0)
+        acq.save_contours(tmp_path / f"{name}_ideal.json", ideal)
+        misaligned = acq.inject_misalignment(ideal, 3.0, 77)
+        acq.save_contours(tmp_path / f"{name}_misaligned.json", misaligned)
+    for tag in ("ideal", "misaligned"):
+        generated = (tmp_path / f"generated_{tag}.json").read_bytes()
+        assert (tmp_path / f"read_back_{tag}.json").read_bytes() == generated, tag
 
 
 def _b64(raw):

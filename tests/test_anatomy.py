@@ -248,6 +248,18 @@ def test_generated_shape_frame_is_canonical(mesh):
     np.testing.assert_allclose(moved + f.origin, mesh.vertices + f.origin, atol=1e-9)
 
 
+def test_landmarks_follow_the_vertices(topo):
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(3))
+    before = mesh.landmarks
+    mesh.vertices = mesh.vertices * 2.0 + np.array([1.0, -2.0, 3.0])
+    after = mesh.landmarks
+    assert after.keys() == before.keys() == {"mvc", "tvc", "lva"}
+    for name in after:
+        np.testing.assert_allclose(after[name], before[name] * 2.0 + [1.0, -2.0, 3.0], atol=1e-12)
+    np.testing.assert_array_equal(after["mvc"], mesh.vertices[topo.blocks["M_c"][0]])
+    np.testing.assert_array_equal(after["lva"], mesh.vertices[topo.blocks["A_pole"][0]])
+
+
 # ---------------------------------------------------------------- labeling
 
 

@@ -63,6 +63,13 @@ def test_config_file_parsing(tmp_path):
     assert cfg.out_dir == "somewhere"
 
 
+def test_config_key_set_twice_names_both_lines(tmp_path):
+    p = tmp_path / "twice.cfg"
+    p.write_text("epochs = 12\n# a comment\ntrain_shapes = 3\nepochs=40\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:4: key 'epochs' already set on line 1")):
+        harness.load_config(p)
+
+
 def test_config_unknown_key(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("not_a_knob = 5\n")
@@ -533,6 +540,30 @@ def test_reconstruct_dense_labels(tmp_path, run, load_label_volume):
     assert labels.ndim == 3 and header["spacing"] == 8.0
 
 
+@pytest.mark.parametrize("spacing", [0.0, -4.0, float("nan")])
+def test_reconstruct_rejects_a_bad_dense_spacing(tmp_path, run, monkeypatch, spacing):
+    """A label-volume spacing that is not positive and finite is rejected
+    before any file is read or written and before the latent fit starts."""
+    import shutil
+
+    from heartfields import inference
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the latent fit ran")
+
+    monkeypatch.setattr(inference, "optimize_latent", no_fit)
+    dst = tmp_path / "spacing"
+    shutil.copytree(run.out_dir, dst)
+    before = tree_hashes(dst)
+    cfg = mini_config(dst)
+    with pytest.raises(ValueError, match="dense_spacing must be positive and finite"):
+        harness.cmd_reconstruct(cfg, conditions=["ideal"], dense_spacing=spacing)
+    ckpt, stats = harness.load_model(dst)
+    with pytest.raises(ValueError, match="dense_spacing must be positive and finite"):
+        harness.reconstruct_case(cfg, ckpt, stats, "test_0000", "ideal", dense_spacing=spacing)
+    assert tree_hashes(dst) == before
+
+
 def test_reconstruct_unknown_ablation_row(tmp_path):
     # the out dir holds no contours: the name is rejected before any read
     cfg = mini_config(tmp_path)
@@ -670,7 +701,7 @@ def _copy_with_inverted_lv_wall(run, dst):
     verts[endo] = center + 3.0 * (verts[endo] - center)
     anatomy.write_mesh_ply(
         os.path.join(dst, "recon", "ideal", "test_0000.ply"),
-        anatomy.InstanceMesh(topo, verts, true.landmarks),
+        anatomy.InstanceMesh(topo, verts),
     )
     return topo
 
@@ -711,16 +742,17 @@ def test_evaluate_summary_counts_inverted_walls(tmp_path, run):
 # for the `run` fixture and for its copy with an inverted LV wall, taken at
 # commit 92d0a09 and re-taken when meshes became binary PLYs that read back
 # exactly (per-case p2s_ref ~2e-8 -> ~1e-16 mm, ideal lv_mass_sd
-# 0.0458256 -> 0.0458257)
+# 0.0458256 -> 0.0458257) and when a mesh's landmarks became those of its
+# vertices (p2s_ref digits only, e.g. 1.29974e-16 -> 1.11308e-16 mm)
 GOLDEN_EVAL_SHA256 = {
     "run": {
-        "eval/per_case.csv": "d54046b9c306141f1258af5ecdb90a4df5eafe4ae19108d1eda16fdb9763037c",
+        "eval/per_case.csv": "36bbd225ce5a78f06ca357fe6d9975f8bd311a5cae257faf549c49f436f2ee7b",
         "eval/summary.csv": "fd3afb99de31a7eeec26f7fa61e2b931cbd24b2f09d9e0ed6ece1a3420a35421",
         "eval/bland_altman.csv": "85cfb8aff2ad2942c5f0603281c3327eda5e78fccbf8e668fe54cff0c379561b",
         "report.md": "974c2ac617e059cd025ea8a0e6f6e940f31de6e7cdf7734df779bb6e02bd404e",
     },
     "inverted": {
-        "eval/per_case.csv": "1b1a75e94c25e8742b09730c5e4869769ec605b436ae0ed8d00fca1a5ccac14f",
+        "eval/per_case.csv": "09d32b909db8294454853680646f97e023bbdc99c9427882d394978a827fea78",
         "eval/summary.csv": "cfde99fe8f66d9d12e5c55569891fc9e2f047a5a24751cef21614b664cfbdd60",
         "eval/bland_altman.csv": "ae38d4a9735e2137f3864903679f20ea5ae05912f8c642d2deb5564486e0ba9a",
         "report.md": "9ba46e860cce2a79d48d53551841122d03b86f1a529386d998be4a4332a395ee",
