@@ -42,6 +42,8 @@ codes = result.latents.codes
 print(f"\ntrain shapes: {len(result.train_ids)}, validation shapes: {len(result.val_ids)}")
 print(f"latent code norms: {np.round(np.linalg.norm(codes, axis=1), 2)}")
 print(f"latent mean norm: {np.linalg.norm(result.stats.mean):.3f}")
-eig = np.linalg.eigvalsh(result.stats.cov)
+# the stats keep only the inverse covariance: take that of the training codes
+train_codes = codes[[result.latents.shape_ids.index(s) for s in result.train_ids]]
+eig = np.linalg.eigvalsh(np.cov(train_codes, rowvar=False))
 print(f"latent covariance eigenvalues: {np.format_float_scientific(eig.min(), 2)} .. "
       f"{np.format_float_scientific(eig.max(), 2)}")

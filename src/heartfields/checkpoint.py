@@ -8,13 +8,13 @@ byte is an error instead of a changed parameter. The members are ``format``
 which loading checks; per network ``seg_net.dims`` / ``reg_net.dims``
 (input, output, hidden, blocks) and ``.params``, the flat parameter vector
 in layout order; ``latent_codes`` (n_shapes, latent_dim); optionally
-``stats.mean``, ``stats.cov`` and ``stats.cov_inv``; optionally
-``opt.<name>.m``, ``.v`` and ``.t``, the Adam moments and step count of
-"seg", "reg" and "lat" (one state for the whole latent table, counting
-epochs; no learning rate) so training can resume; and ``epoch``. Every
-floating member is stored little-endian in its in-memory dtype, so a net
-loads in the dtype it was trained in (float32 or float64) and computes in
-it, and an Adam state's moments share their parameters' dtype.
+``stats.mean`` and ``stats.cov_inv`` (loading ignores an old ``stats.cov``);
+optionally ``opt.<name>.m``, ``.v`` and ``.t``, the Adam moments and step
+count of "seg", "reg" and "lat" (one state for the whole latent table,
+counting epochs; no learning rate) so training can resume; and ``epoch``.
+Every floating member is stored little-endian in its in-memory dtype, so the
+nets and the latent table load in the dtype the run trained in (float32 or
+float64), and an Adam state's moments share their parameters' dtype.
 """
 
 import io
@@ -53,7 +53,7 @@ def save_checkpoint(path, ckpt):
         members[f"{name}.params"] = net.parameters
     members["latent_codes"] = np.atleast_2d(ckpt.latent_codes)
     if ckpt.stats is not None:
-        for key in ("mean", "cov", "cov_inv"):
+        for key in ("mean", "cov_inv"):
             members[f"stats.{key}"] = getattr(ckpt.stats, key)
     for name, state in sorted(ckpt.opt.items()):
         members[f"opt.{name}.m"] = state.first_moment
@@ -111,9 +111,9 @@ def _from_archive(arrays):
     _, dim = codes.shape
     ckpt = Checkpoint(seg, reg, codes, epoch=int(arrays["epoch"]))
     if "stats.mean" in arrays:
-        ckpt.stats = LatentStats(arrays["stats.mean"], arrays["stats.cov"], arrays["stats.cov_inv"])
-        shapes = [a.shape for a in (ckpt.stats.mean, ckpt.stats.cov, ckpt.stats.cov_inv)]
-        if shapes != [(dim,), (dim, dim), (dim, dim)]:
+        ckpt.stats = LatentStats(arrays["stats.mean"], arrays["stats.cov_inv"])
+        shapes = [a.shape for a in (ckpt.stats.mean, ckpt.stats.cov_inv)]
+        if shapes != [(dim,), (dim, dim)]:
             raise ValueError(f"latent stats have shapes {shapes}, latent dim is {dim}")
     for name, params in (("seg", seg.parameters), ("reg", reg.parameters), ("lat", codes)):
         if f"opt.{name}.m" not in arrays:

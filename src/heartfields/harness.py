@@ -415,8 +415,7 @@ def _write_checkpoint(root, result):
         Checkpoint(
             seg_net=result.seg_net,
             reg_net=result.reg_net,
-            # the table trains in the nets' dtype; TrainResult widens it to float64
-            latent_codes=result.latents.codes.astype(result.seg_net.parameters.dtype),
+            latent_codes=result.latents.codes,
             stats=result.stats,
             opt=result.opt,
             epoch=result.epoch,
@@ -478,21 +477,21 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
     duration = time.perf_counter() - t0
 
     trace = [["step", "loss"]] + [[i, f"{v:.8g}"] for i, v in enumerate(rec.loss_trace)]
-    rels = [
-        _write(root, _recon(condition, case, RECON_PLY), anatomy.write_mesh_ply, mesh,
-               f"reconstruction {case}"),
-        _write(root, _recon(condition, case, RECON_LATENT), np.save, rec.latent),
-        _write(root, _recon(condition, case, RECON_TRACE), _write_text, _csv_text(trace)),
+    # (suffix, writer, arguments): all computed before a file is written
+    files = [
+        (RECON_PLY, anatomy.write_mesh_ply, mesh, f"reconstruction {case}"),
+        (RECON_LATENT, np.save, rec.latent),
+        (RECON_TRACE, _write_text, _csv_text(trace)),
     ]
     if dense_spacing is not None:
         lo, dims = inference.label_box(mesh.vertices, dense_spacing)
         labels = inference.predict_dense_labels(ckpt.seg_net, rec.latent, lo, dense_spacing, dims)
-        rels += [
-            _write(root, _recon(condition, case, RECON_LABELS), inference.write_label_data,
-                   labels),
-            _write(root, _recon(condition, case, RECON_LABEL_HEADER),
-                   inference.write_label_header, labels, lo, dense_spacing),
+        files += [
+            (RECON_LABELS, inference.write_label_data, labels),
+            (RECON_LABEL_HEADER, inference.write_label_header, labels, lo, dense_spacing),
         ]
+    rels = [_write(root, _recon(condition, case, suffix), write, *args)
+            for suffix, write, *args in files]
     return rels, duration
 
 
@@ -758,12 +757,9 @@ def main(argv=None):
     p_gen = sub.add_parser("generate", help="synthesize cohorts and contours")
     add_common(p_gen)
     p_gen.add_argument("--force", action="store_true")
-    p_gen.add_argument("--train-shapes", type=int)
-    p_gen.add_argument("--test-shapes", type=int)
 
     p_train = sub.add_parser("train", help="train the joint model")
     add_common(p_train)
-    p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--resume", action="store_true")
 
     p_rec = sub.add_parser("reconstruct", help="latent optimization + mesh prediction")
@@ -784,11 +780,7 @@ def main(argv=None):
     add_common(p_rep)
 
     args = parser.parse_args(argv)
-    overrides = {"out_dir": args.out}
-    for key in ("train_shapes", "test_shapes", "epochs"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
-    config = load_config(args.config, overrides)
+    config = load_config(args.config, {"out_dir": args.out})
 
     if args.command == "generate":
         cmd_generate(config, force=args.force)

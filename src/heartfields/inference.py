@@ -11,6 +11,7 @@ label map.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ LAMBDA_R = 1e-2
 # overflow, scaling by a power of two is exact, so the step's bits do not
 # change; float64 never goes subnormal here.
 GRAD_SCALE = 2.0**60
+
+# rows the classifier runs on at a time when it predicts labels
+_CHUNK = 65536
 
 
 @dataclass
@@ -84,9 +88,9 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     masks (``keep="inputs"``) and scales its upstream by
     :data:`GRAD_SCALE`; the loss after the last step comes from a plain
     forward pass. The fit computes in the classifier's dtype. Returns the
-    best-loss iterate and the full loss trace; raises if the fitted points
-    carry fewer than two distinct labels (the Dice term would be
-    degenerate) or if the loss diverges past 1e6.
+    best-loss iterate, in that dtype, and the full loss trace; raises if the
+    fitted points carry fewer than two distinct labels (the Dice term would
+    be degenerate) or if the loss diverges past 1e6.
     """
     pts, labels = contours.all_points(kind=KIND_GRID)
     rng = np.random.default_rng(seed)
@@ -101,7 +105,7 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     onehot = AnatomicalLabel.one_hot(labels).astype(dt)
 
     before = hashlib.sha256(seg_net.parameters.tobytes()).hexdigest()
-    h = stats.mean.astype(dt).copy()
+    h = stats.mean.astype(dt)
     opt = netcore.OptimizerState.for_params(h)
     trace = []
     best_loss, best_h = np.inf, h.copy()
@@ -111,7 +115,7 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     def loss_at(code):
         """The loss of ``code``'s logits, prior term included, and the prior's
         share of the code gradient."""
-        lm, gm = mahalanobis(code.astype(np.float64), stats)
+        lm, gm = mahalanobis(code, stats)
 
         def loss(logits):
             lb, gb = bce_loss(logits, onehot)
@@ -133,7 +137,7 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
             raise FloatingPointError(
                 f"latent optimization diverged (loss {loss:.3g}); trace tail: {trace[-5:]}"
             )
-        netcore.adam_step(h, (g_h + g_prior).astype(dt), opt, weights.lr)
+        netcore.adam_step(h, g_h + g_prior, opt, weights.lr)
     loss_of, _ = loss_at(h)
     final_loss, _ = loss_of(netcore.forward(seg_net, seg_inputs(pts, h)))
     trace.append(final_loss)
@@ -144,7 +148,7 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     if before != after:
         raise AssertionError("classifier parameters changed during latent optimization")
     return ReconstructionResult(
-        latent=best_h.astype(np.float64),
+        latent=best_h,
         loss_trace=np.asarray(trace, dtype=np.float64),
         n_points=len(pts),
     )
@@ -181,9 +185,11 @@ def predict_dense_labels(seg_net, latent, origin, spacing, dims):
         raise ValueError(f"grid dims must be positive, got {dims}")
     origin = np.asarray(origin, dtype=np.float64)
     spacing = float(spacing)
-    ii, jj, kk = np.meshgrid(*(np.arange(d) for d in dims), indexing="ij")
-    centers = origin + spacing * np.column_stack([ii.ravel(), jj.ravel(), kk.ravel()])
-    return predict_labels(seg_net, latent, centers).reshape(dims)
+    labels = np.empty(math.prod(dims), dtype=np.uint8)
+    for s in range(0, len(labels), _CHUNK):  # the voxel centers of a chunk, in C order
+        index = np.column_stack(np.unravel_index(np.arange(s, min(s + _CHUNK, len(labels))), dims))
+        labels[s : s + _CHUNK] = predict_labels(seg_net, latent, origin + spacing * index)
+    return labels.reshape(dims)
 
 
 def predict_labels(seg_net, latent, points):
@@ -192,10 +198,9 @@ def predict_labels(seg_net, latent, points):
     dt = seg_net.parameters.dtype
     code = np.asarray(latent, dtype=dt)
     labels = np.empty(len(points), dtype=np.uint8)
-    chunk = 65536
-    for s in range(0, len(points), chunk):
-        x = seg_inputs(points[s : s + chunk].astype(dt), code)
-        labels[s : s + chunk] = np.argmax(netcore.forward(seg_net, x), axis=1)
+    for s in range(0, len(points), _CHUNK):
+        x = seg_inputs(points[s : s + _CHUNK].astype(dt), code)
+        labels[s : s + _CHUNK] = np.argmax(netcore.forward(seg_net, x), axis=1)
     return labels
 
 

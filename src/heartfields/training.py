@@ -47,15 +47,14 @@ class LatentTable:
 
 
 @dataclass
-class LatentStats:
+class LatentStats:  # float64, whatever the codes' dtype
     mean: np.ndarray
-    cov: np.ndarray
     cov_inv: np.ndarray
 
 
 def latent_stats(codes):
-    """Sample mean/covariance of latent codes with a trace-scaled ridge on
-    the inverse (eps = 1e-6 * trace / dim), so identical codes still invert."""
+    """Sample mean and inverse covariance of latent codes, with a trace-scaled
+    ridge (eps = 1e-6 * trace / dim), so identical codes still invert."""
     codes = np.atleast_2d(np.asarray(codes, dtype=np.float64))
     if len(codes) < 2:
         raise ValueError("latent statistics need at least 2 codes")
@@ -66,7 +65,7 @@ def latent_stats(codes):
     eps = 1e-6 * max(np.trace(cov) / dim, 1e-12)
     cov_inv = np.linalg.inv(cov + eps * np.eye(dim))
     cov_inv = 0.5 * (cov_inv + cov_inv.T)
-    return LatentStats(mean=mean, cov=cov, cov_inv=cov_inv)
+    return LatentStats(mean=mean, cov_inv=cov_inv)
 
 
 # ------------------------------------------------------------------- losses
@@ -415,7 +414,7 @@ def train(samples, config, resume=None, on_epoch=None):
         return TrainResult(
             seg_net=seg_net,
             reg_net=reg_net,
-            latents=LatentTable(codes.astype(np.float64), ids),
+            latents=LatentTable(codes.copy(), ids),
             stats=latent_stats(stat_codes) if len(stat_codes) >= 2 else None,
             log=log,
             train_ids=[ids[i] for i in train_rows],
@@ -459,7 +458,7 @@ def train(samples, config, resume=None, on_epoch=None):
             lat_row = netcore.OptimizerState(
                 opt_lat.first_moment[si], opt_lat.second_moment[si], opt_lat.step_count
             )
-            netcore.adam_step(codes[si], g_h.astype(dt), lat_row, config.lr_latent)
+            netcore.adam_step(codes[si], g_h, lat_row, config.lr_latent)
         opt_lat.step_count += 1
 
         row = (

@@ -29,7 +29,7 @@ def make_checkpoint(with_stats=True, with_opt=True):
     ckpt = Checkpoint(seg_net=seg, reg_net=reg, latent_codes=codes, epoch=42)
     if with_stats:
         cov = np.cov(codes.T)
-        ckpt.stats = LatentStats(codes.mean(axis=0), cov, np.linalg.inv(cov + 1e-6 * np.eye(4)))
+        ckpt.stats = LatentStats(codes.mean(axis=0), np.linalg.inv(cov + 1e-6 * np.eye(4)))
     if with_opt:
         ckpt.opt = {
             "seg": OptimizerState(
@@ -79,7 +79,6 @@ def test_roundtrip(saved):
     np.testing.assert_array_equal(back.reg_net.parameters, ckpt.reg_net.parameters)
     np.testing.assert_array_equal(back.latent_codes, ckpt.latent_codes)
     np.testing.assert_array_equal(back.stats.mean, ckpt.stats.mean)
-    np.testing.assert_array_equal(back.stats.cov, ckpt.stats.cov)
     np.testing.assert_array_equal(back.stats.cov_inv, ckpt.stats.cov_inv)
     assert sorted(back.opt) == ["lat", "seg"]
     assert back.opt["lat"].first_moment.shape == (5, 4)
@@ -125,7 +124,7 @@ def test_truncated_or_corrupt_file_rejected(saved, tmp_path):
     # bytes (its .npy header and data), which the CRC-32 of the member catches
     with zipfile.ZipFile(saved) as zf:
         members = zf.infolist()
-    assert len(members) == 17
+    assert len(members) == 16
     for info in members:
         name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
         start = info.header_offset + 30 + name_len + extra_len
@@ -144,9 +143,21 @@ def test_truncated_or_corrupt_file_rejected(saved, tmp_path):
         rejected(bad, match)
 
 
-@pytest.mark.parametrize("member", REQUIRED + ["stats.cov", "opt.seg.v", "opt.lat.t"])
+@pytest.mark.parametrize("member", REQUIRED + ["stats.cov_inv", "opt.seg.v", "opt.lat.t"])
 def test_missing_member_rejected(saved, member):
     rejected(edited(saved, drop=[member]), member)
+
+
+def test_stats_cov_of_an_older_checkpoint_is_ignored(saved):
+    """Checkpoints once also stored the covariance the prior never reads;
+    such a file still loads, and saving writes no ``stats.cov``."""
+    with zipfile.ZipFile(saved) as zf:
+        assert "stats.cov.npy" not in zf.namelist()
+    back = load_checkpoint(edited(saved, replace={"stats.cov": np.eye(4)}))
+    want = make_checkpoint().stats
+    assert sorted(vars(back.stats)) == ["cov_inv", "mean"]
+    np.testing.assert_array_equal(back.stats.mean, want.mean)
+    np.testing.assert_array_equal(back.stats.cov_inv, want.cov_inv)
 
 
 def test_disagreeing_dims_rejected(saved):

@@ -4,6 +4,7 @@ import json
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -308,17 +309,18 @@ def test_train_epochs_zero_valid_checkpoint(tmp_path):
         assert len(list(csv.reader(f))) == 1  # header only
 
 
-def test_train_resume_continues_trajectory(tmp_path):
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_train_resume_continues_trajectory(tmp_path, dtype):
     out = tmp_path / "resume"
-    cfg_full = mini_config(out, epochs=60)
+    cfg_full = mini_config(out, epochs=60, dtype=dtype)
     harness.cmd_generate(cfg_full)
     harness.cmd_train(cfg_full)
 
     out2 = tmp_path / "resume2"
-    cfg_half = mini_config(out2, epochs=30)
+    cfg_half = mini_config(out2, epochs=30, dtype=dtype)
     harness.cmd_generate(cfg_half)
     harness.cmd_train(cfg_half)
-    cfg_cont = mini_config(out2, epochs=60)
+    cfg_cont = mini_config(out2, epochs=60, dtype=dtype)
     harness.cmd_train(cfg_cont, resume=True)
 
     # the resumed run retraces the uninterrupted one exactly
@@ -327,17 +329,18 @@ def test_train_resume_continues_trajectory(tmp_path):
     # every epoch steps every latent row once: one step count serves the table
     ckpt = harness.load_checkpoint(out2 / "checkpoint.nihc")
     assert ckpt.opt["lat"].step_count == ckpt.epoch == 60
+    assert ckpt.latent_codes.dtype == dtype
 
 
 def test_train_noop_resume_keeps_checkpoint(tmp_path):
     cfg = mini_config(tmp_path / "noop", test_shapes=0, epochs=3)
     harness.cmd_generate(cfg)
     harness.cmd_train(cfg)
-    path = os.path.join(cfg.out_dir, "checkpoint.nihc")
-    before = open(path, "rb").read()
+    path = Path(cfg.out_dir, "checkpoint.nihc")
+    before = path.read_bytes()
     harness.cmd_train(cfg, resume=True)  # no epochs left
     assert sorted(harness.load_checkpoint(path).opt) == ["lat", "reg", "seg"]
-    assert open(path, "rb").read() == before
+    assert path.read_bytes() == before
 
 
 def test_train_resume_rejects_another_architecture(tmp_path):
@@ -351,7 +354,7 @@ def test_train_resume_rejects_another_architecture(tmp_path):
     assert harness.cmd_evaluate(cfg) == 0
     assert harness.cmd_report(cfg) == 0
     root = cfg.out_dir
-    before = {rel: open(os.path.join(root, rel), "rb").read()
+    before = {rel: Path(root, rel).read_bytes()
               for rel in ("checkpoint.nihc", "manifest.json", "report.md")}
     wider = replace(cfg, epochs=4, hidden_dim=32, num_blocks=3)
     with pytest.raises(ValueError, match=r"\(7, 5, 16, 2\).*\(7, 5, 32, 3\)"):
@@ -370,7 +373,7 @@ def test_train_resume_rejects_another_architecture(tmp_path):
     with pytest.raises(ValueError, match="checkpoint is float32, the config's dtype is float64"):
         harness.training.check_resume(f32, cfg, cfg.train_shapes)
     for rel, data in before.items():
-        assert open(os.path.join(root, rel), "rb").read() == data, rel
+        assert Path(root, rel).read_bytes() == data, rel
     for rel in ("recon", "eval"):
         assert os.path.isdir(os.path.join(root, rel)), rel
     stages = harness.Manifest(root).doc["stages"]
@@ -440,8 +443,9 @@ def test_reconstruct_from_interrupted_training(tmp_path, monkeypatch):
 
 
 def test_float32_model_reconstructs_in_float32(tmp_path, run):
-    """A float32 run's checkpoint loads float32 nets, so reconstruct fits
-    the latent with the bits of the net training returned."""
+    """A float32 run's checkpoint loads float32 nets and latent codes, so
+    reconstruct fits a float32 latent with the bits of the net training
+    returned; only the prior's stats are float64."""
     import shutil
 
     from heartfields import inference
@@ -454,6 +458,9 @@ def test_float32_model_reconstructs_in_float32(tmp_path, run):
     for loaded, trained in ((ckpt.seg_net, result.seg_net), (ckpt.reg_net, result.reg_net)):
         assert loaded.parameters.dtype == np.float32
         assert loaded.parameters.tobytes() == trained.parameters.tobytes()
+    assert result.latents.codes.dtype == ckpt.latent_codes.dtype == np.float32
+    assert ckpt.latent_codes.tobytes() == result.latents.codes.tobytes()
+    assert stats.mean.dtype == stats.cov_inv.dtype == np.float64
 
     rels, _ = harness.reconstruct_case(cfg, ckpt, stats, "test_0000", "ideal")
     latent = np.load(os.path.join(dst, next(r for r in rels if r.endswith("_latent.npy"))))
@@ -465,6 +472,7 @@ def test_float32_model_reconstructs_in_float32(tmp_path, run):
         harness._condition_contours(cfg.out_dir, "test_0000", "ideal"), result.seg_net,
         result.stats, weights, seed=acq.stable_hash("test_0000:ideal"),
     )
+    assert latent.dtype == rec.latent.dtype == np.float32
     assert latent.tobytes() == rec.latent.tobytes()
 
 
@@ -561,6 +569,31 @@ def test_reconstruct_rejects_a_bad_dense_spacing(tmp_path, run, monkeypatch, spa
     ckpt, stats = harness.load_model(dst)
     with pytest.raises(ValueError, match="dense_spacing must be positive and finite"):
         harness.reconstruct_case(cfg, ckpt, stats, "test_0000", "ideal", dense_spacing=spacing)
+    assert tree_hashes(dst) == before
+
+
+def test_failed_label_volume_leaves_no_file_of_the_case(tmp_path, run, monkeypatch):
+    """The label volume is computed before any file of the case is written,
+    so a failure there leaves the run, manifest included, as it was."""
+    import shutil
+
+    from heartfields import inference
+
+    class VolumeFailed(Exception):
+        pass
+
+    def fail(*args, **kwargs):
+        raise VolumeFailed
+
+    monkeypatch.setattr(inference, "predict_dense_labels", fail)
+    dst = tmp_path / "volume"
+    shutil.copytree(run.out_dir, dst)
+    before = tree_hashes(dst)
+    cfg = mini_config(dst)
+    # no file of test_0000 under "misaligned" exists yet, so any write shows
+    with pytest.raises(VolumeFailed):
+        harness.cmd_reconstruct(cfg, cases=["test_0000"], conditions=["misaligned"],
+                                dense_spacing=4.0)
     assert tree_hashes(dst) == before
 
 
@@ -900,21 +933,21 @@ def test_manifest_records_the_compute_environment(tmp_path, run, monkeypatch):
 
 
 def test_report_contents_and_idempotence(run):
-    path = os.path.join(run.out_dir, "report.md")
-    first = open(path).read()
+    path = Path(run.out_dir, "report.md")
+    first = path.read_text()
     assert "experiment 1 analog" in first
     assert "experiment 2 analog" in first
     assert "experiment 3 analog" in first
     assert "Timing" in first
     harness.cmd_report(run)
-    assert open(path).read() == first
+    assert path.read_text() == first
 
 
 def test_report_empty_results(tmp_path):
     cfg = mini_config(tmp_path / "empty")
     os.makedirs(cfg.out_dir, exist_ok=True)
     assert harness.cmd_report(cfg) == 0
-    text = open(os.path.join(cfg.out_dir, "report.md")).read()
+    text = Path(cfg.out_dir, "report.md").read_text()
     assert "No results" in text
 
 
@@ -933,6 +966,19 @@ def test_pipeline_determinism(tmp_path):
 
 
 # --------------------------------------------------------------------- CLI
+
+
+@pytest.mark.parametrize("argv", [["generate", "--train-shapes", "3"],
+                                  ["generate", "--test-shapes", "1"], ["train", "--epochs", "5"]])
+def test_cli_takes_settings_from_the_config_file_only(tmp_path, capsys, argv):
+    """A stage's flag cannot change a cohort or training setting: the later
+    stages, which read the config file, would run on other settings."""
+    out = tmp_path / "flagged"
+    with pytest.raises(SystemExit) as exit_:
+        harness.main(argv + ["--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_roundtrip(tmp_path):

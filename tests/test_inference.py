@@ -40,7 +40,7 @@ def small_model(topo):
 
 
 def unit_stats(dim):
-    return LatentStats(mean=np.zeros(dim), cov=np.eye(dim), cov_inv=np.eye(dim))
+    return LatentStats(mean=np.zeros(dim), cov_inv=np.eye(dim))
 
 
 # -------------------------------------------------------------- mahalanobis
@@ -59,7 +59,7 @@ def test_mahalanobis_identity_cov_is_sq_norm():
 
 def test_mahalanobis_diagonal_cov():
     dim = 5
-    st = LatentStats(mean=np.zeros(dim), cov=4.0 * np.eye(dim), cov_inv=np.eye(dim) / 4.0)
+    st = LatentStats(mean=np.zeros(dim), cov_inv=np.eye(dim) / 4.0)
     z = np.zeros(dim)
     z[0] = 1.0
     assert inference.mahalanobis(z, st)[0] == pytest.approx(0.25)
@@ -74,7 +74,7 @@ def test_mahalanobis_gradient():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((5, 5))
     cov = a @ a.T + np.eye(5)
-    st = LatentStats(mean=rng.standard_normal(5), cov=cov, cov_inv=np.linalg.inv(cov))
+    st = LatentStats(mean=rng.standard_normal(5), cov_inv=np.linalg.inv(cov))
     z = rng.standard_normal(5)
     _, grad = inference.mahalanobis(z, st)
     num = np.zeros(5)
@@ -133,7 +133,9 @@ def test_optimize_latent_respects_frozen_net_and_trace(topo, small_model):
 # points, 30 steps over 500 of them; taken at commit a7e2ae3, whose backward
 # always formed parameter gradients, so they pin the bits of the fit; the
 # float64 digest was re-taken when a mesh's landmarks became those of its
-# vertices, which moves the grid points by a few ulp
+# vertices, which moves the grid points by a few ulp; the latent is hashed
+# widened to float64 (exact), as the fit returned it before it kept the
+# classifier's dtype
 GOLDEN_LATENT_FIT_SHA256 = {
     "float64": "947447967376f0767758dfe7f8a8f93c41906d59716b46dde6844bcafd22064c",
     "float32": "ac0c438b9cafe54f17dc6de06590396406d9700b2de3b1a628d69c4013a7b74d",
@@ -148,7 +150,9 @@ def test_optimize_latent_golden(topo, dtype, golden_arithmetic):
     stats = training.latent_stats(np.random.default_rng(6).standard_normal((8, 4)) * 0.3)
     w = ideal_weights(30, 500)
     rec = inference.optimize_latent(contours, net.astype(dtype), stats, w)
-    digest = hashlib.sha256(rec.latent.tobytes() + rec.loss_trace.tobytes()).hexdigest()
+    assert rec.latent.dtype == dtype
+    latent = rec.latent.astype(np.float64)
+    digest = hashlib.sha256(latent.tobytes() + rec.loss_trace.tobytes()).hexdigest()
     assert digest == GOLDEN_LATENT_FIT_SHA256[dtype]
 
 
@@ -295,9 +299,7 @@ def test_optimize_latent_sustained_divergence_aborts(topo, small_model):
     result, cfg, meshes, _ = small_model
     contours = acq.acquire(meshes[0], "t000", density=6.0)
     dim = result.stats.mean.size
-    crazy = LatentStats(
-        mean=np.full(dim, 1e7), cov=np.eye(dim), cov_inv=np.eye(dim)
-    )
+    crazy = LatentStats(mean=np.full(dim, 1e7), cov_inv=np.eye(dim))
     w = ideal_weights(50, 200)
     with pytest.raises(FloatingPointError):
         inference.optimize_latent(contours, result.seg_net, crazy, w)
@@ -360,6 +362,20 @@ def test_dense_labels_grid_free(topo, small_model):
     a = inference.predict_dense_labels(result.seg_net, h, origin=(0, 0, 0), spacing=4.0, dims=(4, 4, 4))
     b = inference.predict_dense_labels(result.seg_net, h, origin=(0, 0, 0), spacing=2.0, dims=(8, 8, 8))
     np.testing.assert_array_equal(a, b[::2, ::2, ::2])
+
+
+def test_dense_labels_span_chunks_in_c_order(small_model):
+    """A volume of more voxels than one classifier chunk holds gets the
+    labels of its voxel centers listed in C order."""
+    result, _, _, _ = small_model
+    h = result.latents.codes[0]
+    origin, dims = np.array([-60.0, -50.0, -40.0]), (41, 40, 41)  # 67240 voxels
+    ii, jj, kk = np.meshgrid(*(np.arange(d) for d in dims), indexing="ij")
+    centers = origin + 3.0 * np.column_stack([ii.ravel(), jj.ravel(), kk.ravel()])
+    want = inference.predict_labels(result.seg_net, h, centers).reshape(dims)
+    got = inference.predict_dense_labels(result.seg_net, h, origin, 3.0, dims)
+    assert got.dtype == np.uint8 and len(np.unique(got)) > 1
+    np.testing.assert_array_equal(got, want)
 
 
 def test_dense_labels_far_grid_is_background(topo, small_model):
