@@ -22,8 +22,6 @@ query whose nudged copy could reach the box is still cast, and the box
 cull changes no label.
 """
 
-import weakref
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -275,11 +273,12 @@ class Labeler:
 
 
 def label_points(points, mesh):
-    """Convenience wrapper that caches one :class:`Labeler` per mesh."""
-    # the cache refers back to its mesh weakly: a strong reference would make
-    # a cycle that keeps every labeled mesh alive until a full collection
-    owner, labeler = getattr(mesh, "_labeler", (None, None))
-    if owner is None or owner() is not mesh:
+    """Convenience wrapper that caches one :class:`Labeler` per mesh, built
+    anew once ``mesh.vertices`` is replaced."""
+    # keyed on the vertex array, not the mesh: a reference back to the mesh
+    # would make a cycle that keeps it alive until a full collection
+    built_on, labeler = getattr(mesh, "_labeler", (None, None))
+    if built_on is not mesh.vertices:
         labeler = Labeler(mesh)
-        mesh._labeler = (weakref.ref(mesh), labeler)
+        mesh._labeler = (mesh.vertices, labeler)
     return labeler.label(points)

@@ -11,7 +11,9 @@ in layout order; ``latent_codes`` (n_shapes, latent_dim); optionally
 ``stats.mean`` and ``stats.cov_inv`` (loading ignores an old ``stats.cov``);
 optionally ``opt.<name>.m``, ``.v`` and ``.t``, the Adam moments and step
 count of "seg", "reg" and "lat" (one state for the whole latent table,
-counting epochs; no learning rate) so training can resume; and ``epoch``.
+counting epochs; no learning rate) and ``log``, one float64 row of
+:data:`training.LOG_COLUMNS` per epoch, which training needs to resume
+from the checkpoint and reconstruction does not; and ``epoch``.
 Every floating member is stored little-endian in its in-memory dtype, so the
 nets and the latent table load in the dtype the run trained in (float32 or
 float64), and an Adam state's moments share their parameters' dtype.
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netcore import OptimizerState, ResidualMlp
-from .training import DTYPES, INPUT_SCALE, REG_OUTPUT_SCALE, LatentStats
+from .training import DTYPES, INPUT_SCALE, LOG_COLUMNS, REG_OUTPUT_SCALE, LatentStats
 
 FORMAT = 2
 SCALES = (INPUT_SCALE, REG_OUTPUT_SCALE)
@@ -42,6 +44,7 @@ class Checkpoint:
     # Adam states of "seg", "reg" and "lat", one each
     opt: dict = field(default_factory=dict)
     epoch: int = 0
+    log: np.ndarray = None  # (epoch, len(LOG_COLUMNS)) rows of the training log
 
 
 def save_checkpoint(path, ckpt):
@@ -60,6 +63,8 @@ def save_checkpoint(path, ckpt):
         members[f"opt.{name}.v"] = state.second_moment
         members[f"opt.{name}.t"] = state.step_count
     members["epoch"] = ckpt.epoch
+    if ckpt.log is not None:
+        members["log"] = np.array(ckpt.log, np.float64).reshape(len(ckpt.log), len(LOG_COLUMNS))
 
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name, value in members.items():
@@ -74,8 +79,8 @@ def load_checkpoint(path):
     """Read a checkpoint; raise ``ValueError`` naming ``path`` if it is not
     a format-2 archive, is truncated, fails a member's CRC, lacks a required
     member, holds members whose dims disagree, holds a net whose parameters
-    are not float32 or float64, or holds Adam moments of another dtype than
-    their parameters."""
+    are not float32 or float64, holds Adam moments of another dtype than
+    their parameters, or holds a log that is not one row per epoch."""
     with open(path, "rb") as f:
         if f.read(4) == b"NIHC":
             raise ValueError(f"{path}: checkpoint format 1 is no longer read; retrain")
@@ -109,7 +114,9 @@ def _from_archive(arrays):
     seg, reg = (ResidualMlp(*map(int, arrays[f"{n}.dims"]), arrays[f"{n}.params"]) for n in NETS)
     codes = arrays["latent_codes"]
     _, dim = codes.shape
-    ckpt = Checkpoint(seg, reg, codes, epoch=int(arrays["epoch"]))
+    ckpt = Checkpoint(seg, reg, codes, epoch=int(arrays["epoch"]), log=arrays.get("log"))
+    if ckpt.log is not None and ckpt.log.shape != (ckpt.epoch, len(LOG_COLUMNS)):
+        raise ValueError(f"log has shape {ckpt.log.shape}, not one row per epoch of {ckpt.epoch}")
     if "stats.mean" in arrays:
         ckpt.stats = LatentStats(arrays["stats.mean"], arrays["stats.cov_inv"])
         shapes = [a.shape for a in (ckpt.stats.mean, ckpt.stats.cov_inv)]

@@ -22,7 +22,7 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy
@@ -78,6 +78,7 @@ class ExperimentConfig(training.TrainConfig):
                       "train_seed0", "test_seed0", "misalign_seed")
         self._require(lambda v: v >= 1, "at least 1", "infer_steps", "infer_points")
         self._require(lambda v: 0 < v < math.inf, "positive and finite", "infer_lr")
+        self._require(lambda v: 0 <= v < math.inf, "nonnegative and finite", "margin")
         return super().validate()
 
     def hash(self):
@@ -215,13 +216,19 @@ class Manifest:
                 self.doc = json.load(f)
 
     def record_stage(self, name, config, artifacts, duration, **extra):
+        self.doc["stages"].pop(name, None)
+        self.add_to_stage(name, config, artifacts, duration, **extra)
+
+    def add_to_stage(self, name, config, artifacts, duration, **extra):
+        """Add ``artifacts``, hashing only them, and ``duration`` to stage
+        ``name``'s record; a dict in ``extra`` updates the recorded one."""
         self.doc["config_hash"] = config.hash()
-        self.doc["stages"][name] = {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "duration_s": round(duration, 3),
-            "artifacts": {rel: file_hash(os.path.join(self.root, rel)) for rel in sorted(artifacts)},
-            **extra,
-        }
+        stage = self.doc["stages"].setdefault(name, {"duration_s": 0.0})
+        stage["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+        stage["duration_s"] = round(stage["duration_s"] + duration, 3)
+        hashes = {rel: file_hash(os.path.join(self.root, rel)) for rel in artifacts}
+        for key, value in {"artifacts": hashes, **extra}.items():
+            stage[key] = {**stage.get(key, {}), **value} if isinstance(value, dict) else value
         self.save()
 
     def save(self):
@@ -380,25 +387,16 @@ def cmd_train(config, resume=False):
         manifest.doc["stages"].pop(stage, None)
     manifest.save()
     _remove(root, (RECON, EVAL, REPORT))
-    tc = replace(config, epochs=max(config.epochs - prior.epoch, 0)) if resume else config
 
     def on_epoch(state):
         if config.checkpoint_every and state.epoch % config.checkpoint_every == 0:
             _write_checkpoint(root, state)
 
-    result = training.train(samples, tc, resume=prior, on_epoch=on_epoch)
-    artifacts = [_write_checkpoint(root, result)]
-
-    # a resumed run's log is the old file followed by the new rows
-    log_path = os.path.join(root, TRAIN_LOG)
-    old = ""
-    if resume and os.path.exists(log_path):
-        with open(log_path, newline="") as f:
-            old = f.read()
-    rows = [[row[0]] + [f"{x:.8g}" for x in row[1:]] for row in result.log]
-    if not old:
-        rows.insert(0, ["epoch", "seg_loss", "reg_loss", "prior_loss", "total", "val_total"])
-    artifacts.append(_write(root, TRAIN_LOG, _write_text, old + _csv_text(rows)))
+    result = training.train(samples, config, resume=prior, on_epoch=on_epoch)
+    # the checkpoint's log holds every epoch, those before a resume too
+    rows = [training.LOG_COLUMNS] + [[f"{x:.8g}" for x in row] for row in result.log]
+    artifacts = [_write_checkpoint(root, result),
+                 _write(root, TRAIN_LOG, _write_text, _csv_text(rows))]
     manifest.record_stage(
         "train", config, artifacts, time.perf_counter() - started,
         **_compute_env(result.seg_net.parameters.dtype),
@@ -419,6 +417,7 @@ def _write_checkpoint(root, result):
             stats=result.stats,
             opt=result.opt,
             epoch=result.epoch,
+            log=result.log,
         ),
     )
 
@@ -496,10 +495,11 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
 
 
 def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
-    """Reconstruct every case under every condition and record the files in
-    the manifest; an unknown condition or case, a checkpoint without latent
-    stats or a ``dense_spacing`` :func:`reconstruct_case` rejects raises
-    ``ValueError`` before any contour is read or file written."""
+    """Reconstruct every case under every condition, each case joining the
+    manifest once its files are written. A missing contour file raises
+    ``FileNotFoundError``, and an unknown condition or case, a checkpoint
+    without latent stats or a ``dense_spacing`` :func:`reconstruct_case`
+    rejects ``ValueError``, before any contour is read or file written."""
     conditions = conditions or ["ideal", "misaligned"]
     _check_conditions(conditions)
     root = config.out_dir
@@ -510,6 +510,10 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
         if case not in test_ids:
             known = f"{test_ids[0]} to {test_ids[-1]}" if test_ids else "none"
             raise ValueError(f"unknown case {case!r}; known cases: {known}")
+    contours = {_contour_json(case, CONDITIONS[c][0]) for c in conditions for case in cases}
+    missing = sorted(rel for rel in contours if not os.path.exists(os.path.join(root, rel)))
+    if missing:
+        raise FileNotFoundError(f"{root} lacks the contour files {', '.join(missing)}")
     ckpt, stats = load_model(root)
     if stats is None:
         raise ValueError(
@@ -517,25 +521,18 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
             "its model was trained on fewer than 2 shapes"
         )
     topo = anatomy.build_template()
-    artifacts, durations = [], {}
+    manifest = Manifest(root)
+    env = _compute_env(ckpt.seg_net.parameters.dtype)
     for condition in conditions:
         for case in cases:
             rels, dt = reconstruct_case(
                 config, ckpt, stats, case, condition, dense_spacing, topo=topo
             )
-            artifacts += rels
-            durations[f"{condition}/{case}"] = round(dt, 3)
-    # repeated calls add to the stage record; a re-run case replaces its own entries
-    manifest = Manifest(root)
-    prev = manifest.doc["stages"].get("reconstruct", {})
-    kept = [rel for rel in prev.get("artifacts", {}) if os.path.exists(os.path.join(root, rel))]
-    manifest.record_stage(
-        "reconstruct", config, set(kept + artifacts),
-        prev.get("duration_s", 0.0) + time.perf_counter() - started,
-        case_durations_s={**prev.get("case_durations_s", {}), **durations},
-        **_compute_env(ckpt.seg_net.parameters.dtype),
-    )
-    return durations
+            # a re-run case replaces the entries of its earlier fit
+            done = time.perf_counter()
+            manifest.add_to_stage("reconstruct", config, rels, done - started,
+                                  case_durations_s={f"{condition}/{case}": round(dt, 3)}, **env)
+            started = done
 
 
 # ----------------------------------------------------------------- evaluate

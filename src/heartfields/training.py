@@ -269,13 +269,16 @@ class TrainConfig:
                 raise ValueError(f"{name} must be {needs}, got {value}")
 
 
+LOG_COLUMNS = ("epoch", "seg_loss", "reg_loss", "prior_loss", "total", "val_total")
+
+
 @dataclass
 class TrainResult:
     seg_net: netcore.ResidualMlp
     reg_net: netcore.ResidualMlp
     latents: LatentTable
     stats: LatentStats
-    log: list  # rows of (epoch, seg, reg, prior, total, val_total)
+    log: list  # one row of LOG_COLUMNS (train means, val mean total) per epoch done
     train_ids: list
     val_ids: list
     opt: dict  # Adam states of "seg", "reg" and "lat", the whole latent table
@@ -329,7 +332,7 @@ def make_networks(config):
 def check_resume(resume, config, n_shapes):
     """Raise ``ValueError`` unless checkpoint ``resume`` can continue a run
     of ``config`` over ``n_shapes`` shapes: equal network dims and dtype,
-    one latent row per shape, and Adam states of both nets and the codes."""
+    one latent row per shape, and Adam states and the log to resume."""
     have = tuple(
         (n.input_dim, n.output_dim, n.hidden_dim, n.num_blocks)
         for n in (resume.seg_net, resume.reg_net)
@@ -346,8 +349,8 @@ def check_resume(resume, config, n_shapes):
     if dtypes != {config.dtype}:  # another dtype would not retrace an uninterrupted run
         raise ValueError(f"checkpoint is {', '.join(sorted(dtypes))}, the config's dtype is "
                          f"{config.dtype}; a run resumes in the dtype it was trained in")
-    if sorted(resume.opt) != ["lat", "reg", "seg"]:
-        raise ValueError("checkpoint holds no optimizer state to resume from")
+    if sorted(resume.opt) != ["lat", "reg", "seg"] or resume.log is None:
+        raise ValueError("checkpoint holds no optimizer state or training log to resume from")
 
 
 def check_train(config, n_shapes, resume=None):
@@ -367,10 +370,12 @@ def train(samples, config, resume=None, on_epoch=None):
     ``samples`` is a list of :class:`TrainingSample`. Shapes are split
     80/20 into training and validation; validation shapes contribute
     latent-code updates and logged losses but never network updates.
-    ``resume`` continues from a loaded checkpoint (networks, codes, Adam
-    states, epoch counter). :func:`check_train` says what is rejected.
-    ``on_epoch`` is called after every epoch with the :class:`TrainResult`
-    reached so far. Returns the final :class:`TrainResult`.
+    Training runs until ``config.epochs`` epochs are done in total;
+    ``resume`` continues a loaded checkpoint, taking over its networks,
+    codes and Adam states and extending its log (one row per epoch done).
+    :func:`check_train` says what is rejected. ``on_epoch`` is called after
+    every epoch with the :class:`TrainResult` reached so far. Returns the
+    final :class:`TrainResult`.
     """
     check_train(config, len(samples), resume)
     samples = sorted(samples, key=lambda s: s.shape_id)
@@ -393,13 +398,9 @@ def train(samples, config, resume=None, on_epoch=None):
             netcore.OptimizerState.for_params(p)
             for p in (seg_net.parameters, reg_net.parameters, codes)
         )
-        epoch0 = 0
-    else:
-        seg_net = resume.seg_net.astype(dt)
-        reg_net = resume.reg_net.astype(dt)
-        codes = resume.latent_codes.astype(dt)
-        opt_seg, opt_reg, opt_lat = (_resumed(resume.opt[k], dt) for k in ("seg", "reg", "lat"))
-        epoch0 = resume.epoch
+    else:  # check_resume has matched every array to the config's dtype
+        seg_net, reg_net, codes = resume.seg_net, resume.reg_net, resume.latent_codes
+        opt_seg, opt_reg, opt_lat = (resume.opt[k] for k in ("seg", "reg", "lat"))
 
     # cast the point data once
     seg_xyz = [s.seg_xyz.astype(dt) for s in samples]
@@ -407,9 +408,9 @@ def train(samples, config, resume=None, on_epoch=None):
     reg_uvc = [s.reg_uvc.astype(dt) for s in samples]
     reg_xyz = [s.reg_xyz.astype(dt) for s in samples]
 
-    log = []
+    log = [] if resume is None else list(resume.log)
 
-    def result(epoch):
+    def result():
         stat_codes = codes[train_rows] if len(train_rows) >= 2 else codes
         return TrainResult(
             seg_net=seg_net,
@@ -420,10 +421,10 @@ def train(samples, config, resume=None, on_epoch=None):
             train_ids=[ids[i] for i in train_rows],
             val_ids=[ids[i] for i in sorted(val_set)],
             opt={"seg": opt_seg, "reg": opt_reg, "lat": opt_lat},
-            epoch=epoch,
+            epoch=len(log),
         )
 
-    for epoch in range(epoch0, epoch0 + config.epochs):
+    for epoch in range(len(log), config.epochs):
         lam_p = prior_schedule(epoch)
         epoch_rng = np.random.default_rng([config.train_seed, 977, epoch])
         visit = epoch_rng.permutation(n_shapes)
@@ -471,12 +472,6 @@ def train(samples, config, resume=None, on_epoch=None):
         )
         log.append(row)
         if on_epoch is not None:
-            on_epoch(result(epoch + 1))
+            on_epoch(result())
 
-    return result(epoch0 + config.epochs)
-
-
-def _resumed(state, dtype):
-    """A loaded Adam state in the compute dtype."""
-    m, v = (a.astype(dtype) for a in (state.first_moment, state.second_moment))
-    return netcore.OptimizerState(m, v, state.step_count)
+    return result()

@@ -316,9 +316,14 @@ def test_labeling_matches_winding_oracle(mesh):
 
 
 def test_label_points_cache_frees_mesh(topo):
-    # the cached labeler must not keep its mesh alive through a cycle
-    mesh = anatomy.generate_shape(topo, anatomy.ShapeParams())
-    anatomy.label_points(np.zeros((1, 3)), mesh)
+    # the cached labeler is built anew once the mesh's vertices are
+    # replaced, and must not keep its mesh alive through a cycle
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(3))
+    pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 200.0]])
+    np.testing.assert_array_equal(anatomy.label_points(pts, mesh), [1, 0])
+    mesh.vertices = mesh.vertices + [0.0, 0.0, 200.0]
+    np.testing.assert_array_equal(anatomy.label_points(pts, mesh), [0, 1])
+    np.testing.assert_array_equal(anatomy.Labeler(mesh).label(pts), [0, 1])
     ref = weakref.ref(mesh)
     gc.disable()
     try:

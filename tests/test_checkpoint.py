@@ -1,3 +1,4 @@
+import re
 import struct
 import zipfile
 
@@ -7,7 +8,7 @@ import pytest
 from heartfields import netcore
 from heartfields.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from heartfields.netcore import OptimizerState
-from heartfields.training import LatentStats
+from heartfields.training import LOG_COLUMNS, LatentStats
 
 REQUIRED = [
     "format",
@@ -158,6 +159,38 @@ def test_stats_cov_of_an_older_checkpoint_is_ignored(saved):
     assert sorted(vars(back.stats)) == ["cov_inv", "mean"]
     np.testing.assert_array_equal(back.stats.mean, want.mean)
     np.testing.assert_array_equal(back.stats.cov_inv, want.cov_inv)
+
+
+def with_log(path, rows=42):
+    """Save :func:`make_checkpoint` to ``path`` with a training log of ``rows`` rows."""
+    ckpt = make_checkpoint()
+    ckpt.log = [(e, *np.random.default_rng(e).standard_normal(5)) for e in range(rows)]
+    save_checkpoint(path, ckpt)
+    return ckpt
+
+
+def test_log_roundtrip(tmp_path):
+    path = tmp_path / "log.nihc"
+    ckpt = with_log(path)
+    back = load_checkpoint(path)
+    assert back.log.dtype == np.float64 and back.log.shape == (42, len(LOG_COLUMNS))
+    np.testing.assert_array_equal(back.log, ckpt.log)
+    np.testing.assert_array_equal(back.log[:, 0], np.arange(42))
+    # a loaded log saves as it came
+    again = tmp_path / "again.nihc"
+    save_checkpoint(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_log_not_one_row_per_epoch_rejected(tmp_path):
+    path = tmp_path / "log.nihc"
+    with_log(path)
+    with np.load(path) as z:
+        log = z["log"]
+    for bad in (log[:-1], np.vstack([log, log[-1:]]), log[:, :-1], log.ravel()):
+        rejected(edited(path, replace={"log": bad}), re.escape(f"log has shape {bad.shape}"))
+    with_log(path, rows=41)
+    rejected(path, r"log has shape \(41, 6\), not one row per epoch of 42")
 
 
 def test_disagreeing_dims_rejected(saved):

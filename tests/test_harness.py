@@ -96,6 +96,7 @@ BAD_SETTINGS = [
     ("seg_batch", "0"), ("checkpoint_every", "-1"), ("val_fraction", "1"), ("lr_latent", "inf"),
     ("reg_batch", "0"), ("hidden_dim", "0"), ("num_blocks", "-1"), ("infer_lr", "0"),
     ("misalign_seed", "-1"), ("test_seed0", "-5"), ("train_seed0", "-100"), ("train_seed", "-1"),
+    ("margin", "nan"), ("margin", "-1e9"),
 ]
 
 
@@ -179,7 +180,8 @@ def test_generate_force_checks_point_budgets_before_removing(tmp_path, budgets):
 @pytest.mark.parametrize(
     "bad",
     [dict(spacing=0.0), dict(density=-1.0), dict(sigma=-0.5), dict(infer_steps=0),
-     dict(infer_points=0), dict(misalign_seed=-1), dict(test_seed0=-5), dict(train_seed0=-100)],
+     dict(infer_points=0), dict(misalign_seed=-1), dict(test_seed0=-5), dict(train_seed0=-100),
+     dict(margin=float("nan")), dict(margin=-1e9)],
 )
 def test_generate_force_validates_before_removing(tmp_path, run, bad):
     """Acquisition and inference settings and seeds no stage can run are
@@ -341,6 +343,52 @@ def test_train_noop_resume_keeps_checkpoint(tmp_path):
     harness.cmd_train(cfg, resume=True)  # no epochs left
     assert sorted(harness.load_checkpoint(path).opt) == ["lat", "reg", "seg"]
     assert path.read_bytes() == before
+
+
+def test_train_resume_after_an_interruption_keeps_the_whole_log(tmp_path, monkeypatch):
+    """Training stopped after a periodic checkpoint and resumed with
+    ``--resume`` writes the log and checkpoint of the uninterrupted run:
+    the log of the epochs before the stop comes from the checkpoint."""
+
+    class Interrupted(Exception):
+        pass
+
+    schedule = harness.training.prior_schedule
+
+    def stop_at_epoch_2(epoch):
+        if epoch == 2:
+            raise Interrupted
+        return schedule(epoch)
+
+    full = mini_config(tmp_path / "full", test_shapes=0, epochs=4, checkpoint_every=2)
+    harness.cmd_generate(full)
+    harness.cmd_train(full)
+    cfg = replace(full, out_dir=str(tmp_path / "stopped"))
+    harness.cmd_generate(cfg)
+    with monkeypatch.context() as m:
+        m.setattr(harness.training, "prior_schedule", stop_at_epoch_2)
+        with pytest.raises(Interrupted):
+            harness.cmd_train(cfg)
+    assert not os.path.exists(os.path.join(cfg.out_dir, "train_log.csv"))
+    harness.cmd_train(cfg, resume=True)
+    for name in ("train_log.csv", "checkpoint.nihc"):
+        assert Path(cfg.out_dir, name).read_bytes() == Path(full.out_dir, name).read_bytes(), name
+    with open(os.path.join(cfg.out_dir, "train_log.csv")) as f:
+        assert [row[0] for row in csv.reader(f)] == ["epoch", "0", "1", "2", "3"]
+
+
+def test_train_resume_needs_the_log(tmp_path):
+    """A checkpoint without a training log, as written before the log was
+    stored in it, still serves reconstruction but not a resume."""
+    cfg = mini_config(tmp_path / "nolog", test_shapes=1, epochs=2, infer_steps=2)
+    harness.cmd_generate(cfg)
+    harness.cmd_train(cfg)
+    path = os.path.join(cfg.out_dir, "checkpoint.nihc")
+    ckpt = harness.load_checkpoint(path)
+    harness.save_checkpoint(path, replace(ckpt, log=None))
+    with pytest.raises(ValueError, match="no optimizer state or training log to resume from"):
+        harness.cmd_train(replace(cfg, epochs=4), resume=True)
+    harness.cmd_reconstruct(cfg, conditions=["ideal"])
 
 
 def test_train_resume_rejects_another_architecture(tmp_path):
@@ -534,6 +582,53 @@ def test_reconstruct_calls_add_to_the_manifest(tmp_path, run):
         assert {r["condition"] for r in csv.DictReader(f)} == {
             "ideal", "misaligned", "ablation:halfsax"
         }
+
+
+def test_reconstruct_missing_contour_file_writes_nothing(tmp_path, run):
+    """A case whose contour file is gone is found before the first fit, so
+    no case's files are written."""
+    import shutil
+
+    dst = tmp_path / "missing"
+    shutil.copytree(run.out_dir, dst)
+    os.remove(dst / "contours" / "test_0001_misaligned.json")
+    before = tree_hashes(dst)
+    with pytest.raises(FileNotFoundError, match=re.escape("test_0001_misaligned.json")):
+        harness.cmd_reconstruct(mini_config(dst), conditions=["ideal", "misaligned"])
+    assert tree_hashes(dst) == before
+
+
+def test_reconstruct_records_each_case_as_it_finishes(tmp_path, run, monkeypatch):
+    """A fit that fails on a later case leaves the cases before it in the
+    manifest, their files hashed as written."""
+    import shutil
+
+    from heartfields import inference
+
+    fit = inference.optimize_latent
+    fits = []
+
+    def fail_second(*args, **kwargs):
+        fits.append(1)
+        if len(fits) == 2:
+            raise RuntimeError("fit failed")
+        return fit(*args, **kwargs)
+
+    dst = tmp_path / "partial"
+    shutil.copytree(run.out_dir, dst)
+    before = harness.Manifest(dst).doc["stages"]["reconstruct"]
+    monkeypatch.setattr(inference, "optimize_latent", fail_second)
+    with pytest.raises(RuntimeError, match="fit failed"):
+        harness.cmd_reconstruct(mini_config(dst), conditions=["misaligned"])
+    after = harness.Manifest(dst).doc["stages"]["reconstruct"]
+    assert set(after["case_durations_s"]) == set(before["case_durations_s"]) | {
+        "misaligned/test_0000"
+    }
+    assert set(after["artifacts"]) == set(before["artifacts"]) | {
+        f"recon/misaligned/test_0000{suffix}" for suffix in (".ply", "_latent.npy", "_trace.csv")
+    }
+    assert not os.path.exists(dst / "recon" / "misaligned" / "test_0001.ply")
+    assert_manifest_matches_files(dst)
 
 
 def test_reconstruct_dense_labels(tmp_path, run, load_label_volume):
