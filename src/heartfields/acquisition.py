@@ -272,6 +272,7 @@ def _check_arrays(points, labels, kinds):
 def _slice_record(s):
     arrays = [np.asarray(a) for a in (s.points, s.labels, s.kinds)]
     try:
+        _spacing(s.plane.spacing)
         for k in ("origin", "normal", "e1", "e2"):
             _floats(getattr(s.plane, k), (3,), k)
         _floats(s.shift, (2,), "shift")
@@ -297,13 +298,21 @@ def save_contours(path, contours):
     """Write a ``format`` 3 contour file: per slice, its plane, its shift, its
     point count ``n`` and its ``xyz``, ``labels`` and ``kinds`` arrays as
     base64 blocks of little-endian float64 (n x 3), int8 and uint8. A
-    ``ValueError`` naming the slice's view rejects a frame, shift or arrays
-    that :func:`load_contours` would reject, before ``path`` is opened."""
+    ``ValueError`` naming the slice's view rejects a spacing, frame, shift or
+    arrays that :func:`load_contours` would reject, before ``path`` is opened."""
     slices = [_slice_record(s) for s in contours.slices]
     doc = {"format": CONTOUR_FORMAT, "shape_id": contours.shape_id,
            "provenance": contours.provenance, "slices": slices}
     with open(path, "w") as f:
         f.write(json.dumps(doc) + "\n")
+
+
+def _spacing(value):
+    """``value`` if it is a finite int or float (a bool is neither), else
+    a ``ValueError``: the rule for a slice's spacing."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise ValueError(f"spacing is not a finite number: {value!r}")
+    return value
 
 
 def _floats(values, shape, name):
@@ -330,9 +339,7 @@ def _slice_from_record(rec):
     try:
         if type(view) is not str:
             raise ValueError("view is not a string")
-        spacing, n = rec["spacing"], rec["n"]
-        if type(spacing) not in (int, float) or not np.isfinite(spacing):
-            raise ValueError(f"spacing is not a finite number: {spacing!r}")
+        spacing, n = _spacing(rec["spacing"]), rec["n"]
         if type(n) is not int or n < 0:
             raise ValueError(f"n is not a point count: {n!r}")
         plane = SlicePlane(view, *(rec[k] for k in ("origin", "normal", "e1", "e2")), spacing=spacing)

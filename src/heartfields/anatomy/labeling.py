@@ -273,12 +273,5 @@ class Labeler:
 
 
 def label_points(points, mesh):
-    """Convenience wrapper that caches one :class:`Labeler` per mesh, built
-    anew once ``mesh.vertices`` is replaced."""
-    # keyed on the vertex array, not the mesh: a reference back to the mesh
-    # would make a cycle that keeps it alive until a full collection
-    built_on, labeler = getattr(mesh, "_labeler", (None, None))
-    if built_on is not mesh.vertices:
-        labeler = Labeler(mesh)
-        mesh._labeler = (mesh.vertices, labeler)
-    return labeler.label(points)
+    """Labels of ``points`` by ``mesh.labeler``, which a mesh builds once."""
+    return mesh.labeler.label(points)

@@ -1,11 +1,13 @@
 """Shape family: parameter sampling, instance generation, averaging."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import template as tpl
 from .frames import apply_frame, cardiac_frame
+from .labeling import Labeler
 
 
 @dataclass
@@ -69,17 +71,19 @@ def sample_params(seed):
     ).validate()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class InstanceMesh:
     """One cohort member: template-corresponding vertex positions (mm,
     cardiac coordinates); its valve/apex ``landmarks`` are those of the
-    vertices."""
+    vertices. Immutable: it owns a read-only copy of its vertices, and
+    other vertices make another mesh (``dataclasses.replace``)."""
 
     topology: tpl.TemplateTopology
     vertices: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64)
+        object.__setattr__(self, "vertices", np.array(self.vertices, dtype=np.float64))
+        self.vertices.flags.writeable = False
         if self.vertices.shape != (self.topology.vertex_count, 3):
             raise ValueError(
                 f"vertex array shape {self.vertices.shape} does not match the "
@@ -87,6 +91,11 @@ class InstanceMesh:
             )
         if not np.all(np.isfinite(self.vertices)):
             raise ValueError("non-finite vertex positions")
+
+    @cached_property
+    def labeler(self):
+        """The mesh's :class:`Labeler`, built on first use."""
+        return Labeler(self)
 
     @property
     def landmarks(self):

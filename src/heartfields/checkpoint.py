@@ -8,12 +8,14 @@ byte is an error instead of a changed parameter. The members are ``format``
 which loading checks; per network ``seg_net.dims`` / ``reg_net.dims``
 (input, output, hidden, blocks) and ``.params``, the flat parameter vector
 in layout order; ``latent_codes`` (n_shapes, latent_dim); optionally
-``stats.mean`` and ``stats.cov_inv`` (loading ignores an old ``stats.cov``);
-optionally ``opt.<name>.m``, ``.v`` and ``.t``, the Adam moments and step
-count of "seg", "reg" and "lat" (one state for the whole latent table,
-counting epochs; no learning rate) and ``log``, one float64 row of
-:data:`training.LOG_COLUMNS` per epoch, which training needs to resume
-from the checkpoint and reconstruction does not; and ``epoch``.
+``stats.mean`` and ``stats.cov_inv``; optionally ``opt.<name>.m``, ``.v`` and
+``.t``, the Adam moments and step count of "seg", "reg" and "lat" (one state
+for the whole latent table, counting epochs; no learning rate) and ``log``,
+one float64 row of :data:`training.LOG_COLUMNS` per completed epoch, which
+training needs to resume from the checkpoint and reconstruction does not.
+The number of completed epochs is stored once, as the log's row count, which
+must equal ``opt.lat.t``; loading ignores the ``stats.cov`` and ``epoch``
+members of older files.
 Every floating member is stored little-endian in its in-memory dtype, so the
 nets and the latent table load in the dtype the run trained in (float32 or
 float64), and an Adam state's moments share their parameters' dtype.
@@ -43,8 +45,7 @@ class Checkpoint:
     stats: LatentStats = None
     # Adam states of "seg", "reg" and "lat", one each
     opt: dict = field(default_factory=dict)
-    epoch: int = 0
-    log: np.ndarray = None  # (epoch, len(LOG_COLUMNS)) rows of the training log
+    log: np.ndarray = None  # one row of LOG_COLUMNS per completed epoch
 
 
 def save_checkpoint(path, ckpt):
@@ -62,7 +63,6 @@ def save_checkpoint(path, ckpt):
         members[f"opt.{name}.m"] = state.first_moment
         members[f"opt.{name}.v"] = state.second_moment
         members[f"opt.{name}.t"] = state.step_count
-    members["epoch"] = ckpt.epoch
     if ckpt.log is not None:
         members["log"] = np.array(ckpt.log, np.float64).reshape(len(ckpt.log), len(LOG_COLUMNS))
 
@@ -80,7 +80,8 @@ def load_checkpoint(path):
     a format-2 archive, is truncated, fails a member's CRC, lacks a required
     member, holds members whose dims disagree, holds a net whose parameters
     are not float32 or float64, holds Adam moments of another dtype than
-    their parameters, or holds a log that is not one row per epoch."""
+    their parameters, or holds a log that is not one row per step of the
+    latent table's Adam state."""
     with open(path, "rb") as f:
         if f.read(4) == b"NIHC":
             raise ValueError(f"{path}: checkpoint format 1 is no longer read; retrain")
@@ -114,9 +115,7 @@ def _from_archive(arrays):
     seg, reg = (ResidualMlp(*map(int, arrays[f"{n}.dims"]), arrays[f"{n}.params"]) for n in NETS)
     codes = arrays["latent_codes"]
     _, dim = codes.shape
-    ckpt = Checkpoint(seg, reg, codes, epoch=int(arrays["epoch"]), log=arrays.get("log"))
-    if ckpt.log is not None and ckpt.log.shape != (ckpt.epoch, len(LOG_COLUMNS)):
-        raise ValueError(f"log has shape {ckpt.log.shape}, not one row per epoch of {ckpt.epoch}")
+    ckpt = Checkpoint(seg, reg, codes, log=arrays.get("log"))
     if "stats.mean" in arrays:
         ckpt.stats = LatentStats(arrays["stats.mean"], arrays["stats.cov_inv"])
         shapes = [a.shape for a in (ckpt.stats.mean, ckpt.stats.cov_inv)]
@@ -133,4 +132,11 @@ def _from_archive(arrays):
                 f"opt.{name} moments have dtypes {m.dtype}/{v.dtype}, its parameters {params.dtype}"
             )
         ckpt.opt[name] = OptimizerState(m, v, t)
+    if ckpt.log is not None:
+        if ckpt.log.ndim != 2 or ckpt.log.shape[1] != len(LOG_COLUMNS):
+            raise ValueError(f"log has shape {ckpt.log.shape}, not rows of {len(LOG_COLUMNS)}")
+        # the latent table's Adam state steps once per epoch
+        if "lat" in ckpt.opt and len(ckpt.log) != ckpt.opt["lat"].step_count:
+            raise ValueError(f"log has shape {ckpt.log.shape}, not one row per epoch of "
+                             f"{ckpt.opt['lat'].step_count}")
     return ckpt

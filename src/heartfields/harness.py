@@ -73,11 +73,11 @@ class ExperimentConfig(training.TrainConfig):
         test_range = range(self.test_seed0, self.test_seed0 + self.test_shapes)
         if set(train_range) & set(test_range):
             raise ValueError("train and test seed ranges overlap")
-        self._require(lambda v: v > 0, "positive", "spacing", "density")
-        self._require(lambda v: v >= 0, "nonnegative", "sigma", "checkpoint_every",
-                      "train_seed0", "test_seed0", "misalign_seed")
+        self._require(lambda v: v >= 0, "nonnegative", "train_shapes", "test_shapes", "sigma",
+                      "checkpoint_every", "train_seed0", "test_seed0", "misalign_seed")
         self._require(lambda v: v >= 1, "at least 1", "infer_steps", "infer_points")
-        self._require(lambda v: 0 < v < math.inf, "positive and finite", "infer_lr")
+        self._require(lambda v: 0 < v < math.inf, "positive and finite", "spacing", "density",
+                      "infer_lr")
         self._require(lambda v: 0 <= v < math.inf, "nonnegative and finite", "margin")
         return super().validate()
 
@@ -389,7 +389,7 @@ def cmd_train(config, resume=False):
     _remove(root, (RECON, EVAL, REPORT))
 
     def on_epoch(state):
-        if config.checkpoint_every and state.epoch % config.checkpoint_every == 0:
+        if config.checkpoint_every and len(state.log) % config.checkpoint_every == 0:
             _write_checkpoint(root, state)
 
     result = training.train(samples, config, resume=prior, on_epoch=on_epoch)
@@ -416,7 +416,6 @@ def _write_checkpoint(root, result):
             latent_codes=result.latents.codes,
             stats=result.stats,
             opt=result.opt,
-            epoch=result.epoch,
             log=result.log,
         ),
     )

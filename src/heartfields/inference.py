@@ -9,10 +9,9 @@ positions, and the classifier can be queried on any voxel grid for a dense
 label map.
 """
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,7 +86,8 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     only the code columns of the input gradient, so it keeps just the ReLU
     masks (``keep="inputs"``) and scales its upstream by
     :data:`GRAD_SCALE`; the loss after the last step comes from a plain
-    forward pass. The fit computes in the classifier's dtype. Returns the
+    forward pass. The fit computes in the classifier's dtype, on a read-only
+    view of its parameters (a write to them raises ``ValueError``). Returns the
     best-loss iterate, in that dtype, and the full loss trace; raises if the
     fitted points carry fewer than two distinct labels (the Dice term would
     be degenerate) or if the loss diverges past 1e6.
@@ -100,11 +100,12 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     if len(np.unique(labels)) < 2:
         raise ValueError(f"latent optimization needs 2 distinct labels in its {len(pts)} points")
 
+    seg_net = replace(seg_net, parameters=seg_net.parameters.view())
+    seg_net.parameters.flags.writeable = False
     dt = seg_net.parameters.dtype
     pts = pts.astype(dt)
     onehot = AnatomicalLabel.one_hot(labels).astype(dt)
 
-    before = hashlib.sha256(seg_net.parameters.tobytes()).hexdigest()
     h = stats.mean.astype(dt)
     opt = netcore.OptimizerState.for_params(h)
     trace = []
@@ -143,10 +144,6 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
     trace.append(final_loss)
     if final_loss < best_loss:
         best_loss, best_h = final_loss, h.copy()
-
-    after = hashlib.sha256(seg_net.parameters.tobytes()).hexdigest()
-    if before != after:
-        raise AssertionError("classifier parameters changed during latent optimization")
     return ReconstructionResult(
         latent=best_h,
         loss_trace=np.asarray(trace, dtype=np.float64),

@@ -278,11 +278,11 @@ class TrainResult:
     reg_net: netcore.ResidualMlp
     latents: LatentTable
     stats: LatentStats
-    log: list  # one row of LOG_COLUMNS (train means, val mean total) per epoch done
+    log: list  # one row of LOG_COLUMNS (train means, val mean total) per epoch done,
+    # those before a resume too: its length is the number of epochs completed
     train_ids: list
     val_ids: list
     opt: dict  # Adam states of "seg", "reg" and "lat", the whole latent table
-    epoch: int  # epochs completed, counting those before a resume
 
 
 def seg_inputs(xyz, code):
@@ -421,7 +421,6 @@ def train(samples, config, resume=None, on_epoch=None):
             train_ids=[ids[i] for i in train_rows],
             val_ids=[ids[i] for i in sorted(val_set)],
             opt={"seg": opt_seg, "reg": opt_reg, "lat": opt_lat},
-            epoch=len(log),
         )
 
     for epoch in range(len(log), config.epochs):

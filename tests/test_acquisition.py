@@ -98,6 +98,16 @@ def test_slice_plane_rejects_scaled_axis(tmp_path, field):
         acq.load_contours(path)
 
 
+@pytest.mark.parametrize("first, second", [("e1", "e2"), ("e1", "normal"), ("e2", "normal")])
+def test_slice_plane_rejects_axes_not_orthogonal(first, second):
+    frame = {"origin": [0.0, 0.0, 0.0], "normal": [0.0, 0.0, 1.0], "e1": [1.0, 0.0, 0.0],
+             "e2": [0.0, 1.0, 0.0]}
+    # a unit axis tilted toward another by 0.1 rad
+    frame[first] = list(np.cos(0.1) * np.array(frame[first]) + np.sin(0.1) * np.array(frame[second]))
+    with pytest.raises(ValueError, match="^plane axes must be orthonormal$"):
+        acq.SlicePlane("sax00", **frame)
+
+
 def test_short_mesh_single_plane(mesh):
     planes = acq.standard_views(mesh, spacing=500.0)
     assert sum(p.view.startswith("sax") for p in planes) == 1
@@ -462,6 +472,8 @@ def test_save_contours_rejects_what_load_would(tmp_path, contours):
                       "labels outside"),
         "kind_2": (replace(good, kinds=np.r_[np.uint8(2), good.kinds[1:]]), "kinds outside"),
         "shift_nan": (replace(good, shift=np.array([0.0, np.nan])), "shift is not"),
+        "spacing_inf": (replace(good, plane=replace(good.plane, spacing=np.inf)),
+                        "spacing is not a finite number: inf"),
     }
     for name, (bad_slice, reason) in bad.items():
         path = tmp_path / f"{name}.json"

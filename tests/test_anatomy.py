@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import re
@@ -115,6 +116,18 @@ GOLDEN_TOPOLOGY_SHA256 = {
 }
 
 
+@pytest.mark.parametrize(
+    "spec, match",
+    [(dict(n_phi=24), "n_phi must be a multiple of 16"),
+     (dict(k_rv=0), "k_rv must lie strictly inside"),
+     (dict(n_rows=18, k_rv=18), "k_rv must lie strictly inside")],
+    ids=["n_phi_24", "k_rv_0", "k_rv_at_n_rows"],
+)
+def test_template_spec_rejects_a_bad_layout(spec, match):
+    with pytest.raises(ValueError, match=match):
+        anatomy.TemplateSpec(**spec)
+
+
 @pytest.mark.parametrize("spec", sorted(GOLDEN_TOPOLOGY_SHA256))
 def test_template_topology_golden(spec):
     kw, digest = GOLDEN_TOPOLOGY_SHA256[spec]
@@ -182,9 +195,15 @@ def test_lv_cavity_volume_matches_analytic(topo, mesh):
 
 
 def test_degenerate_params_rejected():
-    p = anatomy.ShapeParams(lv_semi_axes=(9.0, 9.0, 40.0), lv_wall_thickness=10.0)
-    with pytest.raises(ValueError):
-        p.validate()
+    for bad, match in [
+        (dict(lv_semi_axes=(9.0, 9.0, 40.0), lv_wall_thickness=10.0), "degenerate shape"),
+        (dict(lv_semi_axes=(26.0, -24.0, 52.0)), "semi-axis b must be positive"),
+        (dict(rv_wall_thickness=0.0), "rv_wall_thickness must be positive"),
+        (dict(global_scale=float("nan")), "global_scale must be positive"),
+        (dict(base_truncation_fraction=0.9), r"base_truncation_fraction outside \[0.2, 0.8\]"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            anatomy.ShapeParams(**bad).validate()
 
 
 # ------------------------------------------------------------------ frames
@@ -224,10 +243,17 @@ def test_frame_orthonormal_random():
 
 
 def test_frame_degenerate_errors():
-    with pytest.raises(frames.DegenerateFrameError):
+    with pytest.raises(frames.DegenerateFrameError, match="MVC and LVA coincide"):
         anatomy.cardiac_frame([0, 0, 0], [1, 1, 1], [0, 0, 0])
-    with pytest.raises(frames.DegenerateFrameError):
+    with pytest.raises(frames.DegenerateFrameError, match="TVC is collinear"):
         anatomy.cardiac_frame([0, 0, 10], [0, 0, 5], [0, 0, -10.0])
+    for rotation, match in [
+        (2.0 * np.eye(3), "not orthonormal"),
+        ([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "not orthonormal"),
+        (np.diag([1.0, 1.0, -1.0]), "left-handed"),
+    ]:
+        with pytest.raises(frames.DegenerateFrameError, match=match):
+            anatomy.CardiacFrame(rotation, np.zeros(3))
 
 
 def test_apply_frame_basics():
@@ -251,7 +277,7 @@ def test_generated_shape_frame_is_canonical(mesh):
 def test_landmarks_follow_the_vertices(topo):
     mesh = anatomy.generate_shape(topo, anatomy.sample_params(3))
     before = mesh.landmarks
-    mesh.vertices = mesh.vertices * 2.0 + np.array([1.0, -2.0, 3.0])
+    mesh = dataclasses.replace(mesh, vertices=mesh.vertices * 2.0 + np.array([1.0, -2.0, 3.0]))
     after = mesh.landmarks
     assert after.keys() == before.keys() == {"mvc", "tvc", "lva"}
     for name in after:
@@ -316,12 +342,12 @@ def test_labeling_matches_winding_oracle(mesh):
 
 
 def test_label_points_cache_frees_mesh(topo):
-    # the cached labeler is built anew once the mesh's vertices are
-    # replaced, and must not keep its mesh alive through a cycle
+    # a mesh with other vertices is another mesh, with a labeler of its own,
+    # and the labeler a mesh keeps must not keep it alive through a cycle
     mesh = anatomy.generate_shape(topo, anatomy.sample_params(3))
     pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 200.0]])
     np.testing.assert_array_equal(anatomy.label_points(pts, mesh), [1, 0])
-    mesh.vertices = mesh.vertices + [0.0, 0.0, 200.0]
+    mesh = dataclasses.replace(mesh, vertices=mesh.vertices + [0.0, 0.0, 200.0])
     np.testing.assert_array_equal(anatomy.label_points(pts, mesh), [0, 1])
     np.testing.assert_array_equal(anatomy.Labeler(mesh).label(pts), [0, 1])
     ref = weakref.ref(mesh)
@@ -331,6 +357,50 @@ def test_label_points_cache_frees_mesh(topo):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_mesh_vertices_are_read_only(topo):
+    """A labeled mesh's vertices cannot change under its labeler: writing
+    into them or assigning them raises, and moving the shape takes
+    ``dataclasses.replace``, whose mesh labels as a fresh labeler does."""
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(3))
+    pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 200.0]])
+    np.testing.assert_array_equal(anatomy.label_points(pts, mesh), [1, 0])
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.vertices += [0.0, 0.0, 200.0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mesh.vertices = mesh.vertices + [0.0, 0.0, 200.0]
+    np.testing.assert_array_equal(anatomy.label_points(pts, mesh), [1, 0])
+    moved = dataclasses.replace(mesh, vertices=mesh.vertices + [0.0, 0.0, 200.0])
+    np.testing.assert_array_equal(anatomy.label_points(pts, moved), [0, 1])
+    np.testing.assert_array_equal(anatomy.Labeler(moved).label(pts), [0, 1])
+
+
+def test_mesh_owns_a_copy_of_its_vertices(topo, mesh):
+    a = np.array(mesh.vertices)
+    other = anatomy.InstanceMesh(topo, a)
+    assert a.flags.writeable and not np.shares_memory(a, other.vertices)
+    a += 1.0
+    np.testing.assert_array_equal(other.vertices, mesh.vertices)
+    assert other.vertices.dtype == np.float64 and not other.vertices.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda v: v[:-1], r"vertex array shape \(2596, 3\) does not match"),
+        (lambda v: v[:, :2], r"vertex array shape \(2597, 2\) does not match"),
+        (lambda v: np.where(np.arange(len(v))[:, None] == 5, np.nan, v), "non-finite"),
+        (lambda v: v + [0.0, np.inf, 0.0], "non-finite"),
+    ],
+    ids=["short", "2d", "nan", "inf"],
+)
+def test_mesh_rejects_bad_vertices(topo, mesh, edit, match):
+    """Construction and ``dataclasses.replace`` run the same checks."""
+    with pytest.raises(ValueError, match=match):
+        anatomy.InstanceMesh(topo, edit(mesh.vertices))
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(mesh, vertices=edit(mesh.vertices))
 
 
 def test_fallback_matches_winding_oracle(mesh):

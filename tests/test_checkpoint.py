@@ -18,7 +18,6 @@ REQUIRED = [
     "reg_net.dims",
     "reg_net.params",
     "latent_codes",
-    "epoch",
 ]
 
 
@@ -27,7 +26,7 @@ def make_checkpoint(with_stats=True, with_opt=True):
     reg = netcore.init_params(netcore.ResidualMlp(8, 3, 16, 2), seed=2)
     rng = np.random.default_rng(3)
     codes = rng.standard_normal((5, 4))
-    ckpt = Checkpoint(seg_net=seg, reg_net=reg, latent_codes=codes, epoch=42)
+    ckpt = Checkpoint(seg_net=seg, reg_net=reg, latent_codes=codes)
     if with_stats:
         cov = np.cov(codes.T)
         ckpt.stats = LatentStats(codes.mean(axis=0), np.linalg.inv(cov + 1e-6 * np.eye(4)))
@@ -37,7 +36,7 @@ def make_checkpoint(with_stats=True, with_opt=True):
                 rng.standard_normal(seg.n_params), np.abs(rng.standard_normal(seg.n_params)), 17
             ),
             "lat": OptimizerState(
-                rng.standard_normal((5, 4)), np.abs(rng.standard_normal((5, 4))), 9
+                rng.standard_normal((5, 4)), np.abs(rng.standard_normal((5, 4))), 42
             ),
         }
     return ckpt
@@ -71,7 +70,7 @@ def rejected(path, match):
 def test_roundtrip(saved):
     ckpt = make_checkpoint()
     back = load_checkpoint(saved)
-    assert back.epoch == 42
+    assert not hasattr(back, "epoch")
     assert back.latent_codes.shape[1] == 4
     for attr in ("input_dim", "output_dim", "hidden_dim", "num_blocks"):
         assert getattr(back.seg_net, attr) == getattr(ckpt.seg_net, attr)
@@ -125,7 +124,7 @@ def test_truncated_or_corrupt_file_rejected(saved, tmp_path):
     # bytes (its .npy header and data), which the CRC-32 of the member catches
     with zipfile.ZipFile(saved) as zf:
         members = zf.infolist()
-    assert len(members) == 16
+    assert len(members) == 15
     for info in members:
         name_len, extra_len = struct.unpack_from("<HH", blob, info.header_offset + 26)
         start = info.header_offset + 30 + name_len + extra_len
@@ -162,7 +161,8 @@ def test_stats_cov_of_an_older_checkpoint_is_ignored(saved):
 
 
 def with_log(path, rows=42):
-    """Save :func:`make_checkpoint` to ``path`` with a training log of ``rows`` rows."""
+    """Save :func:`make_checkpoint` to ``path`` with a training log of
+    ``rows`` rows; its latent table's Adam state took 42 steps."""
     ckpt = make_checkpoint()
     ckpt.log = [(e, *np.random.default_rng(e).standard_normal(5)) for e in range(rows)]
     save_checkpoint(path, ckpt)
@@ -180,6 +180,12 @@ def test_log_roundtrip(tmp_path):
     again = tmp_path / "again.nihc"
     save_checkpoint(again, back)
     assert again.read_bytes() == path.read_bytes()
+    # the log's row count is the one record of the epochs done: no ``epoch``
+    # member is written, and an older file's is ignored
+    with zipfile.ZipFile(path) as zf:
+        assert "epoch.npy" not in zf.namelist()
+    older = load_checkpoint(edited(path, replace={"epoch": np.array(7)}))
+    np.testing.assert_array_equal(older.log, ckpt.log)
 
 
 def test_log_not_one_row_per_epoch_rejected(tmp_path):
@@ -191,6 +197,11 @@ def test_log_not_one_row_per_epoch_rejected(tmp_path):
         rejected(edited(path, replace={"log": bad}), re.escape(f"log has shape {bad.shape}"))
     with_log(path, rows=41)
     rejected(path, r"log has shape \(41, 6\), not one row per epoch of 42")
+    rejected(edited(path, replace={"opt.lat.t": np.array(40)}), "not one row per epoch of 40")
+    # without the latent table's Adam state only the log's columns are checked
+    lat = [f"opt.lat.{k}" for k in "mvt"]
+    assert load_checkpoint(edited(path, drop=lat)).log.shape == (41, 6)
+    rejected(edited(path, drop=lat, replace={"log": log[:, :-1]}), r"log has shape \(42, 5\)")
 
 
 def test_disagreeing_dims_rejected(saved):

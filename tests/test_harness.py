@@ -76,6 +76,10 @@ def test_config_unknown_key(tmp_path):
     p.write_text("not_a_knob = 5\n")
     with pytest.raises(ValueError):
         harness.load_config(p)
+    # a line that sets no key is no setting either
+    p.write_text("epochs = 3\nlatent_dim 8  # the sign is missing\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:2: expected key=value, got 'latent_dim 8")):
+        harness.load_config(p)
 
 
 def test_config_value_that_does_not_parse_names_key_and_file(tmp_path):
@@ -96,7 +100,8 @@ BAD_SETTINGS = [
     ("seg_batch", "0"), ("checkpoint_every", "-1"), ("val_fraction", "1"), ("lr_latent", "inf"),
     ("reg_batch", "0"), ("hidden_dim", "0"), ("num_blocks", "-1"), ("infer_lr", "0"),
     ("misalign_seed", "-1"), ("test_seed0", "-5"), ("train_seed0", "-100"), ("train_seed", "-1"),
-    ("margin", "nan"), ("margin", "-1e9"),
+    ("margin", "nan"), ("margin", "-1e9"), ("train_shapes", "-3"), ("test_shapes", "-1"),
+    ("spacing", "inf"), ("density", "inf"),
 ]
 
 
@@ -181,10 +186,11 @@ def test_generate_force_checks_point_budgets_before_removing(tmp_path, budgets):
     "bad",
     [dict(spacing=0.0), dict(density=-1.0), dict(sigma=-0.5), dict(infer_steps=0),
      dict(infer_points=0), dict(misalign_seed=-1), dict(test_seed0=-5), dict(train_seed0=-100),
-     dict(margin=float("nan")), dict(margin=-1e9)],
+     dict(margin=float("nan")), dict(margin=-1e9), dict(train_shapes=-3), dict(test_shapes=-1),
+     dict(spacing=float("inf")), dict(density=float("inf"))],
 )
 def test_generate_force_validates_before_removing(tmp_path, run, bad):
-    """Acquisition and inference settings and seeds no stage can run are
+    """Cohort, acquisition and inference settings and seeds no stage can run are
     rejected before ``force`` removes a finished run, not after it wrote
     shapes."""
     import shutil
@@ -304,7 +310,7 @@ def test_train_epochs_zero_valid_checkpoint(tmp_path):
     harness.cmd_generate(cfg)
     harness.cmd_train(cfg)
     ckpt, stats = harness.load_model(cfg.out_dir)
-    assert ckpt.epoch == 0
+    assert len(ckpt.log) == 0
     assert ckpt.seg_net.hidden_dim == cfg.hidden_dim
     assert ckpt.latent_codes.shape == (cfg.train_shapes, cfg.latent_dim)
     with open(os.path.join(cfg.out_dir, "train_log.csv")) as f:
@@ -330,7 +336,7 @@ def test_train_resume_continues_trajectory(tmp_path, dtype):
         assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
     # every epoch steps every latent row once: one step count serves the table
     ckpt = harness.load_checkpoint(out2 / "checkpoint.nihc")
-    assert ckpt.opt["lat"].step_count == ckpt.epoch == 60
+    assert ckpt.opt["lat"].step_count == len(ckpt.log) == 60
     assert ckpt.latent_codes.dtype == dtype
 
 
@@ -485,7 +491,7 @@ def test_reconstruct_from_interrupted_training(tmp_path, monkeypatch):
     with pytest.raises(Interrupted):
         harness.cmd_train(cfg)
     ckpt, stats = harness.load_model(cfg.out_dir)
-    assert ckpt.epoch == 2 and stats is not None
+    assert len(ckpt.log) == 2 and stats is not None
     rels, _ = harness.reconstruct_case(cfg, ckpt, stats, "test_0000", "ideal")
     assert os.path.exists(os.path.join(cfg.out_dir, rels[0]))
 

@@ -128,6 +128,27 @@ def test_optimize_latent_respects_frozen_net_and_trace(topo, small_model):
     )
 
 
+def test_optimize_latent_holds_the_classifier_read_only(topo, monkeypatch):
+    """A write to the classifier's parameters during the fit raises where
+    it happens and leaves the caller's parameters as they were."""
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(500))
+    contours = acq.acquire(mesh, "g000", density=6.0)
+    net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, hidden_dim=32, num_blocks=2), 5)
+    before = net.parameters.copy()
+    forward_cached = netcore.forward_cached
+
+    def writing(net, inputs, keep="params"):
+        net.parameters[0] += 1.0
+        return forward_cached(net, inputs, keep=keep)
+
+    monkeypatch.setattr(netcore, "forward_cached", writing)
+    stats = training.latent_stats(np.random.default_rng(6).standard_normal((8, 4)) * 0.3)
+    with pytest.raises(ValueError, match="read-only"):
+        inference.optimize_latent(contours, net, stats, ideal_weights(3, 200))
+    np.testing.assert_array_equal(net.parameters, before)
+    assert net.parameters.flags.writeable
+
+
 # sha256 of optimize_latent's latent and loss-trace bytes for a fixed
 # random-init classifier (latent 4, 32x2 blocks) on one shape's 6 mm grid
 # points, 30 steps over 500 of them; taken at commit a7e2ae3, whose backward
