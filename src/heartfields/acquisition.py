@@ -89,7 +89,9 @@ def standard_views(mesh, spacing=10.0):
     to the long axis at fixed spacing from apex to base, plus three
     long-axis planes containing the long axis (the 4-chamber plane passes
     through the tricuspid centroid; 2-chamber and 3-chamber are rotated 60
-    and 120 degrees about the long axis)."""
+    and 120 degrees about the long axis). A ``spacing`` that is not positive
+    and finite raises ``ValueError``."""
+    _positive("spacing", spacing)
     frame = cardiac_frame(**mesh.landmarks)
     local = apply_frame(frame, mesh.vertices)
     z_lo, z_hi = local[:, 2].min(), local[:, 2].max()  # apex is at +z
@@ -133,14 +135,45 @@ def standard_views(mesh, spacing=10.0):
     return planes
 
 
-def slice_mesh(mesh, plane, density=2.0):
-    """Slice one mesh with one plane.
+def slice_mesh(mesh, planes, density=2.0):
+    """Slice one mesh with each of ``planes``; returns one :class:`Slice`
+    per plane (a lone :class:`SlicePlane` gives its lone ``Slice``).
 
-    Returns a :class:`Slice` whose points are (a) contour points where the
-    anatomical surface triangles cross the plane, labeled by ``surface_label``
-    of their triangle's face group and mean u1, and (b) an in-plane occupancy
-    grid over the mesh footprint (plus ``GRID_MARGIN``), labeled by containment.
+    A slice's points are (a) contour points where the anatomical surface
+    triangles cross the plane, labeled by ``surface_label`` of their
+    triangle's face group and mean u1, and (b) an in-plane occupancy grid
+    over the mesh footprint (plus ``GRID_MARGIN``) at ``density`` mm,
+    labeled by containment. The grids of all planes are labeled in one
+    :func:`label_points` call. A ``density`` that is not positive and finite
+    raises ``ValueError`` before anything is sliced.
     """
+    if isinstance(planes, SlicePlane):
+        return slice_mesh(mesh, [planes], density)[0]
+    _positive("density", density)
+    grids = [_grid(mesh.vertices, plane, density) for plane in planes]
+    ends = np.cumsum([len(g) for g in grids])[:-1]
+    grid = np.concatenate([np.zeros((0, 3)), *grids])
+    labels = label_points(grid, mesh)
+    return [
+        _slice(mesh, plane, g, lab)
+        for plane, g, lab in zip(planes, np.split(grid, ends), np.split(labels, ends))
+    ]
+
+
+def _grid(verts, plane, density):
+    """The in-plane grid of ``plane`` over the footprint of ``verts``."""
+    rel = verts - plane.origin
+    u = rel @ plane.e1
+    v = rel @ plane.e2
+    ug = np.arange(u.min() - GRID_MARGIN, u.max() + GRID_MARGIN, density)
+    vg = np.arange(v.min() - GRID_MARGIN, v.max() + GRID_MARGIN, density)
+    uu, vv = np.meshgrid(ug, vg, indexing="ij")
+    return plane.origin + uu.ravel()[:, None] * plane.e1 + vv.ravel()[:, None] * plane.e2
+
+
+def _slice(mesh, plane, grid, grid_labels):
+    """The :class:`Slice` of ``plane``: its labeled grid, then its contour
+    points."""
     topo = mesh.topology
     verts = mesh.vertices
     d = (verts - plane.origin) @ plane.normal
@@ -159,20 +192,6 @@ def slice_mesh(mesh, plane, density=2.0):
     face_labels = surface_label(topo.face_group[two], topo.uvc[ids, 0].mean(axis=1))
     contour_labels = np.repeat(face_labels, 2)
 
-    # occupancy grid over the projected footprint
-    rel = verts - plane.origin
-    u = rel @ plane.e1
-    v = rel @ plane.e2
-    ug = np.arange(u.min() - GRID_MARGIN, u.max() + GRID_MARGIN, density)
-    vg = np.arange(v.min() - GRID_MARGIN, v.max() + GRID_MARGIN, density)
-    uu, vv = np.meshgrid(ug, vg, indexing="ij")
-    grid = (
-        plane.origin
-        + uu.ravel()[:, None] * plane.e1
-        + vv.ravel()[:, None] * plane.e2
-    )
-    grid_labels = label_points(grid, mesh)
-
     points = np.vstack([grid, contour_pts])
     labels = np.concatenate([grid_labels, contour_labels])
     kinds = np.repeat(np.uint8([KIND_GRID, KIND_CONTOUR]), [len(grid), len(contour_pts)])
@@ -180,8 +199,10 @@ def slice_mesh(mesh, plane, density=2.0):
 
 
 def acquire(mesh, shape_id, spacing=10.0, density=2.0):
-    """Full ideal acquisition: all standard views sliced."""
-    slices = [slice_mesh(mesh, plane, density=density) for plane in standard_views(mesh, spacing)]
+    """Full ideal acquisition: all standard views sliced, in one
+    :func:`slice_mesh` call. A ``spacing`` or ``density`` that is not
+    positive and finite raises ``ValueError`` before anything is sliced."""
+    slices = slice_mesh(mesh, standard_views(mesh, spacing), density=density)
     return ContourSet(shape_id=shape_id, slices=slices, provenance="ideal")
 
 
@@ -313,6 +334,13 @@ def _spacing(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
         raise ValueError(f"spacing is not a finite number: {value!r}")
     return value
+
+
+def _positive(name, value):
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a positive
+    finite number."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _floats(values, shape, name):

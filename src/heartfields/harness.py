@@ -389,7 +389,9 @@ def cmd_train(config, resume=False):
     _remove(root, (RECON, EVAL, REPORT))
 
     def on_epoch(state):
-        if config.checkpoint_every and len(state.log) % config.checkpoint_every == 0:
+        # the last epoch's checkpoint is the final one, written below
+        done = len(state.log)
+        if config.checkpoint_every and done % config.checkpoint_every == 0 and done < config.epochs:
             _write_checkpoint(root, state)
 
     result = training.train(samples, config, resume=prior, on_epoch=on_epoch)

@@ -298,9 +298,12 @@ def boundary_edges(faces):
     lo = int(faces.min())
     e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]) - lo
     n = int(e.max()) + 1  # the directed edge (i, j) has the key i * n + j
-    keys = np.unique(e[:, 0] * n + e[:, 1])
+    keys = np.sort(e[:, 0] * n + e[:, 1])
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     i, j = np.divmod(keys, n)
-    unpaired = ~np.isin(j * n + i, keys)
+    # each reversed key, looked up in the sorted keys
+    reverse = j * n + i
+    unpaired = keys[np.searchsorted(keys, reverse) % len(keys)] != reverse
     return list(zip((i[unpaired] + lo).tolist(), (j[unpaired] + lo).tolist()))
 
 

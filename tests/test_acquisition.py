@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,26 @@ def test_slice_plane_rejects_axes_not_orthogonal(first, second):
         acq.SlicePlane("sax00", **frame)
 
 
+@pytest.mark.parametrize("bad", [0.0, -10.0, -2.0, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["spacing", "density"])
+def test_spacing_and_density_must_be_positive_and_finite(mesh, monkeypatch, name, bad):
+    # the check comes before any labeling; unchecked, a negative or infinite
+    # spacing gave 4 planes, a negative density grids without points, and
+    # 0 or nan failed inside np.arange
+    def no_labels(points, mesh):
+        raise AssertionError("labeled before the check")
+
+    monkeypatch.setattr(acq, "label_points", no_labels)
+    match = re.escape(f"{name} must be positive and finite, got {bad!r}")
+    with pytest.raises(ValueError, match=match):
+        acq.acquire(mesh, "case000", **{name: bad})
+    with pytest.raises(ValueError, match=match):
+        if name == "spacing":
+            acq.standard_views(mesh, spacing=bad)
+        else:
+            acq.slice_mesh(mesh, acq.standard_views(mesh), density=bad)
+
+
 def test_short_mesh_single_plane(mesh):
     planes = acq.standard_views(mesh, spacing=500.0)
     assert sum(p.view.startswith("sax") for p in planes) == 1
@@ -120,7 +141,7 @@ def test_midventricular_slice_has_all_labels(mesh):
     frame = anatomy.cardiac_frame(**mesh.landmarks)
     planes = [p for p in acq.standard_views(mesh) if p.view.startswith("sax")]
     mid = planes[len(planes) // 2]
-    s = acq.slice_mesh(mesh, mid, density=2.0)
+    s = acq.slice_mesh(mesh, [mid], density=2.0)[0]
     grid_labels = s.labels[s.kinds == acq.KIND_GRID]
     assert set(np.unique(grid_labels)) == {0, 1, 2, 3, 4}
 
@@ -135,7 +156,7 @@ def test_far_plane_all_background(mesh):
         e1=frame.rotation[:, 0],
         e2=frame.rotation[:, 1],
     )
-    s = acq.slice_mesh(mesh, plane, density=4.0)
+    s = acq.slice_mesh(mesh, [plane], density=4.0)[0]
     assert np.all(s.labels == AnatomicalLabel.BG)
     assert np.sum(s.kinds == acq.KIND_CONTOUR) == 0
 
@@ -150,11 +171,23 @@ def test_grid_density_scaling(mesh):
     plane = next(
         p for p in acq.standard_views(mesh) if p.view == "sax04"
     )
-    coarse = acq.slice_mesh(mesh, plane, density=4.0)
-    fine = acq.slice_mesh(mesh, plane, density=2.0)
+    coarse = acq.slice_mesh(mesh, [plane], density=4.0)[0]
+    fine = acq.slice_mesh(mesh, [plane], density=2.0)[0]
     n_coarse = np.sum(coarse.kinds == acq.KIND_GRID)
     n_fine = np.sum(fine.kinds == acq.KIND_GRID)
     assert n_fine >= 3.9 * n_coarse
+
+
+def test_lone_plane_slices_as_among_all_views(mesh, contours):
+    # one plane, given alone, gets the slice it gets when all views are
+    # labeled in one call
+    for k in (0, len(contours.slices) - 1):
+        ref = contours.slices[k]
+        s = acq.slice_mesh(mesh, ref.plane, density=3.0)
+        assert s.plane is ref.plane
+        for got, want in ((s.points, ref.points), (s.labels, ref.labels), (s.kinds, ref.kinds)):
+            np.testing.assert_array_equal(got, want)
+    assert acq.slice_mesh(mesh, [], density=3.0) == []
 
 
 def test_grid_label_fidelity(mesh, contours):

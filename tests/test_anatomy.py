@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from heartfields import acquisition as acq
-from heartfields import anatomy, metrics
+from heartfields import anatomy, inference, metrics
 from heartfields.anatomy import frames, labeling, template
 from heartfields.anatomy.template import (
     TAG_BASE_RING,
@@ -24,6 +24,13 @@ from heartfields.training import build_sample
 def label_point(point, mesh):
     """Single-point :func:`anatomy.label_points`, as an AnatomicalLabel."""
     return labeling.AnatomicalLabel(int(anatomy.label_points(np.asarray(point)[None, :], mesh)[0]))
+
+
+def voxel_box(mesh, spacing):
+    """The voxel centers of ``inference.label_box`` over ``mesh``, in C order."""
+    lo, dims = inference.label_box(mesh.vertices, spacing)
+    index = np.stack(np.meshgrid(*map(np.arange, dims), indexing="ij"), axis=-1).reshape(-1, 3)
+    return lo + spacing * index
 
 
 @pytest.fixture(scope="module")
@@ -410,7 +417,7 @@ def test_fallback_matches_winding_oracle(mesh):
     # probe the band near the surface, where a nudged re-cast must keep its
     # side
     plane = next(p for p in acq.standard_views(mesh) if p.view == "lax_4ch")
-    s = acq.slice_mesh(mesh, plane, density=4.0)
+    s = acq.slice_mesh(mesh, [plane], density=4.0)[0]
     grid = s.points[s.kinds == acq.KIND_GRID]
     rng = np.random.default_rng(17)
     # re-cast queries of the grid per compartment, nudged ones twice; only
@@ -452,7 +459,7 @@ def test_box_cull_keeps_every_label(topo):
         grids = [
             s.points[s.kinds == acq.KIND_GRID]
             for density in (2.0, 4.0)
-            for s in (acq.slice_mesh(mesh, p, density=density) for p in acq.standard_views(mesh))
+            for s in acq.slice_mesh(mesh, acq.standard_views(mesh), density=density)
         ]
         grid = np.vstack(grids)
         ties = grid[grid[:, 2] == mesh.vertices[:, 2].min()]
@@ -481,16 +488,16 @@ def test_box_cull_keeps_every_label(topo):
             assert 0 < culled.fallback_points < cast.fallback_points
 
 
-def reference_cross_z(index, q, tris):
+def reference_cross_z(index, xy, tris):
     """The vertical crossing test with every term computed per pair from
     the triangle's corners: the oracle for the per-triangle terms that
     :class:`labeling.RayCastIndex` keeps, which must match it bit for bit."""
     t = index.v[index.f[tris]]
     a, b, c = t[:, 0], t[:, 1], t[:, 2]
     ab, bc, ca = b[:, :2] - a[:, :2], c[:, :2] - b[:, :2], a[:, :2] - c[:, :2]
-    d0 = labeling._cross2(ab, q[:, :2] - a[:, :2])
-    d1 = labeling._cross2(bc, q[:, :2] - b[:, :2])
-    d2 = labeling._cross2(ca, q[:, :2] - c[:, :2])
+    d0 = labeling._cross2(ab, xy - a[:, :2])
+    d1 = labeling._cross2(bc, xy - b[:, :2])
+    d2 = labeling._cross2(ca, xy - c[:, :2])
     area = labeling._cross2(ab, c[:, :2] - a[:, :2])
     pos = (d0 > 0) & (d1 > 0) & (d2 > 0)
     neg = (d0 < 0) & (d1 < 0) & (d2 < 0)
@@ -506,34 +513,34 @@ def reference_cross_z(index, q, tris):
         lb = d2 / area
         lc = d0 / area
         z_hit = la * a[:, 2] + lb * b[:, 2] + lc * c[:, 2]
-    dz = z_hit - q[:, 2]
-    above = strict & (dz > eps)
-    graze = (strict & (np.abs(dz) <= eps)) | (near_edge & ~strict)
-    return above, graze
+    return strict, z_hit[strict], near_edge & ~strict
 
 
 def test_kept_triangle_terms_match_per_call_reference(topo, monkeypatch):
-    # every (point, triangle) pair the vertical test sees while labeling
-    # slice grids, classification samples, on-surface points and basal-cap
-    # ties of three shapes and of one moved 1e3 mm away
+    # every (vertical line, triangle) pair the crossing test sees while
+    # labeling slice grids, 2 mm voxel boxes, classification samples,
+    # on-surface points and basal-cap ties of three shapes and of one moved
+    # 1e3 mm away
     pairs = 0
     cross_z = labeling.RayCastIndex._cross_z
 
-    def checked_cross_z(index, q, tris):
+    def checked_cross_z(index, xy, tris):
         nonlocal pairs
-        above, graze = cross_z(index, q, tris)
-        ref_above, ref_graze = reference_cross_z(index, q, tris)
-        np.testing.assert_array_equal(above, ref_above)
+        cross, z, graze = cross_z(index, xy, tris)
+        ref_strict, ref_z, ref_graze = reference_cross_z(index, xy, tris)
+        np.testing.assert_array_equal(cross, np.flatnonzero(ref_strict))
+        np.testing.assert_array_equal(z.view(np.int64), ref_z.view(np.int64))
         np.testing.assert_array_equal(graze, ref_graze)
         pairs += len(tris)
-        return above, graze
+        return cross, z, graze
 
     monkeypatch.setattr(labeling.RayCastIndex, "_cross_z", checked_cross_z)
     meshes = [anatomy.generate_shape(topo, anatomy.sample_params(seed)) for seed in (1, 2, 3)]
     meshes.append(anatomy.InstanceMesh(topo, meshes[0].vertices + 1e3))
     edges = np.unique(np.sort(topo.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
     for mesh in meshes:
-        slices = [acq.slice_mesh(mesh, plane, density=4.0) for plane in acq.standard_views(mesh)]
+        slices = acq.slice_mesh(mesh, acq.standard_views(mesh), density=4.0)
+        anatomy.label_points(voxel_box(mesh, 2.0), mesh)
         build_sample(mesh, "case000", seg_n=4000, reg_n=3000, seed=0)
         grid = np.vstack([s.points[s.kinds == acq.KIND_GRID] for s in slices])
         # the grid rows in the plane of the flat basal cap
@@ -551,6 +558,50 @@ def test_kept_triangle_terms_match_per_call_reference(topo, monkeypatch):
         index.contains(lattice + shift)
         assert index.fallback_points > 0
     assert pairs > 10**6
+
+
+def test_shared_lines_match_one_line_per_query(topo, mesh, monkeypatch):
+    # labels and re-cast counts are the same whether the queries on one
+    # vertical line share its crossings or each query casts a line of its
+    # own: on a short-axis stack, the grazing lax_4ch grid, a 2 mm voxel
+    # box, random points, the basal-cap ties and no queries, of a shape and
+    # of the shape moved 1e3 mm away
+    rng = np.random.default_rng(31)
+    for shape in (mesh, anatomy.InstanceMesh(topo, mesh.vertices + 1e3)):
+        planes = acq.standard_views(shape)
+        grids = {p.view: s.points[s.kinds == acq.KIND_GRID]
+                 for p, s in zip(planes, acq.slice_mesh(shape, planes, density=4.0))}
+        grid = np.vstack(list(grids.values()))
+        lo, hi = shape.bounds()
+        sets = {
+            "sax": np.vstack([g for view, g in grids.items() if view.startswith("sax")]),
+            "lax_4ch": grids["lax_4ch"],
+            "box": voxel_box(shape, 2.0),
+            "random": rng.uniform(lo - 10, hi + 10, (3000, 3)),
+            "ties": grid[grid[:, 2] == shape.vertices[:, 2].min()],
+            "none": np.empty((0, 3)),
+        }
+        for name, pts in sets.items():
+            if name in ("sax", "lax_4ch", "box"):
+                assert len(np.unique(pts[:, :2], axis=0)) < len(pts) / 2, name
+            shared = labeling.Labeler(shape)
+            labels = shared.label(pts)
+            with monkeypatch.context() as m:
+                m.setattr(labeling, "_lines", lambda xy: (xy, np.arange(len(xy))))
+                alone = labeling.Labeler(shape)
+                np.testing.assert_array_equal(alone.label(pts), labels, err_msg=name)
+            for compartment in ("lv", "rv", "heart"):
+                cast = [getattr(lab, compartment).fallback_points for lab in (shared, alone)]
+                assert cast[0] == cast[1], (name, compartment)
+            if name == "lax_4ch":
+                assert shared.heart.fallback_points > 0
+        # one query per call, on the ties and part of the lax_4ch grid
+        some = np.vstack([sets["ties"], sets["lax_4ch"][rng.choice(len(sets["lax_4ch"]), 100)]])
+        shared, alone = labeling.Labeler(shape), labeling.Labeler(shape)
+        labels = shared.label(some)
+        np.testing.assert_array_equal([alone.label(p[None])[0] for p in some], labels)
+        assert [i.fallback_points for i in (shared.lv, shared.rv, shared.heart)] == [
+            i.fallback_points for i in (alone.lv, alone.rv, alone.heart)]
 
 
 def test_grid_built_once_per_index(mesh, monkeypatch):
@@ -721,7 +772,7 @@ def test_surface_label_rule_and_its_callers(topo, mesh, monkeypatch):
     labeler.u1 = np.full_like(labeler.u1, 0.5)
     assert labeler.label(mid[None]) == L.RVM
     calls.clear()
-    acq.slice_mesh(mesh, acq.standard_views(mesh)[0], density=8.0)
+    acq.slice_mesh(mesh, [acq.standard_views(mesh)[0]], density=8.0)
     # the contour labels' rule call, then the split of the grid's labeler
     assert calls == {"surface_label": 1, "myocardium_label": 2}
 

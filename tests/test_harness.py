@@ -383,6 +383,26 @@ def test_train_resume_after_an_interruption_keeps_the_whole_log(tmp_path, monkey
         assert [row[0] for row in csv.reader(f)] == ["epoch", "0", "1", "2", "3"]
 
 
+def test_train_writes_each_checkpoint_once(tmp_path, monkeypatch):
+    """The periodic checkpoint of the last epoch would be the final one, so
+    it is written once, as the final one; a resume writes only what its
+    own epochs add."""
+    cfg = mini_config(tmp_path / "every", test_shapes=0, epochs=4, checkpoint_every=2)
+    harness.cmd_generate(cfg)
+    written = []
+    save = harness.save_checkpoint
+
+    def counted(path, ckpt):
+        written.append(len(ckpt.log))
+        save(path, ckpt)
+
+    monkeypatch.setattr(harness, "save_checkpoint", counted)
+    harness.cmd_train(cfg)
+    assert written == [2, 4]
+    harness.cmd_train(replace(cfg, epochs=7, checkpoint_every=3), resume=True)
+    assert written == [2, 4, 6, 7]
+
+
 def test_train_resume_needs_the_log(tmp_path):
     """A checkpoint without a training log, as written before the log was
     stored in it, still serves reconstruction but not a resume."""
