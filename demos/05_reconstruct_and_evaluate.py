@@ -41,7 +41,8 @@ print(f"latent optimization: {rec.n_points} points, "
 
 pred = inference.predict_mesh(result.reg_net, rec.latent, topo)
 
-m, extras = harness.case_metrics(pred, target, contours, result.seg_net, rec.latent)
+ref = harness.CaseReference(target)
+m, extras = harness.case_metrics(pred, ref, contours, result.seg_net, rec.latent)
 
 print(f"corresponding-vertex ED {m['ed_mean']:.2f} mm, RMSE {m['rmse']:.2f} mm")
 print(f"chamfer: directed {m['chamfer_ab']:.2f} / {m['chamfer_ba']:.2f} mm, "

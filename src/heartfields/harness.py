@@ -73,12 +73,12 @@ class ExperimentConfig(training.TrainConfig):
         test_range = range(self.test_seed0, self.test_seed0 + self.test_shapes)
         if set(train_range) & set(test_range):
             raise ValueError("train and test seed ranges overlap")
-        self._require(lambda v: v >= 0, "nonnegative", "train_shapes", "test_shapes", "sigma",
-                      "checkpoint_every", "train_seed0", "test_seed0", "misalign_seed")
-        self._require(lambda v: v >= 1, "at least 1", "infer_steps", "infer_points")
-        self._require(lambda v: 0 < v < math.inf, "positive and finite", "spacing", "density",
-                      "infer_lr")
-        self._require(lambda v: 0 <= v < math.inf, "nonnegative and finite", "margin")
+        training.require(self, lambda v: v >= 0, "nonnegative", "train_shapes", "test_shapes",
+                         "sigma", "checkpoint_every", "train_seed0", "test_seed0", "misalign_seed")
+        training.require(self, lambda v: v >= 1, "at least 1", "infer_steps", "infer_points")
+        training.require(self, lambda v: 0 < v < math.inf, "positive and finite", "spacing",
+                         "density", "infer_lr")
+        training.require(self, lambda v: 0 <= v < math.inf, "nonnegative and finite", "margin")
         return super().validate()
 
     def hash(self):
@@ -213,7 +213,12 @@ class Manifest:
         path = os.path.join(root, MANIFEST)
         if os.path.exists(path):
             with open(path) as f:
-                self.doc = json.load(f)
+                try:
+                    self.doc = json.load(f)
+                except ValueError as e:  # invalid JSON or text
+                    raise ValueError(f"{path}: invalid JSON: {e}") from e
+            if not isinstance(self.doc, dict) or not isinstance(self.doc.get("stages"), dict):
+                raise ValueError(f"{path}: not a manifest: no object with a 'stages' object")
 
     def record_stage(self, name, config, artifacts, duration, **extra):
         self.doc["stages"].pop(name, None)
@@ -555,15 +560,8 @@ METRICS = {
 EXTRA_KEYS = ["p2s_ref"] + [f"true_{k}" for k in VOLUMES]
 
 
-def case_metrics(pred, true, contours, seg_net, latent):
-    """The METRICS of the reconstruction ``pred`` of the generating mesh
-    ``true``, fitted to ``contours`` with the code ``latent`` of
-    ``seg_net``, and a dict of the EXTRA_KEYS."""
-    topo = true.topology
-    # point labels predicted at the reference vertices
-    pred_labels = inference.predict_labels(seg_net, latent, true.vertices)
-    ref_labels = topo.vertex_labels()
-    cpts, _ = contours.all_points(kind=acq.KIND_CONTOUR)
+def volumes(mesh):
+    """The VOLUMES of ``mesh``, by name."""
 
     def mass(outer, inner):
         try:
@@ -571,38 +569,68 @@ def case_metrics(pred, true, contours, seg_net, latent):
         except ValueError:  # an inverted or non-nested wall has no mass
             return np.nan
 
-    def vols(mesh):
-        """The VOLUMES of ``mesh``, in order."""
-        lv = metrics.enclosed_volume(*mesh.compartment("lv_cavity"))
-        rv = metrics.enclosed_volume(*mesh.compartment("rv_cavity"))
-        lvepi = metrics.enclosed_volume(*mesh.compartment("lv_epi_volume"))
-        heart = metrics.enclosed_volume(*mesh.compartment("heart"))
-        # the RV wall lies inside the heart, outside the LV epicardium and the RV cavity
-        return lv, rv, mass(lvepi, lv), mass(heart - lvepi, rv)
+    lv, rv, lvepi, heart = (metrics.enclosed_volume(*mesh.compartment(name))
+                            for name in ("lv_cavity", "rv_cavity", "lv_epi_volume", "heart"))
+    # the RV wall lies inside the heart, outside the LV epicardium and the RV cavity
+    return dict(zip(VOLUMES, (lv, rv, mass(lvepi, lv), mass(heart - lvepi, rv)), strict=True))
 
+
+class CaseReference:
+    """What every condition of a case is scored against: its generating
+    ``mesh``, its :func:`volumes` and each contour point's distance to it,
+    kept per slice (keyed by its contour points' bytes) and taken on first use."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.volumes = volumes(mesh)
+        self._distances = {}
+
+    def p2s(self, contours):
+        """Mean distance of the contour points of ``contours`` to the mesh."""
+        pts = [s.points[s.kinds == acq.KIND_CONTOUR] for s in contours.slices]
+        keys = [p.tobytes() for p in pts]
+        new = {key: p for key, p in zip(keys, pts) if key not in self._distances}
+        if new:
+            d = metrics.point_to_surface(np.concatenate(list(new.values())),
+                                         self.mesh.vertices, self.mesh.topology.faces)
+            ends = np.cumsum([len(p) for p in new.values()])
+            self._distances.update(zip(new, np.split(d, ends[:-1])))
+        return float(np.concatenate([self._distances[key] for key in keys]).mean())
+
+
+def case_metrics(pred, ref, contours, seg_net, latent):
+    """The METRICS of the reconstruction ``pred`` of the case of the
+    :class:`CaseReference` ``ref``, fitted to ``contours`` with the code
+    ``latent`` of ``seg_net``, and a dict of the EXTRA_KEYS."""
+    true = ref.mesh
+    topo = true.topology
+    # point labels predicted at the reference vertices
+    pred_labels = inference.predict_labels(seg_net, latent, true.vertices)
+    ref_labels = topo.vertex_labels()
+    cpts, _ = contours.all_points(kind=acq.KIND_CONTOUR)
     values = (
         *(metrics.point_dice(pred_labels, ref_labels, cls)
           for cls in (anatomy.AnatomicalLabel.LVM, anatomy.AnatomicalLabel.RVM)),
         *metrics.corresponding_ed(pred.vertices, true.vertices),
         *metrics.chamfer(pred.vertices, true.vertices),
-        metrics.point_to_surface(cpts, pred.vertices, topo.faces),
-        *vols(pred),
+        float(metrics.point_to_surface(cpts, pred.vertices, topo.faces).mean()),
+        *volumes(pred).values(),
     )
-    p2s_ref = metrics.point_to_surface(cpts, true.vertices, topo.faces)
     return (dict(zip(METRICS, values, strict=True)),
-            dict(zip(EXTRA_KEYS, (p2s_ref, *vols(true)), strict=True)))
+            dict(zip(EXTRA_KEYS, (ref.p2s(contours), *ref.volumes.values()), strict=True)))
 
 
-def evaluate_case(root, topo, ckpt, case, condition):
+def evaluate_case(root, topo, ckpt, case, condition, ref=None):
     """:func:`case_metrics` of the reconstruction of ``case`` under
-    ``condition`` in the run in ``root``, or ``None`` when it is missing."""
+    ``condition`` in the run in ``root`` against ``ref`` (by default a
+    :class:`CaseReference` built for it), or ``None`` when it is missing."""
     ply = os.path.join(root, _recon(condition, case, RECON_PLY))
     if not os.path.exists(ply):
         return None
     pred = anatomy.InstanceMesh(topo, anatomy.read_mesh_ply(ply)[0])
     latent = np.load(os.path.join(root, _recon(condition, case, RECON_LATENT)))
-    return case_metrics(pred, load_instance_mesh(root, case, topo),
-                        _condition_contours(root, case, condition), ckpt.seg_net, latent)
+    ref = ref or CaseReference(load_instance_mesh(root, case, topo))
+    return case_metrics(pred, ref, _condition_contours(root, case, condition), ckpt.seg_net, latent)
 
 
 def cmd_evaluate(config, conditions=None):
@@ -622,11 +650,12 @@ def cmd_evaluate(config, conditions=None):
     summary = [["condition", "n", "inverted_walls"]
                + [f"{k}_{s}" for k in METRICS for s in ("mean", "sd")]]
     ba = [["condition", "quantity", "case_id", "mean", "difference"]]
+    refs = {case: CaseReference(load_instance_mesh(root, case, topo)) for case in test_ids}
     missing = []
     for condition in conditions:
         scored = {}
         for case in test_ids:
-            out = evaluate_case(root, topo, ckpt, case, condition)
+            out = evaluate_case(root, topo, ckpt, case, condition, refs[case])
             if out is None:
                 missing.append(f"{condition}/{case}")
             else:

@@ -19,7 +19,8 @@ from . import netcore
 from .acquisition import KIND_GRID
 from .anatomy.shapes import InstanceMesh
 from .anatomy.template import AnatomicalLabel
-from .training import REG_OUTPUT_SCALE, bce_loss, dice_loss, reg_inputs, seg_inputs, through_net
+from .training import (REG_OUTPUT_SCALE, bce_loss, dice_loss, reg_inputs, require, seg_inputs,
+                       through_net)
 
 
 # weight of the Mahalanobis prior; the Dice term's weight is 1
@@ -53,10 +54,9 @@ class InferenceWeights:
     lr: float
 
     def __post_init__(self):
-        if self.lambda_bce < 0:
-            raise ValueError("inference weights must be nonnegative")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        require(self, lambda v: 0 <= v < math.inf, "nonnegative and finite", "lambda_bce")
+        require(self, lambda v: v >= 1, "at least 1", "steps", "max_points")
+        require(self, lambda v: 0 < v < math.inf, "positive and finite", "lr")
 
 
 def mahalanobis(z, stats):

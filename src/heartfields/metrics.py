@@ -203,7 +203,7 @@ def _pair_bounds(p, centroid, radius, normal, offset, half):
 
 
 def point_to_surface(points, vertices, faces):
-    """Mean exact point-to-triangle-mesh distance.
+    """Exact distance from each point to a triangle mesh, (n,).
 
     Each point's upper bound starts as its exact distance to the triangle
     whose centroid is nearest to it (a k-d tree query over the centroids,
@@ -237,7 +237,9 @@ def point_to_surface(points, vertices, faces):
     comparison therefore allows a slack of 2**-40 * S, 8192 such ulps.
     The nearest triangle of every point passes all three filters, and
     the exact point-triangle test computes each surviving pair's distance
-    as the exhaustive scan does, so the result equals it bit for bit.
+    as the exhaustive scan does, so the result equals it bit for bit. Each
+    distance is the minimum over all triangles, so it does not depend on
+    the other points of the call.
     Every temporary holds at most ``max(PAIR_BUDGET, len(faces))`` pairs
     or boxes, whatever the shape of the mesh.
     """
@@ -279,14 +281,14 @@ def point_to_surface(points, vertices, faces):
             ti = tri[ti]
             q = _closest_point_on_triangles(p[pi], ta[ti], tb[ti], tc[ti])
             np.minimum.at(best, idx[pi], np.linalg.norm(p[pi] - q, axis=1))
-    return float(best.mean())
+    return best
 
 
 def point_to_surface_bruteforce(points, vertices, faces):
     """Exhaustive-scan oracle for :func:`point_to_surface`."""
     points, vertices, faces = _surface_query(points, vertices, faces)
     ta, tb, tc = vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]]
-    return float(point_to_triangles_distance(points, ta, tb, tc).mean())
+    return point_to_triangles_distance(points, ta, tb, tc)
 
 
 def boundary_edges(faces):

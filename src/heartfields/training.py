@@ -231,6 +231,15 @@ def build_sample(mesh, shape_id, seg_n, reg_n, margin=20.0, seed=0):
 DTYPES = ("float32", "float64")
 
 
+def require(settings, test, needs, *names):
+    """Raise ``ValueError`` for the first of the fields ``names`` of
+    ``settings`` that fails ``test``."""
+    for name in names:
+        value = getattr(settings, name)
+        if not test(value):
+            raise ValueError(f"{name} must be {needs}, got {value}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 400
@@ -251,22 +260,15 @@ class TrainConfig:
 
     def validate(self):
         """Raise ``ValueError`` naming the first setting training cannot run with."""
-        self._require(lambda v: v >= 1, "at least 1", "latent_dim", "hidden_dim", "seg_batch",
-                      "reg_batch")
-        self._require(lambda v: v >= 0, "nonnegative", "epochs", "num_blocks", "train_seed")
-        self._require(lambda v: 0 < v < math.inf, "positive and finite", "lr_net", "lr_latent")
+        require(self, lambda v: v >= 1, "at least 1", "latent_dim", "hidden_dim", "seg_batch",
+                "reg_batch")
+        require(self, lambda v: v >= 0, "nonnegative", "epochs", "num_blocks", "train_seed")
+        require(self, lambda v: 0 < v < math.inf, "positive and finite", "lr_net", "lr_latent")
         # a fraction of 1 would leave no shape to update the networks
-        self._require(lambda v: 0 <= v < 1, "in [0, 1)", "val_fraction")
+        require(self, lambda v: 0 <= v < 1, "in [0, 1)", "val_fraction")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype {self.dtype!r} is not one of {', '.join(DTYPES)}")
         return self
-
-    def _require(self, test, needs, *names):
-        """Raise ``ValueError`` for the first of settings ``names`` that fails ``test``."""
-        for name in names:
-            value = getattr(self, name)
-            if not test(value):
-                raise ValueError(f"{name} must be {needs}, got {value}")
 
 
 LOG_COLUMNS = ("epoch", "seg_loss", "reg_loss", "prior_loss", "total", "val_total")

@@ -270,7 +270,7 @@ def test_contour_points_lie_on_surfaces(mesh, contours):
     s = contours.slices[4]
     pts = s.points[s.kinds == acq.KIND_CONTOUR]
     d = point_to_surface(pts, mesh.vertices, mesh.topology.faces)
-    assert d < 1e-9
+    assert d.max() < 1e-9
 
 
 # ------------------------------------------------------------- misalignment

@@ -935,6 +935,49 @@ def test_evaluation_outputs_golden(tmp_path, run, golden_arithmetic):
     assert digests == GOLDEN_EVAL_SHA256
 
 
+def test_evaluate_takes_each_contour_files_reference_distances_once(tmp_path, run, monkeypatch):
+    """A case's reference computes its contour points' distances to the
+    generating mesh once per contour file, however many conditions read
+    that file: ideal and its ablation row share one call."""
+    import shutil
+
+    from heartfields import metrics
+
+    dst = tmp_path / "once"
+    shutil.copytree(run.out_dir, dst)
+    # the ideal fits stand in for misaligned ones
+    shutil.copytree(dst / harness._recon("ideal"), dst / harness._recon("misaligned"))
+    cases = ("test_0000", "test_0001")
+    truths = [harness.load_instance_mesh(dst, case).vertices for case in cases]
+    calls = []
+    point_to_surface = metrics.point_to_surface
+
+    def counted(points, vertices, faces):
+        calls.extend(i for i, v in enumerate(truths) if np.array_equal(v, vertices))
+        return point_to_surface(points, vertices, faces)
+
+    monkeypatch.setattr(metrics, "point_to_surface", counted)
+    conditions = ["ideal", "misaligned", "ablation:halfsax"]
+    assert harness.cmd_evaluate(mini_config(dst), conditions=conditions) == 0
+    assert sorted(calls) == [0, 0, 1, 1]
+    with open(dst / harness.PER_CASE_CSV) as f:
+        rows = list(csv.DictReader(f))
+    # the rows stay condition-major
+    assert [(r["condition"], r["case_id"]) for r in rows] == [
+        (condition, case) for condition in conditions for case in cases
+    ]
+
+
+def test_manifest_rejects_a_corrupt_file(tmp_path):
+    """A truncated manifest, or JSON that is not a manifest, raises a
+    ValueError naming the file instead of a bare decode or type error."""
+    path = tmp_path / harness.MANIFEST
+    for text in ('{"config_hash": null, "stages": {"generate": {', "[]", '{"stages": []}'):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            harness.Manifest(str(tmp_path))
+
+
 def test_evaluate_missing_reconstruction_nonzero_exit(tmp_path, run):
     import shutil
 

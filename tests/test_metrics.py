@@ -183,14 +183,14 @@ def test_chamfer_rigid_invariance():
 
 def test_p2s_on_vertices_is_zero():
     v, f = icosphere(10.0, 1)
-    assert metrics.point_to_surface(v[::7], v, f) == pytest.approx(0.0, abs=1e-12)
+    assert metrics.point_to_surface(v[::7], v, f).max() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_p2s_flat_patch_normal_offset():
     # big square patch in z=0 plane, point 5 above it
     v = np.array([[-10, -10, 0], [10, -10, 0], [10, 10, 0], [-10, 10, 0]], dtype=float)
     f = np.array([[0, 1, 2], [0, 2, 3]])
-    assert metrics.point_to_surface([[0, 0, 5.0]], v, f) == pytest.approx(5.0)
+    assert metrics.point_to_surface([[0, 0, 5.0]], v, f).max() == pytest.approx(5.0)
 
 
 def contour_like(rng, radius):
@@ -272,7 +272,7 @@ def test_p2s_matches_bruteforce(monkeypatch):
             faces = df if len(verts) == len(dv) else f
             fast = metrics.point_to_surface(pts, verts, faces)
             slow = metrics.point_to_surface_bruteforce(pts, verts, faces)
-            assert fast == slow
+            np.testing.assert_array_equal(fast, slow)
 
     check()
     # a triangle with two equal corners is the segment between the other
@@ -288,8 +288,8 @@ def test_p2s_matches_bruteforce(monkeypatch):
             metrics.point_to_triangles_distance(pts, tri[:1], tri[1:2], tri[2:]), exact, rtol=1e-12
         )
         fast = metrics.point_to_surface(pts, seg, faces)
-        assert fast == metrics.point_to_surface_bruteforce(pts, seg, faces)
-        assert fast == pytest.approx(exact.mean(), rel=1e-12)
+        np.testing.assert_array_equal(fast, metrics.point_to_surface_bruteforce(pts, seg, faces))
+        assert fast.mean() == pytest.approx(exact.mean(), rel=1e-12)
     # chunks of a single point (more faces than the pair budget), of 7
     # points, and of more points than any input holds
     for budget in (len(f) - 1, 7 * len(f), 1000 * len(f)):
@@ -312,7 +312,8 @@ def test_p2s_sliver_nearer_than_nearest_centroid():
     assert np.all(sliver < small)
     for shift in (0.0, 1e3):
         fast = metrics.point_to_surface(pts + shift, v + shift, f)
-        assert fast == metrics.point_to_surface_bruteforce(pts + shift, v + shift, f)
+        slow = metrics.point_to_surface_bruteforce(pts + shift, v + shift, f)
+        np.testing.assert_array_equal(fast, slow)
 
 
 @pytest.mark.parametrize("budget_per_face", [0.3, 3.0])
@@ -353,7 +354,7 @@ def test_p2s_batches_within_pair_budget(monkeypatch, budget_per_face):
     assert sizes and max(sizes) <= max(budget, len(f))
 
 
-# float.hex of point_to_surface as computed before the triangle box cull,
+# float.hex of point_to_surface's mean as computed before the triangle box cull,
 # which must keep these bits: a seeded shape's ideal contour points against
 # its generating mesh, and (every tenth point) against its vertex-permuted
 # mesh; and, as computed before the plane bound, those tenth points against
@@ -371,17 +372,31 @@ def test_p2s_golden(golden_arithmetic):
     pts, _ = acq.acquire(mesh, "pin", density=6.0).all_points(kind=acq.KIND_CONTOUR)
     scrambled = np.random.default_rng(11).permutation(mesh.vertices)
     got = (
-        metrics.point_to_surface(pts, mesh.vertices, topo.faces).hex(),
-        metrics.point_to_surface(pts[::10], scrambled, topo.faces).hex(),
-        metrics.point_to_surface(pts[::10], scrambled * 30.0, topo.faces).hex(),
+        metrics.point_to_surface(pts, mesh.vertices, topo.faces).mean().hex(),
+        metrics.point_to_surface(pts[::10], scrambled, topo.faces).mean().hex(),
+        metrics.point_to_surface(pts[::10], scrambled * 30.0, topo.faces).mean().hex(),
     )
     assert got == GOLDEN_P2S_HEX
+
+
+def test_p2s_of_a_subset_equals_the_full_sets_distances():
+    """Each distance is an exact minimum over all triangles, so the points a
+    call holds besides it do not change its bits: the per-slice distances
+    a case reference keeps are those of one call over every slice."""
+    topo = anatomy.build_template()
+    mesh = anatomy.generate_shape(topo, anatomy.sample_params(12))
+    pts, _ = acq.acquire(mesh, "pin", density=6.0).all_points(kind=acq.KIND_CONTOUR)
+    full = metrics.point_to_surface(pts, mesh.vertices, topo.faces)
+    rng = np.random.default_rng(12)
+    for subset in (np.arange(len(pts))[::-3], rng.choice(len(pts), 25, replace=False), [7]):
+        part = metrics.point_to_surface(pts[subset], mesh.vertices, topo.faces)
+        np.testing.assert_array_equal(part, full[subset])
 
 
 def test_p2s_ignores_unreferenced_vertices():
     v = np.array([[-10, -10, 0], [10, -10, 0], [10, 10, 0], [-10, 10, 0], [0, 0, 4.0]])
     f = np.array([[0, 1, 2], [0, 2, 3]])  # vertex 4 not part of any face
-    assert metrics.point_to_surface([[0, 0, 5.0]], v, f) == pytest.approx(5.0)
+    assert metrics.point_to_surface([[0, 0, 5.0]], v, f).max() == pytest.approx(5.0)
 
 
 def test_p2s_empty_mesh():
