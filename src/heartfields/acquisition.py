@@ -224,8 +224,8 @@ def inject_misalignment(contours, sigma, seed):
     Point order and labels are untouched, so the shift is exactly
     recoverable; the result is tagged "misaligned".
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     seed = [seed, stable_hash(contours.shape_id)]
     shifts = [
         np.random.default_rng(seed + [i]).normal(0.0, sigma, size=2)

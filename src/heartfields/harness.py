@@ -74,11 +74,12 @@ class ExperimentConfig(training.TrainConfig):
         if set(train_range) & set(test_range):
             raise ValueError("train and test seed ranges overlap")
         training.require(self, lambda v: v >= 0, "nonnegative", "train_shapes", "test_shapes",
-                         "sigma", "checkpoint_every", "train_seed0", "test_seed0", "misalign_seed")
+                         "checkpoint_every", "train_seed0", "test_seed0", "misalign_seed")
         training.require(self, lambda v: v >= 1, "at least 1", "infer_steps", "infer_points")
         training.require(self, lambda v: 0 < v < math.inf, "positive and finite", "spacing",
                          "density", "infer_lr")
-        training.require(self, lambda v: 0 <= v < math.inf, "nonnegative and finite", "margin")
+        training.require(self, lambda v: 0 <= v < math.inf, "nonnegative and finite", "margin",
+                         "sigma")
         return super().validate()
 
     def hash(self):
@@ -438,20 +439,24 @@ def load_model(root):
 
 def _check_conditions(conditions):
     """Raise ``ValueError`` naming every known condition unless each of
-    ``conditions`` is one."""
-    for condition in conditions:
+    ``conditions`` is one, or naming a condition listed twice."""
+    for i, condition in enumerate(conditions):
         if condition not in CONDITIONS:
             raise ValueError(
                 f"unknown condition {condition!r}; known conditions: {', '.join(CONDITIONS)}"
             )
+        if condition in conditions[:i]:
+            raise ValueError(f"condition {condition!r} is listed twice")
 
 
-def _condition_contours(root, case, condition):
-    """The contour set ``case`` is fitted to under ``condition``; an unknown
-    condition raises ``ValueError`` before any file is read."""
+def _condition_contours(root, case, condition, load=None):
+    """The contour set ``case`` is fitted to under ``condition``, from the
+    contour file that ``load(path)`` reads (default
+    :func:`acquisition.load_contours`); an unknown condition raises
+    ``ValueError`` before any file is read."""
     _check_conditions([condition])
     tag, _, row = CONDITIONS[condition]
-    cs = acq.load_contours(os.path.join(root, _contour_json(case, tag)))
+    cs = (load or acq.load_contours)(os.path.join(root, _contour_json(case, tag)))
     return cs if row is None else acq.select_subset(cs, row)
 
 
@@ -512,10 +517,12 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
     started = time.perf_counter()
     _, test_ids = _shape_ids(config)
     cases = cases or test_ids
-    for case in cases:
+    for i, case in enumerate(cases):
         if case not in test_ids:
             known = f"{test_ids[0]} to {test_ids[-1]}" if test_ids else "none"
             raise ValueError(f"unknown case {case!r}; known cases: {known}")
+        if case in cases[:i]:
+            raise ValueError(f"case {case!r} is listed twice")
     contours = {_contour_json(case, CONDITIONS[c][0]) for c in conditions for case in cases}
     missing = sorted(rel for rel in contours if not os.path.exists(os.path.join(root, rel)))
     if missing:
@@ -578,12 +585,20 @@ def volumes(mesh):
 class CaseReference:
     """What every condition of a case is scored against: its generating
     ``mesh``, its :func:`volumes` and each contour point's distance to it,
-    kept per slice (keyed by its contour points' bytes) and taken on first use."""
+    kept per slice (keyed by its contour points' bytes) and taken on first
+    use; also the case's contour files, each read on first use."""
 
     def __init__(self, mesh):
         self.mesh = mesh
         self.volumes = volumes(mesh)
         self._distances = {}
+        self._contours = {}
+
+    def contours(self, path):
+        """The contour set in the file ``path``."""
+        if path not in self._contours:
+            self._contours[path] = acq.load_contours(path)
+        return self._contours[path]
 
     def p2s(self, contours):
         """Mean distance of the contour points of ``contours`` to the mesh."""
@@ -623,14 +638,16 @@ def case_metrics(pred, ref, contours, seg_net, latent):
 def evaluate_case(root, topo, ckpt, case, condition, ref=None):
     """:func:`case_metrics` of the reconstruction of ``case`` under
     ``condition`` in the run in ``root`` against ``ref`` (by default a
-    :class:`CaseReference` built for it), or ``None`` when it is missing."""
+    :class:`CaseReference` built for it), which also reads the contour file,
+    or ``None`` when the reconstruction is missing."""
     ply = os.path.join(root, _recon(condition, case, RECON_PLY))
     if not os.path.exists(ply):
         return None
     pred = anatomy.InstanceMesh(topo, anatomy.read_mesh_ply(ply)[0])
     latent = np.load(os.path.join(root, _recon(condition, case, RECON_LATENT)))
     ref = ref or CaseReference(load_instance_mesh(root, case, topo))
-    return case_metrics(pred, ref, _condition_contours(root, case, condition), ckpt.seg_net, latent)
+    contours = _condition_contours(root, case, condition, ref.contours)
+    return case_metrics(pred, ref, contours, ckpt.seg_net, latent)
 
 
 def cmd_evaluate(config, conditions=None):

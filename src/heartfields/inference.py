@@ -77,17 +77,40 @@ class ReconstructionResult:
     n_points: int
 
 
+def fit_objective(seg_net, stats, points, labels, lambda_bce):
+    """The fit's objective ``fun(code) -> (loss, code gradient)`` for a code
+    in the classifier's dtype: LAMBDA_R * Mahalanobis + lambda_bce * BCE +
+    Dice of the logits at ``points`` against ``labels``, from one
+    :func:`training.through_net` pass that keeps only the ReLU masks (the
+    code's input gradient is all it needs) and scales by :data:`GRAD_SCALE`."""
+    dt = seg_net.parameters.dtype
+    points = points.astype(dt)
+    onehot = AnatomicalLabel.one_hot(labels).astype(dt)
+
+    def fun(code):
+        lm, gm = mahalanobis(code, stats)
+
+        def loss(logits):
+            lb, gb = bce_loss(logits, onehot)
+            ld, gd = dice_loss(logits, onehot)
+            return LAMBDA_R * lm + lambda_bce * lb + ld, lambda_bce * gb + gd
+
+        value, g_data, _ = through_net(seg_net, seg_inputs(points, code), loss, len(code),
+                                       keep="inputs", scale=GRAD_SCALE)
+        return value, g_data + LAMBDA_R * gm.astype(dt)
+
+    return fun
+
+
 def optimize_latent(contours, seg_net, stats, weights, seed=0):
     """Fit the latent code to one case's slice labels through the frozen
     classifier.
 
     Uses up to ``weights.max_points`` of the contour set's occupancy-grid
-    points. Each step is one :func:`training.through_net` pass: it needs
-    only the code columns of the input gradient, so it keeps just the ReLU
-    masks (``keep="inputs"``) and scales its upstream by
-    :data:`GRAD_SCALE`; the loss after the last step comes from a plain
-    forward pass. The fit computes in the classifier's dtype, on a read-only
-    view of its parameters (a write to them raises ``ValueError``). Returns the
+    points, evaluates :func:`fit_objective` at each of ``weights.steps + 1``
+    iterates and takes an Adam step after each but the last. The fit
+    computes in the classifier's dtype, on a read-only view of its
+    parameters (a write to them raises ``ValueError``). Returns the
     best-loss iterate, in that dtype, and the full loss trace; raises if the
     fitted points carry fewer than two distinct labels (the Dice term would
     be degenerate) or if the loss diverges past 1e6.
@@ -102,34 +125,15 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
 
     seg_net = replace(seg_net, parameters=seg_net.parameters.view())
     seg_net.parameters.flags.writeable = False
-    dt = seg_net.parameters.dtype
-    pts = pts.astype(dt)
-    onehot = AnatomicalLabel.one_hot(labels).astype(dt)
-
-    h = stats.mean.astype(dt)
+    fun = fit_objective(seg_net, stats, pts, labels, weights.lambda_bce)
+    h = stats.mean.astype(seg_net.parameters.dtype)
     opt = netcore.OptimizerState.for_params(h)
     trace = []
     best_loss, best_h = np.inf, h.copy()
     blowups = 0  # a heavily weighted prior spikes transiently on the first
     # steps away from the mean; only a sustained blowup counts as divergence
-
-    def loss_at(code):
-        """The loss of ``code``'s logits, prior term included, and the prior's
-        share of the code gradient."""
-        lm, gm = mahalanobis(code, stats)
-
-        def loss(logits):
-            lb, gb = bce_loss(logits, onehot)
-            ld, gd = dice_loss(logits, onehot)
-            return LAMBDA_R * lm + weights.lambda_bce * lb + ld, weights.lambda_bce * gb + gd
-
-        return loss, LAMBDA_R * gm.astype(dt)
-
-    for _ in range(weights.steps):
-        loss_of, g_prior = loss_at(h)
-        loss, g_h, _ = through_net(
-            seg_net, seg_inputs(pts, h), loss_of, len(h), keep="inputs", scale=GRAD_SCALE
-        )
+    for step in range(weights.steps + 1):
+        loss, grad = fun(h)
         trace.append(loss)
         if loss < best_loss:
             best_loss, best_h = loss, h.copy()
@@ -138,12 +142,8 @@ def optimize_latent(contours, seg_net, stats, weights, seed=0):
             raise FloatingPointError(
                 f"latent optimization diverged (loss {loss:.3g}); trace tail: {trace[-5:]}"
             )
-        netcore.adam_step(h, g_h + g_prior, opt, weights.lr)
-    loss_of, _ = loss_at(h)
-    final_loss, _ = loss_of(netcore.forward(seg_net, seg_inputs(pts, h)))
-    trace.append(final_loss)
-    if final_loss < best_loss:
-        best_loss, best_h = final_loss, h.copy()
+        if step < weights.steps:
+            netcore.adam_step(h, grad, opt, weights.lr)
     return ReconstructionResult(
         latent=best_h,
         loss_trace=np.asarray(trace, dtype=np.float64),

@@ -281,8 +281,9 @@ def test_misalignment_zero_sigma_identity(contours):
     assert shifted.provenance == "misaligned"
     for a, b in zip(shifted.slices, contours.slices):
         np.testing.assert_array_equal(a.points, b.points)
-    with pytest.raises(ValueError, match="sigma"):
-        acq.inject_misalignment(contours, sigma=-1.0, seed=5)
+    for sigma in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^sigma must be nonnegative and finite"):
+            acq.inject_misalignment(contours, sigma=sigma, seed=5)
 
 
 def test_misalignment_roundtrip(contours):

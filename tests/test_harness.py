@@ -101,7 +101,7 @@ BAD_SETTINGS = [
     ("reg_batch", "0"), ("hidden_dim", "0"), ("num_blocks", "-1"), ("infer_lr", "0"),
     ("misalign_seed", "-1"), ("test_seed0", "-5"), ("train_seed0", "-100"), ("train_seed", "-1"),
     ("margin", "nan"), ("margin", "-1e9"), ("train_shapes", "-3"), ("test_shapes", "-1"),
-    ("spacing", "inf"), ("density", "inf"),
+    ("spacing", "inf"), ("density", "inf"), ("sigma", "inf"),
 ]
 
 
@@ -187,7 +187,7 @@ def test_generate_force_checks_point_budgets_before_removing(tmp_path, budgets):
     [dict(spacing=0.0), dict(density=-1.0), dict(sigma=-0.5), dict(infer_steps=0),
      dict(infer_points=0), dict(misalign_seed=-1), dict(test_seed0=-5), dict(train_seed0=-100),
      dict(margin=float("nan")), dict(margin=-1e9), dict(train_shapes=-3), dict(test_shapes=-1),
-     dict(spacing=float("inf")), dict(density=float("inf"))],
+     dict(spacing=float("inf")), dict(density=float("inf")), dict(sigma=float("inf"))],
 )
 def test_generate_force_validates_before_removing(tmp_path, run, bad):
     """Cohort, acquisition and inference settings and seeds no stage can run are
@@ -968,6 +968,30 @@ def test_evaluate_takes_each_contour_files_reference_distances_once(tmp_path, ru
     ]
 
 
+def test_evaluate_reads_each_contour_file_once_per_case(tmp_path, run, monkeypatch):
+    """Ideal and its ablation row share a contour file and misaligned reads
+    the other: each case's two files are read once each."""
+    import shutil
+
+    dst = tmp_path / "reads"
+    shutil.copytree(run.out_dir, dst)
+    # the ideal fits stand in for misaligned ones
+    shutil.copytree(dst / harness._recon("ideal"), dst / harness._recon("misaligned"))
+    reads = []
+    load_contours = acq.load_contours
+
+    def counted(path):
+        reads.append(os.path.relpath(path, dst))
+        return load_contours(path)
+
+    monkeypatch.setattr(acq, "load_contours", counted)
+    conditions = ["ideal", "misaligned", "ablation:halfsax"]
+    assert harness.cmd_evaluate(mini_config(dst), conditions=conditions) == 0
+    assert sorted(reads) == sorted(harness._contour_json(case, tag)
+                                   for case in ("test_0000", "test_0001")
+                                   for tag in ("ideal", "misaligned"))
+
+
 def test_manifest_rejects_a_corrupt_file(tmp_path):
     """A truncated manifest, or JSON that is not a manifest, raises a
     ValueError naming the file instead of a bare decode or type error."""
@@ -1024,6 +1048,19 @@ def test_evaluate_unknown_condition_writes_nothing(tmp_path, run):
     assert [path.read_bytes() for path in kept] == before
 
 
+def test_evaluate_repeated_condition_writes_nothing(tmp_path, run):
+    """A condition listed twice is rejected before anything is written, not
+    scored and tabled twice."""
+    import shutil
+
+    dst = tmp_path / "twice"
+    shutil.copytree(run.out_dir, dst)
+    before = tree_hashes(dst)
+    with pytest.raises(ValueError, match="^condition 'ideal' is listed twice$"):
+        harness.cmd_evaluate(mini_config(dst), conditions=["ideal", "ablation:halfsax", "ideal"])
+    assert tree_hashes(dst) == before
+
+
 def test_reconstruct_unknown_condition_writes_nothing(tmp_path, run):
     """A list with an unknown condition after a known one is rejected before
     the known one's files are written, so no recon file goes unrecorded."""
@@ -1049,6 +1086,24 @@ def test_reconstruct_unknown_case_writes_nothing(tmp_path, run):
     with pytest.raises(ValueError, match="'test_00O1'; known cases: test_0000 to test_0001"):
         harness.cmd_reconstruct(mini_config(dst), cases=["test_0000", "test_00O1"],
                                 conditions=["misaligned"])
+    assert tree_hashes(dst) == before
+
+
+@pytest.mark.parametrize("cases, conditions, repeated", [
+    (["test_0000", "test_0001", "test_0000"], ["ideal"], "case 'test_0000'"),
+    (["test_0001"], ["misaligned", "ideal", "misaligned"], "condition 'misaligned'"),
+])
+def test_reconstruct_repeated_case_or_condition_writes_nothing(tmp_path, run, cases, conditions,
+                                                                repeated):
+    """A case or condition listed twice is rejected before anything is
+    written, not fitted twice."""
+    import shutil
+
+    dst = tmp_path / "twice"
+    shutil.copytree(run.out_dir, dst)
+    before = tree_hashes(dst)
+    with pytest.raises(ValueError, match=f"^{repeated} is listed twice$"):
+        harness.cmd_reconstruct(mini_config(dst), cases=cases, conditions=conditions)
     assert tree_hashes(dst) == before
 
 

@@ -200,7 +200,7 @@ def test_optimize_latent_forms_no_parameter_gradients(topo, small_model, monkeyp
     contours = acq.acquire(meshes[0], "t000", density=6.0)
     w = ideal_weights(7, 300)
     inference.optimize_latent(contours, result.seg_net, result.stats, w)
-    assert calls == [("backward", True)] * 7 + ["forward"]
+    assert calls == [("backward", True)] * 8
 
 
 def test_saturated_fit_scales_its_upstream_out_of_subnormals(topo, monkeypatch):
@@ -213,7 +213,7 @@ def test_saturated_fit_scales_its_upstream_out_of_subnormals(topo, monkeypatch):
     stats = training.latent_stats(np.random.default_rng(6).standard_normal((8, 4)) * 0.3)
     net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, hidden_dim=16, num_blocks=2), 5)
     net.views()[3][:] *= 100.0  # the output projection
-    true_backward, true_adam_step = netcore.backward, netcore.adam_step
+    true_backward = netcore.backward
     seen = {}
 
     def backward(net, inputs, upstream_grads, cache=None):
@@ -221,16 +221,13 @@ def test_saturated_fit_scales_its_upstream_out_of_subnormals(topo, monkeypatch):
         seen["logits"] = netcore.forward(net, inputs)
         return true_backward(net, inputs, upstream_grads, cache)
 
-    def adam_step(params, grads, state, lr):
-        seen["code_grad"] = grads.astype(np.float64)
-        return true_adam_step(params, grads, state, lr)
-
     monkeypatch.setattr(netcore, "backward", backward)
-    monkeypatch.setattr(netcore, "adam_step", adam_step)
+    w = ideal_weights(1, 500)
     code_grad = {}
     for dtype in (np.float64, np.float32):
-        inference.optimize_latent(contours, net.astype(dtype), stats, ideal_weights(1, 500))
-        code_grad[dtype] = seen["code_grad"]
+        fun = inference.fit_objective(net.astype(dtype), stats, *fit_points(contours, w),
+                                      w.lambda_bce)
+        code_grad[dtype] = fun(stats.mean.astype(dtype))[1].astype(np.float64)
 
     assert np.abs(seen["logits"]).max() >= 200.0
     tiny = np.finfo(np.float32).tiny
@@ -241,50 +238,59 @@ def test_saturated_fit_scales_its_upstream_out_of_subnormals(topo, monkeypatch):
     assert error <= 1e-5 * np.abs(code_grad[np.float64]).max()
 
 
-def test_fit_gradient_matches_finite_differences(topo, monkeypatch):
-    """The code gradient a float64 fit hands to Adam is the gradient of its
-    whole objective, LAMBDA_R * Mahalanobis + lambda_bce * BCE + Dice over
-    every grid point, through the classifier at GRAD_SCALE. The second step
-    is checked: the first iterate is the prior mean, where the prior's
-    gradient vanishes."""
+def test_fit_gradient_matches_finite_differences(topo):
+    """The code gradient of the float64 fit's objective is the gradient of
+    LAMBDA_R * Mahalanobis + lambda_bce * BCE + Dice over every grid point,
+    through the classifier at GRAD_SCALE. It is checked away from the prior
+    mean, where the prior's gradient vanishes."""
     mesh = anatomy.generate_shape(topo, anatomy.sample_params(500))
     contours = acq.acquire(mesh, "g000", density=6.0)
     pts, labels = contours.all_points(kind=acq.KIND_GRID)
     onehot = anatomy.AnatomicalLabel.one_hot(labels)
     stats = training.latent_stats(np.random.default_rng(6).standard_normal((8, 4)) * 0.3)
     net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, hidden_dim=16, num_blocks=2), 5)
-    true_adam_step = netcore.adam_step
-    seen = {}
-
-    def adam_step(params, grads, state, lr):
-        seen["code"], seen["grad"] = params.copy(), grads.copy()
-        return true_adam_step(params, grads, state, lr)
-
-    monkeypatch.setattr(netcore, "adam_step", adam_step)
-    # a rate of 0.5 moves the code ~0.5 per entry away from the mean, so the
-    # prior's share of the second step's gradient is not negligible
-    w = inference.InferenceWeights(lambda_bce=10.0, steps=2, max_points=len(pts), lr=0.5)
-    inference.optimize_latent(contours, net, stats, w)
+    lambda_bce = 10.0
+    fun = inference.fit_objective(net, stats, pts, labels, lambda_bce)
 
     def objective(code):
         logits = netcore.forward(net, training.seg_inputs(pts, code))
         return (inference.LAMBDA_R * inference.mahalanobis(code, stats)[0]
-                + w.lambda_bce * training.bce_loss(logits, onehot)[0]
+                + lambda_bce * training.bce_loss(logits, onehot)[0]
                 + training.dice_loss(logits, onehot)[0])
 
-    code, step = seen["code"], 1e-6
+    # ~0.5 per entry from the mean, so the prior's share of the gradient is
+    # not negligible
+    code, step = stats.mean + np.array([0.5, -0.4, 0.6, -0.5]), 1e-6
     assert np.abs(code - stats.mean).min() > 0.1
     numeric = [(objective(code + step * e) - objective(code - step * e)) / (2 * step)
                for e in np.eye(len(code))]
-    assert netcore.relative_grad_error(seen["grad"], numeric) < 1e-4
+    assert netcore.relative_grad_error(fun(code)[1], numeric) < 1e-4
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_fit_returns_the_iterate_of_its_least_loss(topo, small_model, dtype):
+    """The minimum of a fit's trace is its objective at the returned latent,
+    bit for bit."""
+    result, _, meshes, _ = small_model
+    contours = acq.acquire(meshes[0], "t000", density=4.0)
+    net = result.seg_net.astype(dtype)
+    w = ideal_weights(60, 800)
+    rec = inference.optimize_latent(contours, net, result.stats, w)
+    fun = inference.fit_objective(net, result.stats, *fit_points(contours, w), w.lambda_bce)
+    assert rec.loss_trace.min() == fun(rec.latent)[0]
+
+
+def fit_points(contours, w):
+    """The grid points and labels a fit with weights ``w`` and seed 0 chooses."""
+    pts, labels = contours.all_points(kind=acq.KIND_GRID)
+    if len(pts) > w.max_points:
+        pick = np.random.default_rng(0).choice(len(pts), size=w.max_points, replace=False)
+        pts, labels = pts[pick], labels[pick]
+    return pts, labels
 
 
 def evaluate_loss(rec, contours, result, cfg, w):
-    pts, labels = contours.all_points(kind=acq.KIND_GRID)
-    rng = np.random.default_rng(0)
-    if len(pts) > w.max_points:
-        pick = rng.choice(len(pts), size=w.max_points, replace=False)
-        pts, labels = pts[pick], labels[pick]
+    pts, labels = fit_points(contours, w)
     onehot = anatomy.AnatomicalLabel.one_hot(labels)
     x = training.seg_inputs(pts, rec.latent)
     logits = netcore.forward(result.seg_net, x)
