@@ -12,7 +12,9 @@ in layout order; ``latent_codes`` (n_shapes, latent_dim); optionally
 ``.t``, the Adam moments and step count of "seg", "reg" and "lat" (one state
 for the whole latent table, counting epochs; no learning rate) and ``log``,
 one float64 row of :data:`training.LOG_COLUMNS` per completed epoch, which
-training needs to resume from the checkpoint and reconstruction does not.
+training needs to resume from the checkpoint and reconstruction does not:
+``harness.load_model`` drops these training-only members once
+:func:`load_checkpoint` has checked them.
 The number of completed epochs is stored once, as the log's row count, which
 must equal ``opt.lat.t``; loading ignores the ``stats.cov`` and ``epoch``
 members of older files.

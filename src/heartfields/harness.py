@@ -77,7 +77,7 @@ class ExperimentConfig(training.TrainConfig):
                          "checkpoint_every", "train_seed0", "test_seed0", "misalign_seed")
         training.require(self, lambda v: v >= 1, "at least 1", "infer_steps", "infer_points")
         training.require(self, lambda v: 0 < v < math.inf, "positive and finite", "spacing",
-                         "density", "infer_lr")
+                         "density", "infer_lr", "infer_budget_s")
         training.require(self, lambda v: 0 <= v < math.inf, "nonnegative and finite", "margin",
                          "sigma")
         return super().validate()
@@ -348,9 +348,11 @@ def cmd_generate(config, force=False):
     return manifest
 
 
-def _load_sample(root, sid):
-    """Read shape ``sid``'s point samples; raise ``ValueError`` naming the file
-    unless seg is (n, 4) with labels of the legend and reg is (m, 7)."""
+def _load_sample(root, sid, dtype):
+    """Read shape ``sid``'s point samples, with coordinates cast to ``dtype``
+    and no copy of the file's float64 arrays kept; raise ``ValueError``
+    naming the file unless seg is (n, 4) with labels of the legend, reg is
+    (m, 7), and every cast coordinate is finite."""
     paths = [os.path.join(root, rel) for rel in _sample_npys(sid)]
     seg, reg = (np.load(path) for path in paths)
     for path, arr, width in zip(paths, (seg, reg), (4, 7)):
@@ -358,9 +360,15 @@ def _load_sample(root, sid):
             raise ValueError(f"{path}: expected an (n, {width}) array, got shape {arr.shape}")
     if not np.isin(seg[:, 3], list(anatomy.AnatomicalLabel)).all():
         raise ValueError(f"{paths[0]}: labels must be integers in 0-{max(anatomy.AnatomicalLabel)}")
+    # checked as cast: a finite float64 can overflow float32
+    with np.errstate(over="ignore"):
+        seg_xyz, reg = seg[:, :3].astype(dtype), reg.astype(dtype)
+    for path, arr in zip(paths, (seg_xyz, reg)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: coordinates must be finite in {np.dtype(dtype)}")
     return training.TrainingSample(
         shape_id=sid,
-        seg_xyz=seg[:, :3],
+        seg_xyz=seg_xyz,
         seg_labels=seg[:, 3].astype(np.int8),
         reg_uvc=reg[:, :4],
         reg_xyz=reg[:, 4:],
@@ -376,17 +384,17 @@ def load_instance_mesh(root, sid, topo=None):
 
 
 def cmd_train(config, resume=False):
-    """Train the model and write its checkpoint. Once the samples, the
-    config and any resume pass the checks of training, the old model's
-    reconstructions, evaluations and report go, with their manifest
-    records, so no later stage mixes them with the new checkpoint; a
-    rejected run removes nothing."""
+    """Train the model and write its checkpoint. Once the config and any
+    resume pass the checks of training and the samples load in the
+    config's dtype, the old model's reconstructions, evaluations and report
+    go, with their manifest records, so no later stage mixes them with the
+    new checkpoint; a rejected run removes nothing."""
     root = config.out_dir
     started = time.perf_counter()
     train_ids, _ = _shape_ids(config)
-    samples = [_load_sample(root, sid) for sid in train_ids]
     prior = load_checkpoint(os.path.join(root, CHECKPOINT)) if resume else None
-    training.check_train(config, len(samples), prior)
+    training.check_train(config, len(train_ids), prior)
+    samples = [_load_sample(root, sid, config.np_dtype) for sid in train_ids]
 
     manifest = Manifest(root)
     for stage in ("reconstruct", "evaluate"):
@@ -430,8 +438,12 @@ def _write_checkpoint(root, result):
 
 
 def load_model(root):
+    """(checkpoint, latent stats) of the run in ``root`` for reconstruction:
+    the checkpoint holds the nets, latent codes and stats only; the Adam
+    moments and log, which only training reads, are dropped once
+    :func:`load_checkpoint` has checked them."""
     ckpt = load_checkpoint(os.path.join(root, CHECKPOINT))
-    return ckpt, ckpt.stats
+    return Checkpoint(ckpt.seg_net, ckpt.reg_net, ckpt.latent_codes, ckpt.stats), ckpt.stats
 
 
 # -------------------------------------------------------------- reconstruct

@@ -82,10 +82,12 @@ def fit_objective(seg_net, stats, points, labels, lambda_bce):
     in the classifier's dtype: LAMBDA_R * Mahalanobis + lambda_bce * BCE +
     Dice of the logits at ``points`` against ``labels``, from one
     :func:`training.through_net` pass that keeps only the ReLU masks (the
-    code's input gradient is all it needs) and scales by :data:`GRAD_SCALE`."""
+    code's input gradient is all it needs) and scales by :data:`GRAD_SCALE`.
+    Every evaluation reuses one :class:`netcore.Buffers` set."""
     dt = seg_net.parameters.dtype
     points = points.astype(dt)
     onehot = AnatomicalLabel.one_hot(labels).astype(dt)
+    buffers = netcore.Buffers()
 
     def fun(code):
         lm, gm = mahalanobis(code, stats)
@@ -96,7 +98,7 @@ def fit_objective(seg_net, stats, points, labels, lambda_bce):
             return LAMBDA_R * lm + lambda_bce * lb + ld, lambda_bce * gb + gd
 
         value, g_data, _ = through_net(seg_net, seg_inputs(points, code), loss, len(code),
-                                       keep="inputs", scale=GRAD_SCALE)
+                                       keep="inputs", scale=GRAD_SCALE, buffers=buffers)
         return value, g_data + LAMBDA_R * gm.astype(dt)
 
     return fun

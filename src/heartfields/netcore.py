@@ -13,17 +13,21 @@ caches the block inputs and activations for the parameter gradients, while
 every parameter-gradient product. Input gradients are bit-identical either
 way, since both run the same arithmetic on them.
 
-Every pass allocates its buffers once per call and then works in place:
-matrix products write through ``out=``, and bias adds, ReLUs and residual
-adds update their operands. A ``keep="params"`` forward stores all block
-inputs and activations in one array; the other passes keep the running
-state and two scratch arrays for all blocks, and Adam two temporaries.
-The operation order is that of the plain expressions
-(``t += h`` equals ``h + t`` exactly), so results are bit-identical to
-them. This matters for speed: a fresh temporary per step is freed at the
+Every pass writes into a :class:`Buffers` set that the caller owns and
+then works in place: matrix products write through ``out=``, and bias
+adds, ReLUs and residual adds update their operands. A ``keep="params"``
+forward stores all block inputs and activations in one array; the other
+passes keep the running state and two scratch arrays for all blocks, and
+Adam two temporaries. The operation order is that of the plain
+expressions (``t += h`` equals ``h + t`` exactly), so results are
+bit-identical to them, and a reused buffer set gives the same bits as a
+fresh one. This matters for speed: a fresh array per step is freed at the
 end of the call, glibc trims the heap top, and the next step faults the
-same pages in again. No buffer outlives a call except what it returns,
-and nothing is kept across calls.
+same pages in again. So a caller that runs many passes (a training run, a
+latent fit) makes one set per network and keeps it; a pass called without
+a set makes a fresh one. Ownership rule: every array a pass returns (the
+outputs, the cache, the gradients) lives in its buffer set and is
+overwritten by the next pass on that set.
 """
 
 import math
@@ -169,27 +173,52 @@ class Cache(NamedTuple):
 _KEEP = ("params", "inputs", None)
 
 
-def forward_cached(net, inputs, keep="params"):
+class Buffers:
+    """The arrays the passes of one network write into, kept from pass to
+    pass (see the module docstring for who owns what).
+
+    A pass takes each array by name. The array held under that name is
+    reused when it has the dtype and trailing shape asked for and at least
+    as many entries along the first axis (the pass then works in a leading
+    slice of it); otherwise a new array replaces it. So a set follows a
+    change of row count or of ``keep``, and one made per network and row
+    count allocates only on its first passes.
+    """
+
+    def __init__(self):
+        self._held = {}
+
+    def take(self, name, shape, dtype):
+        held = self._held.get(name)
+        if held is None or held.dtype != dtype or held.shape[1:] != shape[1:] or len(held) < shape[0]:
+            held = self._held[name] = np.empty(shape, dtype)
+        return held[: shape[0]]
+
+
+def forward_cached(net, inputs, keep="params", buffers=None):
     """Forward pass that keeps what backward needs, as a :class:`Cache`.
 
     ``keep="params"`` allows parameter and input gradients; ``"inputs"``
     keeps only the ReLU masks, which input gradients alone need; ``None``
-    keeps nothing and returns no cache.
+    keeps nothing and returns no cache. The outputs and the cache live in
+    ``buffers`` (a fresh :class:`Buffers` if omitted) until its next pass.
     """
     if keep not in _KEEP:
         raise ValueError(f"keep must be one of {_KEEP}, got {keep!r}")
     x = _check_inputs(net, inputs)
+    buffers = Buffers() if buffers is None else buffers
     w_in, b_in, blocks, w_out, b_out = net.views()
     rows, nb = len(x), net.num_blocks
     shape = (rows, net.hidden_dim)
-    masks = None if keep is None else np.empty((nb, *shape), dtype=bool)
+    masks = None if keep is None else buffers.take("masks", (nb, *shape), bool)
+    # keep="params": slot 2k holds block k's input, 2k+1 its activation, the
+    # last one the final hidden state; otherwise the running state and two
+    # scratch arrays
+    states = buffers.take("states", (2 * nb + 1 if keep == "params" else 3, *shape), x.dtype)
     if keep == "params":
-        # slot 2k holds block k's input, 2k+1 its activation, the last one
-        # the final hidden state
-        states = np.empty((2 * nb + 1, *shape), dtype=x.dtype)
         h = states[0]
     else:
-        h, a, t = (np.empty(shape, dtype=x.dtype) for _ in range(3))
+        h, a, t = states
     np.matmul(x, w_in, out=h)
     h += b_in
     for k, (w1, b1, w2, b2) in enumerate(blocks):
@@ -204,7 +233,8 @@ def forward_cached(net, inputs, keep="params"):
         t += h
         t += b2
         h, t = t, h
-    y = h @ w_out
+    y = buffers.take("outputs", (rows, net.output_dim), x.dtype)
+    np.matmul(h, w_out, out=y)
     y += b_out
     if keep == "params":
         return y, Cache(rows, list(masks), x, list(states[0:-1:2]), list(states[1::2]), h)
@@ -224,16 +254,19 @@ class GradientBuffer:
     input_grads: np.ndarray
 
 
-def backward(net, inputs, upstream_grads, cache=None):
+def backward(net, inputs, upstream_grads, cache=None, buffers=None):
     """Reverse-mode pass: gradients of sum(upstream_grads * forward(inputs)).
 
     Recomputes the forward pass unless a cache from :func:`forward_cached`
     for the same inputs is supplied. A ``keep="inputs"`` cache skips the
     parameter gradients; the input gradients have the same bits as with a
-    full cache. relu'(0) is taken as 0.
+    full cache. relu'(0) is taken as 0. The gradients live in ``buffers``
+    (a fresh :class:`Buffers` if omitted) until its next pass; a cache must
+    come from the latest forward on the set it lives in.
     """
+    buffers = Buffers() if buffers is None else buffers
     if cache is None:
-        _, cache = forward_cached(net, inputs)
+        _, cache = forward_cached(net, inputs, buffers=buffers)
     up = np.asarray(upstream_grads, dtype=net.parameters.dtype)
     if up.ndim == 1:
         up = up[None, :]
@@ -245,10 +278,11 @@ def backward(net, inputs, upstream_grads, cache=None):
         raise ValueError("upstream grads contain non-finite values")
 
     w_in, b_in, blocks, w_out, b_out = net.views()
-    gh, ga, u = (np.empty((cache.rows, net.hidden_dim), dtype=up.dtype) for _ in range(3))
+    gh, ga, u = buffers.take("grad_states", (3, cache.rows, net.hidden_dim), up.dtype)
     full = cache.x is not None
+    grads = None
     if full:
-        grads = np.empty_like(net.parameters)
+        grads = buffers.take("param_grads", net.parameters.shape, up.dtype)
         gw_in, gb_in, gblocks, gw_out, gb_out = _views(
             grads, net.input_dim, net.output_dim, net.hidden_dim, net.num_blocks
         )
@@ -267,11 +301,12 @@ def backward(net, inputs, upstream_grads, cache=None):
             np.sum(ga, axis=0, out=gb1)
         np.matmul(ga, w1.T, out=u)
         gh += u
-    if not full:
-        return GradientBuffer(None, gh @ w_in.T)
-    np.matmul(cache.x.T, gh, out=gw_in)
-    np.sum(gh, axis=0, out=gb_in)
-    return GradientBuffer(grads, gh @ w_in.T)
+    if full:
+        np.matmul(cache.x.T, gh, out=gw_in)
+        np.sum(gh, axis=0, out=gb_in)
+    input_grads = buffers.take("input_grads", (cache.rows, net.input_dim), up.dtype)
+    np.matmul(gh, w_in.T, out=input_grads)
+    return GradientBuffer(grads, input_grads)
 
 
 # Adam's moment decay rates and denominator guard

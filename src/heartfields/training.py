@@ -300,15 +300,18 @@ def reg_inputs(uvc, code):
     return np.concatenate([uvc, h], axis=1)
 
 
-def through_net(net, inputs, loss, code_dim, keep="params", scale=1.0):
+def through_net(net, inputs, loss, code_dim, keep="params", scale=1.0, buffers=None):
     """One forward-loss-backward pass: (loss value, code gradient, parameter
     gradient). ``loss(outputs)`` returns (value, upstream gradient); the
     backward runs on the upstream times ``scale``, and the code gradient
     (the last ``code_dim`` input columns summed over rows) is divided by it
-    again, as is the parameter gradient (``None`` for ``keep="inputs"``)."""
-    outputs, cache = netcore.forward_cached(net, inputs, keep=keep)
+    again, as is the parameter gradient (``None`` for ``keep="inputs"``).
+    Both passes write into the :class:`netcore.Buffers` ``buffers`` (a
+    fresh set if omitted), where the parameter gradient lives until its
+    next pass."""
+    outputs, cache = netcore.forward_cached(net, inputs, keep=keep, buffers=buffers)
     value, upstream = loss(outputs)
-    g = netcore.backward(net, inputs, upstream * scale, cache=cache)
+    g = netcore.backward(net, inputs, upstream * scale, cache=cache, buffers=buffers)
     if g.param_grads is not None:
         g.param_grads /= scale
     return value, g.input_grads[:, -code_dim:].sum(axis=0) / scale, g.param_grads
@@ -404,11 +407,13 @@ def train(samples, config, resume=None, on_epoch=None):
         seg_net, reg_net, codes = resume.seg_net, resume.reg_net, resume.latent_codes
         opt_seg, opt_reg, opt_lat = (resume.opt[k] for k in ("seg", "reg", "lat"))
 
-    # cast the point data once
-    seg_xyz = [s.seg_xyz.astype(dt) for s in samples]
-    seg_onehot = [AnatomicalLabel.one_hot(s.seg_labels).astype(dt) for s in samples]
-    reg_uvc = [s.reg_uvc.astype(dt) for s in samples]
-    reg_xyz = [s.reg_xyz.astype(dt) for s in samples]
+    # cast the point data once (samples already in the dtype are not copied)
+    seg_xyz = [s.seg_xyz.astype(dt, copy=False) for s in samples]
+    seg_onehot = [AnatomicalLabel.one_hot(s.seg_labels).astype(dt, copy=False) for s in samples]
+    reg_uvc = [s.reg_uvc.astype(dt, copy=False) for s in samples]
+    reg_xyz = [s.reg_xyz.astype(dt, copy=False) for s in samples]
+    # each net's passes reuse one buffer set for the whole run
+    seg_buffers, reg_buffers = netcore.Buffers(), netcore.Buffers()
 
     log = [] if resume is None else list(resume.log)
 
@@ -441,9 +446,11 @@ def train(samples, config, resume=None, on_epoch=None):
             # a validation shape moves only its code: no parameter gradients
             keep = "inputs" if si in val_set else "params"
             ts, xs = seg_onehot[si][bs], seg_inputs(seg_xyz[si][bs], h)
-            l_seg, g_seg, gs = through_net(seg_net, xs, lambda z: seg_loss(z, ts), len(h), keep)
+            l_seg, g_seg, gs = through_net(seg_net, xs, lambda z: seg_loss(z, ts), len(h), keep,
+                                           buffers=seg_buffers)
             tr, xr = reg_xyz[si][br], reg_inputs(reg_uvc[si][br], h)
-            l_reg, g_reg, gr = through_net(reg_net, xr, lambda o: _reg_share(o, tr), len(h), keep)
+            l_reg, g_reg, gr = through_net(reg_net, xr, lambda o: _reg_share(o, tr), len(h), keep,
+                                           buffers=reg_buffers)
             l_prior, g_prior = prior_loss(h)
             l_total = total_loss(l_seg, l_reg, l_prior, epoch)
             g_h = g_seg + g_reg + lam_p * g_prior[0]

@@ -425,7 +425,6 @@ def test_fallback_matches_winding_oracle(mesh):
     fallback_points = {"lv_cavity": 262, "rv_cavity": 79, "heart": 531}
     for name in ("lv_cavity", "rv_cavity", "heart"):
         verts, faces = mesh.compartment(name)
-        tri = verts[faces]
         edges = np.unique(np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
         surface = np.vstack([verts[np.unique(faces)], verts[edges].mean(axis=1)])
         surface = surface[rng.choice(len(surface), 600, replace=False)]
@@ -435,7 +434,7 @@ def test_fallback_matches_winding_oracle(mesh):
             # the grid's lowest row lies on the flat base, where containment
             # is a tie; the oracle decides only points off the surface by
             # more than a nudge
-            dist = metrics.point_to_triangles_distance(queries, tri[:, 0], tri[:, 1], tri[:, 2])
+            dist = metrics.point_to_surface(queries, verts, faces)
             pts = queries[dist > 2 * labeling._NUDGE]
             fast = index.contains(pts)
             np.testing.assert_array_equal(fast, labeling.winding_number_contains(pts, verts, faces))

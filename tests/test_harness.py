@@ -101,7 +101,8 @@ BAD_SETTINGS = [
     ("reg_batch", "0"), ("hidden_dim", "0"), ("num_blocks", "-1"), ("infer_lr", "0"),
     ("misalign_seed", "-1"), ("test_seed0", "-5"), ("train_seed0", "-100"), ("train_seed", "-1"),
     ("margin", "nan"), ("margin", "-1e9"), ("train_shapes", "-3"), ("test_shapes", "-1"),
-    ("spacing", "inf"), ("density", "inf"), ("sigma", "inf"),
+    ("spacing", "inf"), ("density", "inf"), ("sigma", "inf"), ("infer_budget_s", "-1"),
+    ("infer_budget_s", "0"), ("infer_budget_s", "nan"), ("infer_budget_s", "inf"),
 ]
 
 
@@ -187,7 +188,9 @@ def test_generate_force_checks_point_budgets_before_removing(tmp_path, budgets):
     [dict(spacing=0.0), dict(density=-1.0), dict(sigma=-0.5), dict(infer_steps=0),
      dict(infer_points=0), dict(misalign_seed=-1), dict(test_seed0=-5), dict(train_seed0=-100),
      dict(margin=float("nan")), dict(margin=-1e9), dict(train_shapes=-3), dict(test_shapes=-1),
-     dict(spacing=float("inf")), dict(density=float("inf")), dict(sigma=float("inf"))],
+     dict(spacing=float("inf")), dict(density=float("inf")), dict(sigma=float("inf")),
+     dict(infer_budget_s=-1.0), dict(infer_budget_s=0.0), dict(infer_budget_s=float("nan")),
+     dict(infer_budget_s=float("inf"))],
 )
 def test_generate_force_validates_before_removing(tmp_path, run, bad):
     """Cohort, acquisition and inference settings and seeds no stage can run are
@@ -310,7 +313,7 @@ def test_train_epochs_zero_valid_checkpoint(tmp_path):
     harness.cmd_generate(cfg)
     harness.cmd_train(cfg)
     ckpt, stats = harness.load_model(cfg.out_dir)
-    assert len(ckpt.log) == 0
+    assert len(harness.load_checkpoint(os.path.join(cfg.out_dir, "checkpoint.nihc")).log) == 0
     assert ckpt.seg_net.hidden_dim == cfg.hidden_dim
     assert ckpt.latent_codes.shape == (cfg.train_shapes, cfg.latent_dim)
     with open(os.path.join(cfg.out_dir, "train_log.csv")) as f:
@@ -491,6 +494,57 @@ def test_train_rejects_malformed_samples(samples_run, part, label, match):
         np.save(path, good)
 
 
+@pytest.mark.parametrize(
+    "part, row, col, value, dtype",
+    [
+        ("seg", slice(None), 0, np.nan, "float64"),  # the x column
+        ("seg", 7, 2, -np.inf, "float64"),  # one row
+        ("reg", 7, 1, np.nan, "float64"),  # a coordinate tuple
+        ("reg", 7, 5, np.inf, "float64"),  # a position
+        ("reg", 7, 4, 1e39, "float32"),  # finite in float64, overflows float32
+    ],
+    ids=["seg-x-column", "seg-one-row", "reg-uvc", "reg-xyz", "reg-xyz-float32-overflow"],
+)
+def test_train_rejects_non_finite_samples(samples_run, part, row, col, value, dtype):
+    """A sample coordinate that is not finite in the run's dtype is rejected
+    with an error naming its file, before the old model's outputs go."""
+    import shutil
+
+    cfg = replace(samples_run, epochs=1, dtype=dtype)
+    path = os.path.join(cfg.out_dir, "samples", f"train_0000_{part}.npy")
+    old_output = Path(cfg.out_dir, "recon", "ideal", "old.ply")
+    old_output.parent.mkdir(parents=True)
+    old_output.write_text("the old model's reconstruction\n")
+    good = np.load(path)
+    bad = good.copy()
+    bad[row, col] = value
+    np.save(path, bad)
+    try:
+        with pytest.raises(ValueError, match="coordinates must be finite") as err:
+            harness.cmd_train(cfg)
+        assert path in str(err.value)
+        assert old_output.exists()
+    finally:
+        np.save(path, good)
+        shutil.rmtree(old_output.parent.parent, ignore_errors=True)
+
+
+def test_load_model_keeps_what_reconstruction_reads(run):
+    """load_model returns the checkpoint's nets, codes and stats, without
+    the Adam moments and log that only training reads."""
+    ckpt, stats = harness.load_model(run.out_dir)
+    full = harness.load_checkpoint(os.path.join(run.out_dir, "checkpoint.nihc"))
+    assert sorted(full.opt) == ["lat", "reg", "seg"] and len(full.log) == run.epochs
+    assert ckpt.opt == {} and ckpt.log is None
+    for name in ("seg_net", "reg_net"):
+        np.testing.assert_array_equal(getattr(ckpt, name).parameters,
+                                      getattr(full, name).parameters)
+    np.testing.assert_array_equal(ckpt.latent_codes, full.latent_codes)
+    assert ckpt.stats is stats
+    np.testing.assert_array_equal(stats.mean, full.stats.mean)
+    np.testing.assert_array_equal(stats.cov_inv, full.stats.cov_inv)
+
+
 def test_reconstruct_from_interrupted_training(tmp_path, monkeypatch):
     """A periodic checkpoint is a complete model: after training stops
     mid-run, reconstruction works from the last one written."""
@@ -511,7 +565,8 @@ def test_reconstruct_from_interrupted_training(tmp_path, monkeypatch):
     with pytest.raises(Interrupted):
         harness.cmd_train(cfg)
     ckpt, stats = harness.load_model(cfg.out_dir)
-    assert len(ckpt.log) == 2 and stats is not None
+    assert len(harness.load_checkpoint(os.path.join(cfg.out_dir, "checkpoint.nihc")).log) == 2
+    assert stats is not None
     rels, _ = harness.reconstruct_case(cfg, ckpt, stats, "test_0000", "ideal")
     assert os.path.exists(os.path.join(cfg.out_dir, rels[0]))
 

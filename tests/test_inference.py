@@ -141,9 +141,9 @@ def test_optimize_latent_holds_the_classifier_read_only(topo, monkeypatch):
     before = net.parameters.copy()
     forward_cached = netcore.forward_cached
 
-    def writing(net, inputs, keep="params"):
+    def writing(net, inputs, keep="params", buffers=None):
         net.parameters[0] += 1.0
-        return forward_cached(net, inputs, keep=keep)
+        return forward_cached(net, inputs, keep=keep, buffers=buffers)
 
     monkeypatch.setattr(netcore, "forward_cached", writing)
     stats = training.latent_stats(np.random.default_rng(6).standard_normal((8, 4)) * 0.3)
@@ -190,8 +190,8 @@ def test_optimize_latent_forms_no_parameter_gradients(topo, small_model, monkeyp
         calls.append("forward")
         return true_forward(net, inputs)
 
-    def backward(net, inputs, upstream_grads, cache=None):
-        g = true_backward(net, inputs, upstream_grads, cache)
+    def backward(net, inputs, upstream_grads, cache=None, buffers=None):
+        g = true_backward(net, inputs, upstream_grads, cache, buffers=buffers)
         calls.append(("backward", g.param_grads is None))
         return g
 
@@ -201,6 +201,28 @@ def test_optimize_latent_forms_no_parameter_gradients(topo, small_model, monkeyp
     w = ideal_weights(7, 300)
     inference.optimize_latent(contours, result.seg_net, result.stats, w)
     assert calls == [("backward", True)] * 8
+
+
+def test_each_fit_reuses_one_buffer_set(topo, small_model, monkeypatch):
+    """Every evaluation of a fit writes into one buffer set; the next fit
+    makes its own."""
+    result, cfg, meshes, _ = small_model
+    seen = []
+    true_backward = netcore.backward
+
+    def backward(net, inputs, upstream_grads, cache=None, buffers=None):
+        seen.append(buffers)
+        return true_backward(net, inputs, upstream_grads, cache, buffers=buffers)
+
+    monkeypatch.setattr(netcore, "backward", backward)
+    contours = acq.acquire(meshes[0], "t000", density=6.0)
+    w = ideal_weights(4, 300)
+    for _ in range(2):
+        inference.optimize_latent(contours, result.seg_net, result.stats, w)
+    first, second = seen[:5], seen[5:]
+    assert len(second) == 5 and isinstance(first[0], netcore.Buffers)
+    assert all(b is first[0] for b in first) and all(b is second[0] for b in second)
+    assert first[0] is not second[0]
 
 
 def test_saturated_fit_scales_its_upstream_out_of_subnormals(topo, monkeypatch):
@@ -216,10 +238,10 @@ def test_saturated_fit_scales_its_upstream_out_of_subnormals(topo, monkeypatch):
     true_backward = netcore.backward
     seen = {}
 
-    def backward(net, inputs, upstream_grads, cache=None):
+    def backward(net, inputs, upstream_grads, cache=None, buffers=None):
         seen["upstream"] = upstream_grads.copy()
         seen["logits"] = netcore.forward(net, inputs)
-        return true_backward(net, inputs, upstream_grads, cache)
+        return true_backward(net, inputs, upstream_grads, cache, buffers=buffers)
 
     monkeypatch.setattr(netcore, "backward", backward)
     w = ideal_weights(1, 500)

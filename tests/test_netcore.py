@@ -167,6 +167,63 @@ def test_lean_cache_holds_no_float_arrays():
     assert netcore.forward_cached(net, x, keep=None)[1] is None
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reused_buffers_give_the_bits_of_fresh_ones(dtype):
+    """One buffer set through passes that change ``keep`` and the row count
+    (up and down) gives each pass the bits of the same pass on a fresh set."""
+    net = small_net(8, 5, 16, 3, seed=31).astype(dtype)
+    rng = np.random.default_rng(32)
+    buffers = netcore.Buffers()
+    plan = [(300, "params"), (300, "inputs"), (300, None), (120, "params"), (120, "inputs"),
+            (7, None), (300, "inputs"), (301, "params")]
+    for rows, keep in plan:
+        x, up = rng.standard_normal((rows, 8)), rng.standard_normal((rows, 5))
+        y, cache = netcore.forward_cached(net, x, keep=keep, buffers=buffers)
+        y_fresh, fresh = netcore.forward_cached(net, x, keep=keep)
+        assert same_bits(y, y_fresh) and y.dtype == dtype
+        if keep is None:
+            assert cache is None
+            continue
+        g = backward(net, x, up, cache=cache, buffers=buffers)
+        g_fresh = backward(net, x, up, cache=fresh)
+        assert same_bits(g.input_grads, g_fresh.input_grads)
+        if keep == "inputs":
+            assert g.param_grads is None
+        else:
+            assert same_bits(g.param_grads, g_fresh.param_grads)
+    # a backward that runs its own forward on the set
+    g, g_fresh = backward(net, x, up, buffers=buffers), backward(net, x, up)
+    assert same_bits(g.param_grads, g_fresh.param_grads)
+    assert same_bits(g.input_grads, g_fresh.input_grads)
+
+
+def test_a_pass_overwrites_what_the_last_pass_on_its_set_returned():
+    """Returned arrays live in their buffer set until its next pass (the
+    module's ownership rule); a pass on a fresh set shares nothing."""
+    net = small_net(seed=33)
+    rng = np.random.default_rng(34)
+    x1, x2 = rng.standard_normal((40, 8)), rng.standard_normal((40, 8))
+    up = rng.standard_normal((40, 5))
+    buffers = netcore.Buffers()
+    y1, _ = netcore.forward_cached(net, x1, keep=None, buffers=buffers)
+    first = y1.copy()
+    y2, _ = netcore.forward_cached(net, x2, keep=None, buffers=buffers)
+    assert np.shares_memory(y1, y2) and np.array_equal(y1, forward(net, x2))
+    assert not np.array_equal(y1, first)
+    g1 = backward(net, x1, up, buffers=buffers)
+    first = g1.param_grads.copy(), g1.input_grads.copy()
+    g2 = backward(net, x2, up, buffers=buffers)
+    for was, now, kept in zip((g1.param_grads, g1.input_grads),
+                              (g2.param_grads, g2.input_grads), first):
+        assert np.shares_memory(was, now) and not np.array_equal(was, kept)
+    y3, _ = netcore.forward_cached(net, x2, keep=None)
+    assert not np.shares_memory(y3, y2)
+
+
 def test_gradients_match_finite_differences():
     net = small_net(input_dim=8, output_dim=5, hidden=16, blocks=2, seed=11)
     x = np.random.default_rng(12).standard_normal((4, 8))

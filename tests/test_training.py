@@ -366,8 +366,8 @@ def test_validation_shapes_form_no_parameter_gradients(topo, monkeypatch):
     grads = []
     true_backward = netcore.backward
 
-    def recording(net, inputs, upstream_grads, cache=None):
-        g = true_backward(net, inputs, upstream_grads, cache)
+    def recording(net, inputs, upstream_grads, cache=None, buffers=None):
+        g = true_backward(net, inputs, upstream_grads, cache, buffers=buffers)
         grads.append(g.param_grads is None)
         return g
 
@@ -376,6 +376,33 @@ def test_validation_shapes_form_no_parameter_gradients(topo, monkeypatch):
     assert len(r.val_ids) == 1
     # per step one seg and one reg backward; 3 epochs of 1 validation shape
     assert sum(grads) == 2 * 3 and len(grads) == 2 * 3 * 4
+
+
+def test_train_reuses_one_buffer_set_per_network(topo, monkeypatch):
+    """Every step's seg passes write into one buffer set and its reg passes
+    into another, for the whole run, training and validation shapes alike."""
+    seen = []
+    true_forward, true_backward = netcore.forward_cached, netcore.backward
+
+    def forward_cached(net, inputs, keep="params", buffers=None):
+        seen.append((net.output_dim, buffers))
+        return true_forward(net, inputs, keep=keep, buffers=buffers)
+
+    def backward(net, inputs, upstream_grads, cache=None, buffers=None):
+        seen.append((net.output_dim, buffers))
+        return true_backward(net, inputs, upstream_grads, cache, buffers=buffers)
+
+    monkeypatch.setattr(netcore, "forward_cached", forward_cached)
+    monkeypatch.setattr(netcore, "backward", backward)
+    training.train(tiny_cohort(4, topo), tiny_config(epochs=3, val_fraction=0.25))
+    # per step a forward and a backward of each net: 3 epochs of 4 shapes
+    assert len(seen) == 2 * 2 * 3 * 4
+    seg = [b for dim, b in seen if dim == len(AnatomicalLabel)]
+    reg = [b for dim, b in seen if dim == 3]
+    assert len(seg) == len(reg) == len(seen) // 2
+    assert isinstance(seg[0], netcore.Buffers) and isinstance(reg[0], netcore.Buffers)
+    assert seg[0] is not reg[0]
+    assert all(b is seg[0] for b in seg) and all(b is reg[0] for b in reg)
 
 
 def test_train_updates_everything(topo):
