@@ -8,7 +8,8 @@ a pure function of (parameters, inputs), so repeated calls are bit-identical
 and independent optimizations can run concurrently without shared state.
 
 A forward pass keeps only what its backward will need: ``keep="params"``
-caches the block inputs and activations for the parameter gradients, while
+caches the block inputs and activations for the parameter gradients (a
+block's ReLU mask is read off its activation, ``act > 0``), while
 ``keep="inputs"`` caches just the ReLU masks, and the backward then skips
 every parameter-gradient product. Input gradients are bit-identical either
 way, since both run the same arithmetic on them.
@@ -18,16 +19,25 @@ then works in place: matrix products write through ``out=``, and bias
 adds, ReLUs and residual adds update their operands. A ``keep="params"``
 forward stores all block inputs and activations in one array; the other
 passes keep the running state and two scratch arrays for all blocks, and
-Adam two temporaries. The operation order is that of the plain
-expressions (``t += h`` equals ``h + t`` exactly), so results are
-bit-identical to them, and a reused buffer set gives the same bits as a
-fresh one. This matters for speed: a fresh array per step is freed at the
-end of the call, glibc trims the heap top, and the next step faults the
-same pages in again. So a caller that runs many passes (a training run, a
-latent fit) makes one set per network and keeps it; a pass called without
-a set makes a fresh one. Ownership rule: every array a pass returns (the
-outputs, the cache, the gradients) lives in its buffer set and is
-overwritten by the next pass on that set.
+Adam two temporaries. A backward keeps its gradient states in slabs the
+forward leaves dead: on a full cache the last hidden state takes the
+running gradient, and each block's activation and input take that
+block's two gradient states once its parameter gradients have read them;
+on a lean cache it works in the forward's three state slabs. The
+operation order is that of the plain expressions (``t += h`` equals
+``h + t`` exactly), so results are bit-identical to them, and a reused
+buffer set gives the same bits as a fresh one. This matters for speed: a
+fresh array per step is freed at the end of the call, glibc trims the
+heap top, and the next step faults the same pages in again. So a caller
+that runs many passes (a training run, a latent fit) makes one set per
+network and keeps it; a pass called without a set makes a fresh one.
+
+Ownership rule: every array a pass returns (the outputs, the cache, the
+gradients) lives in its buffer set and is overwritten by the next pass on
+that set. A cache serves one backward, which consumes it (a full cache's
+arrays then hold gradient states): :func:`backward` raises ``ValueError``
+for a cache that a later forward on its set has overwritten, or that a
+backward has already used.
 """
 
 import math
@@ -145,25 +155,31 @@ def _check_inputs(net, inputs):
     return x.astype(net.parameters.dtype, copy=False)
 
 
-def forward(net, inputs):
+def forward(net, inputs, buffers=None):
     """Evaluate the network on a batch of input vectors.
 
-    Returns an (n, output_dim) array of raw outputs.
+    Returns an (n, output_dim) array of raw outputs, which lives in
+    ``buffers`` (a fresh :class:`Buffers` if omitted) until its next pass.
     """
-    y, _ = forward_cached(net, inputs, keep=None)
+    y, _ = forward_cached(net, inputs, keep=None, buffers=buffers)
     return y
 
 
 class Cache(NamedTuple):
-    """What :func:`backward` reads of a forward pass.
+    """What :func:`backward` reads of a forward pass, in the slabs of the
+    :class:`Buffers` set ``buffers`` that the forward wrote into.
 
-    ``masks`` holds each block's ReLU mask (pre-activation > 0) as a bool
-    array. The other fields are only kept for parameter gradients: the
-    inputs, each block's input and activation, and the last hidden state.
+    A ``keep="params"`` cache holds the inputs, each block's input and
+    activation, and the last hidden state. A ``keep="inputs"`` cache holds
+    only ``masks``, each block's ReLU mask (pre-activation > 0) as a bool
+    array. ``stamp`` marks the forward that made the cache, so a backward
+    can tell whether the set still holds it.
     """
 
     rows: int
-    masks: list
+    buffers: "Buffers"
+    stamp: object
+    masks: list = None
     x: np.ndarray = None
     hin: list = None
     act: list = None
@@ -187,6 +203,7 @@ class Buffers:
 
     def __init__(self):
         self._held = {}
+        self._live = None  # stamp of the cache a backward may still use
 
     def take(self, name, shape, dtype):
         held = self._held.get(name)
@@ -201,16 +218,18 @@ def forward_cached(net, inputs, keep="params", buffers=None):
     ``keep="params"`` allows parameter and input gradients; ``"inputs"``
     keeps only the ReLU masks, which input gradients alone need; ``None``
     keeps nothing and returns no cache. The outputs and the cache live in
-    ``buffers`` (a fresh :class:`Buffers` if omitted) until its next pass.
+    ``buffers`` (a fresh :class:`Buffers` if omitted) until its next pass;
+    the pass makes any older cache of the set stale.
     """
     if keep not in _KEEP:
         raise ValueError(f"keep must be one of {_KEEP}, got {keep!r}")
     x = _check_inputs(net, inputs)
     buffers = Buffers() if buffers is None else buffers
+    buffers._live = stamp = None if keep is None else object()
     w_in, b_in, blocks, w_out, b_out = net.views()
     rows, nb = len(x), net.num_blocks
     shape = (rows, net.hidden_dim)
-    masks = None if keep is None else buffers.take("masks", (nb, *shape), bool)
+    masks = buffers.take("masks", (nb, *shape), bool) if keep == "inputs" else None
     # keep="params": slot 2k holds block k's input, 2k+1 its activation, the
     # last one the final hidden state; otherwise the running state and two
     # scratch arrays
@@ -237,8 +256,8 @@ def forward_cached(net, inputs, keep="params", buffers=None):
     np.matmul(h, w_out, out=y)
     y += b_out
     if keep == "params":
-        return y, Cache(rows, list(masks), x, list(states[0:-1:2]), list(states[1::2]), h)
-    return y, (Cache(rows, list(masks)) if keep == "inputs" else None)
+        return y, Cache(rows, buffers, stamp, None, x, list(states[0:-1:2]), list(states[1::2]), h)
+    return y, (Cache(rows, buffers, stamp, list(masks)) if keep == "inputs" else None)
 
 
 @dataclass
@@ -261,12 +280,18 @@ def backward(net, inputs, upstream_grads, cache=None, buffers=None):
     for the same inputs is supplied. A ``keep="inputs"`` cache skips the
     parameter gradients; the input gradients have the same bits as with a
     full cache. relu'(0) is taken as 0. The gradients live in ``buffers``
-    (a fresh :class:`Buffers` if omitted) until its next pass; a cache must
-    come from the latest forward on the set it lives in.
+    (a fresh :class:`Buffers` if omitted) until its next pass. The pass
+    consumes its cache, and raises ``ValueError`` for one that a later
+    forward on its set has overwritten or that a backward has used.
     """
     buffers = Buffers() if buffers is None else buffers
     if cache is None:
         _, cache = forward_cached(net, inputs, buffers=buffers)
+    if cache.buffers._live is not cache.stamp:
+        raise ValueError(
+            "cache is stale: a later forward on its buffer set has overwritten it, "
+            "or a backward has used it"
+        )
     up = np.asarray(upstream_grads, dtype=net.parameters.dtype)
     if up.ndim == 1:
         up = up[None, :]
@@ -276,9 +301,10 @@ def backward(net, inputs, upstream_grads, cache=None, buffers=None):
         )
     if not np.all(np.isfinite(up)):
         raise ValueError("upstream grads contain non-finite values")
+    cache.buffers._live = None
 
     w_in, b_in, blocks, w_out, b_out = net.views()
-    gh, ga, u = buffers.take("grad_states", (3, cache.rows, net.hidden_dim), up.dtype)
+    shape = (cache.rows, net.hidden_dim)
     full = cache.x is not None
     grads = None
     if full:
@@ -288,15 +314,24 @@ def backward(net, inputs, upstream_grads, cache=None, buffers=None):
         )
         np.matmul(cache.hlast.T, up, out=gw_out)
         np.sum(up, axis=0, out=gb_out)
+        gh = cache.hlast
+        mask = buffers.take("mask", shape, bool)
+    else:  # the forward's three state slabs
+        gh, ga, u = cache.buffers.take("states", (3, *shape), up.dtype)
     np.matmul(up, w_out.T, out=gh)
     for k in range(net.num_blocks - 1, -1, -1):
         w1, _, w2, _ = blocks[k]
-        np.matmul(gh, w2.T, out=ga)
-        ga *= cache.masks[k]
         if full:
             gw1, gb1, gw2, gb2 = gblocks[k]
             np.matmul(cache.act[k].T, gh, out=gw2)
             np.sum(gh, axis=0, out=gb2)
+            np.greater(cache.act[k], 0, out=mask)
+            ga, u = cache.act[k], cache.hin[k]
+        else:
+            mask = cache.masks[k]
+        np.matmul(gh, w2.T, out=ga)
+        ga *= mask
+        if full:
             np.matmul(cache.hin[k].T, ga, out=gw1)
             np.sum(ga, axis=0, out=gb1)
         np.matmul(ga, w1.T, out=u)

@@ -381,6 +381,15 @@ def train(samples, config, resume=None, on_epoch=None):
     :func:`check_train` says what is rejected. ``on_epoch`` is called after
     every epoch with the :class:`TrainResult` reached so far. Returns the
     final :class:`TrainResult`.
+
+    Working set, besides the samples (point arrays already in the compute
+    dtype are not copied; labels stay int8 and are made one-hot a batch at
+    a time): per net its parameters, Adam moments and parameter gradient,
+    and one :class:`netcore.Buffers` set of batch x hidden slabs for the
+    whole run, 2 num_blocks + 1 float state slabs (the backward works in
+    those the forward leaves dead) and num_blocks + 1 bool mask slabs; per
+    step the nets' inputs, input gradients and outputs, and Adam's two
+    parameter-sized temporaries.
     """
     check_train(config, len(samples), resume)
     samples = sorted(samples, key=lambda s: s.shape_id)
@@ -409,7 +418,6 @@ def train(samples, config, resume=None, on_epoch=None):
 
     # cast the point data once (samples already in the dtype are not copied)
     seg_xyz = [s.seg_xyz.astype(dt, copy=False) for s in samples]
-    seg_onehot = [AnatomicalLabel.one_hot(s.seg_labels).astype(dt, copy=False) for s in samples]
     reg_uvc = [s.reg_uvc.astype(dt, copy=False) for s in samples]
     reg_xyz = [s.reg_xyz.astype(dt, copy=False) for s in samples]
     # each net's passes reuse one buffer set for the whole run
@@ -445,7 +453,9 @@ def train(samples, config, resume=None, on_epoch=None):
 
             # a validation shape moves only its code: no parameter gradients
             keep = "inputs" if si in val_set else "params"
-            ts, xs = seg_onehot[si][bs], seg_inputs(seg_xyz[si][bs], h)
+            # the int8 labels are made one-hot a batch at a time
+            ts = AnatomicalLabel.one_hot(samples[si].seg_labels[bs])
+            xs = seg_inputs(seg_xyz[si][bs], h)
             l_seg, g_seg, gs = through_net(seg_net, xs, lambda z: seg_loss(z, ts), len(h), keep,
                                            buffers=seg_buffers)
             tr, xr = reg_xyz[si][br], reg_inputs(reg_uvc[si][br], h)

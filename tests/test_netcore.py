@@ -160,10 +160,12 @@ def test_lean_cache_holds_no_float_arrays():
     arrays = list(cached_arrays(lean))
     assert len(arrays) == net.num_blocks
     assert all(a.dtype == bool and a.shape == (50, net.hidden_dim) for a in arrays)
-    # the full cache keeps masks, not pre-activations, besides its float arrays
+    # the full cache keeps no masks (the backward reads them off the
+    # activations), only its float arrays
     _, full = netcore.forward_cached(net, x, keep="params")
-    assert all(m.dtype == bool for m in full.masks)
-    assert sum(a.dtype != bool for a in cached_arrays(full)) == 2 + 2 * net.num_blocks
+    assert full.masks is None
+    assert all(a.dtype != bool for a in cached_arrays(full))
+    assert len(list(cached_arrays(full))) == 2 + 2 * net.num_blocks
     assert netcore.forward_cached(net, x, keep=None)[1] is None
 
 
@@ -222,6 +224,35 @@ def test_a_pass_overwrites_what_the_last_pass_on_its_set_returned():
         assert np.shares_memory(was, now) and not np.array_equal(was, kept)
     y3, _ = netcore.forward_cached(net, x2, keep=None)
     assert not np.shares_memory(y3, y2)
+
+
+def test_backward_refuses_a_stale_or_used_cache():
+    """A cache that a later forward on its set has overwritten, or that a
+    backward has used, is refused; a cache on another set is not stale."""
+    net = small_net(seed=35)
+    rng = np.random.default_rng(36)
+    x1, x2 = rng.standard_normal((2, 40, 8))
+    up = rng.standard_normal((40, 5))
+    for keep, later in (("params", "params"), ("params", None), ("inputs", "inputs")):
+        buffers = netcore.Buffers()
+        _, stale = netcore.forward_cached(net, x1, keep=keep, buffers=buffers)
+        netcore.forward_cached(net, x2, keep=later, buffers=buffers)
+        with pytest.raises(ValueError, match="stale"):
+            backward(net, x1, up, cache=stale, buffers=buffers)
+    for keep in ("params", "inputs"):
+        buffers = netcore.Buffers()
+        _, cache = netcore.forward_cached(net, x1, keep=keep, buffers=buffers)
+        netcore.forward_cached(net, x2, keep=keep)  # another set
+        want = backward(net, x1, up, cache=netcore.forward_cached(net, x1, keep=keep)[1])
+        got = backward(net, x1, up, cache=cache, buffers=buffers)
+        assert same_bits(got.input_grads, want.input_grads)
+        with pytest.raises(ValueError, match="stale"):
+            backward(net, x1, up, cache=cache, buffers=buffers)
+    # a refused upstream leaves the cache usable
+    _, cache = netcore.forward_cached(net, x1, keep="params")
+    with pytest.raises(ValueError, match="shape"):
+        backward(net, x1, up[:3], cache=cache)
+    assert backward(net, x1, up, cache=cache).param_grads is not None
 
 
 def test_gradients_match_finite_differences():
@@ -391,8 +422,20 @@ def test_passes_match_plain_expressions_bit_for_bit(net_dtype, input_dtype, keep
         assert cache is None
         g = backward(net, x, up)  # recomputes a full cache
     else:
-        assert len(cache.masks) == blocks
-        for mask, expected in zip(cache.masks, ref[1]):
+        # the backward consumes a full cache, so its arrays are checked first
+        if keep == "inputs":
+            masks = cache.masks
+        else:
+            assert cache.masks is None
+            assert_same_bits(cache.x, ref[2])
+            assert_same_bits(cache.hlast, ref[5])
+            for arrays, expected in ((cache.hin, ref[3]), (cache.act, ref[4])):
+                assert len(arrays) == blocks
+                for a, e in zip(arrays, expected):
+                    assert_same_bits(a, e)
+            masks = [a > 0 for a in cache.act]  # what the backward reads
+        assert len(masks) == blocks
+        for mask, expected in zip(masks, ref[1]):
             assert_same_bits(mask, expected)
         g = backward(net, x, up, cache=cache)
     assert_same_bits(g.input_grads, ref_input_grads)
@@ -400,13 +443,6 @@ def test_passes_match_plain_expressions_bit_for_bit(net_dtype, input_dtype, keep
         assert g.param_grads is None
         return
     assert_same_bits(g.param_grads, ref_grads)
-    if keep == "params":
-        assert_same_bits(cache.x, ref[2])
-        assert_same_bits(cache.hlast, ref[5])
-        for arrays, expected in ((cache.hin, ref[3]), (cache.act, ref[4])):
-            assert len(arrays) == blocks
-            for a, e in zip(arrays, expected):
-                assert_same_bits(a, e)
 
     params, expected = net.parameters.copy(), net.parameters.copy()
     state, ref_state = OptimizerState.for_params(params), OptimizerState.for_params(params)
@@ -431,8 +467,10 @@ def test_calls_share_no_buffers(keep):
     first = [y1, *cached_arrays(c1)]
     first_before = [a.copy() for a in first]
     g1 = backward(net, x1, up1, cache=c1)
-    # backward writes into neither the cache nor the upstream
-    assert all(np.array_equal(a, b) for a, b in zip(first, first_before))
+    # backward writes into neither the outputs nor the upstream, nor into a
+    # lean cache; it consumes a full one
+    kept = first if keep == "inputs" else first[:1]
+    assert all(np.array_equal(a, b) for a, b in zip(kept, first_before))
     assert np.array_equal(up1, up1_before)
 
     first.append(g1.input_grads)

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +405,39 @@ def test_train_reuses_one_buffer_set_per_network(topo, monkeypatch):
     assert isinstance(seg[0], netcore.Buffers) and isinstance(reg[0], netcore.Buffers)
     assert seg[0] is not reg[0]
     assert all(b is seg[0] for b in seg) and all(b is reg[0] for b in reg)
+
+
+def test_train_holds_no_more_than_its_working_set(topo):
+    """The traced peak of a paper-net run stays within the working set the
+    ``train`` docstring states, plus 1 MiB for the losses' small arrays and
+    Python objects. It counts the bytes allocated, which glibc's heap and
+    page reuse do not move as they move RSS."""
+    cfg = TrainConfig(epochs=2)
+    item = cfg.np_dtype.itemsize
+    # as cmd_train loads them: point arrays in the compute dtype
+    samples = [
+        dataclasses.replace(s, seg_xyz=s.seg_xyz.astype(cfg.dtype),
+                            reg_uvc=s.reg_uvc.astype(cfg.dtype), reg_xyz=s.reg_xyz.astype(cfg.dtype))
+        for s in tiny_cohort(5, topo, seg_n=8000, reg_n=3000)
+    ]
+    nets = training.make_networks(cfg)
+
+    def per_net(net, batch):
+        params = 4 * net.n_params * item  # parameters, two moments, gradient
+        slabs = batch * net.hidden_dim * ((2 * net.num_blocks + 1) * item + net.num_blocks + 1)
+        passes = batch * (2 * net.input_dim + net.output_dim) * item
+        return params + slabs + passes
+
+    working = (per_net(nets[0], cfg.seg_batch) + per_net(nets[1], cfg.reg_batch)
+               + 2 * max(n.n_params for n in nets) * item)
+    tracemalloc.start()
+    try:
+        r = training.train(samples, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(r.val_ids) == 1  # a validation shape ran, so its masks are held
+    assert peak <= working + 2**20, (peak, working)
 
 
 def test_train_updates_everything(topo):
