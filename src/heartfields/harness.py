@@ -146,7 +146,9 @@ CHECKPOINT = "checkpoint.nihc"
 TRAIN_LOG = "train_log.csv"
 REPORT = "report.md"
 SHAPES, SAMPLES, CONTOURS, RECON, EVAL = "shapes", "samples", "contours", "recon", "eval"
-RUN_ENTRIES = (MANIFEST, CHECKPOINT, TRAIN_LOG, REPORT, SHAPES, SAMPLES, CONTOURS, RECON, EVAL)
+# every stage's outputs, in pipeline order: a stage reads those of the stages before it
+STAGES = {"generate": (SHAPES, SAMPLES, CONTOURS), "train": (CHECKPOINT, TRAIN_LOG),
+          "reconstruct": (RECON,), "evaluate": (EVAL,), "report": (REPORT,)}
 PER_CASE_CSV, SUMMARY_CSV, BLAND_ALTMAN_CSV = (
     os.path.join(EVAL, f"{name}.csv") for name in ("per_case", "summary", "bland_altman")
 )
@@ -211,6 +213,7 @@ class Manifest:
     def __init__(self, root):
         self.root = root
         self.doc = {"config_hash": None, "stages": {}}
+        self._clock = time.perf_counter()
         path = os.path.join(root, MANIFEST)
         if os.path.exists(path):
             with open(path) as f:
@@ -220,14 +223,21 @@ class Manifest:
                     raise ValueError(f"{path}: invalid JSON: {e}") from e
             if not isinstance(self.doc, dict) or not isinstance(self.doc.get("stages"), dict):
                 raise ValueError(f"{path}: not a manifest: no object with a 'stages' object")
+            for name, stage in self.doc["stages"].items():
+                if not (isinstance(stage, dict) and isinstance(stage.get("artifacts"), dict)
+                        and type(stage.get("duration_s")) in (int, float)):
+                    raise ValueError(f"{path}: stage {name!r} is not a record: no object with "
+                                     "an 'artifacts' object and a numeric 'duration_s'")
 
-    def record_stage(self, name, config, artifacts, duration, **extra):
+    def record_stage(self, name, config, artifacts, **extra):
         self.doc["stages"].pop(name, None)
-        self.add_to_stage(name, config, artifacts, duration, **extra)
+        self.add_to_stage(name, config, artifacts, **extra)
 
-    def add_to_stage(self, name, config, artifacts, duration, **extra):
-        """Add ``artifacts``, hashing only them, and ``duration`` to stage
-        ``name``'s record; a dict in ``extra`` updates the recorded one."""
+    def add_to_stage(self, name, config, artifacts, **extra):
+        """Add ``artifacts``, hashing only them, and the time since the last
+        record (or the opening) to stage ``name``; a dict in ``extra`` updates the recorded one."""
+        now = time.perf_counter()
+        duration, self._clock = now - self._clock, now
         self.doc["config_hash"] = config.hash()
         stage = self.doc["stages"].setdefault(name, {"duration_s": 0.0})
         stage["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
@@ -236,6 +246,15 @@ class Manifest:
         for key, value in {"artifacts": hashes, **extra}.items():
             stage[key] = {**stage.get(key, {}), **value} if isinstance(value, dict) else value
         self.save()
+
+    def begin(self, name):
+        """Remove the records, then the files, of every stage after ``name``:
+        they were made from what stage ``name`` is about to replace."""
+        later = list(STAGES)[list(STAGES).index(name) + 1:]
+        if any(stage in self.doc["stages"] for stage in later):
+            self.doc["stages"] = {k: v for k, v in self.doc["stages"].items() if k not in later}
+            self.save()
+        _remove(self.root, [rel for stage in later for rel in STAGES[stage]])
 
     def save(self):
         text = json.dumps(self.doc, indent=1, sort_keys=True) + "\n"
@@ -294,11 +313,9 @@ def _remove(root, rels):
 def cmd_generate(config, force=False):
     """Synthesize the cohorts and test contours. ``force`` starts a new run:
     once the config validates and the point budgets fit the template, it
-    removes every artifact of the one in the directory, so no later stage
-    reads a checkpoint, reconstruction or evaluation of other shapes."""
+    removes the manifest and every stage's outputs."""
     config.validate()
     root = config.out_dir
-    started = time.perf_counter()
     topo = anatomy.build_template()
     v = topo.vertex_count
     if config.seg_points <= v or config.reg_points < v:
@@ -307,9 +324,11 @@ def cmd_generate(config, force=False):
             f"got {config.seg_points} and {config.reg_points}"
         )
     if force:
-        _remove(root, RUN_ENTRIES)
+        _remove(root, (MANIFEST, *STAGES["generate"]))
     elif os.path.exists(os.path.join(root, MANIFEST)):
         raise FileExistsError(f"{root} already holds a run; pass --force to overwrite")
+    manifest = Manifest(root)
+    manifest.begin("generate")
 
     train_ids, test_ids = _shape_ids(config)
     artifacts = []
@@ -343,8 +362,7 @@ def cmd_generate(config, force=False):
         for tag, cs in (("ideal", ideal), ("misaligned", misaligned)):
             artifacts.append(_write(root, _contour_json(sid, tag), acq.save_contours, cs))
 
-    manifest = Manifest(root)
-    manifest.record_stage("generate", config, artifacts, time.perf_counter() - started)
+    manifest.record_stage("generate", config, artifacts)
     return manifest
 
 
@@ -375,9 +393,19 @@ def _load_sample(root, sid, dtype):
     )
 
 
+def _read_mesh(path, topo):
+    """The mesh of template ``topo`` in the PLY ``path``; a ``ValueError``
+    names the file unless its faces, coordinates and tags are the template's."""
+    verts, uvc, tags, faces = anatomy.read_mesh_ply(path)
+    for name, ours, template in (("faces", faces, topo.faces), ("coordinates", uvc, topo.uvc),
+                                 ("tags", tags, topo.surface_tag)):
+        if not np.array_equal(ours, template):
+            raise ValueError(f"{path}: not a mesh of the run's template: its {name} differ")
+    return anatomy.InstanceMesh(topo, verts)
+
+
 def load_instance_mesh(root, sid, topo=None):
-    verts, _, _, _ = anatomy.read_mesh_ply(os.path.join(root, _shape_ply(sid)))
-    return anatomy.InstanceMesh(topo or anatomy.build_template(), verts)
+    return _read_mesh(os.path.join(root, _shape_ply(sid)), topo or anatomy.build_template())
 
 
 # -------------------------------------------------------------------- train
@@ -386,21 +414,14 @@ def load_instance_mesh(root, sid, topo=None):
 def cmd_train(config, resume=False):
     """Train the model and write its checkpoint. Once the config and any
     resume pass the checks of training and the samples load in the
-    config's dtype, the old model's reconstructions, evaluations and report
-    go, with their manifest records, so no later stage mixes them with the
-    new checkpoint; a rejected run removes nothing."""
+    config's dtype, the old model's outputs go; a rejected run removes nothing."""
     root = config.out_dir
-    started = time.perf_counter()
+    manifest = Manifest(root)
     train_ids, _ = _shape_ids(config)
     prior = load_checkpoint(os.path.join(root, CHECKPOINT)) if resume else None
     training.check_train(config, len(train_ids), prior)
     samples = [_load_sample(root, sid, config.np_dtype) for sid in train_ids]
-
-    manifest = Manifest(root)
-    for stage in ("reconstruct", "evaluate"):
-        manifest.doc["stages"].pop(stage, None)
-    manifest.save()
-    _remove(root, (RECON, EVAL, REPORT))
+    manifest.begin("train")
 
     def on_epoch(state):
         # the last epoch's checkpoint is the final one, written below
@@ -413,10 +434,8 @@ def cmd_train(config, resume=False):
     rows = [training.LOG_COLUMNS] + [[f"{x:.8g}" for x in row] for row in result.log]
     artifacts = [_write_checkpoint(root, result),
                  _write(root, TRAIN_LOG, _write_text, _csv_text(rows))]
-    manifest.record_stage(
-        "train", config, artifacts, time.perf_counter() - started,
-        **_compute_env(result.seg_net.parameters.dtype),
-    )
+    manifest.record_stage("train", config, artifacts,
+                          **_compute_env(result.seg_net.parameters.dtype))
     return result
 
 
@@ -526,7 +545,7 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
     conditions = conditions or ["ideal", "misaligned"]
     _check_conditions(conditions)
     root = config.out_dir
-    started = time.perf_counter()
+    manifest = Manifest(root)
     _, test_ids = _shape_ids(config)
     cases = cases or test_ids
     for i, case in enumerate(cases):
@@ -546,18 +565,17 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
             "its model was trained on fewer than 2 shapes"
         )
     topo = anatomy.build_template()
-    manifest = Manifest(root)
     env = _compute_env(ckpt.seg_net.parameters.dtype)
     for condition in conditions:
         for case in cases:
             rels, dt = reconstruct_case(
                 config, ckpt, stats, case, condition, dense_spacing, topo=topo
             )
+            # after the first case's files: a failed first fit keeps the evaluation
+            manifest.begin("reconstruct")
             # a re-run case replaces the entries of its earlier fit
-            done = time.perf_counter()
-            manifest.add_to_stage("reconstruct", config, rels, done - started,
+            manifest.add_to_stage("reconstruct", config, rels,
                                   case_durations_s={f"{condition}/{case}": round(dt, 3)}, **env)
-            started = done
 
 
 # ----------------------------------------------------------------- evaluate
@@ -655,7 +673,7 @@ def evaluate_case(root, topo, ckpt, case, condition, ref=None):
     ply = os.path.join(root, _recon(condition, case, RECON_PLY))
     if not os.path.exists(ply):
         return None
-    pred = anatomy.InstanceMesh(topo, anatomy.read_mesh_ply(ply)[0])
+    pred = _read_mesh(ply, topo)
     latent = np.load(os.path.join(root, _recon(condition, case, RECON_LATENT)))
     ref = ref or CaseReference(load_instance_mesh(root, case, topo))
     contours = _condition_contours(root, case, condition, ref.contours)
@@ -669,7 +687,7 @@ def cmd_evaluate(config, conditions=None):
     anything is written. Returns 1 if a reconstruction was missing, else 0."""
     _check_conditions(conditions or [])
     root = config.out_dir
-    started = time.perf_counter()
+    manifest = Manifest(root)
     topo = anatomy.build_template()
     ckpt, _ = load_model(root)
     _, test_ids = _shape_ids(config)
@@ -709,12 +727,12 @@ def cmd_evaluate(config, conditions=None):
         raise ValueError(f"nothing to evaluate: {root} holds no reconstruction under "
                          f"{', '.join(conditions) or 'any condition'}; run reconstruct first")
 
+    manifest.begin("evaluate")
     artifacts = [
         _write(root, rel, _write_text, _csv_text(table))
         for rel, table in ((PER_CASE_CSV, per_case), (SUMMARY_CSV, summary), (BLAND_ALTMAN_CSV, ba))
     ]
-    manifest = Manifest(root)
-    manifest.record_stage("evaluate", config, artifacts, time.perf_counter() - started)
+    manifest.record_stage("evaluate", config, artifacts)
     if missing:
         print(f"evaluate: skipped {len(missing)} missing reconstructions:", file=sys.stderr)
         for m in missing:
@@ -778,8 +796,8 @@ def cmd_report(config):
     for table in REPORT_TABLES:
         lines += _report_table(*table, summary)
 
-    manifest = Manifest(root)
-    durations = manifest.doc["stages"].get("reconstruct", {}).get("case_durations_s", {})
+    stages = Manifest(root).doc["stages"]
+    durations = stages.get("reconstruct", {}).get("case_durations_s", {})
     if durations:
         vals = np.array(list(durations.values()))
         lines += [
@@ -789,11 +807,7 @@ def cmd_report(config):
             f"Reconstruction: {vals.mean():.2f} s/case (min {vals.min():.2f}, "
             f"max {vals.max():.2f}, n={len(vals)}).",
         ]
-    for stage in ("generate", "train", "reconstruct", "evaluate"):
-        if stage in manifest.doc["stages"]:
-            lines.append(
-                f"Stage {stage}: {manifest.doc['stages'][stage]['duration_s']} s."
-            )
+    lines += [f"Stage {s}: {stages[s]['duration_s']} s." for s in STAGES if s in stages]
 
     _write(root, REPORT, _write_text, "\n".join(lines) + "\n")
     return 0

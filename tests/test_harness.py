@@ -236,6 +236,48 @@ def test_train_removes_outputs_of_the_old_model(tmp_path):
         harness.cmd_evaluate(cfg)
 
 
+def test_reconstruct_removes_the_evaluation_of_the_fits_it_replaces(tmp_path, run):
+    """A re-fit makes the evaluation and report of the old fits stale: they
+    go with the evaluate record, while the other fits keep theirs."""
+    import shutil
+
+    dst = tmp_path / "refit"
+    shutil.copytree(run.out_dir, dst)
+    before = harness.Manifest(dst).doc["stages"]["reconstruct"]["artifacts"]
+    cfg = mini_config(dst, infer_steps=run.infer_steps + 3)
+    harness.cmd_reconstruct(cfg, cases=["test_0000"], conditions=["ideal"])
+    manifest = harness.Manifest(dst)
+    assert sorted(manifest.doc["stages"]) == ["generate", "reconstruct", "train"]
+    assert manifest.doc["config_hash"] == cfg.hash()
+    assert set(manifest.stage_artifacts("reconstruct")) == set(before)
+    for rel in ("eval", "report.md"):
+        assert not os.path.exists(dst / rel), rel
+    assert_manifest_matches_files(dst)
+
+
+def test_evaluate_removes_the_report_of_the_old_evaluation(tmp_path, run):
+    """A new evaluation makes the report of the old one stale."""
+    import shutil
+
+    dst = tmp_path / "reevaluated"
+    shutil.copytree(run.out_dir, dst)
+    assert harness.cmd_evaluate(mini_config(dst), conditions=["ideal"]) == 0
+    assert not os.path.exists(dst / "report.md")
+    assert_manifest_matches_files(dst)
+
+
+def test_stages_name_every_output_of_a_run(run):
+    """Each recorded artifact lies under its own stage's STAGES entry, and
+    every entry of the run directory is the manifest or a stage's output."""
+    stages = harness.Manifest(run.out_dir).doc["stages"]
+    assert set(stages) == set(harness.STAGES) - {"report"}
+    for stage, record in stages.items():
+        for rel in record["artifacts"]:
+            assert rel.split(os.sep, 1)[0] in harness.STAGES[stage], (stage, rel)
+    outputs = {rel for rels in harness.STAGES.values() for rel in rels}
+    assert set(os.listdir(run.out_dir)) == {harness.MANIFEST} | outputs
+
+
 def test_train_checks_the_config_before_removing(tmp_path):
     """A config training cannot run is rejected before the old model's
     reconstructions and their manifest record go."""
@@ -915,6 +957,38 @@ def _copy_with_inverted_lv_wall(run, dst):
     return topo
 
 
+@pytest.mark.parametrize("edit", ["spec", "faces", "coordinates", "tags"])
+def test_run_meshes_must_be_of_the_template(tmp_path, run, edit):
+    """A shape or reconstruction PLY of another template, or with its faces,
+    coordinates or tags changed, is refused naming the file, not read as
+    vertices of the run's template."""
+    import dataclasses
+    import shutil
+
+    from heartfields import anatomy
+
+    dst = tmp_path / "foreign"
+    shutil.copytree(run.out_dir, dst)
+    topo = anatomy.build_template()
+    other = {
+        "spec": anatomy.build_template(anatomy.TemplateSpec(n_phi=48)),
+        "faces": dataclasses.replace(topo, faces=topo.faces[:, ::-1]),
+        "coordinates": dataclasses.replace(topo, uvc=topo.uvc + [0.0, 0.0, 0.0, 1e-9]),
+        "tags": dataclasses.replace(topo, surface_tag=np.roll(topo.surface_tag, 1)),
+    }[edit]
+    mesh = anatomy.generate_shape(other, anatomy.sample_params(9000))
+    ckpt, _ = harness.load_model(dst)
+    reads = {
+        "shapes/test_0000.ply": lambda: harness.load_instance_mesh(dst, "test_0000"),
+        "recon/ideal/test_0001.ply":
+            lambda: harness.evaluate_case(str(dst), topo, ckpt, "test_0001", "ideal"),
+    }
+    for rel, read in reads.items():
+        anatomy.write_mesh_ply(dst / rel, mesh)
+        with pytest.raises(ValueError, match=re.escape(f"{dst / rel}: not a mesh of the run's")):
+            read()
+
+
 def test_evaluate_inverted_wall_mass_is_nan(tmp_path, run):
     """An LV cavity that bulges through its epicardium leaves a negative
     wall volume, which is reported as a NaN mass."""
@@ -1048,10 +1122,14 @@ def test_evaluate_reads_each_contour_file_once_per_case(tmp_path, run, monkeypat
 
 
 def test_manifest_rejects_a_corrupt_file(tmp_path):
-    """A truncated manifest, or JSON that is not a manifest, raises a
-    ValueError naming the file instead of a bare decode or type error."""
+    """A truncated manifest, JSON that is not a manifest, or a stage record
+    without an artifacts object and a numeric duration raises a ValueError
+    naming the file instead of a bare decode, type or key error."""
     path = tmp_path / harness.MANIFEST
-    for text in ('{"config_hash": null, "stages": {"generate": {', "[]", '{"stages": []}'):
+    for text in ('{"config_hash": null, "stages": {"generate": {', "[]", '{"stages": []}',
+                 '{"stages": {"generate": []}}', '{"stages": {"generate": {}}}',
+                 '{"stages": {"generate": {"artifacts": {}, "duration_s": "1.5"}}}',
+                 '{"stages": {"generate": {"artifacts": [], "duration_s": 1.5}}}'):
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             harness.Manifest(str(tmp_path))
@@ -1093,14 +1171,13 @@ def test_evaluate_unknown_condition_writes_nothing(tmp_path, run):
 
     dst = tmp_path / "typo"
     shutil.copytree(run.out_dir, dst)
-    kept = [dst / "eval" / "summary.csv", dst / "manifest.json"]
-    before = [path.read_bytes() for path in kept]
+    before = tree_hashes(dst)
     with pytest.raises(ValueError) as err:
         harness.cmd_evaluate(mini_config(dst), conditions=["ideal", "ideal:typo"])
     assert "'ideal:typo'" in str(err.value)
     for condition in harness.CONDITIONS:
         assert condition in str(err.value)
-    assert [path.read_bytes() for path in kept] == before
+    assert tree_hashes(dst) == before
 
 
 def test_evaluate_repeated_condition_writes_nothing(tmp_path, run):
