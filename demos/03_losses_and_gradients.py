@@ -52,13 +52,10 @@ _, analytic, _ = training.through_net(
     net, inputs, lambda z: training.seg_loss(z, t5), latent.size, keep="inputs"
 )
 
-numeric = np.zeros_like(latent)
-for i in range(latent.size):
-    for sign in (+1, -1):
-        h = latent.copy()
-        h[i] += sign * 1e-6
-        val, _ = training.seg_loss(netcore.forward(net, training.seg_inputs(xyz, h)), t5)
-        numeric[i] += sign * val / 2e-6
+numeric = netcore.central_difference(
+    lambda h: training.seg_loss(netcore.forward(net, training.seg_inputs(xyz, h)), t5)[0],
+    latent, 1e-6,
+)
 print(
     "d seg_loss / d latent, analytic vs numeric: max rel err "
     f"{netcore.relative_grad_error(analytic, numeric):.2e}"

@@ -311,9 +311,9 @@ def _remove(root, rels):
 
 
 def cmd_generate(config, force=False):
-    """Synthesize the cohorts and test contours. ``force`` starts a new run:
-    once the config validates and the point budgets fit the template, it
-    removes the manifest and every stage's outputs."""
+    """Synthesize the cohorts and test contours into a new run: once the config
+    validates and the point budgets fit the template, it removes the manifest
+    and every stage's outputs, those of a recorded run only under ``force``."""
     config.validate()
     root = config.out_dir
     topo = anatomy.build_template()
@@ -323,10 +323,9 @@ def cmd_generate(config, force=False):
             f"seg_points must exceed and reg_points reach the template's {v} vertices, "
             f"got {config.seg_points} and {config.reg_points}"
         )
-    if force:
-        _remove(root, (MANIFEST, *STAGES["generate"]))
-    elif os.path.exists(os.path.join(root, MANIFEST)):
+    if not force and os.path.exists(os.path.join(root, MANIFEST)):
         raise FileExistsError(f"{root} already holds a run; pass --force to overwrite")
+    _remove(root, (MANIFEST, *STAGES["generate"]))
     manifest = Manifest(root)
     manifest.begin("generate")
 
@@ -468,16 +467,14 @@ def load_model(root):
 # -------------------------------------------------------------- reconstruct
 
 
-def _check_conditions(conditions):
-    """Raise ``ValueError`` naming every known condition unless each of
-    ``conditions`` is one, or naming a condition listed twice."""
-    for i, condition in enumerate(conditions):
-        if condition not in CONDITIONS:
-            raise ValueError(
-                f"unknown condition {condition!r}; known conditions: {', '.join(CONDITIONS)}"
-            )
-        if condition in conditions[:i]:
-            raise ValueError(f"condition {condition!r} is listed twice")
+def _check_listed(kind, names, known, known_text=None):
+    """Raise ``ValueError`` unless each of the ``kind`` ``names`` is one of
+    ``known`` (named by ``known_text``, or listed), or for one listed twice."""
+    for i, name in enumerate(names):
+        if name not in known:
+            raise ValueError(f"unknown {kind} {name!r}; known {kind}s: {known_text or ', '.join(known)}")
+        if name in names[:i]:
+            raise ValueError(f"{kind} {name!r} is listed twice")
 
 
 def _condition_contours(root, case, condition, load=None):
@@ -485,7 +482,7 @@ def _condition_contours(root, case, condition, load=None):
     contour file that ``load(path)`` reads (default
     :func:`acquisition.load_contours`); an unknown condition raises
     ``ValueError`` before any file is read."""
-    _check_conditions([condition])
+    _check_listed("condition", [condition], CONDITIONS)
     tag, _, row = CONDITIONS[condition]
     cs = (load or acq.load_contours)(os.path.join(root, _contour_json(case, tag)))
     return cs if row is None else acq.select_subset(cs, row)
@@ -518,9 +515,9 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
     duration = time.perf_counter() - t0
 
     trace = [["step", "loss"]] + [[i, f"{v:.8g}"] for i, v in enumerate(rec.loss_trace)]
-    # (suffix, writer, arguments): all computed before a file is written
+    # (suffix, writer, arguments): all computed before a file is written, and
+    # the PLY, by which evaluate finds a case, written last
     files = [
-        (RECON_PLY, anatomy.write_mesh_ply, mesh, f"reconstruction {case}"),
         (RECON_LATENT, np.save, rec.latent),
         (RECON_TRACE, _write_text, _csv_text(trace)),
     ]
@@ -531,6 +528,7 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
             (RECON_LABELS, inference.write_label_data, labels),
             (RECON_LABEL_HEADER, inference.write_label_header, labels, lo, dense_spacing),
         ]
+    files.append((RECON_PLY, anatomy.write_mesh_ply, mesh, f"reconstruction {case}"))
     rels = [_write(root, _recon(condition, case, suffix), write, *args)
             for suffix, write, *args in files]
     return rels, duration
@@ -543,17 +541,13 @@ def cmd_reconstruct(config, cases=None, conditions=None, dense_spacing=None):
     without latent stats or a ``dense_spacing`` :func:`reconstruct_case`
     rejects ``ValueError``, before any contour is read or file written."""
     conditions = conditions or ["ideal", "misaligned"]
-    _check_conditions(conditions)
+    _check_listed("condition", conditions, CONDITIONS)
     root = config.out_dir
     manifest = Manifest(root)
     _, test_ids = _shape_ids(config)
     cases = cases or test_ids
-    for i, case in enumerate(cases):
-        if case not in test_ids:
-            known = f"{test_ids[0]} to {test_ids[-1]}" if test_ids else "none"
-            raise ValueError(f"unknown case {case!r}; known cases: {known}")
-        if case in cases[:i]:
-            raise ValueError(f"case {case!r} is listed twice")
+    _check_listed("case", cases, test_ids,
+                  f"{test_ids[0]} to {test_ids[-1]}" if test_ids else "none")
     contours = {_contour_json(case, CONDITIONS[c][0]) for c in conditions for case in cases}
     missing = sorted(rel for rel in contours if not os.path.exists(os.path.join(root, rel)))
     if missing:
@@ -674,7 +668,15 @@ def evaluate_case(root, topo, ckpt, case, condition, ref=None):
     if not os.path.exists(ply):
         return None
     pred = _read_mesh(ply, topo)
-    latent = np.load(os.path.join(root, _recon(condition, case, RECON_LATENT)))
+    path = os.path.join(root, _recon(condition, case, RECON_LATENT))
+    try:
+        latent = np.load(path)
+    except (ValueError, EOFError) as e:
+        raise ValueError(f"{path}: not a readable .npy file: {e}") from e
+    want = ckpt.latent_codes.shape[1:]
+    if latent.shape != want or latent.dtype.kind != "f" or not np.isfinite(latent).all():
+        raise ValueError(f"{path}: expected a finite float vector of shape {want}, "
+                         f"got {latent.dtype} of shape {latent.shape}")
     ref = ref or CaseReference(load_instance_mesh(root, case, topo))
     contours = _condition_contours(root, case, condition, ref.contours)
     return case_metrics(pred, ref, contours, ckpt.seg_net, latent)
@@ -685,13 +687,13 @@ def cmd_evaluate(config, conditions=None):
     reconstructions) and write the CSVs. An unknown condition, or no
     reconstruction of any case under them, raises ``ValueError`` before
     anything is written. Returns 1 if a reconstruction was missing, else 0."""
-    _check_conditions(conditions or [])
+    _check_listed("condition", conditions or [], CONDITIONS)
     root = config.out_dir
     manifest = Manifest(root)
     topo = anatomy.build_template()
     ckpt, _ = load_model(root)
     _, test_ids = _shape_ids(config)
-    conditions = conditions or _present_conditions(root)
+    conditions = conditions or [c for c in CONDITIONS if os.path.isdir(os.path.join(root, _recon(c)))]
 
     per_case = [["condition", "case_id", *METRICS, *EXTRA_KEYS]]
     summary = [["condition", "n", "inverted_walls"]
@@ -741,10 +743,6 @@ def cmd_evaluate(config, conditions=None):
     return 0
 
 
-def _present_conditions(root):
-    return [c for c in CONDITIONS if os.path.isdir(os.path.join(root, _recon(c)))]
-
-
 # ------------------------------------------------------------------- report
 
 # the report's tables: (title, the first column, summary columns). The first
@@ -783,31 +781,35 @@ def _report_table(title, first, columns, summary):
 
 
 def cmd_report(config):
+    """Write the report of the evaluation the manifest records. A
+    ``summary.csv`` that its ``evaluate`` record does not hash raises
+    ``ValueError`` naming the file before anything is written."""
     root = config.out_dir
-    summary_path = os.path.join(root, SUMMARY_CSV)
-    lines = ["# Reconstruction run summary"]
-    if not os.path.exists(summary_path):
-        lines += ["", "No results found (run evaluate first)."]
-        _write(root, REPORT, _write_text, "\n".join(lines) + "\n")
-        return 0
-
-    with open(summary_path, newline="") as f:
-        summary = list(csv.DictReader(f))
-    for table in REPORT_TABLES:
-        lines += _report_table(*table, summary)
-
+    path = os.path.join(root, SUMMARY_CSV)
     stages = Manifest(root).doc["stages"]
-    durations = stages.get("reconstruct", {}).get("case_durations_s", {})
-    if durations:
-        vals = np.array(list(durations.values()))
-        lines += [
-            "",
-            "## Timing",
-            "",
-            f"Reconstruction: {vals.mean():.2f} s/case (min {vals.min():.2f}, "
-            f"max {vals.max():.2f}, n={len(vals)}).",
-        ]
-    lines += [f"Stage {s}: {stages[s]['duration_s']} s." for s in STAGES if s in stages]
+    lines = ["# Reconstruction run summary"]
+    if "evaluate" not in stages and not os.path.exists(path):
+        lines += ["", "No results found (run evaluate first)."]
+    else:
+        recorded = stages.get("evaluate", {}).get("artifacts", {}).get(SUMMARY_CSV)
+        if not os.path.exists(path) or file_hash(path) != recorded:
+            raise ValueError(f"{path}: not the summary the manifest's evaluate record hashes; "
+                             "run evaluate again")
+        with open(path, newline="") as f:
+            summary = list(csv.DictReader(f))
+        for table in REPORT_TABLES:
+            lines += _report_table(*table, summary)
+        durations = stages.get("reconstruct", {}).get("case_durations_s", {})
+        if durations:
+            vals = np.array(list(durations.values()))
+            lines += [
+                "",
+                "## Timing",
+                "",
+                f"Reconstruction: {vals.mean():.2f} s/case (min {vals.min():.2f}, "
+                f"max {vals.max():.2f}, n={len(vals)}).",
+            ]
+        lines += [f"Stage {s}: {stages[s]['duration_s']} s." for s in STAGES if s in stages]
 
     _write(root, REPORT, _write_text, "\n".join(lines) + "\n")
     return 0

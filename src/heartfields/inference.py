@@ -185,36 +185,31 @@ def predict_dense_labels(seg_net, latent, origin, spacing, dims):
         raise ValueError(f"grid dims must be positive, got {dims}")
     origin = np.asarray(origin, dtype=np.float64)
     spacing = float(spacing)
-    labels = np.empty(math.prod(dims), dtype=np.uint8)
-    label = _chunk_labeler(seg_net, latent)
-    for s in range(0, len(labels), _CHUNK):  # the voxel centers of a chunk, in C order
-        index = np.column_stack(np.unravel_index(np.arange(s, min(s + _CHUNK, len(labels))), dims))
-        labels[s : s + _CHUNK] = label(origin + spacing * index)
-    return labels.reshape(dims)
+
+    def centers(s, e):  # of voxels s to e, in C order
+        return origin + spacing * np.column_stack(np.unravel_index(np.arange(s, e), dims))
+
+    return _label_chunks(seg_net, latent, math.prod(dims), centers).reshape(dims)
 
 
 def predict_labels(seg_net, latent, points):
     """Label (argmax of the sigmoid channels) at each of the (n, 3)
     ``points``, as uint8; the classifier runs on 8192 rows at a time."""
-    label = _chunk_labeler(seg_net, latent)
-    labels = np.empty(len(points), dtype=np.uint8)
-    for s in range(0, len(points), _CHUNK):
-        labels[s : s + _CHUNK] = label(points[s : s + _CHUNK])
-    return labels
+    return _label_chunks(seg_net, latent, len(points), lambda s, e: points[s:e])
 
 
-def _chunk_labeler(seg_net, latent):
-    """Function from at most :data:`_CHUNK` (n, 3) points to their labels;
-    all its calls run the classifier in one :class:`netcore.Buffers` set."""
+def _label_chunks(seg_net, latent, n, chunk):
+    """Labels of the ``n`` points that ``chunk(s, e)`` gives s to e of, as
+    uint8, from :data:`_CHUNK` at a time in one :class:`netcore.Buffers` set."""
     dt = seg_net.parameters.dtype
     code = np.asarray(latent, dtype=dt)
     buffers = netcore.Buffers()
-
-    def label(points):
-        x = seg_inputs(points.astype(dt), code)
-        return np.argmax(netcore.forward(seg_net, x, buffers=buffers), axis=1)
-
-    return label
+    labels = np.empty(n, dtype=np.uint8)
+    for s in range(0, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        x = seg_inputs(chunk(s, e).astype(dt), code)
+        labels[s:e] = np.argmax(netcore.forward(seg_net, x, buffers=buffers), axis=1)
+    return labels
 
 
 def write_label_data(path, labels):

@@ -30,14 +30,14 @@ buffer set gives the same bits as a fresh one. This matters for speed: a
 fresh array per step is freed at the end of the call, glibc trims the
 heap top, and the next step faults the same pages in again. So a caller
 that runs many passes (a training run, a latent fit) makes one set per
-network and keeps it; a pass called without a set makes a fresh one.
+network and keeps it; a forward called without a set makes a fresh one.
 
 Ownership rule: every array a pass returns (the outputs, the cache, the
-gradients) lives in its buffer set and is overwritten by the next pass on
-that set. A cache serves one backward, which consumes it (a full cache's
-arrays then hold gradient states): :func:`backward` raises ``ValueError``
-for a cache that a later forward on its set has overwritten, or that a
-backward has already used.
+gradients) lives in a buffer set, the forward's own or the backward's
+cache's, and is overwritten by the next pass on that set. A cache serves
+one backward, which consumes it (a full cache's arrays then hold gradient
+states): :func:`backward` raises ``ValueError`` for a cache that a later
+forward on its set has overwritten, or that a backward has already used.
 """
 
 import math
@@ -172,13 +172,12 @@ class Cache(NamedTuple):
     A ``keep="params"`` cache holds the inputs, each block's input and
     activation, and the last hidden state. A ``keep="inputs"`` cache holds
     only ``masks``, each block's ReLU mask (pre-activation > 0) as a bool
-    array. ``stamp`` marks the forward that made the cache, so a backward
-    can tell whether the set still holds it.
+    array. The set holds its last forward's cache as the live one, which a
+    backward checks it is given, then clears.
     """
 
     rows: int
     buffers: "Buffers"
-    stamp: object
     masks: list = None
     x: np.ndarray = None
     hin: list = None
@@ -203,7 +202,7 @@ class Buffers:
 
     def __init__(self):
         self._held = {}
-        self._live = None  # stamp of the cache a backward may still use
+        self._live = None  # the cache a backward may still use
 
     def take(self, name, shape, dtype):
         held = self._held.get(name)
@@ -225,7 +224,7 @@ def forward_cached(net, inputs, keep="params", buffers=None):
         raise ValueError(f"keep must be one of {_KEEP}, got {keep!r}")
     x = _check_inputs(net, inputs)
     buffers = Buffers() if buffers is None else buffers
-    buffers._live = stamp = None if keep is None else object()
+    buffers._live = None  # this pass overwrites the set's last cache
     w_in, b_in, blocks, w_out, b_out = net.views()
     rows, nb = len(x), net.num_blocks
     shape = (rows, net.hidden_dim)
@@ -256,8 +255,11 @@ def forward_cached(net, inputs, keep="params", buffers=None):
     np.matmul(h, w_out, out=y)
     y += b_out
     if keep == "params":
-        return y, Cache(rows, buffers, stamp, None, x, list(states[0:-1:2]), list(states[1::2]), h)
-    return y, (Cache(rows, buffers, stamp, list(masks)) if keep == "inputs" else None)
+        cache = Cache(rows, buffers, None, x, list(states[0:-1:2]), list(states[1::2]), h)
+    else:
+        cache = Cache(rows, buffers, list(masks)) if keep == "inputs" else None
+    buffers._live = cache
+    return y, cache
 
 
 @dataclass
@@ -273,21 +275,21 @@ class GradientBuffer:
     input_grads: np.ndarray
 
 
-def backward(net, inputs, upstream_grads, cache=None, buffers=None):
+def backward(net, inputs, upstream_grads, cache=None):
     """Reverse-mode pass: gradients of sum(upstream_grads * forward(inputs)).
 
-    Recomputes the forward pass unless a cache from :func:`forward_cached`
-    for the same inputs is supplied. A ``keep="inputs"`` cache skips the
-    parameter gradients; the input gradients have the same bits as with a
-    full cache. relu'(0) is taken as 0. The gradients live in ``buffers``
-    (a fresh :class:`Buffers` if omitted) until its next pass. The pass
+    Recomputes the forward pass, on a fresh :class:`Buffers` set, unless a
+    cache from :func:`forward_cached` for the same inputs is supplied. A
+    ``keep="inputs"`` cache skips the parameter gradients; the input
+    gradients have the same bits as with a full cache. relu'(0) is taken as
+    0. The gradients live in the cache's set until its next pass. The pass
     consumes its cache, and raises ``ValueError`` for one that a later
     forward on its set has overwritten or that a backward has used.
     """
-    buffers = Buffers() if buffers is None else buffers
     if cache is None:
-        _, cache = forward_cached(net, inputs, buffers=buffers)
-    if cache.buffers._live is not cache.stamp:
+        _, cache = forward_cached(net, inputs)
+    buffers = cache.buffers
+    if buffers._live is not cache:
         raise ValueError(
             "cache is stale: a later forward on its buffer set has overwritten it, "
             "or a backward has used it"
@@ -301,7 +303,7 @@ def backward(net, inputs, upstream_grads, cache=None, buffers=None):
         )
     if not np.all(np.isfinite(up)):
         raise ValueError("upstream grads contain non-finite values")
-    cache.buffers._live = None
+    buffers._live = None
 
     w_in, b_in, blocks, w_out, b_out = net.views()
     shape = (cache.rows, net.hidden_dim)
@@ -317,7 +319,7 @@ def backward(net, inputs, upstream_grads, cache=None, buffers=None):
         gh = cache.hlast
         mask = buffers.take("mask", shape, bool)
     else:  # the forward's three state slabs
-        gh, ga, u = cache.buffers.take("states", (3, *shape), up.dtype)
+        gh, ga, u = buffers.take("states", (3, *shape), up.dtype)
     np.matmul(up, w_out.T, out=gh)
     for k in range(net.num_blocks - 1, -1, -1):
         w1, _, w2, _ = blocks[k]
@@ -398,47 +400,46 @@ def adam_step(params, grads, state, lr):
     return params, state
 
 
+def central_difference(f, x, step):
+    """(f(x + step e_i) - f(x - step e_i)) / (2 step) of the scalar function
+    ``f`` at every entry i of ``x``, in an array of its shape. ``f`` is
+    called on a float64 copy of ``x`` with one entry moved, which leaves the
+    caller's array untouched."""
+    x = np.array(x, dtype=np.float64)
+    grad = np.empty_like(x)
+    for i in np.ndindex(x.shape):
+        centre = x[i]
+        x[i] = centre + step
+        hi = f(x)
+        x[i] = centre - step
+        lo = f(x)
+        x[i] = centre
+        grad[i] = (hi - lo) / (2.0 * step)
+    return grad
+
+
 def finite_diff_check(net, inputs, step=1e-5, seed=0):
-    """Max relative error of backward() against central finite differences.
+    """Max relative error of backward() against :func:`central_difference`.
 
     The scalar being differentiated is sum(U * forward(x)) for a fixed
     seeded upstream U, checked over every parameter and every input entry.
     Entries where both derivatives vanish count as zero error. Intended for
     small nets (<= 2 blocks); cost is two forward passes per scalar.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     net = net.astype(np.float64)
     rng = np.random.default_rng(seed)
     upstream = rng.standard_normal((x.shape[0], net.output_dim))
 
     g = backward(net, x, upstream)
     analytic = np.concatenate([g.param_grads, g.input_grads.ravel()])
+    n = net.n_params
 
-    def objective(params, xx):
-        probe = ResidualMlp(
-            net.input_dim, net.output_dim, net.hidden_dim, net.num_blocks, params
-        )
-        return float(np.sum(upstream * forward(probe, xx)))
+    def objective(v):  # v: the parameters, then the inputs
+        probe = ResidualMlp(net.input_dim, net.output_dim, net.hidden_dim, net.num_blocks, v[:n])
+        return float(np.sum(upstream * forward(probe, v[n:].reshape(x.shape))))
 
-    numeric = np.empty_like(analytic)
-    p = net.parameters
-    for i in range(p.size):
-        pp = p.copy()
-        pp[i] = p[i] + step
-        hi = objective(pp, x)
-        pp[i] = p[i] - step
-        lo = objective(pp, x)
-        numeric[i] = (hi - lo) / (2.0 * step)
-    flat_x = x.ravel()
-    for j in range(flat_x.size):
-        xx = x.copy().ravel()
-        xx[j] = flat_x[j] + step
-        hi = objective(p, xx.reshape(x.shape))
-        xx[j] = flat_x[j] - step
-        lo = objective(p, xx.reshape(x.shape))
-        numeric[p.size + j] = (hi - lo) / (2.0 * step)
+    numeric = central_difference(objective, np.concatenate([net.parameters, x.ravel()]), step)
 
     # Entries below the floor are finite-difference noise (~|f| * 1e-16 / step),
     # not disagreement; a genuine sign flip on any meaningful gradient still

@@ -307,11 +307,11 @@ def through_net(net, inputs, loss, code_dim, keep="params", scale=1.0, buffers=N
     (the last ``code_dim`` input columns summed over rows) is divided by it
     again, as is the parameter gradient (``None`` for ``keep="inputs"``).
     Both passes write into the :class:`netcore.Buffers` ``buffers`` (a
-    fresh set if omitted), where the parameter gradient lives until its
-    next pass."""
+    fresh set if omitted), the backward as its cache's set, where the
+    parameter gradient lives until its next pass."""
     outputs, cache = netcore.forward_cached(net, inputs, keep=keep, buffers=buffers)
     value, upstream = loss(outputs)
-    g = netcore.backward(net, inputs, upstream * scale, cache=cache, buffers=buffers)
+    g = netcore.backward(net, inputs, upstream * scale, cache=cache)
     if g.param_grads is not None:
         g.param_grads /= scale
     return value, g.input_grads[:, -code_dim:].sum(axis=0) / scale, g.param_grads

@@ -170,6 +170,33 @@ def test_generate_force_starts_a_new_run(tmp_path):
     assert_manifest_matches_files(cfg.out_dir)
 
 
+def test_generate_after_an_interrupted_generate_leaves_only_recorded_files(tmp_path, monkeypatch):
+    """A generate that stops before its record leaves no manifest, so the
+    next generate needs no ``force``; it removes what the first one wrote,
+    and every file under the generate outputs is then a recorded artifact."""
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupted(*args, **kwargs):
+        raise Interrupted
+
+    cfg = mini_config(tmp_path / "regenerated", train_shapes=3, test_shapes=2)
+    monkeypatch.setattr(harness.Manifest, "record_stage", interrupted)
+    with pytest.raises(Interrupted):
+        harness.cmd_generate(cfg)
+    monkeypatch.undo()
+    assert os.path.exists(os.path.join(cfg.out_dir, "shapes", "train_0002.ply"))
+    assert not os.path.exists(os.path.join(cfg.out_dir, harness.MANIFEST))
+
+    harness.cmd_generate(replace(cfg, train_shapes=2, test_shapes=1))
+    on_disk = {os.path.relpath(os.path.join(d, f), cfg.out_dir)
+               for out in harness.STAGES["generate"]
+               for d, _, files in os.walk(os.path.join(cfg.out_dir, out)) for f in files}
+    assert on_disk == set(harness.Manifest(cfg.out_dir).stage_artifacts("generate"))
+    assert_manifest_matches_files(cfg.out_dir)
+
+
 @pytest.mark.parametrize("budgets", [dict(seg_points=100), dict(reg_points=2596)])
 def test_generate_force_checks_point_budgets_before_removing(tmp_path, budgets):
     """Point budgets the template cannot fill are rejected before ``force``
@@ -754,6 +781,38 @@ def test_reconstruct_records_each_case_as_it_finishes(tmp_path, run, monkeypatch
     assert_manifest_matches_files(dst)
 
 
+def test_a_case_interrupted_after_its_first_file_leaves_no_ply(tmp_path, run, monkeypatch):
+    """A case's PLY, by which evaluate finds it, is written last: a fit
+    stopped after its first file leaves none, and evaluate scores the
+    recorded case and exits 1 instead of reading a PLY without its latent."""
+    import shutil
+
+    class Interrupted(Exception):
+        pass
+
+    write, written = harness._write, []
+
+    def interrupted(root, rel, *args):
+        if "test_0001" in rel:
+            if written:
+                raise Interrupted
+            written.append(rel)
+        return write(root, rel, *args)
+
+    dst = tmp_path / "interrupted"
+    shutil.copytree(run.out_dir, dst)
+    cfg = mini_config(dst)
+    monkeypatch.setattr(harness, "_write", interrupted)
+    with pytest.raises(Interrupted):
+        harness.cmd_reconstruct(cfg, conditions=["misaligned"])
+    monkeypatch.undo()
+    assert os.path.exists(dst / written[0])
+    assert not os.path.exists(dst / "recon" / "misaligned" / "test_0001.ply")
+    assert harness.cmd_evaluate(cfg, conditions=["misaligned"]) == 1
+    with open(dst / "eval" / "per_case.csv") as f:
+        assert [r["case_id"] for r in csv.DictReader(f)] == ["test_0000"]
+
+
 def test_reconstruct_dense_labels(tmp_path, run, load_label_volume):
     cfg = mini_config(run.out_dir)
     ckpt, stats = harness.load_model(run.out_dir)
@@ -1135,6 +1194,28 @@ def test_manifest_rejects_a_corrupt_file(tmp_path):
             harness.Manifest(str(tmp_path))
 
 
+@pytest.mark.parametrize("latent", ["truncated", "nan", "2-d", "length"])
+def test_evaluate_case_checks_the_latent_file(tmp_path, run, latent):
+    """A latent file that does not load, or is not a finite vector of the
+    model's latent dim, raises a ValueError naming the file."""
+    import shutil
+
+    dst = tmp_path / "latent"
+    shutil.copytree(run.out_dir, dst)
+    path = dst / "recon" / "ideal" / "test_0000_latent.npy"
+    code = np.load(path)
+    if latent == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+    else:
+        bad = {"nan": np.where(np.arange(len(code)) == 1, np.nan, code),
+               "2-d": code[None, :], "length": code[:-1]}[latent]
+        np.save(path, bad)
+    ckpt, _ = harness.load_model(dst)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        harness.evaluate_case(str(dst), harness.anatomy.build_template(), ckpt, "test_0000",
+                              "ideal")
+
+
 def test_evaluate_missing_reconstruction_nonzero_exit(tmp_path, run):
     import shutil
 
@@ -1292,6 +1373,33 @@ def test_report_contents_and_idempotence(run):
     assert "Timing" in first
     harness.cmd_report(run)
     assert path.read_text() == first
+
+
+@pytest.mark.parametrize("edit", ["emptied", "short row", "edited cell", "removed"])
+def test_report_renders_only_the_recorded_summary(tmp_path, run, edit):
+    """A summary.csv other than the one the evaluate record hashes, or none
+    where one is recorded, raises a ValueError naming the file and leaves
+    the old report."""
+    import shutil
+
+    dst = tmp_path / "edited"
+    shutil.copytree(run.out_dir, dst)
+    path = dst / "eval" / "summary.csv"
+    data = path.read_bytes()
+    header, first, rest = data.split(b"\r\n", 2)
+    cells = first.split(b",")
+    cells[3] = b"0.5"  # dice_lvm_mean
+    edited = {"emptied": b"", "short row": data + b"ideal,1\r\n",
+              "edited cell": b"\r\n".join([header, b",".join(cells), rest])}
+    if edit == "removed":
+        path.unlink()
+    else:
+        assert edited[edit] != data
+        path.write_bytes(edited[edit])
+    report = (dst / "report.md").read_bytes()
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        harness.cmd_report(mini_config(dst))
+    assert (dst / "report.md").read_bytes() == report
 
 
 def test_report_empty_results(tmp_path):

@@ -79,12 +79,7 @@ def test_mahalanobis_gradient():
     st = LatentStats(mean=rng.standard_normal(5), cov_inv=np.linalg.inv(cov))
     z = rng.standard_normal(5)
     _, grad = inference.mahalanobis(z, st)
-    num = np.zeros(5)
-    for i in range(5):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += 1e-6
-        zm[i] -= 1e-6
-        num[i] = (inference.mahalanobis(zp, st)[0] - inference.mahalanobis(zm, st)[0]) / 2e-6
+    num = netcore.central_difference(lambda zz: inference.mahalanobis(zz, st)[0], z, 1e-6)
     assert netcore.relative_grad_error(grad, num) < 1e-4
 
 
@@ -190,8 +185,8 @@ def test_optimize_latent_forms_no_parameter_gradients(topo, small_model, monkeyp
         calls.append("forward")
         return true_forward(net, inputs)
 
-    def backward(net, inputs, upstream_grads, cache=None, buffers=None):
-        g = true_backward(net, inputs, upstream_grads, cache, buffers=buffers)
+    def backward(net, inputs, upstream_grads, cache=None):
+        g = true_backward(net, inputs, upstream_grads, cache)
         calls.append(("backward", g.param_grads is None))
         return g
 
@@ -210,9 +205,9 @@ def test_each_fit_reuses_one_buffer_set(topo, small_model, monkeypatch):
     seen = []
     true_backward = netcore.backward
 
-    def backward(net, inputs, upstream_grads, cache=None, buffers=None):
-        seen.append(buffers)
-        return true_backward(net, inputs, upstream_grads, cache, buffers=buffers)
+    def backward(net, inputs, upstream_grads, cache=None):
+        seen.append(cache.buffers)
+        return true_backward(net, inputs, upstream_grads, cache)
 
     monkeypatch.setattr(netcore, "backward", backward)
     contours = acq.acquire(meshes[0], "t000", density=6.0)
@@ -238,10 +233,10 @@ def test_saturated_fit_scales_its_upstream_out_of_subnormals(topo, monkeypatch):
     true_backward = netcore.backward
     seen = {}
 
-    def backward(net, inputs, upstream_grads, cache=None, buffers=None):
+    def backward(net, inputs, upstream_grads, cache=None):
         seen["upstream"] = upstream_grads.copy()
         seen["logits"] = netcore.forward(net, inputs)
-        return true_backward(net, inputs, upstream_grads, cache, buffers=buffers)
+        return true_backward(net, inputs, upstream_grads, cache)
 
     monkeypatch.setattr(netcore, "backward", backward)
     w = ideal_weights(1, 500)
@@ -284,8 +279,7 @@ def test_fit_gradient_matches_finite_differences(topo):
     # not negligible
     code, step = stats.mean + np.array([0.5, -0.4, 0.6, -0.5]), 1e-6
     assert np.abs(code - stats.mean).min() > 0.1
-    numeric = [(objective(code + step * e) - objective(code - step * e)) / (2 * step)
-               for e in np.eye(len(code))]
+    numeric = netcore.central_difference(objective, code, step)
     assert netcore.relative_grad_error(fun(code)[1], numeric) < 1e-4
 
 

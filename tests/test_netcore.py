@@ -136,13 +136,7 @@ def test_input_gradients_through_lean_cache_match_finite_differences():
     up = rng.standard_normal((4, 5))
     _, cache = netcore.forward_cached(net, x, keep="inputs")
     analytic = backward(net, x, up, cache=cache).input_grads
-    numeric = np.empty_like(x)
-    step = 1e-5
-    for idx in np.ndindex(x.shape):
-        hi, lo = x.copy(), x.copy()
-        hi[idx] += step
-        lo[idx] -= step
-        numeric[idx] = np.sum(up * (forward(net, hi) - forward(net, lo))) / (2 * step)
+    numeric = netcore.central_difference(lambda xx: np.sum(up * forward(net, xx)), x, 1e-5)
     assert netcore.relative_grad_error(analytic, numeric) < 1e-6
 
 
@@ -190,15 +184,15 @@ def test_reused_buffers_give_the_bits_of_fresh_ones(dtype):
         if keep is None:
             assert cache is None
             continue
-        g = backward(net, x, up, cache=cache, buffers=buffers)
+        g = backward(net, x, up, cache=cache)
         g_fresh = backward(net, x, up, cache=fresh)
         assert same_bits(g.input_grads, g_fresh.input_grads)
         if keep == "inputs":
             assert g.param_grads is None
         else:
             assert same_bits(g.param_grads, g_fresh.param_grads)
-    # a backward that runs its own forward on the set
-    g, g_fresh = backward(net, x, up, buffers=buffers), backward(net, x, up)
+    # a backward that runs its own forward, on a fresh set
+    g, g_fresh = backward(net, x, up), backward(net, x, up)
     assert same_bits(g.param_grads, g_fresh.param_grads)
     assert same_bits(g.input_grads, g_fresh.input_grads)
 
@@ -216,9 +210,9 @@ def test_a_pass_overwrites_what_the_last_pass_on_its_set_returned():
     y2, _ = netcore.forward_cached(net, x2, keep=None, buffers=buffers)
     assert np.shares_memory(y1, y2) and np.array_equal(y1, forward(net, x2))
     assert not np.array_equal(y1, first)
-    g1 = backward(net, x1, up, buffers=buffers)
+    g1 = backward(net, x1, up, cache=netcore.forward_cached(net, x1, buffers=buffers)[1])
     first = g1.param_grads.copy(), g1.input_grads.copy()
-    g2 = backward(net, x2, up, buffers=buffers)
+    g2 = backward(net, x2, up, cache=netcore.forward_cached(net, x2, buffers=buffers)[1])
     for was, now, kept in zip((g1.param_grads, g1.input_grads),
                               (g2.param_grads, g2.input_grads), first):
         assert np.shares_memory(was, now) and not np.array_equal(was, kept)
@@ -238,21 +232,56 @@ def test_backward_refuses_a_stale_or_used_cache():
         _, stale = netcore.forward_cached(net, x1, keep=keep, buffers=buffers)
         netcore.forward_cached(net, x2, keep=later, buffers=buffers)
         with pytest.raises(ValueError, match="stale"):
-            backward(net, x1, up, cache=stale, buffers=buffers)
+            backward(net, x1, up, cache=stale)
     for keep in ("params", "inputs"):
         buffers = netcore.Buffers()
         _, cache = netcore.forward_cached(net, x1, keep=keep, buffers=buffers)
         netcore.forward_cached(net, x2, keep=keep)  # another set
         want = backward(net, x1, up, cache=netcore.forward_cached(net, x1, keep=keep)[1])
-        got = backward(net, x1, up, cache=cache, buffers=buffers)
+        got = backward(net, x1, up, cache=cache)
         assert same_bits(got.input_grads, want.input_grads)
         with pytest.raises(ValueError, match="stale"):
-            backward(net, x1, up, cache=cache, buffers=buffers)
+            backward(net, x1, up, cache=cache)
     # a refused upstream leaves the cache usable
     _, cache = netcore.forward_cached(net, x1, keep="params")
     with pytest.raises(ValueError, match="shape"):
         backward(net, x1, up[:3], cache=cache)
     assert backward(net, x1, up, cache=cache).param_grads is not None
+
+
+@pytest.mark.parametrize("keep", ["params", "inputs"])
+def test_a_backward_writes_into_its_caches_set(keep):
+    """A backward's gradients live in its cache's buffer set, so the next
+    forward and backward on that set overwrite them."""
+    net = small_net(seed=37)
+    rng = np.random.default_rng(38)
+    x1, x2 = rng.standard_normal((2, 40, 8))
+    up = rng.standard_normal((40, 5))
+    buffers = netcore.Buffers()
+    _, cache = netcore.forward_cached(net, x1, keep=keep, buffers=buffers)
+    assert cache.buffers is buffers
+    g1 = backward(net, x1, up, cache=cache)
+    was = [g for g in (g1.input_grads, g1.param_grads) if g is not None]
+    first = [g.copy() for g in was]
+    _, cache = netcore.forward_cached(net, x2, keep=keep, buffers=buffers)
+    g2 = backward(net, x2, up, cache=cache)
+    now = [g for g in (g2.input_grads, g2.param_grads) if g is not None]
+    assert len(was) == len(now) == (2 if keep == "params" else 1)
+    for a, b, kept in zip(was, now, first):
+        assert np.shares_memory(a, b) and not np.array_equal(a, kept)
+
+
+def test_central_difference_of_a_quadratic():
+    """The central difference of x . A x is (A + A^T) x to rounding, since
+    a quadratic's third derivative vanishes; the input is left as it was."""
+    rng = np.random.default_rng(39)
+    a = rng.standard_normal((6, 6))
+    x = rng.standard_normal((2, 3))
+    before = x.copy()
+    numeric = netcore.central_difference(lambda v: v.ravel() @ a @ v.ravel(), x, 1e-3)
+    assert numeric.shape == x.shape and numeric.dtype == np.float64
+    np.testing.assert_allclose(numeric.ravel(), (a + a.T) @ x.ravel(), rtol=0, atol=1e-10)
+    assert np.array_equal(x, before)
 
 
 def test_gradients_match_finite_differences():

@@ -22,22 +22,6 @@ from heartfields.training import (
 )
 
 
-def finite_diff(f, x, step=1e-6):
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.ravel()
-    gf = g.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f(x)
-        flat[i] = orig - step
-        lo = f(x)
-        flat[i] = orig
-        gf[i] = (hi - lo) / (2 * step)
-    return g
-
-
 def random_one_hot(n, seed=0):
     rng = np.random.default_rng(seed)
     return AnatomicalLabel.one_hot(rng.integers(0, 5, size=n))
@@ -71,7 +55,7 @@ def test_seg_loss_gradients_match_fd(loss_fn):
     t = random_one_hot(10, seed=3)
     z = rng.standard_normal((10, 5)) * 2.0
     _, grad = loss_fn(z, t)
-    numeric = finite_diff(lambda zz: loss_fn(zz, t)[0], z.copy())
+    numeric = netcore.central_difference(lambda zz: loss_fn(zz, t)[0], z, 1e-6)
     assert netcore.relative_grad_error(grad, numeric) < 1e-4
 
 
@@ -88,7 +72,7 @@ def test_reg_loss_gradient():
     p = rng.standard_normal((8, 3))
     t = rng.standard_normal((8, 3))
     _, grad = reg_loss(p, t)
-    numeric = finite_diff(lambda x: reg_loss(x, t)[0], p.copy())
+    numeric = netcore.central_difference(lambda x: reg_loss(x, t)[0], p, 1e-6)
     assert netcore.relative_grad_error(grad, numeric) < 1e-4
 
 
@@ -106,7 +90,7 @@ def test_prior_loss_gradient():
     rng = np.random.default_rng(7)
     h = rng.standard_normal((4, 6))
     _, grad = prior_loss(h)
-    numeric = finite_diff(lambda x: prior_loss(x)[0], h.copy())
+    numeric = netcore.central_difference(lambda x: prior_loss(x)[0], h, 1e-6)
     assert netcore.relative_grad_error(grad, numeric) < 1e-4
 
 
@@ -156,8 +140,8 @@ def test_seg_pipeline_gradient_wrt_params_and_latent():
     )
     assert value == loss_of(net.parameters, h0)
 
-    num_p = finite_diff(lambda p: loss_of(p, h0), net.parameters.copy(), step=1e-5)
-    num_h = finite_diff(lambda hh: loss_of(net.parameters, hh), h0.copy(), step=1e-5)
+    num_p = netcore.central_difference(lambda p: loss_of(p, h0), net.parameters, 1e-5)
+    num_h = netcore.central_difference(lambda hh: loss_of(net.parameters, hh), h0, 1e-5)
     assert netcore.relative_grad_error(g_params, num_p) < 1e-4
     assert netcore.relative_grad_error(g_h, num_h) < 1e-4
 
@@ -178,7 +162,7 @@ def test_reg_pipeline_gradient_wrt_latent():
         net, training.reg_inputs(uvc, h0), lambda o: training._reg_share(o, target), len(h0),
         keep="inputs",
     )
-    num_h = finite_diff(loss_of, h0.copy(), step=1e-5)
+    num_h = netcore.central_difference(loss_of, h0, 1e-5)
     assert netcore.relative_grad_error(g_h, num_h) < 1e-4
 
 
@@ -368,8 +352,8 @@ def test_validation_shapes_form_no_parameter_gradients(topo, monkeypatch):
     grads = []
     true_backward = netcore.backward
 
-    def recording(net, inputs, upstream_grads, cache=None, buffers=None):
-        g = true_backward(net, inputs, upstream_grads, cache, buffers=buffers)
+    def recording(net, inputs, upstream_grads, cache=None):
+        g = true_backward(net, inputs, upstream_grads, cache)
         grads.append(g.param_grads is None)
         return g
 
@@ -390,9 +374,9 @@ def test_train_reuses_one_buffer_set_per_network(topo, monkeypatch):
         seen.append((net.output_dim, buffers))
         return true_forward(net, inputs, keep=keep, buffers=buffers)
 
-    def backward(net, inputs, upstream_grads, cache=None, buffers=None):
-        seen.append((net.output_dim, buffers))
-        return true_backward(net, inputs, upstream_grads, cache, buffers=buffers)
+    def backward(net, inputs, upstream_grads, cache=None):
+        seen.append((net.output_dim, cache.buffers))
+        return true_backward(net, inputs, upstream_grads, cache)
 
     monkeypatch.setattr(netcore, "forward_cached", forward_cached)
     monkeypatch.setattr(netcore, "backward", backward)
