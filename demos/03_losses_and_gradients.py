@@ -14,8 +14,8 @@ from heartfields.anatomy import AnatomicalLabel
 rng = np.random.default_rng(0)
 
 # ------------------------------------------------ classification loss terms
-targets = AnatomicalLabel.one_hot(rng.integers(0, len(AnatomicalLabel), size=50))
-perfect = np.where(targets > 0, 20.0, -20.0)
+targets = rng.integers(0, len(AnatomicalLabel), size=50)  # the losses take integer labels
+perfect = np.where(AnatomicalLabel.one_hot(targets) > 0, 20.0, -20.0)
 agnostic = np.zeros_like(perfect)
 print(f"seg loss, saturated-correct logits: {training.seg_loss(perfect, targets)[0]:.2e}")
 print(f"seg loss, all-zero logits:          {training.seg_loss(agnostic, targets)[0]:.3f}")
@@ -42,7 +42,7 @@ print(f"network forward/backward vs central differences: max rel err {err:.2e}")
 # and the full classification pipeline: d loss / d latent code
 latent = rng.standard_normal(4) * 0.2
 xyz = rng.standard_normal((5, 3)) * 30
-t5 = AnatomicalLabel.one_hot(rng.integers(0, len(AnatomicalLabel), size=5))
+t5 = rng.integers(0, len(AnatomicalLabel), size=5)
 net = netcore.init_params(netcore.ResidualMlp(7, len(AnatomicalLabel), 16, 2), seed=2)
 
 # the one forward-loss-backward pass training and reconstruction share;

@@ -11,7 +11,7 @@ reconstruction optimizes against.
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,12 @@ APEX_MARGIN, BASE_MARGIN = 5.0, 2.0
 GRID_MARGIN = 8.0
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SlicePlane:
+    """A view plane, checked when built: a ``ValueError`` rejects a frame that
+    is not 3 finite numbers per vector or not orthonormal, or a spacing that
+    is not a finite int or float. It owns read-only copies of its vectors."""
+
     view: str  # "sax00".. / "lax_4ch" / "lax_2ch" / "lax_3ch"
     origin: np.ndarray
     normal: np.ndarray
@@ -37,22 +41,59 @@ class SlicePlane:
 
     def __post_init__(self):
         for name in ("origin", "normal", "e1", "e2"):
-            setattr(self, name, _floats(getattr(self, name), (3,), name))
+            object.__setattr__(self, name, _floats(getattr(self, name), (3,), name))
         for name in ("normal", "e1", "e2"):
             if abs(np.linalg.norm(getattr(self, name)) - 1.0) > 1e-9:
                 raise ValueError(f"plane {name} must be unit length")
         for u, v in ((self.e1, self.e2), (self.e1, self.normal), (self.e2, self.normal)):
             if abs(float(u @ v)) > 1e-9:
                 raise ValueError("plane axes must be orthonormal")
+        s = self.spacing  # a bool is an int to isinstance, but no spacing
+        if isinstance(s, bool) or not isinstance(s, (int, float)) or not np.isfinite(s):
+            raise ValueError(f"spacing is not a finite number: {s!r}")
 
 
-@dataclass
+# the point arrays of a slice, as a contour file stores them: key, dtype in
+# the file, shape of one point's entry, and the dtype a Slice holds
+_BLOCKS = (
+    ("xyz", "<f8", (3,), np.float64),
+    ("labels", "i1", (), np.int8),
+    ("kinds", "u1", (), np.uint8),
+)
+_CODES = {"labels": [int(a) for a in AnatomicalLabel], "kinds": [KIND_GRID, KIND_CONTOUR]}
+
+
+@dataclass(frozen=True, eq=False)
 class Slice:
+    """The labeled points of one plane, moved in-plane by ``shift`` (mm along
+    e1, e2). Checked when built, as a contour file's slice is (a
+    ``ValueError`` names the view); it owns read-only copies of its arrays."""
+
     plane: SlicePlane
     points: np.ndarray  # (n, 3) mm
     labels: np.ndarray  # (n,) int8
     kinds: np.ndarray  # (n,) uint8, 0 grid / 1 contour
-    shift: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    shift: np.ndarray = (0.0, 0.0)
+
+    def __post_init__(self):
+        try:
+            points, labels, kinds = (np.asarray(a) for a in (self.points, self.labels, self.kinds))
+            n = len(points)
+            if points.shape != (n, 3) or not np.isfinite(points).all():
+                raise ValueError(f"xyz is not {(n, 3)} finite numbers")
+            if not len(labels) == len(kinds) == n:
+                raise ValueError(f"{n} xyz, {len(labels)} labels and {len(kinds)} kinds")
+            for name, a in (("labels", labels), ("kinds", kinds)):
+                if a.ndim != 1 or not np.isin(a, _CODES[name]).all():
+                    raise ValueError(f"{name} outside {_CODES[name]}")
+            object.__setattr__(self, "shift", _floats(self.shift, (2,), "shift"))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"slice {self.plane.view!r}: {e}") from e
+        for name, (_, _, _, native), a in zip(("points", "labels", "kinds"), _BLOCKS,
+                                              (points, labels, kinds)):
+            a = np.array(a, dtype=native)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 @dataclass
@@ -125,7 +166,7 @@ def standard_views(mesh, spacing=10.0):
         planes.append(
             SlicePlane(
                 view=name,
-                origin=frame.origin.copy(),
+                origin=frame.origin,
                 normal=normal,
                 e1=in_plane,
                 e2=za,
@@ -206,37 +247,22 @@ def acquire(mesh, shape_id, spacing=10.0, density=2.0):
     return ContourSet(shape_id=shape_id, slices=slices, provenance="ideal")
 
 
-def _translated(contours, shifts, provenance):
-    """Copy of ``contours`` with slice i moved in-plane by ``shifts[i]``
-    (mm along its e1, e2) and the move added to its recorded shift."""
-    out = []
-    for s, shift in zip(contours.slices, shifts):
-        delta = shift[0] * s.plane.e1 + shift[1] * s.plane.e2
-        out.append(Slice(s.plane, s.points + delta, s.labels.copy(), s.kinds.copy(),
-                         s.shift + shift))
-    return ContourSet(contours.shape_id, out, provenance=provenance)
-
-
 def inject_misalignment(contours, sigma, seed):
     """Rigidly translate each slice in-plane by a Gaussian shift whose two
     components have SD ``sigma`` (mm), drawn from ``seed`` and the shape id.
 
-    Point order and labels are untouched, so the shift is exactly
-    recoverable; the result is tagged "misaligned".
+    Point order and labels are untouched, and each slice adds its shift to
+    its recorded one; the result is tagged "misaligned".
     """
     if not 0 <= sigma < np.inf:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     seed = [seed, stable_hash(contours.shape_id)]
-    shifts = [
-        np.random.default_rng(seed + [i]).normal(0.0, sigma, size=2)
-        for i in range(len(contours.slices))
-    ]
-    return _translated(contours, shifts, "misaligned")
-
-
-def remove_misalignment(contours):
-    """Subtract the recorded per-slice shifts (inverse of injection)."""
-    return _translated(contours, [-s.shift for s in contours.slices], "ideal")
+    out = []
+    for i, s in enumerate(contours.slices):
+        shift = np.random.default_rng(seed + [i]).normal(0.0, sigma, size=2)
+        delta = shift[0] * s.plane.e1 + shift[1] * s.plane.e2
+        out.append(Slice(s.plane, s.points + delta, s.labels, s.kinds, s.shift + shift))
+    return ContourSet(contours.shape_id, out, provenance="misaligned")
 
 
 def stable_hash(text):
@@ -267,39 +293,9 @@ def select_subset(contours, row_name):
 
 
 CONTOUR_FORMAT = 3
-# the per-point arrays of a slice record: key, dtype in the file, shape of
-# one point's entry, and the dtype the reader returns
-_BLOCKS = (
-    ("xyz", "<f8", (3,), np.float64),
-    ("labels", "i1", (), np.int8),
-    ("kinds", "u1", (), np.uint8),
-)
-_CODES = {"labels": [int(a) for a in AnatomicalLabel], "kinds": [KIND_GRID, KIND_CONTOUR]}
-
-
-def _check_arrays(points, labels, kinds):
-    """Raise a ``ValueError`` unless ``points`` are n finite rows of 3 and
-    ``labels`` and ``kinds`` hold n legend labels and n point kinds."""
-    n = len(points)
-    if points.shape != (n, 3) or not np.isfinite(points).all():
-        raise ValueError(f"xyz is not {(n, 3)} finite numbers")
-    if not len(labels) == len(kinds) == n:
-        raise ValueError(f"{n} xyz, {len(labels)} labels and {len(kinds)} kinds")
-    for name, a in (("labels", labels), ("kinds", kinds)):
-        if a.ndim != 1 or not np.isin(a, _CODES[name]).all():
-            raise ValueError(f"{name} outside {_CODES[name]}")
 
 
 def _slice_record(s):
-    arrays = [np.asarray(a) for a in (s.points, s.labels, s.kinds)]
-    try:
-        _spacing(s.plane.spacing)
-        for k in ("origin", "normal", "e1", "e2"):
-            _floats(getattr(s.plane, k), (3,), k)
-        _floats(s.shift, (2,), "shift")
-        _check_arrays(*arrays)
-    except ValueError as e:
-        raise ValueError(f"slice {s.plane.view!r}: {e}") from e
     rec = {
         "view": s.plane.view,
         "origin": s.plane.origin.tolist(),
@@ -308,9 +304,9 @@ def _slice_record(s):
         "e2": s.plane.e2.tolist(),
         "spacing": s.plane.spacing,
         "shift": s.shift.tolist(),
-        "n": len(arrays[0]),
+        "n": len(s.points),
     }
-    for (key, dtype, _, _), a in zip(_BLOCKS, arrays):
+    for (key, dtype, _, _), a in zip(_BLOCKS, (s.points, s.labels, s.kinds)):
         rec[key] = base64.b64encode(np.ascontiguousarray(a, dtype=dtype)).decode("ascii")
     return rec
 
@@ -318,22 +314,14 @@ def _slice_record(s):
 def save_contours(path, contours):
     """Write a ``format`` 3 contour file: per slice, its plane, its shift, its
     point count ``n`` and its ``xyz``, ``labels`` and ``kinds`` arrays as
-    base64 blocks of little-endian float64 (n x 3), int8 and uint8. A
-    ``ValueError`` naming the slice's view rejects a spacing, frame, shift or
-    arrays that :func:`load_contours` would reject, before ``path`` is opened."""
+    base64 blocks of little-endian float64 (n x 3), int8 and uint8. Every
+    slice checked itself when it was built, so the file holds nothing
+    :func:`load_contours` rejects."""
     slices = [_slice_record(s) for s in contours.slices]
     doc = {"format": CONTOUR_FORMAT, "shape_id": contours.shape_id,
            "provenance": contours.provenance, "slices": slices}
     with open(path, "w") as f:
         f.write(json.dumps(doc) + "\n")
-
-
-def _spacing(value):
-    """``value`` if it is a finite int or float (a bool is neither), else
-    a ``ValueError``: the rule for a slice's spacing."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
-        raise ValueError(f"spacing is not a finite number: {value!r}")
-    return value
 
 
 def _positive(name, value):
@@ -344,14 +332,16 @@ def _positive(name, value):
 
 
 def _floats(values, shape, name):
-    a = np.asarray(values, dtype=np.float64)
+    """A read-only float64 copy of ``values``, which must be ``shape`` finite numbers."""
+    a = np.array(values, dtype=np.float64)
     if a.shape != shape or not np.isfinite(a).all():
         raise ValueError(f"{name} is not {shape} finite numbers")
+    a.flags.writeable = False
     return a
 
 
-def _block(rec, key, dtype, shape, native, n):
-    """Block ``key`` of ``rec`` decoded to an owned array of ``native`` dtype."""
+def _block(rec, key, dtype, shape, n):
+    """Block ``key`` of ``rec``: n entries of ``shape`` in the file's ``dtype``."""
     try:
         raw = base64.b64decode(rec[key], validate=True)
     except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
@@ -359,7 +349,7 @@ def _block(rec, key, dtype, shape, native, n):
     size = n * int(np.prod(shape)) * np.dtype(dtype).itemsize
     if len(raw) != size:
         raise ValueError(f"{key} block holds {len(raw)} bytes, not the {size} of n = {n}")
-    return np.frombuffer(raw, dtype).reshape((n, *shape)).astype(native)
+    return np.frombuffer(raw, dtype).reshape((n, *shape))
 
 
 def _slice_from_record(rec):
@@ -367,27 +357,28 @@ def _slice_from_record(rec):
     try:
         if type(view) is not str:
             raise ValueError("view is not a string")
-        spacing, n = _spacing(rec["spacing"]), rec["n"]
+        n = rec["n"]
         if type(n) is not int or n < 0:
             raise ValueError(f"n is not a point count: {n!r}")
-        plane = SlicePlane(view, *(rec[k] for k in ("origin", "normal", "e1", "e2")), spacing=spacing)
-        points, labels, kinds = (_block(rec, *spec, n) for spec in _BLOCKS)
-        _check_arrays(points, labels, kinds)
-        return Slice(plane, points, labels, kinds, shift=_floats(rec["shift"], (2,), "shift"))
+        plane = SlicePlane(view, *(rec[k] for k in ("origin", "normal", "e1", "e2")),
+                           spacing=rec["spacing"])
+        arrays = [_block(rec, key, dtype, shape, n) for key, dtype, shape, _ in _BLOCKS]
+        shift = rec["shift"]
     except KeyError as e:
         raise ValueError(f"slice {view!r}: missing key {e}") from e
     except (TypeError, ValueError) as e:
         raise ValueError(f"slice {view!r}: {e}") from e
+    return Slice(plane, *arrays, shift=shift)
 
 
 def load_contours(path):
     """Read a file written by :func:`save_contours`. A ``ValueError`` naming
     ``path`` reports invalid JSON, another ``format`` or a missing key; for
-    one slice (named by its view) also a view that is not a string, a
-    spacing, frame or shift that is not finite, a block that is not base64 or
-    whose byte length disagrees with ``n``, points that are not finite, or
-    labels or kinds out of range. The arrays are owned, writable and in
-    native byte order."""
+    one slice (named by its view) also a view that is not a string, an ``n``
+    that is not a point count, a block that is not base64 or whose byte
+    length disagrees with ``n``, and whatever :class:`SlicePlane` and
+    :class:`Slice` reject when built. The arrays are owned, read-only and
+    in native byte order."""
     try:
         with open(path) as f:
             doc = json.load(f)

@@ -10,9 +10,9 @@ from .frames import apply_frame, cardiac_frame
 from .labeling import Labeler
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapeParams:
-    """Size parameters of one cohort member (all lengths in mm)."""
+    """Size parameters of one cohort member (all lengths in mm), checked when built."""
 
     lv_semi_axes: tuple = (26.0, 24.0, 52.0)  # endocardial a, b, c
     lv_wall_thickness: float = 10.0
@@ -20,6 +20,10 @@ class ShapeParams:
     rv_wall_thickness: float = 3.0
     base_truncation_fraction: float = 0.55
     global_scale: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "lv_semi_axes", tuple(self.lv_semi_axes))
+        self.validate()
 
     def validate(self):
         a, b, c = self.lv_semi_axes
@@ -68,7 +72,7 @@ def sample_params(seed):
         rv_wall_thickness=3.0,
         base_truncation_fraction=u("trunc"),
         global_scale=u("scale"),
-    ).validate()
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +118,6 @@ def generate_shape(topology, params):
     """Evaluate one shape of the family and canonicalize it to its own
     cardiac frame (the geometry is a deterministic function of the
     parameters)."""
-    params.validate()
     pos = tpl.evaluate_positions(topology, params)
     frame = cardiac_frame(**tpl.landmarks_from_vertices(topology, pos))
     return InstanceMesh(topology, apply_frame(frame, pos))

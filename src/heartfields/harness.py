@@ -42,7 +42,7 @@ CONDITIONS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig(training.TrainConfig):
     """The training settings it inherits plus those of the other stages."""
 
@@ -69,9 +69,9 @@ class ExperimentConfig(training.TrainConfig):
     infer_budget_s: float = 30.0
 
     def validate(self):
-        train_range = range(self.train_seed0, self.train_seed0 + self.train_shapes)
-        test_range = range(self.test_seed0, self.test_seed0 + self.test_shapes)
-        if set(train_range) & set(test_range):
+        # half-open [seed0, seed0 + shapes) ranges meet iff the later start precedes the earlier end
+        if max(self.train_seed0, self.test_seed0) < min(self.train_seed0 + self.train_shapes,
+                                                        self.test_seed0 + self.test_shapes):
             raise ValueError("train and test seed ranges overlap")
         training.require(self, lambda v: v >= 0, "nonnegative", "train_shapes", "test_shapes",
                          "checkpoint_every", "train_seed0", "test_seed0", "misalign_seed")
@@ -134,7 +134,7 @@ def load_config(path=None, overrides=None):
         values = _typed({k: v for k, v in values.items() if k not in overrides})
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
-    return ExperimentConfig(**values, **_typed(overrides)).validate()
+    return ExperimentConfig(**values, **_typed(overrides))
 
 
 # -------------------------------------------------------------------- layout
@@ -311,10 +311,9 @@ def _remove(root, rels):
 
 
 def cmd_generate(config, force=False):
-    """Synthesize the cohorts and test contours into a new run: once the config
-    validates and the point budgets fit the template, it removes the manifest
-    and every stage's outputs, those of a recorded run only under ``force``."""
-    config.validate()
+    """Synthesize the cohorts and test contours into a new run: once the point
+    budgets fit the template, it removes the manifest and every stage's
+    outputs, those of a recorded run only under ``force``."""
     root = config.out_dir
     topo = anatomy.build_template()
     v = topo.vertex_count
@@ -496,6 +495,8 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
         raise ValueError(f"dense_spacing must be positive and finite, got {dense_spacing}")
     root = config.out_dir
     cs = _condition_contours(root, case, condition)
+    if dense_spacing is not None:  # the case's contours, so a poor fit cannot grow the box
+        lo, dims = inference.label_box(cs.all_points(acq.KIND_CONTOUR)[0], dense_spacing)
     weights = inference.InferenceWeights(
         lambda_bce=CONDITIONS[condition][1],
         steps=config.infer_steps,
@@ -522,7 +523,6 @@ def reconstruct_case(config, ckpt, stats, case, condition, dense_spacing=None, t
         (RECON_TRACE, _write_text, _csv_text(trace)),
     ]
     if dense_spacing is not None:
-        lo, dims = inference.label_box(mesh.vertices, dense_spacing)
         labels = inference.predict_dense_labels(ckpt.seg_net, rec.latent, lo, dense_spacing, dims)
         files += [
             (RECON_LABELS, inference.write_label_data, labels),

@@ -87,15 +87,14 @@ def fit_objective(seg_net, stats, points, labels, lambda_bce):
     Every evaluation reuses one :class:`netcore.Buffers` set."""
     dt = seg_net.parameters.dtype
     points = points.astype(dt)
-    onehot = AnatomicalLabel.one_hot(labels).astype(dt)
     buffers = netcore.Buffers()
 
     def fun(code):
         lm, gm = mahalanobis(code, stats)
 
         def loss(logits):
-            lb, gb = bce_loss(logits, onehot)
-            ld, gd = dice_loss(logits, onehot)
+            lb, gb = bce_loss(logits, labels)
+            ld, gd = dice_loss(logits, labels)
             return LAMBDA_R * lm + lambda_bce * lb + ld, lambda_bce * gb + gd
 
         value, g_data, _ = through_net(seg_net, seg_inputs(points, code), loss, len(code),
@@ -166,11 +165,11 @@ def predict_mesh(reg_net, latent, topology):
     return InstanceMesh(topology, verts)
 
 
-def label_box(vertices, spacing):
+def label_box(points, spacing):
     """(origin, dims) of the label volume at a positive ``spacing`` (mm) that
-    covers the bounds of ``vertices`` with 10 mm to spare; the margin gives
-    every axis at least one voxel."""
-    lo, hi = vertices.min(axis=0) - 10.0, vertices.max(axis=0) + 10.0
+    covers the bounds of the (n, 3) ``points`` with 10 mm to spare; the
+    margin gives every axis at least one voxel."""
+    lo, hi = points.min(axis=0) - 10.0, points.max(axis=0) + 10.0
     return lo, ((hi - lo) / spacing).astype(int) + 1
 
 

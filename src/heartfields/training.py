@@ -71,31 +71,30 @@ def latent_stats(codes):
 # ------------------------------------------------------------------- losses
 
 
-def _check_one_hot(targets):
-    t = np.asarray(targets)
-    if t.ndim != 2 or t.shape[1] != len(AnatomicalLabel):
-        raise ValueError(f"targets must be (n, {len(AnatomicalLabel)}) one-hot, got {t.shape}")
-    if not (np.all((t == 0.0) | (t == 1.0)) and np.all(t.sum(axis=1) == 1.0)):
-        raise ValueError("targets are not one-hot")
-    return t
+def _targets(logits, labels):
+    """The one-hot rows of the n integer ``labels`` in the dtype of the (n, 5) ``logits``."""
+    labels = np.asarray(labels)
+    if (labels.ndim != 1 or labels.dtype.kind not in "iu"
+            or logits.shape != (len(labels), len(AnatomicalLabel))):
+        raise ValueError(f"logits {logits.shape} vs labels {labels.shape} {labels.dtype}: need "
+                         f"(n, {len(AnatomicalLabel)}) logits and n integer labels")
+    return AnatomicalLabel.one_hot(labels).astype(logits.dtype)
 
 
-def bce_loss(logits, targets):
+def bce_loss(logits, labels):
     """(value, gradient) of the per-channel sigmoid binary cross-entropy,
     averaged over points and channels. Numerically stable (softplus form)."""
     z = np.asarray(logits)
-    t = _check_one_hot(targets).astype(z.dtype)
-    if z.shape != t.shape:
-        raise ValueError(f"logits {z.shape} vs targets {t.shape}")
+    t = _targets(z, labels)
     n = z.size
     loss = float(np.sum(np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))) / n)
     return loss, (_sigmoid(z) - t) / n
 
 
-def dice_loss(logits, targets):
+def dice_loss(logits, labels):
     """(value, gradient) of one minus the channel-mean soft Dice of the sigmoids."""
     z = np.asarray(logits)
-    t = _check_one_hot(targets).astype(z.dtype)
+    t = _targets(z, labels)
     s = _sigmoid(z)
     num = 2.0 * np.sum(s * t, axis=0) + DICE_SMOOTH
     den = np.sum(s, axis=0) + np.sum(t, axis=0) + DICE_SMOOTH
@@ -106,10 +105,11 @@ def dice_loss(logits, targets):
     return loss, grad
 
 
-def seg_loss(logits, targets):
-    """(value, gradient) of the combined BCE and soft-Dice classification loss."""
-    b, gb = bce_loss(logits, targets)
-    d, gd = dice_loss(logits, targets)
+def seg_loss(logits, labels):
+    """(value, gradient) of the combined BCE and soft-Dice classification loss;
+    like both, of (n, 5) logits against n integer labels of the legend."""
+    b, gb = bce_loss(logits, labels)
+    d, gd = dice_loss(logits, labels)
     return b + d, gb + gd
 
 
@@ -240,8 +240,10 @@ def require(settings, test, needs, *names):
             raise ValueError(f"{name} must be {needs}, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked when built (:meth:`validate`); immutable."""
+
     epochs: int = 400
     latent_dim: int = 64
     hidden_dim: int = 128
@@ -253,6 +255,9 @@ class TrainConfig:
     val_fraction: float = 0.2
     train_seed: int = 7
     dtype: str = "float32"
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def np_dtype(self):
@@ -359,12 +364,11 @@ def check_resume(resume, config, n_shapes):
 
 
 def check_train(config, n_shapes, resume=None):
-    """Raise ``ValueError`` for what :func:`train` cannot run: no shapes, a
-    config that fails validation, or a ``resume`` checkpoint that
-    :func:`check_resume` rejects."""
+    """Raise ``ValueError`` for what :func:`train` cannot run: no shapes, or
+    a ``resume`` checkpoint that :func:`check_resume` rejects (the config
+    checked itself when it was built)."""
     if not n_shapes:
         raise ValueError("empty cohort")
-    config.validate()
     if resume is not None:
         check_resume(resume, config, n_shapes)
 
@@ -383,8 +387,8 @@ def train(samples, config, resume=None, on_epoch=None):
     final :class:`TrainResult`.
 
     Working set, besides the samples (point arrays already in the compute
-    dtype are not copied; labels stay int8 and are made one-hot a batch at
-    a time): per net its parameters, Adam moments and parameter gradient,
+    dtype are not copied; labels stay int8, and the loss makes a batch's
+    one-hot rows): per net its parameters, Adam moments and parameter gradient,
     and one :class:`netcore.Buffers` set of batch x hidden slabs for the
     whole run, 2 num_blocks + 1 float state slabs (the backward works in
     those the forward leaves dead) and num_blocks + 1 bool mask slabs; per
@@ -453,10 +457,8 @@ def train(samples, config, resume=None, on_epoch=None):
 
             # a validation shape moves only its code: no parameter gradients
             keep = "inputs" if si in val_set else "params"
-            # the int8 labels are made one-hot a batch at a time
-            ts = AnatomicalLabel.one_hot(samples[si].seg_labels[bs])
-            xs = seg_inputs(seg_xyz[si][bs], h)
-            l_seg, g_seg, gs = through_net(seg_net, xs, lambda z: seg_loss(z, ts), len(h), keep,
+            ys, xs = samples[si].seg_labels[bs], seg_inputs(seg_xyz[si][bs], h)
+            l_seg, g_seg, gs = through_net(seg_net, xs, lambda z: seg_loss(z, ys), len(h), keep,
                                            buffers=seg_buffers)
             tr, xr = reg_xyz[si][br], reg_inputs(reg_uvc[si][br], h)
             l_reg, g_reg, gr = through_net(reg_net, xr, lambda o: _reg_share(o, tr), len(h), keep,

@@ -2,7 +2,7 @@ import base64
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -286,9 +286,16 @@ def test_misalignment_zero_sigma_identity(contours):
             acq.inject_misalignment(contours, sigma=sigma, seed=5)
 
 
+def remove_misalignment(contours):
+    """Subtract the recorded per-slice shifts (inverse of injection)."""
+    slices = [acq.Slice(s.plane, s.points - (s.shift[0] * s.plane.e1 + s.shift[1] * s.plane.e2),
+                        s.labels, s.kinds) for s in contours.slices]
+    return acq.ContourSet(contours.shape_id, slices, provenance="ideal")
+
+
 def test_misalignment_roundtrip(contours):
     shifted = acq.inject_misalignment(contours, sigma=3.0, seed=6)
-    restored = acq.remove_misalignment(shifted)
+    restored = remove_misalignment(shifted)
     for a, b in zip(restored.slices, contours.slices):
         np.testing.assert_allclose(a.points, b.points, atol=1e-12)
         np.testing.assert_array_equal(a.labels, b.labels)
@@ -389,7 +396,7 @@ def test_contour_roundtrip(tmp_path, contours):
             assert getattr(a, k).dtype == getattr(b, k).dtype
         for k in ("points", "labels", "kinds"):
             arr = getattr(a, k)
-            assert arr.flags.writeable and arr.flags.owndata and arr.dtype.isnative, k
+            assert not arr.flags.writeable and arr.flags.owndata and arr.dtype.isnative, k
     again = tmp_path / "again.json"
     acq.save_contours(again, back)
     assert again.read_bytes() == path.read_bytes()
@@ -489,29 +496,46 @@ def test_contour_file_rejects_corrupt_input(tmp_path, contours):
             assert f"slice {first.plane.view!r}: " in str(err.value), (name, str(err.value))
 
 
-def test_save_contours_rejects_what_load_would(tmp_path, contours):
+def test_slice_rejects_what_load_would(contours):
+    """A slice checks itself when built, with the message a contour file's
+    slice gets, naming its view once; so save_contours writes no slice
+    that load_contours rejects."""
     good = contours.slices[1]
     n = len(good.points)
     not_finite = good.points.copy()
     not_finite[0, 2] = np.inf
     bad = {
-        "not_finite": (replace(good, points=not_finite), "xyz is not"),
-        "xyz_2d": (replace(good, points=good.points[:, :2]), "xyz is not"),
-        "short_labels": (replace(good, labels=good.labels[:-1]),
-                         f"{n} xyz, {n - 1} labels and {n} kinds"),
-        "short_kinds": (replace(good, kinds=good.kinds[:-1]),
-                        f"{n} xyz, {n} labels and {n - 1} kinds"),
+        "not_finite": (dict(points=not_finite), "xyz is not"),
+        "xyz_2d": (dict(points=good.points[:, :2]), "xyz is not"),
+        "short_labels": (dict(labels=good.labels[:-1]), f"{n} xyz, {n - 1} labels and {n} kinds"),
+        "short_kinds": (dict(kinds=good.kinds[:-1]), f"{n} xyz, {n} labels and {n - 1} kinds"),
         # 257 would wrap to label 1 as int8
-        "label_257": (replace(good, labels=np.r_[257, good.labels[1:].astype(np.int64)]),
-                      "labels outside"),
-        "kind_2": (replace(good, kinds=np.r_[np.uint8(2), good.kinds[1:]]), "kinds outside"),
-        "shift_nan": (replace(good, shift=np.array([0.0, np.nan])), "shift is not"),
-        "spacing_inf": (replace(good, plane=replace(good.plane, spacing=np.inf)),
-                        "spacing is not a finite number: inf"),
+        "label_257": (dict(labels=np.r_[257, good.labels[1:].astype(np.int64)]), "labels outside"),
+        "kind_2": (dict(kinds=np.r_[np.uint8(2), good.kinds[1:]]), "kinds outside"),
+        "shift_nan": (dict(shift=np.array([0.0, np.nan])), "shift is not"),
     }
-    for name, (bad_slice, reason) in bad.items():
-        path = tmp_path / f"{name}.json"
+    for name, (changes, reason) in bad.items():
         with pytest.raises(ValueError, match=f"^slice {good.plane.view!r}: ") as err:
-            acq.save_contours(path, acq.ContourSet("x", [contours.slices[0], bad_slice]))
+            replace(good, **changes)
         assert reason in str(err.value), (name, str(err.value))
-        assert not path.exists()
+        assert str(err.value).count(good.plane.view) == 1, (name, str(err.value))
+    with pytest.raises(ValueError, match="^spacing is not a finite number: inf$"):
+        replace(good.plane, spacing=np.inf)
+
+
+def test_planes_and_slices_are_immutable():
+    """A plane and a slice own read-only copies of their arrays, so the
+    checks they passed when built stay true."""
+    frame = [np.zeros(3), np.array([0.0, 0, 1]), np.array([1.0, 0, 0]), np.array([0.0, 1, 0])]
+    arrays = [np.zeros((2, 3)), np.zeros(2, np.int8), np.ones(2, np.uint8), np.zeros(2)]
+    s = acq.Slice(acq.SlicePlane("sax00", *frame), *arrays)
+    held = [s.plane.origin, s.plane.normal, s.plane.e1, s.plane.e2, s.points, s.labels, s.kinds,
+            s.shift]
+    for given, kept in zip(frame + arrays, held, strict=True):
+        assert given.flags.writeable and not np.shares_memory(given, kept)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1
+    with pytest.raises(FrozenInstanceError):
+        s.points = np.ones((2, 3))
+    with pytest.raises(FrozenInstanceError):
+        s.plane.spacing = 5.0

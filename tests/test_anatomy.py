@@ -213,6 +213,21 @@ def test_degenerate_params_rejected():
             anatomy.ShapeParams(**bad).validate()
 
 
+def test_shape_params_check_themselves_when_built():
+    """Parameters are checked when built, by ``dataclasses.replace`` too,
+    and are immutable: the semi-axes are kept as a tuple."""
+    with pytest.raises(ValueError, match="^global_scale must be positive, got nan$"):
+        anatomy.ShapeParams(global_scale=float("nan"))
+    with pytest.raises(ValueError, match="^degenerate shape: wall thickness >= LV semi-axis$"):
+        dataclasses.replace(anatomy.ShapeParams(), lv_wall_thickness=30.0)
+    axes = [26.0, 24.0, 52.0]
+    params = anatomy.ShapeParams(lv_semi_axes=axes)
+    axes[0] = -1.0
+    assert params.lv_semi_axes == (26.0, 24.0, 52.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.global_scale = 2.0
+
+
 # ------------------------------------------------------------------ frames
 
 

@@ -3,7 +3,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -123,6 +123,50 @@ def test_config_seed_ranges_must_be_disjoint():
         harness.ExperimentConfig(
             train_seed0=100, train_shapes=50, test_seed0=120, test_shapes=10
         ).validate()
+
+
+@pytest.mark.parametrize("train_seed0, train_shapes, test_seed0, test_shapes, overlap", [
+    (100, 50, 150, 10, False),  # adjacent: the test range starts where training's ends
+    (150, 10, 100, 50, False),
+    (100, 50, 149, 10, True),  # seed 149 in both
+    (159, 10, 150, 10, True),
+    (100, 0, 100, 10, False),  # an empty range shares no seed
+    (100, 10, 105, 0, False),
+])
+def test_config_seed_ranges_overlap_when_they_share_a_seed(train_seed0, train_shapes, test_seed0,
+                                                           test_shapes, overlap):
+    settings = dict(train_seed0=train_seed0, train_shapes=train_shapes, test_seed0=test_seed0,
+                    test_shapes=test_shapes)
+    if overlap:
+        with pytest.raises(ValueError, match="^train and test seed ranges overlap$"):
+            harness.ExperimentConfig(**settings)
+    else:
+        harness.ExperimentConfig(**settings).validate()
+
+
+def test_config_seed_check_holds_no_seed_set():
+    """The overlap check compares the ranges' ends: a mistyped cohort size
+    costs it no memory (a set of a million seeds took ~70 MB)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        harness.ExperimentConfig(train_shapes=10**6, test_seed0=2 * 10**6).validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_config_checks_itself_when_built():
+    """A config is checked when it is built, by ``dataclasses.replace`` too,
+    with the message :func:`load_config` gives, and is immutable."""
+    with pytest.raises(ValueError, match="^spacing must be positive and finite, got 0.0$"):
+        harness.ExperimentConfig(spacing=0.0)
+    with pytest.raises(ValueError, match="^latent_dim must be at least 1, got 0$"):
+        replace(harness.ExperimentConfig(), latent_dim=0)
+    with pytest.raises(FrozenInstanceError):
+        harness.ExperimentConfig().out_dir = "elsewhere"
 
 
 def test_config_hash_stable():
@@ -823,6 +867,39 @@ def test_reconstruct_dense_labels(tmp_path, run, load_label_volume):
     assert vol
     labels, header = load_label_volume(os.path.join(run.out_dir, vol[0][: -len(".u8")]))
     assert labels.ndim == 3 and header["spacing"] == 8.0
+
+
+def test_label_volume_spans_the_contours_not_the_fit(tmp_path, run, monkeypatch):
+    """A label volume's box is that of the case's contour points, so a
+    sprawling decoded mesh (here scaled 10x) leaves its origin and dims,
+    and so its cost, unchanged."""
+    import shutil
+
+    from heartfields import inference
+
+    dst = tmp_path / "box"
+    shutil.copytree(run.out_dir, dst)
+    cfg = mini_config(dst)
+    ckpt, stats = harness.load_model(dst)
+    base = dst / "recon" / "ideal" / "test_0000_labels"
+
+    def header():
+        harness.reconstruct_case(cfg, ckpt, stats, "test_0000", "ideal", dense_spacing=8.0)
+        return json.loads(Path(f"{base}.json").read_text())
+
+    fitted = header()
+    true_predict = inference.predict_mesh
+
+    def scaled(*args):
+        mesh = true_predict(*args)
+        return replace(mesh, vertices=10.0 * mesh.vertices)
+
+    monkeypatch.setattr(inference, "predict_mesh", scaled)
+    sprawling = header()
+    assert (sprawling["origin"], sprawling["dims"]) == (fitted["origin"], fitted["dims"])
+    contours = acq.load_contours(dst / "contours" / "test_0000_ideal.json")
+    lo, dims = inference.label_box(contours.all_points(acq.KIND_CONTOUR)[0], 8.0)
+    assert (fitted["origin"], fitted["dims"]) == (lo.tolist(), dims.tolist())
 
 
 @pytest.mark.parametrize("spacing", [0.0, -4.0, float("nan")])

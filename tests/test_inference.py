@@ -263,7 +263,6 @@ def test_fit_gradient_matches_finite_differences(topo):
     mesh = anatomy.generate_shape(topo, anatomy.sample_params(500))
     contours = acq.acquire(mesh, "g000", density=6.0)
     pts, labels = contours.all_points(kind=acq.KIND_GRID)
-    onehot = anatomy.AnatomicalLabel.one_hot(labels)
     stats = training.latent_stats(np.random.default_rng(6).standard_normal((8, 4)) * 0.3)
     net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, hidden_dim=16, num_blocks=2), 5)
     lambda_bce = 10.0
@@ -272,8 +271,8 @@ def test_fit_gradient_matches_finite_differences(topo):
     def objective(code):
         logits = netcore.forward(net, training.seg_inputs(pts, code))
         return (inference.LAMBDA_R * inference.mahalanobis(code, stats)[0]
-                + lambda_bce * training.bce_loss(logits, onehot)[0]
-                + training.dice_loss(logits, onehot)[0])
+                + lambda_bce * training.bce_loss(logits, labels)[0]
+                + training.dice_loss(logits, labels)[0])
 
     # ~0.5 per entry from the mean, so the prior's share of the gradient is
     # not negligible
@@ -307,13 +306,12 @@ def fit_points(contours, w):
 
 def evaluate_loss(rec, contours, result, cfg, w):
     pts, labels = fit_points(contours, w)
-    onehot = anatomy.AnatomicalLabel.one_hot(labels)
     x = training.seg_inputs(pts, rec.latent)
     logits = netcore.forward(result.seg_net, x)
     return (
         inference.LAMBDA_R * inference.mahalanobis(rec.latent, result.stats)[0]
-        + w.lambda_bce * training.bce_loss(logits, onehot)[0]
-        + training.dice_loss(logits, onehot)[0]
+        + w.lambda_bce * training.bce_loss(logits, labels)[0]
+        + training.dice_loss(logits, labels)[0]
     )
 
 

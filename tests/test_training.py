@@ -22,22 +22,22 @@ from heartfields.training import (
 )
 
 
-def random_one_hot(n, seed=0):
+def random_labels(n, seed=0):
     rng = np.random.default_rng(seed)
-    return AnatomicalLabel.one_hot(rng.integers(0, 5, size=n))
+    return rng.integers(0, 5, size=n)
 
 
 # ------------------------------------------------------------------- losses
 
 
 def test_seg_loss_saturated_is_tiny():
-    t = random_one_hot(40, seed=1)
-    logits = np.where(t > 0, 20.0, -20.0)
+    t = random_labels(40, seed=1)
+    logits = np.where(AnatomicalLabel.one_hot(t) > 0, 20.0, -20.0)
     assert seg_loss(logits, t)[0] < 1e-6
 
 
 def test_bce_at_zero_logits_is_ln2():
-    t = random_one_hot(30, seed=2)
+    t = random_labels(30, seed=2)
     assert bce_loss(np.zeros((30, 5)), t)[0] == pytest.approx(np.log(2.0))
 
 
@@ -46,13 +46,24 @@ def test_seg_loss_rejects_bad_targets():
     with pytest.raises(ValueError):
         seg_loss(np.zeros((4, 5)), bad)
     with pytest.raises(ValueError):
-        seg_loss(np.zeros((4, 4)), random_one_hot(4))
+        seg_loss(np.zeros((4, 4)), random_labels(4))
+
+
+@pytest.mark.parametrize("labels, match", [
+    ([0, 5, 1], "labels must lie in 0-4"),
+    (np.array([0.0, 1.0, 2.0]), "n integer labels"),  # a float would be cut to an int
+    (np.array([0, 1]), "n integer labels"),
+])
+@pytest.mark.parametrize("loss_fn", [bce_loss, dice_loss, seg_loss])
+def test_losses_take_n_integer_labels_of_the_legend(loss_fn, labels, match):
+    with pytest.raises(ValueError, match=match):
+        loss_fn(np.zeros((3, 5)), labels)
 
 
 @pytest.mark.parametrize("loss_fn", [bce_loss, dice_loss, seg_loss])
 def test_seg_loss_gradients_match_fd(loss_fn):
     rng = np.random.default_rng(3)
-    t = random_one_hot(10, seed=3)
+    t = random_labels(10, seed=3)
     z = rng.standard_normal((10, 5)) * 2.0
     _, grad = loss_fn(z, t)
     numeric = netcore.central_difference(lambda zz: loss_fn(zz, t)[0], z, 1e-6)
@@ -128,7 +139,7 @@ def test_seg_pipeline_gradient_wrt_params_and_latent():
     rng = np.random.default_rng(8)
     net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, 16, 2), seed=9)
     xyz = rng.standard_normal((6, 3)) * 30
-    t = random_one_hot(6, seed=10)
+    t = random_labels(6, seed=10)
     h0 = rng.standard_normal(4) * 0.3
 
     def loss_of(params, h):
@@ -173,7 +184,7 @@ def test_grad_scale_leaves_the_gradients_bits(keep):
     rng = np.random.default_rng(13)
     net = netcore.init_params(netcore.ResidualMlp(3 + 4, 5, 32, 2), seed=14)
     x = training.seg_inputs(rng.standard_normal((64, 3)) * 30, rng.standard_normal(4) * 0.3)
-    t = random_one_hot(64, seed=15)
+    t = random_labels(64, seed=15)
     plain, scaled = (
         training.through_net(net, x, lambda z: seg_loss(z, t), 4, keep, scale)
         for scale in (1.0, inference.GRAD_SCALE)
@@ -314,6 +325,17 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+def test_train_config_checks_itself_when_built():
+    """A config is checked when it is built, by ``dataclasses.replace``
+    too, and is immutable, so no stage meets one it cannot run."""
+    with pytest.raises(ValueError, match="^latent_dim must be at least 1, got 0$"):
+        TrainConfig(latent_dim=0)
+    with pytest.raises(ValueError, match="^dtype 'float16' is not one of float32, float64$"):
+        dataclasses.replace(tiny_config(), dtype="float16")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tiny_config().epochs = 3
 
 
 def test_train_deterministic(topo):
