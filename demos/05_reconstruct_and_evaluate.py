@@ -50,8 +50,8 @@ print(f"chamfer: directed {m['chamfer_ab']:.2f} / {m['chamfer_ba']:.2f} mm, "
 print(f"point Dice: LVM {m['dice_lvm']:.3f}, RVM {m['dice_rvm']:.3f}")
 print(f"LV volume: predicted {m['lv_vol']:.0f} mL, true {extras['true_lv_vol']:.0f} mL")
 
-# a dense label map decoded from the same latent code
-lo, dims = inference.label_box(pred.vertices, 4.0)
+# a dense label map decoded from the same latent code, over the contours' bounds
+lo, dims = inference.label_box(contours.all_points(acq.KIND_CONTOUR)[0], 4.0)
 labels = inference.predict_dense_labels(result.seg_net, rec.latent, lo, 4.0, dims)
 census = {anatomy.AnatomicalLabel(i).name: int(n) for i, n in
           enumerate(np.bincount(labels.ravel(), minlength=len(anatomy.AnatomicalLabel)))}

@@ -8,8 +8,8 @@ reproduce identical artifact hashes end to end.
                  misaligned test contour sets
     train        run the joint auto-decoder loop, write the checkpoint
     reconstruct  latent optimization + mesh prediction per case/condition
-    evaluate     metrics CSVs against the generating meshes
-    report       human-readable markdown summary
+    evaluate     metrics CSVs against the generating meshes, and a markdown
+                 report of their summary
 """
 
 import argparse
@@ -148,7 +148,7 @@ REPORT = "report.md"
 SHAPES, SAMPLES, CONTOURS, RECON, EVAL = "shapes", "samples", "contours", "recon", "eval"
 # every stage's outputs, in pipeline order: a stage reads those of the stages before it
 STAGES = {"generate": (SHAPES, SAMPLES, CONTOURS), "train": (CHECKPOINT, TRAIN_LOG),
-          "reconstruct": (RECON,), "evaluate": (EVAL,), "report": (REPORT,)}
+          "reconstruct": (RECON,), "evaluate": (EVAL, REPORT)}
 PER_CASE_CSV, SUMMARY_CSV, BLAND_ALTMAN_CSV = (
     os.path.join(EVAL, f"{name}.csv") for name in ("per_case", "summary", "bland_altman")
 )
@@ -609,8 +609,8 @@ def volumes(mesh):
 class CaseReference:
     """What every condition of a case is scored against: its generating
     ``mesh``, its :func:`volumes` and each contour point's distance to it,
-    kept per slice (keyed by its contour points' bytes) and taken on first
-    use; also the case's contour files, each read on first use."""
+    kept per slice and taken on first use; also the case's contour files,
+    each read on first use, whose slices an ablation subset shares."""
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -626,15 +626,13 @@ class CaseReference:
 
     def p2s(self, contours):
         """Mean distance of the contour points of ``contours`` to the mesh."""
-        pts = [s.points[s.kinds == acq.KIND_CONTOUR] for s in contours.slices]
-        keys = [p.tobytes() for p in pts]
-        new = {key: p for key, p in zip(keys, pts) if key not in self._distances}
+        new = [s for s in contours.slices if s not in self._distances]
         if new:
-            d = metrics.point_to_surface(np.concatenate(list(new.values())),
-                                         self.mesh.vertices, self.mesh.topology.faces)
-            ends = np.cumsum([len(p) for p in new.values()])
-            self._distances.update(zip(new, np.split(d, ends[:-1])))
-        return float(np.concatenate([self._distances[key] for key in keys]).mean())
+            pts = [s.points[s.kinds == acq.KIND_CONTOUR] for s in new]
+            d = metrics.point_to_surface(np.concatenate(pts), self.mesh.vertices,
+                                         self.mesh.topology.faces)
+            self._distances.update(zip(new, np.split(d, np.cumsum([len(p) for p in pts])[:-1])))
+        return float(np.concatenate([self._distances[s] for s in contours.slices]).mean())
 
 
 def case_metrics(pred, ref, contours, seg_net, latent):
@@ -684,9 +682,10 @@ def evaluate_case(root, topo, ckpt, case, condition, ref=None):
 
 def cmd_evaluate(config, conditions=None):
     """Evaluate every test case under ``conditions`` (default: those with
-    reconstructions) and write the CSVs. An unknown condition, or no
-    reconstruction of any case under them, raises ``ValueError`` before
-    anything is written. Returns 1 if a reconstruction was missing, else 0."""
+    reconstructions), then write the CSVs and the report of their summary.
+    An unknown condition, or no reconstruction of any case under them,
+    raises ``ValueError`` before anything is written. Returns 1 if a
+    reconstruction was missing, else 0."""
     _check_listed("condition", conditions or [], CONDITIONS)
     root = config.out_dir
     manifest = Manifest(root)
@@ -715,7 +714,7 @@ def cmd_evaluate(config, conditions=None):
         scores, extras = zip(*scored.values())
         # a NaN among the VOLUMES is the mass of an inverted wall
         inverted = sum(np.isnan([m[k] for k in VOLUMES]).any() for m in scores)
-        row = [condition, len(scores), inverted]
+        row = [condition, str(len(scores)), str(inverted)]
         for k in METRICS:
             row += [f"{v:.6g}" for v in metrics.finite_mean_sd([m[k] for m in scores])]
         summary.append(row)
@@ -728,6 +727,8 @@ def cmd_evaluate(config, conditions=None):
     if len(per_case) == 1:
         raise ValueError(f"nothing to evaluate: {root} holds no reconstruction under "
                          f"{', '.join(conditions) or 'any condition'}; run reconstruct first")
+    rows = [dict(zip(summary[0], row)) for row in summary[1:]]
+    tables = [line for table in REPORT_TABLES for line in _report_table(*table, rows)]
 
     manifest.begin("evaluate")
     artifacts = [
@@ -735,6 +736,8 @@ def cmd_evaluate(config, conditions=None):
         for rel, table in ((PER_CASE_CSV, per_case), (SUMMARY_CSV, summary), (BLAND_ALTMAN_CSV, ba))
     ]
     manifest.record_stage("evaluate", config, artifacts)
+    # after the record, so that its timing lines include this stage
+    _write(root, REPORT, _write_text, _report_text(tables, manifest.doc["stages"]))
     if missing:
         print(f"evaluate: skipped {len(missing)} missing reconstructions:", file=sys.stderr)
         for m in missing:
@@ -761,7 +764,8 @@ REPORT_TABLES = (
 
 
 def _report_table(title, first, columns, summary):
-    """The markdown lines of one REPORT_TABLES entry over the summary rows."""
+    """The markdown lines of one REPORT_TABLES entry over the summary rows,
+    each a dict of the summary CSV's cells by column."""
 
     def cell(row, k):
         if k not in METRICS:
@@ -780,39 +784,21 @@ def _report_table(title, first, columns, summary):
     return lines
 
 
-def cmd_report(config):
-    """Write the report of the evaluation the manifest records. A
-    ``summary.csv`` that its ``evaluate`` record does not hash raises
-    ``ValueError`` naming the file before anything is written."""
-    root = config.out_dir
-    path = os.path.join(root, SUMMARY_CSV)
-    stages = Manifest(root).doc["stages"]
-    lines = ["# Reconstruction run summary"]
-    if "evaluate" not in stages and not os.path.exists(path):
-        lines += ["", "No results found (run evaluate first)."]
-    else:
-        recorded = stages.get("evaluate", {}).get("artifacts", {}).get(SUMMARY_CSV)
-        if not os.path.exists(path) or file_hash(path) != recorded:
-            raise ValueError(f"{path}: not the summary the manifest's evaluate record hashes; "
-                             "run evaluate again")
-        with open(path, newline="") as f:
-            summary = list(csv.DictReader(f))
-        for table in REPORT_TABLES:
-            lines += _report_table(*table, summary)
-        durations = stages.get("reconstruct", {}).get("case_durations_s", {})
-        if durations:
-            vals = np.array(list(durations.values()))
-            lines += [
-                "",
-                "## Timing",
-                "",
-                f"Reconstruction: {vals.mean():.2f} s/case (min {vals.min():.2f}, "
-                f"max {vals.max():.2f}, n={len(vals)}).",
-            ]
-        lines += [f"Stage {s}: {stages[s]['duration_s']} s." for s in STAGES if s in stages]
-
-    _write(root, REPORT, _write_text, "\n".join(lines) + "\n")
-    return 0
+def _report_text(tables, stages):
+    """The report: the lines ``tables``, then the timing of the manifest's ``stages``."""
+    lines = ["# Reconstruction run summary", *tables]
+    durations = stages.get("reconstruct", {}).get("case_durations_s", {})
+    if durations:
+        vals = np.array(list(durations.values()))
+        lines += [
+            "",
+            "## Timing",
+            "",
+            f"Reconstruction: {vals.mean():.2f} s/case (min {vals.min():.2f}, "
+            f"max {vals.max():.2f}, n={len(vals)}).",
+        ]
+    lines += [f"Stage {s}: {stages[s]['duration_s']} s." for s in STAGES if s in stages]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------- CLI
@@ -844,12 +830,9 @@ def main(argv=None):
     p_rec.add_argument("--dense-spacing", type=float,
                        help="also export a label volume at this positive spacing (mm)")
 
-    p_eval = sub.add_parser("evaluate", help="metrics against generating meshes")
+    p_eval = sub.add_parser("evaluate", help="metrics against generating meshes, and a report")
     add_common(p_eval)
     p_eval.add_argument("--condition", action="append", choices=CONDITIONS)
-
-    p_rep = sub.add_parser("report", help="markdown summary")
-    add_common(p_rep)
 
     args = parser.parse_args(argv)
     config = load_config(args.config, {"out_dir": args.out})
@@ -866,8 +849,6 @@ def main(argv=None):
         return 0
     if args.command == "evaluate":
         return cmd_evaluate(config, conditions=args.condition)
-    if args.command == "report":
-        return cmd_report(config)
     return 2
 
 

@@ -48,7 +48,6 @@ def run(tmp_path_factory):
     harness.cmd_train(cfg)
     harness.cmd_reconstruct(cfg, conditions=["ideal", "ablation:halfsax"])
     assert harness.cmd_evaluate(cfg) == 0
-    assert harness.cmd_report(cfg) == 0
     return cfg
 
 
@@ -295,7 +294,6 @@ def test_train_removes_outputs_of_the_old_model(tmp_path):
     harness.cmd_train(cfg)
     harness.cmd_reconstruct(cfg, conditions=["ideal"])
     assert harness.cmd_evaluate(cfg) == 0
-    assert harness.cmd_report(cfg) == 0
 
     harness.cmd_train(replace(cfg, latent_dim=cfg.latent_dim - 2))
     assert sorted(harness.Manifest(cfg.out_dir).doc["stages"]) == ["generate", "train"]
@@ -326,14 +324,16 @@ def test_reconstruct_removes_the_evaluation_of_the_fits_it_replaces(tmp_path, ru
     assert_manifest_matches_files(dst)
 
 
-def test_evaluate_removes_the_report_of_the_old_evaluation(tmp_path, run):
-    """A new evaluation makes the report of the old one stale."""
+def test_evaluate_replaces_the_report_of_the_old_evaluation(tmp_path, run):
+    """A new evaluation's report shows its own conditions, not the old one's."""
     import shutil
 
     dst = tmp_path / "reevaluated"
     shutil.copytree(run.out_dir, dst)
     assert harness.cmd_evaluate(mini_config(dst), conditions=["ideal"]) == 0
-    assert not os.path.exists(dst / "report.md")
+    report = (dst / "report.md").read_text()
+    assert len(re.findall(r"^\| ideal \| ", report, re.M)) == 3
+    assert "halfsax" not in report
     assert_manifest_matches_files(dst)
 
 
@@ -341,7 +341,7 @@ def test_stages_name_every_output_of_a_run(run):
     """Each recorded artifact lies under its own stage's STAGES entry, and
     every entry of the run directory is the manifest or a stage's output."""
     stages = harness.Manifest(run.out_dir).doc["stages"]
-    assert set(stages) == set(harness.STAGES) - {"report"}
+    assert set(stages) == set(harness.STAGES)
     for stage, record in stages.items():
         for rel in record["artifacts"]:
             assert rel.split(os.sep, 1)[0] in harness.STAGES[stage], (stage, rel)
@@ -542,7 +542,6 @@ def test_train_resume_rejects_another_architecture(tmp_path):
     harness.cmd_train(cfg)
     harness.cmd_reconstruct(cfg, conditions=["ideal"])
     assert harness.cmd_evaluate(cfg) == 0
-    assert harness.cmd_report(cfg) == 0
     root = cfg.out_dir
     before = {rel: Path(root, rel).read_bytes()
               for rel in ("checkpoint.nihc", "manifest.json", "report.md")}
@@ -1143,7 +1142,6 @@ def test_evaluate_summary_counts_inverted_walls(tmp_path, run):
     _copy_with_inverted_lv_wall(run, dst)
     cfg = mini_config(dst)
     assert harness.cmd_evaluate(cfg, conditions=["ideal"]) == 0
-    assert harness.cmd_report(cfg) == 0
     with open(os.path.join(dst, "eval", "summary.csv")) as f:
         (summary,) = list(csv.DictReader(f))
     assert int(summary["inverted_walls"]) == 1
@@ -1195,7 +1193,6 @@ def test_evaluation_outputs_golden(tmp_path, run, golden_arithmetic):
     _copy_with_inverted_lv_wall(run, dst)
     cfg = mini_config(dst)
     assert harness.cmd_evaluate(cfg) == 0
-    assert harness.cmd_report(cfg) == 0
     digests = {"run": _evaluation_digests(run.out_dir), "inverted": _evaluation_digests(dst)}
     assert digests == GOLDEN_EVAL_SHA256
 
@@ -1302,6 +1299,41 @@ def test_evaluate_missing_reconstruction_nonzero_exit(tmp_path, run):
     cfg = mini_config(dst)
     os.remove(os.path.join(dst, "recon", "ideal", "test_0001.ply"))
     assert harness.cmd_evaluate(cfg, conditions=["ideal"]) == 1
+
+
+def test_evaluate_with_a_missing_reconstruction_reports_the_scored_cases(tmp_path, run):
+    """An evaluation that skips a missing reconstruction still reports the
+    cases it scored."""
+    import shutil
+
+    dst = tmp_path / "missing"
+    shutil.copytree(run.out_dir, dst)
+    os.remove(dst / "report.md")
+    os.remove(dst / "recon" / "ideal" / "test_0001.ply")
+    assert harness.cmd_evaluate(mini_config(dst), conditions=["ideal"]) == 1
+    report = (dst / "report.md").read_text()
+    rows = re.findall(r"^\| ideal \| (\d+) \| ", report, re.M)
+    assert rows == ["1", "1"]  # n of the contour and mesh tables
+
+
+def test_evaluate_failed_report_writes_nothing(tmp_path, run, monkeypatch):
+    """The report is rendered before any file is written, so a failed render
+    leaves the old evaluation, its report and its manifest record."""
+    import shutil
+
+    class Failed(Exception):
+        pass
+
+    def fail(*args):
+        raise Failed
+
+    dst = tmp_path / "failed"
+    shutil.copytree(run.out_dir, dst)
+    before = tree_hashes(dst)
+    monkeypatch.setattr(harness, "_report_table", fail)
+    with pytest.raises(Failed):
+        harness.cmd_evaluate(mini_config(dst), conditions=["ideal"])
+    assert tree_hashes(dst) == before
 
 
 def test_evaluate_nothing_to_evaluate_writes_nothing(tmp_path, run):
@@ -1441,50 +1473,21 @@ def test_manifest_records_the_compute_environment(tmp_path, run, monkeypatch):
 # ------------------------------------------------------------------- report
 
 
-def test_report_contents_and_idempotence(run):
-    path = Path(run.out_dir, "report.md")
-    first = path.read_text()
+def test_report_contents_and_idempotence(tmp_path, run):
+    """A second evaluation of the same reconstructions reports the same
+    tables; only the timing differs."""
+    import shutil
+
+    dst = tmp_path / "again"
+    shutil.copytree(run.out_dir, dst)
+    first = (dst / "report.md").read_text()
     assert "experiment 1 analog" in first
     assert "experiment 2 analog" in first
     assert "experiment 3 analog" in first
     assert "Timing" in first
-    harness.cmd_report(run)
-    assert path.read_text() == first
-
-
-@pytest.mark.parametrize("edit", ["emptied", "short row", "edited cell", "removed"])
-def test_report_renders_only_the_recorded_summary(tmp_path, run, edit):
-    """A summary.csv other than the one the evaluate record hashes, or none
-    where one is recorded, raises a ValueError naming the file and leaves
-    the old report."""
-    import shutil
-
-    dst = tmp_path / "edited"
-    shutil.copytree(run.out_dir, dst)
-    path = dst / "eval" / "summary.csv"
-    data = path.read_bytes()
-    header, first, rest = data.split(b"\r\n", 2)
-    cells = first.split(b",")
-    cells[3] = b"0.5"  # dice_lvm_mean
-    edited = {"emptied": b"", "short row": data + b"ideal,1\r\n",
-              "edited cell": b"\r\n".join([header, b",".join(cells), rest])}
-    if edit == "removed":
-        path.unlink()
-    else:
-        assert edited[edit] != data
-        path.write_bytes(edited[edit])
-    report = (dst / "report.md").read_bytes()
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        harness.cmd_report(mini_config(dst))
-    assert (dst / "report.md").read_bytes() == report
-
-
-def test_report_empty_results(tmp_path):
-    cfg = mini_config(tmp_path / "empty")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    assert harness.cmd_report(cfg) == 0
-    text = Path(cfg.out_dir, "report.md").read_text()
-    assert "No results" in text
+    assert harness.cmd_evaluate(mini_config(dst)) == 0
+    again = (dst / "report.md").read_text()
+    assert again.split("## Timing")[0] == first.split("## Timing")[0]
 
 
 # -------------------------------------------------------------- determinism
@@ -1550,7 +1553,6 @@ def test_cli_roundtrip(tmp_path):
         == 0
     )
     assert harness.main(["evaluate", "--config", str(cfgfile)]) == 0
-    assert harness.main(["report", "--config", str(cfgfile)]) == 0
     report = (out / "report.md").read_text()
     # the ideal rows of the three tables that show every condition
     assert len(re.findall(r"^\| ideal \| ", report, re.M)) == 3
